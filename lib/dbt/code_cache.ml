@@ -119,6 +119,16 @@ let peek t pc =
   Mutex.unlock t.lock;
   r
 
+let has_trace t pc =
+  Mutex.lock t.lock;
+  let r =
+    match Hashtbl.find t.tbl pc with
+    | e -> e.e_tier = Trace
+    | exception Not_found -> false
+  in
+  Mutex.unlock t.lock;
+  r
+
 let find t pc =
   Mutex.lock t.lock;
   let hit =

@@ -106,6 +106,10 @@ val find : t -> int -> entry option
 val peek : t -> int -> entry option
 (** Like {!find} but touches neither statistics nor recency. *)
 
+val has_trace : t -> int -> bool
+(** Whether the entry at a guest pc is a {!Trace}: {!peek} without the
+    allocation, for the engine's per-block-entry promotion checks. *)
+
 val insert : t -> pc:int -> tier:tier -> mode:code_mode -> Gb_vliw.Vinsn.trace -> entry
 (** Install a translation, evicting LRU entries until it fits. An
     existing entry at the same pc (tier promotion, retranslation) is

@@ -267,10 +267,7 @@ let max_bias_rebuilds = 2
    the previous phase would otherwise dominate the ratio forever) *)
 let relearn_window = 16
 
-let has_trace t entry =
-  match Code_cache.peek t.cc entry with
-  | Some e -> e.Code_cache.e_tier = Code_cache.Trace
-  | None -> false
+let has_trace t entry = Code_cache.has_trace t.cc entry
 
 let consider_retranslation t entry =
   if t.cfg.adaptive_retranslate
@@ -365,13 +362,14 @@ exception Verify_rejected
    an exclusion window is a sound cut: a {!Gb_obs.Allocs} window around a
    processor run then counts only execution-tier allocation. Translation
    allocates freely by design (IR, DFG, scheduling) and would drown the
-   number the hot loops are held to. *)
-let excluded t f =
-  Gb_obs.Allocs.pause t.allocs;
-  Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) f
-
+   number the hot loops are held to. Each one pauses before it allocates
+   anything, the [Fun.protect] closures included: a closure built ahead
+   of the pause would be charged to the counted run once per entry, and
+   prefetch submissions (workers > 0 only) would then change the
+   count. *)
 let translate_first_pass t entry =
-  excluded t @@ fun () ->
+  Gb_obs.Allocs.pause t.allocs;
+  Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
   if Code_cache.peek t.cc entry <> None
      || Hashtbl.mem t.fp_blacklist entry
      || translate_faulted t entry
@@ -750,7 +748,8 @@ let commit t ~gen (p : plan) (br : backend_result) =
 let prefetch_lookahead = 8
 
 let submit_prefetch t pool entry =
-  excluded t @@ fun () ->
+  Gb_obs.Allocs.pause t.allocs;
+  Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
   match plan_of t entry ~quiet:true with
   | None -> ()
   | Some p ->
@@ -772,7 +771,8 @@ let submit_prefetch t pool entry =
       Gb_obs.Sink.incr t.obs "workers.queue_full")
 
 let translate t entry =
-  excluded t @@ fun () ->
+  Gb_obs.Allocs.pause t.allocs;
+  Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
   match Code_cache.peek t.cc entry with
   | Some e when e.Code_cache.e_tier = Code_cache.Trace ->
     Some e.Code_cache.e_trace

@@ -82,6 +82,7 @@ let run ?(config = Gb_system.Processor.default_config)
   let dbt_mem = Gb_system.Processor.mem proc in
   let dbt_regs = dbt_interp.Gb_riscv.Interp.regs in
   let ref_regs = ref_interp.Gb_riscv.Interp.regs in
+  let reg = Gb_riscv.Regfile.get in
   (* Timing record/replay: rdcycle results observed by the DBT run (in
      guest program order on both tiers — see {!Gb_vliw.Machine}) are fed
      to the reference's rdcycles, so timing is an input of the
@@ -136,7 +137,7 @@ let run ?(config = Gb_system.Processor.default_config)
        existing trace-vs-interpreter oracle tests *)
     let rec go i =
       if i >= 32 then None
-      else if Int64.equal ref_regs.(i) dbt_regs.(i) then go (i + 1)
+      else if Int64.equal (reg ref_regs i) (reg dbt_regs i) then go (i + 1)
       else Some i
     in
     go 1
@@ -192,8 +193,8 @@ let run ?(config = Gb_system.Processor.default_config)
              target ref_interp.Gb_riscv.Interp.pc
              (match regs_mismatch () with
              | Some r when ref_interp.Gb_riscv.Interp.pc = target ->
-               Printf.sprintf "; x%d = 0x%Lx vs 0x%Lx" r ref_regs.(r)
-                 dbt_regs.(r)
+               Printf.sprintf "; x%d = 0x%Lx vs 0x%Lx" r (reg ref_regs r)
+                 (reg dbt_regs r)
              | _ -> ""));
         false
       end
@@ -301,7 +302,7 @@ let run ?(config = Gb_system.Processor.default_config)
       | Some r ->
         record ~pc ~region:None ~tier:"end" ~kind:"reg"
           (Printf.sprintf "x%d = 0x%Lx (reference) vs 0x%Lx (DBT)" r
-             ref_regs.(r) dbt_regs.(r))
+             (reg ref_regs r) (reg dbt_regs r))
       | None -> ());
       compare_output ~pc ~region:None ~tier:"end";
       compare_full ~pc ~region:None ~tier:"end";

@@ -17,10 +17,11 @@
     [Gc.minor_words] only sees the calling domain's minor heap: work
     shipped to translation worker domains is invisible here, which is
     the intended accounting — only the owning domain's allocation can
-    stall the owning domain's hot loop. Each resume itself allocates the
-    [Gc.minor_words] float box ({e after} the counter is read), so a
-    counted run carries ~2 words of measurement overhead per excluded
-    window — noise against any real per-instruction traffic.
+    stall the owning domain's hot loop. {!start}, {!pause} and {!resume}
+    allocate nothing, and {!stop} only boxes its result once counting
+    has ended (the counters live in a flat float record), so the count
+    does not depend on how many windows a run opens — in particular not
+    on whether translation worker domains are configured.
 
     Not domain-safe: an accumulator must be started, paused, resumed and
     stopped by one domain. *)

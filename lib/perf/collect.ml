@@ -236,16 +236,19 @@ let e10_verdicts (m : Gb_diff.Matrix.t) =
    1000 guest instructions, with the translation pipeline excluded from
    the processor runs via the engine's {!Gb_obs.Allocs} exclusion
    windows. Translation worker domains have their own minor heaps and
-   are invisible to the owning domain's [Gc.minor_words], so the cells
-   are identical with and without GHOSTBUSTERS_WORKERS. The interpreter
-   cell brackets a pure interpreter run — no translation to exclude.
+   are invisible to the owning domain's [Gc.minor_words], and neither
+   the windows nor the prefetch decisions allocate on the owning domain,
+   so the cells are identical for every worker count (test_alloc checks
+   0 against 4). The interpreter cell brackets a pure interpreter run —
+   no translation to exclude.
    These cells are what the CI perf gate holds the hot loops to (rule
    [alloc.], see {!Baseline.rule_for}): a leaked per-instruction
    allocation shows up as a step in this trajectory. *)
 let alloc_modes =
   [ Gb_core.Mitigation.Fence_on_detect; Gb_core.Mitigation.Min_cut ]
 
-let alloc_cells () =
+let alloc_cells ?(workers = Gb_dbt.Engine.default_config.Gb_dbt.Engine.workers)
+    () =
   let w = List.hd Gb_workloads.Polybench.all in
   let program = Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program in
   let cell name words insns =
@@ -267,11 +270,12 @@ let alloc_cells () =
   interp_cell
   :: List.map
        (fun mode ->
-         let p =
-           Gb_system.Processor.create
-             ~config:(Gb_system.Processor.config_for mode)
-             program
+         let config = Gb_system.Processor.config_for mode in
+         let engine =
+           { config.Gb_system.Processor.engine with Gb_dbt.Engine.workers }
          in
+         let config = { config with Gb_system.Processor.engine } in
+         let p = Gb_system.Processor.create ~config program in
          let a = Gb_system.Processor.allocs p in
          Gb_obs.Allocs.start a;
          let r = Gb_system.Processor.run p in

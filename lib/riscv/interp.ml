@@ -9,7 +9,7 @@ let pure_hooks =
 (* A decode-cache entry carries the instruction plus its pre-boxed
    64-bit immediate (shifted and sign-extended once, at decode time), so
    the Op_imm/Lui/Auipc hot paths never rebuild an [Int64] from the raw
-   immediate field. *)
+   immediate field: reading it back out of the box allocates nothing. *)
 type centry = { ce_insn : Insn.t; ce_imm : int64 }
 
 (* Physical-equality sentinel for "not decoded yet". Sound because
@@ -20,7 +20,7 @@ type centry = { ce_insn : Insn.t; ce_imm : int64 }
 let undecoded = { ce_insn = Insn.Fence; ce_imm = 0L }
 
 type t = {
-  regs : int64 array;
+  regs : Regfile.t;
   mem : Mem.t;
   clock : int64 ref;
   hooks : hooks;
@@ -47,6 +47,10 @@ type t = {
      rdcycle, traps, exit). Always 0 outside {!run}. *)
   mutable acc_insns : int;
   mutable acc_cycles : int;
+  scratch : Regfile.t;
+      (* slot 0 takes every write to x0, so [regs] slot 0 is never
+         written and stays zero; slot 1 stages an Op_imm immediate for
+         {!alu} *)
 }
 
 exception Trap of string
@@ -64,11 +68,11 @@ let create ?(hooks = pure_hooks) ?clock ?regs ~mem ~pc () =
          mid-computation (sp in use as a scratch register); callers that
          want the convention use {!default_sp} — the same single source
          of truth as the self-allocated path below *)
-      assert (Array.length r >= 32);
+      assert (Regfile.length r >= 32);
       r
     | None ->
-      let r = Array.make 32 0L in
-      r.(Reg.sp) <- default_sp mem;
+      let r = Regfile.create 32 in
+      Regfile.set r Reg.sp (default_sp mem);
       r
   in
   {
@@ -87,6 +91,7 @@ let create ?(hooks = pure_hooks) ?clock ?regs ~mem ~pc () =
     x_exit = -1;
     acc_insns = 0;
     acc_cycles = 0;
+    scratch = Regfile.create 2;
   }
 
 let flush_decode_cache t =
@@ -105,16 +110,17 @@ type step_info = {
    top of the int64 result. Bit 31 lands on bit 62 (the native sign bit)
    after the shift, so [asr] extends it; the bits shifted out above are
    exactly the ones a W-op discards. *)
-let sext32_int v = Int64.of_int ((v lsl 31) asr 31)
+let[@inline] sext32_int v = Int64.of_int ((v lsl 31) asr 31)
 
-let sext32 v = sext32_int (Int64.to_int v)
+let[@inline] sext32 v = sext32_int (Int64.to_int v)
 
-let get t r = if r = 0 then 0L else t.regs.(r)
-
-let set t r v = if r <> 0 then t.regs.(r) <- v
+(* The helpers below are [@inline] so that, inside {!alu}, each arm is
+   one primitive expression from register reads to register write and
+   nothing is boxed: an out-of-line call would box its int64 arguments
+   and result. *)
 
 (* Unsigned 64x64 -> high 64 bits, via 32-bit limbs. *)
-let mulhu x y =
+let[@inline] mulhu x y =
   let open Int64 in
   let mask32 = 0xFFFFFFFFL in
   let x0 = logand x mask32 and x1 = shift_right_logical x 32 in
@@ -126,113 +132,144 @@ let mulhu x y =
   let t = add (mul x0 y1) w1 in
   add (add (mul x1 y1) w2) (shift_right_logical t 32)
 
-let mulh x y =
+(* [Int64.unsigned_div]/[unsigned_rem] are out of line in the standard
+   library; this is the same algorithm, inlinable *)
+let[@inline] udiv n d =
   let open Int64 in
-  let h = mulhu x y in
-  let h = if compare x 0L < 0 then sub h y else h in
-  if compare y 0L < 0 then sub h x else h
+  if compare d 0L < 0 then (if unsigned_compare n d < 0 then 0L else 1L)
+  else
+    let q = shift_left (div (shift_right_logical n 1) d) 1 in
+    let r = sub n (mul q d) in
+    if unsigned_compare r d >= 0 then succ q else q
 
-let mulhsu x y =
-  let open Int64 in
-  let h = mulhu x y in
-  if compare x 0L < 0 then sub h y else h
+let[@inline] urem n d = Int64.sub n (Int64.mul (udiv n d) d)
 
-let div_signed a b =
-  if Int64.equal b 0L then -1L
-  else if Int64.equal a Int64.min_int && Int64.equal b (-1L) then Int64.min_int
-  else Int64.div a b
-
-let rem_signed a b =
-  if Int64.equal b 0L then a
-  else if Int64.equal a Int64.min_int && Int64.equal b (-1L) then 0L
-  else Int64.rem a b
-
-let div_unsigned a b =
-  if Int64.equal b 0L then -1L else Int64.unsigned_div a b
-
-let rem_unsigned a b = if Int64.equal b 0L then a else Int64.unsigned_rem a b
-
-let alu_rr op a b =
+(* Every arm stores its result with its own [Regfile.set]: binding one
+   result across the arms of the match would box it in every arm (see
+   docs/INTERNALS.md §12). *)
+let alu op d rd a ra b rb =
+  let x = Regfile.get a ra and y = Regfile.get b rb in
   let open Int64 in
   match op with
-  | Insn.ADD -> add a b
-  | Insn.SUB -> sub a b
-  | Insn.SLL -> shift_left a (to_int b land 63)
-  | Insn.SLT -> if compare a b < 0 then 1L else 0L
-  | Insn.SLTU -> if unsigned_compare a b < 0 then 1L else 0L
-  | Insn.XOR -> logxor a b
-  | Insn.SRL -> shift_right_logical a (to_int b land 63)
-  | Insn.SRA -> shift_right a (to_int b land 63)
-  | Insn.OR -> logor a b
-  | Insn.AND -> logand a b
+  | Insn.ADD -> Regfile.set d rd (add x y)
+  | Insn.SUB -> Regfile.set d rd (sub x y)
+  | Insn.SLL -> Regfile.set d rd (shift_left x (to_int y land 63))
+  | Insn.SLT -> Regfile.set d rd (of_int (Bool.to_int (compare x y < 0)))
+  | Insn.SLTU ->
+    Regfile.set d rd (of_int (Bool.to_int (unsigned_compare x y < 0)))
+  | Insn.XOR -> Regfile.set d rd (logxor x y)
+  | Insn.SRL -> Regfile.set d rd (shift_right_logical x (to_int y land 63))
+  | Insn.SRA -> Regfile.set d rd (shift_right x (to_int y land 63))
+  | Insn.OR -> Regfile.set d rd (logor x y)
+  | Insn.AND -> Regfile.set d rd (logand x y)
   (* the W-suffixed ALU ops only keep the low 32 bits of their result, so
      the whole computation fits the native-int domain (truncation
-     commutes with +/-/*/shift): one box for the result instead of one
-     per Int64 intermediate *)
-  | Insn.ADDW -> sext32_int (to_int a + to_int b)
-  | Insn.SUBW -> sext32_int (to_int a - to_int b)
-  | Insn.SLLW -> sext32_int (to_int a lsl (to_int b land 31))
+     commutes with +/-/*/shift) *)
+  | Insn.ADDW -> Regfile.set d rd (sext32_int (to_int x + to_int y))
+  | Insn.SUBW -> Regfile.set d rd (sext32_int (to_int x - to_int y))
+  | Insn.SLLW ->
+    Regfile.set d rd (sext32_int (to_int x lsl (to_int y land 31)))
   | Insn.SRLW ->
-    sext32_int ((to_int a land 0xFFFFFFFF) lsr (to_int b land 31))
+    Regfile.set d rd
+      (sext32_int ((to_int x land 0xFFFFFFFF) lsr (to_int y land 31)))
   | Insn.SRAW ->
-    sext32_int (((to_int a lsl 31) asr 31) asr (to_int b land 31))
-  | Insn.MUL -> mul a b
-  | Insn.MULH -> mulh a b
-  | Insn.MULHSU -> mulhsu a b
-  | Insn.MULHU -> mulhu a b
-  | Insn.DIV -> div_signed a b
-  | Insn.DIVU -> div_unsigned a b
-  | Insn.REM -> rem_signed a b
-  | Insn.REMU -> rem_unsigned a b
-  | Insn.MULW -> sext32_int (to_int a * to_int b)
+    Regfile.set d rd
+      (sext32_int (((to_int x lsl 31) asr 31) asr (to_int y land 31)))
+  | Insn.MUL -> Regfile.set d rd (mul x y)
+  | Insn.MULH ->
+    (* signed high word: correct the unsigned one for each negative
+       operand *)
+    Regfile.set d rd
+      (sub
+         (sub (mulhu x y) (logand y (shift_right x 63)))
+         (logand x (shift_right y 63)))
+  | Insn.MULHSU ->
+    Regfile.set d rd (sub (mulhu x y) (logand y (shift_right x 63)))
+  | Insn.MULHU -> Regfile.set d rd (mulhu x y)
+  (* division never traps: by zero gives all ones (quotient) or the
+     dividend (remainder); min_int / -1 overflows to min_int, rem 0 *)
+  | Insn.DIV ->
+    if equal y 0L then Regfile.set d rd (-1L)
+    else if equal x min_int && equal y (-1L) then Regfile.set d rd min_int
+    else Regfile.set d rd (div x y)
+  | Insn.DIVU ->
+    if equal y 0L then Regfile.set d rd (-1L) else Regfile.set d rd (udiv x y)
+  | Insn.REM ->
+    if equal y 0L then Regfile.set d rd x
+    else if equal x min_int && equal y (-1L) then Regfile.set d rd 0L
+    else Regfile.set d rd (rem x y)
+  | Insn.REMU ->
+    if equal y 0L then Regfile.set d rd x else Regfile.set d rd (urem x y)
+  | Insn.MULW -> Regfile.set d rd (sext32_int (to_int x * to_int y))
+  (* 32-bit operands as native ints: exact, and no int64 intermediates *)
   | Insn.DIVW ->
-    let a = sext32 a and b = sext32 b in
-    let q = if equal b 0L then -1L else if equal a (-2147483648L) && equal b (-1L) then a else div a b in
-    sext32 q
+    let x = (to_int x lsl 31) asr 31 and y = (to_int y lsl 31) asr 31 in
+    if y = 0 then Regfile.set d rd (-1L)
+    else Regfile.set d rd (sext32_int (x / y))
   | Insn.DIVUW ->
-    let a = logand a 0xFFFFFFFFL and b = logand b 0xFFFFFFFFL in
-    sext32 (if equal b 0L then -1L else unsigned_div a b)
+    let x = to_int x land 0xFFFFFFFF and y = to_int y land 0xFFFFFFFF in
+    if y = 0 then Regfile.set d rd (-1L)
+    else Regfile.set d rd (sext32_int (x / y))
   | Insn.REMW ->
-    let a = sext32 a and b = sext32 b in
-    let r = if equal b 0L then a else if equal a (-2147483648L) && equal b (-1L) then 0L else rem a b in
-    sext32 r
+    let x = (to_int x lsl 31) asr 31 and y = (to_int y lsl 31) asr 31 in
+    if y = 0 then Regfile.set d rd (sext32_int x)
+    else Regfile.set d rd (sext32_int (x mod y))
   | Insn.REMUW ->
-    let a = logand a 0xFFFFFFFFL and b = logand b 0xFFFFFFFFL in
-    sext32 (if equal b 0L then a else unsigned_rem a b)
+    let x = to_int x land 0xFFFFFFFF and y = to_int y land 0xFFFFFFFF in
+    if y = 0 then Regfile.set d rd (sext32_int x)
+    else Regfile.set d rd (sext32_int (x mod y))
 
-let alu_imm op a imm =
-  match op with
-  | Insn.ADDI -> alu_rr Insn.ADD a imm
-  | Insn.SLTI -> alu_rr Insn.SLT a imm
-  | Insn.SLTIU -> alu_rr Insn.SLTU a imm
-  | Insn.XORI -> alu_rr Insn.XOR a imm
-  | Insn.ORI -> alu_rr Insn.OR a imm
-  | Insn.ANDI -> alu_rr Insn.AND a imm
-  | Insn.SLLI -> alu_rr Insn.SLL a imm
-  | Insn.SRLI -> alu_rr Insn.SRL a imm
-  | Insn.SRAI -> alu_rr Insn.SRA a imm
-  | Insn.ADDIW -> alu_rr Insn.ADDW a imm
-  | Insn.SLLIW -> alu_rr Insn.SLLW a imm
-  | Insn.SRLIW -> alu_rr Insn.SRLW a imm
-  | Insn.SRAIW -> alu_rr Insn.SRAW a imm
+let alu_rr op a b =
+  let f = Regfile.create 3 in
+  Regfile.set f 1 a;
+  Regfile.set f 2 b;
+  alu op f 0 f 1 f 2;
+  Regfile.get f 0
+
+let alu_of_imm = function
+  | Insn.ADDI -> Insn.ADD
+  | Insn.SLTI -> Insn.SLT
+  | Insn.SLTIU -> Insn.SLTU
+  | Insn.XORI -> Insn.XOR
+  | Insn.ORI -> Insn.OR
+  | Insn.ANDI -> Insn.AND
+  | Insn.SLLI -> Insn.SLL
+  | Insn.SRLI -> Insn.SRL
+  | Insn.SRAI -> Insn.SRA
+  | Insn.ADDIW -> Insn.ADDW
+  | Insn.SLLIW -> Insn.SLLW
+  | Insn.SRLIW -> Insn.SRLW
+  | Insn.SRAIW -> Insn.SRAW
 
 let width_bytes = function Insn.B -> 1 | Insn.H -> 2 | Insn.W -> 4 | Insn.D -> 8
 
-let sign_of_width w v =
-  match w with
-  | Insn.B -> Int64.shift_right (Int64.shift_left v 56) 56
-  | Insn.H -> Int64.shift_right (Int64.shift_left v 48) 48
-  | Insn.W -> sext32 v
-  | Insn.D -> v
+let cond c a ra b rb =
+  let x = Regfile.get a ra and y = Regfile.get b rb in
+  match c with
+  | Insn.BEQ -> Int64.equal x y
+  | Insn.BNE -> not (Int64.equal x y)
+  | Insn.BLT -> Int64.compare x y < 0
+  | Insn.BGE -> Int64.compare x y >= 0
+  | Insn.BLTU -> Int64.unsigned_compare x y < 0
+  | Insn.BGEU -> Int64.unsigned_compare x y >= 0
 
-let eval_cond cond a b =
-  match cond with
-  | Insn.BEQ -> Int64.equal a b
-  | Insn.BNE -> not (Int64.equal a b)
-  | Insn.BLT -> Int64.compare a b < 0
-  | Insn.BGE -> Int64.compare a b >= 0
-  | Insn.BLTU -> Int64.unsigned_compare a b < 0
-  | Insn.BGEU -> Int64.unsigned_compare a b >= 0
+(* sub-word loads sign/zero-extend in the native-int domain *)
+let load_into mem ~addr w ~unsigned d rd =
+  match w with
+  | Insn.D -> Regfile.set d rd (Mem.load64 mem ~addr)
+  | Insn.B | Insn.H | Insn.W ->
+    let size = width_bytes w in
+    let raw = Mem.load_int mem ~addr ~size in
+    let sh = Sys.int_size - (8 * size) in
+    Regfile.set d rd
+      (Int64.of_int (if unsigned then raw else (raw lsl sh) asr sh))
+
+let store_from mem ~addr w s r =
+  match w with
+  | Insn.D -> Mem.store64 mem ~addr (Regfile.get s r)
+  | Insn.B | Insn.H | Insn.W ->
+    Mem.store_int mem ~addr ~size:(width_bytes w)
+      (Int64.to_int (Regfile.get s r))
 
 let imm_of_insn insn =
   match insn with
@@ -273,100 +310,82 @@ let flush_acc t =
     t.acc_cycles <- 0
   end
 
+(* The register file a write to [rd] goes to: a write to x0 lands in
+   the discard slot, so x0 reads as zero without a test on every read. *)
+let[@inline] dst t rd = if rd = 0 then t.scratch else t.regs
+
+let[@inline] addr_of t rs1 off = Int64.to_int (Regfile.get t.regs rs1) + off
+
 (* Execute one decoded instruction; returns extra memory cycles. Control
    flow is reported through [t.x_next]/[t.x_taken]/[t.x_exit] (pre-reset
-   by the caller) so the common case allocates nothing beyond the boxed
-   result value. [flush_acc] runs before every point that can observe the
+   by the caller), and every result is written to the register file by
+   the primitive that computes it, so the common case allocates nothing.
+   [flush_acc] runs before every point that can observe the
    architectural counters — hook calls (which may stamp observability
    events with the clock), rdcycle — keeping batched {!run} execution
    bit-identical to stepped execution. *)
 let exec_insn t pc ce =
   match ce.ce_insn with
   | Insn.Op_imm (op, rd, rs1, _) ->
-    set t rd (alu_imm op (get t rs1) ce.ce_imm);
+    Regfile.set t.scratch 1 ce.ce_imm;
+    alu (alu_of_imm op) (dst t rd) rd t.regs rs1 t.scratch 1;
     0
   | Insn.Op (op, rd, rs1, rs2) ->
-    set t rd (alu_rr op (get t rs1) (get t rs2));
+    alu op (dst t rd) rd t.regs rs1 t.regs rs2;
     0
   | Insn.Lui (rd, _) ->
-    set t rd ce.ce_imm;
+    Regfile.set (dst t rd) rd ce.ce_imm;
     0
   | Insn.Auipc (rd, _) ->
     (* exact: both operands are far below the 63-bit native-int range,
        so the int sum equals the Int64 sum *)
-    set t rd (Int64.of_int (pc + Int64.to_int ce.ce_imm));
+    Regfile.set (dst t rd) rd (Int64.of_int (pc + Int64.to_int ce.ce_imm));
     0
   | Insn.Load (w, unsigned, rd, rs1, off) ->
-    let addr = Int64.to_int (get t rs1) + off in
-    (match w with
-    | Insn.D ->
-      let v = Mem.load t.mem ~addr ~size:8 in
-      let extra =
-        if t.has_hooks then begin
-          flush_acc t;
-          t.hooks.mem_extra ~addr ~size:8 ~write:false
-        end
-        else 0
-      in
-      set t rd v;
-      extra
-    | Insn.B | Insn.H | Insn.W ->
-      (* sub-word loads sign/zero-extend in the native-int domain and box
-         exactly once *)
-      let size = width_bytes w in
-      let raw = Mem.load_int t.mem ~addr ~size in
-      let extra =
-        if t.has_hooks then begin
-          flush_acc t;
-          t.hooks.mem_extra ~addr ~size ~write:false
-        end
-        else 0
-      in
-      let v =
-        if unsigned then raw
-        else
-          let sh = Sys.int_size - (8 * size) in
-          (raw lsl sh) asr sh
-      in
-      set t rd (Int64.of_int v);
-      extra)
-  | Insn.Store (w, rs2, rs1, off) ->
-    let addr = Int64.to_int (get t rs1) + off in
-    let size = width_bytes w in
-    Mem.store t.mem ~addr ~size (get t rs2);
+    let addr = addr_of t rs1 off in
+    (* a load into x0 still faults and still reaches the cache *)
+    load_into t.mem ~addr w ~unsigned (dst t rd) rd;
     if t.has_hooks then begin
       flush_acc t;
-      t.hooks.mem_extra ~addr ~size ~write:true
+      t.hooks.mem_extra ~addr ~size:(width_bytes w) ~write:false
     end
     else 0
-  | Insn.Branch (cond, rs1, rs2, off) ->
-    let b = eval_cond cond (get t rs1) (get t rs2) in
+  | Insn.Store (w, rs2, rs1, off) ->
+    let addr = addr_of t rs1 off in
+    store_from t.mem ~addr w t.regs rs2;
+    if t.has_hooks then begin
+      flush_acc t;
+      t.hooks.mem_extra ~addr ~size:(width_bytes w) ~write:true
+    end
+    else 0
+  | Insn.Branch (c, rs1, rs2, off) ->
+    let b = cond c t.regs rs1 t.regs rs2 in
     t.x_taken <- (if b then 1 else 0);
     if b then t.x_next <- pc + off;
     0
   | Insn.Jal (rd, off) ->
-    set t rd (Int64.of_int (pc + 4));
+    Regfile.set (dst t rd) rd (Int64.of_int (pc + 4));
     t.x_next <- pc + off;
     0
   | Insn.Jalr (rd, rs1, off) ->
-    let target = (Int64.to_int (get t rs1) + off) land lnot 1 in
-    set t rd (Int64.of_int (pc + 4));
+    let target = addr_of t rs1 off land lnot 1 in
+    Regfile.set (dst t rd) rd (Int64.of_int (pc + 4));
     t.x_next <- target;
     0
   | Insn.Ecall -> (
-    match Int64.to_int (get t Reg.a7) with
+    match Int64.to_int (Regfile.get t.regs Reg.a7) with
     | 93 ->
-      t.x_exit <- Int64.to_int (get t Reg.a0) land 0xff;
+      t.x_exit <- Int64.to_int (Regfile.get t.regs Reg.a0) land 0xff;
       0
     | 64 ->
       Buffer.add_char t.output
-        (Char.chr (Int64.to_int (get t Reg.a0) land 0xff));
+        (Char.chr (Int64.to_int (Regfile.get t.regs Reg.a0) land 0xff));
       0
     | n -> trap "unknown ecall %d at pc 0x%x" n pc)
   | Insn.Fence -> 0
   | Insn.Rdcycle rd ->
     flush_acc t;
-    set t rd
+    Regfile.set (dst t rd) rd
       (match t.rdcycle_hook with
       | Some f -> f !(t.clock)
       | None -> !(t.clock));
@@ -374,7 +393,7 @@ let exec_insn t pc ce =
   | Insn.Cflush rs1 ->
     if t.has_hooks then begin
       flush_acc t;
-      t.hooks.flush_line (Int64.to_int (get t rs1))
+      t.hooks.flush_line (Int64.to_int (Regfile.get t.regs rs1))
     end;
     0
 

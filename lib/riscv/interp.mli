@@ -7,7 +7,8 @@
 
     The register file is passed in from outside so that interpreter and
     VLIW core can share architectural state (the VLIW file simply has extra
-    hidden registers beyond index 31). *)
+    hidden registers beyond index 31). Slot 0 of it (x0) is never
+    written: a write to x0 goes to a discard slot, so x0 reads as zero. *)
 
 type hooks = {
   mem_extra : addr:int -> size:int -> write:bool -> int;
@@ -23,7 +24,7 @@ type centry
     64-bit immediate. Opaque — use {!flush_decode_cache} to invalidate. *)
 
 type t = {
-  regs : int64 array;
+  regs : Regfile.t;
   mem : Mem.t;
   clock : int64 ref;
   hooks : hooks;
@@ -50,6 +51,9 @@ type t = {
   mutable acc_cycles : int;
       (** cycles accumulated by {!run} not yet folded into [clock];
           always 0 outside {!run} *)
+  scratch : Regfile.t;
+      (** scratch: slot 0 takes writes to x0, slot 1 stages an
+          immediate operand *)
 }
 
 exception Trap of string
@@ -62,7 +66,7 @@ val default_sp : Mem.t -> int64
     (the processor) must use it too, so the two paths cannot drift. *)
 
 val create :
-  ?hooks:hooks -> ?clock:int64 ref -> ?regs:int64 array -> mem:Mem.t ->
+  ?hooks:hooks -> ?clock:int64 ref -> ?regs:Regfile.t -> mem:Mem.t ->
   pc:int -> unit -> t
 (** [regs] must have at least 32 entries and is never mutated here (it
     may be a shared file handed back mid-computation); a fresh 32-entry
@@ -77,19 +81,35 @@ type step_info = {
   s_exit : int option;  (** exit code when the program terminated *)
 }
 
-val alu_rr : Insn.oprr -> int64 -> int64 -> int64
-(** Pure semantics of register-register ALU operations (also reused by the
-    VLIW execution units, which must agree with the reference model). *)
+val alu :
+  Insn.oprr -> Regfile.t -> int -> Regfile.t -> int -> Regfile.t -> int ->
+  unit
+(** [alu op d rd a ra b rb] writes [op] applied to slot [ra] of [a] and
+    slot [rb] of [b] into slot [rd] of [d]. The semantics of the
+    register-register ALU operations, shared by both execution tiers (the
+    VLIW execution units must agree with the reference model). Operands
+    and result stay in register files, so nothing is boxed. *)
 
-val alu_imm : Insn.opri -> int64 -> int64 -> int64
+val alu_rr : Insn.oprr -> int64 -> int64 -> int64
+(** {!alu} on values, for cold callers (constant folding, tests). *)
 
 val mulhu : int64 -> int64 -> int64
 (** High 64 bits of the unsigned 128-bit product. *)
 
-val eval_cond : Insn.branch_cond -> int64 -> int64 -> bool
+val cond : Insn.branch_cond -> Regfile.t -> int -> Regfile.t -> int -> bool
+(** [cond c a ra b rb]: whether the branch condition holds between slot
+    [ra] of [a] and slot [rb] of [b]. *)
 
-val sign_of_width : Insn.width -> int64 -> int64
-(** Sign-extend a zero-extended loaded value to its width. *)
+val load_into :
+  Mem.t -> addr:int -> Insn.width -> unsigned:bool -> Regfile.t -> int ->
+  unit
+(** [load_into mem ~addr w ~unsigned d rd] loads [w] bytes at [addr],
+    sign- or zero-extends them, and writes the result into slot [rd] of
+    [d]. Raises {!Mem.Fault} out of range. *)
+
+val store_from : Mem.t -> addr:int -> Insn.width -> Regfile.t -> int -> unit
+(** [store_from mem ~addr w s r] stores the low [w] bytes of slot [r] of
+    [s] at [addr]. Raises {!Mem.Fault} out of range. *)
 
 val width_bytes : Insn.width -> int
 

@@ -14,10 +14,11 @@ let check t addr n =
      size, [len - addr <= len]). *)
   if addr < 0 || n > Bytes.length t.data - addr then raise (Fault addr)
 
-(* The loads below box at most one [int64] result (the 4-byte case reads
-   two unboxed 16-bit halves rather than going through a boxed [int32]),
-   and the stores box nothing: these run once per guest memory
-   instruction on both execution tiers. *)
+(* None of the accessors below allocates except {!load}, the cold
+   value-returning form. The hot paths of both execution tiers use
+   {!load_int}/{!store_int} for sub-word accesses (native ints), and the
+   inlined {!load64}/{!store64} for doublewords, whose [int64] goes
+   straight between the register file and [Bytes] without a box. *)
 
 let load_int t ~addr ~size =
   check t addr size;
@@ -29,25 +30,34 @@ let load_int t ~addr ~size =
     lor (Bytes.get_uint16_le t.data (addr + 2) lsl 16)
   | _ -> invalid_arg "Mem.load_int: size"
 
+let[@inline] load64 t ~addr =
+  check t addr 8;
+  Bytes.get_int64_le t.data addr
+
 let load t ~addr ~size =
   match size with
   | 1 | 2 | 4 -> Int64.of_int (load_int t ~addr ~size)
-  | 8 ->
-    check t addr size;
-    Bytes.get_int64_le t.data addr
+  | 8 -> load64 t ~addr
   | _ -> invalid_arg "Mem.load: size"
 
-let store t ~addr ~size v =
+let store_int t ~addr ~size v =
   check t addr size;
   match size with
-  | 1 -> Bytes.unsafe_set t.data addr (Char.unsafe_chr (Int64.to_int v land 0xff))
-  | 2 -> Bytes.set_uint16_le t.data addr (Int64.to_int v land 0xffff)
+  | 1 -> Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xff))
+  | 2 -> Bytes.set_uint16_le t.data addr (v land 0xffff)
   | 4 ->
-    let v = Int64.to_int v in
     Bytes.set_uint16_le t.data addr (v land 0xffff);
     Bytes.set_uint16_le t.data (addr + 2) ((v lsr 16) land 0xffff)
-  | 8 -> Bytes.set_int64_le t.data addr v
-  | _ -> invalid_arg "Mem.store: size"
+  | _ -> invalid_arg "Mem.store_int: size"
+
+let[@inline] store64 t ~addr v =
+  check t addr 8;
+  Bytes.set_int64_le t.data addr v
+
+let store t ~addr ~size v =
+  match size with
+  | 8 -> store64 t ~addr v
+  | _ -> store_int t ~addr ~size (Int64.to_int v)
 
 let load_insn_word t ~addr =
   check t addr 4;

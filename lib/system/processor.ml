@@ -126,14 +126,14 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
       Some (Gb_cache.Audit.create ~obs ~real:(Gb_cache.Hierarchy.cache hier) ())
     else None
   in
+  (* the one register file both tiers execute on *)
   let regs =
-    Array.make
+    Gb_riscv.Regfile.create
       (Gb_vliw.Vinsn.guest_regs + config.machine.Gb_vliw.Machine.n_hidden)
-      0L
   in
   (* the hoisted sp convention: same single source of truth as
      Interp.create's self-allocated register file *)
-  regs.(Gb_riscv.Reg.sp) <- Gb_riscv.Interp.default_sp mem;
+  Gb_riscv.Regfile.set regs Gb_riscv.Reg.sp (Gb_riscv.Interp.default_sp mem);
   (* Interpreter accesses are architectural by definition: they mirror
      straight into the audit's shadow cache. *)
   let attrib = Gb_obs.Sink.attrib obs in
@@ -367,7 +367,8 @@ let run t =
       Gb_obs.Sink.incr t.obs "processor.dispatch_exits";
       (* periodic committed-vs-overhead sample for the Chrome trace's
          attribution counter lanes *)
-      if t.attrib <> None && Int64.rem !(t.dispatch_exits) 256L = 1L then
+      if Option.is_some t.attrib && Int64.rem !(t.dispatch_exits) 256L = 1L
+      then
         emit_attrib_sample t;
       (* with chaining, the final exit may come from a different trace
          than the one dispatched; intermediate exits were already

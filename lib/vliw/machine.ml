@@ -25,7 +25,7 @@ type stats = {
 
 type t = {
   cfg : config;
-  regs : int64 array;
+  regs : Gb_riscv.Regfile.t;
   mem : Gb_riscv.Mem.t;
   hier : Gb_cache.Hierarchy.t;
   clock : int64 ref;
@@ -38,14 +38,17 @@ type t = {
   (* Scratch state owned by Pipeline.run_one, hoisted here so bundle
      execution never allocates: the parallel-write buffer is three
      parallel arrays (a tuple array would box one pair per register
-     write), reset by [n_writes] rather than refilled; the taken exit is
+     write), reset by [n_writes] rather than refilled, its values held
+     unboxed in a register file; [operands] stages an op's source
+     operands for the shared ALU/branch/store helpers; the taken exit is
      a -1-sentinel index plus kind (an [option ref] would box per
      bundle); [taint] is the per-run register taint map, reset by fill
      only when an audit is attached ([taint_on]). *)
   mutable w_dst : int array;
-  mutable w_val : int64 array;
+  mutable w_val : Gb_riscv.Regfile.t;
   mutable w_taint : bool array;
   mutable n_writes : int;
+  operands : Gb_riscv.Regfile.t;
   mutable stall : int;
   mutable taken_stub : int;
   mutable taken_kind : Vinsn.exit_kind;
@@ -72,9 +75,9 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
   let regs =
     match regs with
     | Some r ->
-      assert (Array.length r >= Vinsn.guest_regs + cfg.n_hidden);
+      assert (Gb_riscv.Regfile.length r >= Vinsn.guest_regs + cfg.n_hidden);
       r
-    | None -> Array.make (Vinsn.guest_regs + cfg.n_hidden) 0L
+    | None -> Gb_riscv.Regfile.create (Vinsn.guest_regs + cfg.n_hidden)
   in
   {
     cfg;
@@ -91,13 +94,14 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
     on_chain = (fun _ -> None);
     rdcycle_hook = None;
     w_dst = Array.make 32 0;
-    w_val = Array.make 32 0L;
+    w_val = Gb_riscv.Regfile.create 32;
     w_taint = Array.make 32 false;
     n_writes = 0;
+    operands = Gb_riscv.Regfile.create 2;
     stall = 0;
     taken_stub = -1;
     taken_kind = Vinsn.Fallthrough;
-    taint = Array.make (Array.length regs) false;
+    taint = Array.make (Gb_riscv.Regfile.length regs) false;
     taint_on = false;
     acc_bundles = 0;
     acc_stalls = 0;
@@ -127,6 +131,6 @@ let flush_acc t =
 let ensure_write_capacity t n =
   if Array.length t.w_dst < n then begin
     t.w_dst <- Array.make n 0;
-    t.w_val <- Array.make n 0L;
+    t.w_val <- Gb_riscv.Regfile.create n;
     t.w_taint <- Array.make n false
   end

@@ -39,7 +39,9 @@ type stats = {
 
 type t = {
   cfg : config;
-  regs : int64 array;
+  regs : Gb_riscv.Regfile.t;
+      (** guest registers [0..31], then the hidden ones; slot 0 (x0) is
+          never written *)
   mem : Gb_riscv.Mem.t;
   hier : Gb_cache.Hierarchy.t;
   clock : int64 ref;
@@ -74,9 +76,14 @@ type t = {
           (default) reads the clock unfiltered. *)
   mutable w_dst : int array;
       (** scratch (owned by {!Pipeline}): parallel-write destinations *)
-  mutable w_val : int64 array;  (** scratch: parallel-write values *)
+  mutable w_val : Gb_riscv.Regfile.t;
+      (** scratch: parallel-write values, written in place by the op
+          that computes them *)
   mutable w_taint : bool array;  (** scratch: parallel-write taint bits *)
   mutable n_writes : int;  (** scratch: live prefix of the write buffer *)
+  operands : Gb_riscv.Regfile.t;
+      (** scratch: an op's source operands, staged for the shared
+          {!Gb_riscv.Interp} helpers *)
   mutable stall : int;  (** scratch: stall cycles of the current bundle *)
   mutable taken_stub : int;  (** scratch: taken stub index, -1 = none *)
   mutable taken_kind : Vinsn.exit_kind;  (** scratch: kind of taken exit *)
@@ -105,7 +112,7 @@ val create :
   mem:Gb_riscv.Mem.t ->
   hier:Gb_cache.Hierarchy.t ->
   clock:int64 ref ->
-  ?regs:int64 array ->
+  ?regs:Gb_riscv.Regfile.t ->
   ?obs:Gb_obs.Sink.t ->
   ?audit:Gb_cache.Audit.t ->
   unit ->

@@ -11,9 +11,22 @@ exception Machine_error of string
 
 let error fmt = Printf.ksprintf (fun s -> raise (Machine_error s)) fmt
 
-let eval regs = function
-  | Vinsn.R r -> if r = 0 then 0L else regs.(r)
+module Regfile = Gb_riscv.Regfile
+module Interp = Gb_riscv.Interp
+
+(* An operand's value. Use it only as the direct argument of a
+   primitive, as the address computations below do: bound by a [let],
+   the join with the [I v] arm, which allocates nothing, would box the
+   register arm. Slot 0 is x0, which neither tier ever writes. *)
+let[@inline] eval (m : Machine.t) = function
+  | Vinsn.R r -> Regfile.get m.regs r
   | Vinsn.I v -> v
+
+(* Copy an operand's value into slot [k] of [d] without materialising
+   it. *)
+let[@inline] read_into (m : Machine.t) d k = function
+  | Vinsn.R r -> Regfile.move d k m.regs r
+  | Vinsn.I v -> Regfile.set d k v
 
 let rec count_fences bundle i acc =
   if i >= Array.length bundle then acc
@@ -65,22 +78,26 @@ let attribute_bundle a ~mitigated ~cut ~width ~pc bundle =
    local refs — used to allocate a closure set per trace run and a
    ref/option/tuple churn per bundle. *)
 
-let tainted (m : Machine.t) op =
-  match op with
-  | Vinsn.R r -> m.taint_on && r <> 0 && m.taint.(r)
-  | Vinsn.I _ -> false
+let[@inline] tainted (m : Machine.t) op =
+  m.taint_on
+  && match op with Vinsn.R r -> r <> 0 && m.taint.(r) | Vinsn.I _ -> false
 
-let push_write (m : Machine.t) ~taint dst v =
+(* Claim the next parallel-write slot for [dst] and return its index:
+   the op then writes its result straight into [m.w_val] at that slot
+   (destination-passing: a value returned through a function would be
+   boxed). A write to x0 gets the first free slot without claiming it,
+   so the value is computed and discarded. *)
+let write_slot (m : Machine.t) ~taint dst =
+  let n = m.n_writes in
   if dst <> 0 then begin
-    let n = m.n_writes in
     for i = 0 to n - 1 do
       if m.w_dst.(i) = dst then error "duplicate write to register %d" dst
     done;
     m.w_dst.(n) <- dst;
-    m.w_val.(n) <- v;
     m.w_taint.(n) <- taint;
     m.n_writes <- n + 1
-  end
+  end;
+  n
 
 let take (m : Machine.t) stub kind =
   if m.taken_stub >= 0 then error "two control operations taken in one bundle";
@@ -105,58 +122,48 @@ let exec_op (m : Machine.t) op =
   match op with
   | Nop | Fence -> ()
   | Alu { op; dst; a; b } ->
-    push_write m ~taint:(tainted m a || tainted m b) dst
-      (Gb_riscv.Interp.alu_rr op (eval m.regs a) (eval m.regs b))
-  | Mv { dst; src } -> push_write m ~taint:(tainted m src) dst (eval m.regs src)
+    let k = write_slot m ~taint:(tainted m a || tainted m b) dst in
+    read_into m m.operands 0 a;
+    read_into m m.operands 1 b;
+    Interp.alu op m.w_val k m.operands 0 m.operands 1
+  | Mv { dst; src } ->
+    read_into m m.w_val (write_slot m ~taint:(tainted m src) dst) src
   | Rdcycle { dst } ->
+    let k = write_slot m ~taint:false dst in
     (* the natural reading is the clock at bundle issue — the batched
        cycles of all previous bundles must be folded in first *)
     Machine.flush_acc m;
     let now = !(m.clock) in
-    push_write m ~taint:false dst
+    Regfile.set m.w_val k
       (match m.rdcycle_hook with
       | Some f -> f now
       | None -> now)
   | Load { w; unsigned; dst; base; off; spec; id; pc; hoisted } ->
-    let addr = Int64.to_int (eval m.regs base) + off in
-    let size = Gb_riscv.Interp.width_bytes w in
+    let addr = Int64.to_int (eval m base) + off in
+    let size = Interp.width_bytes w in
     let mem_size = Gb_riscv.Mem.size m.mem in
     touch_cache m ~pc ~addr ~size ~write:false;
     (match spec with
     | Some tag -> Mcb.alloc m.mcb ~tag ~addr ~size
     | None -> ());
-    let speculative = hoisted || spec <> None in
+    let speculative = hoisted || Option.is_some spec in
     (match m.audit with
     | Some a when addr >= 0 ->
       Gb_cache.Audit.run_access a ~id ~pc ~addr ~size ~write:false ~speculative
         ~dependent:(tainted m base)
     | Some _ | None -> ());
-    let taint = speculative || tainted m base in
+    let k = write_slot m ~taint:(speculative || tainted m base) dst in
     (* Deferred-fault semantics for speculative loads; the bound check is
        overflow-proof ([addr + size] wraps negative near [max_int], which
-       would let a speculatively computed address dodge the fault path).
-       Each branch hands its value straight to [push_write]: binding the
-       loaded value in a [let] across the fault/width branches makes the
-       compiler unbox the join and re-box at the use site — one extra
-       minor block per load on the hot path. *)
-    if addr < 0 || size > mem_size - addr then push_write m ~taint dst 0L
-    else begin
-      match w with
-      | Gb_riscv.Insn.D ->
-        push_write m ~taint dst (Gb_riscv.Mem.load m.mem ~addr ~size:8)
-      | Gb_riscv.Insn.B | Gb_riscv.Insn.H | Gb_riscv.Insn.W ->
-        (* sub-word loads extend in the native-int domain: one box *)
-        let raw = Gb_riscv.Mem.load_int m.mem ~addr ~size in
-        push_write m ~taint dst
-          (if unsigned then Int64.of_int raw
-           else
-             let sh = Sys.int_size - (8 * size) in
-             Int64.of_int ((raw lsl sh) asr sh))
-    end
+       would let a speculatively computed address dodge the fault
+       path). *)
+    if addr < 0 || size > mem_size - addr then Regfile.set m.w_val k 0L
+    else Interp.load_into m.mem ~addr w ~unsigned m.w_val k
   | Store { w; src; base; off; id; pc } ->
-    let addr = Int64.to_int (eval m.regs base) + off in
-    let size = Gb_riscv.Interp.width_bytes w in
-    Gb_riscv.Mem.store m.mem ~addr ~size (eval m.regs src);
+    let addr = Int64.to_int (eval m base) + off in
+    let size = Interp.width_bytes w in
+    read_into m m.operands 0 src;
+    Interp.store_from m.mem ~addr w m.operands 0;
     touch_cache m ~pc ~addr ~size ~write:true;
     Mcb.store_probe m.mcb ~pc ~addr ~size;
     (match m.audit with
@@ -165,11 +172,12 @@ let exec_op (m : Machine.t) op =
         ~speculative:false ~dependent:false
     | Some _ | None -> ())
   | Branch { cond; a; b; stub } ->
-    if Gb_riscv.Interp.eval_cond cond (eval m.regs a) (eval m.regs b) then
-      take m stub Side_exit
+    read_into m m.operands 0 a;
+    read_into m m.operands 1 b;
+    if Interp.cond cond m.operands 0 m.operands 1 then take m stub Side_exit
   | Chk { tag; stub } -> if Mcb.check m.mcb ~tag then take m stub Rollback
   | Cflush { base; off; id; pc } ->
-    let addr = Int64.to_int (eval m.regs base) + off in
+    let addr = Int64.to_int (eval m base) + off in
     if addr >= 0 then begin
       Gb_cache.Hierarchy.flush_line m.hier addr;
       match m.audit with
@@ -184,7 +192,7 @@ let rec apply_commits (m : Machine.t) commits =
   | (dst, src) :: rest ->
     if dst = 0 || dst >= Vinsn.guest_regs then
       error "stub commit to non-guest register %d" dst;
-    m.regs.(dst) <- eval m.regs src;
+    read_into m m.regs dst src;
     apply_commits m rest
 
 let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
@@ -195,7 +203,8 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
      clock, so flush for them here; without one the accumulators keep
      batching and fold exactly once below, after the commit/penalty
      booking — one int64 materialisation per run instead of two *)
-  if m.audit <> None || Gb_obs.Sink.is_active m.obs then Machine.flush_acc m;
+  if Option.is_some m.audit || Gb_obs.Sink.is_active m.obs then
+    Machine.flush_acc m;
   let stub = trace.stubs.(stub_idx) in
   (match m.audit with
   | Some a -> Gb_cache.Audit.end_run a ~exit_id:stub.exit_id
@@ -252,9 +261,9 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
    at end of cycle to get the parallel-read semantics right. *)
 let run_one (m : Machine.t) (trace : Vinsn.trace) =
   let open Vinsn in
-  if Array.length m.regs < trace.n_regs then
+  if Regfile.length m.regs < trace.n_regs then
     error "trace needs %d registers, machine has %d" trace.n_regs
-      (Array.length m.regs);
+      (Regfile.length m.regs);
   let width =
     if Array.length trace.bundles = 0 then 1
     else Array.length trace.bundles.(0)
@@ -287,7 +296,7 @@ let run_one (m : Machine.t) (trace : Vinsn.trace) =
      the pre-batching per-bundle flush; otherwise the accumulators are
      invisible until the next flush point and bundle advance allocates
      nothing *)
-  m.eager <- Gb_obs.Sink.is_active m.obs || m.taint_on || attrib <> None;
+  m.eager <- Gb_obs.Sink.is_active m.obs || m.taint_on || Option.is_some attrib;
   let n = Array.length trace.bundles in
   let rec cycle i =
     if i >= n then error "trace fell off the end without an Exit op"
@@ -301,7 +310,7 @@ let run_one (m : Machine.t) (trace : Vinsn.trace) =
       done;
       for k = 0 to m.n_writes - 1 do
         let dst = m.w_dst.(k) in
-        m.regs.(dst) <- m.w_val.(k);
+        Regfile.move m.regs dst m.w_val k;
         if m.taint_on then m.taint.(dst) <- m.w_taint.(k)
       done;
       m.acc_bundles <- m.acc_bundles + 1;

@@ -314,9 +314,11 @@ let trace_oracle_prop =
     (fun (gtrace, seeds, mode) ->
       let mem_size = 1 lsl 16 in
       (* data region for the random base registers: aligned, in range *)
-      let init_regs = Array.make 128 0L in
+      let init_regs = Gb_riscv.Regfile.create 128 in
       List.iteri
-        (fun i s -> init_regs.(i + 1) <- Int64.of_int (0x4000 + (8 * s)))
+        (fun i s ->
+          Gb_riscv.Regfile.set init_regs (i + 1)
+            (Int64.of_int (0x4000 + (8 * s))))
         seeds;
       (* write the instruction bytes *)
       let make_mem () =
@@ -330,7 +332,7 @@ let trace_oracle_prop =
       in
       (* oracle: the reference interpreter until it leaves the trace *)
       let interp_mem = make_mem () in
-      let interp_regs = Array.copy init_regs in
+      let interp_regs = Gb_riscv.Regfile.copy init_regs in
       let interp =
         Gb_riscv.Interp.create ~regs:interp_regs ~mem:interp_mem ~pc:0x1000 ()
       in
@@ -358,7 +360,7 @@ let trace_oracle_prop =
       let vliw_mem = make_mem () in
       let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
       let clock = ref 0L in
-      let vliw_regs = Array.copy init_regs in
+      let vliw_regs = Gb_riscv.Regfile.copy init_regs in
       let machine =
         Gb_vliw.Machine.create ~mem:vliw_mem ~hier ~clock ~regs:vliw_regs ()
       in
@@ -379,7 +381,10 @@ let trace_oracle_prop =
       let vliw_pc = settle 1000 first_exit in
       let regs_agree =
         List.for_all
-          (fun r -> Int64.equal interp_regs.(r) vliw_regs.(r))
+          (fun r ->
+            Int64.equal
+              (Gb_riscv.Regfile.get interp_regs r)
+              (Gb_riscv.Regfile.get vliw_regs r))
           (List.init 31 (fun i -> i + 1))
       in
       let mem_agree =
@@ -419,7 +424,8 @@ let first_pass_straight_line () =
   Alcotest.(check int) "exits before the ecall" (program.Asm.entry + 12)
     info.Gb_vliw.Pipeline.next_pc;
   (* guest registers written directly, no stub needed *)
-  Alcotest.(check int64) "t2 = 5 * 12" 60L machine.Gb_vliw.Machine.regs.(Reg.t2)
+  Alcotest.(check int64) "t2 = 5 * 12" 60L
+    (Gb_riscv.Regfile.get machine.Gb_vliw.Machine.regs Reg.t2)
 
 let first_pass_branch_block () =
   let open Gb_riscv in
@@ -439,14 +445,14 @@ let first_pass_branch_block () =
   Alcotest.(check (option int)) "terminal branch recorded"
     (Some (program.Asm.entry + 4)) branch_pc;
   (* taken path: t0 < t1 *)
-  machine.Gb_vliw.Machine.regs.(Reg.t1) <- 100L;
+  Gb_riscv.Regfile.set machine.Gb_vliw.Machine.regs Reg.t1 100L;
   let info = Gb_vliw.Pipeline.run machine trace in
   Alcotest.(check int) "taken target" (program.Asm.entry + 4 + 64)
     info.Gb_vliw.Pipeline.next_pc;
   Alcotest.(check bool) "taken = side exit" true
     (info.Gb_vliw.Pipeline.kind = Gb_vliw.Pipeline.Side_exit);
   (* fall-through path *)
-  machine.Gb_vliw.Machine.regs.(Reg.t1) <- -100L;
+  Gb_riscv.Regfile.set machine.Gb_vliw.Machine.regs Reg.t1 (-100L);
   let info = Gb_vliw.Pipeline.run machine trace in
   Alcotest.(check int) "fall-through target" (program.Asm.entry + 8)
     info.Gb_vliw.Pipeline.next_pc;
@@ -494,14 +500,16 @@ let first_pass_differential_prop =
           (List.map (fun i -> Gb_riscv.Asm.Insn i) insns
           @ [ Gb_riscv.Asm.Insn Gb_riscv.Insn.Ecall ])
       in
-      let init_regs = Array.make 128 0L in
+      let init_regs = Gb_riscv.Regfile.create 128 in
       List.iteri
-        (fun i s -> init_regs.(i + 1) <- Int64.of_int (0x4000 + (8 * s)))
+        (fun i s ->
+          Gb_riscv.Regfile.set init_regs (i + 1)
+            (Int64.of_int (0x4000 + (8 * s))))
         seeds;
       let setup () =
         let mem = Gb_riscv.Mem.create ~size:(1 lsl 16) in
         Gb_riscv.Asm.load mem program;
-        (mem, Array.copy init_regs)
+        (mem, Gb_riscv.Regfile.copy init_regs)
       in
       (* interpreter *)
       let imem, iregs = setup () in
@@ -520,7 +528,9 @@ let first_pass_differential_prop =
       let info = Gb_vliw.Pipeline.run machine trace in
       info.Gb_vliw.Pipeline.next_pc = interp.Gb_riscv.Interp.pc
       && List.for_all
-           (fun r -> Int64.equal iregs.(r) vregs.(r))
+           (fun r ->
+             Int64.equal (Gb_riscv.Regfile.get iregs r)
+               (Gb_riscv.Regfile.get vregs r))
            (List.init 31 (fun i -> i + 1))
       && Gb_riscv.Mem.read_bytes imem ~addr:0x4000 ~len:0x3000
          = Gb_riscv.Mem.read_bytes vmem ~addr:0x4000 ~len:0x3000)

@@ -270,10 +270,15 @@ let test_empty_dir_is_error () =
 
 (* --- deliberate slowdowns are caught ------------------------------------ *)
 
+(* Chaining pinned on: the [exits_per_1k.*.chain] cell measures chained
+   execution, and under GHOSTBUSTERS_NO_CHAIN the default would be
+   dispatcher-only for baseline and candidate alike. *)
 let config_with ?cc_capacity ?hot_threshold () =
   let c = Gb_system.Processor.config_for Gb_core.Mitigation.Fine_grained in
   let engine = c.Gb_system.Processor.engine in
-  let cache = engine.Gb_dbt.Engine.cache in
+  let cache =
+    { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.chain = true }
+  in
   let cache =
     match cc_capacity with
     | Some capacity -> { cache with Gb_dbt.Code_cache.capacity }

@@ -271,7 +271,7 @@ let li_values_prop =
         @ asm_exit 0
       in
       let _, interp = run_items items in
-      let sp = Int64.to_int interp.Interp.regs.(Reg.sp) in
+      let sp = Int64.to_int (Gb_riscv.Regfile.get interp.Interp.regs Reg.sp) in
       Int64.equal v (Mem.load interp.Interp.mem ~addr:sp ~size:8))
 
 let fault_on_bad_access () =
@@ -367,12 +367,35 @@ let default_sp_convention () =
   let t = Gb_riscv.Interp.create ~mem ~pc:0 () in
   Alcotest.(check int64) "fresh file gets the convention"
     (Gb_riscv.Interp.default_sp mem)
-    t.Gb_riscv.Interp.regs.(Gb_riscv.Reg.sp);
-  let shared = Array.make 32 0L in
-  shared.(Gb_riscv.Reg.sp) <- 0L (* live zero, not "unset" *);
+    (Gb_riscv.Regfile.get t.Gb_riscv.Interp.regs Gb_riscv.Reg.sp);
+  let shared = Gb_riscv.Regfile.create 32 in
+  Gb_riscv.Regfile.set shared Gb_riscv.Reg.sp 0L (* live zero, not "unset" *);
   let t2 = Gb_riscv.Interp.create ~regs:shared ~mem ~pc:0 () in
   Alcotest.(check int64) "caller-supplied file is never mutated" 0L
-    t2.Gb_riscv.Interp.regs.(Gb_riscv.Reg.sp)
+    (Gb_riscv.Regfile.get t2.Gb_riscv.Interp.regs Gb_riscv.Reg.sp)
+
+(* x0 is hard-wired to zero: every instruction form that writes a
+   register targets it here, and reads of it must still see 0 (the
+   writes land in a discard slot, never in the register file). *)
+let x0_hardwired () =
+  let open Gb_riscv in
+  let open Insn in
+  let items =
+    [ Asm.Insn (Op_imm (ADDI, Reg.t0, Reg.zero, 7));
+      Asm.Insn (Op_imm (ADDI, Reg.zero, Reg.t0, 5));
+      Asm.Insn (Op (MUL, Reg.zero, Reg.t0, Reg.t0));
+      Asm.Insn (Lui (Reg.zero, 1)); Asm.Insn (Auipc (Reg.zero, 1));
+      Asm.Insn (Store (D, Reg.t0, Reg.sp, 0));
+      Asm.Insn (Load (D, false, Reg.zero, Reg.sp, 0));
+      Asm.Insn (Rdcycle Reg.zero); Asm.Jal_to (Reg.zero, "next");
+      Asm.Label "next";
+      Asm.Insn (Op (ADD, Reg.a0, Reg.zero, Reg.zero));
+      Asm.Insn (Op_imm (ADDI, Reg.a7, Reg.zero, 93)); Asm.Insn Ecall ]
+  in
+  let code, interp = run_items items in
+  Alcotest.(check int) "x0 reads 0" 0 code;
+  Alcotest.(check int64) "slot 0 never written" 0L
+    (Regfile.get interp.Interp.regs Reg.zero)
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -398,6 +421,7 @@ let () =
             fetch_fault_clean_trap;
           Alcotest.test_case "default sp convention" `Quick
             default_sp_convention;
+          Alcotest.test_case "x0 hard-wired to zero" `Quick x0_hardwired;
           qt mulhu_reference_prop;
         ] );
       ( "asm",

@@ -334,7 +334,7 @@ let sp_convention () =
   Alcotest.(check int64)
     "processor sp = Interp.default_sp"
     (Gb_riscv.Interp.default_sp mem)
-    interp.Gb_riscv.Interp.regs.(Gb_riscv.Reg.sp)
+    (Gb_riscv.Regfile.get interp.Gb_riscv.Interp.regs Gb_riscv.Reg.sp)
 
 (* mcb_entries = 0 means "MCB disabled": the processor clamps memory
    speculation out of the translator, and execution stays correct. *)

@@ -5,6 +5,8 @@ open Gb_vliw.Vinsn
 
 let h n = Gb_vliw.Vinsn.guest_regs + n (* hidden register n *)
 
+let reg (m : Gb_vliw.Machine.t) r = Gb_riscv.Regfile.get m.regs r
+
 let make_machine () =
   let mem = Gb_riscv.Mem.create ~size:(1 lsl 16) in
   let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
@@ -39,7 +41,7 @@ let straight_line () =
   let m, _clock = make_machine () in
   let info = Gb_vliw.Pipeline.run m t in
   Alcotest.(check int) "next pc" 0x2000 info.Gb_vliw.Pipeline.next_pc;
-  Alcotest.(check int64) "a0 committed" 12L m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0);
+  Alcotest.(check int64) "a0 committed" 12L (reg m Gb_riscv.Reg.a0);
   Alcotest.(check bool) "fallthrough" true
     (info.Gb_vliw.Pipeline.kind = Gb_vliw.Pipeline.Fallthrough)
 
@@ -60,7 +62,7 @@ let parallel_semantics () =
   in
   let m, _ = make_machine () in
   ignore (Gb_vliw.Pipeline.run m t);
-  Alcotest.(check int64) "parallel read" 2L m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0)
+  Alcotest.(check int64) "parallel read" 2L (reg m Gb_riscv.Reg.a0)
 
 let side_exit_commits () =
   (* Branch taken in bundle 1: only the side-exit stub's commits apply. *)
@@ -80,7 +82,7 @@ let side_exit_commits () =
   let m, _ = make_machine () in
   let info = Gb_vliw.Pipeline.run m t in
   Alcotest.(check int) "side exit target" 0xAAAA info.Gb_vliw.Pipeline.next_pc;
-  Alcotest.(check int64) "stub 0 committed" 1L m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0);
+  Alcotest.(check int64) "stub 0 committed" 1L (reg m Gb_riscv.Reg.a0);
   Alcotest.(check bool) "kind" true
     (info.Gb_vliw.Pipeline.kind = Gb_vliw.Pipeline.Side_exit)
 
@@ -114,12 +116,12 @@ let mcb_rollback () =
   Alcotest.(check int) "rollback target" 0xD00D info.Gb_vliw.Pipeline.next_pc;
   Alcotest.(check bool) "rollback kind" true
     (info.Gb_vliw.Pipeline.kind = Gb_vliw.Pipeline.Rollback);
-  Alcotest.(check int64) "a0 not committed" 0L m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0);
+  Alcotest.(check int64) "a0 not committed" 0L (reg m Gb_riscv.Reg.a0);
   let m2, _ = make_machine () in
   let info2 = Gb_vliw.Pipeline.run m2 (build 256) in
   Alcotest.(check int) "no rollback" 0xFFFF info2.Gb_vliw.Pipeline.next_pc;
   (* the load committed the (pre-store) memory value 0 *)
-  Alcotest.(check int64) "a0 committed" 0L m2.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0)
+  Alcotest.(check int64) "a0 committed" 0L (reg m2 Gb_riscv.Reg.a0)
 
 let mcb_partial_overlap () =
   (* A 1-byte store inside the 8-byte speculatively loaded range conflicts. *)
@@ -162,7 +164,7 @@ let speculative_fault_deferred () =
   let m, _ = make_machine () in
   ignore (Gb_vliw.Pipeline.run m t);
   Alcotest.(check int64) "deferred fault value" 0L
-    m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0)
+    (reg m Gb_riscv.Reg.a0)
 
 let miss_stalls_pipeline () =
   (* Same trace run twice: first run misses (cold cache), second hits. *)
@@ -252,9 +254,9 @@ let rdcycle_observes_stalls () =
   in
   let m, _ = make_machine () in
   ignore (Gb_vliw.Pipeline.run m t);
-  let cold_delta = m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0) in
+  let cold_delta = reg m Gb_riscv.Reg.a0 in
   ignore (Gb_vliw.Pipeline.run m t);
-  let warm_delta = m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0) in
+  let warm_delta = reg m Gb_riscv.Reg.a0 in
   Alcotest.(check bool) "cold >= miss penalty" true
     (Int64.compare cold_delta 40L >= 0);
   Alcotest.(check bool) "warm < miss penalty" true
@@ -291,11 +293,11 @@ let subword_memory_ops () =
   let m, _ = make_machine () in
   ignore (Gb_vliw.Pipeline.run m t);
   Alcotest.(check int64) "lw sign-extends" 0xFFFFFFFFFFFF8001L
-    m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a0);
+    (reg m Gb_riscv.Reg.a0);
   Alcotest.(check int64) "lhu zero-extends" 0x8001L
-    m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a1);
+    (reg m Gb_riscv.Reg.a1);
   Alcotest.(check int64) "lh sign-extends" 0xFFFFFFFFFFFF8001L
-    m.Gb_vliw.Machine.regs.(Gb_riscv.Reg.a2)
+    (reg m Gb_riscv.Reg.a2)
 
 let mcb_tag_reuse () =
   let mcb = Gb_vliw.Mcb.create ~entries:4 () in
@@ -343,6 +345,28 @@ let mcb_fault_hook () =
   Gb_vliw.Mcb.store_probe mcb ~pc:0 ~addr:200 ~size:8;
   Alcotest.(check bool) "hook removed" true (Gb_vliw.Mcb.check mcb ~tag:3)
 
+(* Writes to x0 — ALU, move, load — are computed and discarded: slot 0
+   of the shared register file stays zero, so R 0 reads 0 in the next
+   bundle. *)
+let x0_writes_discarded () =
+  let t =
+    trace
+      ~stubs:[ make_stub ~commits:[ (Gb_riscv.Reg.a0, R (h 0)) ] ~target_pc:0 () ]
+      [
+        [ Alu { op = add; dst = 0; a = I 5L; b = I 1L };
+          Mv { dst = 0; src = I 9L };
+          Load { w = Gb_riscv.Insn.D; unsigned = false; dst = 0; base = I 0L;
+                 off = 0; spec = None; id = 0; pc = 0; hoisted = false } ];
+        [ Alu { op = add; dst = h 0; a = R 0; b = I 0L } ];
+        [ Exit { stub = 0 } ];
+      ]
+  in
+  let m, _ = make_machine () in
+  Gb_riscv.Mem.store64 m.Gb_vliw.Machine.mem ~addr:0 42L;
+  ignore (Gb_vliw.Pipeline.run m t);
+  Alcotest.(check int64) "R 0 reads 0" 0L (reg m Gb_riscv.Reg.a0);
+  Alcotest.(check int64) "slot 0 never written" 0L (reg m 0)
+
 let () =
   Alcotest.run "vliw"
     [
@@ -357,6 +381,7 @@ let () =
           Alcotest.test_case "duplicate write rejected" `Quick
             duplicate_write_rejected;
           Alcotest.test_case "subword memory ops" `Quick subword_memory_ops;
+          Alcotest.test_case "x0 writes discarded" `Quick x0_writes_discarded;
         ] );
       ( "timing",
         [
