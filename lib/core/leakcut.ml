@@ -99,12 +99,18 @@ let infinite = max_int / 4
 
 let build_network ~(lat : Gb_ir.Latency.t) g =
   let n = Dfg.n_nodes g in
-  let buckets = Array.make (2 + (2 * n)) [] in
+  let n_vertices = 2 + (2 * n) in
+  (* each vertex's edges, newest first, and how many it has: an edge's
+     index in its vertex's final array is that count at insertion *)
+  let buckets = Array.make n_vertices [] in
+  let counts = Array.make n_vertices 0 in
   (* paired with its reverse edge so the residual graph is implicit *)
   let add_edge u v cap tag =
-    let iu = List.length buckets.(u) and iv = List.length buckets.(v) in
-    buckets.(u) <- buckets.(u) @ [ { dst = v; cap; rev = iv; tag } ];
-    buckets.(v) <- buckets.(v) @ [ { dst = u; cap = 0; rev = iu; tag = Tplain } ]
+    let iu = counts.(u) and iv = counts.(v) in
+    buckets.(u) <- { dst = v; cap; rev = iv; tag } :: buckets.(u);
+    counts.(u) <- iu + 1;
+    buckets.(v) <- { dst = u; cap = 0; rev = iu; tag = Tplain } :: buckets.(v);
+    counts.(v) <- counts.(v) + 1
   in
   let constrain_cost = Gb_ir.Build.latency_of lat in
   let sources = ref 0 and transmitters = ref 0 in
@@ -152,31 +158,40 @@ let build_network ~(lat : Gb_ir.Latency.t) g =
         (* pinned / exit-like: structurally unable to transmit
            transiently (see header); no network edges *)
         ());
-  ( { adj = Array.map Array.of_list buckets; n_vertices = 2 + (2 * n) },
-    !sources,
-    !transmitters )
+  let freeze edges = Array.of_list (List.rev edges) in
+  ( { adj = Array.map freeze buckets; n_vertices }, !sources, !transmitters )
 
 (* Edmonds-Karp: BFS for the shortest augmenting path until none
    remains. Networks here are tiny (two vertices per DFG node), so the
    O(V·E²) bound is irrelevant. *)
 let max_flow net =
-  let parent = Array.make net.n_vertices (-1, -1) in
+  (* BFS tree: [parent_v.(v)] is the vertex whose edge [parent_e.(v)]
+     reached [v]; -1 while unvisited *)
+  let parent_v = Array.make net.n_vertices (-1) in
+  let parent_e = Array.make net.n_vertices (-1) in
+  let queue = Array.make net.n_vertices 0 in
   let rec augment total =
-    Array.fill parent 0 net.n_vertices (-1, -1);
-    parent.(s_vertex) <- (s_vertex, -1);
-    let q = Queue.create () in
-    Queue.add s_vertex q;
+    Array.fill parent_v 0 net.n_vertices (-1);
+    parent_v.(s_vertex) <- s_vertex;
+    queue.(0) <- s_vertex;
+    let head = ref 0 and tail = ref 1 in
     let reached_t = ref false in
-    while (not !reached_t) && not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      Array.iteri
-        (fun i e ->
-          if e.cap > 0 && fst parent.(e.dst) = -1 then begin
-            parent.(e.dst) <- (u, i);
-            if e.dst = t_vertex then reached_t := true
-            else Queue.add e.dst q
-          end)
-        net.adj.(u)
+    while (not !reached_t) && !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let edges = net.adj.(u) in
+      for i = 0 to Array.length edges - 1 do
+        let e = edges.(i) in
+        if e.cap > 0 && parent_v.(e.dst) = -1 then begin
+          parent_v.(e.dst) <- u;
+          parent_e.(e.dst) <- i;
+          if e.dst = t_vertex then reached_t := true
+          else begin
+            queue.(!tail) <- e.dst;
+            incr tail
+          end
+        end
+      done
     done;
     if not !reached_t then total
     else begin
@@ -184,14 +199,14 @@ let max_flow net =
       let rec bottleneck v acc =
         if v = s_vertex then acc
         else
-          let u, i = parent.(v) in
-          bottleneck u (min acc net.adj.(u).(i).cap)
+          let u = parent_v.(v) in
+          bottleneck u (Int.min acc net.adj.(u).(parent_e.(v)).cap)
       in
       let f = bottleneck t_vertex infinite in
       let rec push v =
         if v <> s_vertex then begin
-          let u, i = parent.(v) in
-          let e = net.adj.(u).(i) in
+          let u = parent_v.(v) in
+          let e = net.adj.(u).(parent_e.(v)) in
           e.cap <- e.cap - f;
           net.adj.(e.dst).(e.rev).cap <- net.adj.(e.dst).(e.rev).cap + f;
           push u
@@ -255,7 +270,7 @@ let analyze ~lat g =
           r_cost = Gb_ir.Build.latency_of lat (Dfg.node g id).Dfg.kind;
           r_realized = false;
         }
-    | Tmask id when not (List.mem id constrained) ->
+    | Tmask id when not (List.exists (Int.equal id) constrained) ->
       Some
         {
           r_node = id;
@@ -268,7 +283,7 @@ let analyze ~lat g =
   in
   let repairs =
     List.filter_map repair_of cut
-    |> List.sort (fun a b -> compare a.r_node b.r_node)
+    |> List.sort (fun a b -> Int.compare a.r_node b.r_node)
   in
   {
     empty_plan with

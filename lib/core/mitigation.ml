@@ -86,7 +86,7 @@ let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
        while the repairs themselves come from the global min cut. *)
     let { Poison.patterns; _ } = Poison.analyze g in
     let flagged_pcs =
-      List.sort_uniq compare
+      List.sort_uniq Int.compare
         (List.map (fun id -> (Gb_ir.Dfg.node g id).Gb_ir.Dfg.guest_pc) patterns)
     in
     List.iter
@@ -167,6 +167,6 @@ let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
       rounds = !rounds;
       (* a load can be re-flagged in a later fixpoint round (and distinct
          nodes can share a guest pc after unrolling): report each pc once *)
-      flagged_pcs = List.sort_uniq compare !flagged_pcs;
+      flagged_pcs = List.sort_uniq Int.compare !flagged_pcs;
       cut_plan = None;
     }

@@ -23,8 +23,10 @@ let branch_direction cfg profile pc =
       else if ratio <= 1. -. cfg.bias_threshold then Follow_fall
       else Unbiased
 
+module Visits = Hashtbl.Make (Int)
+
 let build cfg ~mem ~profile ~entry =
-  let visits = Hashtbl.create 64 in
+  let visits = Visits.create 64 in
   let steps = ref [] in
   let count = ref 0 in
   let push step =
@@ -34,10 +36,10 @@ let build cfg ~mem ~profile ~entry =
   let rec walk pc =
     if !count >= cfg.max_insns then pc
     else
-      let v = try Hashtbl.find visits pc with Not_found -> 0 in
+      let v = Option.value ~default:0 (Visits.find_opt visits pc) in
       if v >= cfg.max_visits then pc
       else begin
-        Hashtbl.replace visits pc (v + 1);
+        Visits.replace visits pc (v + 1);
         match Gb_riscv.Decode.decode (Gb_riscv.Mem.load_insn_word mem ~addr:pc) with
         | exception Gb_riscv.Decode.Illegal _ -> pc
         | exception Gb_riscv.Mem.Fault _ -> pc

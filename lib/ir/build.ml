@@ -43,6 +43,28 @@ let oprr_of_opri = function
 
 let sext32 v = Int64.of_int32 (Int64.to_int32 v)
 
+(* Value-numbering key: an operation and its two operands. Equality and
+   hashing are monomorphic; the opcode takes part in equality only. *)
+module Cse = Hashtbl.Make (struct
+  type t = Gb_riscv.Insn.oprr * Dfg.value * Dfg.value
+
+  let value_equal a b =
+    match (a, b) with
+    | Dfg.Reg_in x, Dfg.Reg_in y | Dfg.Node x, Dfg.Node y -> Int.equal x y
+    | Dfg.Imm x, Dfg.Imm y -> Int64.equal x y
+    | (Dfg.Reg_in _ | Dfg.Node _ | Dfg.Imm _), _ -> false
+
+  let equal (op, a, b) (op', a', b') =
+    op = op' && value_equal a a' && value_equal b b'
+
+  let value_hash = function
+    | Dfg.Reg_in r -> r lsl 2
+    | Dfg.Node id -> (id lsl 2) lor 1
+    | Dfg.Imm v -> (Int64.to_int v lsl 2) lor 2
+
+  let hash (_, a, b) = (value_hash a * 65599) + value_hash b
+end)
+
 type state = {
   g : Dfg.t;
   lat : Latency.t;
@@ -53,7 +75,7 @@ type state = {
   mutable prev_mem : (int * bool) option;  (** (node, store-speculable?) *)
   mutable loads_since_mem : int list;
   mutable tags_used : int;
-  cse_table : (Gb_riscv.Insn.oprr * Dfg.value * Dfg.value, int) Hashtbl.t;
+  cse_table : int Cse.t;
       (** value numbering of pure operations (never invalidated: values
           are SSA and live-in registers are constant within a trace) *)
 }
@@ -141,7 +163,7 @@ let add_alu st ~op ~rd ~a ~b ~guest_pc =
       add_plain st ~kind:(Dfg.Kalu op) ~srcs:[| a; b |] ~dest ~pinned
         ~guest_pc ()
     in
-    if st.opt.Opt_config.cse then Hashtbl.replace st.cse_table (op, a, b) id;
+    if st.opt.Opt_config.cse then Cse.replace st.cse_table (op, a, b) id;
     Dfg.Node id
   in
   let value =
@@ -150,7 +172,7 @@ let add_alu st ~op ~rd ~a ~b ~guest_pc =
       match (a, b) with
       | Dfg.Imm va, Dfg.Imm vb -> Dfg.Imm (Gb_riscv.Interp.alu_rr op va vb)
       | (Dfg.Imm _ | Dfg.Reg_in _ | Dfg.Node _), _ -> (
-        match Hashtbl.find_opt st.cse_table (op, a, b) with
+        match Cse.find_opt st.cse_table (op, a, b) with
         | Some id -> Dfg.Node id
         | None -> fresh ())
   in
@@ -182,7 +204,8 @@ let add_load st ~w ~unsigned ~rd ~base ~off ~guest_pc =
     }
   in
   if speculate_store then st.tags_used <- st.tags_used + 1;
-  let pre_load_snapshot = snapshot st in
+  (* only an MCB-speculative load needs the pre-load state, for its chk *)
+  let pre_load_snapshot = if speculate_store then snapshot st else [] in
   let dest = if rd = 0 then None else Some rd in
   let id =
     add_plain st
@@ -300,7 +323,7 @@ let build ~opt ~lat (trace : Gtrace.t) =
       prev_mem = None;
       loads_since_mem = [];
       tags_used = 0;
-      cse_table = Hashtbl.create 64;
+      cse_table = Cse.create 64;
     }
   in
   List.iter (lower_step st) trace.Gtrace.steps;

@@ -56,7 +56,7 @@ let grow t =
         exit_pc = 0;
       }
     in
-    let next = Array.make (max 16 (cap * 2)) placeholder in
+    let next = Array.make (Int.max 16 (cap * 2)) placeholder in
     Array.blit t.node_store 0 next 0 cap;
     t.node_store <- next
   end

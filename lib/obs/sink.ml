@@ -89,10 +89,10 @@ let time t phase f =
   match t with
   | Noop -> f ()
   | Buffer b ->
-    let start = Unix.gettimeofday () in
+    let start = Timer.now () in
     Fun.protect
       ~finally:(fun () ->
-        let stop = Unix.gettimeofday () in
+        let stop = Timer.now () in
         b.ops <- Op_span (phase, start, (stop -. start) *. 1e6) :: b.ops)
       f
   | Active a -> Timer.time a.timers phase f

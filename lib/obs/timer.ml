@@ -2,23 +2,27 @@ type span = { sp_phase : string; sp_start_us : float; sp_dur_us : float }
 
 type acc = { mutable calls : int; mutable total_us : float }
 
+(* Seconds on the monotonic clock: nanosecond resolution, so phases well
+   below a microsecond (a first-pass translation) still read. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 type t = {
-  origin : float;  (** Unix.gettimeofday at creation *)
+  origin : float;  (** {!now} at creation *)
   totals : (string, acc) Hashtbl.t;
   spans : span Ring.t;
 }
 
 let create ?(span_capacity = 8192) () =
   {
-    origin = Unix.gettimeofday ();
+    origin = now ();
     totals = Hashtbl.create 16;
     spans = Ring.create span_capacity;
   }
 
 let time t phase f =
-  let start = Unix.gettimeofday () in
+  let start = now () in
   let record () =
-    let stop = Unix.gettimeofday () in
+    let stop = now () in
     let dur_us = (stop -. start) *. 1e6 in
     (match Hashtbl.find_opt t.totals phase with
     | Some a ->

@@ -211,8 +211,16 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
         { opt with Gb_ir.Opt_config.mcb_tags = entries }
       else opt
     in
-    if clamped = opt then config.engine
-    else { config.engine with Gb_dbt.Engine.opt_override = Some clamped }
+    let engine =
+      if clamped = opt then config.engine
+      else { config.engine with Gb_dbt.Engine.opt_override = Some clamped }
+    in
+    (* Likewise the hidden registers: code needing more than the machine
+       has fails translation (Out_of_registers) and its region stays on
+       the lower tiers, instead of reaching the pipeline's size check. *)
+    let n_hidden = machine_cfg.Gb_vliw.Machine.n_hidden in
+    if engine.Gb_dbt.Engine.n_hidden <= n_hidden then engine
+    else { engine with Gb_dbt.Engine.n_hidden }
   in
   let engine = Gb_dbt.Engine.create ~obs ?audit engine_cfg ~mem in
   (match inject with

@@ -77,7 +77,8 @@ val create :
     The processor also clamps the translator's MCB tag budget to the
     machine's [mcb_entries] (none at all when that is 0 — "MCB
     disabled"), so generated code can never check entries the hardware
-    does not have. *)
+    does not have, and the engine's [n_hidden] to the machine's, so it
+    never emits code using registers the machine does not have. *)
 
 val mem : t -> Gb_riscv.Mem.t
 

@@ -59,7 +59,8 @@ let join a b =
   match (a, b) with
   | None, t | t, None -> t
   | Some x, Some y ->
-    Some { live = max x.live y.live; origins = IS.union x.origins y.origins }
+    Some
+      { live = Int.max x.live y.live; origins = IS.union x.origins y.origins }
 
 let is_live c = function Some t -> t.live >= c | None -> false
 
@@ -101,7 +102,7 @@ let unresolved_exits pos ~id ~bundle =
 let verify (tr : Vinsn.trace) =
   let pos = positions tr in
   let nb = Array.length tr.Vinsn.bundles in
-  let st = Array.make (max 1 tr.Vinsn.n_regs) None in
+  let st = Array.make (Int.max 1 tr.Vinsn.n_regs) None in
   let violations = ref [] in
   let sched_spec = ref 0 and flag_spec = ref 0 and mem_ops = ref 0 in
   let flag kind ~pc ~id ~bundle origins =
@@ -132,14 +133,14 @@ let verify (tr : Vinsn.trace) =
               List.filter (fun (s, b) -> s < id && b >= c) pos.stores
             in
             let branch_live =
-              List.fold_left (fun acc (_, b) -> max acc b) (-1) guards
+              List.fold_left (fun acc (_, b) -> Int.max acc b) (-1) guards
             in
             let mcb_live =
               match bypassed with
               | [] -> -1
               | _ :: _ -> (
                 let last_store =
-                  List.fold_left (fun acc (_, b) -> max acc b) (-1) bypassed
+                  List.fold_left (fun acc (_, b) -> Int.max acc b) (-1) bypassed
                 in
                 match spec with
                 | Some tag when
@@ -163,7 +164,10 @@ let verify (tr : Vinsn.trace) =
             let seed =
               if sched || flagged then
                 Some
-                  { live = max branch_live mcb_live; origins = IS.singleton pc }
+                  {
+                    live = Int.max branch_live mcb_live;
+                    origins = IS.singleton pc;
+                  }
               else None
             in
             (* the loaded value inherits the address's taint, as in the
@@ -248,7 +252,7 @@ let sched_speculative pos ~id ~bundle ~spec =
   | [] -> false
   | bypassed -> (
     let last_store =
-      List.fold_left (fun acc (_, b) -> max acc b) (-1) bypassed
+      List.fold_left (fun acc (_, b) -> Int.max acc b) (-1) bypassed
     in
     match spec with
     | None -> true
@@ -314,7 +318,7 @@ let check_cut (tr : Vinsn.trace) ~(plan : Gb_core.Leakcut.plan) =
      schedule-speculative value is a potential transmitter payload for
      the rest of the unit) seeded only from loads the schedule still
      speculates; parallel-read semantics as in [verify]. *)
-  let st = Array.make (max 1 tr.Vinsn.n_regs) None in
+  let st = Array.make (Int.max 1 tr.Vinsn.n_regs) None in
   let read_t = function
     | Vinsn.I _ -> None
     | Vinsn.R r -> if r = 0 then None else st.(r)
@@ -361,7 +365,7 @@ let check_cut (tr : Vinsn.trace) ~(plan : Gb_core.Leakcut.plan) =
 let ok r = r.violations = []
 
 let violation_pcs r =
-  List.sort_uniq compare (List.map (fun v -> v.v_pc) r.violations)
+  List.sort_uniq Int.compare (List.map (fun v -> v.v_pc) r.violations)
 
 let pp_report ppf r =
   let open Format in

@@ -237,34 +237,19 @@ let interp_steady_state () =
     Alcotest.failf "interpreter: %.0f words for %Ld more instructions"
       (w2 -. w1) (Int64.sub n2 n1)
 
-(* The processor pinned to the configuration the manifest cell measures
-   whatever the suite's environment: chaining on (the NO_CHAIN leg
-   dispatches every exit, which allocates per exit) and no injected
-   faults (evictions retranslate). *)
-let pinned_processor mode program =
-  let config = Gb_system.Processor.config_for mode in
-  let engine = config.Gb_system.Processor.engine in
-  let cache =
-    { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.chain = true }
-  in
-  let engine = { engine with Gb_dbt.Engine.cache } in
-  let config = { config with Gb_system.Processor.engine } in
-  let inject = Sys.getenv_opt Gb_system.Inject.env_var in
-  Unix.putenv Gb_system.Inject.env_var "";
-  let p = Gb_system.Processor.create ~config program in
-  Option.iter (Unix.putenv Gb_system.Inject.env_var) inject;
-  p
-
 (* 287.3 words/kinsn (the measured floor, +5%); 2080 with the int64
    array register file. What is left is per trace exit and per
    interpreted instruction, not per bundle: dispatch, engine bookkeeping,
    the interpreter's step records. Translation is excluded by the
-   engine's Allocs windows. *)
+   engine's Allocs windows. The processor is pinned to the configuration
+   the manifest cell measures: chaining on (the NO_CHAIN leg dispatches
+   every exit, which allocates per exit) and no injected faults
+   (evictions retranslate). *)
 let pipeline_bound () =
   let program = gemm_program () in
   List.iter
     (fun mode ->
-      let p = pinned_processor mode program in
+      let p = Pinned.processor mode program in
       let a = Gb_system.Processor.allocs p in
       Allocs.start a;
       let r = Gb_system.Processor.run p in
@@ -290,6 +275,74 @@ let cells_worker_invariant () =
     (fun (name, w0) (_, w4) ->
       Alcotest.(check (float 0.)) (name ^ ": workers 0 = workers 4") w0 w4)
     cells0 cells4
+
+(* --- translation ---------------------------------------------------------- *)
+
+(* Minor words per DFG node for translating every trace region of a
+   program through the public phases, on the branch profile its run
+   leaves behind, under the two modes the churn benchmark translates
+   with. The engine's Allocs windows exclude translation, so this is its
+   only allocation bound. The run has no worker domains, so the profile
+   and the region list are the same in every environment. *)
+let translation_words_per_node (k : Gb_workloads.Polybench.t) =
+  let program = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
+  let p = Pinned.processor ~workers:0 Gb_core.Mitigation.Fine_grained program in
+  ignore (Gb_system.Processor.run p);
+  let eng = Gb_system.Processor.engine p in
+  let mem = Gb_system.Processor.mem p in
+  let profile = Gb_dbt.Engine.branch_profile eng in
+  let cfg = Gb_dbt.Engine.config eng in
+  let lat = cfg.Gb_dbt.Engine.lat and res = cfg.Gb_dbt.Engine.resources in
+  let entries =
+    List.filter_map
+      (fun (r : Gb_dbt.Engine.region) ->
+        match r.Gb_dbt.Engine.r_tier with
+        | `Trace -> Some r.Gb_dbt.Engine.r_entry
+        | `Block -> None)
+      (Gb_dbt.Engine.regions eng)
+  in
+  let translate_all () =
+    List.fold_left
+      (fun nodes mode ->
+        List.fold_left
+          (fun nodes entry ->
+            let gtrace =
+              Gb_dbt.Trace_builder.build cfg.Gb_dbt.Engine.trace_cfg ~mem
+                ~profile ~entry
+            in
+            let g =
+              Gb_ir.Build.build ~opt:(Gb_core.Mitigation.opt_of_mode mode) ~lat
+                gtrace
+            in
+            ignore (Gb_core.Mitigation.apply mode ~lat g);
+            let cycles = Gb_dbt.Sched.schedule res ~lat g in
+            ignore
+              (Gb_dbt.Codegen.emit res ~n_hidden:cfg.Gb_dbt.Engine.n_hidden
+                 ~cycles ~entry_pc:entry
+                 ~guest_insns:(Gb_ir.Gtrace.length gtrace)
+                 ~meta:Gb_vliw.Vinsn.empty_meta g);
+            nodes + Gb_ir.Dfg.n_nodes g)
+          nodes entries)
+      0
+      [ Gb_core.Mitigation.Fine_grained; Gb_core.Mitigation.Min_cut ]
+  in
+  ignore (translate_all ());
+  let before = Gc.minor_words () in
+  let nodes = translate_all () in
+  (Gc.minor_words () -. before) /. float_of_int nodes
+
+(* The measured floor + 10%: gemm 209.0 and matmul-ptr 216.5 words per
+   node; 475.4 and 452.3 with list-of-tuples adjacency, a [Set] ready
+   pool, the sorted-list free list and a snapshot taken for every load. *)
+let translation_bound () =
+  List.iter
+    (fun (k, budget) ->
+      let words = translation_words_per_node k in
+      if words > budget then
+        Alcotest.failf "%s: translation allocates %.1f words/node (budget %.1f)"
+          k.Gb_workloads.Polybench.name words budget)
+    [ (List.hd Gb_workloads.Polybench.all, 229.9);
+      (Gb_workloads.Polybench.matmul_ptr, 238.2) ]
 
 (* --- Allocs accounting ------------------------------------------------- *)
 
@@ -394,6 +447,8 @@ let () =
           Alcotest.test_case "pipeline on gemm" `Quick pipeline_bound;
           Alcotest.test_case "alloc cells: workers 0 = workers 4" `Quick
             cells_worker_invariant;
+          Alcotest.test_case "translation of gemm and matmul-ptr" `Quick
+            translation_bound;
         ] );
       ( "allocs",
         [ Alcotest.test_case "exclusion windows" `Quick allocs_windows ] );

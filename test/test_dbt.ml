@@ -195,6 +195,75 @@ let exit_scheduled_last_prop =
       let last = Array.fold_left max 0 cycles in
       cycles.(!exit_id) = last)
 
+(* The heap-based ready pool against the Set-based reference
+   (test/sched_reference.ml): identical cycle arrays. Every generated
+   trace runs under all five modes, so the mitigation's appended mask and
+   fence nodes, whose ids sit after the nodes that depend on them, are
+   in the graphs. *)
+let schedule_matches_reference_prop =
+  QCheck.Test.make ~count:200 ~name:"heap scheduler = Set-based reference"
+    (QCheck.make arb_gtrace) (fun trace ->
+      List.for_all
+        (fun mode ->
+          let g, cycles = build_and_schedule (trace, mode) in
+          cycles = Sched_reference.schedule res ~lat g)
+        Gb_core.Mitigation.all_modes)
+
+let check_matches_reference name ?(res = res) g =
+  Alcotest.(check (array int))
+    name
+    (Sched_reference.schedule res ~lat g)
+    (Gb_dbt.Sched.schedule res ~lat g)
+
+let schedule_degenerate () =
+  let open Gb_ir in
+  (* a single node *)
+  let g = Dfg.create () in
+  ignore (Dfg.add_node g ~kind:Dfg.Kexit ~srcs:[||] ~guest_pc:0 ());
+  check_matches_reference "single node" g;
+  (* a lat-0 load -> store edge: with two memory ports both land in one
+     bundle *)
+  let g = Dfg.create () in
+  let spec =
+    { Dfg.tag = None; spec_prev_store = None; spec_prev_branch = None;
+      constrained = false }
+  in
+  let ld =
+    Dfg.add_node g
+      ~kind:(Dfg.Kload (Gb_riscv.Insn.D, false, spec))
+      ~srcs:[| Dfg.Reg_in 1 |] ~guest_pc:0 ()
+  in
+  let st =
+    Dfg.add_node g ~kind:(Dfg.Kstore Gb_riscv.Insn.D)
+      ~srcs:[| Dfg.Reg_in 2; Dfg.Reg_in 3 |] ~guest_pc:4 ()
+  in
+  Dfg.add_edge g ~from:ld ~to_:st ~lat:0 ~kind:Dfg.Emem;
+  let two_ports = { res with Gb_dbt.Sched.mem_slots = 2 } in
+  check_matches_reference "lat-0 edge" ~res:two_ports g;
+  let cycles = Gb_dbt.Sched.schedule two_ports ~lat g in
+  Alcotest.(check int) "load and store share a bundle" cycles.(ld) cycles.(st);
+  (* a pool holding only branch-class nodes *)
+  let g = Dfg.create () in
+  let exits =
+    List.init 4 (fun i ->
+        Dfg.add_node g ~kind:(Dfg.Kbranch Gb_riscv.Insn.BEQ)
+          ~srcs:[| Dfg.Reg_in 1; Dfg.Reg_in 2 |]
+          ~exit_pc:0x100 ~guest_pc:(4 * i) ())
+  in
+  let last = Dfg.add_node g ~kind:Dfg.Kexit ~srcs:[||] ~guest_pc:16 () in
+  List.iter
+    (fun b -> Dfg.add_edge g ~from:b ~to_:last ~lat:1 ~kind:Dfg.Ectrl)
+    exits;
+  check_matches_reference "branch-only pool" g;
+  (* a dependency cycle is refused before any scheduling *)
+  let g = Dfg.create () in
+  let a = Dfg.add_node g ~kind:Dfg.Kfence ~srcs:[||] ~guest_pc:0 () in
+  let b = Dfg.add_node g ~kind:Dfg.Kfence ~srcs:[||] ~guest_pc:4 () in
+  Dfg.add_edge g ~from:a ~to_:b ~lat:1 ~kind:Dfg.Ectrl;
+  Dfg.add_edge g ~from:b ~to_:a ~lat:1 ~kind:Dfg.Ectrl;
+  Alcotest.check_raises "cycle" Gb_dbt.Sched.Cyclic (fun () ->
+      ignore (Gb_dbt.Sched.schedule res ~lat g))
+
 (* --- codegen ----------------------------------------------------------- *)
 
 let emit (trace, mode) =
@@ -621,6 +690,127 @@ let engine_caches_and_blacklists () =
     (Gb_dbt.Engine.stats engine).Gb_dbt.Engine.failures;
   ignore skip_branch
 
+(* --- pinned emitted code ------------------------------------------------- *)
+
+(* Every translation of the 20 programs, rendered field by field, plus the
+   simulated cycles, hashed into one digest. Each program runs once
+   (program i under mode i mod 5) and its installed code is rendered with
+   the engine's real meta; then every trace region of that run is
+   re-translated under all five modes through the public phases, on the
+   run's final branch profile. The config is pinned the way the host
+   benchmark pins it (no workers, chaining on, no fault injection), so
+   every CI environment computes the same digest. Chain links are left
+   out: they depend on execution order, not on the translator. *)
+
+let pinned_code_digest = "5399fa39803fd5c67aecb3d8aa6b6baa"
+
+let render_op buf op =
+  let open Gb_vliw.Vinsn in
+  Buffer.add_string buf (Format.asprintf "[%a" pp_op op);
+  (match op with
+  | Load { id; pc; _ } | Store { id; pc; _ } | Cflush { id; pc; _ } ->
+    Printf.bprintf buf " id=%d pc=0x%x" id pc
+  | Nop | Alu _ | Branch _ | Chk _ | Mv _ | Rdcycle _ | Fence | Exit _ -> ());
+  Buffer.add_char buf ']'
+
+let render_trace buf (t : Gb_vliw.Vinsn.trace) =
+  let open Gb_vliw.Vinsn in
+  let m = t.meta in
+  Printf.bprintf buf "trace 0x%x insns=%d regs=%d meta=%d/%d/%d/%d/%d/%d\n"
+    t.entry_pc t.guest_insns t.n_regs m.spec_loads m.branch_spec_loads
+    m.spectre_patterns m.constrained_loads m.fences_inserted m.cut_protects;
+  Array.iteri
+    (fun c bundle ->
+      Printf.bprintf buf " %d:" c;
+      Array.iter (render_op buf) bundle;
+      Buffer.add_char buf '\n')
+    t.bundles;
+  Array.iteri
+    (fun i s ->
+      Printf.bprintf buf " stub%d exit=%d -> 0x%x (%d):" i s.exit_id
+        s.target_pc s.n_commits;
+      List.iter
+        (fun (r, v) ->
+          match v with
+          | R src -> Printf.bprintf buf " r%d<-r%d" r src
+          | I imm -> Printf.bprintf buf " r%d<-#%Ld" r imm)
+        s.commits;
+      Buffer.add_char buf '\n')
+    t.stubs
+
+(* the public phases, as the engine runs them for one trace region *)
+let replay_translation buf ~mem ~profile ~cfg mode entry =
+  let lat = cfg.Gb_dbt.Engine.lat and res = cfg.Gb_dbt.Engine.resources in
+  match
+    let gtrace =
+      Gb_dbt.Trace_builder.build cfg.Gb_dbt.Engine.trace_cfg ~mem ~profile
+        ~entry
+    in
+    let g =
+      Gb_ir.Build.build ~opt:(Gb_core.Mitigation.opt_of_mode mode) ~lat gtrace
+    in
+    ignore (Gb_core.Mitigation.apply mode ~lat g);
+    let cycles = Gb_dbt.Sched.schedule res ~lat g in
+    Gb_dbt.Codegen.emit res ~n_hidden:cfg.Gb_dbt.Engine.n_hidden ~cycles
+      ~entry_pc:entry ~guest_insns:(Gb_ir.Gtrace.length gtrace)
+      ~meta:Gb_vliw.Vinsn.empty_meta g
+  with
+  | trace -> render_trace buf trace
+  | exception e -> Printf.bprintf buf "0x%x: %s\n" entry (Printexc.to_string e)
+
+let render_pinned_code () =
+  let buf = Buffer.create (1 lsl 20) in
+  let programs =
+    Gb_workloads.Polybench.all @ [ Gb_workloads.Polybench.matmul_ptr ]
+  in
+  let modes = Array.of_list Gb_core.Mitigation.all_modes in
+  List.iteri
+    (fun i (k : Gb_workloads.Polybench.t) ->
+      let mode = modes.(i mod Array.length modes) in
+      let asm = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
+      let p = Pinned.processor ~workers:0 mode asm in
+      let r = Gb_system.Processor.run p in
+      Printf.bprintf buf "== %s %s: exit=%d cycles=%Ld bundles=%Ld\n"
+        k.Gb_workloads.Polybench.name
+        (Gb_core.Mitigation.mode_name mode)
+        r.Gb_system.Processor.exit_code r.Gb_system.Processor.cycles
+        r.Gb_system.Processor.bundles;
+      let eng = Gb_system.Processor.engine p in
+      let regions = Gb_dbt.Engine.regions eng in
+      List.iter
+        (fun (rg : Gb_dbt.Engine.region) ->
+          Option.iter (render_trace buf)
+            (Gb_dbt.Engine.lookup eng rg.Gb_dbt.Engine.r_entry))
+        regions;
+      let mem = Gb_system.Processor.mem p in
+      let profile = Gb_dbt.Engine.branch_profile eng in
+      let cfg = Gb_dbt.Engine.config eng in
+      Array.iter
+        (fun mode ->
+          Printf.bprintf buf "-- replay %s\n"
+            (Gb_core.Mitigation.mode_name mode);
+          List.iter
+            (fun (rg : Gb_dbt.Engine.region) ->
+              match rg.Gb_dbt.Engine.r_tier with
+              | `Trace ->
+                replay_translation buf ~mem ~profile ~cfg mode
+                  rg.Gb_dbt.Engine.r_entry
+              | `Block -> ())
+            regions)
+        modes)
+    programs;
+  Buffer.contents buf
+
+let pinned_code () =
+  let digest = Digest.to_hex (Digest.string (render_pinned_code ())) in
+  if digest <> pinned_code_digest then
+    Alcotest.failf
+      "emitted code changed: digest %s, pinned %s.\n\
+       Translation output (cycles, registers, stubs) must stay byte-identical \
+       across refactors. If the change is intended, say why in the change \
+       log and set [pinned_code_digest] in test/test_dbt.ml to %s."
+      digest pinned_code_digest digest
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -639,6 +829,9 @@ let () =
           qt schedule_respects_edges_prop;
           qt schedule_respects_resources_prop;
           qt exit_scheduled_last_prop;
+          qt schedule_matches_reference_prop;
+          Alcotest.test_case "degenerate graphs = reference" `Quick
+            schedule_degenerate;
         ] );
       ("oracle", [ qt trace_oracle_prop ]);
       ( "codegen",
@@ -646,6 +839,7 @@ let () =
           qt codegen_invariants_prop;
           Alcotest.test_case "register pressure failure" `Quick
             register_pressure_failure;
+          Alcotest.test_case "pinned emitted code" `Quick pinned_code;
         ] );
       ( "first-pass",
         [

@@ -183,6 +183,51 @@ let trace_json_shape () =
     | _ -> Alcotest.fail "traceEvents is not a list")
   | _ -> Alcotest.fail "trace is not an object"
 
+(* Sub-microsecond phases (a first-pass translation, poisoning) must not
+   round to 0 or 1 us: timed empty thunks read positive and below 1 us,
+   through both the direct timer and a buffered sink replayed into an
+   active one. The median keeps a preempted call from deciding it. *)
+let sub_us_phases () =
+  let check name durs =
+    let a = Array.of_list durs in
+    Array.sort Float.compare a;
+    Alcotest.(check int) (name ^ ": spans") 1001 (Array.length a);
+    let median = a.(Array.length a / 2) in
+    if not (median > 0. && median < 1.) then
+      Alcotest.failf "%s: median empty-phase span %.3f us, want in (0, 1)"
+        name median
+  in
+  let t = Timer.create () in
+  for _ = 1 to 1001 do
+    Timer.time t "empty" ignore
+  done;
+  check "Timer.time" (List.map (fun sp -> sp.Timer.sp_dur_us) (Timer.spans t));
+  let b = Sink.buffer () in
+  for _ = 1 to 1001 do
+    Sink.time b "empty" ignore
+  done;
+  let s = Sink.create () in
+  Sink.replay b ~into:s;
+  let durs =
+    match Sink.trace_json s with
+    | Gb_util.Json.Obj fields -> (
+      match List.assoc_opt "traceEvents" fields with
+      | Some (Gb_util.Json.List events) ->
+        List.filter_map
+          (function
+            | Gb_util.Json.Obj fs
+              when List.assoc_opt "name" fs = Some (Gb_util.Json.String "empty")
+              -> (
+              match List.assoc_opt "dur" fs with
+              | Some (Gb_util.Json.Float d) -> Some d
+              | _ -> None)
+            | _ -> None)
+          events
+      | _ -> [])
+    | _ -> []
+  in
+  check "buffered Sink.time" durs
+
 let event_json () =
   let e =
     {
@@ -222,5 +267,6 @@ let () =
         [
           Alcotest.test_case "chrome shape" `Quick trace_json_shape;
           Alcotest.test_case "event json" `Quick event_json;
+          Alcotest.test_case "sub-us phases resolve" `Quick sub_us_phases;
         ] );
     ]

@@ -359,6 +359,36 @@ let mcb_disabled_correct () =
         r.Gb_system.Processor.rollbacks)
     [ square_sum_program 400; aliasing_program 400 ]
 
+(* The engine's hidden-register budget follows the machine's: with a
+   small machine, traces that need more registers stay on the lower tiers
+   instead of failing in the pipeline mid-run. *)
+let small_hidden_file () =
+  let k = List.hd Gb_workloads.Polybench.all in
+  let program = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
+  let mem = Gb_riscv.Mem.create ~size:(1 lsl 20) in
+  Gb_riscv.Asm.load mem program;
+  let interp = Gb_riscv.Interp.create ~mem ~pc:program.Gb_riscv.Asm.entry () in
+  let expected = Gb_riscv.Interp.run interp in
+  let base = Gb_system.Processor.config_for Gb_core.Mitigation.Fine_grained in
+  List.iter
+    (fun n_hidden ->
+      let config =
+        {
+          base with
+          Gb_system.Processor.machine =
+            { base.Gb_system.Processor.machine with Gb_vliw.Machine.n_hidden };
+        }
+      in
+      let r = Gb_system.Processor.run_program ~config program in
+      Alcotest.(check int)
+        (Printf.sprintf "exit code, %d hidden" n_hidden)
+        expected r.Gb_system.Processor.exit_code;
+      Alcotest.(check string)
+        (Printf.sprintf "output, %d hidden" n_hidden)
+        (Buffer.contents interp.Gb_riscv.Interp.output)
+        r.Gb_system.Processor.output)
+    [ 16; 4 ]
+
 (* GHOSTBUSTERS_INJECT arms the fault controller for any processor run
    that doesn't pass one explicitly (how CI injects faults suite-wide). *)
 let inject_env_arming () =
@@ -408,5 +438,7 @@ let () =
           Alcotest.test_case "mcb disabled stays correct" `Quick
             mcb_disabled_correct;
           Alcotest.test_case "inject env arming" `Quick inject_env_arming;
+          Alcotest.test_case "small hidden register file" `Quick
+            small_hidden_file;
         ] );
     ]
