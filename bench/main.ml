@@ -87,9 +87,9 @@ let top_overhead_cause (mc : Gb_experiments.Experiments.mode_cycles) =
       Printf.sprintf "%s %.0f%%" cause (100. *. share)
     | _ -> "-")
 
-let e2 ~workers () =
+let e2 () =
   print_header "E2: Figure 4 - slowdown vs unsafe execution (lower is better)";
-  let data = Gb_experiments.Experiments.e2_figure4 ~audit:true ~workers () in
+  let data = Gb_experiments.Experiments.e2_figure4 ~audit:true () in
   let rows =
     List.map
       (fun (mc : Gb_experiments.Experiments.mode_cycles) ->
@@ -375,11 +375,11 @@ let e9 ?modes () =
      precision below 1.0 is the price of static over-approximation.\n";
   data
 
-let e10 ~seed ~workers ?modes () =
+let e10 ~seed ?modes () =
   print_header
     "E10: differential gate (reference interpreter vs DBT, with fault \
      injection)";
-  let m = Gb_diff.Matrix.run ~seed ~workers ?modes () in
+  let m = Gb_diff.Matrix.run ~seed ?modes () in
   (* one line per workload: worst case across modes and inject variants *)
   let by_workload = Hashtbl.create 32 in
   List.iter
@@ -589,14 +589,6 @@ let check_writable path =
     Printf.eprintf "bench: cannot write %s: %s\n" path e;
     exit 1
 
-let flag_value name =
-  let v = ref None in
-  Array.iteri
-    (fun i a -> if a = name && i + 1 < Array.length Sys.argv then
-        v := Some Sys.argv.(i + 1))
-    Sys.argv;
-  !v
-
 (* --modes M1,M2: restrict E1/E9's mode rows and E10's attack cells to
    the listed modes (full names or the CLI's short spellings). E2's
    mode_cycles rows always measure every mode — a slowdown is relative
@@ -633,42 +625,50 @@ let parse_modes s =
                      Gb_core.Mitigation.all_modes));
              exit 1))
 
+(* Every argument is parsed before any experiment runs, and anything
+   unknown exits 1 with the list of accepted flags: a typo must not start
+   the multi-minute harness on defaults. *)
+let parse_args () =
+  let no_micro = ref false in
+  let json_out = ref None in
+  let modes = ref None in
+  let seed = ref 1L in
+  let set_seed s =
+    match Int64.of_string_opt s with
+    | Some n -> seed := n
+    | None ->
+      raise (Arg.Bad (Printf.sprintf "--seed expects an integer, got %S" s))
+  in
+  let specs =
+    Arg.align
+      [
+        ("--no-micro", Arg.Set no_micro, " skip the Bechamel microbenchmarks");
+        ( "--json-out",
+          Arg.String (fun p -> json_out := Some p),
+          "P write the JSON artifacts and the manifest to P_*.json" );
+        ( "--modes",
+          Arg.String (fun s -> modes := Some (parse_modes s)),
+          "M comma-separated mitigation modes for E1, E9 and E10's attacks" );
+        ("--seed", Arg.String set_seed, "N experiment seed (default 1)");
+      ]
+  in
+  let usage =
+    "usage: bench/main.exe [--no-micro] [--json-out P] [--modes M] [--seed N]"
+  in
+  let positional a =
+    raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a))
+  in
+  match Arg.parse_argv Sys.argv specs positional usage with
+  | () -> (!no_micro, !json_out, !modes, !seed)
+  | exception Arg.Bad msg ->
+    prerr_string msg;
+    exit 1
+  | exception Arg.Help msg ->
+    print_string msg;
+    exit 0
+
 let () =
-  let no_micro = Array.exists (fun a -> a = "--no-micro") Sys.argv in
-  let json_out = flag_value "--json-out" in
-  let modes = Option.map parse_modes (flag_value "--modes") in
-  let seed =
-    match flag_value "--seed" with
-    | None -> 1L
-    | Some s -> (
-      match Int64.of_string_opt s with
-      | Some n -> n
-      | None ->
-        Printf.eprintf "bench: --seed expects an integer, got %S\n" s;
-        exit 1)
-  in
-  (* shards E2 and E10 across domains; every number in every table and
-     JSON file is identical for any value (see docs/CONCURRENCY.md) *)
-  let workers =
-    match flag_value "--workers" with
-    | None -> Gb_dbt.Workers.env_default ()
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> n
-      | Some _ | None ->
-        Printf.eprintf "bench: --workers expects a non-negative integer, \
-                        got %S\n" s;
-        exit 1)
-  in
-  if workers > 0 then
-    if Gb_dbt.Workers.available () then
-      Printf.eprintf "bench: sharding E2/E10 across %d worker domains\n%!"
-        workers
-    else
-      Printf.eprintf
-        "bench: --workers %d requested but the host has no spare cores; \
-         running serially (results are identical either way)\n%!"
-        workers;
+  let no_micro, json_out, modes, seed = parse_args () in
   Option.iter
     (fun prefix ->
       let perf, leakage, chaining, verify, diff, manifest =
@@ -698,7 +698,7 @@ let () =
      (paper: S. Rokicki, \"GhostBusters: Mitigating Spectre Attacks on a\n\
      DBT-Based Processor\", DATE 2020)\n";
   let poc = e1 ~seed ?modes () in
-  let data = e2 ~workers () in
+  let data = e2 () in
   e3 data;
   let e4_mc = e4 () in
   e5 ();
@@ -717,7 +717,7 @@ let () =
       "\nE1 leakage matrix and audit FN counts unchanged under the \
        capacity-constrained cache.\n";
   let verify_data = e9 ?modes () in
-  let diff_data = e10 ~seed ~workers ?modes () in
+  let diff_data = e10 ~seed ?modes () in
   let counters = metrics_snapshot ~seed () in
   if not no_micro then micro ();
   Option.iter

@@ -154,17 +154,8 @@ let verify_flag =
                  out of the code cache and retranslated with speculation \
                  fenced; violations are printed after the run.")
 
-let workers_arg =
-  Arg.(value & opt int 0
-       & info [ "workers" ] ~docv:"N"
-           ~env:(Cmd.Env.info "GHOSTBUSTERS_WORKERS")
-           ~doc:"Translation/experiment worker domains (0 = fully \
-                 synchronous). A pure wall-clock optimisation: simulated \
-                 cycle counts and all verdicts are bit-identical for \
-                 every value (see docs/CONCURRENCY.md).")
-
-let build_config ?(workers = 0) mode width mcb hot unroll cache_kib cc_capacity
-    no_chain verify =
+let build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
+    verify =
   let config = Gb_system.Processor.config_for mode in
   let engine = config.Gb_system.Processor.engine in
   let resources =
@@ -205,8 +196,7 @@ let build_config ?(workers = 0) mode width mcb hot unroll cache_kib cc_capacity
         Option.value ~default:engine.Gb_dbt.Engine.hot_threshold hot;
       verify =
         (if verify then Gb_dbt.Engine.Verify_enforce
-         else Gb_dbt.Engine.Verify_off);
-      workers }
+         else Gb_dbt.Engine.Verify_off) }
   in
   let hier =
     match cache_kib with
@@ -368,19 +358,6 @@ let emit_observability obs ~trace_out ~metrics_out ~profile =
           "processor.dispatch_exits";
         ]
       in
-      (* the workers lane is wall-clock racing, not simulation — show it
-         only when a pool was actually in play *)
-      let counters =
-        if Gb_obs.Metrics.counter_value m "workers.prefetch_submitted" > 0
-        then
-          counters
-          @ [
-              "workers.prefetch_submitted"; "workers.prefetch_hits";
-              "workers.prefetch_stale"; "workers.queue_full";
-              "workers.stolen";
-            ]
-        else counters
-      in
       Gb_util.Table.print ~header:[ "counter"; "value" ]
         ~rows:
           (List.map
@@ -423,7 +400,7 @@ let run_json_flag =
 
 let run_cmd =
   let run name mode report json width mcb hot unroll cache_kib cc_capacity
-      no_chain verify workers trace_out metrics_out profile audit seed =
+      no_chain verify trace_out metrics_out profile audit seed =
     match
       Result.bind (find_workload name) (fun w ->
           Result.map (fun () -> w) (check_outputs trace_out metrics_out))
@@ -434,8 +411,8 @@ let run_cmd =
       let proc =
         Gb_system.Processor.create
           ~config:
-            (build_config ~workers mode width mcb hot unroll cache_kib
-               cc_capacity no_chain verify)
+            (build_config mode width mcb hot unroll cache_kib cc_capacity
+               no_chain verify)
           ~obs ~audit
           (Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program)
       in
@@ -466,9 +443,8 @@ let run_cmd =
       term_result
         (const run $ workload_arg $ mode_arg $ report_flag $ run_json_flag
         $ width_arg $ mcb_arg $ hot_arg $ unroll_arg $ cache_kib_arg
-        $ cc_capacity_arg $ no_chain_flag $ verify_flag $ workers_arg
-        $ trace_out_arg $ metrics_out_arg $ profile_flag $ audit_flag
-        $ seed_arg))
+        $ cc_capacity_arg $ no_chain_flag $ verify_flag $ trace_out_arg
+        $ metrics_out_arg $ profile_flag $ audit_flag $ seed_arg))
 
 (* --- attack ------------------------------------------------------------- *)
 
@@ -480,7 +456,7 @@ let variant_arg =
 
 let attack_cmd =
   let run variant mode secret width mcb hot unroll cache_kib cc_capacity
-      no_chain verify workers trace_out metrics_out profile audit seed =
+      no_chain verify trace_out metrics_out profile audit seed =
     match check_outputs trace_out metrics_out with
     | Error e -> Error e
     | Ok () ->
@@ -490,8 +466,8 @@ let attack_cmd =
         | `V4 -> Gb_attack.Spectre_v4.program ~secret ()
       in
       let config =
-        build_config ~workers mode width mcb hot unroll cache_kib cc_capacity
-          no_chain verify
+        build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
+          verify
       in
       let obs = sink_of_flags ~seed trace_out metrics_out profile audit in
       let o =
@@ -510,8 +486,8 @@ let attack_cmd =
       term_result
         (const run $ variant_arg $ mode_arg $ secret_arg $ width_arg $ mcb_arg
         $ hot_arg $ unroll_arg $ cache_kib_arg $ cc_capacity_arg
-        $ no_chain_flag $ verify_flag $ workers_arg $ trace_out_arg
-        $ metrics_out_arg $ profile_flag $ audit_flag $ seed_arg))
+        $ no_chain_flag $ verify_flag $ trace_out_arg $ metrics_out_arg
+        $ profile_flag $ audit_flag $ seed_arg))
 
 (* --- trace -------------------------------------------------------------- *)
 
@@ -783,8 +759,7 @@ let report_of_single name mode (r : Gb_diff.Oracle.report) =
     ]
 
 let diff_cmd =
-  let run workload mode modes inject seed workers json trace_out metrics_out
-      profile =
+  let run workload mode modes inject seed json trace_out metrics_out profile =
     match check_outputs trace_out metrics_out with
     | Error e -> Error e
     | Ok () ->
@@ -799,7 +774,7 @@ let diff_cmd =
     | None ->
       (* the full gate matrix: attacks x modes and all kernels, each under
          every inject variant, plus the sensitivity control *)
-      let m = Gb_diff.Matrix.run ~obs ~seed ~workers ?modes () in
+      let m = Gb_diff.Matrix.run ~obs ~seed ?modes () in
       if json then
         print_endline (Gb_util.Json.to_string_pretty (Gb_diff.Matrix.to_json m))
       else begin
@@ -876,8 +851,8 @@ let diff_cmd =
     Term.(
       term_result
         (const run $ diff_workload_arg $ mode_arg $ matrix_modes_arg
-        $ inject_arg $ seed_arg $ workers_arg $ json_flag $ trace_out_arg
-        $ metrics_out_arg $ profile_flag))
+        $ inject_arg $ seed_arg $ json_flag $ trace_out_arg $ metrics_out_arg
+        $ profile_flag))
 
 (* --- figure4 ------------------------------------------------------------ *)
 

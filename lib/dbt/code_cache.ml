@@ -7,7 +7,6 @@ type entry = {
   e_trace : Gb_vliw.Vinsn.trace;
   e_tier : tier;
   e_mode : code_mode;
-  e_gen : int;
   mutable e_stamp : int;
 }
 
@@ -27,13 +26,6 @@ type stats = {
 
 type t = {
   cfg : config;
-  lock : Mutex.t;
-      (* guards every mutation (and, for cross-domain callers, every
-         read) of the tables below. The simulation's hot path is
-         single-domain — the owning domain is the only one that installs
-         or looks up during a run — but the installation protocol must
-         stay safe when a worker-domain client (tests, the future
-         multi-tenant server) races installs against invalidations. *)
   tbl : (int, entry) Hashtbl.t;
   in_links : (int, (int * Gb_vliw.Vinsn.stub) list ref) Hashtbl.t;
       (* target pc -> (source pc, stub) of every link ever made into the
@@ -41,16 +33,8 @@ type t = {
          (stub already unlinked, or re-pointed at a newer translation of
          the same pc — never of a different pc, since links require
          stub.target_pc = target) are skipped via the identity check *)
-  inval_gen : (int, int) Hashtbl.t;
-      (* pc -> generation at which the translation installed there was
-         last removed (invalidated, evicted or replaced); consulted by
-         generation-tagged installs *)
   mutable used : int;
   mutable lru_clock : int;
-  mutable next_gen : int;
-      (* the cache-wide mutation generation: bumped by every install and
-         every removal. Doubles as the per-entry generation stamp, so
-         e_gen stays unique and monotonic (it just skips values). *)
   stats : stats;
   obs : Gb_obs.Sink.t;
   mutable on_evict : pc:int -> tier -> unit;
@@ -59,13 +43,10 @@ type t = {
 let create ?(obs = Gb_obs.Sink.noop) cfg =
   {
     cfg;
-    lock = Mutex.create ();
     tbl = Hashtbl.create 128;
     in_links = Hashtbl.create 128;
-    inval_gen = Hashtbl.create 64;
     used = 0;
     lru_clock = 0;
-    next_gen = 0;
     stats =
       {
         hits = 0;
@@ -79,58 +60,33 @@ let create ?(obs = Gb_obs.Sink.noop) cfg =
     on_evict = (fun ~pc:_ _ -> ());
   }
 
-(* The match-on-exception form unlocks on both paths without the two
-   closures [Fun.protect ~finally] would allocate per call; [f] itself
-   still allocates when it captures — the per-exit hot paths ([peek],
-   [find]) therefore avoid [with_lock] entirely. *)
-let with_lock t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 let config t = t.cfg
 
 let stats t = t.stats
 
 let set_on_evict t f = t.on_evict <- f
 
-let used_bundles t = with_lock t (fun () -> t.used)
+let used_bundles t = t.used
 
 let touch t e =
   t.lru_clock <- t.lru_clock + 1;
   e.e_stamp <- t.lru_clock
 
-(* [peek]/[find] run per trace exit on the chain-follow path: no
-   [with_lock] closure, and the only allocation left is the returned
-   [Some] itself ([Hashtbl.find]'s [Not_found] is a constant, so the
-   miss path allocates nothing). *)
+(* [peek]/[find] run per trace exit on the chain-follow path and
+   [has_trace] per block entry: the only allocation left is the returned
+   [Some] itself ([Hashtbl.find]'s [Not_found] is a constant, so the miss
+   path allocates nothing, and [has_trace] allocates nothing at all). *)
 let peek t pc =
-  Mutex.lock t.lock;
-  let r =
-    match Hashtbl.find t.tbl pc with
-    | e -> Some e
-    | exception Not_found -> None
-  in
-  Mutex.unlock t.lock;
-  r
+  match Hashtbl.find t.tbl pc with
+  | e -> Some e
+  | exception Not_found -> None
 
 let has_trace t pc =
-  Mutex.lock t.lock;
-  let r =
-    match Hashtbl.find t.tbl pc with
-    | e -> e.e_tier = Trace
-    | exception Not_found -> false
-  in
-  Mutex.unlock t.lock;
-  r
+  match Hashtbl.find t.tbl pc with
+  | e -> e.e_tier = Trace
+  | exception Not_found -> false
 
 let find t pc =
-  Mutex.lock t.lock;
   let hit =
     match Hashtbl.find t.tbl pc with
     | e ->
@@ -141,7 +97,6 @@ let find t pc =
       t.stats.misses <- t.stats.misses + 1;
       None
   in
-  Mutex.unlock t.lock;
   (if Gb_obs.Sink.is_active t.obs then
      match hit with
      | Some _ -> Gb_obs.Sink.incr t.obs "code_cache.hits"
@@ -185,22 +140,17 @@ let unlink t e =
       !l;
     Hashtbl.remove t.in_links e.e_pc
 
-(* every removal is a mutation a generation-tagged install must observe:
-   record the generation at which this pc's translation died *)
 let remove t e =
   unlink t e;
   Hashtbl.remove t.tbl e.e_pc;
-  t.used <- t.used - Gb_vliw.Vinsn.bundle_count e.e_trace;
-  t.next_gen <- t.next_gen + 1;
-  Hashtbl.replace t.inval_gen e.e_pc t.next_gen
+  t.used <- t.used - Gb_vliw.Vinsn.bundle_count e.e_trace
 
 let invalidate t pc =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl pc with
-      | None -> ()
-      | Some e ->
-        remove t e;
-        gauges t)
+  match Hashtbl.find_opt t.tbl pc with
+  | None -> ()
+  | Some e ->
+    remove t e;
+    gauges t
 
 let evict_lru t =
   let victim =
@@ -223,7 +173,7 @@ let evict_lru t =
     end;
     t.on_evict ~pc:e.e_pc e.e_tier
 
-let insert_locked t ~pc ~tier ~mode trace =
+let insert t ~pc ~tier ~mode trace =
   (* same-pc replacement (tier promotion, retranslation) is not an
      eviction: no stat, no hook *)
   (match Hashtbl.find_opt t.tbl pc with
@@ -233,10 +183,8 @@ let insert_locked t ~pc ~tier ~mode trace =
   while t.used + cost > t.cfg.capacity && Hashtbl.length t.tbl > 0 do
     evict_lru t
   done;
-  t.next_gen <- t.next_gen + 1;
   let e =
-    { e_pc = pc; e_trace = trace; e_tier = tier; e_mode = mode;
-      e_gen = t.next_gen; e_stamp = 0 }
+    { e_pc = pc; e_trace = trace; e_tier = tier; e_mode = mode; e_stamp = 0 }
   in
   touch t e;
   Hashtbl.replace t.tbl pc e;
@@ -254,20 +202,6 @@ let insert_locked t ~pc ~tier ~mode trace =
   gauges t;
   e
 
-let insert t ~pc ~tier ~mode trace =
-  with_lock t (fun () -> insert_locked t ~pc ~tier ~mode trace)
-
-let generation t = with_lock t (fun () -> t.next_gen)
-
-let insert_tagged t ~gen ~pc ~tier ~mode trace =
-  with_lock t (fun () ->
-      let stale =
-        match Hashtbl.find_opt t.inval_gen pc with
-        | Some g -> g > gen
-        | None -> false
-      in
-      if stale then None else Some (insert_locked t ~pc ~tier ~mode trace))
-
 (* Non-speculative code is mode-neutral: it neither leaks speculative
    state of its own nor inherits any (the MCB is cleared and the audit's
    run window closed at every stub commit), so it may chain from and to
@@ -277,81 +211,73 @@ let compatible ~src ~dst =
   | Nonspec, _ | _, Nonspec -> true
   | Mitigated a, Mitigated b -> a = b
 
+(* whether [e] is still the entry installed at its pc *)
+let live t e =
+  match Hashtbl.find t.tbl e.e_pc with
+  | cur -> cur == e
+  | exception Not_found -> false
+
 let link t ~src ~stub ~dst =
+  (* [src] and [dst] are whatever the caller looked up, possibly before
+     an invalidation, eviction or replacement removed one of them.
+     Linking through a dead entry would plant a chain no removal can ever
+     break — [unlink] only reaches stubs via the live tables — so both
+     endpoints must still be the installed entries at their pcs. *)
   if
     (not t.cfg.chain)
     || stub < 0
     || stub >= Array.length src.e_trace.Gb_vliw.Vinsn.stubs
-    || not (compatible ~src ~dst)
+    || (not (compatible ~src ~dst))
+    || not (live t src && live t dst)
   then false
   else
-    with_lock t (fun () ->
-        (* [src] and [dst] were looked up before this lock was taken:
-           either may have been invalidated or replaced by another domain
-           in between. Linking through a dead entry would plant a chain
-           no removal can ever break — [unlink] only reaches stubs via
-           the live tables — so re-check both endpoints here, under the
-           same lock every removal runs under. *)
-        let live e =
-          match Hashtbl.find_opt t.tbl e.e_pc with
-          | Some cur -> cur == e
-          | None -> false
+    let s = src.e_trace.Gb_vliw.Vinsn.stubs.(stub) in
+    if s.Gb_vliw.Vinsn.target_pc <> dst.e_pc then false
+    else
+      match s.Gb_vliw.Vinsn.chain with
+      | Some target when target == dst.e_trace -> true
+      | _ ->
+        s.Gb_vliw.Vinsn.chain <- Some dst.e_trace;
+        let l =
+          match Hashtbl.find_opt t.in_links dst.e_pc with
+          | Some l -> l
+          | None ->
+            let l = ref [] in
+            Hashtbl.replace t.in_links dst.e_pc l;
+            l
         in
-        if not (live src && live dst) then false
-        else
-        let s = src.e_trace.Gb_vliw.Vinsn.stubs.(stub) in
-        if s.Gb_vliw.Vinsn.target_pc <> dst.e_pc then false
-        else
-          match s.Gb_vliw.Vinsn.chain with
-          | Some target when target == dst.e_trace -> true
-          | _ ->
-            s.Gb_vliw.Vinsn.chain <- Some dst.e_trace;
-            let l =
-              match Hashtbl.find_opt t.in_links dst.e_pc with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.replace t.in_links dst.e_pc l;
-                l
-            in
-            l := (src.e_pc, s) :: !l;
-            t.stats.chain_links <- t.stats.chain_links + 1;
-            if Gb_obs.Sink.is_active t.obs then begin
-              Gb_obs.Sink.incr t.obs "code_cache.chain_links";
-              Gb_obs.Sink.event t.obs ~pc:s.Gb_vliw.Vinsn.target_pc
-                ~region:src.e_pc
-                (Gb_obs.Event.Chain { target = dst.e_pc; op = `Link })
-            end;
-            true)
+        l := (src.e_pc, s) :: !l;
+        t.stats.chain_links <- t.stats.chain_links + 1;
+        if Gb_obs.Sink.is_active t.obs then begin
+          Gb_obs.Sink.incr t.obs "code_cache.chain_links";
+          Gb_obs.Sink.event t.obs ~pc:s.Gb_vliw.Vinsn.target_pc
+            ~region:src.e_pc
+            (Gb_obs.Event.Chain { target = dst.e_pc; op = `Link })
+        end;
+        true
 
-let entries t =
-  with_lock t (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl [])
+let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
 
 let occupancy t tier =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ e ((n, b) as acc) ->
-          if e.e_tier = tier then
-            (n + 1, b + Gb_vliw.Vinsn.bundle_count e.e_trace)
-          else acc)
-        t.tbl (0, 0))
+  Hashtbl.fold
+    (fun _ e ((n, b) as acc) ->
+      if e.e_tier = tier then (n + 1, b + Gb_vliw.Vinsn.bundle_count e.e_trace)
+      else acc)
+    t.tbl (0, 0)
 
 let well_linked t =
-  with_lock t (fun () ->
-      Hashtbl.fold
-        (fun _ e ok ->
-          ok
-          && Array.for_all
-               (fun (s : Gb_vliw.Vinsn.stub) ->
-                 match s.Gb_vliw.Vinsn.chain with
-                 | None -> true
-                 | Some target -> (
-                   s.Gb_vliw.Vinsn.target_pc = target.Gb_vliw.Vinsn.entry_pc
-                   &&
-                   match
-                     Hashtbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc
-                   with
-                   | Some e' -> e'.e_trace == target
-                   | None -> false))
-               e.e_trace.Gb_vliw.Vinsn.stubs)
-        t.tbl true)
+  Hashtbl.fold
+    (fun _ e ok ->
+      ok
+      && Array.for_all
+           (fun (s : Gb_vliw.Vinsn.stub) ->
+             match s.Gb_vliw.Vinsn.chain with
+             | None -> true
+             | Some target -> (
+               s.Gb_vliw.Vinsn.target_pc = target.Gb_vliw.Vinsn.entry_pc
+               &&
+               match Hashtbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc with
+               | Some e' -> e'.e_trace == target
+               | None -> false))
+           e.e_trace.Gb_vliw.Vinsn.stubs)
+    t.tbl true

@@ -6,8 +6,7 @@
     steady-state execution never returns to the dispatcher. This module
     models that: both tiers of translation (first-pass {!Block}s and
     optimized {!Trace}s) live in one table under a capacity budget
-    counted in VLIW bundles, evicted LRU, with a generation counter per
-    installed entry.
+    counted in VLIW bundles, evicted LRU.
 
     It is also the only component allowed to patch {!Gb_vliw.Vinsn.stub}
     chain links (trace chaining), because it alone knows which
@@ -23,16 +22,8 @@
     (in both directions) before the entry is dropped, so the pipeline can
     never chain into evicted or stale code.
 
-    {1 Domain safety}
-
-    Every public operation takes the cache's internal mutex, so installs,
-    lookups, links and invalidations may race from any domain. The
-    installation protocol for code produced off the owning domain is
-    generation-tagged: capture {!generation} when the translation is
-    planned, then {!insert_tagged} with it — the install is refused
-    ([None]) if the pc was invalidated after that generation, so a
-    translation planned against state that has since been invalidated can
-    never resurrect stale code. See docs/CONCURRENCY.md. *)
+    A cache has one owner — the engine that installs into it, on the
+    domain that runs the guest — and takes no lock. *)
 
 type tier =
   | Block  (** first-pass, one-op-per-bundle, non-speculative *)
@@ -53,9 +44,6 @@ type entry = {
   e_trace : Gb_vliw.Vinsn.trace;
   e_tier : tier;
   e_mode : code_mode;
-  e_gen : int;
-      (** generation counter, unique across the cache's lifetime; a
-          re-translation of the same pc gets a fresh generation *)
   mutable e_stamp : int;  (** LRU stamp, maintained by {!find}/{!insert} *)
 }
 
@@ -116,26 +104,6 @@ val insert : t -> pc:int -> tier:tier -> mode:code_mode -> Gb_vliw.Vinsn.trace -
     replaced: unlinked and freed, but neither counted as an eviction nor
     reported to the [on_evict] hook. *)
 
-val generation : t -> int
-(** The cache-wide mutation generation: bumped by every install {e and}
-    every removal (invalidation, eviction, same-pc replacement). Capture
-    it before planning a translation off-path; pass it to
-    {!insert_tagged}. *)
-
-val insert_tagged :
-  t ->
-  gen:int ->
-  pc:int ->
-  tier:tier ->
-  mode:code_mode ->
-  Gb_vliw.Vinsn.trace ->
-  entry option
-(** Like {!insert}, but refuses ([None], installing nothing) when the pc
-    was invalidated, evicted or replaced {e after} generation [gen] —
-    i.e. when the state the translation was planned against is no longer
-    current. The check and the install are one atomic step under the
-    cache lock. *)
-
 val invalidate : t -> int -> unit
 (** Drop the entry at a pc, severing its chain links in both directions.
     No-op when absent; never fires the [on_evict] hook — this is the API
@@ -158,10 +126,10 @@ val link : t -> src:entry -> stub:int -> dst:entry -> bool
     unable to create a wrong-control-flow edge). Both tiers participate;
     the processor keeps block hot counters ticking by recording an entry
     on every chained transfer, so chained-into blocks still promote.
-    Both endpoints are re-checked for liveness under the cache lock:
-    if either was invalidated or replaced since the caller looked it up
-    (a cross-domain race), the link is refused rather than planting a
-    chain into dead code that no removal could ever break.
+    Both endpoints are re-checked for liveness: if either was
+    invalidated, evicted or replaced since the caller looked it up, the
+    link is refused rather than planting a chain into dead code that no
+    removal could ever break.
     Returns whether the link is in place afterwards; re-linking an
     already-linked stub is true and costless. *)
 

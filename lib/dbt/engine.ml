@@ -13,11 +13,7 @@ type config = {
   n_hidden : int;
   cache : Code_cache.config;
   verify : verify_level;
-  workers : int;
-      (** translation worker domains (0 = fully synchronous). Parallel
-          translation is a wall-clock optimisation only: simulated cycle
-          counts and all verdicts are bit-identical for every value —
-          see docs/CONCURRENCY.md. *)
+  workers : int;  (* vestigial: must be 0, see engine.mli *)
 }
 
 let default_config =
@@ -34,7 +30,7 @@ let default_config =
     n_hidden = 96;
     cache = Code_cache.default_config;
     verify = Verify_off;
-    workers = Workers.env_default ();
+    workers = 0;
   }
 
 type stats = {
@@ -53,41 +49,6 @@ type stats = {
   mutable verify_violations : int;
   mutable verify_rejections : int;
 }
-
-(* The owner-domain half of a translation: everything that reads the
-   engine's mutable profile state. Plain immutable data once built, so a
-   plan may cross domains, and two plans built from the same profile are
-   structurally equal — the property the prefetch validity check rests
-   on. *)
-type plan = {
-  p_entry : int;
-  p_gtrace : Gb_ir.Gtrace.t;
-  p_branch_pcs : int list;
-  p_opt : Gb_ir.Opt_config.t;
-}
-
-(* Audit-ledger updates the backend wants made; collected as data because
-   {!Gb_cache.Audit} is owner-domain state, applied at commit. *)
-type audit_note =
-  | Note_spec_load of int
-  | Note_flagged of int  (* flagged and constrained by the mitigation *)
-  | Note_unsafe_flagged of int  (* ground-truth flag under Unsafe *)
-
-type backend_success = {
-  b_trace : Gb_vliw.Vinsn.trace;
-  b_report : Gb_core.Mitigation.report;
-  b_fenced : bool;
-}
-
-type backend_result = {
-  b_outcome : (backend_success, unit) result;
-  b_verify : Gb_verify.Verifier.report list;  (* in call order *)
-  b_rejections : int;
-  b_notes : audit_note list;  (* in call order *)
-  b_obs : Gb_obs.Sink.t;  (* the sink the backend recorded into *)
-}
-
-type prefetch = { pf_plan : plan; pf_future : backend_result Workers.future }
 
 type t = {
   cfg : config;
@@ -117,10 +78,6 @@ type t = {
       (** (region entry, violation), reverse chronological *)
   mutable translate_fault : (int -> bool) option;
       (** fault injection: entry pc -> fail this translation attempt *)
-  pool : Workers.pool option;
-      (** translation worker pool when [cfg.workers > 0] *)
-  prefetch : (int, prefetch) Hashtbl.t;
-      (** entry -> speculative backend run in flight on the pool *)
   allocs : Gb_obs.Allocs.t;
       (** execution-allocation accumulator: translation entry points
           pause it so a window around a run counts only the execution
@@ -128,6 +85,12 @@ type t = {
 }
 
 let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
+  if cfg.workers <> 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.create: config.workers = %d; translation is synchronous \
+          and the field must be 0"
+         cfg.workers);
   let t = {
     cfg;
     mem;
@@ -165,8 +128,6 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
     audit;
     verify_log = [];
     translate_fault = None;
-    pool = (if cfg.workers > 0 then Some (Workers.ensure cfg.workers) else None);
-    prefetch = Hashtbl.create 8;
     allocs = Gb_obs.Allocs.create ();
   }
   in
@@ -241,9 +202,6 @@ let consider_despeculation t entry =
       Hashtbl.replace t.despeculated entry ();
       Code_cache.invalidate t.cc entry;
       Hashtbl.remove t.blacklist entry;
-      (* any in-flight prefetch was planned with speculation on — drop it
-         (the trigger-time plan comparison would reject it anyway) *)
-      Hashtbl.remove t.prefetch entry;
       t.stats.despeculations <- t.stats.despeculations + 1;
       Gb_obs.Sink.incr t.obs "translate.despeculations";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
@@ -281,7 +239,6 @@ let consider_retranslation t entry =
       bump t.rebuilds entry;
       Code_cache.invalidate t.cc entry;
       Hashtbl.remove t.blacklist entry;
-      Hashtbl.remove t.prefetch entry;
       Hashtbl.replace t.region_side_exits entry 0;
       Hashtbl.replace t.region_runs entry 0;
       (* forget the stale bias and re-learn it on the interpreter *)
@@ -320,10 +277,21 @@ let record_block_exit t ~entry info =
    installed, record its findings (counters, events, the per-entry log)
    and return the report. Called for both tiers whenever verification is
    enabled; the caller decides what a violation means (report vs
-   reject). *)
-let note_verify t ~entry trace =
-  let vr = Gb_obs.Sink.time t.obs "verify" (fun () ->
-      Gb_verify.Verifier.verify trace)
+   reject). With a leak-cut [plan] the cut-soundness pass runs too: it
+   proves on the emitted schedule that every planned repair landed and
+   no residual source→transmitter path survives, and its violations gate
+   exactly like the sticky-taint verifier's. *)
+let note_verify ?plan t ~entry trace =
+  let vr =
+    Gb_obs.Sink.time t.obs "verify" (fun () ->
+        let vr = Gb_verify.Verifier.verify trace in
+        match plan with
+        | None -> vr
+        | Some p ->
+          { vr with
+            Gb_verify.Verifier.violations =
+              vr.Gb_verify.Verifier.violations
+              @ Gb_verify.Verifier.check_cut trace ~plan:p })
   in
   t.stats.verify_checked <- t.stats.verify_checked + 1;
   let vs = vr.Gb_verify.Verifier.violations in
@@ -355,18 +323,16 @@ let verify_log t = List.rev t.verify_log
    and stays on the interpreter *)
 exception Verify_rejected
 
-(* The three translation entry points below ([translate_first_pass],
-   [submit_prefetch], [translate]) are the only ways into the translation
-   pipeline — promotion-triggered translations included, since
-   record_block_entry goes through [translate] — so bracketing them with
-   an exclusion window is a sound cut: a {!Gb_obs.Allocs} window around a
-   processor run then counts only execution-tier allocation. Translation
-   allocates freely by design (IR, DFG, scheduling) and would drown the
-   number the hot loops are held to. Each one pauses before it allocates
-   anything, the [Fun.protect] closures included: a closure built ahead
-   of the pause would be charged to the counted run once per entry, and
-   prefetch submissions (workers > 0 only) would then change the
-   count. *)
+(* The two translation entry points below ([translate_first_pass],
+   [translate]) are the only ways into the translation pipeline —
+   promotion-triggered translations included, since record_block_entry
+   goes through them — so bracketing them with an exclusion window is a
+   sound cut: a {!Gb_obs.Allocs} window around a processor run then
+   counts only execution-tier allocation. Translation allocates freely by
+   design (IR, DFG, scheduling) and would drown the number the hot loops
+   are held to. Each one pauses before it allocates anything, the
+   [Fun.protect] closures included: a closure built ahead of the pause
+   would be charged to the counted run once per entry. *)
 let translate_first_pass t entry =
   Gb_obs.Allocs.pause t.allocs;
   Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
@@ -433,33 +399,43 @@ let graph_meta g (report : Gb_core.Mitigation.report) =
       | None -> 0);
   }
 
-(* ---- plan / backend / commit ---------------------------------------
+(* The leakage audit wants the detector's verdicts for this region: which
+   loads ran speculatively, which the analysis flagged, which the
+   mitigation actually constrained. *)
+let note_audit t a ~entry g (report : Gb_core.Mitigation.report) =
+  Gb_ir.Dfg.iter_nodes g (fun n ->
+      match Gb_ir.Dfg.spec_of n with
+      | Some s
+        when s.Gb_ir.Dfg.tag <> None
+             || s.Gb_ir.Dfg.spec_prev_branch <> None
+             || s.Gb_ir.Dfg.constrained ->
+        Gb_cache.Audit.note_spec_load a ~pc:n.Gb_ir.Dfg.guest_pc
+      | Some _ | None -> ());
+  List.iter
+    (fun pc ->
+      Gb_cache.Audit.note_flagged a ~pc;
+      Gb_cache.Audit.note_constrained a ~pc)
+    report.Gb_core.Mitigation.flagged_pcs;
+  (* Under Unsafe nothing flags or constrains, so detector precision
+     would be unmeasurable: run the poisoning analysis once report-only
+     (it never mutates the graph) to obtain the ground-truth flag set
+     without changing the generated code. *)
+  if t.cfg.mode = Gb_core.Mitigation.Unsafe then
+    List.iter
+      (fun id ->
+        let pc = (Gb_ir.Dfg.node g id).Gb_ir.Dfg.guest_pc in
+        Gb_cache.Audit.note_flagged a ~pc;
+        Gb_obs.Sink.event t.obs ~pc ~region:entry
+          (Gb_obs.Event.Poison_flagged { node = id }))
+      (Gb_core.Poison.analyze g).Gb_core.Poison.patterns
 
-   [translate] is split in three so the expensive middle can run on a
-   worker domain (docs/CONCURRENCY.md):
-
-   - {!plan_of} (owner only) reads the mutable profile state — guest
-     memory via the trace builder, branch biases, the despeculation set —
-     and freezes it into an immutable {!plan}.
-   - {!backend} is a pure function of (config, plan): IR build,
-     mitigation, scheduling, codegen, verification. It records every
-     observability effect into the sink it is handed (a {!Gb_obs.Sink.buffer}
-     when off-thread) and returns audit-ledger updates as data.
-   - {!commit} (owner only) replays the recorded effects, absorbs the
-     verifier reports into engine stats, applies the audit notes and
-     installs the code — generation-tagged, so a stale install is
-     structurally impossible.
-
-   The synchronous path runs the same three stages back to back with the
-   engine's own sink as the backend sink, which makes it line-for-line
-   the pre-split code. *)
-
-let plan_of t entry ~quiet =
+(* Trace formation: the region's guest path under the current branch
+   profile, with the pcs of the conditional branches it contains. *)
+let build_trace t entry =
   let profile pc = branch_profile t pc in
-  let build () = Trace_builder.build t.cfg.trace_cfg ~mem:t.mem ~profile ~entry in
   match
-    if quiet then build ()
-    else Gb_obs.Sink.time t.obs "trace_build" build
+    Gb_obs.Sink.time t.obs "trace_build" (fun () ->
+        Trace_builder.build t.cfg.trace_cfg ~mem:t.mem ~profile ~entry)
   with
   | exception Trace_builder.Build_failure _ -> None
   | gtrace ->
@@ -471,196 +447,86 @@ let plan_of t entry ~quiet =
           | _ -> None)
         gtrace.Gb_ir.Gtrace.steps
     in
-    if not quiet then
-      Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
-        (Gb_obs.Event.Trace_formed
-           {
-             guest_insns = Gb_ir.Gtrace.length gtrace;
-             branches = List.length branch_pcs;
-           });
-    let opt =
-      match t.cfg.opt_override with
-      | Some opt -> opt
-      | None -> Gb_core.Mitigation.opt_of_mode t.cfg.mode
-    in
-    let opt =
-      if Hashtbl.mem t.despeculated entry then
-        { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
-      else opt
-    in
-    Some { p_entry = entry; p_gtrace = gtrace; p_branch_pcs = branch_pcs;
-           p_opt = opt }
+    Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
+      (Gb_obs.Event.Trace_formed
+         {
+           guest_insns = Gb_ir.Gtrace.length gtrace;
+           branches = List.length branch_pcs;
+         });
+    Some (gtrace, branch_pcs)
 
-let backend ~(cfg : config) ~audit_enabled bobs (p : plan) =
-  let entry = p.p_entry in
-  let gtrace = p.p_gtrace in
-  let verify_reports = ref [] in
-  let rejections = ref 0 in
-  let notes = ref [] in
-  (* the sink half of the old [note_verify]; the stats half is absorbed
-     at commit from the returned report list *)
-  let verify ?plan trace =
-    let vr = Gb_obs.Sink.time bobs "verify" (fun () ->
-        let vr = Gb_verify.Verifier.verify trace in
-        (* cut-soundness pass: when the mitigation produced a leak-cut
-           plan, independently prove on the emitted schedule that every
-           planned repair landed and no residual source→transmitter path
-           survives; its violations gate exactly like the sticky-taint
-           verifier's *)
-        match plan with
-        | None -> vr
-        | Some p ->
-          { vr with
-            Gb_verify.Verifier.violations =
-              vr.Gb_verify.Verifier.violations
-              @ Gb_verify.Verifier.check_cut trace ~plan:p })
-    in
-    verify_reports := vr :: !verify_reports;
-    if Gb_obs.Sink.is_active bobs then begin
-      Gb_obs.Sink.incr bobs "verify.checked";
-      let vs = vr.Gb_verify.Verifier.violations in
-      if vs <> [] then
-        Gb_obs.Sink.incr bobs ~by:(List.length vs) "verify.violations";
-      List.iter
-        (fun v ->
-          Gb_obs.Sink.event bobs ~pc:v.Gb_verify.Verifier.v_pc ~region:entry
-            (Gb_obs.Event.Verify_violation
-               {
-                 kind = Gb_verify.Verifier.kind_name v.Gb_verify.Verifier.v_kind;
-                 bundle = v.Gb_verify.Verifier.v_bundle;
-               }))
-        vs
-    end;
-    vr
+(* IR build, mitigation, scheduling, codegen and the install-time gate
+   for one formed trace: [(trace, report, fenced)], or one of the
+   pipeline's failure exceptions. *)
+let lower_trace t ~entry gtrace =
+  let cfg = t.cfg in
+  let opt =
+    match cfg.opt_override with
+    | Some opt -> opt
+    | None -> Gb_core.Mitigation.opt_of_mode cfg.mode
   in
-  let outcome =
-    try
+  let opt =
+    if Hashtbl.mem t.despeculated entry then
+      { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
+    else opt
+  in
+  let g =
+    Gb_obs.Sink.time t.obs "ir_build" (fun () ->
+        Gb_ir.Build.build ~opt ~lat:cfg.lat gtrace)
+  in
+  let report =
+    Gb_obs.Sink.time t.obs "poison_analysis" (fun () ->
+        Gb_core.Mitigation.apply ~obs:t.obs cfg.mode ~lat:cfg.lat g)
+  in
+  Option.iter (fun a -> note_audit t a ~entry g report) t.audit;
+  let lower g report =
+    let cycles =
+      Gb_obs.Sink.time t.obs "schedule" (fun () ->
+          Sched.schedule ~obs:t.obs cfg.resources ~lat:cfg.lat g)
+    in
+    let meta = graph_meta g report in
+    Gb_obs.Sink.time t.obs "codegen" (fun () ->
+        Codegen.emit cfg.resources ~n_hidden:cfg.n_hidden ~cycles
+          ~entry_pc:entry
+          ~guest_insns:(Gb_ir.Gtrace.length gtrace)
+          ~meta g)
+  in
+  let trace = lower g report in
+  (* Install-time gate: the post-scheduling verifier re-derives the
+     speculation-safety property from the emitted bundles. Under
+     [Verify_enforce] a violating translation never reaches the code
+     cache — it is rebuilt with speculation fenced entirely (and must
+     then verify clean, or the entry is blacklisted). *)
+  match cfg.verify with
+  | Verify_off -> (trace, report, false)
+  | (Verify_report | Verify_enforce) as lvl ->
+    let vr =
+      note_verify ?plan:report.Gb_core.Mitigation.cut_plan t ~entry trace
+    in
+    if Gb_verify.Verifier.ok vr || lvl = Verify_report then
+      (trace, report, false)
+    else begin
+      t.stats.verify_rejections <- t.stats.verify_rejections + 1;
+      Gb_obs.Sink.incr t.obs "verify.rejections";
+      Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
+        (Gb_obs.Event.Tier_transition { tier = "verify-fenced" });
       let g =
-        Gb_obs.Sink.time bobs "ir_build" (fun () ->
-            Gb_ir.Build.build ~opt:p.p_opt ~lat:cfg.lat gtrace)
+        Gb_obs.Sink.time t.obs "ir_build" (fun () ->
+            Gb_ir.Build.build ~opt:Gb_ir.Opt_config.no_speculation
+              ~lat:cfg.lat gtrace)
       in
       let report =
-        Gb_obs.Sink.time bobs "poison_analysis" (fun () ->
-            Gb_core.Mitigation.apply ~obs:bobs cfg.mode ~lat:cfg.lat g)
-      in
-      if audit_enabled then begin
-        (* The leakage audit wants the detector's verdicts for this
-           region: which loads ran speculatively, which the analysis
-           flagged, which the mitigation actually constrained. The ledger
-           itself is owner state, so record the updates as data. *)
-        Gb_ir.Dfg.iter_nodes g (fun n ->
-            match Gb_ir.Dfg.spec_of n with
-            | Some s
-              when s.Gb_ir.Dfg.tag <> None
-                   || s.Gb_ir.Dfg.spec_prev_branch <> None
-                   || s.Gb_ir.Dfg.constrained ->
-              notes := Note_spec_load n.Gb_ir.Dfg.guest_pc :: !notes
-            | Some _ | None -> ());
-        List.iter
-          (fun pc -> notes := Note_flagged pc :: !notes)
-          report.Gb_core.Mitigation.flagged_pcs;
-        (* Under Unsafe nothing flags or constrains, so detector
-           precision would be unmeasurable: run the poisoning analysis
-           once report-only (it never mutates the graph) to obtain the
-           ground-truth flag set without changing the generated code. *)
-        if cfg.mode = Gb_core.Mitigation.Unsafe then
-          List.iter
-            (fun id ->
-              let pc = (Gb_ir.Dfg.node g id).Gb_ir.Dfg.guest_pc in
-              notes := Note_unsafe_flagged pc :: !notes;
-              Gb_obs.Sink.event bobs ~pc ~region:entry
-                (Gb_obs.Event.Poison_flagged { node = id }))
-            (Gb_core.Poison.analyze g).Gb_core.Poison.patterns
-      end;
-      let lower g report =
-        let cycles =
-          Gb_obs.Sink.time bobs "schedule" (fun () ->
-              Sched.schedule ~obs:bobs cfg.resources ~lat:cfg.lat g)
-        in
-        let meta = graph_meta g report in
-        Gb_obs.Sink.time bobs "codegen" (fun () ->
-            Codegen.emit cfg.resources ~n_hidden:cfg.n_hidden ~cycles
-              ~entry_pc:entry
-              ~guest_insns:(Gb_ir.Gtrace.length gtrace)
-              ~meta g)
+        Gb_core.Mitigation.apply ~obs:t.obs cfg.mode ~lat:cfg.lat g
       in
       let trace = lower g report in
-      (* Install-time gate: the post-scheduling verifier re-derives
-         the speculation-safety property from the emitted bundles.
-         Under [Verify_enforce] a violating translation never reaches
-         the code cache — it is rebuilt with speculation fenced
-         entirely (and must then verify clean, or the entry is
-         blacklisted). *)
-      let trace, report, fenced =
-        match cfg.verify with
-        | Verify_off -> (trace, report, false)
-        | (Verify_report | Verify_enforce) as lvl ->
-          let vr = verify ?plan:report.Gb_core.Mitigation.cut_plan trace in
-          if Gb_verify.Verifier.ok vr || lvl = Verify_report then
-            (trace, report, false)
-          else begin
-            incr rejections;
-            Gb_obs.Sink.incr bobs "verify.rejections";
-            Gb_obs.Sink.event bobs ~pc:entry ~region:entry
-              (Gb_obs.Event.Tier_transition { tier = "verify-fenced" });
-            let g =
-              Gb_obs.Sink.time bobs "ir_build" (fun () ->
-                  Gb_ir.Build.build ~opt:Gb_ir.Opt_config.no_speculation
-                    ~lat:cfg.lat gtrace)
-            in
-            let report =
-              Gb_core.Mitigation.apply ~obs:bobs cfg.mode ~lat:cfg.lat g
-            in
-            let trace = lower g report in
-            if
-              not
-                (Gb_verify.Verifier.ok
-                   (verify ?plan:report.Gb_core.Mitigation.cut_plan trace))
-            then raise Verify_rejected;
-            (trace, report, true)
-          end
-      in
-      Ok { b_trace = trace; b_report = report; b_fenced = fenced }
-    with
-    | Gb_ir.Build.Unsupported _ | Codegen.Out_of_registers | Sched.Cyclic
-    | Verify_rejected ->
-      Error ()
-  in
-  {
-    b_outcome = outcome;
-    b_verify = List.rev !verify_reports;
-    b_rejections = !rejections;
-    b_notes = List.rev !notes;
-    b_obs = bobs;
-  }
-
-(* synchronous backend run: record straight into the engine's own sink
-   (replay is then a no-op), which is exactly the pre-split behaviour *)
-let run_backend t p =
-  backend ~cfg:t.cfg ~audit_enabled:(t.audit <> None) t.obs p
-
-let absorb_verify t ~entry vr =
-  t.stats.verify_checked <- t.stats.verify_checked + 1;
-  let vs = vr.Gb_verify.Verifier.violations in
-  if vs <> [] then begin
-    t.stats.verify_violations <- t.stats.verify_violations + List.length vs;
-    t.verify_log <-
-      List.rev_append (List.map (fun v -> (entry, v)) vs) t.verify_log
-  end
-
-let apply_audit_notes t notes =
-  match t.audit with
-  | None -> ()
-  | Some a ->
-    List.iter
-      (fun note ->
-        match note with
-        | Note_spec_load pc -> Gb_cache.Audit.note_spec_load a ~pc
-        | Note_flagged pc ->
-          Gb_cache.Audit.note_flagged a ~pc;
-          Gb_cache.Audit.note_constrained a ~pc
-        | Note_unsafe_flagged pc -> Gb_cache.Audit.note_flagged a ~pc)
-      notes
+      if
+        not
+          (Gb_verify.Verifier.ok
+             (note_verify ?plan:report.Gb_core.Mitigation.cut_plan t ~entry
+                trace))
+      then raise Verify_rejected;
+      (trace, report, true)
+    end
 
 let translate_failed t entry =
   Hashtbl.replace t.blacklist entry ();
@@ -670,105 +536,57 @@ let translate_failed t entry =
     (Gb_obs.Event.Translate_end { ok = false });
   None
 
-let commit t ~gen (p : plan) (br : backend_result) =
-  let entry = p.p_entry in
+let install_trace t ~entry ~branch_pcs gtrace (trace, report, fenced) =
   let obs = t.obs in
-  Gb_obs.Sink.replay br.b_obs ~into:obs;
-  List.iter (absorb_verify t ~entry) br.b_verify;
-  t.stats.verify_rejections <- t.stats.verify_rejections + br.b_rejections;
-  apply_audit_notes t br.b_notes;
-  match br.b_outcome with
-  | Ok { b_trace = trace; b_report = report; b_fenced = fenced } ->
-    let len = Gb_ir.Gtrace.length p.p_gtrace in
-    (* de-speculated regions carry no speculative loads at all, so
-       they are a safe chain target from any predecessor *)
-    let mode =
-      if fenced || Hashtbl.mem t.despeculated entry then Code_cache.Nonspec
-      else Code_cache.Mitigated t.cfg.mode
-    in
-    (match
-       Code_cache.insert_tagged t.cc ~gen ~pc:entry ~tier:Code_cache.Trace
-         ~mode trace
-     with
-    | Some _ -> ()
-    | None ->
-      (* unreachable: [gen] is captured on the owning domain at trigger
-         time, and only the owning domain invalidates — nothing can have
-         removed this pc between capture and install *)
-      assert false);
-    (* per-entry translation counts let attribution reports flag
-       churny regions (retranslation/despeculation loops) *)
-    (match Gb_obs.Sink.attrib obs with
-    | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Trace
-    | None -> ());
-    Hashtbl.replace t.trace_branches entry p.p_branch_pcs;
-    Hashtbl.remove t.block_meta entry;
-    let s = t.stats in
-    s.translations <- s.translations + 1;
-    s.guest_insns_translated <- s.guest_insns_translated + len;
-    s.patterns_found <-
-      s.patterns_found + report.Gb_core.Mitigation.patterns_found;
-    s.loads_constrained <-
-      s.loads_constrained + report.Gb_core.Mitigation.loads_constrained;
-    s.fences_inserted <-
-      s.fences_inserted + report.Gb_core.Mitigation.fences_inserted;
-    s.spec_loads <-
-      s.spec_loads + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.spec_loads;
-    s.branch_spec_loads <-
-      s.branch_spec_loads
-      + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.branch_spec_loads;
-    if Gb_obs.Sink.is_active obs then begin
-      Gb_obs.Sink.incr obs "translate.translations";
-      Gb_obs.Sink.incr obs ~by:len "translate.guest_insns";
-      Gb_obs.Sink.observe obs "translate.trace_guest_insns" (float_of_int len);
-      let meta = trace.Gb_vliw.Vinsn.meta in
-      if meta.Gb_vliw.Vinsn.spec_loads > 0
-         || meta.Gb_vliw.Vinsn.branch_spec_loads > 0
-      then
-        Gb_obs.Sink.event obs ~pc:entry ~region:entry
-          (Gb_obs.Event.Load_hoisted
-             {
-               spec_loads = meta.Gb_vliw.Vinsn.spec_loads;
-               past_branch = meta.Gb_vliw.Vinsn.branch_spec_loads;
-             });
+  let len = Gb_ir.Gtrace.length gtrace in
+  (* de-speculated regions carry no speculative loads at all, so they are
+     a safe chain target from any predecessor *)
+  let mode =
+    if fenced || Hashtbl.mem t.despeculated entry then Code_cache.Nonspec
+    else Code_cache.Mitigated t.cfg.mode
+  in
+  ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace ~mode trace);
+  (* per-entry translation counts let attribution reports flag churny
+     regions (retranslation/despeculation loops) *)
+  (match Gb_obs.Sink.attrib obs with
+  | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Trace
+  | None -> ());
+  Hashtbl.replace t.trace_branches entry branch_pcs;
+  Hashtbl.remove t.block_meta entry;
+  let s = t.stats in
+  s.translations <- s.translations + 1;
+  s.guest_insns_translated <- s.guest_insns_translated + len;
+  s.patterns_found <-
+    s.patterns_found + report.Gb_core.Mitigation.patterns_found;
+  s.loads_constrained <-
+    s.loads_constrained + report.Gb_core.Mitigation.loads_constrained;
+  s.fences_inserted <-
+    s.fences_inserted + report.Gb_core.Mitigation.fences_inserted;
+  s.spec_loads <-
+    s.spec_loads + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.spec_loads;
+  s.branch_spec_loads <-
+    s.branch_spec_loads
+    + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.branch_spec_loads;
+  if Gb_obs.Sink.is_active obs then begin
+    Gb_obs.Sink.incr obs "translate.translations";
+    Gb_obs.Sink.incr obs ~by:len "translate.guest_insns";
+    Gb_obs.Sink.observe obs "translate.trace_guest_insns" (float_of_int len);
+    let meta = trace.Gb_vliw.Vinsn.meta in
+    if meta.Gb_vliw.Vinsn.spec_loads > 0
+       || meta.Gb_vliw.Vinsn.branch_spec_loads > 0
+    then
       Gb_obs.Sink.event obs ~pc:entry ~region:entry
-        (Gb_obs.Event.Tier_transition { tier = "trace" });
-      Gb_obs.Sink.event obs ~pc:entry ~region:entry
-        (Gb_obs.Event.Translate_end { ok = true })
-    end;
-    Some trace
-  | Error () -> translate_failed t entry
-
-(* Speculative translation prefetch: a few arrivals before the hot
-   threshold, freeze a quiet plan (no observability effects — the
-   authoritative plan at trigger time emits them all) and start the
-   backend on the pool. The fault-injection hook is deliberately NOT
-   consulted here: it draws from a seeded RNG, and an extra draw would
-   shift the fault stream relative to the synchronous schedule. *)
-let prefetch_lookahead = 8
-
-let submit_prefetch t pool entry =
-  Gb_obs.Allocs.pause t.allocs;
-  Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
-  match plan_of t entry ~quiet:true with
-  | None -> ()
-  | Some p ->
-    let cfg = t.cfg in
-    let audit_enabled = t.audit <> None in
-    let buffered = Gb_obs.Sink.is_active t.obs in
-    let job () =
-      let bobs = if buffered then Gb_obs.Sink.buffer () else Gb_obs.Sink.noop in
-      backend ~cfg ~audit_enabled bobs p
-    in
-    (match Workers.try_submit pool job with
-    | Some fut ->
-      Hashtbl.replace t.prefetch entry { pf_plan = p; pf_future = fut };
-      Gb_obs.Sink.incr t.obs "workers.prefetch_submitted";
-      Gb_obs.Sink.set_gauge t.obs "workers.queue_depth"
-        (float_of_int (Workers.queue_depth pool))
-    | None ->
-      (* pool saturated: skip, the trigger will translate synchronously *)
-      Gb_obs.Sink.incr t.obs "workers.queue_full")
+        (Gb_obs.Event.Load_hoisted
+           {
+             spec_loads = meta.Gb_vliw.Vinsn.spec_loads;
+             past_branch = meta.Gb_vliw.Vinsn.branch_spec_loads;
+           });
+    Gb_obs.Sink.event obs ~pc:entry ~region:entry
+      (Gb_obs.Event.Tier_transition { tier = "trace" });
+    Gb_obs.Sink.event obs ~pc:entry ~region:entry
+      (Gb_obs.Event.Translate_end { ok = true })
+  end;
+  Some trace
 
 let translate t entry =
   Gb_obs.Allocs.pause t.allocs;
@@ -779,39 +597,17 @@ let translate t entry =
   | Some _ | None ->
     if Hashtbl.mem t.blacklist entry || translate_faulted t entry then None
     else begin
-      let pf = Hashtbl.find_opt t.prefetch entry in
-      Hashtbl.remove t.prefetch entry;
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         Gb_obs.Event.Translate_start;
-      match plan_of t entry ~quiet:false with
+      match build_trace t entry with
       | None -> translate_failed t entry
-      | Some p ->
-        let gen = Code_cache.generation t.cc in
-        let br =
-          match pf with
-          | Some pf when pf.pf_plan = p ->
-            (* The profile has not drifted since submission: the plans are
-               structurally equal, and the backend is a pure function of
-               (config, plan), so the prefetched result is the result the
-               synchronous path would compute. Awaiting it (or stealing
-               it, if no worker has started) is the only synchronous
-               residue of this translation. *)
-            Gb_obs.Sink.incr t.obs "workers.prefetch_hits";
-            let br =
-              Gb_obs.Sink.time t.obs "translate_await" (fun () ->
-                  Workers.await pf.pf_future)
-            in
-            if Workers.stolen pf.pf_future then
-              Gb_obs.Sink.incr t.obs "workers.stolen";
-            br
-          | Some _ ->
-            (* plan drifted between submission and trigger (bias update,
-               despeculation, guest code change): discard and redo *)
-            Gb_obs.Sink.incr t.obs "workers.prefetch_stale";
-            run_backend t p
-          | None -> run_backend t p
-        in
-        commit t ~gen p br
+      | Some (gtrace, branch_pcs) -> (
+        match lower_trace t ~entry gtrace with
+        | lowered -> install_trace t ~entry ~branch_pcs gtrace lowered
+        | exception
+            ( Gb_ir.Build.Unsupported _ | Codegen.Out_of_registers
+            | Sched.Cyclic | Verify_rejected ) ->
+          translate_failed t entry)
     end
 
 type region = {
@@ -847,19 +643,8 @@ let record_block_entry t pc =
      && (not (has_trace t pc))
      && not (Hashtbl.mem t.blacklist pc)
   then ignore (translate t pc)
-  else begin
-    (match t.pool with
-    | Some pool
-      when n = max 1 (t.cfg.hot_threshold - prefetch_lookahead)
-           && n < t.cfg.hot_threshold
-           && (not (has_trace t pc))
-           && (not (Hashtbl.mem t.blacklist pc))
-           && not (Hashtbl.mem t.prefetch pc) ->
-      submit_prefetch t pool pc
-    | Some _ | None -> ());
-    if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then
-      translate_first_pass t pc
-  end
+  else if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then
+    translate_first_pass t pc
 
 (* Lazy chaining, QEMU-style: after the dispatcher has handled a trace
    exit (and possibly translated the successor), patch the taken stub to

@@ -49,24 +49,16 @@ type config = {
           engine installs translations into *)
   verify : verify_level;  (** install-time translation verification *)
   workers : int;
-      (** translation worker domains (0 = fully synchronous). When
-          positive, the engine prefetches translations: a few arrivals
-          before the hot threshold it freezes an immutable plan of the
-          region and runs the whole backend (IR build, mitigation,
-          scheduling, codegen, verification) on a shared {!Workers} pool;
-          at the hot threshold it re-plans authoritatively and uses the
-          prefetched result iff the plans are structurally equal, else
-          translates synchronously. Pure wall-clock optimisation:
-          simulated cycle counts, audit verdicts, events and all
-          deterministic counters are bit-identical for every value —
-          the determinism argument is laid out in docs/CONCURRENCY.md. *)
+      (** Vestigial and always 0: translation is synchronous, on the
+          domain that runs the guest. {!create} raises [Invalid_argument]
+          for any other value. The field stays only until the host
+          benchmark's configs stop setting it. *)
 }
 
 val default_config : config
 (** First-pass threshold 4, hot threshold 24, [Unsafe] mode, default
     resources/latencies, 96 hidden registers,
-    {!Code_cache.default_config}; [workers] from the
-    [GHOSTBUSTERS_WORKERS] environment variable (0 when unset). *)
+    {!Code_cache.default_config}, [workers] 0. *)
 
 type stats = {
   mutable retranslations : int;
@@ -100,7 +92,8 @@ val create :
     [audit], when present, is told which loads each translation hoisted
     speculatively and which the poisoning analysis flagged/constrained;
     under [Unsafe] the analysis additionally runs report-only so the
-    audit can score detector precision against unconstrained execution. *)
+    audit can score detector precision against unconstrained execution.
+    Raises [Invalid_argument] when [config.workers] is not 0. *)
 
 val config : t -> config
 
@@ -182,8 +175,8 @@ val verify_log : t -> (int * Gb_verify.Verifier.violation) list
     [config.verify] is [Verify_report] or [Verify_enforce]. *)
 
 val allocs : t -> Gb_obs.Allocs.t
-(** The engine's execution-allocation accumulator. The translation entry
-    points ({!translate}, the first-pass tier, prefetch submission) pause
-    it, so {!Gb_obs.Allocs.start}ing it around a run measures the
-    allocation of the execution tiers alone — what the
-    [alloc.minor_words_per_kinsn.*] manifest cells report. *)
+(** The engine's execution-allocation accumulator. The two translation
+    entry points ({!translate} and the first-pass tier) pause it, so
+    {!Gb_obs.Allocs.start}ing it around a run measures the allocation of
+    the execution tiers alone — what the [alloc.minor_words_per_kinsn.*]
+    manifest cells report. *)

@@ -86,9 +86,8 @@ let sensitivity_check ?obs ~seed () =
   in
   try_seed 0
 
-(* one cell of the matrix, self-contained: every run builds its own
-   processors and sinks from [config], so cells share no mutable state
-   and may execute on any domain in any order *)
+(* one cell of the matrix: every run builds its own processors from
+   [config] *)
 type job = {
   j_workload : string;
   j_mode : string;
@@ -97,7 +96,7 @@ type job = {
   j_program : Gb_riscv.Asm.program;
 }
 
-let run ?obs ?(seed = 1L) ?(workers = 0) ?(attacks = default_attacks)
+let run ?obs ?(seed = 1L) ?(attacks = default_attacks)
     ?(modes = Gb_core.Mitigation.all_modes)
     ?(kernels = List.map (fun k -> k.Gb_workloads.Polybench.name)
                   Gb_workloads.Polybench.all)
@@ -146,19 +145,7 @@ let run ?obs ?(seed = 1L) ?(workers = 0) ?(attacks = default_attacks)
     in
     row_of ~workload:j.j_workload ~mode:j.j_mode ~inject:j.j_inject ~seed r
   in
-  let sound_rows =
-    (* Sharding across domains is order-preserving ({!Gb_dbt.Workers.map})
-       and every cell is self-contained, so the row list — and every
-       verdict in it — is identical to the serial run's. An active
-       observability sink is the one piece of shared mutable state a cell
-       may touch; it forces the serial path. *)
-    let obs_active =
-      match obs with Some o -> Gb_obs.Sink.is_active o | None -> false
-    in
-    if workers > 0 && not obs_active && Gb_dbt.Workers.available () then
-      Gb_dbt.Workers.map (Gb_dbt.Workers.ensure workers) run_one jobs
-    else List.map run_one jobs
-  in
+  let sound_rows = List.map run_one jobs in
   let sensitivity_detected, sens_rows = sensitivity_check ?obs ~seed () in
   (* the sensitivity rows are expected to diverge; everything before them
      is a soundness gate *)

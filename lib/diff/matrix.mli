@@ -42,7 +42,6 @@ val inject_name : Gb_system.Inject.spec option -> string
 val run :
   ?obs:Gb_obs.Sink.t ->
   ?seed:int64 ->
-  ?workers:int ->
   ?attacks:string list ->
   ?modes:Gb_core.Mitigation.mode list ->
   ?kernels:string list ->
@@ -55,15 +54,7 @@ val run :
     {!Gb_core.Mitigation.all_modes}) restricts the attack cells — the
     CLI's [--modes] filter; kernel cells and the sensitivity control are
     unaffected. [kernels] defaults to the whole Polybench suite. Raises
-    [Invalid_argument] on an unknown attack or kernel name.
-
-    [workers] (default 0) shards the cells across a {!Gb_dbt.Workers}
-    domain pool. Cells are self-contained (each builds its own
-    processors and sinks) and the shard map preserves order, so the
-    result — every row, verdict and aggregate — is identical for every
-    [workers] value; only wall-clock time changes. Ignored when an
-    active [obs] is given: an external sink is shared mutable state, so
-    observability forces the serial path. *)
+    [Invalid_argument] on an unknown attack or kernel name. *)
 
 val pass : t -> bool
 (** Zero divergences, zero unrecovered faults, sensitivity control

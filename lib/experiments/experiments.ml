@@ -120,11 +120,7 @@ let e1_poc_matrix ?(secret = default_secret) ?(audit = false) ?(seed = 1L)
         modes)
     (attack_programs ~secret)
 
-let e2_figure4 ?(audit = false) ?(attrib = true) ?(workers = 0) () =
-  (* each item is self-contained ({!measure_program} builds its own
-     processors and sinks), so the list may be sharded across domains;
-     {!Gb_dbt.Workers.map} preserves order, so the rows — and every
-     cycle count in them — are identical for every [workers] value *)
+let e2_figure4 ?(audit = false) ?(attrib = true) () =
   let items =
     List.map
       (fun (w : Gb_workloads.Polybench.t) ->
@@ -132,10 +128,9 @@ let e2_figure4 ?(audit = false) ?(attrib = true) ?(workers = 0) () =
       Gb_workloads.Polybench.all
     @ attack_programs ~secret:default_secret
   in
-  let measure (name, program) = measure_program ~audit ~attrib ~name program in
-  if workers > 0 && Gb_dbt.Workers.available () then
-    Gb_dbt.Workers.map (Gb_dbt.Workers.ensure workers) measure items
-  else List.map measure items
+  List.map
+    (fun (name, program) -> measure_program ~audit ~attrib ~name program)
+    items
 
 let e3_fence_rows rows =
   List.map

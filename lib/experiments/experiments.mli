@@ -71,15 +71,12 @@ val e1_poc_matrix :
     modes (the harnesses' [--modes] filter). *)
 
 val e2_figure4 :
-  ?audit:bool -> ?attrib:bool -> ?workers:int -> unit -> mode_cycles list
+  ?audit:bool -> ?attrib:bool -> unit -> mode_cycles list
 (** One row per Figure-4 application: the 12 Polybench kernels plus the
     two Spectre proof-of-concept programs. [attrib] defaults to [true]:
     every E2 run carries the cycle-attribution ledger, so the per-cause
     shares land in the perf manifest and the conservation invariant is
-    exercised on every workload x mode. [workers] (default 0) shards the
-    applications across a {!Gb_dbt.Workers} pool; rows and every cycle
-    count in them are identical for every value (the runs are
-    self-contained and the shard map preserves order). *)
+    exercised on every workload x mode. *)
 
 val e3_fence_rows : mode_cycles list -> (string * float * int) list
 (** Per workload: fence slowdown and pattern count (derived from E2 data). *)

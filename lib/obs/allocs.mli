@@ -4,9 +4,9 @@
     {!start} begins counting allocation on the calling domain, {!pause} /
     {!resume} carve out regions whose allocation must not be charged to
     the measured path, and {!stop} returns the counted words. The DBT
-    engine brackets its translation entry points ([translate],
-    [translate_first_pass], [submit_prefetch]) with pause/resume, so a
-    window around a processor run measures {e execution} allocation —
+    engine brackets its two translation entry points ([translate] and
+    [translate_first_pass]) with pause/resume, so a window around a
+    processor run measures {e execution} allocation —
     the interpreter and VLIW pipeline hot loops — with the translation
     pipeline (a separate, cold subsystem that allocates by design)
     excluded. This is what the [alloc.minor_words_per_kinsn.*] manifest
@@ -14,17 +14,11 @@
 
     An accumulator that was never {!start}ed costs one load and branch
     per pause/resume, so the engine brackets stay on unconditionally.
-    [Gc.minor_words] only sees the calling domain's minor heap: work
-    shipped to translation worker domains is invisible here, which is
-    the intended accounting — only the owning domain's allocation can
-    stall the owning domain's hot loop. {!start}, {!pause} and {!resume}
-    allocate nothing, and {!stop} only boxes its result once counting
-    has ended (the counters live in a flat float record), so the count
-    does not depend on how many windows a run opens — in particular not
-    on whether translation worker domains are configured.
-
-    Not domain-safe: an accumulator must be started, paused, resumed and
-    stopped by one domain. *)
+    {!start}, {!pause} and {!resume} allocate nothing, and {!stop} only
+    boxes its result once counting has ended (the counters live in a
+    flat float record), so the count does not depend on how many windows
+    a run opens. [Gc.minor_words] counts the calling domain only, which
+    is the domain that runs the guest. *)
 
 type t
 

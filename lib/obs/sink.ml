@@ -7,23 +7,7 @@ type active = {
   mutable ring_warned : bool;
 }
 
-(* A recording sink: every operation is appended (reversed) as pure data
-   and re-applied later with {!replay}. Translation backends running on
-   worker domains record into one of these; the owning domain replays it
-   at the install point. Because events carry no timestamp until replay
-   and the simulated clock never advances during translation, a
-   buffered-then-replayed stream is indistinguishable from direct
-   recording at the replay point. *)
-type op =
-  | Op_incr of string * int
-  | Op_gauge of string * float
-  | Op_observe of string * float
-  | Op_event of int * int * Event.kind  (* pc, region, kind *)
-  | Op_span of string * float * float  (* phase, abs start (s), dur_us *)
-
-type buffered = { mutable ops : op list (* newest first *) }
-
-type t = Noop | Active of active | Buffer of buffered
+type t = Noop | Active of active
 
 let noop = Noop
 
@@ -38,19 +22,16 @@ let create ?(ring_capacity = 65536) ?span_capacity ?seed ?(attrib = false) () =
       ring_warned = false;
     }
 
-let buffer () = Buffer { ops = [] }
+let is_active = function Noop -> false | Active _ -> true
 
-let is_active = function Noop -> false | Active _ | Buffer _ -> true
-
-let attrib = function Noop | Buffer _ -> None | Active a -> a.attrib
+let attrib = function Noop -> None | Active a -> a.attrib
 
 let set_cycle_source t f =
-  match t with Noop | Buffer _ -> () | Active a -> a.cycle_source <- f
+  match t with Noop -> () | Active a -> a.cycle_source <- f
 
 let event t ?(pc = 0) ?(region = 0) kind =
   match t with
   | Noop -> ()
-  | Buffer b -> b.ops <- Op_event (pc, region, kind) :: b.ops
   | Active a ->
     Ring.push a.events { Event.kind; pc; region; cycle = a.cycle_source () };
     (* a wrapped ring silently forgets history: count every dropped event
@@ -70,79 +51,40 @@ let event t ?(pc = 0) ?(region = 0) kind =
 let incr t ?by name =
   match t with
   | Noop -> ()
-  | Buffer b -> b.ops <- Op_incr (name, Option.value ~default:1 by) :: b.ops
   | Active a -> Metrics.incr a.metrics ?by name
 
 let set_gauge t name v =
   match t with
   | Noop -> ()
-  | Buffer b -> b.ops <- Op_gauge (name, v) :: b.ops
   | Active a -> Metrics.set_gauge a.metrics name v
 
 let observe t name v =
   match t with
   | Noop -> ()
-  | Buffer b -> b.ops <- Op_observe (name, v) :: b.ops
   | Active a -> Metrics.observe a.metrics name v
 
 let time t phase f =
   match t with
   | Noop -> f ()
-  | Buffer b ->
-    let start = Timer.now () in
-    Fun.protect
-      ~finally:(fun () ->
-        let stop = Timer.now () in
-        b.ops <- Op_span (phase, start, (stop -. start) *. 1e6) :: b.ops)
-      f
   | Active a -> Timer.time a.timers phase f
 
-let replay src ~into =
-  match src with
-  | Noop | Active _ -> ()
-  | Buffer b ->
-    let ops = List.rev b.ops in
-    b.ops <- [];
-    List.iter
-      (fun op ->
-        match op with
-        | Op_incr (name, by) -> incr into ~by name
-        | Op_gauge (name, v) -> set_gauge into name v
-        | Op_observe (name, v) -> observe into name v
-        | Op_event (pc, region, kind) -> event into ~pc ~region kind
-        | Op_span (phase, start, dur_us) -> (
-          match into with
-          | Active a -> Timer.add a.timers phase ~start ~dur_us
-          | Buffer b' -> b'.ops <- Op_span (phase, start, dur_us) :: b'.ops
-          | Noop -> ()))
-      ops
+let metrics = function Noop -> None | Active a -> Some a.metrics
 
-let metrics = function Noop | Buffer _ -> None | Active a -> Some a.metrics
+let counters = function Noop -> [] | Active a -> Metrics.counters a.metrics
 
-let counters = function
-  | Noop | Buffer _ -> []
-  | Active a -> Metrics.counters a.metrics
+let events = function Noop -> [] | Active a -> Ring.to_list a.events
 
-let events = function
-  | Noop | Buffer _ -> []
-  | Active a -> Ring.to_list a.events
+let dropped_events = function Noop -> 0 | Active a -> Ring.dropped a.events
 
-let dropped_events = function
-  | Noop | Buffer _ -> 0
-  | Active a -> Ring.dropped a.events
-
-let timer_totals = function
-  | Noop | Buffer _ -> []
-  | Active a -> Timer.totals a.timers
+let timer_totals = function Noop -> [] | Active a -> Timer.totals a.timers
 
 let metrics_json t =
   let module J = Gb_util.Json in
   match t with
-  | Noop | Buffer _ -> J.Obj []
+  | Noop -> J.Obj []
   | Active a ->
     (* sorted by phase name: {!Timer.totals} orders by wall-clock total,
-       which varies run to run (and with worker interleaving) — dumps
-       must diff stably *)
+       which varies run to run — dumps must diff stably *)
     let phases =
       List.map
         (fun { Timer.t_phase; t_calls; t_total_us } ->
@@ -172,7 +114,7 @@ let metrics_json t =
 
 let trace_json t =
   match t with
-  | Noop | Buffer _ -> Trace_export.to_json ~events:[] ~spans:[] ()
+  | Noop -> Trace_export.to_json ~events:[] ~spans:[] ()
   | Active a ->
     Trace_export.to_json
       ~dropped:(Ring.dropped a.events)

@@ -26,26 +26,9 @@ val create :
     a cycle-attribution ledger ({!Attrib}): the pipeline, interpreter
     hooks and processor classify every simulated cycle into it. *)
 
-val buffer : unit -> t
-(** A recording sink: every operation is stored as data instead of being
-    applied, and {!replay} re-applies the whole sequence, in order, into
-    another sink. Translation backends running on worker domains record
-    into a buffer; the owning domain replays it at the install point.
-    Events are only timestamped at replay — since the simulated clock
-    never advances while a translation is in flight, a
-    buffered-then-replayed stream is bit-identical to direct recording
-    (see docs/CONCURRENCY.md). A buffer is single-owner at any moment:
-    hand-off between domains must synchronize (futures do). *)
-
-val replay : t -> into:t -> unit
-(** [replay src ~into] re-applies a {!buffer}'s recorded operations into
-    [into] (counters, gauges, histogram samples, events — stamped with
-    [into]'s cycle source — and timer spans via {!Timer.add}) and clears
-    the buffer. No-op when [src] is not a buffer. *)
-
 val is_active : t -> bool
-(** True for active {e and} buffer sinks (payload construction behind
-    {!is_active} guards must happen so a buffer can capture it). *)
+(** False only for {!noop}: payload construction behind an [is_active]
+    guard is skipped when nothing would record it. *)
 
 val attrib : t -> Attrib.t option
 (** The cycle-attribution ledger, when this sink was created with

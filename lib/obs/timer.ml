@@ -34,15 +34,6 @@ let time t phase f =
   in
   Fun.protect ~finally:record f
 
-let add t phase ~start ~dur_us =
-  (match Hashtbl.find_opt t.totals phase with
-  | Some a ->
-    a.calls <- a.calls + 1;
-    a.total_us <- a.total_us +. dur_us
-  | None -> Hashtbl.add t.totals phase { calls = 1; total_us = dur_us });
-  Ring.push t.spans
-    { sp_phase = phase; sp_start_us = (start -. t.origin) *. 1e6; sp_dur_us = dur_us }
-
 type total = { t_phase : string; t_calls : int; t_total_us : float }
 
 let totals t =

@@ -235,20 +235,15 @@ let e10_verdicts (m : Gb_diff.Matrix.t) =
    (the suite's first kernel, ALU/load dense): minor words allocated per
    1000 guest instructions, with the translation pipeline excluded from
    the processor runs via the engine's {!Gb_obs.Allocs} exclusion
-   windows. Translation worker domains have their own minor heaps and
-   are invisible to the owning domain's [Gc.minor_words], and neither
-   the windows nor the prefetch decisions allocate on the owning domain,
-   so the cells are identical for every worker count (test_alloc checks
-   0 against 4). The interpreter cell brackets a pure interpreter run —
-   no translation to exclude.
+   windows. The interpreter cell brackets a pure interpreter run — no
+   translation to exclude.
    These cells are what the CI perf gate holds the hot loops to (rule
    [alloc.], see {!Baseline.rule_for}): a leaked per-instruction
    allocation shows up as a step in this trajectory. *)
 let alloc_modes =
   [ Gb_core.Mitigation.Fence_on_detect; Gb_core.Mitigation.Min_cut ]
 
-let alloc_cells ?(workers = Gb_dbt.Engine.default_config.Gb_dbt.Engine.workers)
-    () =
+let alloc_cells () =
   let w = List.hd Gb_workloads.Polybench.all in
   let program = Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program in
   let cell name words insns =
@@ -271,10 +266,6 @@ let alloc_cells ?(workers = Gb_dbt.Engine.default_config.Gb_dbt.Engine.workers)
   :: List.map
        (fun mode ->
          let config = Gb_system.Processor.config_for mode in
-         let engine =
-           { config.Gb_system.Processor.engine with Gb_dbt.Engine.workers }
-         in
-         let config = { config with Gb_system.Processor.engine } in
          let p = Gb_system.Processor.create ~config program in
          let a = Gb_system.Processor.allocs p in
          Gb_obs.Allocs.start a;
@@ -300,14 +291,7 @@ let of_data ?seq ?rev ?(seed = 1L) ?(counters = []) ?verdicts_unchanged ?e9
     @ geomean_cells figure4
     @ mode_cycles_cells ~exp:"e4" e4
     @ chaining_cells chaining
-    @ List.filter_map
-        (fun (name, v) ->
-          (* workers.* counters (prefetch hits/staleness, queue depth)
-             depend on wall-clock scheduling, not simulated behaviour —
-             they would make the manifest nondeterministic *)
-          if String.starts_with ~prefix:"workers." name then None
-          else Some ("counter." ^ name, float_of_int v))
-        counters
+    @ List.map (fun (name, v) -> ("counter." ^ name, float_of_int v)) counters
     @ alloc_cells ()
     @ (match e10 with Some m -> e10_cells m | None -> [])
   in

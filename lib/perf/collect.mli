@@ -49,12 +49,6 @@ val of_data :
       first Polybench kernel, translation excluded (measured here, not
       passed in: the runs are deterministic and take milliseconds). *)
 
-val alloc_cells : ?workers:int -> unit -> (string * float) list
-(** The [alloc.minor_words_per_kinsn.*] cells {!of_data} records, measured
-    with [workers] translation worker domains (default: the engine's
-    default, [GHOSTBUSTERS_WORKERS]). The cells do not depend on
-    [workers]. *)
-
 val poc_verdicts_equal :
   Gb_experiments.Experiments.poc_row list ->
   Gb_experiments.Experiments.poc_row list ->

@@ -263,30 +263,17 @@ let pipeline_bound () =
           per_kinsn)
     [ Gb_core.Mitigation.Fence_on_detect; Gb_core.Mitigation.Min_cut ]
 
-(* The manifest's alloc cells claim independence from the worker count:
-   prefetch submissions happen only with workers, so anything the
-   engine's exclusion windows or prefetch checks allocate on the owning
-   domain shows up here. *)
-let cells_worker_invariant () =
-  let cells0 = Gb_perf.Collect.alloc_cells ~workers:0 () in
-  let cells4 = Gb_perf.Collect.alloc_cells ~workers:4 () in
-  Alcotest.(check int) "three cells" 3 (List.length cells0);
-  List.iter2
-    (fun (name, w0) (_, w4) ->
-      Alcotest.(check (float 0.)) (name ^ ": workers 0 = workers 4") w0 w4)
-    cells0 cells4
-
 (* --- translation ---------------------------------------------------------- *)
 
 (* Minor words per DFG node for translating every trace region of a
    program through the public phases, on the branch profile its run
    leaves behind, under the two modes the churn benchmark translates
    with. The engine's Allocs windows exclude translation, so this is its
-   only allocation bound. The run has no worker domains, so the profile
-   and the region list are the same in every environment. *)
+   only allocation bound. The run is pinned, so the profile and the
+   region list are the same in every environment. *)
 let translation_words_per_node (k : Gb_workloads.Polybench.t) =
   let program = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
-  let p = Pinned.processor ~workers:0 Gb_core.Mitigation.Fine_grained program in
+  let p = Pinned.processor Gb_core.Mitigation.Fine_grained program in
   ignore (Gb_system.Processor.run p);
   let eng = Gb_system.Processor.engine p in
   let mem = Gb_system.Processor.mem p in
@@ -445,8 +432,6 @@ let () =
           Alcotest.test_case "interpreter: 0 words per instruction" `Quick
             interp_steady_state;
           Alcotest.test_case "pipeline on gemm" `Quick pipeline_bound;
-          Alcotest.test_case "alloc cells: workers 0 = workers 4" `Quick
-            cells_worker_invariant;
           Alcotest.test_case "translation of gemm and matmul-ptr" `Quick
             translation_bound;
         ] );

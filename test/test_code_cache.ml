@@ -78,13 +78,6 @@ let on_evict_fires_with_tier () =
     [ (0x100, true) ]
     (List.map (fun (pc, t) -> (pc, t = Code_cache.Block)) !seen)
 
-let generations_are_fresh () =
-  let cc = cache () in
-  let a = insert cc ~pc:0x100 [] in
-  let b = insert cc ~pc:0x100 [] in
-  Alcotest.(check bool) "retranslation gets a new generation" true
-    (b.Code_cache.e_gen > a.Code_cache.e_gen)
-
 (* --- chaining invariant --- *)
 
 let link_and_break_on_invalidate () =
@@ -141,6 +134,26 @@ let link_guards () =
   let b' = insert off ~pc:0x200 [] in
   Alcotest.(check bool) "chaining disabled" false
     (Code_cache.link off ~src:a' ~stub:0 ~dst:b')
+
+(* A caller holding entries it looked up before a removal must not be
+   able to chain into or out of the dead code: no later removal could
+   reach that link to break it. *)
+let link_refuses_dead_endpoints () =
+  let cc = cache () in
+  let a = insert cc ~pc:0x100 [ 0x200 ] in
+  let b = insert cc ~pc:0x200 [ 0x100 ] in
+  Code_cache.invalidate cc 0x200;
+  Alcotest.(check bool) "invalidated dst refused" false
+    (Code_cache.link cc ~src:a ~stub:0 ~dst:b);
+  let b' = insert cc ~pc:0x200 [ 0x100 ] in
+  let a' = insert cc ~pc:0x100 [ 0x200 ] in
+  Alcotest.(check bool) "replaced src refused" false
+    (Code_cache.link cc ~src:a ~stub:0 ~dst:b');
+  Alcotest.(check bool) "dead stub left unlinked" true
+    (a.Code_cache.e_trace.Gb_vliw.Vinsn.stubs.(0).Gb_vliw.Vinsn.chain = None);
+  Alcotest.(check bool) "live endpoints link" true
+    (Code_cache.link cc ~src:a' ~stub:0 ~dst:b');
+  Alcotest.(check bool) "well linked" true (Code_cache.well_linked cc)
 
 let mode_compatibility () =
   let fine = Code_cache.Mitigated Gb_core.Mitigation.Fine_grained in
@@ -323,8 +336,6 @@ let () =
             replacement_is_not_eviction;
           Alcotest.test_case "on_evict: capacity only, with tier" `Quick
             on_evict_fires_with_tier;
-          Alcotest.test_case "retranslation gets a fresh generation" `Quick
-            generations_are_fresh;
         ] );
       ( "chaining",
         [
@@ -335,6 +346,8 @@ let () =
           Alcotest.test_case "replacement unlinks predecessors" `Quick
             replacement_unlinks_predecessors;
           Alcotest.test_case "link guards" `Quick link_guards;
+          Alcotest.test_case "link refuses dead endpoints" `Quick
+            link_refuses_dead_endpoints;
           Alcotest.test_case "mitigation-mode compatibility" `Quick
             mode_compatibility;
           QCheck_alcotest.to_alcotest qcheck_well_linked;

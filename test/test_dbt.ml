@@ -690,6 +690,24 @@ let engine_caches_and_blacklists () =
     (Gb_dbt.Engine.stats engine).Gb_dbt.Engine.failures;
   ignore skip_branch
 
+(* Translation is synchronous; [workers] survives only as a config field
+   that must be 0, and any other value is refused rather than ignored. *)
+let engine_rejects_workers () =
+  let mem = load_into_mem (assemble_loop ()) in
+  List.iter
+    (fun workers ->
+      let cfg = { Gb_dbt.Engine.default_config with Gb_dbt.Engine.workers } in
+      match Gb_dbt.Engine.create cfg ~mem with
+      | _ -> Alcotest.failf "workers = %d accepted" workers
+      | exception Invalid_argument msg ->
+        if not (String.starts_with ~prefix:"Engine.create: config.workers" msg)
+        then
+          Alcotest.failf "message does not name the field: %S" msg)
+    [ 1; 4; -1 ];
+  Alcotest.(check int) "default is 0" 0
+    Gb_dbt.Engine.default_config.Gb_dbt.Engine.workers;
+  ignore (Gb_dbt.Engine.create Gb_dbt.Engine.default_config ~mem)
+
 (* --- pinned emitted code ------------------------------------------------- *)
 
 (* Every translation of the 20 programs, rendered field by field, plus the
@@ -698,9 +716,9 @@ let engine_caches_and_blacklists () =
    the engine's real meta; then every trace region of that run is
    re-translated under all five modes through the public phases, on the
    run's final branch profile. The config is pinned the way the host
-   benchmark pins it (no workers, chaining on, no fault injection), so
-   every CI environment computes the same digest. Chain links are left
-   out: they depend on execution order, not on the translator. *)
+   benchmark pins it (chaining on, no fault injection), so every CI
+   environment computes the same digest. Chain links are left out: they
+   depend on execution order, not on the translator. *)
 
 let pinned_code_digest = "5399fa39803fd5c67aecb3d8aa6b6baa"
 
@@ -768,7 +786,7 @@ let render_pinned_code () =
     (fun i (k : Gb_workloads.Polybench.t) ->
       let mode = modes.(i mod Array.length modes) in
       let asm = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
-      let p = Pinned.processor ~workers:0 mode asm in
+      let p = Pinned.processor mode asm in
       let r = Gb_system.Processor.run p in
       Printf.bprintf buf "== %s %s: exit=%d cycles=%Ld bundles=%Ld\n"
         k.Gb_workloads.Polybench.name
@@ -811,6 +829,101 @@ let pinned_code () =
        log and set [pinned_code_digest] in test/test_dbt.ml to %s."
       digest pinned_code_digest digest
 
+(* --- pinned observations ------------------------------------------------- *)
+
+(* What a run reports about itself, beyond the code it emits: the
+   processor result (audit summary included), every counter, gauge and
+   histogram, every retained event with its cycle stamp, and the
+   verifier's log, hashed into one digest. It covers the translation
+   paths the emitted-code pin does not watch: Verify_enforce fencing,
+   eviction churn in a 48-bundle cache, and the audit ledger under all
+   five modes. Pinned like the emitted-code digest; host-time spans are
+   left out. *)
+
+let pinned_obs_digest = "5f188a7e0234bd6935dba92b82312f6f"
+
+let render_observed_run buf name p =
+  let module J = Gb_util.Json in
+  let module P = Gb_system.Processor in
+  let r = P.run p in
+  Printf.bprintf buf
+    "== %s: exit=%d cycles=%Ld interp=%Ld runs=%Ld bundles=%Ld side=%Ld \
+     rollbacks=%Ld stall=%Ld tr=%d fp=%d patterns=%d constrained=%d \
+     fences=%d spec=%d vchecked=%d vviol=%d vrej=%d dispatch=%Ld \
+     follows=%Ld guest=%Ld evictions=%d output=%S\n"
+    name r.P.exit_code r.P.cycles r.P.interp_insns r.P.trace_runs r.P.bundles
+    r.P.side_exits r.P.rollbacks r.P.stall_cycles r.P.translations
+    r.P.first_pass_translations r.P.patterns_found r.P.loads_constrained
+    r.P.fences_inserted r.P.spec_loads r.P.verify_checked
+    r.P.verify_violations r.P.verify_rejections r.P.dispatch_exits
+    r.P.chain_follows r.P.guest_insns r.P.cc_evictions r.P.output;
+  Option.iter
+    (fun s ->
+      Printf.bprintf buf "audit %s\n"
+        (J.to_string (Gb_cache.Audit.summary_to_json s)))
+    r.P.audit;
+  let obs = P.obs p in
+  Option.iter
+    (fun m ->
+      Printf.bprintf buf "metrics %s\n"
+        (J.to_string (Gb_obs.Metrics.to_json m)))
+    (Gb_obs.Sink.metrics obs);
+  Printf.bprintf buf "dropped %d\n" (Gb_obs.Sink.dropped_events obs);
+  List.iter
+    (fun e -> Printf.bprintf buf "%s\n" (J.to_string (Gb_obs.Event.to_json e)))
+    (Gb_obs.Sink.events obs);
+  List.iter
+    (fun (entry, (v : Gb_verify.Verifier.violation)) ->
+      Printf.bprintf buf "violation 0x%x %s pc=0x%x id=%d bundle=%d [%s]\n"
+        entry
+        (Gb_verify.Verifier.kind_name v.Gb_verify.Verifier.v_kind)
+        v.Gb_verify.Verifier.v_pc v.Gb_verify.Verifier.v_id
+        v.Gb_verify.Verifier.v_bundle
+        (String.concat ";"
+           (List.map string_of_int v.Gb_verify.Verifier.v_origins)))
+    (Gb_dbt.Engine.verify_log (P.engine p))
+
+let render_pinned_obs () =
+  let buf = Buffer.create (1 lsl 22) in
+  let run ?engine name mode program =
+    let obs = Gb_obs.Sink.create ~seed:7L () in
+    render_observed_run buf name
+      (Pinned.processor ~obs ~audit:true ?engine mode program)
+  in
+  let gemm =
+    match Gb_workloads.Polybench.by_name "gemm" with
+    | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+    | None -> Alcotest.fail "gemm workload missing"
+  in
+  let fg = Gb_core.Mitigation.Fine_grained in
+  run "gemm" fg gemm;
+  run "gemm verify-enforce" fg gemm ~engine:(fun e ->
+      { e with Gb_dbt.Engine.verify = Gb_dbt.Engine.Verify_enforce });
+  run "gemm 48-bundle cache" fg gemm ~engine:(fun e ->
+      { e with
+        Gb_dbt.Engine.cache =
+          { Gb_dbt.Code_cache.capacity = 48; chain = true } });
+  let v1 =
+    Gb_kernelc.Compile.assemble
+      (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
+  in
+  List.iter
+    (fun mode ->
+      run ("spectre-v1 " ^ Gb_core.Mitigation.mode_name mode) mode v1)
+    Gb_core.Mitigation.all_modes;
+  Buffer.contents buf
+
+let pinned_obs () =
+  let digest = Digest.to_hex (Digest.string (render_pinned_obs ())) in
+  if digest <> pinned_obs_digest then
+    Alcotest.failf
+      "observed runs changed: digest %s, pinned %s.\n\
+       Results, counters, events and the verifier log must stay \
+       byte-identical across refactors of the translation paths. If the \
+       change is intended, say why in the change log and set \
+       [pinned_obs_digest] in test/test_dbt.ml to %s."
+      digest pinned_obs_digest digest
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -840,6 +953,7 @@ let () =
           Alcotest.test_case "register pressure failure" `Quick
             register_pressure_failure;
           Alcotest.test_case "pinned emitted code" `Quick pinned_code;
+          Alcotest.test_case "pinned counters and events" `Quick pinned_obs;
         ] );
       ( "first-pass",
         [
@@ -854,5 +968,7 @@ let () =
           Alcotest.test_case "caching and blacklisting" `Quick
             engine_caches_and_blacklists;
           Alcotest.test_case "tier precedence" `Quick engine_tier_precedence;
+          Alcotest.test_case "workers other than 0 rejected" `Quick
+            engine_rejects_workers;
         ] );
     ]
