@@ -133,12 +133,18 @@ let lines t =
   done;
   List.sort compare !acc
 
+(* A negative address names no line: [set_of]/[tag_of] truncate towards
+   zero and would alias it onto a real one ([-8] onto line 0x0). Every
+   flush of both tiers and of the audit's shadow cache lands here, so
+   the rule does too: no eviction, no count. *)
 let flush_line t addr =
-  let set = set_of t addr and tag = tag_of t addr in
-  t.stats.flushes <- t.stats.flushes + 1;
-  Gb_obs.Sink.incr t.obs "cache.flushes";
-  let way = find_way t set tag in
-  if way >= 0 then t.tags.(set).(way) <- -1
+  if addr >= 0 then begin
+    let set = set_of t addr and tag = tag_of t addr in
+    t.stats.flushes <- t.stats.flushes + 1;
+    Gb_obs.Sink.incr t.obs "cache.flushes";
+    let way = find_way t set tag in
+    if way >= 0 then t.tags.(set).(way) <- -1
+  end
 
 let flush_all t =
   Array.iter (fun ways -> Array.fill ways 0 (Array.length ways) (-1)) t.tags

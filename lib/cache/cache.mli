@@ -57,7 +57,9 @@ val lines : t -> int list
     shadow. *)
 
 val flush_line : t -> int -> unit
-(** Invalidate the line containing an address (no-op when absent). *)
+(** Invalidate the line containing an address (no-op when absent). A
+    negative address contains no line: the call does nothing and is not
+    counted in [flushes]. *)
 
 val flush_all : t -> unit
 

@@ -24,10 +24,15 @@ type stats = {
   mutable chain_breaks : int;
 }
 
+(* [Int.hash] is the generic table's own hash on an int, so buckets and
+   every [fold] order are the ones a generic table gives; a probe compares
+   keys as ints instead of calling [caml_compare] *)
+module Pc_tbl = Hashtbl.Make (Int)
+
 type t = {
   cfg : config;
-  tbl : (int, entry) Hashtbl.t;
-  in_links : (int, (int * Gb_vliw.Vinsn.stub) list ref) Hashtbl.t;
+  tbl : entry Pc_tbl.t;
+  in_links : (int * Gb_vliw.Vinsn.stub) list ref Pc_tbl.t;
       (* target pc -> (source pc, stub) of every link ever made into the
          translation currently (or formerly) installed there; stale pairs
          (stub already unlinked, or re-pointed at a newer translation of
@@ -43,8 +48,8 @@ type t = {
 let create ?(obs = Gb_obs.Sink.noop) cfg =
   {
     cfg;
-    tbl = Hashtbl.create 128;
-    in_links = Hashtbl.create 128;
+    tbl = Pc_tbl.create 128;
+    in_links = Pc_tbl.create 128;
     used = 0;
     lru_clock = 0;
     stats =
@@ -74,21 +79,21 @@ let touch t e =
 
 (* [peek]/[find] run per trace exit on the chain-follow path and
    [has_trace] per block entry: the only allocation left is the returned
-   [Some] itself ([Hashtbl.find]'s [Not_found] is a constant, so the miss
+   [Some] itself ([Pc_tbl.find]'s [Not_found] is a constant, so the miss
    path allocates nothing, and [has_trace] allocates nothing at all). *)
 let peek t pc =
-  match Hashtbl.find t.tbl pc with
+  match Pc_tbl.find t.tbl pc with
   | e -> Some e
   | exception Not_found -> None
 
 let has_trace t pc =
-  match Hashtbl.find t.tbl pc with
+  match Pc_tbl.find t.tbl pc with
   | e -> e.e_tier = Trace
   | exception Not_found -> false
 
 let find t pc =
   let hit =
-    match Hashtbl.find t.tbl pc with
+    match Pc_tbl.find t.tbl pc with
     | e ->
       touch t e;
       t.stats.hits <- t.stats.hits + 1;
@@ -107,7 +112,7 @@ let gauges t =
   if Gb_obs.Sink.is_active t.obs then begin
     Gb_obs.Sink.set_gauge t.obs "code_cache.bundles" (float_of_int t.used);
     Gb_obs.Sink.set_gauge t.obs "code_cache.entries"
-      (float_of_int (Hashtbl.length t.tbl))
+      (float_of_int (Pc_tbl.length t.tbl))
   end
 
 let break_stub t ~src_pc (stub : Gb_vliw.Vinsn.stub) =
@@ -129,7 +134,7 @@ let break_stub t ~src_pc (stub : Gb_vliw.Vinsn.stub) =
    this trace object. *)
 let unlink t e =
   Array.iter (break_stub t ~src_pc:e.e_pc) e.e_trace.Gb_vliw.Vinsn.stubs;
-  match Hashtbl.find_opt t.in_links e.e_pc with
+  match Pc_tbl.find_opt t.in_links e.e_pc with
   | None -> ()
   | Some l ->
     List.iter
@@ -138,15 +143,15 @@ let unlink t e =
         | Some target when target == e.e_trace -> break_stub t ~src_pc stub
         | Some _ | None -> ())
       !l;
-    Hashtbl.remove t.in_links e.e_pc
+    Pc_tbl.remove t.in_links e.e_pc
 
 let remove t e =
   unlink t e;
-  Hashtbl.remove t.tbl e.e_pc;
+  Pc_tbl.remove t.tbl e.e_pc;
   t.used <- t.used - Gb_vliw.Vinsn.bundle_count e.e_trace
 
 let invalidate t pc =
-  match Hashtbl.find_opt t.tbl pc with
+  match Pc_tbl.find_opt t.tbl pc with
   | None -> ()
   | Some e ->
     remove t e;
@@ -154,7 +159,7 @@ let invalidate t pc =
 
 let evict_lru t =
   let victim =
-    Hashtbl.fold
+    Pc_tbl.fold
       (fun _ e acc ->
         match acc with
         | Some v when v.e_stamp <= e.e_stamp -> acc
@@ -176,18 +181,18 @@ let evict_lru t =
 let insert t ~pc ~tier ~mode trace =
   (* same-pc replacement (tier promotion, retranslation) is not an
      eviction: no stat, no hook *)
-  (match Hashtbl.find_opt t.tbl pc with
+  (match Pc_tbl.find_opt t.tbl pc with
   | Some old -> remove t old
   | None -> ());
   let cost = Gb_vliw.Vinsn.bundle_count trace in
-  while t.used + cost > t.cfg.capacity && Hashtbl.length t.tbl > 0 do
+  while t.used + cost > t.cfg.capacity && Pc_tbl.length t.tbl > 0 do
     evict_lru t
   done;
   let e =
     { e_pc = pc; e_trace = trace; e_tier = tier; e_mode = mode; e_stamp = 0 }
   in
   touch t e;
-  Hashtbl.replace t.tbl pc e;
+  Pc_tbl.replace t.tbl pc e;
   t.used <- t.used + cost;
   t.stats.inserts <- t.stats.inserts + 1;
   (* register the tier with the attribution ledger: it outlives eviction,
@@ -213,7 +218,7 @@ let compatible ~src ~dst =
 
 (* whether [e] is still the entry installed at its pc *)
 let live t e =
-  match Hashtbl.find t.tbl e.e_pc with
+  match Pc_tbl.find t.tbl e.e_pc with
   | cur -> cur == e
   | exception Not_found -> false
 
@@ -239,11 +244,11 @@ let link t ~src ~stub ~dst =
       | _ ->
         s.Gb_vliw.Vinsn.chain <- Some dst.e_trace;
         let l =
-          match Hashtbl.find_opt t.in_links dst.e_pc with
+          match Pc_tbl.find_opt t.in_links dst.e_pc with
           | Some l -> l
           | None ->
             let l = ref [] in
-            Hashtbl.replace t.in_links dst.e_pc l;
+            Pc_tbl.replace t.in_links dst.e_pc l;
             l
         in
         l := (src.e_pc, s) :: !l;
@@ -256,17 +261,17 @@ let link t ~src ~stub ~dst =
         end;
         true
 
-let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.tbl []
+let entries t = Pc_tbl.fold (fun _ e acc -> e :: acc) t.tbl []
 
 let occupancy t tier =
-  Hashtbl.fold
+  Pc_tbl.fold
     (fun _ e ((n, b) as acc) ->
       if e.e_tier = tier then (n + 1, b + Gb_vliw.Vinsn.bundle_count e.e_trace)
       else acc)
     t.tbl (0, 0)
 
 let well_linked t =
-  Hashtbl.fold
+  Pc_tbl.fold
     (fun _ e ok ->
       ok
       && Array.for_all
@@ -276,7 +281,7 @@ let well_linked t =
              | Some target -> (
                s.Gb_vliw.Vinsn.target_pc = target.Gb_vliw.Vinsn.entry_pc
                &&
-               match Hashtbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc with
+               match Pc_tbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc with
                | Some e' -> e'.e_trace == target
                | None -> false))
            e.e_trace.Gb_vliw.Vinsn.stubs)

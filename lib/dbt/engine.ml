@@ -50,27 +50,42 @@ type stats = {
   mutable verify_rejections : int;
 }
 
+(* Everything the engine remembers about one guest pc, in one record so a
+   trace exit looks a pc up once rather than once per counter. A pc plays
+   up to three roles and each has its own fields: a control-transfer
+   target ([hot]), the entry of an installed region (runs, exits,
+   blacklists, the first-level block's terminal branch, the trace's
+   branches) and a conditional branch ([taken]/[total], the profile the
+   trace builder reads). *)
+type pc_state = {
+  mutable hot : int;  (** arrivals counted by {!record_block_entry} *)
+  mutable runs : int;  (** region executions seen by {!record_block_exit} *)
+  mutable rollbacks : int;
+  mutable side_exits : int;
+  mutable rebuilds : int;  (** bias-driven rebuilds of the trace here *)
+  mutable taken : int;
+  mutable total : int;
+      (** branch profile; a zero [total] means no profile (see
+          {!branch_profile}) *)
+  mutable block_branch : int option;
+      (** terminal branch pc of the first-level block installed here *)
+  mutable trace_branches : int list;
+      (** pcs of the conditional branches inside the last trace installed
+          here *)
+  mutable blacklisted : bool;  (** a trace translation here failed *)
+  mutable fp_blacklisted : bool;
+      (** a first-pass translation here failed or was rejected *)
+  mutable despeculated : bool;
+      (** traces here are built without memory speculation *)
+}
+
+module Pc_tbl = Hashtbl.Make (Int)
+
 type t = {
   cfg : config;
   mem : Gb_riscv.Mem.t;
   cc : Code_cache.t;  (** the single owner of all translated code *)
-  block_meta : (int, int option) Hashtbl.t;
-      (** entry -> terminal branch pc of the first-level block *)
-  blacklist : (int, unit) Hashtbl.t;
-  fp_blacklist : (int, unit) Hashtbl.t;
-  region_runs : (int, int) Hashtbl.t;
-  region_rollbacks : (int, int) Hashtbl.t;
-  region_side_exits : (int, int) Hashtbl.t;
-  rebuilds : (int, int) Hashtbl.t;  (** bias-driven rebuilds per entry *)
-  trace_branches : (int, int list) Hashtbl.t;
-      (** entry -> pcs of the conditional branches inside the trace *)
-  despeculated : (int, unit) Hashtbl.t;
-  hot : (int, int) Hashtbl.t;
-  branch_taken : (int, int) Hashtbl.t;  (** pc -> taken count *)
-  branch_total : (int, int) Hashtbl.t;
-      (** pc -> executions; two int tables rather than one
-          [(int * int) Hashtbl.t] — the per-exit profile update would
-          otherwise allocate a pair (and a [Some]) per recorded branch *)
+  pcs : pc_state Pc_tbl.t;
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
@@ -95,18 +110,7 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
     cfg;
     mem;
     cc = Code_cache.create ~obs cfg.cache;
-    block_meta = Hashtbl.create 128;
-    blacklist = Hashtbl.create 16;
-    fp_blacklist = Hashtbl.create 16;
-    region_runs = Hashtbl.create 128;
-    region_rollbacks = Hashtbl.create 32;
-    region_side_exits = Hashtbl.create 64;
-    rebuilds = Hashtbl.create 16;
-    trace_branches = Hashtbl.create 64;
-    despeculated = Hashtbl.create 16;
-    hot = Hashtbl.create 256;
-    branch_taken = Hashtbl.create 256;
-    branch_total = Hashtbl.create 256;
+    pcs = Pc_tbl.create 256;
     stats =
       {
         retranslations = 0;
@@ -138,12 +142,15 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
      invalidation (retranslate / despec) does NOT come through here;
      those paths manage their own resets. *)
   Code_cache.set_on_evict t.cc (fun ~pc tier ->
-      Hashtbl.remove t.region_runs pc;
-      Hashtbl.remove t.region_rollbacks pc;
-      Hashtbl.remove t.region_side_exits pc;
-      match tier with
-      | Code_cache.Block -> Hashtbl.remove t.block_meta pc
-      | Code_cache.Trace -> ());
+      match Pc_tbl.find t.pcs pc with
+      | st -> (
+        st.runs <- 0;
+        st.rollbacks <- 0;
+        st.side_exits <- 0;
+        match tier with
+        | Code_cache.Block -> st.block_branch <- None
+        | Code_cache.Trace -> ())
+      | exception Not_found -> ());
   t
 
 let config t = t.cfg
@@ -170,43 +177,60 @@ let lookup t pc =
   | Some e -> Some e.Code_cache.e_trace
   | None -> None
 
-(* Counter-table helpers for the per-exit accounting below. They run on
-   every chained trace exit, so they must not allocate: [Hashtbl.find]'s
-   [Not_found] is a constant (unlike [find_opt]'s per-hit [Some]), and
-   [Hashtbl.replace] over an existing int key mutates the bucket in
-   place — only a key's first appearance allocates its bucket. *)
-let count tbl key =
-  match Hashtbl.find tbl key with v -> v | exception Not_found -> 0
+(* The state of [pc], created on first use. This runs several times per
+   chained trace exit, so it must not allocate once the pc is known:
+   [find]'s [Not_found] is a constant, unlike [find_opt]'s per-hit
+   [Some]. *)
+let state t pc =
+  match Pc_tbl.find t.pcs pc with
+  | st -> st
+  | exception Not_found ->
+    let st =
+      {
+        hot = 0;
+        runs = 0;
+        rollbacks = 0;
+        side_exits = 0;
+        rebuilds = 0;
+        taken = 0;
+        total = 0;
+        block_branch = None;
+        trace_branches = [];
+        blacklisted = false;
+        fp_blacklisted = false;
+        despeculated = false;
+      }
+    in
+    Pc_tbl.add t.pcs pc st;
+    st
 
-let bump tbl key = Hashtbl.replace tbl key (count tbl key + 1)
+let record_branch_outcome st taken =
+  if taken then st.taken <- st.taken + 1;
+  st.total <- st.total + 1
 
-let record_branch_outcome t pc taken =
-  if taken then bump t.branch_taken pc;
-  bump t.branch_total pc
-
-let record_branch t ~pc ~taken = record_branch_outcome t pc taken
+let record_branch t ~pc ~taken = record_branch_outcome (state t pc) taken
 
 (* Adaptive de-speculation: a trace whose MCB rollback rate crosses the
    threshold is re-translated without memory speculation — misspeculation
    replay is more expensive than the parallelism it buys. *)
 let despec_min_rollbacks = 8
 
-let consider_despeculation t entry =
-  if t.cfg.adaptive_despec && not (Hashtbl.mem t.despeculated entry) then begin
-    let rollbacks = count t.region_rollbacks entry in
-    let runs = count t.region_runs entry in
-    if rollbacks >= despec_min_rollbacks && rollbacks * 8 >= runs then begin
-      (* drop the speculative translation; the entry counter is already
-         past the hot threshold, so the next arrival re-translates it
-         under the de-speculated configuration *)
-      Hashtbl.replace t.despeculated entry ();
-      Code_cache.invalidate t.cc entry;
-      Hashtbl.remove t.blacklist entry;
-      t.stats.despeculations <- t.stats.despeculations + 1;
-      Gb_obs.Sink.incr t.obs "translate.despeculations";
-      Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
-        (Gb_obs.Event.Tier_transition { tier = "despeculated" })
-    end
+let consider_despeculation t entry st =
+  if t.cfg.adaptive_despec
+     && (not st.despeculated)
+     && st.rollbacks >= despec_min_rollbacks
+     && st.rollbacks * 8 >= st.runs
+  then begin
+    (* drop the speculative translation; the entry counter is already
+       past the hot threshold, so the next arrival re-translates it
+       under the de-speculated configuration *)
+    st.despeculated <- true;
+    Code_cache.invalidate t.cc entry;
+    st.blacklisted <- false;
+    t.stats.despeculations <- t.stats.despeculations + 1;
+    Gb_obs.Sink.incr t.obs "translate.despeculations";
+    Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
+      (Gb_obs.Event.Tier_transition { tier = "despeculated" })
   end
 
 (* Adaptive re-translation: when a phase change flips a branch the trace
@@ -227,51 +251,56 @@ let relearn_window = 16
 
 let has_trace t entry = Code_cache.has_trace t.cc entry
 
-let consider_retranslation t entry =
+(* The counters are tested before the code-cache lookup: they are a
+   field read away, and most side exits fail them. *)
+let consider_retranslation t entry st =
   if t.cfg.adaptive_retranslate
+     && st.rebuilds < max_bias_rebuilds
+     && st.side_exits >= retranslate_min_side_exits
+     && st.side_exits * 4 >= st.runs * 3
      && has_trace t entry
-     && count t.rebuilds entry < max_bias_rebuilds
   then begin
-    let side_exits = count t.region_side_exits entry in
-    let runs = count t.region_runs entry in
-    if side_exits >= retranslate_min_side_exits && side_exits * 4 >= runs * 3
-    then begin
-      bump t.rebuilds entry;
-      Code_cache.invalidate t.cc entry;
-      Hashtbl.remove t.blacklist entry;
-      Hashtbl.replace t.region_side_exits entry 0;
-      Hashtbl.replace t.region_runs entry 0;
-      (* forget the stale bias and re-learn it on the interpreter *)
-      List.iter
-        (fun pc ->
-          Hashtbl.remove t.branch_taken pc;
-          Hashtbl.remove t.branch_total pc)
-        (Option.value ~default:[] (Hashtbl.find_opt t.trace_branches entry));
-      Hashtbl.replace t.hot entry (t.cfg.hot_threshold - relearn_window);
-      t.stats.retranslations <- t.stats.retranslations + 1;
-      Gb_obs.Sink.incr t.obs "translate.retranslations";
-      Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
-        (Gb_obs.Event.Tier_transition { tier = "retranslate" })
-    end
+    st.rebuilds <- st.rebuilds + 1;
+    Code_cache.invalidate t.cc entry;
+    st.blacklisted <- false;
+    st.side_exits <- 0;
+    st.runs <- 0;
+    (* forget the stale bias and re-learn it on the interpreter *)
+    List.iter
+      (fun pc ->
+        match Pc_tbl.find t.pcs pc with
+        | b ->
+          b.taken <- 0;
+          b.total <- 0
+        | exception Not_found -> ())
+      st.trace_branches;
+    st.hot <- t.cfg.hot_threshold - relearn_window;
+    t.stats.retranslations <- t.stats.retranslations + 1;
+    Gb_obs.Sink.incr t.obs "translate.retranslations";
+    Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
+      (Gb_obs.Event.Tier_transition { tier = "retranslate" })
   end
 
 let record_block_exit t ~entry info =
-  bump t.region_runs entry;
+  let st = state t entry in
+  st.runs <- st.runs + 1;
   (match info.Gb_vliw.Pipeline.kind with
   | Gb_vliw.Pipeline.Rollback ->
-    bump t.region_rollbacks entry;
-    consider_despeculation t entry
+    st.rollbacks <- st.rollbacks + 1;
+    consider_despeculation t entry st
   | Gb_vliw.Pipeline.Side_exit ->
-    bump t.region_side_exits entry;
-    consider_retranslation t entry
+    st.side_exits <- st.side_exits + 1;
+    consider_retranslation t entry st
   | Gb_vliw.Pipeline.Fallthrough -> ());
-  match Hashtbl.find t.block_meta entry with
+  match st.block_branch with
   | Some branch_pc -> (
     match info.Gb_vliw.Pipeline.kind with
-    | Gb_vliw.Pipeline.Side_exit -> record_branch_outcome t branch_pc true
-    | Gb_vliw.Pipeline.Fallthrough -> record_branch_outcome t branch_pc false
+    | Gb_vliw.Pipeline.Side_exit ->
+      record_branch_outcome (state t branch_pc) true
+    | Gb_vliw.Pipeline.Fallthrough ->
+      record_branch_outcome (state t branch_pc) false
     | Gb_vliw.Pipeline.Rollback -> ())
-  | None | (exception Not_found) -> ()
+  | None -> ()
 
 (* Run the post-scheduling verifier over a translation about to be
    installed, record its findings (counters, events, the per-entry log)
@@ -333,11 +362,11 @@ exception Verify_rejected
    are held to. Each one pauses before it allocates anything, the
    [Fun.protect] closures included: a closure built ahead of the pause
    would be charged to the counted run once per entry. *)
-let translate_first_pass t entry =
+let translate_first_pass t st entry =
   Gb_obs.Allocs.pause t.allocs;
   Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
   if Code_cache.peek t.cc entry <> None
-     || Hashtbl.mem t.fp_blacklist entry
+     || st.fp_blacklisted
      || translate_faulted t entry
   then ()
   else
@@ -353,7 +382,7 @@ let translate_first_pass t entry =
       ignore branch_pc;
       t.stats.verify_rejections <- t.stats.verify_rejections + 1;
       Gb_obs.Sink.incr t.obs "verify.rejections";
-      Hashtbl.replace t.fp_blacklist entry ()
+      st.fp_blacklisted <- true
     | { First_pass.trace; branch_pc } ->
       if t.cfg.verify = Verify_report then ignore (note_verify t ~entry trace);
       ignore
@@ -362,18 +391,17 @@ let translate_first_pass t entry =
       (match Gb_obs.Sink.attrib t.obs with
       | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Block
       | None -> ());
-      Hashtbl.replace t.block_meta entry branch_pc;
+      st.block_branch <- branch_pc;
       t.stats.first_pass_translations <- t.stats.first_pass_translations + 1;
       Gb_obs.Sink.incr t.obs "translate.first_pass";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         (Gb_obs.Event.Tier_transition { tier = "block" })
-    | exception First_pass.Untranslatable _ ->
-      Hashtbl.replace t.fp_blacklist entry ()
+    | exception First_pass.Untranslatable _ -> st.fp_blacklisted <- true
 
 let branch_profile t pc =
-  match Hashtbl.find t.branch_total pc with
-  | total -> Some (count t.branch_taken pc, total)
-  | exception Not_found -> None
+  match Pc_tbl.find t.pcs pc with
+  | { taken; total; _ } when total > 0 -> Some (taken, total)
+  | _ | (exception Not_found) -> None
 
 let graph_meta g (report : Gb_core.Mitigation.report) =
   let spec_loads = ref 0 in
@@ -458,7 +486,7 @@ let build_trace t entry =
 (* IR build, mitigation, scheduling, codegen and the install-time gate
    for one formed trace: [(trace, report, fenced)], or one of the
    pipeline's failure exceptions. *)
-let lower_trace t ~entry gtrace =
+let lower_trace t st ~entry gtrace =
   let cfg = t.cfg in
   let opt =
     match cfg.opt_override with
@@ -466,7 +494,7 @@ let lower_trace t ~entry gtrace =
     | None -> Gb_core.Mitigation.opt_of_mode cfg.mode
   in
   let opt =
-    if Hashtbl.mem t.despeculated entry then
+    if st.despeculated then
       { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
     else opt
   in
@@ -528,21 +556,21 @@ let lower_trace t ~entry gtrace =
       (trace, report, true)
     end
 
-let translate_failed t entry =
-  Hashtbl.replace t.blacklist entry ();
+let translate_failed t st entry =
+  st.blacklisted <- true;
   t.stats.failures <- t.stats.failures + 1;
   Gb_obs.Sink.incr t.obs "translate.failures";
   Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
     (Gb_obs.Event.Translate_end { ok = false });
   None
 
-let install_trace t ~entry ~branch_pcs gtrace (trace, report, fenced) =
+let install_trace t st ~entry ~branch_pcs gtrace (trace, report, fenced) =
   let obs = t.obs in
   let len = Gb_ir.Gtrace.length gtrace in
   (* de-speculated regions carry no speculative loads at all, so they are
      a safe chain target from any predecessor *)
   let mode =
-    if fenced || Hashtbl.mem t.despeculated entry then Code_cache.Nonspec
+    if fenced || st.despeculated then Code_cache.Nonspec
     else Code_cache.Mitigated t.cfg.mode
   in
   ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace ~mode trace);
@@ -551,8 +579,8 @@ let install_trace t ~entry ~branch_pcs gtrace (trace, report, fenced) =
   (match Gb_obs.Sink.attrib obs with
   | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Trace
   | None -> ());
-  Hashtbl.replace t.trace_branches entry branch_pcs;
-  Hashtbl.remove t.block_meta entry;
+  st.trace_branches <- branch_pcs;
+  st.block_branch <- None;
   let s = t.stats in
   s.translations <- s.translations + 1;
   s.guest_insns_translated <- s.guest_insns_translated + len;
@@ -595,19 +623,20 @@ let translate t entry =
   | Some e when e.Code_cache.e_tier = Code_cache.Trace ->
     Some e.Code_cache.e_trace
   | Some _ | None ->
-    if Hashtbl.mem t.blacklist entry || translate_faulted t entry then None
+    let st = state t entry in
+    if st.blacklisted || translate_faulted t entry then None
     else begin
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         Gb_obs.Event.Translate_start;
       match build_trace t entry with
-      | None -> translate_failed t entry
+      | None -> translate_failed t st entry
       | Some (gtrace, branch_pcs) -> (
-        match lower_trace t ~entry gtrace with
-        | lowered -> install_trace t ~entry ~branch_pcs gtrace lowered
+        match lower_trace t st ~entry gtrace with
+        | lowered -> install_trace t st ~entry ~branch_pcs gtrace lowered
         | exception
             ( Gb_ir.Build.Unsupported _ | Codegen.Out_of_registers
             | Sched.Cyclic | Verify_rejected ) ->
-          translate_failed t entry)
+          translate_failed t st entry)
     end
 
 type region = {
@@ -619,7 +648,9 @@ type region = {
 
 let regions t =
   let runs entry =
-    Option.value ~default:0 (Hashtbl.find_opt t.region_runs entry)
+    match Pc_tbl.find t.pcs entry with
+    | st -> st.runs
+    | exception Not_found -> 0
   in
   List.sort
     (fun a b -> compare (b.r_runs, a.r_entry) (a.r_runs, b.r_entry))
@@ -637,14 +668,13 @@ let regions t =
        (Code_cache.entries t.cc))
 
 let record_block_entry t pc =
-  let n = count t.hot pc + 1 in
-  Hashtbl.replace t.hot pc n;
-  if n >= t.cfg.hot_threshold
-     && (not (has_trace t pc))
-     && not (Hashtbl.mem t.blacklist pc)
+  let st = state t pc in
+  let n = st.hot + 1 in
+  st.hot <- n;
+  if n >= t.cfg.hot_threshold && (not st.blacklisted) && not (has_trace t pc)
   then ignore (translate t pc)
   else if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then
-    translate_first_pass t pc
+    translate_first_pass t st pc
 
 (* Lazy chaining, QEMU-style: after the dispatcher has handled a trace
    exit (and possibly translated the successor), patch the taken stub to

@@ -42,6 +42,23 @@ let flush_semantics () =
   Alcotest.(check bool) "all flushed (0)" false (Gb_cache.Cache.contains c 0);
   Alcotest.(check bool) "all flushed (64)" false (Gb_cache.Cache.contains c 64)
 
+(* Set and tag come from truncating division, so without its sign check
+   [flush_line] would evict line 0 for [-8] and set 3's tag-0 line for
+   [-64]. A negative address contains no line: nothing is evicted and
+   nothing counted. *)
+let flush_negative_address () =
+  let c = Gb_cache.Cache.create small_config in
+  let aliased = addr_of ~set:3 ~tag:0 in
+  ignore (read c 0);
+  ignore (read c aliased);
+  Gb_cache.Cache.flush_line c (-8);
+  Gb_cache.Cache.flush_line c (-64);
+  Alcotest.(check bool) "line 0 kept" true (Gb_cache.Cache.contains c 0);
+  Alcotest.(check bool) "set 3 line kept" true
+    (Gb_cache.Cache.contains c aliased);
+  Alcotest.(check int) "not counted" 0
+    (Gb_cache.Cache.stats c).Gb_cache.Cache.flushes
+
 let straddling_access () =
   let c = Gb_cache.Cache.create small_config in
   (* 8 bytes starting 4 bytes before a line boundary touch two lines *)
@@ -131,6 +148,8 @@ let () =
           Alcotest.test_case "hit/miss" `Quick basic_hit_miss;
           Alcotest.test_case "lru eviction" `Quick lru_eviction;
           Alcotest.test_case "flush" `Quick flush_semantics;
+          Alcotest.test_case "flush of a negative address" `Quick
+            flush_negative_address;
           Alcotest.test_case "straddling access" `Quick straddling_access;
           Alcotest.test_case "stats" `Quick stats_counting;
           qt flush_reload_prop;

@@ -924,6 +924,105 @@ let pinned_obs () =
        [pinned_obs_digest] in test/test_dbt.ml to %s."
       digest pinned_obs_digest digest
 
+(* --- pinned adaptive state ------------------------------------------------ *)
+
+(* The engine's per-pc state machine, observed from outside: runs that
+   retranslate, despeculate, blacklist and capacity-evict, each digested
+   as its processor result, every engine statistic, the installed regions
+   with their run counts and the branch profile at every word of the
+   program image. The two digests above see those transitions only
+   through the code and counters they cause, and no run of theirs
+   despeculates. Each run first asserts the mechanism it exists for, so
+   the digest cannot pin a run in which it never fired. *)
+
+let pinned_adaptive_digest = "f154a48b17451443703d1d85b06a1c7f"
+
+let render_adaptive_run buf name p =
+  let module P = Gb_system.Processor in
+  let module E = Gb_dbt.Engine in
+  let r = P.run p in
+  let eng = P.engine p in
+  let s = E.stats eng in
+  Printf.bprintf buf
+    "== %s: exit=%d cycles=%Ld interp=%Ld runs=%Ld bundles=%Ld side=%Ld \
+     rollbacks=%Ld stall=%Ld dispatch=%Ld follows=%Ld guest=%Ld \
+     evictions=%d output=%S\n"
+    name r.P.exit_code r.P.cycles r.P.interp_insns r.P.trace_runs r.P.bundles
+    r.P.side_exits r.P.rollbacks r.P.stall_cycles r.P.dispatch_exits
+    r.P.chain_follows r.P.guest_insns r.P.cc_evictions r.P.output;
+  Printf.bprintf buf
+    "stats retr=%d despec=%d fp=%d tr=%d fail=%d insns=%d patterns=%d \
+     constrained=%d fences=%d spec=%d bspec=%d vchecked=%d vviol=%d vrej=%d\n"
+    s.E.retranslations s.E.despeculations s.E.first_pass_translations
+    s.E.translations s.E.failures s.E.guest_insns_translated
+    s.E.patterns_found s.E.loads_constrained s.E.fences_inserted
+    s.E.spec_loads s.E.branch_spec_loads s.E.verify_checked
+    s.E.verify_violations s.E.verify_rejections;
+  List.iter
+    (fun (rg : E.region) ->
+      Printf.bprintf buf "region 0x%x %s runs=%d\n" rg.E.r_entry
+        (match rg.E.r_tier with `Block -> "block" | `Trace -> "trace")
+        rg.E.r_runs)
+    (E.regions eng);
+  s
+
+let render_pinned_adaptive () =
+  let module E = Gb_dbt.Engine in
+  let buf = Buffer.create (1 lsl 16) in
+  let run ?(engine = Fun.id) name mode program check =
+    let asm = Gb_kernelc.Compile.assemble program in
+    let p = Pinned.processor ~engine mode asm in
+    let s = render_adaptive_run buf name p in
+    let eng = Gb_system.Processor.engine p in
+    let base = asm.Gb_riscv.Asm.base in
+    let words = Bytes.length asm.Gb_riscv.Asm.image / 4 in
+    for i = 0 to words - 1 do
+      let pc = base + (4 * i) in
+      match E.branch_profile eng pc with
+      | Some (taken, total) ->
+        Printf.bprintf buf "branch 0x%x %d/%d\n" pc taken total
+      | None -> ()
+    done;
+    check s (Gb_dbt.Code_cache.stats (E.code_cache eng))
+  in
+  let kernel name =
+    match Gb_workloads.Polybench.by_name name with
+    | Some w -> w.Gb_workloads.Polybench.program
+    | None -> Alcotest.failf "%s workload missing" name
+  in
+  let despec e = { e with E.adaptive_despec = true } in
+  let fg = Gb_core.Mitigation.Fine_grained
+  and unsafe = Gb_core.Mitigation.Unsafe in
+  run "doitgen retranslates" fg (kernel "doitgen") (fun s _ ->
+      Alcotest.(check int) "doitgen retranslations" 3 s.E.retranslations);
+  run "nussinov despeculates" unsafe (kernel "nussinov") ~engine:despec
+    (fun s _ ->
+      Alcotest.(check int) "nussinov despeculations" 1 s.E.despeculations;
+      Alcotest.(check int) "nussinov failures" 1 s.E.failures);
+  run "spectre-v4 despeculates" unsafe
+    (Gb_attack.Spectre_v4.program ~secret:"SQUASH" ())
+    ~engine:despec
+    (fun s _ ->
+      Alcotest.(check int) "spectre-v4 despeculations" 2 s.E.despeculations);
+  run "gemm 48-bundle cache" fg (kernel "gemm")
+    ~engine:(fun e ->
+      { e with E.cache = { Gb_dbt.Code_cache.capacity = 48; chain = true } })
+    (fun _ cs ->
+      Alcotest.(check int) "gemm capacity evictions" 951
+        cs.Gb_dbt.Code_cache.evictions);
+  Buffer.contents buf
+
+let pinned_adaptive () =
+  let digest = Digest.to_hex (Digest.string (render_pinned_adaptive ())) in
+  if digest <> pinned_adaptive_digest then
+    Alcotest.failf
+      "adaptive state changed: digest %s, pinned %s.\n\
+       Retranslation, despeculation, blacklisting, eviction resets and the \
+       branch profile must stay byte-identical across refactors of the \
+       engine's bookkeeping. If the change is intended, say why in the \
+       change log and set [pinned_adaptive_digest] in test/test_dbt.ml to %s."
+      digest pinned_adaptive_digest digest
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -954,6 +1053,7 @@ let () =
             register_pressure_failure;
           Alcotest.test_case "pinned emitted code" `Quick pinned_code;
           Alcotest.test_case "pinned counters and events" `Quick pinned_obs;
+          Alcotest.test_case "pinned adaptive state" `Quick pinned_adaptive;
         ] );
       ( "first-pass",
         [

@@ -389,6 +389,55 @@ let small_hidden_file () =
         r.Gb_system.Processor.output)
     [ 16; 4 ]
 
+(* The interpreter's cflush goes through the same rule as the pipeline's:
+   a negative address flushes nothing. [-way_bytes + line] is the
+   negative address whose truncated set/tag land on that line. The
+   thresholds keep every instruction on the interpreter. *)
+let negative_cflush_on_interpreter () =
+  let open Gb_riscv in
+  let open Gb_riscv.Insn in
+  let l1d = Gb_cache.Hierarchy.default_config.Gb_cache.Hierarchy.cache in
+  let way_bytes = l1d.Gb_cache.Cache.size_bytes / l1d.Gb_cache.Cache.ways in
+  let program =
+    Asm.assemble
+      [
+        Asm.Jal_to (Reg.zero, "start");
+        Asm.Align 64;
+        Asm.Label "data";
+        Asm.Dword [ 42L ];
+        Asm.Label "start";
+        Asm.La (Reg.t0, "data");
+        Asm.Insn (Load (D, false, Reg.t1, Reg.t0, 0));
+        Asm.Li (Reg.t2, Int64.of_int (-way_bytes));
+        Asm.Insn (Op (ADD, Reg.t2, Reg.t0, Reg.t2));
+        Asm.Insn (Cflush Reg.t2);
+        Asm.Li (Reg.a0, 0L);
+        Asm.Li (Reg.a7, 93L);
+        Asm.Insn Ecall;
+      ]
+  in
+  let data = Asm.symbol program "data" in
+  Alcotest.(check bool) "data line aliases a negative address" true
+    (data < way_bytes);
+  let base = Gb_system.Processor.default_config in
+  let config =
+    { base with
+      Gb_system.Processor.engine =
+        { base.Gb_system.Processor.engine with
+          Gb_dbt.Engine.first_pass_threshold = 1000;
+          hot_threshold = 1000 } }
+  in
+  let p = Gb_system.Processor.create ~config ~audit:true program in
+  let r = Gb_system.Processor.run p in
+  Alcotest.(check int) "nothing translated" 0
+    (r.Gb_system.Processor.translations
+    + r.Gb_system.Processor.first_pass_translations);
+  let l1d = Gb_cache.Hierarchy.cache (Gb_system.Processor.hierarchy p) in
+  Alcotest.(check bool) "loaded line still cached" true
+    (Gb_cache.Cache.contains l1d data);
+  Alcotest.(check int) "no flush counted" 0
+    (Gb_cache.Cache.stats l1d).Gb_cache.Cache.flushes
+
 (* GHOSTBUSTERS_INJECT arms the fault controller for any processor run
    that doesn't pass one explicitly (how CI injects faults suite-wide). *)
 let inject_env_arming () =
@@ -438,6 +487,8 @@ let () =
           Alcotest.test_case "mcb disabled stays correct" `Quick
             mcb_disabled_correct;
           Alcotest.test_case "inject env arming" `Quick inject_env_arming;
+          Alcotest.test_case "negative cflush on the interpreter" `Quick
+            negative_cflush_on_interpreter;
           Alcotest.test_case "small hidden register file" `Quick
             small_hidden_file;
         ] );
