@@ -48,6 +48,21 @@ type stats = {
   mutable verify_checked : int;
   mutable verify_violations : int;
   mutable verify_rejections : int;
+  mutable lowerings_reused : int;
+}
+
+(* The last lowering made at a trace entry: the formed guest trace, the
+   [despeculated] flag it was lowered under, the emitted code and the
+   mitigation report. Lowering is a pure function of those two keys and
+   the engine's fixed config, so a translation that forms an equal trace
+   under the same flag reinstalls it instead of lowering again.
+   [l_trace] is a template that never enters the code cache: each
+   install gets a copy with its own stubs ({!instantiate}). *)
+type lowering = {
+  l_gtrace : Gb_ir.Gtrace.t;
+  l_despeculated : bool;
+  l_trace : Gb_vliw.Vinsn.trace;
+  l_report : Gb_core.Mitigation.report;
 }
 
 (* Everything the engine remembers about one guest pc, in one record so a
@@ -77,6 +92,9 @@ type pc_state = {
       (** a first-pass translation here failed or was rejected *)
   mutable despeculated : bool;
       (** traces here are built without memory speculation *)
+  mutable lowered : lowering option;
+      (** the last unfenced trace lowering made here, kept only while no
+          observer is attached (see {!lower_and_gate}) *)
 }
 
 module Pc_tbl = Hashtbl.Make (Int)
@@ -127,6 +145,7 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
         verify_checked = 0;
         verify_violations = 0;
         verify_rejections = 0;
+        lowerings_reused = 0;
       };
     obs;
     audit;
@@ -199,6 +218,7 @@ let state t pc =
         blacklisted = false;
         fp_blacklisted = false;
         despeculated = false;
+        lowered = None;
       }
     in
     Pc_tbl.add t.pcs pc st;
@@ -483,21 +503,9 @@ let build_trace t entry =
          });
     Some (gtrace, branch_pcs)
 
-(* IR build, mitigation, scheduling, codegen and the install-time gate
-   for one formed trace: [(trace, report, fenced)], or one of the
-   pipeline's failure exceptions. *)
-let lower_trace t st ~entry gtrace =
+(* IR build and mitigation of one formed trace under [opt]. *)
+let analyse t ~opt gtrace =
   let cfg = t.cfg in
-  let opt =
-    match cfg.opt_override with
-    | Some opt -> opt
-    | None -> Gb_core.Mitigation.opt_of_mode cfg.mode
-  in
-  let opt =
-    if st.despeculated then
-      { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
-    else opt
-  in
   let g =
     Gb_obs.Sink.time t.obs "ir_build" (fun () ->
         Gb_ir.Build.build ~opt ~lat:cfg.lat gtrace)
@@ -506,26 +514,46 @@ let lower_trace t st ~entry gtrace =
     Gb_obs.Sink.time t.obs "poison_analysis" (fun () ->
         Gb_core.Mitigation.apply ~obs:t.obs cfg.mode ~lat:cfg.lat g)
   in
-  Option.iter (fun a -> note_audit t a ~entry g report) t.audit;
-  let lower g report =
-    let cycles =
-      Gb_obs.Sink.time t.obs "schedule" (fun () ->
-          Sched.schedule ~obs:t.obs cfg.resources ~lat:cfg.lat g)
-    in
-    let meta = graph_meta g report in
-    Gb_obs.Sink.time t.obs "codegen" (fun () ->
-        Codegen.emit cfg.resources ~n_hidden:cfg.n_hidden ~cycles
-          ~entry_pc:entry
-          ~guest_insns:(Gb_ir.Gtrace.length gtrace)
-          ~meta g)
+  (g, report)
+
+(* Scheduling and codegen of a mitigated graph. *)
+let emit t ~entry gtrace g report =
+  let cfg = t.cfg in
+  let cycles =
+    Gb_obs.Sink.time t.obs "schedule" (fun () ->
+        Sched.schedule ~obs:t.obs cfg.resources ~lat:cfg.lat g)
   in
-  let trace = lower g report in
-  (* Install-time gate: the post-scheduling verifier re-derives the
-     speculation-safety property from the emitted bundles. Under
-     [Verify_enforce] a violating translation never reaches the code
-     cache — it is rebuilt with speculation fenced entirely (and must
-     then verify clean, or the entry is blacklisted). *)
-  match cfg.verify with
+  let meta = graph_meta g report in
+  Gb_obs.Sink.time t.obs "codegen" (fun () ->
+      Codegen.emit cfg.resources ~n_hidden:cfg.n_hidden ~cycles ~entry_pc:entry
+        ~guest_insns:(Gb_ir.Gtrace.length gtrace)
+        ~meta g)
+
+(* The full lowering of one formed trace: [(trace, report)], or one of
+   the pipeline's failure exceptions. *)
+let lower_trace t st ~entry gtrace =
+  let opt =
+    match t.cfg.opt_override with
+    | Some opt -> opt
+    | None -> Gb_core.Mitigation.opt_of_mode t.cfg.mode
+  in
+  let opt =
+    if st.despeculated then
+      { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
+    else opt
+  in
+  let g, report = analyse t ~opt gtrace in
+  Option.iter (fun a -> note_audit t a ~entry g report) t.audit;
+  (emit t ~entry gtrace g report, report)
+
+(* Install-time gate: the post-scheduling verifier re-derives the
+   speculation-safety property from the emitted bundles. Under
+   [Verify_enforce] a violating translation never reaches the code
+   cache — it is rebuilt with speculation fenced entirely (and must then
+   verify clean, or the entry is blacklisted). Returns
+   [(trace, report, fenced)]. *)
+let gate t ~entry gtrace (trace, report) =
+  match t.cfg.verify with
   | Verify_off -> (trace, report, false)
   | (Verify_report | Verify_enforce) as lvl ->
     let vr =
@@ -538,15 +566,10 @@ let lower_trace t st ~entry gtrace =
       Gb_obs.Sink.incr t.obs "verify.rejections";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         (Gb_obs.Event.Tier_transition { tier = "verify-fenced" });
-      let g =
-        Gb_obs.Sink.time t.obs "ir_build" (fun () ->
-            Gb_ir.Build.build ~opt:Gb_ir.Opt_config.no_speculation
-              ~lat:cfg.lat gtrace)
+      let g, report =
+        analyse t ~opt:Gb_ir.Opt_config.no_speculation gtrace
       in
-      let report =
-        Gb_core.Mitigation.apply ~obs:t.obs cfg.mode ~lat:cfg.lat g
-      in
-      let trace = lower g report in
+      let trace = emit t ~entry gtrace g report in
       if
         not
           (Gb_verify.Verifier.ok
@@ -555,6 +578,47 @@ let lower_trace t st ~entry gtrace =
       then raise Verify_rejected;
       (trace, report, true)
     end
+
+(* A copy of a template sharing its bundles, which nothing mutates after
+   codegen, with fresh unchained stubs: chain links are per install. *)
+let instantiate (tpl : Gb_vliw.Vinsn.trace) =
+  {
+    tpl with
+    Gb_vliw.Vinsn.stubs =
+      Array.map
+        (fun (s : Gb_vliw.Vinsn.stub) -> { s with Gb_vliw.Vinsn.chain = None })
+        tpl.Gb_vliw.Vinsn.stubs;
+  }
+
+(* The code to install for a formed trace, through the gate. A trace
+   equal to the one stored at its entry under the same [despeculated]
+   flag reuses that lowering; any other is lowered in full and, unless
+   the gate had to fence it, replaces the stored one. An active sink or
+   an attached audit reads the events, timers and DFG of the full
+   lowering, so with either one the slot is neither read nor written. *)
+let lower_and_gate t st ~entry gtrace =
+  let reuse = not (Gb_obs.Sink.is_active t.obs || Option.is_some t.audit) in
+  match st.lowered with
+  | Some l
+    when reuse
+         && l.l_despeculated = st.despeculated
+         && Gb_ir.Gtrace.equal l.l_gtrace gtrace ->
+    t.stats.lowerings_reused <- t.stats.lowerings_reused + 1;
+    gate t ~entry gtrace (instantiate l.l_trace, l.l_report)
+  | Some _ | None ->
+    let ((trace, report, fenced) as lowered) =
+      gate t ~entry gtrace (lower_trace t st ~entry gtrace)
+    in
+    if reuse && not fenced then
+      st.lowered <-
+        Some
+          {
+            l_gtrace = gtrace;
+            l_despeculated = st.despeculated;
+            l_trace = instantiate trace;
+            l_report = report;
+          };
+    lowered
 
 let translate_failed t st entry =
   st.blacklisted <- true;
@@ -631,7 +695,7 @@ let translate t entry =
       match build_trace t entry with
       | None -> translate_failed t st entry
       | Some (gtrace, branch_pcs) -> (
-        match lower_trace t st ~entry gtrace with
+        match lower_and_gate t st ~entry gtrace with
         | lowered -> install_trace t st ~entry ~branch_pcs gtrace lowered
         | exception
             ( Gb_ir.Build.Unsupported _ | Codegen.Out_of_registers

@@ -79,6 +79,14 @@ type stats = {
   mutable verify_violations : int;
   mutable verify_rejections : int;
       (** translations [Verify_enforce] kept out of the code cache *)
+  mutable lowerings_reused : int;
+      (** trace translations that formed the same guest trace as the last
+          one lowered at their entry, under the same de-speculation flag,
+          and reinstalled that lowering instead of building IR,
+          mitigating, scheduling and emitting again. Trace building and
+          the install-time verifier still ran, and every other field
+          counts them as usual. Always 0 with an active sink or an
+          audit. *)
 }
 
 type t
@@ -93,6 +101,9 @@ val create :
     speculatively and which the poisoning analysis flagged/constrained;
     under [Unsafe] the analysis additionally runs report-only so the
     audit can score detector precision against unconstrained execution.
+    With an active [obs] or an [audit], every trace translation is
+    lowered in full, so both see every phase (see
+    [stats.lowerings_reused]).
     Raises [Invalid_argument] when [config.workers] is not 0. *)
 
 val config : t -> config

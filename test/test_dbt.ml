@@ -104,6 +104,81 @@ let empty_trace_fails () =
         (Gb_dbt.Trace_builder.build Gb_dbt.Trace_builder.default_config ~mem
            ~profile:(fun _ -> None) ~entry:program.Asm.entry))
 
+(* The engine reuses a stored lowering only for an equal trace, so
+   [Gtrace.equal] must tell apart traces that differ in any one part. *)
+let gtrace_equality () =
+  let open Gb_ir.Gtrace in
+  let program = assemble_loop () in
+  let mem = load_into_mem program in
+  let entry = Gb_riscv.Asm.symbol program "loop" in
+  let back_branch = Gb_riscv.Asm.symbol program "skip" + 4 in
+  let profile pc =
+    if pc = entry + 4 then Some (0, 100)
+    else if pc = back_branch then Some (100, 100)
+    else None
+  in
+  let build () =
+    Gb_dbt.Trace_builder.build Gb_dbt.Trace_builder.default_config ~mem
+      ~profile ~entry
+  in
+  let t = build () and t' = build () in
+  Alcotest.(check bool) "rebuilt from the same profile" true
+    (t != t' && equal t t');
+  let differs what t' = Alcotest.(check bool) what false (equal t t') in
+  (* [t] with the first step [f] changes replaced *)
+  let change_first f =
+    let rec go = function
+      | [] -> Alcotest.fail "no step to change"
+      | s :: rest -> (
+        match f s with Some s' -> s' :: rest | None -> s :: go rest)
+    in
+    { t with steps = go t.steps }
+  in
+  let with_exit f s =
+    Option.map
+      (fun (c, pc) -> { s with exit_cond = Some (f c pc) })
+      s.exit_cond
+  in
+  differs "exit target" (change_first (with_exit (fun c pc -> (c, pc + 4))));
+  differs "exit condition"
+    (change_first
+       (with_exit (fun c pc -> (Gb_riscv.Insn.negate_cond c, pc))));
+  differs "one instruction"
+    (change_first (fun s ->
+         match s.insn with
+         | Gb_riscv.Insn.Store (w, rs2, rs1, off) ->
+           Some { s with insn = Gb_riscv.Insn.Store (w, rs2, rs1, off + 8) }
+         | _ -> None));
+  differs "fall-through pc" { t with fall_pc = t.fall_pc + 4 };
+  differs "length" { t with steps = List.rev (List.tl (List.rev t.steps)) };
+  (* a branch to pc+4 stays on the same pcs under either bias: only the
+     (negated) exit condition tells the two traces apart *)
+  let open Gb_riscv in
+  let program =
+    Asm.assemble
+      [
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.t0, Reg.t0, 1));
+        Asm.Branch_to (Insn.BEQ, Reg.t0, Reg.t1, "next");
+        Asm.Label "next";
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.t1, Reg.t1, 1));
+        Asm.Insn Insn.Ecall;
+      ]
+  in
+  let mem = load_into_mem program in
+  let biased taken =
+    Gb_dbt.Trace_builder.build Gb_dbt.Trace_builder.default_config ~mem
+      ~profile:(fun pc ->
+        if pc = program.Asm.entry + 4 then Some (taken, 100) else None)
+      ~entry:program.Asm.entry
+  in
+  let fall = biased 0 and taken = biased 100 in
+  let pcs t = List.map (fun s -> s.pc) t.steps in
+  Alcotest.(check (list int)) "same pcs under either bias" (pcs fall)
+    (pcs taken);
+  Alcotest.(check int) "same fall-through" fall.fall_pc taken.fall_pc;
+  Alcotest.(check bool) "taken and fall-through bias differ" false
+    (equal fall taken)
+
 (* --- scheduler --------------------------------------------------------- *)
 
 (* reuse the random guest-trace generator idea from the IR tests *)
@@ -1023,6 +1098,110 @@ let pinned_adaptive () =
        change log and set [pinned_adaptive_digest] in test/test_dbt.ml to %s."
       digest pinned_adaptive_digest digest
 
+(* --- lowering reuse ---------------------------------------------------- *)
+
+(* A trace re-formed at an entry reinstalls the lowering stored there
+   (INTERNALS section 8), and that must be invisible. heat-3d in a
+   384-bundle cache re-forms most of its traces after eviction. Each
+   config runs once with the noop sink, which reuses, and once with an
+   active sink, which lowers every trace in full. Result, statistics,
+   regions with their run counts and the installed code must agree, and
+   every run must leave the code cache well linked. The unsafe
+   spectre-v1 run in a 96-bundle cache has the gate fence dozens of
+   re-formed traces: a fenced lowering is never stored, so each of those
+   is rejected and fenced again, exactly as without reuse. *)
+let reuse_is_invisible () =
+  let module P = Gb_system.Processor in
+  let module E = Gb_dbt.Engine in
+  let heat_3d =
+    match Gb_workloads.Polybench.by_name "heat-3d" with
+    | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+    | None -> Alcotest.fail "heat-3d workload missing"
+  in
+  let v1 =
+    Gb_kernelc.Compile.assemble
+      (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
+  in
+  let observe ?obs ~capacity mode asm =
+    let engine e =
+      { e with
+        E.verify = E.Verify_enforce;
+        cache = { Gb_dbt.Code_cache.capacity; chain = true } }
+    in
+    let p = Pinned.processor ?obs ~engine mode asm in
+    let r = P.run p in
+    let eng = P.engine p in
+    Alcotest.(check bool) "well linked" true
+      (Gb_dbt.Code_cache.well_linked (E.code_cache eng));
+    let buf = Buffer.create (1 lsl 16) in
+    List.iter
+      (fun (rg : E.region) ->
+        Printf.bprintf buf "region 0x%x %s runs=%d\n" rg.E.r_entry
+          (match rg.E.r_tier with `Block -> "block" | `Trace -> "trace")
+          rg.E.r_runs;
+        render_trace buf rg.E.r_trace)
+      (E.regions eng);
+    let s = E.stats eng in
+    ( r,
+      { s with E.lowerings_reused = 0 },
+      s.E.lowerings_reused,
+      Buffer.contents buf )
+  in
+  List.iter
+    (fun (name, capacity, mode, asm) ->
+      let r, s, reused, code = observe ~capacity mode asm in
+      let r', s', reused', code' =
+        observe ~obs:(Gb_obs.Sink.create ()) ~capacity mode asm
+      in
+      Alcotest.(check bool) (name ^ ": reuses with the noop sink") true
+        (reused > 0);
+      Alcotest.(check int) (name ^ ": no reuse with an active sink") 0
+        reused';
+      Alcotest.(check bool) (name ^ ": same result") true (r = r');
+      Alcotest.(check bool) (name ^ ": same stats") true (s = s');
+      Alcotest.(check string) (name ^ ": same regions and code")
+        (Digest.to_hex (Digest.string code))
+        (Digest.to_hex (Digest.string code')))
+    Gb_core.Mitigation.
+      [
+        ("heat-3d fine-grained", 384, Fine_grained, heat_3d);
+        ("heat-3d min-cut", 384, Min_cut, heat_3d);
+        ("spectre-v1 unsafe", 96, Unsafe, v1);
+      ]
+
+(* The verify-fenced rebuild lowers a trace a second time, and each of
+   its four phases is timed like the first lowering's: a profile of a
+   run with rejections shows as many calls of each. *)
+let fenced_rebuild_is_timed () =
+  let obs = Gb_obs.Sink.create () in
+  let asm =
+    Gb_kernelc.Compile.assemble
+      (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
+  in
+  let p =
+    Pinned.processor ~obs
+      ~engine:(fun e ->
+        { e with Gb_dbt.Engine.verify = Gb_dbt.Engine.Verify_enforce })
+      Gb_core.Mitigation.Unsafe asm
+  in
+  let r = Gb_system.Processor.run p in
+  Alcotest.(check bool) "rejections" true
+    (r.Gb_system.Processor.verify_rejections > 0);
+  let calls phase =
+    match
+      List.find_opt
+        (fun (t : Gb_obs.Timer.total) -> t.Gb_obs.Timer.t_phase = phase)
+        (Gb_obs.Sink.timer_totals obs)
+    with
+    | Some t -> t.Gb_obs.Timer.t_calls
+    | None -> 0
+  in
+  let ir = calls "ir_build" in
+  List.iter
+    (fun phase ->
+      Alcotest.(check int) (phase ^ " calls = ir_build calls") ir (calls phase))
+    [ "poison_analysis"; "schedule"; "codegen" ]
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1035,6 +1214,7 @@ let () =
             trace_stops_at_unbiased;
           Alcotest.test_case "stops at ecall" `Quick trace_stops_at_ecall;
           Alcotest.test_case "empty trace fails" `Quick empty_trace_fails;
+          Alcotest.test_case "trace equality is exact" `Quick gtrace_equality;
         ] );
       ( "scheduler",
         [
@@ -1054,6 +1234,8 @@ let () =
           Alcotest.test_case "pinned emitted code" `Quick pinned_code;
           Alcotest.test_case "pinned counters and events" `Quick pinned_obs;
           Alcotest.test_case "pinned adaptive state" `Quick pinned_adaptive;
+          Alcotest.test_case "lowering reuse is invisible" `Quick
+            reuse_is_invisible;
         ] );
       ( "first-pass",
         [
@@ -1070,5 +1252,7 @@ let () =
           Alcotest.test_case "tier precedence" `Quick engine_tier_precedence;
           Alcotest.test_case "workers other than 0 rejected" `Quick
             engine_rejects_workers;
+          Alcotest.test_case "fenced rebuild is timed" `Quick
+            fenced_rebuild_is_timed;
         ] );
     ]
