@@ -21,7 +21,9 @@
          deterministic fault injection, plus the oracle-sensitivity
          negative control)
 
-   Run with --no-micro to skip the Bechamel section. *)
+   Run with --no-micro to skip the Bechamel section. The harness prints
+   tables only; `ghostbusters perf record` writes the machine-readable
+   run manifest of the same experiments. *)
 
 let pct f = Printf.sprintf "%.1f%%" (100. *. f)
 
@@ -173,8 +175,7 @@ let e4 () =
   print_string
     "\nExpected shape (paper SV-B): with frequent double indirection the\n\
      pattern fires often; the fine-grained countermeasure stays markedly\n\
-     cheaper than fence insertion (paper: +4% vs +15%).\n";
-  mc
+     cheaper than fence insertion (paper: +4% vs +15%).\n"
 
 let e5 () =
   print_header "E5: probe-latency separation (flush+reload discrimination)";
@@ -301,11 +302,8 @@ let e8 ~seed ?modes () =
      wavefront dependences roll back often, capping its reduction).\n";
   (* the leakage matrix must not change when eviction churn is forced:
      re-run E1 with a tiny code cache and diff the verdicts *)
-  let constrained =
-    Gb_experiments.Experiments.e1_poc_matrix ~audit:true ~seed
-      ~cc_capacity:Gb_experiments.Experiments.e8_tiny_capacity ?modes ()
-  in
-  (rows, constrained)
+  Gb_experiments.Experiments.e1_poc_matrix ~audit:true ~seed
+    ~cc_capacity:Gb_experiments.Experiments.e8_tiny_capacity ?modes ()
 
 let e9 ?modes () =
   print_header
@@ -372,8 +370,7 @@ let e9 ?modes () =
      unsafe audit observed (uncovered = none, i.e. zero static false\n\
      negatives). The scanner, working on the raw guest binary with no\n\
      execution, must cover every runtime-flagged pc (recall 1.0);\n\
-     precision below 1.0 is the price of static over-approximation.\n";
-  data
+     precision below 1.0 is the price of static over-approximation.\n"
 
 let e10 ~seed ?modes () =
   print_header
@@ -434,8 +431,7 @@ let e10 ~seed ?modes () =
     "\nExpected shape: zero divergences everywhere -- clean and under\n\
      every recoverable fault kind -- with every injected fault proven\n\
      recovered at a later agreement point; the deliberately unsound\n\
-     mcb-suppress control MUST be caught (the oracle is not vacuous).\n";
-  m
+     mcb-suppress control MUST be caught (the oracle is not vacuous).\n"
 
 (* --- Bechamel microbenchmarks of the DBT software layer ---------------- *)
 
@@ -539,9 +535,8 @@ let micro () =
 
 (* --- Gb_obs metrics snapshot of an instrumented run -------------------- *)
 
-(* Returns the counter snapshot so the run manifest records the same run
-   it prints (this is the canonical instrumented run —
-   {!Gb_perf.Collect.counters_snapshot} reproduces it bit-for-bit). *)
+(* The canonical instrumented run: the manifest's [counter.*] cells
+   record the same run. *)
 let metrics_snapshot ~seed () =
   print_header "Metrics snapshot: one instrumented run (Gb_obs)";
   let w = List.hd Gb_workloads.Polybench.all in
@@ -554,83 +549,18 @@ let metrics_snapshot ~seed () =
   in
   Printf.printf "workload: %s (fine-grained mode)\n%s\n"
     w.Gb_workloads.Polybench.name
-    (Gb_util.Json.to_string_pretty (Gb_obs.Sink.metrics_json obs));
-  Gb_obs.Sink.counters obs
-
-(* --- JSON export ------------------------------------------------------- *)
-
-(* [--json-out PREFIX] writes PREFIX_perf.json (cycles and slowdowns per
-   experiment), PREFIX_leakage.json (leakage-audit counters),
-   PREFIX_chaining.json (E8 dispatcher-exit measurements),
-   PREFIX_verify.json (E9 static-verification cross-check),
-   PREFIX_diff.json (E10 differential gate matrix) and
-   PREFIX_manifest.json (the schema-versioned run manifest the perf
-   trajectory and CI perf gate consume, see lib/perf). *)
-let json_out_paths prefix =
-  ( prefix ^ "_perf.json",
-    prefix ^ "_leakage.json",
-    prefix ^ "_chaining.json",
-    prefix ^ "_verify.json",
-    prefix ^ "_diff.json",
-    prefix ^ "_manifest.json" )
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-(* Fail on an unwritable output path before spending minutes on the
-   experiments (same contract as the CLI's --metrics-out). *)
-let check_writable path =
-  match open_out path with
-  | oc -> close_out oc
-  | exception Sys_error e ->
-    Printf.eprintf "bench: cannot write %s: %s\n" path e;
-    exit 1
-
-(* --modes M1,M2: restrict E1/E9's mode rows and E10's attack cells to
-   the listed modes (full names or the CLI's short spellings). E2's
-   mode_cycles rows always measure every mode — a slowdown is relative
-   to the unsafe run, so dropping modes there would change the row
-   type, not just filter it. *)
-let parse_modes s =
-  let aliases =
-    [
-      ("fence", Gb_core.Mitigation.Fence_on_detect);
-      ("fine", Gb_core.Mitigation.Fine_grained);
-      ("mincut", Gb_core.Mitigation.Min_cut);
-      ("nospec", Gb_core.Mitigation.No_speculation);
-      ("no-spec", Gb_core.Mitigation.No_speculation);
-    ]
-  in
-  String.split_on_char ',' s
-  |> List.map String.trim
-  |> List.filter (fun n -> n <> "")
-  |> List.map (fun n ->
-         match
-           List.find_opt
-             (fun m -> Gb_core.Mitigation.mode_name m = n)
-             Gb_core.Mitigation.all_modes
-         with
-         | Some m -> m
-         | None -> (
-           match List.assoc_opt n aliases with
-           | Some m -> m
-           | None ->
-             Printf.eprintf "bench: unknown mode %S in --modes (expected: %s)\n"
-               n
-               (String.concat ", "
-                  (List.map Gb_core.Mitigation.mode_name
-                     Gb_core.Mitigation.all_modes));
-             exit 1))
+    (Gb_util.Json.to_string_pretty (Gb_obs.Sink.metrics_json obs))
 
 (* Every argument is parsed before any experiment runs, and anything
    unknown exits 1 with the list of accepted flags: a typo must not start
-   the multi-minute harness on defaults. *)
+   the multi-minute harness on defaults.
+   --modes M1,M2 restricts E1/E9's mode rows and E10's attack cells to the
+   listed modes (any spelling {!Gb_core.Mitigation.mode_of_string}
+   accepts). E2's mode_cycles rows always measure every mode: a slowdown
+   is relative to the unsafe run, so dropping modes there would change
+   the row type, not just filter it. *)
 let parse_args () =
   let no_micro = ref false in
-  let json_out = ref None in
   let modes = ref None in
   let seed = ref 1L in
   let set_seed s =
@@ -639,27 +569,35 @@ let parse_args () =
     | None ->
       raise (Arg.Bad (Printf.sprintf "--seed expects an integer, got %S" s))
   in
+  let set_modes s =
+    let parse n =
+      match Gb_core.Mitigation.mode_of_string n with
+      | Ok m -> m
+      | Error e -> raise (Arg.Bad ("--modes: " ^ e))
+    in
+    modes :=
+      Some
+        (String.split_on_char ',' s
+        |> List.map String.trim
+        |> List.filter (fun n -> n <> "")
+        |> List.map parse)
+  in
   let specs =
     Arg.align
       [
         ("--no-micro", Arg.Set no_micro, " skip the Bechamel microbenchmarks");
-        ( "--json-out",
-          Arg.String (fun p -> json_out := Some p),
-          "P write the JSON artifacts and the manifest to P_*.json" );
         ( "--modes",
-          Arg.String (fun s -> modes := Some (parse_modes s)),
+          Arg.String set_modes,
           "M comma-separated mitigation modes for E1, E9 and E10's attacks" );
         ("--seed", Arg.String set_seed, "N experiment seed (default 1)");
       ]
   in
-  let usage =
-    "usage: bench/main.exe [--no-micro] [--json-out P] [--modes M] [--seed N]"
-  in
+  let usage = "usage: bench/main.exe [--no-micro] [--modes M] [--seed N]" in
   let positional a =
     raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a))
   in
   match Arg.parse_argv Sys.argv specs positional usage with
-  | () -> (!no_micro, !json_out, !modes, !seed)
+  | () -> (!no_micro, !modes, !seed)
   | exception Arg.Bad msg ->
     prerr_string msg;
     exit 1
@@ -668,31 +606,7 @@ let parse_args () =
     exit 0
 
 let () =
-  let no_micro, json_out, modes, seed = parse_args () in
-  Option.iter
-    (fun prefix ->
-      let perf, leakage, chaining, verify, diff, manifest =
-        json_out_paths prefix
-      in
-      check_writable perf;
-      check_writable leakage;
-      check_writable chaining;
-      check_writable verify;
-      check_writable diff;
-      check_writable manifest)
-    json_out;
-  (* JSON consumers own stdout: under --json-out every table and progress
-     line is rerouted to stderr, and the original stdout is kept only for
-     the final one-line verdict. *)
-  let verdict_out =
-    match json_out with
-    | None -> None
-    | Some _ ->
-      flush stdout;
-      let orig = Unix.dup Unix.stdout in
-      Unix.dup2 Unix.stderr Unix.stdout;
-      Some (Unix.out_channel_of_descr orig)
-  in
+  let no_micro, modes, seed = parse_args () in
   Printf.printf
     "GhostBusters reproduction - benchmark harness\n\
      (paper: S. Rokicki, \"GhostBusters: Mitigating Spectre Attacks on a\n\
@@ -700,15 +614,13 @@ let () =
   let poc = e1 ~seed ?modes () in
   let data = e2 () in
   e3 data;
-  let e4_mc = e4 () in
+  e4 ();
   e5 ();
   e6 ();
   e7 ();
-  let chain_rows, constrained_poc = e8 ~seed ?modes () in
-  let verdicts_unchanged =
-    Gb_perf.Collect.poc_verdicts_equal poc constrained_poc
-  in
-  if not verdicts_unchanged then
+  let constrained_poc = e8 ~seed ?modes () in
+  if not (Gb_experiments.Experiments.poc_verdicts_equal poc constrained_poc)
+  then
     print_string
       "\nWARNING: E1 leakage verdicts CHANGED under the capacity-constrained \
        code cache!\n"
@@ -716,68 +628,7 @@ let () =
     print_string
       "\nE1 leakage matrix and audit FN counts unchanged under the \
        capacity-constrained cache.\n";
-  let verify_data = e9 ?modes () in
-  let diff_data = e10 ~seed ?modes () in
-  let counters = metrics_snapshot ~seed () in
-  if not no_micro then micro ();
-  Option.iter
-    (fun prefix ->
-      let ( perf_path,
-            leakage_path,
-            chaining_path,
-            verify_path,
-            diff_path,
-            manifest_path ) =
-        json_out_paths prefix
-      in
-      let perf =
-        Gb_util.Json.Obj
-          [
-            ("seed", Gb_util.Json.Int (Int64.to_int seed));
-            ("poc_matrix", Gb_experiments.Experiments.poc_json poc);
-            ("figure4", Gb_experiments.Experiments.figure4_json data);
-            ( "e4_matmul_ptr",
-              Gb_experiments.Experiments.mode_cycles_json e4_mc );
-          ]
-      in
-      let leakage =
-        Gb_experiments.Experiments.leakage_json ~rows:(data @ [ e4_mc ]) poc
-      in
-      let chaining =
-        Gb_util.Json.Obj
-          [
-            ("chaining", Gb_experiments.Experiments.chaining_json chain_rows);
-            ( "constrained_poc_matrix",
-              Gb_experiments.Experiments.poc_json constrained_poc );
-            ("verdicts_unchanged", Gb_util.Json.Bool verdicts_unchanged);
-          ]
-      in
-      let manifest =
-        Gb_perf.Collect.of_data ~seed ~counters ~verdicts_unchanged
-          ~e9:verify_data ~e10:diff_data ~poc ~figure4:data ~e4:e4_mc
-          ~chaining:chain_rows ()
-      in
-      write_file perf_path (Gb_util.Json.to_string_pretty perf);
-      write_file leakage_path (Gb_util.Json.to_string_pretty leakage);
-      write_file chaining_path (Gb_util.Json.to_string_pretty chaining);
-      write_file verify_path
-        (Gb_util.Json.to_string_pretty
-           (Gb_experiments.Experiments.verify_json verify_data));
-      write_file diff_path
-        (Gb_util.Json.to_string_pretty (Gb_diff.Matrix.to_json diff_data));
-      Gb_perf.Manifest.write manifest_path manifest;
-      Printf.printf "\nwrote %s, %s, %s, %s, %s and %s\n" perf_path
-        leakage_path chaining_path verify_path diff_path manifest_path;
-      (* the only stdout output of a --json-out run *)
-      Option.iter
-        (fun oc ->
-          flush stdout;
-          Printf.fprintf oc
-            "bench OK: %s (%d metrics, %d verdicts, rev %s, seed %Ld)\n"
-            manifest_path
-            (List.length manifest.Gb_perf.Manifest.metrics)
-            (List.length manifest.Gb_perf.Manifest.verdicts)
-            manifest.Gb_perf.Manifest.rev seed;
-          flush oc)
-        verdict_out)
-    json_out
+  e9 ?modes ();
+  e10 ~seed ?modes ();
+  metrics_snapshot ~seed ();
+  if not no_micro then micro ()

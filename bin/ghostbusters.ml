@@ -14,34 +14,9 @@
 
 open Cmdliner
 
-(* short spellings accepted wherever a mode is expected *)
-let mode_aliases =
-  [
-    ("fence", Gb_core.Mitigation.Fence_on_detect);
-    ("fine", Gb_core.Mitigation.Fine_grained);
-    ("mincut", Gb_core.Mitigation.Min_cut);
-    ("nospec", Gb_core.Mitigation.No_speculation);
-    ("no-spec", Gb_core.Mitigation.No_speculation);
-  ]
-
 let mode_conv =
   let parse s =
-    match
-      List.find_opt
-        (fun m -> Gb_core.Mitigation.mode_name m = s)
-        Gb_core.Mitigation.all_modes
-    with
-    | Some m -> Ok m
-    | None -> (
-      match List.assoc_opt s mode_aliases with
-      | Some m -> Ok m
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown mode %S (expected one of: %s)" s
-               (String.concat ", "
-                  (List.map Gb_core.Mitigation.mode_name
-                     Gb_core.Mitigation.all_modes)))))
+    Result.map_error (fun e -> `Msg e) (Gb_core.Mitigation.mode_of_string s)
   in
   let print ppf m = Format.fprintf ppf "%s" (Gb_core.Mitigation.mode_name m) in
   Arg.conv (parse, print)
@@ -300,19 +275,18 @@ let write_file path contents =
 (* Fail on an unwritable output path before spending time on the
    simulation; the successful open leaves an empty file that the final
    write overwrites. *)
-let check_outputs trace_out metrics_out =
-  let writable = function
-    | None -> Ok ()
-    | Some path -> (
-      match open_out path with
-      | oc ->
-        close_out oc;
-        Ok ()
-      | exception Sys_error e -> Error (`Msg e))
+let check_outputs paths =
+  let writable acc = function
+    | None -> acc
+    | Some path ->
+      Result.bind acc (fun () ->
+          match open_out path with
+          | oc ->
+            close_out oc;
+            Ok ()
+          | exception Sys_error e -> Error (`Msg e))
   in
-  match writable trace_out with
-  | Error _ as e -> e
-  | Ok () -> writable metrics_out
+  List.fold_left writable (Ok ()) paths
 
 let emit_observability obs ~trace_out ~metrics_out ~profile =
   Option.iter
@@ -403,7 +377,7 @@ let run_cmd =
       no_chain verify trace_out metrics_out profile audit seed =
     match
       Result.bind (find_workload name) (fun w ->
-          Result.map (fun () -> w) (check_outputs trace_out metrics_out))
+          Result.map (fun () -> w) (check_outputs [ trace_out; metrics_out ]))
     with
     | Error e -> Error e
     | Ok w ->
@@ -457,7 +431,7 @@ let variant_arg =
 let attack_cmd =
   let run variant mode secret width mcb hot unroll cache_kib cc_capacity
       no_chain verify trace_out metrics_out profile audit seed =
-    match check_outputs trace_out metrics_out with
+    match check_outputs [ trace_out; metrics_out ] with
     | Error e -> Error e
     | Ok () ->
       let program =
@@ -760,7 +734,7 @@ let report_of_single name mode (r : Gb_diff.Oracle.report) =
 
 let diff_cmd =
   let run workload mode modes inject seed json trace_out metrics_out profile =
-    match check_outputs trace_out metrics_out with
+    match check_outputs [ trace_out; metrics_out ] with
     | Error e -> Error e
     | Ok () ->
     let obs = sink_of_flags ~seed trace_out metrics_out profile false in
@@ -1136,26 +1110,27 @@ let profile_cmd =
             "profile diff needs exactly two --mode flags (slower mode \
              first, e.g. --mode fence --mode unsafe)")
     in
-    match (arg0, arg1) with
-    | "diff", Some name -> diff name
-    | "diff", None ->
-      Error (`Msg "usage: profile diff WORKLOAD --mode A --mode B")
-    | _, Some extra ->
-      Error (`Msg (Printf.sprintf "unexpected argument %S" extra))
-    | name, None -> (
-      match modes with
-      | [] ->
-        profile_run_action name Gb_core.Mitigation.Unsafe top json folded_out
-          seed
-      | [ mode ] -> profile_run_action name mode top json folded_out seed
-      | _ -> diff name)
+    Result.bind (check_outputs [ folded_out ]) (fun () ->
+        match (arg0, arg1) with
+        | "diff", Some name -> diff name
+        | "diff", None ->
+          Error (`Msg "usage: profile diff WORKLOAD --mode A --mode B")
+        | _, Some extra ->
+          Error (`Msg (Printf.sprintf "unexpected argument %S" extra))
+        | name, None -> (
+          match modes with
+          | [] ->
+            profile_run_action name Gb_core.Mitigation.Unsafe top json
+              folded_out seed
+          | [ mode ] -> profile_run_action name mode top json folded_out seed
+          | _ -> diff name))
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Cycle-attribution profiler: explain where every simulated cycle \
           of a run went (committed work, fence stalls, serialization, \
-          rollbacks, dispatcher exits, translation, interpreter, cache \
+          rollbacks, dispatcher exits, chained transfers, interpreter, cache \
           misses), keyed by tier, trace and guest pc. With $(b,diff) (or \
           two $(b,--mode) flags), attribute the cycle delta between two \
           modes cause by cause. See docs/OBSERVABILITY.md \"Cycle \
@@ -1196,16 +1171,6 @@ let perf_out_arg =
     & info [ "o"; "out" ] ~docv:"FILE"
         ~doc:"Where to write the recorded manifest.")
 
-let quick_flag =
-  Arg.(
-    value & flag
-    & info [ "quick" ]
-        ~doc:
-          "Record only the cycle, slowdown and chaining cells (skip E9, \
-           E10 and the capacity-constrained E1 re-check). A quick manifest \
-           compares against a full baseline with the skipped cells \
-           reported as removed coverage.")
-
 let seq_arg =
   Arg.(
     value & opt int 0
@@ -1230,8 +1195,8 @@ let manifest_arg =
     & opt (some string) None
     & info [ "manifest" ] ~docv:"FILE"
         ~doc:
-          "Manifest to compare (e.g. the bench's BENCH_manifest.json). \
-           When omitted, a fresh full manifest is recorded first (~10s).")
+          "Manifest to compare (e.g. one written by $(b,perf record)). \
+           When omitted, a fresh manifest is recorded first (~10s).")
 
 let baseline_rev_arg =
   Arg.(
@@ -1242,26 +1207,6 @@ let baseline_rev_arg =
           "Pin the baseline to the trajectory manifest recorded at this \
            git rev (prefix match) instead of the latest sequence number.")
 
-let tol_cycles_arg =
-  Arg.(
-    value
-    & opt float Gb_perf.Baseline.default_tol_cycles
-    & info [ "tol-cycles" ] ~docv:"FRAC"
-        ~doc:
-          "Relative tolerance for cycle, slowdown and dispatcher-exit \
-           cells (default 0.01 = 1%). Audit false-negative cells and \
-           verdicts always compare exact.")
-
-let strict_flag =
-  Arg.(
-    value & flag
-    & info [ "strict" ]
-        ~doc:
-          "Also fail when the current manifest lost metric coverage \
-           (cells present in the baseline but missing now) — a skipped \
-           experiment cannot hide a regression. The CI perf gate runs \
-           with this.")
-
 let report_out_arg =
   Arg.(
     value
@@ -1269,83 +1214,80 @@ let report_out_arg =
     & info [ "report-out" ] ~docv:"FILE"
         ~doc:"Also write the comparison as JSON to $(docv) (CI artifact).")
 
-let record_manifest ~seed ~full ~seq =
-  Printf.eprintf "perf: recording %s manifest (seed %Ld)...\n%!"
-    (if full then "full" else "quick")
-    seed;
-  let m = Gb_perf.Collect.collect ~seed ~full () in
+let record_manifest ~seed ~seq =
+  Printf.eprintf "perf: recording manifest (seed %Ld)...\n%!" seed;
+  let m = Gb_perf.Collect.collect ~seed () in
   if seq = 0 then m else { m with Gb_perf.Manifest.seq = seq }
 
+(* the manifest to compare: the given file, or a freshly recorded one *)
+let current_manifest ~seed = function
+  | Some path -> manifest_of_path path
+  | None -> Ok (record_manifest ~seed ~seq:0)
+
 let perf_record_cmd =
-  let run out quick seq seed =
-    let m = record_manifest ~seed ~full:(not quick) ~seq in
-    Gb_perf.Manifest.write out m;
-    Printf.printf "recorded %s: %d metrics, %d verdicts, rev %s, seed %Ld\n"
-      out
-      (List.length m.Gb_perf.Manifest.metrics)
-      (List.length m.Gb_perf.Manifest.verdicts)
-      m.Gb_perf.Manifest.rev m.Gb_perf.Manifest.seed
+  let run out seq seed =
+    Result.map
+      (fun () ->
+        let m = record_manifest ~seed ~seq in
+        Gb_perf.Manifest.write out m;
+        Printf.printf
+          "recorded %s: %d metrics, %d verdicts, rev %s, seed %Ld\n" out
+          (List.length m.Gb_perf.Manifest.metrics)
+          (List.length m.Gb_perf.Manifest.verdicts)
+          m.Gb_perf.Manifest.rev m.Gb_perf.Manifest.seed)
+      (check_outputs [ Some out ])
   in
   Cmd.v
     (Cmd.info "record"
        ~doc:
          "Run the bench experiments and write a schema-versioned run \
           manifest (per-kernel cycles, slowdowns, dispatcher-exit rates, \
-          counter snapshots and gate verdicts).")
-    Term.(const run $ perf_out_arg $ quick_flag $ seq_arg $ seed_arg)
+          counter snapshots and gate verdicts) — the only machine-readable \
+          record of the experiments.")
+    Term.(term_result (const run $ perf_out_arg $ seq_arg $ seed_arg))
 
 let perf_compare_cmd =
-  let run against manifest rev tol_cycles strict json report_out seed =
-    Result.bind (load_baseline ~against ~rev) (fun baseline ->
-        let current =
-          match manifest with
-          | Some path -> manifest_of_path path
-          | None -> Ok (record_manifest ~seed ~full:true ~seq:0)
-        in
-        Result.bind current (fun current ->
-            let cmp =
-              Gb_perf.Baseline.compare ~tol_cycles ~strict ~baseline current
-            in
-            if json then
-              print_endline
-                (Gb_util.Json.to_string_pretty (Gb_perf.Report.to_json cmp))
-            else print_string (Gb_perf.Report.to_ascii cmp);
-            Option.iter
-              (fun path ->
-                write_file path
-                  (Gb_util.Json.to_string_pretty (Gb_perf.Report.to_json cmp)))
-              report_out;
-            if cmp.Gb_perf.Baseline.passed then Ok ()
-            else
-              Error
-                (`Msg
-                  (Printf.sprintf "perf gate failed: %d regressed cell(s)%s"
-                     cmp.Gb_perf.Baseline.regressed
-                     (if strict && cmp.Gb_perf.Baseline.removed > 0 then
-                        Printf.sprintf ", %d removed cell(s)"
-                          cmp.Gb_perf.Baseline.removed
-                      else "")))))
+  let run against manifest rev json report_out seed =
+    Result.bind (check_outputs [ report_out ]) (fun () ->
+        Result.bind (load_baseline ~against ~rev) (fun baseline ->
+            Result.bind (current_manifest ~seed manifest) (fun current ->
+                let cmp = Gb_perf.Baseline.compare ~baseline current in
+                if json then
+                  print_endline
+                    (Gb_util.Json.to_string_pretty
+                       (Gb_perf.Report.to_json cmp))
+                else print_string (Gb_perf.Report.to_ascii cmp);
+                Option.iter
+                  (fun path ->
+                    write_file path
+                      (Gb_util.Json.to_string_pretty
+                         (Gb_perf.Report.to_json cmp)))
+                  report_out;
+                if cmp.Gb_perf.Baseline.passed then Ok ()
+                else
+                  Error
+                    (`Msg
+                      (Printf.sprintf
+                         "perf gate failed: %d regressed cell(s), %d \
+                          removed cell(s)"
+                         cmp.Gb_perf.Baseline.regressed
+                         cmp.Gb_perf.Baseline.removed)))))
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
          "Compare a run manifest against the committed perf trajectory and \
           exit non-zero on any regression verdict (cycles beyond \
-          tolerance, audit false negatives, flipped gate verdicts).")
+          tolerance, audit false negatives, flipped gate verdicts) or lost \
+          coverage (a baseline cell the manifest lacks).")
     Term.(
       term_result
         (const run $ against_arg $ manifest_arg $ baseline_rev_arg
-        $ tol_cycles_arg $ strict_flag $ json_flag $ report_out_arg
-        $ seed_arg))
+        $ json_flag $ report_out_arg $ seed_arg))
 
 let perf_report_cmd =
-  let run against manifest rev tol_cycles json seed =
-    let current =
-      match manifest with
-      | Some path -> manifest_of_path path
-      | None -> Ok (record_manifest ~seed ~full:true ~seq:0)
-    in
-    Result.bind current (fun current ->
+  let run against manifest rev json seed =
+    Result.bind (current_manifest ~seed manifest) (fun current ->
         match against with
         | None ->
           (* no baseline: summarise the manifest itself *)
@@ -1376,9 +1318,7 @@ let perf_report_cmd =
         | Some against ->
           Result.map
             (fun baseline ->
-              let cmp =
-                Gb_perf.Baseline.compare ~tol_cycles ~baseline current
-              in
+              let cmp = Gb_perf.Baseline.compare ~baseline current in
               if json then
                 print_endline
                   (Gb_util.Json.to_string_pretty (Gb_perf.Report.to_json cmp))
@@ -1405,7 +1345,7 @@ let perf_report_cmd =
     Term.(
       term_result
         (const run $ against_opt $ manifest_arg $ baseline_rev_arg
-        $ tol_cycles_arg $ json_flag $ seed_arg))
+        $ json_flag $ seed_arg))
 
 let perf_cmd =
   Cmd.group

@@ -148,11 +148,3 @@ let flush_line t addr =
 
 let flush_all t =
   Array.iter (fun ways -> Array.fill ways 0 (Array.length ways) (-1)) t.tags
-
-let reset_stats t =
-  let s = t.stats in
-  s.reads <- 0;
-  s.writes <- 0;
-  s.read_misses <- 0;
-  s.write_misses <- 0;
-  s.flushes <- 0

@@ -62,5 +62,3 @@ val flush_line : t -> int -> unit
     counted in [flushes]. *)
 
 val flush_all : t -> unit
-
-val reset_stats : t -> unit

@@ -33,11 +33,6 @@ module Dfg = Gb_ir.Dfg
 
 type repair_kind = Dep_reinsert | Mask | Fence
 
-let repair_kind_name = function
-  | Dep_reinsert -> "dep-reinsert"
-  | Mask -> "mask"
-  | Fence -> "fence"
-
 type repair = {
   r_node : int;
   r_pc : int;
@@ -385,41 +380,3 @@ let apply ?(unsound = false) ~lat ~constrain ~fence g =
     fences = !fences;
     mask_nodes = List.rev !mask_nodes;
   }
-
-let pp_plan ppf p =
-  Format.fprintf ppf
-    "@[<v>leak-cut: %d source(s), %d transmitter edge(s), min cut %d@,"
-    p.sources p.transmitters p.max_flow;
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "  %s n%d pc=0x%x cost=%d%s@,"
-        (repair_kind_name r.r_kind) r.r_node r.r_pc r.r_cost
-        (if r.r_realized then "" else "  UNREALIZED"))
-    p.repairs;
-  Format.fprintf ppf "%d dep-reinsert(s), %d mask(s), %d fence(s)@]"
-    p.dep_reinserts p.masks p.fences
-
-let plan_to_json p =
-  let module J = Gb_util.Json in
-  J.Obj
-    [
-      ("sources", J.Int p.sources);
-      ("transmitters", J.Int p.transmitters);
-      ("max_flow", J.Int p.max_flow);
-      ( "repairs",
-        J.List
-          (List.map
-             (fun r ->
-               J.Obj
-                 [
-                   ("node", J.Int r.r_node);
-                   ("pc", J.Int r.r_pc);
-                   ("kind", J.String (repair_kind_name r.r_kind));
-                   ("cost", J.Int r.r_cost);
-                   ("realized", J.Bool r.r_realized);
-                 ])
-             p.repairs) );
-      ("dep_reinserts", J.Int p.dep_reinserts);
-      ("masks", J.Int p.masks);
-      ("fences", J.Int p.fences);
-    ]

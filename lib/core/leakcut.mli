@@ -15,8 +15,6 @@ type repair_kind =
   | Mask  (** interpose a guard-pinned index mask on the address path *)
   | Fence  (** full barrier; last resort when a mask cannot anchor *)
 
-val repair_kind_name : repair_kind -> string
-
 type repair = {
   r_node : int;  (** DFG id of the load this repair protects *)
   r_pc : int;  (** its guest pc *)
@@ -62,7 +60,3 @@ val apply :
     it in the plan — the sensitivity control the cut-soundness verifier
     pass must reject, mirroring the diff oracle's mcb-suppress
     control. *)
-
-val pp_plan : Format.formatter -> plan -> unit
-
-val plan_to_json : plan -> Gb_util.Json.t

@@ -10,6 +10,26 @@ let mode_name = function
 let all_modes =
   [ Unsafe; Fine_grained; Fence_on_detect; Min_cut; No_speculation ]
 
+let mode_aliases =
+  [
+    ("fence", Fence_on_detect);
+    ("fine", Fine_grained);
+    ("mincut", Min_cut);
+    ("nospec", No_speculation);
+    ("no-spec", No_speculation);
+  ]
+
+let mode_of_string s =
+  match List.find_opt (fun m -> mode_name m = s) all_modes with
+  | Some m -> Ok m
+  | None -> (
+    match List.assoc_opt s mode_aliases with
+    | Some m -> Ok m
+    | None ->
+      Error
+        (Printf.sprintf "unknown mode %S (expected one of: %s)" s
+           (String.concat ", " (List.map mode_name all_modes))))
+
 let opt_of_mode = function
   | Unsafe | Fine_grained | Fence_on_detect | Min_cut ->
     Gb_ir.Opt_config.aggressive

@@ -24,6 +24,15 @@ val mode_name : mode -> string
 
 val all_modes : mode list
 
+val mode_aliases : (string * mode) list
+(** Short spellings accepted wherever a mode is parsed: [fence], [fine],
+    [mincut], [nospec] and [no-spec]. *)
+
+val mode_of_string : string -> (mode, string) result
+(** The mode a {!mode_name} or a {!mode_aliases} spelling names; the
+    error message lists every {!mode_name}. The CLI's [--mode] and the
+    bench's [--modes] both parse with it. *)
+
 val opt_of_mode : mode -> Gb_ir.Opt_config.t
 (** Speculation switches the optimizer should run with under each mode. *)
 

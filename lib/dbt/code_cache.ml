@@ -263,13 +263,6 @@ let link t ~src ~stub ~dst =
 
 let entries t = Pc_tbl.fold (fun _ e acc -> e :: acc) t.tbl []
 
-let occupancy t tier =
-  Pc_tbl.fold
-    (fun _ e ((n, b) as acc) ->
-      if e.e_tier = tier then (n + 1, b + Gb_vliw.Vinsn.bundle_count e.e_trace)
-      else acc)
-    t.tbl (0, 0)
-
 let well_linked t =
   Pc_tbl.fold
     (fun _ e ok ->

@@ -138,9 +138,6 @@ val used_bundles : t -> int
 val entries : t -> entry list
 (** All installed entries, unordered. *)
 
-val occupancy : t -> tier -> int * int
-(** [(live entries, live bundles)] of one tier. *)
-
 val well_linked : t -> bool
 (** The chaining invariant above: every chain link of every installed
     entry targets the currently installed trace object at its pc. Test

@@ -120,6 +120,17 @@ let e1_poc_matrix ?(secret = default_secret) ?(audit = false) ?(seed = 1L)
         modes)
     (attack_programs ~secret)
 
+let poc_verdicts_equal a b =
+  let key r =
+    ( r.variant,
+      r.mode,
+      Gb_attack.Runner.succeeded r.outcome,
+      match r.outcome.Gb_attack.Runner.result.Gb_system.Processor.audit with
+      | Some s -> s.Gb_cache.Audit.false_negatives
+      | None -> -1 )
+  in
+  List.map key a = List.map key b
+
 let e2_figure4 ?(audit = false) ?(attrib = true) () =
   let items =
     List.map
@@ -218,29 +229,6 @@ let e8_chaining ?(mode = Gb_core.Mitigation.Unsafe) () =
           && off.Gb_system.Processor.output = tiny.Gb_system.Processor.output;
       })
     Gb_workloads.Polybench.all
-
-let chain_row_json r =
-  Gb_util.Json.Obj
-    [
-      ("name", Gb_util.Json.String r.c_name);
-      ("guest_insns", Gb_util.Json.Int (Int64.to_int r.c_guest_insns));
-      ("dispatch_exits_no_chain", Gb_util.Json.Int (Int64.to_int r.c_exits_nochain));
-      ("dispatch_exits_chain", Gb_util.Json.Int (Int64.to_int r.c_exits_chain));
-      ("chain_follows", Gb_util.Json.Int (Int64.to_int r.c_chain_follows));
-      ("exits_per_1k_no_chain", Gb_util.Json.Float (per_1k r.c_exits_nochain r.c_guest_insns));
-      ("exits_per_1k_chain", Gb_util.Json.Float (per_1k r.c_exits_chain r.c_guest_insns));
-      ("tiny_cache_evictions", Gb_util.Json.Int r.c_tiny_evictions);
-      ("cycles_equal", Gb_util.Json.Bool r.c_cycles_equal);
-      ("tiny_cache_arch_equal", Gb_util.Json.Bool r.c_arch_equal);
-    ]
-
-let chaining_json rows =
-  Gb_util.Json.Obj
-    [
-      ("experiment", Gb_util.Json.String "trace_chaining");
-      ("tiny_capacity_bundles", Gb_util.Json.Int e8_tiny_capacity);
-      ("rows", Gb_util.Json.List (List.map chain_row_json rows));
-    ]
 
 (* --- E9: static verification cross-check -------------------------------- *)
 
@@ -377,40 +365,6 @@ let e9_verify ?(secret = default_secret)
   in
   { e9_attacks = attack_rows; e9_workloads = workload_rows; e9_scans = scans }
 
-let verify_row_json r =
-  let module J = Gb_util.Json in
-  let pcs l = J.List (List.map (fun pc -> J.Int pc) l) in
-  J.Obj
-    [
-      ("name", J.String r.v_name);
-      ("mode", J.String (Gb_core.Mitigation.mode_name r.v_mode));
-      ("checked", J.Int r.v_checked);
-      ("violations", J.Int r.v_violations);
-      ("rejections", J.Int r.v_rejections);
-      ("violation_pcs", pcs r.v_violation_pcs);
-      ("audit_dependent_pcs", pcs r.v_dependent_pcs);
-      ("uncovered_dependent_pcs", pcs r.v_uncovered);
-    ]
-
-let verify_json e =
-  let module J = Gb_util.Json in
-  let scan_json s =
-    J.Obj
-      [
-        ("name", J.String s.s_name);
-        ("scan", Gb_verify.Scanner.report_to_json s.s_report);
-        ("flagged_pcs", J.List (List.map (fun pc -> J.Int pc) s.s_flagged));
-        ("score", Gb_verify.Scanner.score_to_json s.s_score);
-      ]
-  in
-  J.Obj
-    [
-      ("experiment", J.String "static_verification");
-      ("attacks", J.List (List.map verify_row_json e.e9_attacks));
-      ("workloads", J.List (List.map verify_row_json e.e9_workloads));
-      ("scans", J.List (List.map scan_json e.e9_scans));
-    ]
-
 let geomean_slowdown rows ~mode =
   Gb_util.Stats.geomean (List.map (fun mc -> slowdown mc ~mode) rows)
 
@@ -458,54 +412,4 @@ let figure4_json rows =
             ("min_cut", Gb_util.Json.Float (geomean_slowdown rows ~mode:Gb_core.Mitigation.Min_cut));
             ("no_speculation", Gb_util.Json.Float (geomean_slowdown rows ~mode:Gb_core.Mitigation.No_speculation));
           ] );
-    ]
-
-let opt_audit_json = function
-  | None -> Gb_util.Json.Null
-  | Some s -> Gb_cache.Audit.summary_to_json s
-
-let leakage_json ~rows poc =
-  let workload_row mc =
-    Gb_util.Json.Obj
-      [
-        ("name", Gb_util.Json.String mc.w_name);
-        ("unsafe", opt_audit_json mc.unsafe_audit);
-        ("fine_grained", opt_audit_json mc.fine_audit);
-      ]
-  in
-  let poc_row_json r =
-    Gb_util.Json.Obj
-      [
-        ("variant", Gb_util.Json.String r.variant);
-        ("mode", Gb_util.Json.String (Gb_core.Mitigation.mode_name r.mode));
-        ("leaked", Gb_util.Json.Bool (Gb_attack.Runner.succeeded r.outcome));
-        ( "audit",
-          opt_audit_json r.outcome.Gb_attack.Runner.result.Gb_system.Processor.audit
-        );
-      ]
-  in
-  Gb_util.Json.Obj
-    [
-      ("experiment", Gb_util.Json.String "leakage_audit");
-      ("workloads", Gb_util.Json.List (List.map workload_row rows));
-      ("attacks", Gb_util.Json.List (List.map poc_row_json poc));
-    ]
-
-let poc_json rows =
-  Gb_util.Json.Obj
-    [
-      ("experiment", Gb_util.Json.String "poc_matrix");
-      ( "rows",
-        Gb_util.Json.List
-          (List.map
-             (fun r ->
-               Gb_util.Json.Obj
-                 [
-                   ("variant", Gb_util.Json.String r.variant);
-                   ("mode", Gb_util.Json.String (Gb_core.Mitigation.mode_name r.mode));
-                   ("recovered_bytes", Gb_util.Json.Int r.outcome.Gb_attack.Runner.correct_bytes);
-                   ("total_bytes", Gb_util.Json.Int r.outcome.Gb_attack.Runner.total_bytes);
-                   ("leaked", Gb_util.Json.Bool (Gb_attack.Runner.succeeded r.outcome));
-                 ])
-             rows) );
     ]

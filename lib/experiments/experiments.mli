@@ -70,6 +70,11 @@ val e1_poc_matrix :
     {!Gb_core.Mitigation.all_modes}) restricts the matrix to the listed
     modes (the harnesses' [--modes] filter). *)
 
+val poc_verdicts_equal : poc_row list -> poc_row list -> bool
+(** E8's churn check: the same leak verdicts and audit false-negative
+    counts, row for row (the capacity-constrained E1 re-run against the
+    default one). *)
+
 val e2_figure4 :
   ?audit:bool -> ?attrib:bool -> unit -> mode_cycles list
 (** One row per Figure-4 application: the 12 Polybench kernels plus the
@@ -129,9 +134,6 @@ val e8_chaining : ?mode:Gb_core.Mitigation.mode -> unit -> chain_row list
 (** One row per Polybench kernel (default mode [Unsafe], where traces are
     longest-lived and chaining matters most). *)
 
-val chaining_json : chain_row list -> Gb_util.Json.t
-(** Machine-readable E8 results. *)
-
 (** E9 (extension) — static verification cross-check: the install-time
     translation verifier and the guest gadget scanner scored against the
     runtime leakage audit. *)
@@ -182,23 +184,8 @@ val e9_verify :
     audited [Unsafe] run, so a filter without it scores against an empty
     flagged set. *)
 
-val verify_json : e9 -> Gb_util.Json.t
-(** Machine-readable E9 results (consumed by the CI verify gate). *)
-
 val geomean_slowdown :
   mode_cycles list -> mode:Gb_core.Mitigation.mode -> float
 
-val mode_cycles_json : mode_cycles -> Gb_util.Json.t
-(** One workload's cycles and slowdowns as a JSON object. *)
-
 val figure4_json : mode_cycles list -> Gb_util.Json.t
 (** Machine-readable E2 results (for external plotting). *)
-
-val poc_json : poc_row list -> Gb_util.Json.t
-(** Machine-readable E1 results. *)
-
-val leakage_json :
-  rows:mode_cycles list -> poc_row list -> Gb_util.Json.t
-(** Machine-readable leakage-audit counters: per-workload Unsafe and
-    Fine_grained summaries from [rows] plus per-attack classification from
-    an audited E1 matrix. Rows without audit data encode as [null]. *)

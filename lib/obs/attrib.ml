@@ -5,7 +5,6 @@ type cause =
   | Mcb_rollback
   | Dispatcher_exit
   | Chain_transfer
-  | Translation
   | Interp_fallback
   | Cache_miss_stall
   | Cut_protect
@@ -13,8 +12,8 @@ type cause =
 let all_causes =
   [
     Committed_work; Fence_stall; Nospec_serialization; Mcb_rollback;
-    Dispatcher_exit; Chain_transfer; Translation; Interp_fallback;
-    Cache_miss_stall; Cut_protect;
+    Dispatcher_exit; Chain_transfer; Interp_fallback; Cache_miss_stall;
+    Cut_protect;
   ]
 
 let n_causes = List.length all_causes
@@ -26,10 +25,9 @@ let cause_index = function
   | Mcb_rollback -> 3
   | Dispatcher_exit -> 4
   | Chain_transfer -> 5
-  | Translation -> 6
-  | Interp_fallback -> 7
-  | Cache_miss_stall -> 8
-  | Cut_protect -> 9
+  | Interp_fallback -> 6
+  | Cache_miss_stall -> 7
+  | Cut_protect -> 8
 
 let cause_name = function
   | Committed_work -> "committed-work"
@@ -38,7 +36,6 @@ let cause_name = function
   | Mcb_rollback -> "mcb-rollback"
   | Dispatcher_exit -> "dispatcher-exit"
   | Chain_transfer -> "chain-transfer"
-  | Translation -> "translation"
   | Interp_fallback -> "interp-fallback"
   | Cache_miss_stall -> "cache-miss-stall"
   | Cut_protect -> "cut-protect"

@@ -20,7 +20,6 @@ type cause =
   | Mcb_rollback  (** pipeline-refill penalty of an MCB conflict rollback *)
   | Dispatcher_exit  (** side-exit penalty paid returning to the dispatcher *)
   | Chain_transfer  (** side-exit penalty paid on a chained transfer *)
-  | Translation  (** reserved: translation is host-side and costs 0 here *)
   | Interp_fallback  (** cycles spent interpreting untranslated code *)
   | Cache_miss_stall  (** L1D miss penalties, both tiers *)
   | Cut_protect

@@ -44,5 +44,3 @@ let totals t =
   |> List.sort (fun a b -> compare (b.t_total_us, a.t_phase) (a.t_total_us, b.t_phase))
 
 let spans t = Ring.to_list t.spans
-
-let dropped_spans t = Ring.dropped t.spans

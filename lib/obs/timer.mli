@@ -22,5 +22,3 @@ val totals : t -> total list
 
 val spans : t -> span list
 (** Retained spans, oldest first (completion order). *)
-
-val dropped_spans : t -> int

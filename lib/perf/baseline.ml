@@ -10,12 +10,12 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let rule_for ?(tol_cycles = default_tol_cycles) name =
+let rule_for name =
   if
     has_prefix ~prefix:"cycles." name
     || has_prefix ~prefix:"slowdown." name
     || has_prefix ~prefix:"exits_per_1k." name
-  then Lower_better tol_cycles
+  then Lower_better default_tol_cycles
   else if has_prefix ~prefix:"audit_fn." name then Lower_better 0.
   else if has_prefix ~prefix:"cause_share." name then Band default_band_share
   else if has_prefix ~prefix:"alloc." name then Lower_better default_tol_alloc
@@ -50,7 +50,6 @@ type comparison = {
   unchanged : int;
   added : int;
   removed : int;
-  strict : bool;
   passed : bool;
 }
 
@@ -81,11 +80,11 @@ let judge rule ~base ~cur =
 let union_names base cur =
   List.sort_uniq String.compare (List.map fst base @ List.map fst cur)
 
-let compare ?tol_cycles ?(strict = false) ~baseline current =
+let compare ~baseline current =
   let metric_cell name =
     let base = Manifest.metric baseline name in
     let cur = Manifest.metric current name in
-    let rule = rule_for ?tol_cycles name in
+    let rule = rule_for name in
     let delta, status =
       match (base, cur) with
       | Some b, Some c -> judge rule ~base:b ~cur:c
@@ -143,8 +142,7 @@ let compare ?tol_cycles ?(strict = false) ~baseline current =
     unchanged = count Unchanged;
     added = count Added;
     removed;
-    strict;
-    passed = regressed = 0 && ((not strict) || removed = 0);
+    passed = regressed = 0 && removed = 0;
   }
 
 let regressions cmp =

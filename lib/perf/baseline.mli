@@ -6,7 +6,7 @@
     or a pinned git rev), and {!compare} diffs a freshly recorded manifest
     against it cell by cell under per-metric direction and tolerance
     rules, producing a typed verdict per cell. The CI perf gate fails on
-    any [Regressed] cell. *)
+    any [Regressed] or [Removed] cell. *)
 
 (** How a metric family is judged. *)
 type direction =
@@ -20,10 +20,10 @@ type direction =
   | Exact  (** any change, either way, is a regression (verdict cells) *)
   | Info  (** tracked and reported, never gated *)
 
-val rule_for : ?tol_cycles:float -> string -> direction
+val rule_for : string -> direction
 (** The rule a metric name dispatches to (see the naming convention in
     {!Manifest}): [cycles.*], [slowdown.*] and [exits_per_1k.*] are
-    [Lower_better tol_cycles] (default tolerance {!default_tol_cycles});
+    [Lower_better default_tol_cycles];
     [audit_fn.*] is [Lower_better 0.]; [cause_share.*] is
     [Band default_band_share]; [alloc.*] is
     [Lower_better default_tol_alloc]; [counter.*], [faults.*] and
@@ -73,21 +73,14 @@ type comparison = {
   unchanged : int;
   added : int;  (** cells the baseline lacks (new kernels/metrics) *)
   removed : int;  (** cells the current run lacks (lost coverage) *)
-  strict : bool;
-  passed : bool;
-      (** no [Regressed] cell, and no [Removed] cell when [strict] *)
+  passed : bool;  (** no [Regressed] cell and no [Removed] cell *)
 }
 
-val compare :
-  ?tol_cycles:float ->
-  ?strict:bool ->
-  baseline:Manifest.t ->
-  Manifest.t ->
-  comparison
-(** Compare a current manifest against the baseline. [strict] (default
-    [false]) additionally fails the comparison when the current run lost
-    metric coverage ([Removed] cells) — the CI gate uses it so a silently
-    skipped experiment cannot hide a regression. A mismatch in
+val compare : baseline:Manifest.t -> Manifest.t -> comparison
+(** Compare a current manifest against the baseline. Lost coverage
+    ([Removed] cells) fails the comparison like a regression: every
+    manifest has the same shape, so a missing cell means a skipped
+    experiment, which must not hide a regression. A mismatch in
     [schema_version] is impossible here ({!Manifest.of_json} already
     rejected it). *)
 

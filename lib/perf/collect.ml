@@ -71,9 +71,9 @@ let mode_cycles_cells ~exp (mc : E.mode_cycles) =
       ]
 
 (* per-cause cycle shares of one measured workload (attributed runs
-   only): [cause_share.EXP.KERNEL.MODE.CAUSE]. All nine causes are
-   always present for an attributed run, so the coverage is stable and
-   the strict gate's Removed check bites if attribution is lost. *)
+   only): [cause_share.EXP.KERNEL.MODE.CAUSE]. Every cause is always
+   present for an attributed run, so the coverage is stable and the
+   gate's Removed check bites if attribution is lost. *)
 let cause_cells ~exp (mc : E.mode_cycles) =
   List.concat_map
     (fun (mode, shares) ->
@@ -110,19 +110,6 @@ let poc_verdicts (poc : E.poc_row list) =
       ( Printf.sprintf "e1.%s.%s.leaked" r.E.variant (mode_name r.E.mode),
         Gb_attack.Runner.succeeded r.E.outcome ))
     poc
-
-let poc_verdicts_equal a b =
-  let key (r : E.poc_row) =
-    ( r.E.variant,
-      mode_name r.E.mode,
-      Gb_attack.Runner.succeeded r.E.outcome,
-      match
-        r.E.outcome.Gb_attack.Runner.result.Gb_system.Processor.audit
-      with
-      | Some s -> s.Gb_cache.Audit.false_negatives
-      | None -> -1 )
-  in
-  List.map key a = List.map key b
 
 let chaining_cells (rows : E.chain_row list) =
   List.concat_map
@@ -282,8 +269,17 @@ let geomean_cells figure4 =
         E.geomean_slowdown figure4 ~mode ))
     mitigated_modes
 
-let of_data ?seq ?rev ?(seed = 1L) ?(counters = []) ?verdicts_unchanged ?e9
-    ?e10 ~poc ~figure4 ~e4 ~chaining () =
+let collect ?(seed = 1L) () =
+  let poc = E.e1_poc_matrix ~audit:true ~seed () in
+  let figure4 = E.e2_figure4 ~audit:true () in
+  let e4 = E.e4_matmul_ablation ~audit:true () in
+  let chaining = E.e8_chaining () in
+  let counters = counters_snapshot ~seed () in
+  let constrained =
+    E.e1_poc_matrix ~audit:true ~seed ~cc_capacity:E.e8_tiny_capacity ()
+  in
+  let e9 = E.e9_verify () in
+  let e10 = Gb_diff.Matrix.run ~seed () in
   let metrics =
     poc_cells poc
     @ List.concat_map (mode_cycles_cells ~exp:"e2") figure4
@@ -293,34 +289,14 @@ let of_data ?seq ?rev ?(seed = 1L) ?(counters = []) ?verdicts_unchanged ?e9
     @ chaining_cells chaining
     @ List.map (fun (name, v) -> ("counter." ^ name, float_of_int v)) counters
     @ alloc_cells ()
-    @ (match e10 with Some m -> e10_cells m | None -> [])
+    @ e10_cells e10
   in
   let verdicts =
     poc_verdicts poc
     @ min_cut_verdicts ~poc ~figure4
     @ chaining_verdicts chaining
-    @ (match verdicts_unchanged with
-      | Some b -> [ ("e8.verdicts_unchanged", b) ]
-      | None -> [])
-    @ (match e9 with Some d -> e9_verdicts d | None -> [])
-    @ match e10 with Some m -> e10_verdicts m | None -> []
+    @ [ ("e8.verdicts_unchanged", E.poc_verdicts_equal poc constrained) ]
+    @ e9_verdicts e9
+    @ e10_verdicts e10
   in
-  Manifest.make ?seq ?rev ~seed ~config:(config_snapshot ()) ~verdicts metrics
-
-let collect ?(seed = 1L) ?(full = true) () =
-  let poc = E.e1_poc_matrix ~audit:true ~seed () in
-  let figure4 = E.e2_figure4 ~audit:true () in
-  let e4 = E.e4_matmul_ablation ~audit:true () in
-  let chaining = E.e8_chaining () in
-  let counters = counters_snapshot ~seed () in
-  if not full then
-    of_data ~seed ~counters ~poc ~figure4 ~e4 ~chaining ()
-  else
-    let constrained =
-      E.e1_poc_matrix ~audit:true ~seed ~cc_capacity:E.e8_tiny_capacity ()
-    in
-    let e9 = E.e9_verify () in
-    let e10 = Gb_diff.Matrix.run ~seed () in
-    of_data ~seed ~counters
-      ~verdicts_unchanged:(poc_verdicts_equal poc constrained)
-      ~e9 ~e10 ~poc ~figure4 ~e4 ~chaining ()
+  Manifest.make ~seed ~config:(config_snapshot ()) ~verdicts metrics

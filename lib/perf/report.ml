@@ -3,11 +3,10 @@ open Baseline
 let summary_line cmp =
   Printf.sprintf
     "perf %s vs BENCH_%04d (%s): %d regressed, %d improved, %d unchanged, %d \
-     added, %d removed%s"
-    (if cmp.passed then "OK" else "REGRESSED")
+     added, %d removed"
+    (if cmp.passed then "OK" else "FAILED")
     cmp.base_seq cmp.base_rev cmp.regressed cmp.improved cmp.unchanged
     cmp.added cmp.removed
-    (if cmp.strict then " [strict]" else "")
 
 let fmt_value = function
   | None -> "-"
@@ -91,7 +90,6 @@ let to_json cmp =
       ("unchanged", J.Int cmp.unchanged);
       ("added", J.Int cmp.added);
       ("removed", J.Int cmp.removed);
-      ("strict", J.Bool cmp.strict);
       ("passed", J.Bool cmp.passed);
       ( "cells",
         J.List

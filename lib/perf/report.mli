@@ -3,8 +3,7 @@
     document for the CI gate. *)
 
 val summary_line : Baseline.comparison -> string
-(** One line: pass/fail, baseline identity and the per-status counts —
-    the only thing a [--json-out] bench run prints on stdout. *)
+(** One line: pass/fail, baseline identity and the per-status counts. *)
 
 val to_ascii : ?max_unchanged:int -> Baseline.comparison -> string
 (** The comparison as a {!Gb_util.Table}: every regressed, improved,

@@ -17,8 +17,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let choose t arr =
   assert (Array.length arr > 0);
   arr.(int t (Array.length arr))

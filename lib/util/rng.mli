@@ -15,7 +15,5 @@ val next : t -> int64
 val int : t -> int -> int
 (** [int t bound] draws uniformly in [\[0, bound)]. [bound] must be > 0. *)
 
-val bool : t -> bool
-
 val choose : t -> 'a array -> 'a
 (** Uniform draw from a non-empty array. *)

@@ -249,15 +249,3 @@ let report_to_json r =
       ("stores", J.Int r.stores);
       ("window", J.Int r.window);
     ]
-
-let score_to_json s =
-  let module J = Gb_util.Json in
-  let pcs l = J.List (List.map (fun p -> J.Int p) l) in
-  J.Obj
-    [
-      ("hits", pcs s.hits);
-      ("missed", pcs s.missed);
-      ("extra", pcs s.extra);
-      ("precision", J.Float s.precision);
-      ("recall", J.Float s.recall);
-    ]

@@ -63,5 +63,3 @@ val score : report -> flagged:int list -> score
 val pp_report : Format.formatter -> report -> unit
 
 val report_to_json : report -> Gb_util.Json.t
-
-val score_to_json : score -> Gb_util.Json.t

@@ -366,48 +366,3 @@ let ok r = r.violations = []
 
 let violation_pcs r =
   List.sort_uniq Int.compare (List.map (fun v -> v.v_pc) r.violations)
-
-let pp_report ppf r =
-  let open Format in
-  if r.violations = [] then
-    fprintf ppf "verify: clean (%d bundles, %d mem ops, %d sched-spec loads)"
-      r.bundles r.mem_ops r.sched_spec_loads
-  else begin
-    fprintf ppf "@[<v>";
-    List.iter
-      (fun v ->
-        fprintf ppf "verify: %s pc=0x%x bundle=%d id=%d%s@,"
-          (kind_name v.v_kind) v.v_pc v.v_bundle v.v_id
-          (match v.v_origins with
-          | [] -> ""
-          | pcs ->
-            Printf.sprintf " from=[%s]"
-              (String.concat ";"
-                 (List.map (Printf.sprintf "0x%x") pcs))))
-      r.violations;
-    fprintf ppf "%d violation(s) in %d bundles@]"
-      (List.length r.violations) r.bundles
-  end
-
-let report_to_json r =
-  let module J = Gb_util.Json in
-  J.Obj
-    [
-      ( "violations",
-        J.List
-          (List.map
-             (fun v ->
-               J.Obj
-                 [
-                   ("kind", J.String (kind_name v.v_kind));
-                   ("pc", J.Int v.v_pc);
-                   ("id", J.Int v.v_id);
-                   ("bundle", J.Int v.v_bundle);
-                   ("origins", J.List (List.map (fun p -> J.Int p) v.v_origins));
-                 ])
-             r.violations) );
-      ("sched_spec_loads", J.Int r.sched_spec_loads);
-      ("flag_spec_loads", J.Int r.flag_spec_loads);
-      ("mem_ops", J.Int r.mem_ops);
-      ("bundles", J.Int r.bundles);
-    ]

@@ -90,8 +90,3 @@ val ok : report -> bool
 
 val violation_pcs : report -> int list
 (** Distinct guest pcs with at least one violation, sorted. *)
-
-val pp_report : Format.formatter -> report -> unit
-(** Lint-style, one line per violation. *)
-
-val report_to_json : report -> Gb_util.Json.t

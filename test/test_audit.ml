@@ -200,22 +200,6 @@ let audit_counters_reproducible () =
   let a = run () and b = run () in
   Alcotest.(check bool) "bit-for-bit reproducible" true (a = b)
 
-let bench_leakage_json_roundtrip () =
-  (* the exact document bench/main.exe --json-out writes, on an audited
-     E1 matrix, must survive our own parser *)
-  let poc =
-    Gb_experiments.Experiments.e1_poc_matrix ~secret ~audit:true ~seed:1L ()
-  in
-  let doc = Gb_experiments.Experiments.leakage_json ~rows:[] poc in
-  match Gb_util.Json.of_string (Gb_util.Json.to_string_pretty doc) with
-  | Error e -> Alcotest.failf "leakage json does not parse: %s" e
-  | Ok (Gb_util.Json.Obj fields) -> (
-    match List.assoc_opt "attacks" fields with
-    | Some (Gb_util.Json.List attacks) ->
-      Alcotest.(check int) "one row per variant x mode" 10 (List.length attacks)
-    | _ -> Alcotest.fail "leakage json has no attacks list")
-  | Ok _ -> Alcotest.fail "leakage json is not an object"
-
 let qcheck_commit_boundary =
   (* property: for a random split point, every buffered access is counted
      exactly once — either replayed (committed) or diffed (transient) —
@@ -258,8 +242,6 @@ let () =
             classification_counters;
           Alcotest.test_case "summary json round-trips" `Quick
             summary_json_roundtrip;
-          Alcotest.test_case "bench leakage json round-trips" `Quick
-            bench_leakage_json_roundtrip;
         ] );
       ( "end-to-end",
         [

@@ -127,6 +127,30 @@ let unsafe_mode_is_identity () =
     report.Gb_core.Mitigation.loads_constrained;
   Alcotest.(check bool) "pattern still present" true (count_patterns g > 0)
 
+(* one parser for every surface that names a mode (the CLI's --mode, the
+   bench's --modes) *)
+let mode_names_parse () =
+  let module M = Gb_core.Mitigation in
+  let parses_to what s m =
+    match M.mode_of_string s with
+    | Ok m' -> Alcotest.(check string) what (M.mode_name m) (M.mode_name m')
+    | Error e -> Alcotest.failf "%s: %S rejected: %s" what s e
+  in
+  List.iter (fun m -> parses_to "mode name" (M.mode_name m) m) M.all_modes;
+  List.iter (fun (alias, m) -> parses_to "alias" alias m) M.mode_aliases;
+  match M.mode_of_string "fast" with
+  | Ok _ -> Alcotest.fail "unknown mode accepted"
+  | Error e ->
+    List.iter
+      (fun m ->
+        let name = M.mode_name m in
+        let n = String.length name and len = String.length e in
+        let rec mentions i =
+          i + n <= len && (String.sub e i n = name || mentions (i + 1))
+        in
+        Alcotest.(check bool) ("error lists " ^ name) true (mentions 0))
+      M.all_modes
+
 let commit_maps_only_changed_regs () =
   let g = build v1_trace in
   Gb_ir.Dfg.iter_nodes g (fun n ->
@@ -312,6 +336,7 @@ let () =
           Alcotest.test_case "fence mode inserts fences" `Quick
             fence_mode_inserts_fences;
           Alcotest.test_case "unsafe is identity" `Quick unsafe_mode_is_identity;
+          Alcotest.test_case "mode names parse" `Quick mode_names_parse;
           qt mitigation_fixpoint_prop;
           qt no_spec_never_speculative_prop;
         ] );

@@ -140,9 +140,7 @@ let test_rule_dispatch () =
     (B.Lower_better B.default_tol_alloc);
   check "counter.trace.run" B.Info;
   check "faults.e10.injected" B.Info;
-  check "something.else" B.Info;
-  Alcotest.(check bool) "tol_cycles override" true
-    (B.rule_for ~tol_cycles:0.5 "cycles.x" = B.Lower_better 0.5)
+  check "something.else" B.Info
 
 let test_identical_passes () =
   let m =
@@ -150,7 +148,7 @@ let test_identical_passes () =
       ~verdicts:[ ("e10.passed", true) ]
       [ ("cycles.x", 100.); ("audit_fn.x", 0.); ("counter.y", 7.) ]
   in
-  let cmp = B.compare ~strict:true ~baseline:m m in
+  let cmp = B.compare ~baseline:m m in
   Alcotest.(check bool) "passed" true cmp.B.passed;
   Alcotest.(check int) "regressed" 0 cmp.B.regressed;
   Alcotest.(check int) "unchanged = all cells" 4 cmp.B.unchanged
@@ -194,13 +192,12 @@ let test_missing_cells () =
   in
   check_status "new kernel" B.Added added "cycles.atax";
   Alcotest.(check bool) "added passes" true added.B.passed;
-  (* a kernel the current run lost: removed — only strict mode gates it *)
+  (* a kernel the current run lost: removed, and lost coverage gates *)
   let wide = mk [ ("cycles.gemm", 100.); ("cycles.atax", 50.) ] in
   let lost = B.compare ~baseline:wide (mk [ ("cycles.gemm", 100.) ]) in
   check_status "lost kernel" B.Removed lost "cycles.atax";
-  Alcotest.(check bool) "removed passes when lax" true lost.B.passed;
-  let strict = B.compare ~strict:true ~baseline:wide (mk [ ("cycles.gemm", 100.) ]) in
-  Alcotest.(check bool) "removed fails when strict" false strict.B.passed
+  Alcotest.(check int) "no regression" 0 lost.B.regressed;
+  Alcotest.(check bool) "removed fails" false lost.B.passed
 
 let test_verdict_flip () =
   let baseline = mk ~verdicts:[ ("e10.passed", true); ("e1.leaked", true) ] [] in
@@ -221,7 +218,7 @@ let test_verdict_flip () =
 let test_info_not_gated () =
   let baseline = mk [ ("counter.trace.run", 100.); ("faults.e10.injected", 3.) ] in
   let cmp =
-    B.compare ~strict:true ~baseline
+    B.compare ~baseline
       (mk [ ("counter.trace.run", 9000.); ("faults.e10.injected", 0.) ])
   in
   Alcotest.(check bool) "informational churn passes" true cmp.B.passed;
@@ -396,6 +393,98 @@ let test_inject_per_kind_through_oracle () =
     Alcotest.(check int) "per-kind recovered = injected" injected
       (Gb_obs.Metrics.counter_value m "fault.recovered.translate")
 
+(* --- docs stay in step with the manifest ----------------------------- *)
+
+(* [dune runtest] runs in _build/default/test, [dune exec] in the root *)
+let in_repo path =
+  Option.value ~default:path
+    (List.find_opt Sys.file_exists [ Filename.concat ".." path; path ])
+
+let observability_md = in_repo "docs/OBSERVABILITY.md"
+
+let trajectory_dir = in_repo "bench/trajectory"
+
+(* The first-column names of the markdown table under [heading]: every
+   backticked span of the first cell, one list per row. *)
+let table_names ~heading =
+  let lines =
+    In_channel.with_open_text observability_md In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  let rec after_heading = function
+    | [] -> Alcotest.failf "%s has no heading %S" observability_md heading
+    | l :: rest -> if l = heading then rest else after_heading rest
+  in
+  let rec table acc = function
+    | l :: rest when String.length l > 0 && l.[0] = '|' -> table (l :: acc) rest
+    | [] -> List.rev acc
+    | _ :: _ when acc <> [] -> List.rev acc
+    | _ :: rest -> table acc rest
+  in
+  let first_cell row =
+    let body = String.sub row 1 (String.length row - 1) in
+    let n = String.length body in
+    let rec cell_end i =
+      if i + 3 > n then n
+      else if String.sub body i 3 = " | " then i
+      else cell_end (i + 1)
+    in
+    String.sub body 0 (cell_end 0)
+  in
+  let backticked cell =
+    match String.split_on_char '`' cell with
+    | [] -> []
+    | _ :: parts -> List.filteri (fun i _ -> i mod 2 = 0) parts
+  in
+  match table [] (after_heading lines) with
+  | _header :: _separator :: rows ->
+    List.map (fun r -> backticked (first_cell r)) rows
+  | _ -> Alcotest.failf "no table under %S" heading
+
+let family name =
+  match String.index_opt name '.' with
+  | Some i -> String.sub name 0 i
+  | None -> name
+
+let test_gate_rules_table () =
+  let newest =
+    match B.load_dir trajectory_dir with
+    | Error e -> Alcotest.failf "trajectory: %s" e
+    | Ok ms -> Option.get (B.select ms)
+  in
+  let families l = List.sort_uniq String.compare (List.map family l) in
+  let in_manifest =
+    families
+      (List.map fst newest.M.metrics @ List.map fst newest.M.verdicts)
+  in
+  let rows = table_names ~heading:"### Metric naming and gate rules" in
+  let documented = families (List.concat rows) in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "family %s of BENCH_%04d has a gate-rule row" f
+           newest.M.seq)
+        true (List.mem f documented))
+    in_manifest;
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "gate-rule row %s occurs in BENCH_%04d" f newest.M.seq)
+        true (List.mem f in_manifest))
+    documented
+
+let test_cause_table () =
+  let documented =
+    List.sort String.compare
+      (List.concat (table_names ~heading:"### Cause taxonomy"))
+  in
+  let causes =
+    List.sort String.compare
+      (List.map Gb_obs.Attrib.cause_name Gb_obs.Attrib.all_causes)
+  in
+  Alcotest.(check (list string)) "cause table = Attrib.all_causes" causes
+    documented
+
 let () =
   Alcotest.run "perf"
     [
@@ -446,5 +535,12 @@ let () =
             test_inject_per_kind_accounting;
           Alcotest.test_case "per-kind counters through the oracle" `Quick
             test_inject_per_kind_through_oracle;
+        ] );
+      ( "docs",
+        [
+          Alcotest.test_case "gate-rule table matches the newest manifest"
+            `Quick test_gate_rules_table;
+          Alcotest.test_case "cause table matches Attrib.all_causes" `Quick
+            test_cause_table;
         ] );
     ]
