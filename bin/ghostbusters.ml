@@ -68,13 +68,13 @@ let print_result (r : Gb_system.Processor.result) =
   if r.Gb_system.Processor.output <> "" then
     Printf.printf "output           %S\n" r.Gb_system.Processor.output
 
-let print_verify_log = function
+let print_verify_log ?(oc = stdout) = function
   | [] -> ()
   | log ->
-    Printf.printf "\nVerifier violations:\n";
+    Printf.fprintf oc "\nVerifier violations:\n";
     List.iter
       (fun (entry, v) ->
-        Printf.printf "  region 0x%x: %-16s pc 0x%x  op %d  bundle %d%s\n"
+        Printf.fprintf oc "  region 0x%x: %-16s pc 0x%x  op %d  bundle %d%s\n"
           entry
           (Gb_verify.Verifier.kind_name v.Gb_verify.Verifier.v_kind)
           v.Gb_verify.Verifier.v_pc v.Gb_verify.Verifier.v_id
@@ -288,7 +288,10 @@ let check_outputs paths =
   in
   List.fold_left writable (Ok ()) paths
 
-let emit_observability obs ~trace_out ~metrics_out ~profile =
+(* Write the trace and metrics files and, with [profile], print the phase
+   and counter tables on [oc]: stderr when stdout carries a JSON
+   document. *)
+let emit_observability ?(oc = stdout) obs ~trace_out ~metrics_out ~profile =
   Option.iter
     (fun path ->
       write_file path (Gb_util.Json.to_string (Gb_obs.Sink.trace_json obs)))
@@ -301,8 +304,9 @@ let emit_observability obs ~trace_out ~metrics_out ~profile =
   if profile then begin
     let totals = Gb_obs.Sink.timer_totals obs in
     if totals <> [] then begin
-      Printf.printf "\nDBT host phases (wall clock):\n";
-      Gb_util.Table.print
+      Printf.fprintf oc "\nDBT host phases (wall clock):\n";
+      output_string oc
+      @@ Gb_util.Table.render
         ~header:[ "phase"; "calls"; "total us"; "us/call" ]
         ~rows:
           (List.map
@@ -318,7 +322,7 @@ let emit_observability obs ~trace_out ~metrics_out ~profile =
     match Gb_obs.Sink.metrics obs with
     | None -> ()
     | Some m ->
-      Printf.printf "\nKey counters:\n";
+      Printf.fprintf oc "\nKey counters:\n";
       let counters =
         [
           "translate.translations"; "translate.first_pass";
@@ -332,7 +336,8 @@ let emit_observability obs ~trace_out ~metrics_out ~profile =
           "processor.dispatch_exits";
         ]
       in
-      Gb_util.Table.print ~header:[ "counter"; "value" ]
+      output_string oc
+      @@ Gb_util.Table.render ~header:[ "counter"; "value" ]
         ~rows:
           (List.map
              (fun name ->
@@ -391,10 +396,21 @@ let run_cmd =
           (Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program)
       in
       let r = Gb_system.Processor.run proc in
+      (* under --json stdout carries exactly one JSON document: the audit
+         joins it as a key, the verifier log and the profile tables go to
+         stderr *)
+      let oc = if json then stderr else stdout in
       if json then
         print_endline
           (Gb_util.Json.to_string_pretty
-             (Gb_system.Report.to_json (Gb_system.Report.of_processor proc r)))
+             (match
+                ( Gb_system.Report.to_json (Gb_system.Report.of_processor proc r),
+                  r.Gb_system.Processor.audit )
+              with
+             | Gb_util.Json.Obj fields, Some a ->
+               Gb_util.Json.Obj
+                 (fields @ [ ("audit", Gb_cache.Audit.summary_to_json a) ])
+             | j, _ -> j))
       else if report then
         Format.printf "%s under %s@.%a" name
           (Gb_core.Mitigation.mode_name mode)
@@ -404,11 +420,11 @@ let run_cmd =
         Printf.printf "%s under %s\n" name (Gb_core.Mitigation.mode_name mode);
         print_result r
       end;
-      print_audit r.Gb_system.Processor.audit;
+      if not json then print_audit r.Gb_system.Processor.audit;
       if verify then
-        print_verify_log
+        print_verify_log ~oc
           (Gb_dbt.Engine.verify_log (Gb_system.Processor.engine proc));
-      emit_observability obs ~trace_out ~metrics_out ~profile;
+      emit_observability ~oc obs ~trace_out ~metrics_out ~profile;
       Ok ()
   in
   Cmd.v
@@ -739,7 +755,9 @@ let diff_cmd =
     | Ok () ->
     let obs = sink_of_flags ~seed trace_out metrics_out profile false in
     let finish result =
-      emit_observability obs ~trace_out ~metrics_out ~profile;
+      emit_observability
+        ~oc:(if json then stderr else stdout)
+        obs ~trace_out ~metrics_out ~profile;
       result
     in
     finish

@@ -213,4 +213,5 @@ let emit res ~n_hidden ~cycles ~entry_pc ~guest_insns ~meta g =
     n_regs = guest_regs + temps_used;
     guest_insns;
     meta;
+    decoded = Undecoded;
   }

@@ -392,7 +392,9 @@ let translate_first_pass t st entry =
   else
     match
       Gb_obs.Sink.time t.obs "first_pass" (fun () ->
-          First_pass.translate ~mem:t.mem ~entry)
+          let block = First_pass.translate ~mem:t.mem ~entry in
+          Gb_vliw.Pipeline.decode block.First_pass.trace;
+          block)
     with
     | { First_pass.trace; branch_pc }
       when t.cfg.verify = Verify_enforce
@@ -516,7 +518,10 @@ let analyse t ~opt gtrace =
   in
   (g, report)
 
-(* Scheduling and codegen of a mitigated graph. *)
+(* Scheduling and codegen of a mitigated graph. The codegen phase ends
+   with the decode of the emitted bundles: every lowering is decoded
+   once, here, and every install of it, a stored lowering's included,
+   shares that decoded form. *)
 let emit t ~entry gtrace g report =
   let cfg = t.cfg in
   let cycles =
@@ -525,9 +530,12 @@ let emit t ~entry gtrace g report =
   in
   let meta = graph_meta g report in
   Gb_obs.Sink.time t.obs "codegen" (fun () ->
-      Codegen.emit cfg.resources ~n_hidden:cfg.n_hidden ~cycles ~entry_pc:entry
-        ~guest_insns:(Gb_ir.Gtrace.length gtrace)
-        ~meta g)
+      let trace =
+        Codegen.emit cfg.resources ~n_hidden:cfg.n_hidden ~cycles
+          ~entry_pc:entry ~guest_insns:(Gb_ir.Gtrace.length gtrace) ~meta g
+      in
+      Gb_vliw.Pipeline.decode trace;
+      trace)
 
 (* The full lowering of one formed trace: [(trace, report)], or one of
    the pipeline's failure exceptions. *)
@@ -579,8 +587,9 @@ let gate t ~entry gtrace (trace, report) =
       (trace, report, true)
     end
 
-(* A copy of a template sharing its bundles, which nothing mutates after
-   codegen, with fresh unchained stubs: chain links are per install. *)
+(* A copy of a template sharing its bundles and their decoded form,
+   which nothing mutates after codegen, with fresh unchained stubs: chain
+   links are per install. *)
 let instantiate (tpl : Gb_vliw.Vinsn.trace) =
   {
     tpl with

@@ -112,6 +112,7 @@ let translate ~mem ~entry =
         n_regs = guest_regs;
         guest_insns = !count;
         meta = empty_meta;
+        decoded = Undecoded;
       };
     branch_pc = !branch_pc;
   }

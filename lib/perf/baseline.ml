@@ -194,9 +194,12 @@ let select ?rev manifests =
         | _ -> Some m)
       None manifests
   | Some rev ->
+    (* a dirty rev names a tree no commit holds: it pins nothing *)
     let matches m =
-      has_prefix ~prefix:rev m.Manifest.rev
-      || has_prefix ~prefix:m.Manifest.rev rev
+      (not (Manifest.is_dirty m.Manifest.rev))
+      && (not (Manifest.is_dirty rev))
+      && (has_prefix ~prefix:rev m.Manifest.rev
+         || has_prefix ~prefix:m.Manifest.rev rev)
     in
     List.find_opt matches manifests
 

@@ -95,7 +95,8 @@ val load_dir : string -> (Manifest.t list, string) result
 val select : ?rev:string -> Manifest.t list -> Manifest.t option
 (** The comparison baseline: the manifest whose [rev] matches (prefix
     match, so a full sha selects a short-rev manifest and vice versa), or
-    the highest [seq] when [rev] is omitted. *)
+    the highest [seq] when [rev] is omitted. A dirty rev
+    ({!Manifest.is_dirty}), on either side, never matches. *)
 
 val next_seq : Manifest.t list -> int
 (** Highest committed sequence number + 1 (1 on an empty trajectory) —

@@ -28,14 +28,39 @@ let default_env () =
     ("word_size", string_of_int Sys.word_size);
   ]
 
-let detect_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
+let dirty_suffix = "-dirty"
+
+let rev_of ~head ~dirty =
+  match head with
+  | None -> "unknown"
+  | Some h -> if dirty then h ^ dirty_suffix else h
+
+let is_dirty rev = String.ends_with ~suffix:dirty_suffix rev
+
+(* The first line [cmd] prints and its exit status; [None] when it could
+   not be started. *)
+let command_line cmd =
+  match Unix.open_process_in cmd with
+  | exception _ -> None
   | ic ->
     let line = try input_line ic with End_of_file -> "" in
-    let status = Unix.close_process_in ic in
-    let line = String.trim line in
-    if status = Unix.WEXITED 0 && line <> "" then line else "unknown"
+    Some (String.trim line, Unix.close_process_in ic)
+
+(* [git diff --quiet HEAD] exits 0 when no tracked file differs from
+   HEAD, 1 when one does; any other outcome is not a clean tree either,
+   so only a 0 counts as clean. *)
+let detect_rev () =
+  let head =
+    match command_line "git rev-parse --short HEAD 2>/dev/null" with
+    | Some (line, Unix.WEXITED 0) when line <> "" -> Some line
+    | Some _ | None -> None
+  in
+  let dirty () =
+    match command_line "git diff --quiet HEAD -- 2>/dev/null" with
+    | Some (_, Unix.WEXITED 0) -> false
+    | Some _ | None -> true
+  in
+  rev_of ~head ~dirty:(Option.is_some head && dirty ())
 
 let make ?(seq = 0) ?rev ?(seed = 1L) ?env ?(config = []) ?(verdicts = [])
     metrics =

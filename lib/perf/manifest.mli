@@ -63,8 +63,18 @@ val default_env : unit -> (string * string) list
 (** OCaml version, word size and OS type of the running binary. *)
 
 val detect_rev : unit -> string
-(** [git rev-parse --short HEAD] of the current directory, or ["unknown"]
-    when git is unavailable. *)
+(** {!rev_of} the current directory: the short HEAD hash from
+    [git rev-parse --short HEAD], and dirty unless [git diff --quiet HEAD]
+    reports that no tracked file differs from it. ["unknown"] outside a
+    checkout or when git is unavailable. *)
+
+val rev_of : head:string option -> dirty:bool -> string
+(** The rev a manifest records: ["unknown"] when [head] is [None], else
+    the hash, with ["-dirty"] appended when [dirty] (the run was built
+    from a tree that differs from that commit). *)
+
+val is_dirty : string -> bool
+(** Whether a rev carries the ["-dirty"] suffix of {!rev_of}. *)
 
 val metric : t -> string -> float option
 

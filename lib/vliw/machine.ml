@@ -36,18 +36,16 @@ type t = {
   mutable on_chain : Vinsn.exit_info -> Vinsn.trace option;
   mutable rdcycle_hook : (int64 -> int64) option;
   (* Scratch state owned by Pipeline.run_one, hoisted here so bundle
-     execution never allocates: the parallel-write buffer is three
-     parallel arrays (a tuple array would box one pair per register
-     write), reset by [n_writes] rather than refilled, its values held
-     unboxed in a register file; [operands] stages an op's source
-     operands for the shared ALU/branch/store helpers; the taken exit is
-     a -1-sentinel index plus kind (an [option ref] would box per
-     bundle); [taint] is the per-run register taint map, reset by fill
-     only when an audit is attached ([taint_on]). *)
-  mutable w_dst : int array;
+     execution never allocates: the parallel-write buffer is two
+     parallel arrays indexed by the static write slots decode assigns
+     (a tuple array would box one pair per register write), its values
+     held unboxed in a register file; [operands] stages an op's
+     immediate operands for the shared ALU/branch/store helpers; the
+     taken exit is a -1-sentinel index plus kind (an [option ref] would
+     box per bundle); [taint] is the per-run register taint map, reset
+     by fill only when an audit is attached ([taint_on]). *)
   mutable w_val : Gb_riscv.Regfile.t;
   mutable w_taint : bool array;
-  mutable n_writes : int;
   operands : Gb_riscv.Regfile.t;
   mutable stall : int;
   mutable taken_stub : int;
@@ -93,10 +91,8 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
     audit;
     on_chain = (fun _ -> None);
     rdcycle_hook = None;
-    w_dst = Array.make 32 0;
     w_val = Gb_riscv.Regfile.create 32;
     w_taint = Array.make 32 false;
-    n_writes = 0;
     operands = Gb_riscv.Regfile.create 2;
     stall = 0;
     taken_stub = -1;
@@ -129,8 +125,7 @@ let flush_acc t =
 (* grow the parallel-write buffer to at least [n] slots (wider traces
    than any seen before); steady state never allocates *)
 let ensure_write_capacity t n =
-  if Array.length t.w_dst < n then begin
-    t.w_dst <- Array.make n 0;
+  if Array.length t.w_taint < n then begin
     t.w_val <- Gb_riscv.Regfile.create n;
     t.w_taint <- Array.make n false
   end

@@ -74,15 +74,13 @@ type t = {
           replayed into the reference interpreter, which turns timing
           into a run {e input} instead of compared state. [None]
           (default) reads the clock unfiltered. *)
-  mutable w_dst : int array;
-      (** scratch (owned by {!Pipeline}): parallel-write destinations *)
   mutable w_val : Gb_riscv.Regfile.t;
-      (** scratch: parallel-write values, written in place by the op
-          that computes them *)
+      (** scratch (owned by {!Pipeline}): parallel-write values, written
+          in place by the op that computes them into the static slot
+          decode gave it *)
   mutable w_taint : bool array;  (** scratch: parallel-write taint bits *)
-  mutable n_writes : int;  (** scratch: live prefix of the write buffer *)
   operands : Gb_riscv.Regfile.t;
-      (** scratch: an op's source operands, staged for the shared
+      (** scratch: an op's immediate operands, staged for the shared
           {!Gb_riscv.Interp} helpers *)
   mutable stall : int;  (** scratch: stall cycles of the current bundle *)
   mutable taken_stub : int;  (** scratch: taken stub index, -1 = none *)

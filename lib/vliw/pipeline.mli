@@ -31,11 +31,30 @@ type exit_info = Vinsn.exit_info = {
 
 exception Machine_error of string
 (** Ill-formed trace detected at run time (two control operations in a
-    bundle, duplicate register writes, ...) — indicates a code generator
-    bug, never a guest error. *)
+    bundle, duplicate register writes, a trace never decoded, ...) —
+    indicates a code generator bug, never a guest error. *)
+
+val decode : Vinsn.trace -> unit
+(** Fill [trace.decoded] with the executable form of its bundles, once
+    (a no-op when already decoded): per bundle, an array of closures
+    specialised on each op's kind and operand forms, plus the static
+    write-buffer slot of every register the bundle writes. Nop and Fence
+    slots, and ALU ops and moves into x0, are dropped; immediate operands
+    are resolved; a duplicate write decodes to an op that raises
+    {!Machine_error} when it runs. The result is a pure function of
+    [trace.bundles], captures no machine and no stub record, and is
+    shared by every copy of the trace record, so a translation is
+    decoded once however often it is installed. The engine decodes every
+    translation it makes; a trace built by hand must be decoded before
+    {!run}. *)
+
+val decoded_ops : Vinsn.trace -> int
+(** The number of decoded ops over all bundles (the ops {!decode} did
+    not drop); 0 for a trace not yet decoded. *)
 
 val run : Machine.t -> Vinsn.trace -> exit_info
-(** Execute the trace, advancing the machine clock, and — when
+(** Execute the trace's decoded form (raising {!Machine_error} if it was
+    never {!decode}d), advancing the machine clock, and — when
     [m.cfg.chain] is set — keep going: if the taken exit stub carries a
     chain link patched by the code cache, consult the [m.on_chain]
     resolver (which does the dispatcher's accounting for the

@@ -60,6 +60,12 @@ let empty_meta =
     cut_protects = 0;
   }
 
+(* Extensible so Pipeline, which depends on Machine, can add the decoded
+   form without a dependency cycle. *)
+type decoded = ..
+
+type decoded += Undecoded
+
 (* stub and trace are mutually recursive: a patched stub transfers
    directly into the successor trace (trace chaining) *)
 type stub = {
@@ -79,6 +85,7 @@ and trace = {
   n_regs : int;
   guest_insns : int;
   meta : meta;
+  mutable decoded : decoded;
 }
 
 let make_stub ?(exit_id = max_int) ~commits ~target_pc () =

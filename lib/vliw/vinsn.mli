@@ -75,6 +75,14 @@ type meta = {
 
 val empty_meta : meta
 
+type decoded = ..
+(** The executable form of a trace's bundles. {!Pipeline} adds the one
+    real constructor and alone reads it; the type is extensible because
+    the decoded form is closures over a [Machine.t], and {!Machine}
+    depends on this module. *)
+
+type decoded += Undecoded  (** not decoded yet: fresh from a code generator *)
+
 type stub = {
   commits : (reg * operand) list;
       (** guest register <- operand, applied in order *)
@@ -103,6 +111,12 @@ and trace = {
   n_regs : int;  (** total register file size used (guest + hidden) *)
   guest_insns : int;  (** guest instructions covered by one pass *)
   meta : meta;
+  mutable decoded : decoded;
+      (** [bundles] decoded for execution, filled once by
+          [Pipeline.decode] when the translation is made and shared by
+          every copy of the record. A pure function of [bundles], which
+          stay the source of truth for the verifier, attribution and the
+          printers; nothing mutates either once set. *)
 }
 
 val make_stub :

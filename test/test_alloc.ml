@@ -5,8 +5,7 @@
    code path once, then hold N repetitions to a per-repetition word
    budget. Register values live unboxed in a [Gb_riscv.Regfile], so an
    ALU op or load allocates nothing; what a trace run still allocates is
-   a small per-run constant for the trace-exit bookkeeping (the clock
-   fold). With an [int64 array] register file every value written cost
+   the one box of the clock fold at its exit. With an [int64 array] register file every value written cost
    a 3-word box, so every bound in this file fails on that code. The
    bounds assume the release profile the workspace builds in: -opaque
    (the dev profile) turns the inlined register accesses into calls
@@ -31,14 +30,19 @@ let pad width ops =
 
 let trace ?(stubs = [ make_stub ~commits:[] ~target_pc:0x2000 () ])
     ?(n_regs = 64) bundles =
-  {
-    entry_pc = 0x1000;
-    bundles = Array.of_list (List.map (pad 4) bundles);
-    stubs = Array.of_list stubs;
-    n_regs;
-    guest_insns = 0;
-    meta = empty_meta;
-  }
+  let t =
+    {
+      entry_pc = 0x1000;
+      bundles = Array.of_list (List.map (pad 4) bundles);
+      stubs = Array.of_list stubs;
+      n_regs;
+      guest_insns = 0;
+      meta = empty_meta;
+      decoded = Undecoded;
+    }
+  in
+  Gb_vliw.Pipeline.decode t;
+  t
 
 (* words/run of [n] repetitions after one warm-up pass *)
 let measure_runs m t n =
@@ -51,12 +55,12 @@ let measure_runs m t n =
 
 (* --- steady-state micro bounds ----------------------------------------- *)
 
-(* Per-run budget: the trace-exit constant (one clock fold, and the
-   [Gc.minor_words] float boxes of this measurement loop itself), with
-   slack. Measured steady state is 13 words/run whatever the trace
-   executes; with boxed register values it was 15 + 3 per value an op
-   produced. *)
-let budget = 16.
+(* Per-run budget: the trace-exit constant, one 3-word [int64] box for
+   the clock fold, with a word of slack. Measured steady state is 3
+   words/run whatever the trace executes. It was 13 while the bundle
+   loop was a local closure, built on every pass, and 15 + 3 per value
+   an op produced with boxed register values. *)
+let budget = 4.
 
 let check_budget name words =
   if words > budget then
@@ -237,8 +241,9 @@ let interp_steady_state () =
     Alcotest.failf "interpreter: %.0f words for %Ld more instructions"
       (w2 -. w1) (Int64.sub n2 n1)
 
-(* 287.3 words/kinsn (the measured floor, +5%); 2080 with the int64
-   array register file. What is left is per trace exit and per
+(* 155.9 words/kinsn (the measured floor, +5%); 285.7 while the bundle
+   loop was a local closure built on every trace pass, 2080 with the
+   int64 array register file. What is left is per trace exit and per
    interpreted instruction, not per bundle: dispatch, engine bookkeeping,
    the interpreter's step records. Translation is excluded by the
    engine's Allocs windows. The processor is pinned to the configuration
@@ -257,29 +262,23 @@ let pipeline_bound () =
         Allocs.per_kinsn ~words:(Allocs.stop a)
           ~insns:r.Gb_system.Processor.guest_insns
       in
-      if per_kinsn > 301.7 then
-        Alcotest.failf "%s: pipeline allocates %.1f words/kinsn (budget 301.7)"
+      if per_kinsn > 163.7 then
+        Alcotest.failf "%s: pipeline allocates %.1f words/kinsn (budget 163.7)"
           (Gb_core.Mitigation.mode_name mode)
           per_kinsn)
     [ Gb_core.Mitigation.Fence_on_detect; Gb_core.Mitigation.Min_cut ]
 
 (* --- translation ---------------------------------------------------------- *)
 
-(* Minor words per DFG node for translating every trace region of a
-   program through the public phases, on the branch profile its run
-   leaves behind, under the two modes the churn benchmark translates
-   with. The engine's Allocs windows exclude translation, so this is its
-   only allocation bound. The run is pinned, so the profile and the
-   region list are the same in every environment. *)
-let translation_words_per_node (k : Gb_workloads.Polybench.t) =
+(* Every trace region of a program, on the branch profile its run leaves
+   behind, and a lowering of one of them through the public phases. The
+   run is pinned, so the profile and the region list are the same in
+   every environment. *)
+let pinned_regions (k : Gb_workloads.Polybench.t) =
   let program = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
   let p = Pinned.processor Gb_core.Mitigation.Fine_grained program in
   ignore (Gb_system.Processor.run p);
   let eng = Gb_system.Processor.engine p in
-  let mem = Gb_system.Processor.mem p in
-  let profile = Gb_dbt.Engine.branch_profile eng in
-  let cfg = Gb_dbt.Engine.config eng in
-  let lat = cfg.Gb_dbt.Engine.lat and res = cfg.Gb_dbt.Engine.resources in
   let entries =
     List.filter_map
       (fun (r : Gb_dbt.Engine.region) ->
@@ -288,30 +287,43 @@ let translation_words_per_node (k : Gb_workloads.Polybench.t) =
         | `Block -> None)
       (Gb_dbt.Engine.regions eng)
   in
+  (eng, Gb_system.Processor.mem p, entries)
+
+let lower eng mem mode entry =
+  let cfg = Gb_dbt.Engine.config eng in
+  let lat = cfg.Gb_dbt.Engine.lat and res = cfg.Gb_dbt.Engine.resources in
+  let gtrace =
+    Gb_dbt.Trace_builder.build cfg.Gb_dbt.Engine.trace_cfg ~mem
+      ~profile:(Gb_dbt.Engine.branch_profile eng) ~entry
+  in
+  let g =
+    Gb_ir.Build.build ~opt:(Gb_core.Mitigation.opt_of_mode mode) ~lat gtrace
+  in
+  ignore (Gb_core.Mitigation.apply mode ~lat g);
+  let cycles = Gb_dbt.Sched.schedule res ~lat g in
+  ( g,
+    Gb_dbt.Codegen.emit res ~n_hidden:cfg.Gb_dbt.Engine.n_hidden ~cycles
+      ~entry_pc:entry ~guest_insns:(Gb_ir.Gtrace.length gtrace)
+      ~meta:Gb_vliw.Vinsn.empty_meta g )
+
+(* the two modes the churn benchmark translates with *)
+let churn_modes = [ Gb_core.Mitigation.Fine_grained; Gb_core.Mitigation.Min_cut ]
+
+(* Minor words per DFG node for lowering every trace region of a program
+   under the churn modes. The engine's Allocs windows exclude
+   translation, so this and the decode bound below are its only
+   allocation bounds. *)
+let translation_words_per_node k =
+  let eng, mem, entries = pinned_regions k in
   let translate_all () =
     List.fold_left
       (fun nodes mode ->
         List.fold_left
           (fun nodes entry ->
-            let gtrace =
-              Gb_dbt.Trace_builder.build cfg.Gb_dbt.Engine.trace_cfg ~mem
-                ~profile ~entry
-            in
-            let g =
-              Gb_ir.Build.build ~opt:(Gb_core.Mitigation.opt_of_mode mode) ~lat
-                gtrace
-            in
-            ignore (Gb_core.Mitigation.apply mode ~lat g);
-            let cycles = Gb_dbt.Sched.schedule res ~lat g in
-            ignore
-              (Gb_dbt.Codegen.emit res ~n_hidden:cfg.Gb_dbt.Engine.n_hidden
-                 ~cycles ~entry_pc:entry
-                 ~guest_insns:(Gb_ir.Gtrace.length gtrace)
-                 ~meta:Gb_vliw.Vinsn.empty_meta g);
+            let g, _ = lower eng mem mode entry in
             nodes + Gb_ir.Dfg.n_nodes g)
           nodes entries)
-      0
-      [ Gb_core.Mitigation.Fine_grained; Gb_core.Mitigation.Min_cut ]
+      0 churn_modes
   in
   ignore (translate_all ());
   let before = Gc.minor_words () in
@@ -330,6 +342,37 @@ let translation_bound () =
           k.Gb_workloads.Polybench.name words budget)
     [ (List.hd Gb_workloads.Polybench.all, 229.9);
       (Gb_workloads.Polybench.matmul_ptr, 238.2) ]
+
+(* Minor words per decoded op for decoding the same lowerings: what the
+   engine adds to a translation, once per lowering, inside its codegen
+   phase. The closures, the flat arrays they sit in, and the scratch
+   arrays decode fills first and trims. *)
+let decode_words_per_op k =
+  let eng, mem, entries = pinned_regions k in
+  let traces =
+    List.concat_map
+      (fun mode -> List.map (fun e -> snd (lower eng mem mode e)) entries)
+      churn_modes
+  in
+  let before = Gc.minor_words () in
+  List.iter Gb_vliw.Pipeline.decode traces;
+  let words = Gc.minor_words () -. before in
+  words
+  /. float_of_int
+       (List.fold_left (fun n t -> n + Gb_vliw.Pipeline.decoded_ops t) 0 traces)
+
+(* The measured floor + 10%: gemm 17.3 and matmul-ptr 20.5 words per
+   decoded op; 19.8 and 23.4 with a record and two arrays per bundle
+   instead of one flat array each for the trace's ops and writes. *)
+let decode_bound () =
+  List.iter
+    (fun (k, budget) ->
+      let words = decode_words_per_op k in
+      if words > budget then
+        Alcotest.failf "%s: decode allocates %.1f words/op (budget %.1f)"
+          k.Gb_workloads.Polybench.name words budget)
+    [ (List.hd Gb_workloads.Polybench.all, 19.1);
+      (Gb_workloads.Polybench.matmul_ptr, 22.6) ]
 
 (* --- Allocs accounting ------------------------------------------------- *)
 
@@ -434,6 +477,8 @@ let () =
           Alcotest.test_case "pipeline on gemm" `Quick pipeline_bound;
           Alcotest.test_case "translation of gemm and matmul-ptr" `Quick
             translation_bound;
+          Alcotest.test_case "decode of gemm and matmul-ptr" `Quick
+            decode_bound;
         ] );
       ( "allocs",
         [ Alcotest.test_case "exclusion windows" `Quick allocs_windows ] );

@@ -24,6 +24,7 @@ let mk_trace ?(bundles = 4) ~pc targets =
     n_regs = 64;
     guest_insns = bundles;
     meta = Gb_vliw.Vinsn.empty_meta;
+    decoded = Gb_vliw.Vinsn.Undecoded;
   }
 
 let cache ?(capacity = 16) ?(chain = true) () =

@@ -521,6 +521,7 @@ let trace_oracle_prop =
           settle (budget - 1) fixup.Gb_riscv.Interp.pc
         end
       in
+      Gb_vliw.Pipeline.decode trace;
       let first_exit = (Gb_vliw.Pipeline.run machine trace).Gb_vliw.Pipeline.next_pc in
       let vliw_pc = settle 1000 first_exit in
       let regs_agree =
@@ -564,6 +565,7 @@ let first_pass_straight_line () =
   Alcotest.(check (option int)) "no terminal branch" None branch_pc;
   Alcotest.(check int) "one op per insn plus exit" 4
     (Array.length trace.Gb_vliw.Vinsn.bundles);
+  Gb_vliw.Pipeline.decode trace;
   let info = Gb_vliw.Pipeline.run machine trace in
   Alcotest.(check int) "exits before the ecall" (program.Asm.entry + 12)
     info.Gb_vliw.Pipeline.next_pc;
@@ -588,6 +590,7 @@ let first_pass_branch_block () =
   in
   Alcotest.(check (option int)) "terminal branch recorded"
     (Some (program.Asm.entry + 4)) branch_pc;
+  Gb_vliw.Pipeline.decode trace;
   (* taken path: t0 < t1 *)
   Gb_riscv.Regfile.set machine.Gb_vliw.Machine.regs Reg.t1 100L;
   let info = Gb_vliw.Pipeline.run machine trace in
@@ -669,6 +672,7 @@ let first_pass_differential_prop =
       let { Gb_dbt.First_pass.trace; _ } =
         Gb_dbt.First_pass.translate ~mem:vmem ~entry:program.Gb_riscv.Asm.entry
       in
+      Gb_vliw.Pipeline.decode trace;
       let info = Gb_vliw.Pipeline.run machine trace in
       info.Gb_vliw.Pipeline.next_pc = interp.Gb_riscv.Interp.pc
       && List.for_all

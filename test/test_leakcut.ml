@@ -215,6 +215,7 @@ let residual_flow_detected () =
       n_regs = 64;
       guest_insns = 4;
       meta = Gb_vliw.Vinsn.empty_meta;
+      decoded = Gb_vliw.Vinsn.Undecoded;
     }
   in
   let violations = Verifier.check_cut trace ~plan:L.empty_plan in

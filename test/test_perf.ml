@@ -247,6 +247,34 @@ let test_trajectory_dir () =
         | None -> Alcotest.fail "rev pin found nothing");
         Alcotest.(check bool) "unknown rev" true (B.select ~rev:"ffff" ms = None))
 
+(* A manifest recorded from an uncommitted tree is stamped with its
+   parent's hash plus "-dirty", and no --baseline-rev selects it. *)
+let test_dirty_rev () =
+  Alcotest.(check string) "clean" "abc1234"
+    (M.rev_of ~head:(Some "abc1234") ~dirty:false);
+  Alcotest.(check string) "dirty" "abc1234-dirty"
+    (M.rev_of ~head:(Some "abc1234") ~dirty:true);
+  Alcotest.(check string) "outside a checkout" "unknown"
+    (M.rev_of ~head:None ~dirty:false);
+  Alcotest.(check string) "outside a checkout, dirty" "unknown"
+    (M.rev_of ~head:None ~dirty:true);
+  Alcotest.(check bool) "suffix read back" true (M.is_dirty "abc1234-dirty");
+  Alcotest.(check bool) "clean read back" false (M.is_dirty "abc1234");
+  let ms =
+    [ mk ~seq:1 ~rev:"aaaa111" [ ("cycles.x", 100.) ];
+      mk ~seq:2 ~rev:"bbbb222-dirty" [ ("cycles.x", 90.) ] ]
+  in
+  (match B.select ~rev:"aaaa" ms with
+  | Some m -> Alcotest.(check int) "clean rev pins" 1 m.M.seq
+  | None -> Alcotest.fail "clean rev pin found nothing");
+  Alcotest.(check bool) "dirty manifest never pinned" true
+    (B.select ~rev:"bbbb" ms = None);
+  Alcotest.(check bool) "dirty rev pins nothing" true
+    (B.select ~rev:"aaaa111-dirty" ms = None);
+  match B.select ms with
+  | Some m -> Alcotest.(check int) "latest still wins unpinned" 2 m.M.seq
+  | None -> Alcotest.fail "select found nothing"
+
 let test_trajectory_rejects_bad_file () =
   with_temp_dir (fun dir ->
       M.write
@@ -517,6 +545,7 @@ let () =
         [
           Alcotest.test_case "load, select, next_seq" `Quick
             test_trajectory_dir;
+          Alcotest.test_case "dirty revs" `Quick test_dirty_rev;
           Alcotest.test_case "bad file poisons the load" `Quick
             test_trajectory_rejects_bad_file;
           Alcotest.test_case "empty dir is an error" `Quick

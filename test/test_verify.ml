@@ -23,6 +23,7 @@ let mk ~stubs bundles =
     n_regs = 64;
     guest_insns = 8;
     meta = V.empty_meta;
+    decoded = V.Undecoded;
   }
 
 let load ?spec ?(hoisted = false) ~id ~pc ~dst ~base () =

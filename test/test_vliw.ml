@@ -15,15 +15,21 @@ let make_machine () =
 
 let pad width ops = Array.init width (fun i -> if i < List.length ops then List.nth ops i else Nop)
 
+(* A hand-built trace, decoded as the engine decodes every translation *)
 let trace ?(stubs = []) ?(n_regs = 64) bundles =
-  {
-    entry_pc = 0x1000;
-    bundles = Array.of_list (List.map (pad 4) bundles);
-    stubs = Array.of_list stubs;
-    n_regs;
-    guest_insns = 0;
-    meta = empty_meta;
-  }
+  let t =
+    {
+      entry_pc = 0x1000;
+      bundles = Array.of_list (List.map (pad 4) bundles);
+      stubs = Array.of_list stubs;
+      n_regs;
+      guest_insns = 0;
+      meta = empty_meta;
+      decoded = Undecoded;
+    }
+  in
+  Gb_vliw.Pipeline.decode t;
+  t
 
 let add = Gb_riscv.Insn.ADD
 
@@ -367,6 +373,228 @@ let x0_writes_discarded () =
   Alcotest.(check int64) "R 0 reads 0" 0L (reg m Gb_riscv.Reg.a0);
   Alcotest.(check int64) "slot 0 never written" 0L (reg m 0)
 
+(* --- decoded execution = the interpreter it replaced ------------------ *)
+
+(* Random bundles run through the decoded closures and through the
+   bundle loop they replaced (test/pipeline_reference.ml), on two fresh
+   machines, must leave the same machine behind after every bundle:
+   registers, taint, memory, cache statistics and contents, MCB, clock,
+   counters, rdcycle readings, the audit's and the attribution ledger's
+   view, and the same exit or the same exception. A trace of the first
+   [k] bundles without an Exit falls off its end right after bundle [k],
+   so running every prefix compares the state bundle by bundle. *)
+
+type observer = Plain | Audited | Attributed
+
+let ref_mem_size = 4096
+
+let init_regs =
+  [ (1, 64L); (2, 3L); (5, 4088L); (6, Int64.of_int (max_int - 4));
+    (7, -16L); (h 0, 128L); (h 1, 7L); (h 2, -1L); (h 3, 0x8000_0000L) ]
+
+let observed_machine observer =
+  let mem = Gb_riscv.Mem.create ~size:ref_mem_size in
+  for i = 0 to (ref_mem_size / 8) - 1 do
+    Gb_riscv.Mem.store64 mem ~addr:(8 * i) (Int64.of_int (i * 7919))
+  done;
+  let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
+  let obs =
+    match observer with
+    | Attributed -> Gb_obs.Sink.create ~attrib:true ()
+    | Plain | Audited -> Gb_obs.Sink.noop
+  in
+  let audit =
+    match observer with
+    | Audited ->
+      Some (Gb_cache.Audit.create ~real:(Gb_cache.Hierarchy.cache hier) ())
+    | Plain | Attributed -> None
+  in
+  let m = Gb_vliw.Machine.create ~mem ~hier ~clock:(ref 0L) ~obs ?audit () in
+  List.iter (fun (r, v) -> Gb_riscv.Regfile.set m.regs r v) init_regs;
+  let readings = ref [] in
+  m.rdcycle_hook <-
+    Some
+      (fun now ->
+        readings := now :: !readings;
+        Int64.add (Int64.mul now 3L) 1L);
+  (m, readings)
+
+(* Everything a bundle can change, rendered for comparison. *)
+let machine_state ((m : Gb_vliw.Machine.t), readings) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  for r = 0 to Gb_riscv.Regfile.length m.regs - 1 do
+    add "%Ld " (Gb_riscv.Regfile.get m.regs r)
+  done;
+  add "\ntaint";
+  Array.iteri (fun r t -> if t then add " %d" r) m.taint;
+  add "\nmem %s"
+    (Digest.to_hex
+       (Digest.bytes
+          (Gb_riscv.Mem.read_bytes m.mem ~addr:0 ~len:ref_mem_size)));
+  let cache = Gb_cache.Hierarchy.cache m.hier in
+  let cs = Gb_cache.Cache.stats cache in
+  add "\ncache %d %d %d %d %d lines" cs.reads cs.writes cs.read_misses
+    cs.write_misses cs.flushes;
+  List.iter (add " %d") (Gb_cache.Cache.lines cache);
+  let st = m.stats in
+  add "\nclock %Ld stats %d %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
+    st.trace_runs st.side_exits st.rollbacks st.stall_cycles st.chain_follows
+    st.guest_insns
+    (Gb_vliw.Mcb.conflicts_recorded m.mcb);
+  add "\nrdcycle";
+  List.iter (add " %Ld") !readings;
+  (match m.audit with
+  | Some a ->
+    add "\naudit %s dependent"
+      (Gb_util.Json.to_string
+         (Gb_cache.Audit.summary_to_json (Gb_cache.Audit.summary a)));
+    List.iter (add " %d") (Gb_cache.Audit.dependent_pcs a)
+  | None -> ());
+  (match Gb_obs.Sink.attrib m.obs with
+  | Some a -> add "\nattrib %s" (Gb_util.Json.to_string (Gb_obs.Attrib.to_json a))
+  | None -> ());
+  List.iter (fun (c, n) -> add "\n%s %d" c n) (Gb_obs.Sink.counters m.obs);
+  Buffer.contents b
+
+(* consumes the MCB entries: only at the end of a comparison *)
+let mcb_entries (m : Gb_vliw.Machine.t) =
+  List.init 10 (fun tag -> Gb_vliw.Mcb.check m.mcb ~tag)
+
+let outcome run =
+  match run () with
+  | (info : Gb_vliw.Pipeline.exit_info) ->
+    Printf.sprintf "exit next_pc=%d kind=%s entry=%d stub=%d" info.next_pc
+      (match info.kind with
+      | Gb_vliw.Pipeline.Fallthrough -> "fallthrough"
+      | Side_exit -> "side-exit"
+      | Rollback -> "rollback")
+      info.exit_entry info.taken_stub
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let ref_regs = [| 0; 1; 2; 5; 6; 7; h 0; h 1; h 2; h 3 |]
+
+let ref_dsts = [| 0; 5; 6; h 0; h 1; h 2 |]
+
+let ref_consts =
+  [| 0L; 1L; -1L; 3L; 63L; 64L; 4088L; 4096L; Int64.max_int; Int64.min_int;
+     0x1234_5678_9abcL; -4096L |]
+
+let gen_ref_op =
+  let open QCheck.Gen in
+  let reg = oneofa ref_regs and dst = oneofa ref_dsts in
+  let operand =
+    frequency [ (3, map (fun r -> R r) reg); (2, map (fun v -> I v) (oneofa ref_consts)) ]
+  in
+  let width = oneofl Gb_riscv.Insn.[ B; H; W; D ] in
+  let off = oneofl [ 0; 8; -8; 100; 4090; 5000 ] in
+  let id = int_range 0 9 and pc = int_range 0 3 >|= fun k -> 0x100 + (4 * k) in
+  let stub = int_range 0 1 in
+  let all_alus =
+    Gb_riscv.Insn.
+      [ ADD; SUB; SLL; SLT; SLTU; XOR; SRL; SRA; OR; AND; ADDW; SUBW; SLLW;
+        SRLW; SRAW; MUL; MULH; MULHSU; MULHU; DIV; DIVU; REM; REMU; MULW;
+        DIVW; DIVUW; REMW; REMUW ]
+  in
+  let alu_ops = oneofl Gb_riscv.Insn.[ ADD; SLL; MUL ] and any_alu = oneofl all_alus in
+  frequency
+    [
+      ( 5,
+        map4
+          (fun op dst a b -> Alu { op; dst; a; b })
+          (frequency [ (1, alu_ops); (1, any_alu) ])
+          dst operand operand );
+      (1, map2 (fun dst src -> Mv { dst; src }) dst operand);
+      (1, map (fun dst -> Rdcycle { dst }) dst);
+      ( 3,
+        let* w = width and* unsigned = bool and* dst = dst and* base = operand in
+        let* off = off
+        and* spec = oneofl [ None; Some 0; Some 1; Some 3; Some 9 ]
+        and* id = id and* pc = pc and* hoisted = bool in
+        return (Load { w; unsigned; dst; base; off; spec; id; pc; hoisted }) );
+      ( 2,
+        let* w = width and* src = operand and* base = operand in
+        let* off = off and* id = id and* pc = pc in
+        return (Store { w; src; base; off; id; pc }) );
+      ( 1,
+        let* cond = oneofl Gb_riscv.Insn.[ BEQ; BNE; BLT; BGE; BLTU; BGEU ] in
+        let* a = operand and* b = operand and* stub = stub in
+        return (Branch { cond; a; b; stub }) );
+      ( 1,
+        map2 (fun tag stub -> Chk { tag; stub }) (oneofl [ 0; 1; 3; 9 ]) stub );
+      ( 1,
+        let* base = operand and* off = off and* id = id and* pc = pc in
+        return (Cflush { base; off; id; pc }) );
+      (1, map (fun stub -> Exit { stub }) stub);
+      (1, return Fence);
+      (3, return Nop);
+    ]
+
+let gen_ref_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 6 in
+  let* bundles = list_size (return n) (list_size (int_range 0 4) gen_ref_op) in
+  let* exit0 = oneofl [ 0; 3; 7; max_int ] and* exit1 = oneofl [ 2; 5; max_int ] in
+  let* bad_commit = frequency [ (5, return false); (1, return true) ] in
+  let* fenced = bool and* cut = bool in
+  let stubs =
+    [ make_stub ~exit_id:exit0
+        ~commits:[ (Gb_riscv.Reg.a0, R (h 0)); (Gb_riscv.Reg.a1, I 5L) ]
+        ~target_pc:0x2000 ();
+      make_stub ~exit_id:exit1
+        ~commits:(if bad_commit then [ (0, I 1L) ] else [ (Gb_riscv.Reg.a2, R 5) ])
+        ~target_pc:0x3000 () ]
+  in
+  let meta =
+    { empty_meta with
+      fences_inserted = (if fenced then 1 else 0);
+      cut_protects = (if cut then 1 else 0) }
+  in
+  return (bundles, stubs, meta)
+
+let print_ref_case (bundles, _, _) =
+  String.concat "\n"
+    (List.map
+       (fun b -> String.concat " ; " (List.map (Format.asprintf "%a" pp_op) b))
+       bundles)
+
+let decoded_equals_reference =
+  QCheck.Test.make ~count:300 ~name:"decoded execution = reference interpreter"
+    (QCheck.make ~print:print_ref_case gen_ref_case)
+    (fun (bundles, stubs, meta) ->
+      let n = List.length bundles in
+      let prefixes =
+        List.init n (fun k -> List.filteri (fun i _ -> i <= k) bundles)
+        @ [ bundles @ [ [ Exit { stub = 0 } ] ] ]
+      in
+      List.for_all
+        (fun observer ->
+          List.for_all
+            (fun prefix ->
+              let t = { (trace ~stubs prefix) with meta } in
+              let dut = observed_machine observer in
+              let refm = observed_machine observer in
+              let ref_view = Pipeline_reference.Machine.of_machine (fst refm) in
+              (* two passes: the second runs on warm caches and a live MCB *)
+              List.for_all
+                (fun pass ->
+                  let got = outcome (fun () -> Gb_vliw.Pipeline.run_one (fst dut) t) in
+                  let want =
+                    outcome (fun () -> Pipeline_reference.run_one ref_view t)
+                  in
+                  let sd = machine_state dut and sr = machine_state refm in
+                  if got <> want || sd <> sr then
+                    QCheck.Test.fail_reportf
+                      "pass %d over %d bundles: decoded %s, reference %s%s" pass
+                      (List.length prefix) got want
+                      (if sd = sr then ""
+                       else Printf.sprintf "\nstate:\n%s\nreference state:\n%s" sd sr)
+                  else true)
+                [ 1; 2 ]
+              && mcb_entries (fst dut) = mcb_entries (fst refm))
+            prefixes)
+        [ Plain; Audited; Attributed ])
+
 let () =
   Alcotest.run "vliw"
     [
@@ -390,6 +618,8 @@ let () =
           Alcotest.test_case "rdcycle observes stalls" `Quick
             rdcycle_observes_stalls;
         ] );
+      ( "decode",
+        [ QCheck_alcotest.to_alcotest decoded_equals_reference ] );
       ( "mcb",
         [
           Alcotest.test_case "rollback on conflict" `Quick mcb_rollback;
