@@ -1,6 +1,5 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section V) on the simulated DBT processor, then
-   runs Bechamel microbenchmarks of the DBT software layer itself.
+   paper's evaluation (Section V) on the simulated DBT processor.
 
      E1  proof-of-concept matrix   (§V-A)
      E2  Figure 4                  (slowdown vs unsafe execution)
@@ -10,9 +9,9 @@
      E6  design-space ablations    (extension)
      E7  translation-decision side channel (extension; the paper's
          future-work concern, executable)
-     E8  trace chaining            (extension; dispatcher exits per 1k
-         guest instructions before/after, eviction churn, and the E1
-         leakage matrix re-checked under a capacity-constrained cache)
+     E8  eviction churn            (extension; every kernel with the
+         default and a tiny code cache, and the E1 leakage matrix
+         re-checked under the tiny cache)
      E9  static verification       (extension; the install-time translation
          verifier and the guest gadget scanner cross-checked against the
          runtime leakage audit)
@@ -21,9 +20,9 @@
          deterministic fault injection, plus the oracle-sensitivity
          negative control)
 
-   Run with --no-micro to skip the Bechamel section. The harness prints
-   tables only; `ghostbusters perf record` writes the machine-readable
-   run manifest of the same experiments. *)
+   The harness prints tables only; `ghostbusters perf record` writes the
+   machine-readable run manifest of the same experiments, and
+   bench/host measures host time. *)
 
 let pct f = Printf.sprintf "%.1f%%" (100. *. f)
 
@@ -266,40 +265,35 @@ let e7 () =
 
 let e8 ~seed ?modes () =
   print_header
-    "E8: trace chaining (dispatcher exits per 1k guest instructions)";
-  let rows = Gb_experiments.Experiments.e8_chaining () in
-  let f1 v = Printf.sprintf "%.1f" v in
+    (Printf.sprintf
+       "E8: eviction churn (default vs %d-bundle code cache, unsafe)"
+       Gb_experiments.Experiments.e8_tiny_capacity);
+  let rows = Gb_experiments.Experiments.e8_eviction () in
+  let f1 v = Printf.sprintf "%.2f" v in
   Gb_util.Table.print
     ~header:
-      [ "application"; "guest insns"; "exits/1k off"; "exits/1k on";
-        "reduction"; "follows"; "tiny-cache evictions"; "cycles eq";
-        "arch eq" ]
+      [ "application"; "guest insns"; "translations/1k"; "tiny: /1k";
+        "tiny: evictions"; "arch eq" ]
     ~rows:
       (List.map
-         (fun (r : Gb_experiments.Experiments.chain_row) ->
+         (fun (r : Gb_experiments.Experiments.churn_row) ->
            let open Gb_experiments.Experiments in
            [
              r.c_name;
              Int64.to_string r.c_guest_insns;
-             f1 (per_1k r.c_exits_nochain r.c_guest_insns);
-             f1 (per_1k r.c_exits_chain r.c_guest_insns);
-             (let red = chain_reduction r in
-              if red = infinity then "inf" else Printf.sprintf "%.1fx" red);
-             Int64.to_string r.c_chain_follows;
+             f1 (per_1k r.c_translations r.c_guest_insns);
+             f1 (per_1k r.c_tiny_translations r.c_guest_insns);
              string_of_int r.c_tiny_evictions;
-             (if r.c_cycles_equal then "yes" else "NO");
              (if r.c_arch_equal then "yes" else "NO");
            ])
          rows);
   print_string
-    "\nExpected shape: hot loops chain back into themselves, so the\n\
-     dispatcher is bypassed almost entirely (exits/1k drops >= 5x);\n\
-     simulated cycles are identical (chaining changes control flow on\n\
-     the host, not the cost model), and even a cache small enough to\n\
-     evict constantly preserves architectural results. Residual exits\n\
-     are dominated by MCB rollbacks, which always re-enter the\n\
-     dispatcher for recovery and are never chained (e.g. seidel-2d's\n\
-     wavefront dependences roll back often, capping its reduction).\n";
+    "\nExpected shape: the default cache never evicts, so each hot region\n\
+     is translated about once; the tiny cache evicts and re-translates\n\
+     wherever a kernel's hot code outgrows it (heat-3d, syr2k, doitgen,\n\
+     jacobi-2d), yet every kernel ends with the same exit code and\n\
+     output. translations/1k is the perf gate's cell for a thrashing\n\
+     code cache: cycles barely move.\n";
   (* the leakage matrix must not change when eviction churn is forced:
      re-run E1 with a tiny code cache and diff the verdicts *)
   Gb_experiments.Experiments.e1_poc_matrix ~audit:true ~seed
@@ -433,106 +427,6 @@ let e10 ~seed ?modes () =
      recovered at a later agreement point; the deliberately unsound\n\
      mcb-suppress control MUST be caught (the oracle is not vacuous).\n"
 
-(* --- Bechamel microbenchmarks of the DBT software layer ---------------- *)
-
-let micro () =
-  print_header "Microbenchmarks: host-side cost of the DBT software layer";
-  let open Bechamel in
-  let lat = Gb_ir.Latency.default in
-  let res = Gb_dbt.Sched.default_resources in
-  (* a representative guest kernel, fully profiled *)
-  let program =
-    Gb_kernelc.Compile.assemble
-      (List.hd Gb_workloads.Polybench.all).Gb_workloads.Polybench.program
-  in
-  let proc =
-    Gb_system.Processor.create
-      ~config:(Gb_system.Processor.config_for Gb_core.Mitigation.Unsafe)
-      program
-  in
-  ignore (Gb_system.Processor.run proc);
-  let entry = program.Gb_riscv.Asm.entry in
-  let profile _ = Some (100, 100) in
-  let gtrace =
-    Gb_dbt.Trace_builder.build Gb_dbt.Trace_builder.default_config
-      ~mem:(Gb_system.Processor.mem proc) ~profile ~entry
-  in
-  let build_graph () =
-    Gb_ir.Build.build ~opt:Gb_ir.Opt_config.aggressive ~lat gtrace
-  in
-  let graph = build_graph () in
-  let cycles = Gb_dbt.Sched.schedule res ~lat graph in
-  let cache = Gb_cache.Cache.create Gb_cache.Cache.default_config in
-  let interp_mem = Gb_riscv.Mem.create ~size:(1 lsl 20) in
-  Gb_riscv.Asm.load interp_mem program;
-  let interp =
-    Gb_riscv.Interp.create ~mem:interp_mem ~pc:program.Gb_riscv.Asm.entry ()
-  in
-  let tests =
-    [
-      Test.make ~name:"cache access"
-        (Staged.stage (fun () ->
-             ignore (Gb_cache.Cache.access cache ~addr:4096 ~write:false)));
-      Test.make ~name:"interpreter step"
-        (Staged.stage (fun () ->
-             interp.Gb_riscv.Interp.pc <- program.Gb_riscv.Asm.entry;
-             ignore (Gb_riscv.Interp.step interp)));
-      Test.make ~name:"trace construction"
-        (Staged.stage (fun () ->
-             ignore
-               (Gb_dbt.Trace_builder.build Gb_dbt.Trace_builder.default_config
-                  ~mem:(Gb_system.Processor.mem proc) ~profile ~entry)));
-      Test.make ~name:"IR build" (Staged.stage (fun () -> ignore (build_graph ())));
-      Test.make ~name:"poison analysis"
-        (Staged.stage (fun () -> ignore (Gb_core.Poison.analyze graph)));
-      Test.make ~name:"list scheduling"
-        (Staged.stage (fun () -> ignore (Gb_dbt.Sched.schedule res ~lat graph)));
-      Test.make ~name:"code generation"
-        (Staged.stage (fun () ->
-             ignore
-               (Gb_dbt.Codegen.emit res ~n_hidden:96 ~cycles ~entry_pc:entry
-                  ~guest_insns:(Gb_ir.Gtrace.length gtrace)
-                  ~meta:Gb_vliw.Vinsn.empty_meta graph)));
-      Test.make ~name:"full translation"
-        (Staged.stage (fun () ->
-             let g = build_graph () in
-             let _ =
-               Gb_core.Mitigation.apply Gb_core.Mitigation.Fine_grained ~lat g
-             in
-             let cycles = Gb_dbt.Sched.schedule res ~lat g in
-             ignore
-               (Gb_dbt.Codegen.emit res ~n_hidden:96 ~cycles ~entry_pc:entry
-                  ~guest_insns:(Gb_ir.Gtrace.length gtrace)
-                  ~meta:Gb_vliw.Vinsn.empty_meta g)));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let rows =
-    List.concat_map
-      (fun test ->
-        let results = Benchmark.all cfg instances test in
-        let analysis =
-          Analyze.all ols Toolkit.Instance.monotonic_clock results
-        in
-        Hashtbl.fold
-          (fun name ols_result acc ->
-            let ns =
-              match Analyze.OLS.estimates ols_result with
-              | Some [ est ] -> Printf.sprintf "%.0f" est
-              | Some _ | None -> "n/a"
-            in
-            [ name; ns ] :: acc)
-          analysis [])
-      tests
-  in
-  Gb_util.Table.print ~header:[ "component"; "ns/op" ] ~rows
-
 (* --- Gb_obs metrics snapshot of an instrumented run -------------------- *)
 
 (* The canonical instrumented run: the manifest's [counter.*] cells
@@ -560,7 +454,6 @@ let metrics_snapshot ~seed () =
    is relative to the unsafe run, so dropping modes there would change
    the row type, not just filter it. *)
 let parse_args () =
-  let no_micro = ref false in
   let modes = ref None in
   let seed = ref 1L in
   let set_seed s =
@@ -585,19 +478,18 @@ let parse_args () =
   let specs =
     Arg.align
       [
-        ("--no-micro", Arg.Set no_micro, " skip the Bechamel microbenchmarks");
         ( "--modes",
           Arg.String set_modes,
           "M comma-separated mitigation modes for E1, E9 and E10's attacks" );
         ("--seed", Arg.String set_seed, "N experiment seed (default 1)");
       ]
   in
-  let usage = "usage: bench/main.exe [--no-micro] [--modes M] [--seed N]" in
+  let usage = "usage: bench/main.exe [--modes M] [--seed N]" in
   let positional a =
     raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a))
   in
   match Arg.parse_argv Sys.argv specs positional usage with
-  | () -> (!no_micro, !modes, !seed)
+  | () -> (!modes, !seed)
   | exception Arg.Bad msg ->
     prerr_string msg;
     exit 1
@@ -606,7 +498,7 @@ let parse_args () =
     exit 0
 
 let () =
-  let no_micro, modes, seed = parse_args () in
+  let modes, seed = parse_args () in
   Printf.printf
     "GhostBusters reproduction - benchmark harness\n\
      (paper: S. Rokicki, \"GhostBusters: Mitigating Spectre Attacks on a\n\
@@ -630,5 +522,4 @@ let () =
        capacity-constrained cache.\n";
   e9 ?modes ();
   e10 ~seed ?modes ();
-  metrics_snapshot ~seed ();
-  if not no_micro then micro ()
+  metrics_snapshot ~seed ()

@@ -53,7 +53,6 @@ let print_result (r : Gb_system.Processor.result) =
   Printf.printf "stall cycles     %Ld\n" r.Gb_system.Processor.stall_cycles;
   Printf.printf "translations     %d\n" r.Gb_system.Processor.translations;
   Printf.printf "dispatch exits   %Ld\n" r.Gb_system.Processor.dispatch_exits;
-  Printf.printf "chain follows    %Ld\n" r.Gb_system.Processor.chain_follows;
   if r.Gb_system.Processor.cc_evictions > 0 then
     Printf.printf "cc evictions     %d\n" r.Gb_system.Processor.cc_evictions;
   Printf.printf "spec loads       %d\n" r.Gb_system.Processor.spec_loads;
@@ -111,13 +110,7 @@ let cc_capacity_arg =
   Arg.(value & opt (some int) None
        & info [ "cc-capacity" ] ~docv:"BUNDLES"
            ~doc:"Code-cache capacity budget in VLIW bundles (default 65536; \
-                 small values force evictions and chain unlinking).")
-
-let no_chain_flag =
-  Arg.(value & flag
-       & info [ "no-chain" ]
-           ~doc:"Disable trace chaining: every trace exit returns to the \
-                 dispatcher (the pre-chaining behaviour).")
+                 small values force evictions).")
 
 let verify_flag =
   Arg.(value & flag
@@ -129,8 +122,7 @@ let verify_flag =
                  out of the code cache and retranslated with speculation \
                  fenced; violations are printed after the run.")
 
-let build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
-    verify =
+let build_config mode width mcb hot unroll cache_kib cc_capacity verify =
   let config = Gb_system.Processor.config_for mode in
   let engine = config.Gb_system.Processor.engine in
   let resources =
@@ -140,14 +132,6 @@ let build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
       { Gb_dbt.Sched.width = w; mem_slots = max 1 (w / 4);
         mul_slots = max 1 (w / 4); branch_slots = 1 }
   in
-  let opt_override =
-    match mcb with
-    | None -> engine.Gb_dbt.Engine.opt_override
-    | Some tags ->
-      Some
-        { (Gb_core.Mitigation.opt_of_mode mode) with
-          Gb_ir.Opt_config.mem_spec = tags > 0; mcb_tags = tags }
-  in
   let trace_cfg =
     match unroll with
     | None -> engine.Gb_dbt.Engine.trace_cfg
@@ -156,17 +140,16 @@ let build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
   in
   let cache =
     {
+      engine.Gb_dbt.Engine.cache with
       Gb_dbt.Code_cache.capacity =
         Option.value
           ~default:engine.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.capacity
           cc_capacity;
-      chain =
-        engine.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.chain && not no_chain;
     }
   in
   let engine =
     { engine with
-      Gb_dbt.Engine.resources; opt_override; trace_cfg; cache;
+      Gb_dbt.Engine.resources; trace_cfg; cache;
       hot_threshold =
         Option.value ~default:engine.Gb_dbt.Engine.hot_threshold hot;
       verify =
@@ -181,7 +164,15 @@ let build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
         Gb_cache.Hierarchy.cache =
           { Gb_cache.Cache.size_bytes = kib * 1024; ways = 8; line_bytes = 64 } }
   in
-  { config with Gb_system.Processor.engine; hier }
+  (* the machine's MCB size is the one MCB knob: the processor gives the
+     translator one tag per entry *)
+  let machine =
+    match mcb with
+    | None -> config.Gb_system.Processor.machine
+    | Some mcb_entries ->
+      { config.Gb_system.Processor.machine with Gb_vliw.Machine.mcb_entries }
+  in
+  { config with Gb_system.Processor.engine; hier; machine }
 
 let find_workload name =
   match Gb_workloads.Polybench.by_name name with
@@ -331,9 +322,7 @@ let emit_observability ?(oc = stdout) obs ~trace_out ~metrics_out ~profile =
           "mitigation.loads_constrained"; "mitigation.fences_inserted";
           "vliw.trace_runs"; "vliw.side_exits"; "vliw.rollbacks";
           "vliw.mcb_conflicts"; "cache.read_misses"; "cache.write_misses";
-          "code_cache.evictions"; "code_cache.chain_links";
-          "code_cache.chain_follows"; "code_cache.chain_breaks";
-          "processor.dispatch_exits";
+          "code_cache.evictions"; "processor.dispatch_exits";
         ]
       in
       output_string oc
@@ -379,7 +368,7 @@ let run_json_flag =
 
 let run_cmd =
   let run name mode report json width mcb hot unroll cache_kib cc_capacity
-      no_chain verify trace_out metrics_out profile audit seed =
+      verify trace_out metrics_out profile audit seed =
     match
       Result.bind (find_workload name) (fun w ->
           Result.map (fun () -> w) (check_outputs [ trace_out; metrics_out ]))
@@ -391,7 +380,7 @@ let run_cmd =
         Gb_system.Processor.create
           ~config:
             (build_config mode width mcb hot unroll cache_kib cc_capacity
-               no_chain verify)
+               verify)
           ~obs ~audit
           (Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program)
       in
@@ -433,7 +422,7 @@ let run_cmd =
       term_result
         (const run $ workload_arg $ mode_arg $ report_flag $ run_json_flag
         $ width_arg $ mcb_arg $ hot_arg $ unroll_arg $ cache_kib_arg
-        $ cc_capacity_arg $ no_chain_flag $ verify_flag $ trace_out_arg
+        $ cc_capacity_arg $ verify_flag $ trace_out_arg
         $ metrics_out_arg $ profile_flag $ audit_flag $ seed_arg))
 
 (* --- attack ------------------------------------------------------------- *)
@@ -446,7 +435,7 @@ let variant_arg =
 
 let attack_cmd =
   let run variant mode secret width mcb hot unroll cache_kib cc_capacity
-      no_chain verify trace_out metrics_out profile audit seed =
+      verify trace_out metrics_out profile audit seed =
     match check_outputs [ trace_out; metrics_out ] with
     | Error e -> Error e
     | Ok () ->
@@ -456,8 +445,7 @@ let attack_cmd =
         | `V4 -> Gb_attack.Spectre_v4.program ~secret ()
       in
       let config =
-        build_config mode width mcb hot unroll cache_kib cc_capacity no_chain
-          verify
+        build_config mode width mcb hot unroll cache_kib cc_capacity verify
       in
       let obs = sink_of_flags ~seed trace_out metrics_out profile audit in
       let o =
@@ -476,7 +464,7 @@ let attack_cmd =
       term_result
         (const run $ variant_arg $ mode_arg $ secret_arg $ width_arg $ mcb_arg
         $ hot_arg $ unroll_arg $ cache_kib_arg $ cc_capacity_arg
-        $ no_chain_flag $ verify_flag $ trace_out_arg $ metrics_out_arg
+        $ verify_flag $ trace_out_arg $ metrics_out_arg
         $ profile_flag $ audit_flag $ seed_arg))
 
 (* --- trace -------------------------------------------------------------- *)
@@ -699,8 +687,7 @@ let inject_arg =
     & info [ "inject" ] ~docv:"KIND[:RATE][,...]"
         ~doc:
           "Arm the fault-injection harness on the DBT side: evict \
-           (mid-trace code-cache eviction), chain (corrupted chain \
-           target, dispatcher fallback), mcb (spurious conflict, \
+           (mid-trace code-cache eviction), mcb (spurious conflict, \
            rollback), translate (transient translation failure, \
            interpreter fallback), decode (decode-cache flush), \
            mcb-suppress (hide real conflicts — unsound by design, the \
@@ -786,25 +773,9 @@ let diff_cmd =
       if Gb_diff.Matrix.pass m then Ok ()
       else Error (`Msg "differential gate failed")
     | Some name ->
-      let program =
-        match name with
-        | "v1" ->
-          Ok
-            (Gb_attack.Spectre_v1.program
-               ~secret:Gb_experiments.Experiments.default_secret ())
-        | "v4" ->
-          Ok
-            (Gb_attack.Spectre_v4.program
-               ~secret:Gb_experiments.Experiments.default_secret ())
-        | name ->
-          Result.map
-            (fun (w : Gb_workloads.Polybench.t) ->
-              w.Gb_workloads.Polybench.program)
-            (find_workload name)
-      in
-      Result.bind program (fun ast ->
+      Result.bind (find_program name) (fun program ->
           let config = Gb_system.Processor.config_for mode in
-          let r = Gb_diff.Oracle.run_kernel ~config ~obs ?inject ~seed ast in
+          let r = Gb_diff.Oracle.run ~config ~obs ?inject ~seed program in
           if json then
             print_endline
               (Gb_util.Json.to_string_pretty (report_of_single name mode r))
@@ -849,35 +820,32 @@ let diff_cmd =
 (* --- figure4 ------------------------------------------------------------ *)
 
 let figure4_cmd =
-  let run json =
-    let data = Gb_experiments.Experiments.e2_figure4 () in
-    if json then
-      print_endline
-        (Gb_util.Json.to_string_pretty
-           (Gb_experiments.Experiments.figure4_json data))
-    else begin
-      let pct f = Printf.sprintf "%.1f%%" (100. *. f) in
-      let rows =
-        List.map
-          (fun (mc : Gb_experiments.Experiments.mode_cycles) ->
-            [
-              mc.Gb_experiments.Experiments.w_name;
-              pct
-                (Gb_experiments.Experiments.slowdown mc
-                   ~mode:Gb_core.Mitigation.Fine_grained);
-              pct
-                (Gb_experiments.Experiments.slowdown mc
-                   ~mode:Gb_core.Mitigation.No_speculation);
-            ])
-          data
-      in
-      Gb_util.Table.print
-        ~header:[ "application"; "our approach"; "no speculation" ]
-        ~rows
-    end
+  let run () =
+    let pct f = Printf.sprintf "%.1f%%" (100. *. f) in
+    let rows =
+      List.map
+        (fun (mc : Gb_experiments.Experiments.mode_cycles) ->
+          [
+            mc.Gb_experiments.Experiments.w_name;
+            pct
+              (Gb_experiments.Experiments.slowdown mc
+                 ~mode:Gb_core.Mitigation.Fine_grained);
+            pct
+              (Gb_experiments.Experiments.slowdown mc
+                 ~mode:Gb_core.Mitigation.No_speculation);
+          ])
+        (Gb_experiments.Experiments.e2_figure4 ())
+    in
+    Gb_util.Table.print
+      ~header:[ "application"; "our approach"; "no speculation" ]
+      ~rows
   in
-  Cmd.v (Cmd.info "figure4" ~doc:"Regenerate the paper's Figure 4 series")
-    Term.(const run $ json_flag)
+  Cmd.v
+    (Cmd.info "figure4"
+       ~doc:
+         "Print the paper's Figure 4 series as a table ($(b,perf record) \
+          writes the machine-readable E2 cells)")
+    Term.(const run $ const ())
 
 (* --- profile ------------------------------------------------------------ *)
 
@@ -1148,8 +1116,7 @@ let profile_cmd =
        ~doc:
          "Cycle-attribution profiler: explain where every simulated cycle \
           of a run went (committed work, fence stalls, serialization, \
-          rollbacks, dispatcher exits, chained transfers, interpreter, cache \
-          misses), keyed by tier, trace and guest pc. With $(b,diff) (or \
+          rollbacks, dispatcher exits, interpreter, cache misses), keyed by tier, trace and guest pc. With $(b,diff) (or \
           two $(b,--mode) flags), attribute the cycle delta between two \
           modes cause by cause. See docs/OBSERVABILITY.md \"Cycle \
           attribution\".")

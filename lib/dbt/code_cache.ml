@@ -1,27 +1,21 @@
 type tier = Block | Trace
 
-type code_mode = Nonspec | Mitigated of Gb_core.Mitigation.mode
-
 type entry = {
   e_pc : int;
   e_trace : Gb_vliw.Vinsn.trace;
   e_tier : tier;
-  e_mode : code_mode;
   mutable e_stamp : int;
 }
 
 type config = { capacity : int; chain : bool }
 
-let default_config =
-  { capacity = 65536; chain = Sys.getenv_opt "GHOSTBUSTERS_NO_CHAIN" = None }
+let default_config = { capacity = 65536; chain = true }
 
 type stats = {
   mutable hits : int;
   mutable misses : int;
   mutable inserts : int;
   mutable evictions : int;
-  mutable chain_links : int;
-  mutable chain_breaks : int;
 }
 
 (* [Int.hash] is the generic table's own hash on an int, so buckets and
@@ -32,12 +26,6 @@ module Pc_tbl = Hashtbl.Make (Int)
 type t = {
   cfg : config;
   tbl : entry Pc_tbl.t;
-  in_links : (int * Gb_vliw.Vinsn.stub) list ref Pc_tbl.t;
-      (* target pc -> (source pc, stub) of every link ever made into the
-         translation currently (or formerly) installed there; stale pairs
-         (stub already unlinked, or re-pointed at a newer translation of
-         the same pc — never of a different pc, since links require
-         stub.target_pc = target) are skipped via the identity check *)
   mutable used : int;
   mutable lru_clock : int;
   stats : stats;
@@ -46,21 +34,15 @@ type t = {
 }
 
 let create ?(obs = Gb_obs.Sink.noop) cfg =
+  if not cfg.chain then
+    invalid_arg
+      "Code_cache.create: config.chain must be true (trace chaining was removed)";
   {
     cfg;
     tbl = Pc_tbl.create 128;
-    in_links = Pc_tbl.create 128;
     used = 0;
     lru_clock = 0;
-    stats =
-      {
-        hits = 0;
-        misses = 0;
-        inserts = 0;
-        evictions = 0;
-        chain_links = 0;
-        chain_breaks = 0;
-      };
+    stats = { hits = 0; misses = 0; inserts = 0; evictions = 0 };
     obs;
     on_evict = (fun ~pc:_ _ -> ());
   }
@@ -77,10 +59,10 @@ let touch t e =
   t.lru_clock <- t.lru_clock + 1;
   e.e_stamp <- t.lru_clock
 
-(* [peek]/[find] run per trace exit on the chain-follow path and
-   [has_trace] per block entry: the only allocation left is the returned
-   [Some] itself ([Pc_tbl.find]'s [Not_found] is a constant, so the miss
-   path allocates nothing, and [has_trace] allocates nothing at all). *)
+(* [find] runs per trace exit and [has_trace] per block entry: the only
+   allocation left is the returned [Some] itself ([Pc_tbl.find]'s
+   [Not_found] is a constant, so the miss path allocates nothing, and
+   [has_trace] allocates nothing at all). *)
 let peek t pc =
   match Pc_tbl.find t.tbl pc with
   | e -> Some e
@@ -115,38 +97,7 @@ let gauges t =
       (float_of_int (Pc_tbl.length t.tbl))
   end
 
-let break_stub t ~src_pc (stub : Gb_vliw.Vinsn.stub) =
-  match stub.Gb_vliw.Vinsn.chain with
-  | None -> ()
-  | Some target ->
-    stub.Gb_vliw.Vinsn.chain <- None;
-    t.stats.chain_breaks <- t.stats.chain_breaks + 1;
-    if Gb_obs.Sink.is_active t.obs then begin
-      Gb_obs.Sink.incr t.obs "code_cache.chain_breaks";
-      Gb_obs.Sink.event t.obs ~pc:stub.Gb_vliw.Vinsn.target_pc ~region:src_pc
-        (Gb_obs.Event.Chain
-           { target = target.Gb_vliw.Vinsn.entry_pc; op = `Break })
-    end
-
-(* Sever every link touching [e]: its own out-links (the pipeline may
-   still hold the trace object mid-flight and must not follow chains out
-   of dropped code) and all in-links whose stub still points at exactly
-   this trace object. *)
-let unlink t e =
-  Array.iter (break_stub t ~src_pc:e.e_pc) e.e_trace.Gb_vliw.Vinsn.stubs;
-  match Pc_tbl.find_opt t.in_links e.e_pc with
-  | None -> ()
-  | Some l ->
-    List.iter
-      (fun (src_pc, (stub : Gb_vliw.Vinsn.stub)) ->
-        match stub.Gb_vliw.Vinsn.chain with
-        | Some target when target == e.e_trace -> break_stub t ~src_pc stub
-        | Some _ | None -> ())
-      !l;
-    Pc_tbl.remove t.in_links e.e_pc
-
 let remove t e =
-  unlink t e;
   Pc_tbl.remove t.tbl e.e_pc;
   t.used <- t.used - Gb_vliw.Vinsn.bundle_count e.e_trace
 
@@ -178,7 +129,7 @@ let evict_lru t =
     end;
     t.on_evict ~pc:e.e_pc e.e_tier
 
-let insert t ~pc ~tier ~mode trace =
+let insert t ~pc ~tier trace =
   (* same-pc replacement (tier promotion, retranslation) is not an
      eviction: no stat, no hook *)
   (match Pc_tbl.find_opt t.tbl pc with
@@ -188,9 +139,7 @@ let insert t ~pc ~tier ~mode trace =
   while t.used + cost > t.cfg.capacity && Pc_tbl.length t.tbl > 0 do
     evict_lru t
   done;
-  let e =
-    { e_pc = pc; e_trace = trace; e_tier = tier; e_mode = mode; e_stamp = 0 }
-  in
+  let e = { e_pc = pc; e_trace = trace; e_tier = tier; e_stamp = 0 } in
   touch t e;
   Pc_tbl.replace t.tbl pc e;
   t.used <- t.used + cost;
@@ -207,75 +156,4 @@ let insert t ~pc ~tier ~mode trace =
   gauges t;
   e
 
-(* Non-speculative code is mode-neutral: it neither leaks speculative
-   state of its own nor inherits any (the MCB is cleared and the audit's
-   run window closed at every stub commit), so it may chain from and to
-   anything. Two speculating translations must agree on their mode. *)
-let compatible ~src ~dst =
-  match (src.e_mode, dst.e_mode) with
-  | Nonspec, _ | _, Nonspec -> true
-  | Mitigated a, Mitigated b -> a = b
-
-(* whether [e] is still the entry installed at its pc *)
-let live t e =
-  match Pc_tbl.find t.tbl e.e_pc with
-  | cur -> cur == e
-  | exception Not_found -> false
-
-let link t ~src ~stub ~dst =
-  (* [src] and [dst] are whatever the caller looked up, possibly before
-     an invalidation, eviction or replacement removed one of them.
-     Linking through a dead entry would plant a chain no removal can ever
-     break — [unlink] only reaches stubs via the live tables — so both
-     endpoints must still be the installed entries at their pcs. *)
-  if
-    (not t.cfg.chain)
-    || stub < 0
-    || stub >= Array.length src.e_trace.Gb_vliw.Vinsn.stubs
-    || (not (compatible ~src ~dst))
-    || not (live t src && live t dst)
-  then false
-  else
-    let s = src.e_trace.Gb_vliw.Vinsn.stubs.(stub) in
-    if s.Gb_vliw.Vinsn.target_pc <> dst.e_pc then false
-    else
-      match s.Gb_vliw.Vinsn.chain with
-      | Some target when target == dst.e_trace -> true
-      | _ ->
-        s.Gb_vliw.Vinsn.chain <- Some dst.e_trace;
-        let l =
-          match Pc_tbl.find_opt t.in_links dst.e_pc with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Pc_tbl.replace t.in_links dst.e_pc l;
-            l
-        in
-        l := (src.e_pc, s) :: !l;
-        t.stats.chain_links <- t.stats.chain_links + 1;
-        if Gb_obs.Sink.is_active t.obs then begin
-          Gb_obs.Sink.incr t.obs "code_cache.chain_links";
-          Gb_obs.Sink.event t.obs ~pc:s.Gb_vliw.Vinsn.target_pc
-            ~region:src.e_pc
-            (Gb_obs.Event.Chain { target = dst.e_pc; op = `Link })
-        end;
-        true
-
 let entries t = Pc_tbl.fold (fun _ e acc -> e :: acc) t.tbl []
-
-let well_linked t =
-  Pc_tbl.fold
-    (fun _ e ok ->
-      ok
-      && Array.for_all
-           (fun (s : Gb_vliw.Vinsn.stub) ->
-             match s.Gb_vliw.Vinsn.chain with
-             | None -> true
-             | Some target -> (
-               s.Gb_vliw.Vinsn.target_pc = target.Gb_vliw.Vinsn.entry_pc
-               &&
-               match Pc_tbl.find_opt t.tbl target.Gb_vliw.Vinsn.entry_pc with
-               | Some e' -> e'.e_trace == target
-               | None -> false))
-           e.e_trace.Gb_vliw.Vinsn.stubs)
-    t.tbl true

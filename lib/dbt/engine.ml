@@ -55,9 +55,9 @@ type stats = {
    [despeculated] flag it was lowered under, the emitted code and the
    mitigation report. Lowering is a pure function of those two keys and
    the engine's fixed config, so a translation that forms an equal trace
-   under the same flag reinstalls it instead of lowering again.
-   [l_trace] is a template that never enters the code cache: each
-   install gets a copy with its own stubs ({!instantiate}). *)
+   under the same flag reinstalls it instead of lowering again. Nothing
+   mutates a trace once it is decoded, so the stored [l_trace] is
+   installed as is. *)
 type lowering = {
   l_gtrace : Gb_ir.Gtrace.t;
   l_despeculated : bool;
@@ -197,7 +197,7 @@ let lookup t pc =
   | None -> None
 
 (* The state of [pc], created on first use. This runs several times per
-   chained trace exit, so it must not allocate once the pc is known:
+   trace exit, so it must not allocate once the pc is known:
    [find]'s [Not_found] is a constant, unlike [find_opt]'s per-hit
    [Some]. *)
 let state t pc =
@@ -408,8 +408,7 @@ let translate_first_pass t st entry =
     | { First_pass.trace; branch_pc } ->
       if t.cfg.verify = Verify_report then ignore (note_verify t ~entry trace);
       ignore
-        (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Block
-           ~mode:Code_cache.Nonspec trace);
+        (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Block trace);
       (match Gb_obs.Sink.attrib t.obs with
       | Some a -> Gb_obs.Attrib.note_translation a ~entry Gb_obs.Attrib.Block
       | None -> ());
@@ -587,18 +586,6 @@ let gate t ~entry gtrace (trace, report) =
       (trace, report, true)
     end
 
-(* A copy of a template sharing its bundles and their decoded form,
-   which nothing mutates after codegen, with fresh unchained stubs: chain
-   links are per install. *)
-let instantiate (tpl : Gb_vliw.Vinsn.trace) =
-  {
-    tpl with
-    Gb_vliw.Vinsn.stubs =
-      Array.map
-        (fun (s : Gb_vliw.Vinsn.stub) -> { s with Gb_vliw.Vinsn.chain = None })
-        tpl.Gb_vliw.Vinsn.stubs;
-  }
-
 (* The code to install for a formed trace, through the gate. A trace
    equal to the one stored at its entry under the same [despeculated]
    flag reuses that lowering; any other is lowered in full and, unless
@@ -613,7 +600,7 @@ let lower_and_gate t st ~entry gtrace =
          && l.l_despeculated = st.despeculated
          && Gb_ir.Gtrace.equal l.l_gtrace gtrace ->
     t.stats.lowerings_reused <- t.stats.lowerings_reused + 1;
-    gate t ~entry gtrace (instantiate l.l_trace, l.l_report)
+    gate t ~entry gtrace (l.l_trace, l.l_report)
   | Some _ | None ->
     let ((trace, report, fenced) as lowered) =
       gate t ~entry gtrace (lower_trace t st ~entry gtrace)
@@ -624,7 +611,7 @@ let lower_and_gate t st ~entry gtrace =
           {
             l_gtrace = gtrace;
             l_despeculated = st.despeculated;
-            l_trace = instantiate trace;
+            l_trace = trace;
             l_report = report;
           };
     lowered
@@ -637,16 +624,10 @@ let translate_failed t st entry =
     (Gb_obs.Event.Translate_end { ok = false });
   None
 
-let install_trace t st ~entry ~branch_pcs gtrace (trace, report, fenced) =
+let install_trace t st ~entry ~branch_pcs gtrace (trace, report, _) =
   let obs = t.obs in
   let len = Gb_ir.Gtrace.length gtrace in
-  (* de-speculated regions carry no speculative loads at all, so they are
-     a safe chain target from any predecessor *)
-  let mode =
-    if fenced || st.despeculated then Code_cache.Nonspec
-    else Code_cache.Mitigated t.cfg.mode
-  in
-  ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace ~mode trace);
+  ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace trace);
   (* per-entry translation counts let attribution reports flag churny
      regions (retranslation/despeculation loops) *)
   (match Gb_obs.Sink.attrib obs with
@@ -748,31 +729,3 @@ let record_block_entry t pc =
   then ignore (translate t pc)
   else if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then
     translate_first_pass t st pc
-
-(* Lazy chaining, QEMU-style: after the dispatcher has handled a trace
-   exit (and possibly translated the successor), patch the taken stub to
-   transfer directly next time. Everything that makes this safe lives in
-   {!Code_cache.link}: tier and mitigation-mode compatibility, and the
-   stub's own target_pc having to equal the successor's entry — so a
-   stale [info] (the source retranslated since the exit) cannot create a
-   wrong edge. Rollback stubs are never linked: MCB recovery must
-   re-enter the dispatcher-visible path. *)
-let chain t (info : Gb_vliw.Pipeline.exit_info) =
-  if info.Gb_vliw.Pipeline.kind <> Gb_vliw.Pipeline.Rollback then
-    match
-      ( Code_cache.peek t.cc info.Gb_vliw.Pipeline.exit_entry,
-        Code_cache.peek t.cc info.Gb_vliw.Pipeline.next_pc )
-    with
-    | Some src, Some dst ->
-      ignore
-        (Code_cache.link t.cc ~src ~stub:info.Gb_vliw.Pipeline.taken_stub ~dst)
-    | _ -> ()
-
-let chained_successor t (info : Gb_vliw.Pipeline.exit_info) =
-  match
-    ( Code_cache.peek t.cc info.Gb_vliw.Pipeline.exit_entry,
-      Code_cache.find t.cc info.Gb_vliw.Pipeline.next_pc )
-  with
-  | Some src, Some dst when Code_cache.compatible ~src ~dst ->
-    Some dst.Code_cache.e_trace
-  | _ -> None

@@ -1,7 +1,7 @@
 (** The DBT engine: profiling, hot-spot detection and translation.
     Installed code lives in the bounded {!Code_cache}, which owns
-    capacity, eviction and trace chaining; the engine decides {e when}
-    to translate and feeds the cache.
+    capacity and eviction; the engine decides {e when} to translate and
+    feeds the cache.
 
     The co-designed processor calls {!record_branch} / {!record_block_entry}
     while interpreting; when a block-entry counter crosses the hot
@@ -45,8 +45,8 @@ type config = {
   trace_cfg : Trace_builder.config;
   n_hidden : int;  (** hidden registers available to the code generator *)
   cache : Code_cache.config;
-      (** capacity budget and chaining switch of the code cache the
-          engine installs translations into *)
+      (** capacity budget of the code cache the engine installs
+          translations into *)
   verify : verify_level;  (** install-time translation verification *)
   workers : int;
       (** Vestigial and always 0: translation is synchronous, on the
@@ -119,33 +119,11 @@ val lookup : t -> int -> Gb_vliw.Vinsn.trace option
     hit/miss and refreshes recency. *)
 
 val record_block_exit : t -> entry:int -> Gb_vliw.Pipeline.exit_info -> unit
-(** Called after every pass over a translated region — by the processor's
-    dispatch loop for the final exit of a {!Gb_vliw.Pipeline.run}, and by
-    the pipeline's [on_chain] callback for every chained transfer it
-    followed in between (so adaptive retranslate/despec still see every
-    run even when the dispatcher is bypassed): counts the region's
-    executions and keeps the branch profile alive while warm code
-    executes on the first-level tier (whose blocks end at their first
-    conditional branch). *)
-
-val chain : t -> Gb_vliw.Pipeline.exit_info -> unit
-(** Lazy trace chaining: given the exit the dispatcher just handled, try
-    to patch the taken stub to transfer directly into the (now
-    translated) successor. All safety conditions — both endpoints
-    currently installed, compatible mitigation modes, stub target =
-    successor entry, never a rollback stub — are enforced here and in
-    {!Code_cache.link}; calling it with a stale exit record is
-    harmless. *)
-
-val chained_successor :
-  t -> Gb_vliw.Pipeline.exit_info -> Gb_vliw.Vinsn.trace option
-(** The translation a chained transfer should continue into: the entry
-    currently installed at the exit's [next_pc], provided the source
-    region is still installed and the modes are compatible
-    ({!Code_cache.compatible}). Counts a code-cache hit/miss and
-    refreshes the target's LRU stamp, exactly as the dispatcher's
-    {!lookup} would — chained bursts keep hot code recent. [None] sends
-    the exit back to the dispatcher. *)
+(** Called by the processor's dispatcher after every pass over a
+    translated region: counts the region's executions, rollbacks and
+    side exits for adaptive retranslate/despec, and keeps the branch
+    profile alive while warm code executes on the first-level tier
+    (whose blocks end at their first conditional branch). *)
 
 type region = {
   r_entry : int;

@@ -66,27 +66,21 @@ let issue_width () =
               })))
     [ (2, 1, 1); (4, 1, 1); (8, 2, 2) ]
 
+(* the machine's MCB size is the one knob: the processor gives a
+   speculating translator one tag per entry *)
 let mcb_size () =
   List.map
-    (fun tags ->
-      measure ~kernel_name:"gemm" ~param:"MCB entries" ~value:(string_of_int tags)
-        ~configure:(fun config ->
-          with_engine config (fun e ->
-              let base_opt =
-                match e.Gb_dbt.Engine.opt_override with
-                | Some opt -> opt
-                | None -> Gb_core.Mitigation.opt_of_mode e.Gb_dbt.Engine.mode
-              in
+    (fun entries ->
+      measure ~kernel_name:"gemm" ~param:"MCB entries"
+        ~value:(string_of_int entries) ~configure:(fun config ->
+          {
+            config with
+            Gb_system.Processor.machine =
               {
-                e with
-                Gb_dbt.Engine.opt_override =
-                  Some
-                    {
-                      base_opt with
-                      Gb_ir.Opt_config.mem_spec = tags > 0;
-                      mcb_tags = tags;
-                    };
-              })))
+                config.Gb_system.Processor.machine with
+                Gb_vliw.Machine.mcb_entries = entries;
+              };
+          }))
     [ 0; 2; 8; 16 ]
 
 let hot_threshold () =

@@ -163,70 +163,41 @@ let e7_translation_channel ?(secret = "K") () =
     (fun mode -> (mode, Gb_attack.Translation_channel.run ~mode ~secret ()))
     Gb_core.Mitigation.all_modes
 
-type chain_row = {
+type churn_row = {
   c_name : string;
   c_guest_insns : int64;
-  c_exits_nochain : int64;
-  c_exits_chain : int64;
-  c_chain_follows : int64;
-  c_tiny_exits : int64;  (** dispatch exits with chaining + tiny cache *)
+  c_translations : int;
+  c_tiny_translations : int;
   c_tiny_evictions : int;
-  c_cycles_equal : bool;
-      (** chaining must not change the simulated cycle count *)
   c_arch_equal : bool;
-      (** tiny-cache run produced the same architectural result *)
 }
 
-let per_1k exits insns =
+let per_1k n insns =
   if Int64.equal insns 0L then 0.
-  else 1000. *. Int64.to_float exits /. Int64.to_float insns
-
-let chain_reduction r =
-  let after = per_1k r.c_exits_chain r.c_guest_insns in
-  if after = 0. then infinity
-  else per_1k r.c_exits_nochain r.c_guest_insns /. after
+  else 1000. *. float_of_int n /. Int64.to_float insns
 
 let e8_tiny_capacity = 192
 
-let e8_chaining ?(mode = Gb_core.Mitigation.Unsafe) () =
-  let chain_cfg ~chain ~capacity =
-    let config = config_capped mode capacity in
-    let engine = config.Gb_system.Processor.engine in
-    {
-      config with
-      Gb_system.Processor.engine =
-        {
-          engine with
-          Gb_dbt.Engine.cache =
-            { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.chain };
-        };
-    }
-  in
-  let default_cap = Gb_dbt.Code_cache.default_config.Gb_dbt.Code_cache.capacity in
+let e8_eviction () =
+  let mode = Gb_core.Mitigation.Unsafe in
   List.map
     (fun (w : Gb_workloads.Polybench.t) ->
       let program =
         Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
       in
       let run config = Gb_system.Processor.run_program ~config program in
-      let off = run (chain_cfg ~chain:false ~capacity:default_cap) in
-      let on = run (chain_cfg ~chain:true ~capacity:default_cap) in
-      let tiny = run (chain_cfg ~chain:true ~capacity:e8_tiny_capacity) in
+      let full = run (Gb_system.Processor.config_for mode) in
+      let tiny = run (config_capped mode e8_tiny_capacity) in
       {
         c_name = w.Gb_workloads.Polybench.name;
-        c_guest_insns = on.Gb_system.Processor.guest_insns;
-        c_exits_nochain = off.Gb_system.Processor.dispatch_exits;
-        c_exits_chain = on.Gb_system.Processor.dispatch_exits;
-        c_chain_follows = on.Gb_system.Processor.chain_follows;
-        c_tiny_exits = tiny.Gb_system.Processor.dispatch_exits;
+        c_guest_insns = full.Gb_system.Processor.guest_insns;
+        c_translations = full.Gb_system.Processor.translations;
+        c_tiny_translations = tiny.Gb_system.Processor.translations;
         c_tiny_evictions = tiny.Gb_system.Processor.cc_evictions;
-        c_cycles_equal =
-          Int64.equal off.Gb_system.Processor.cycles
-            on.Gb_system.Processor.cycles;
         c_arch_equal =
-          off.Gb_system.Processor.exit_code
+          full.Gb_system.Processor.exit_code
             = tiny.Gb_system.Processor.exit_code
-          && off.Gb_system.Processor.output = tiny.Gb_system.Processor.output;
+          && full.Gb_system.Processor.output = tiny.Gb_system.Processor.output;
       })
     Gb_workloads.Polybench.all
 
@@ -367,49 +338,3 @@ let e9_verify ?(secret = default_secret)
 
 let geomean_slowdown rows ~mode =
   Gb_util.Stats.geomean (List.map (fun mc -> slowdown mc ~mode) rows)
-
-let mode_cycles_json mc =
-  let base =
-    [
-      ("name", Gb_util.Json.String mc.w_name);
-      ("unsafe_cycles", Gb_util.Json.Int (Int64.to_int mc.unsafe));
-      ("fine_grained", Gb_util.Json.Float (slowdown mc ~mode:Gb_core.Mitigation.Fine_grained));
-      ("fence_on_detect", Gb_util.Json.Float (slowdown mc ~mode:Gb_core.Mitigation.Fence_on_detect));
-      ("min_cut", Gb_util.Json.Float (slowdown mc ~mode:Gb_core.Mitigation.Min_cut));
-      ("no_speculation", Gb_util.Json.Float (slowdown mc ~mode:Gb_core.Mitigation.No_speculation));
-      ("patterns", Gb_util.Json.Int mc.patterns);
-    ]
-  in
-  let causes =
-    match mc.causes with
-    | [] -> []
-    | per_mode ->
-      [
-        ( "cause_shares",
-          Gb_util.Json.Obj
-            (List.map
-               (fun (mode, shares) ->
-                 ( mode,
-                   Gb_util.Json.Obj
-                     (List.map
-                        (fun (c, s) -> (c, Gb_util.Json.Float s))
-                        shares) ))
-               per_mode) );
-      ]
-  in
-  Gb_util.Json.Obj (base @ causes)
-
-let figure4_json rows =
-  Gb_util.Json.Obj
-    [
-      ("experiment", Gb_util.Json.String "figure4");
-      ("rows", Gb_util.Json.List (List.map mode_cycles_json rows));
-      ( "geomean",
-        Gb_util.Json.Obj
-          [
-            ("fine_grained", Gb_util.Json.Float (geomean_slowdown rows ~mode:Gb_core.Mitigation.Fine_grained));
-            ("fence_on_detect", Gb_util.Json.Float (geomean_slowdown rows ~mode:Gb_core.Mitigation.Fence_on_detect));
-            ("min_cut", Gb_util.Json.Float (geomean_slowdown rows ~mode:Gb_core.Mitigation.Min_cut));
-            ("no_speculation", Gb_util.Json.Float (geomean_slowdown rows ~mode:Gb_core.Mitigation.No_speculation));
-          ] );
-    ]

@@ -103,36 +103,28 @@ val e7_translation_channel :
     leaks — the countermeasure targets speculative loads, not the
     profile-guided translation decisions themselves. *)
 
-(** E8 (extension) — trace chaining: dispatcher exits per 1k guest
-    instructions with chaining off/on, plus a tiny-cache run checking
-    that eviction churn preserves architectural results. *)
-type chain_row = {
+(** E8 (extension) — eviction churn: each Polybench kernel under
+    [Unsafe] with the default code cache and with one of
+    {!e8_tiny_capacity} bundles. *)
+type churn_row = {
   c_name : string;
-  c_guest_insns : int64;
-  c_exits_nochain : int64;
-  c_exits_chain : int64;
-  c_chain_follows : int64;
-  c_tiny_exits : int64;  (** dispatch exits with chaining + tiny cache *)
-  c_tiny_evictions : int;
-  c_cycles_equal : bool;
-      (** chaining must not change the simulated cycle count *)
+  c_guest_insns : int64;  (** default cache *)
+  c_translations : int;  (** trace translations, default cache *)
+  c_tiny_translations : int;  (** trace translations, tiny cache *)
+  c_tiny_evictions : int;  (** capacity evictions, tiny cache *)
   c_arch_equal : bool;
-      (** tiny-cache run produced the same architectural result *)
+      (** the tiny-cache run produced the same exit code and output *)
 }
 
-val per_1k : int64 -> int64 -> float
-(** [per_1k exits insns] — dispatcher exits per 1k guest instructions. *)
-
-val chain_reduction : chain_row -> float
-(** Reduction factor of dispatcher exits per 1k guest instructions
-    (no-chain / chain); [infinity] when chaining removed every exit. *)
+val per_1k : int -> int64 -> float
+(** [per_1k n insns] — [n] per 1k guest instructions (0 when [insns] is
+    0). *)
 
 val e8_tiny_capacity : int
 (** Code-cache budget (in bundles) of E8's eviction-churn configuration. *)
 
-val e8_chaining : ?mode:Gb_core.Mitigation.mode -> unit -> chain_row list
-(** One row per Polybench kernel (default mode [Unsafe], where traces are
-    longest-lived and chaining matters most). *)
+val e8_eviction : unit -> churn_row list
+(** One row per Polybench kernel. *)
 
 (** E9 (extension) — static verification cross-check: the install-time
     translation verifier and the guest gadget scanner scored against the
@@ -186,6 +178,3 @@ val e9_verify :
 
 val geomean_slowdown :
   mode_cycles list -> mode:Gb_core.Mitigation.mode -> float
-
-val figure4_json : mode_cycles list -> Gb_util.Json.t
-(** Machine-readable E2 results (for external plotting). *)

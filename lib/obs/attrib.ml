@@ -4,7 +4,6 @@ type cause =
   | Nospec_serialization
   | Mcb_rollback
   | Dispatcher_exit
-  | Chain_transfer
   | Interp_fallback
   | Cache_miss_stall
   | Cut_protect
@@ -12,8 +11,7 @@ type cause =
 let all_causes =
   [
     Committed_work; Fence_stall; Nospec_serialization; Mcb_rollback;
-    Dispatcher_exit; Chain_transfer; Interp_fallback; Cache_miss_stall;
-    Cut_protect;
+    Dispatcher_exit; Interp_fallback; Cache_miss_stall; Cut_protect;
   ]
 
 let n_causes = List.length all_causes
@@ -24,10 +22,9 @@ let cause_index = function
   | Nospec_serialization -> 2
   | Mcb_rollback -> 3
   | Dispatcher_exit -> 4
-  | Chain_transfer -> 5
-  | Interp_fallback -> 6
-  | Cache_miss_stall -> 7
-  | Cut_protect -> 8
+  | Interp_fallback -> 5
+  | Cache_miss_stall -> 6
+  | Cut_protect -> 7
 
 let cause_name = function
   | Committed_work -> "committed-work"
@@ -35,7 +32,6 @@ let cause_name = function
   | Nospec_serialization -> "nospec-serialization"
   | Mcb_rollback -> "mcb-rollback"
   | Dispatcher_exit -> "dispatcher-exit"
-  | Chain_transfer -> "chain-transfer"
   | Interp_fallback -> "interp-fallback"
   | Cache_miss_stall -> "cache-miss-stall"
   | Cut_protect -> "cut-protect"
@@ -132,11 +128,6 @@ let add_here t cause ~pc ~units =
 
 let add_here_cycles t cause ~pc ~cycles =
   add_here t cause ~pc ~units:(cycles * scale)
-
-let transfer t ~from_ ~to_ ~pc ~cycles =
-  let units = cycles * scale in
-  add_here t from_ ~pc ~units:(-units);
-  add_here t to_ ~pc ~units
 
 let bump tbl key by =
   match Hashtbl.find_opt tbl key with

@@ -19,7 +19,6 @@ type cause =
   | Nospec_serialization  (** empty issue slots: lost ILP / serialization *)
   | Mcb_rollback  (** pipeline-refill penalty of an MCB conflict rollback *)
   | Dispatcher_exit  (** side-exit penalty paid returning to the dispatcher *)
-  | Chain_transfer  (** side-exit penalty paid on a chained transfer *)
   | Interp_fallback  (** cycles spent interpreting untranslated code *)
   | Cache_miss_stall  (** L1D miss penalties, both tiers *)
   | Cut_protect
@@ -70,12 +69,6 @@ val add_here : t -> cause -> pc:int -> units:int -> unit
 (** {!add} under the current {!enter} trace/tier. *)
 
 val add_here_cycles : t -> cause -> pc:int -> cycles:int -> unit
-
-val transfer : t -> from_:cause -> to_:cause -> pc:int -> cycles:int -> unit
-(** Reclassify [cycles] already booked under the current trace at [pc]
-    from one cause to another (the pipeline books a side-exit penalty as
-    {!Dispatcher_exit} first, then moves it to {!Chain_transfer} when the
-    exit turns out to chain). Conservation is unaffected. *)
 
 val note_translation : t -> entry:int -> tier -> unit
 (** The engine translated (or retranslated) [entry]; counted per entry so

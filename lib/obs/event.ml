@@ -10,7 +10,6 @@ type kind =
   | Cache_miss of { addr : int; write : bool }
   | Tier_transition of { tier : string }
   | Transient_line of { addr : int; set_idx : int; dependent : bool }
-  | Chain of { target : int; op : [ `Link | `Follow | `Break ] }
   | Verify_violation of { kind : string; bundle : int }
   | Cycle_attrib of { committed : int; overhead : int }
       (** periodic sample of the attribution ledger: cumulative cycles in
@@ -31,7 +30,6 @@ let name = function
   | Cache_miss _ -> "cache_miss"
   | Tier_transition _ -> "tier_transition"
   | Transient_line _ -> "transient_line"
-  | Chain _ -> "chain"
   | Verify_violation _ -> "verify_violation"
   | Cycle_attrib _ -> "cycle_attrib"
 
@@ -56,11 +54,6 @@ let args kind =
       ("addr", J.Int addr); ("set", J.Int set_idx);
       ("dependent", J.Bool dependent);
     ]
-  | Chain { target; op } ->
-    let op =
-      match op with `Link -> "link" | `Follow -> "follow" | `Break -> "break"
-    in
-    [ ("target", J.Int target); ("op", J.String op) ]
   | Verify_violation { kind; bundle } ->
     [ ("kind", J.String kind); ("bundle", J.Int bundle) ]
   | Cycle_attrib { committed; overhead } ->

@@ -30,12 +30,6 @@ type kind =
           true when the load's address was derived from speculatively
           loaded data — the Spectre leak condition. pc = the load's guest
           pc. Rendered on its own Chrome-trace track. *)
-  | Chain of { target : int; op : [ `Link | `Follow | `Break ] }
-      (** trace chaining: a stub of the [region] trace was patched to
-          transfer directly into the trace at entry pc [target] ([`Link]),
-          the pipeline took such a transfer ([`Follow]), or the link was
-          severed because an endpoint was evicted or retranslated
-          ([`Break]). pc = the stub's guest target pc. *)
   | Verify_violation of { kind : string; bundle : int }
       (** the post-scheduling translation verifier found a violation of
           the speculation-safety property in an emitted trace: [kind] is

@@ -14,7 +14,7 @@ let rule_for name =
   if
     has_prefix ~prefix:"cycles." name
     || has_prefix ~prefix:"slowdown." name
-    || has_prefix ~prefix:"exits_per_1k." name
+    || has_prefix ~prefix:"translations_per_1k." name
   then Lower_better default_tol_cycles
   else if has_prefix ~prefix:"audit_fn." name then Lower_better 0.
   else if has_prefix ~prefix:"cause_share." name then Band default_band_share

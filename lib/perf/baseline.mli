@@ -22,7 +22,7 @@ type direction =
 
 val rule_for : string -> direction
 (** The rule a metric name dispatches to (see the naming convention in
-    {!Manifest}): [cycles.*], [slowdown.*] and [exits_per_1k.*] are
+    {!Manifest}): [cycles.*], [slowdown.*] and [translations_per_1k.*] are
     [Lower_better default_tol_cycles];
     [audit_fn.*] is [Lower_better 0.]; [cause_share.*] is
     [Band default_band_share]; [alloc.*] is

@@ -17,7 +17,6 @@ let config_snapshot () =
   [
     ( "cc_capacity",
       J.Int engine.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.capacity );
-    ("chain", J.Bool engine.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.chain);
     ("hot_threshold", J.Int engine.Gb_dbt.Engine.hot_threshold);
     ("width", J.Int engine.Gb_dbt.Engine.resources.Gb_dbt.Sched.width);
     ( "modes",
@@ -111,24 +110,20 @@ let poc_verdicts (poc : E.poc_row list) =
         Gb_attack.Runner.succeeded r.E.outcome ))
     poc
 
-let chaining_cells (rows : E.chain_row list) =
-  List.concat_map
-    (fun (r : E.chain_row) ->
-      [
-        ( Printf.sprintf "exits_per_1k.e8.%s.nochain" r.E.c_name,
-          E.per_1k r.E.c_exits_nochain r.E.c_guest_insns );
-        ( Printf.sprintf "exits_per_1k.e8.%s.chain" r.E.c_name,
-          E.per_1k r.E.c_exits_chain r.E.c_guest_insns );
-      ])
+(* trace translations per 1k guest instructions in the default cache:
+   a code cache that starts evicting (or a translator that stops
+   reusing its code) shows up here long before it moves cycles *)
+let eviction_cells (rows : E.churn_row list) =
+  List.map
+    (fun (r : E.churn_row) ->
+      ( Printf.sprintf "translations_per_1k.e8.%s" r.E.c_name,
+        E.per_1k r.E.c_translations r.E.c_guest_insns ))
     rows
 
-let chaining_verdicts (rows : E.chain_row list) =
-  List.concat_map
-    (fun (r : E.chain_row) ->
-      [
-        (Printf.sprintf "e8.%s.cycles_equal" r.E.c_name, r.E.c_cycles_equal);
-        (Printf.sprintf "e8.%s.arch_equal" r.E.c_name, r.E.c_arch_equal);
-      ])
+let eviction_verdicts (rows : E.churn_row list) =
+  List.map
+    (fun (r : E.churn_row) ->
+      (Printf.sprintf "e8.%s.arch_equal" r.E.c_name, r.E.c_arch_equal))
     rows
 
 let e9_verdicts (e9 : E.e9) =
@@ -273,7 +268,7 @@ let collect ?(seed = 1L) () =
   let poc = E.e1_poc_matrix ~audit:true ~seed () in
   let figure4 = E.e2_figure4 ~audit:true () in
   let e4 = E.e4_matmul_ablation ~audit:true () in
-  let chaining = E.e8_chaining () in
+  let eviction = E.e8_eviction () in
   let counters = counters_snapshot ~seed () in
   let constrained =
     E.e1_poc_matrix ~audit:true ~seed ~cc_capacity:E.e8_tiny_capacity ()
@@ -286,7 +281,7 @@ let collect ?(seed = 1L) () =
     @ List.concat_map (cause_cells ~exp:"e2") figure4
     @ geomean_cells figure4
     @ mode_cycles_cells ~exp:"e4" e4
-    @ chaining_cells chaining
+    @ eviction_cells eviction
     @ List.map (fun (name, v) -> ("counter." ^ name, float_of_int v)) counters
     @ alloc_cells ()
     @ e10_cells e10
@@ -294,7 +289,7 @@ let collect ?(seed = 1L) () =
   let verdicts =
     poc_verdicts poc
     @ min_cut_verdicts ~poc ~figure4
-    @ chaining_verdicts chaining
+    @ eviction_verdicts eviction
     @ [ ("e8.verdicts_unchanged", E.poc_verdicts_equal poc constrained) ]
     @ e9_verdicts e9
     @ e10_verdicts e10

@@ -17,9 +17,10 @@ val collect : ?seed:int64 -> unit -> Manifest.t
       cycle-attribution profile and the
       [e2.min_cut_fence_stall_leq_fence_mode] verdict;
     - E4 — the same cells under the [e4] prefix;
-    - E8 — [exits_per_1k.e8.<kernel>.{chain,nochain}], the
-      cycle/architecture-identity verdicts and [e8.verdicts_unchanged]
-      (the E1 verdicts survive a capacity-constrained code cache);
+    - E8 — [translations_per_1k.e8.<kernel>] (default code cache), the
+      [e8.<kernel>.arch_equal] verdicts (a 192-bundle cache changes no
+      architectural result) and [e8.verdicts_unchanged] (the E1
+      verdicts survive a capacity-constrained code cache);
     - E9/E10 — the static-verification and differential-gate verdicts,
       plus fault accounting as informational [faults.e10.*] cells;
     - [counter.*] — informational cells: the [Gb_obs] counters of the

@@ -3,9 +3,9 @@
     A manifest is the durable record a run leaves in the perf trajectory
     ([bench/trajectory/BENCH_<seq>.json]): where it ran (git rev, host and
     OCaml environment), how it was configured (mitigation modes, code-cache
-    capacity, chaining, seed), what it measured (a flat, sorted
-    [name -> float] metric map: per-experiment per-kernel simulated cycles
-    and slowdowns, dispatcher-exit rates, [Gb_obs] counter snapshots) and
+    capacity, seed), what it measured (a flat, sorted [name -> float]
+    metric map: per-experiment per-kernel simulated cycles and slowdowns,
+    translation rates, [Gb_obs] counter snapshots) and
     what it concluded (a [name -> bool] verdict map: leakage-audit,
     static-verification and differential-oracle gates).
 
@@ -16,9 +16,10 @@
       relative tolerance);
     - [slowdown.<exp>.<kernel>.<mode>] — cycles(mode)/cycles(unsafe)
       (lower is better, relative tolerance);
-    - [exits_per_1k.e8.<kernel>.<chain|nochain>] — dispatcher exits per 1k
-      guest instructions (lower is better, relative tolerance; this is the
-      cell that guards the trace-chaining wins);
+    - [translations_per_1k.e8.<kernel>] — trace translations per 1k
+      guest instructions with the default code cache (lower is better,
+      relative tolerance; the cell that catches a code cache that
+      thrashes, which barely moves cycles);
     - [audit_fn.<exp>.<kernel>.<mode>] — leakage-audit false negatives
       (lower is better, zero tolerance);
     - [cause_share.<exp>.<kernel>.<mode>.<cause>] — the

@@ -1,18 +1,15 @@
 type kind =
   | Evict
-  | Chain_break
   | Mcb_spurious
   | Mcb_suppress
   | Translate_fail
   | Decode_flush
 
 let all_kinds =
-  [ Evict; Chain_break; Mcb_spurious; Mcb_suppress; Translate_fail;
-    Decode_flush ]
+  [ Evict; Mcb_spurious; Mcb_suppress; Translate_fail; Decode_flush ]
 
 let kind_name = function
   | Evict -> "evict"
-  | Chain_break -> "chain"
   | Mcb_spurious -> "mcb"
   | Mcb_suppress -> "mcb-suppress"
   | Translate_fail -> "translate"
@@ -20,7 +17,6 @@ let kind_name = function
 
 let kind_of_name = function
   | "evict" -> Some Evict
-  | "chain" -> Some Chain_break
   | "mcb" -> Some Mcb_spurious
   | "mcb-suppress" -> Some Mcb_suppress
   | "translate" -> Some Translate_fail
@@ -31,7 +27,6 @@ let recoverable = function Mcb_suppress -> false | _ -> true
 
 let default_rate = function
   | Evict -> 0.02
-  | Chain_break -> 0.05
   | Mcb_spurious -> 0.05
   | Mcb_suppress -> 1.0
   | Translate_fail -> 0.25
@@ -76,11 +71,10 @@ let spec_name spec =
 
 let kind_index = function
   | Evict -> 0
-  | Chain_break -> 1
-  | Mcb_spurious -> 2
-  | Mcb_suppress -> 3
-  | Translate_fail -> 4
-  | Decode_flush -> 5
+  | Mcb_spurious -> 1
+  | Mcb_suppress -> 2
+  | Translate_fail -> 3
+  | Decode_flush -> 4
 
 let n_kinds = List.length all_kinds
 

@@ -9,9 +9,6 @@
     - [Evict]: the code-cache entry the dispatcher just looked up is
       invalidated while its trace is in flight (mid-trace capacity
       eviction);
-    - [Chain_break]: a chained transfer's target is treated as corrupted —
-      the resolver refuses it and execution must fall back to the
-      dispatcher;
     - [Mcb_spurious]: an MCB [chk] reports a conflict that did not happen —
       the rollback path runs and must still converge;
     - [Mcb_suppress]: a real MCB conflict is hidden. This one is
@@ -31,7 +28,6 @@
 
 type kind =
   | Evict
-  | Chain_break
   | Mcb_spurious
   | Mcb_suppress
   | Translate_fail
@@ -40,8 +36,8 @@ type kind =
 val all_kinds : kind list
 
 val kind_name : kind -> string
-(** ["evict"], ["chain"], ["mcb"], ["mcb-suppress"], ["translate"],
-    ["decode"] — the names accepted by {!parse} and the CLI. *)
+(** ["evict"], ["mcb"], ["mcb-suppress"], ["translate"], ["decode"] —
+    the names accepted by {!parse} and the CLI. *)
 
 val kind_of_name : string -> kind option
 
@@ -54,7 +50,7 @@ val default_rate : kind -> float
 type spec = (kind * float) list
 
 val parse : string -> (spec, string) result
-(** Parse ["KIND[:RATE][,KIND[:RATE]...]"], e.g. ["evict:0.05,chain"].
+(** Parse ["KIND[:RATE][,KIND[:RATE]...]"], e.g. ["evict:0.05,mcb"].
     Rates must lie in [\[0,1\]]; a missing rate uses {!default_rate}. *)
 
 val spec_name : spec -> string

@@ -60,19 +60,13 @@ type t = {
       (** the sink's cycle-attribution ledger, cached off the hot loop *)
   audit : Gb_cache.Audit.t option;
   inject : Inject.t option;
-  dispatch_exits : int64 ref;
-      (** trace exits handled by the dispatch loop (chained transfers
-          bypass it — the quantity trace chaining exists to reduce) *)
-  chain_dead_end : bool ref;
-      (** set by the chain resolver when it recorded an exit but found
-          no translation to continue into: the dispatch loop must not
-          record that exit a second time *)
-  on_trace_exit : (Gb_vliw.Pipeline.exit_info -> unit) ref;
-      (** observer fired exactly once per trace exit — by the dispatch
-          loop for exits it handles, by the chain resolver for chained
-          transfers (and for dead-end exits it already recorded) — with
-          architectural state fully committed; the differential oracle
-          hangs its sync points here *)
+  mutable dispatch_exits : int;
+      (** trace exits handled by the dispatch loop: every trace exit. A
+          native int, so counting one allocates nothing. *)
+  mutable on_trace_exit : Gb_vliw.Pipeline.exit_info -> unit;
+      (** observer fired once per trace exit with architectural state
+          fully committed; the differential oracle hangs its sync
+          points here *)
 }
 
 let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
@@ -103,8 +97,7 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
         "cache.read_misses"; "cache.write_misses"; "cache.flushes";
         (* the code cache proper ("cache.*" above is the L1D) *)
         "code_cache.hits"; "code_cache.misses"; "code_cache.evictions";
-        "code_cache.chain_links"; "code_cache.chain_follows";
-        "code_cache.chain_breaks"; "processor.dispatch_exits";
+        "processor.dispatch_exits";
       ];
   if audit && Gb_obs.Sink.is_active obs then
     List.iter
@@ -177,48 +170,38 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
       ~pc:program.Gb_riscv.Asm.entry ()
   in
   interp_box := Some interp;
-  (* one knob: the engine's code-cache config decides whether chaining
-     exists at all; the machine merely follows links that were patched *)
-  let machine_cfg =
-    {
-      config.machine with
-      Gb_vliw.Machine.chain =
-        config.machine.Gb_vliw.Machine.chain
-        && config.engine.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.chain;
-    }
-  in
   let machine =
-    Gb_vliw.Machine.create ~cfg:machine_cfg ~mem ~hier ~clock ~regs ~obs
+    Gb_vliw.Machine.create ~cfg:config.machine ~mem ~hier ~clock ~regs ~obs
       ?audit ()
   in
-  (* The machine's MCB is the hardware the translator speculates against:
-     never emit more tags than it has entries, and no memory speculation
-     at all when it is disabled (entries = 0) — otherwise [chk] ops would
+  (* The machine's MCB is the hardware the translator speculates against,
+     and its size is the one MCB knob: a speculating translator gets
+     exactly one tag per entry, and no memory speculation at all when
+     the MCB is disabled (entries = 0) — otherwise [chk] ops would
      consume entries that were never allocated and silently commit
      unchecked speculative values. *)
   let engine_cfg =
-    let entries = machine_cfg.Gb_vliw.Machine.mcb_entries in
+    let entries = config.machine.Gb_vliw.Machine.mcb_entries in
     let opt =
       match config.engine.Gb_dbt.Engine.opt_override with
       | Some o -> o
       | None ->
         Gb_core.Mitigation.opt_of_mode config.engine.Gb_dbt.Engine.mode
     in
-    let clamped =
-      if entries <= 0 then
+    let sized =
+      if not opt.Gb_ir.Opt_config.mem_spec then opt
+      else if entries <= 0 then
         { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
-      else if opt.Gb_ir.Opt_config.mcb_tags > entries then
-        { opt with Gb_ir.Opt_config.mcb_tags = entries }
-      else opt
+      else { opt with Gb_ir.Opt_config.mcb_tags = entries }
     in
     let engine =
-      if clamped = opt then config.engine
-      else { config.engine with Gb_dbt.Engine.opt_override = Some clamped }
+      if sized = opt then config.engine
+      else { config.engine with Gb_dbt.Engine.opt_override = Some sized }
     in
     (* Likewise the hidden registers: code needing more than the machine
        has fails translation (Out_of_registers) and its region stays on
        the lower tiers, instead of reaching the pipeline's size check. *)
-    let n_hidden = machine_cfg.Gb_vliw.Machine.n_hidden in
+    let n_hidden = config.machine.Gb_vliw.Machine.n_hidden in
     if engine.Gb_dbt.Engine.n_hidden <= n_hidden then engine
     else { engine with Gb_dbt.Engine.n_hidden }
   in
@@ -243,42 +226,9 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
                false
              else conflict))
   | None -> ());
-  (* The chained-transfer resolver: do exactly what the dispatch loop
-     below would have done for this exit — record it (keeping rollback/
-     side-exit ratios current), tick the target's hot counter (which may
-     promote a chained-into first-pass block to a trace, or drop a stale
-     one), then hand back whatever translation is installed at the
-     target NOW. Resolving after accounting keeps chaining invisible to
-     the cost model: a transfer that promotes its own target runs the
-     new trace immediately, exactly as a dispatch would. In the rare
-     case nothing resolves (e.g. a self-looping trace just invalidated
-     itself for retranslation) the exit goes back to the dispatcher,
-     which must then skip its own recording — this callback already did
-     it. *)
-  let chain_dead_end = ref false in
-  let on_trace_exit = ref (fun (_ : Gb_vliw.Pipeline.exit_info) -> ()) in
-  machine.Gb_vliw.Machine.on_chain <-
-    (fun info ->
-      Gb_dbt.Engine.record_block_exit engine
-        ~entry:info.Gb_vliw.Vinsn.exit_entry info;
-      Gb_dbt.Engine.record_block_entry engine info.Gb_vliw.Vinsn.next_pc;
-      !on_trace_exit info;
-      match inject with
-      | Some inj when Inject.fire inj Inject.Chain_break ->
-        (* injected chain-target corruption: refuse the link; the exit
-           falls back to the dispatcher, which must skip its own
-           recording — this callback already did it *)
-        chain_dead_end := true;
-        None
-      | _ -> (
-        match Gb_dbt.Engine.chained_successor engine info with
-        | Some _ as next -> next
-        | None ->
-          chain_dead_end := true;
-          None));
   {
     cfg = config; mem; clock; hier; interp; machine; engine; obs; attrib;
-    audit; inject; dispatch_exits = ref 0L; chain_dead_end; on_trace_exit;
+    audit; inject; dispatch_exits = 0; on_trace_exit = ignore;
   }
 
 let mem t = t.mem
@@ -299,7 +249,7 @@ let machine t = t.machine
 
 let inject t = t.inject
 
-let set_on_trace_exit t f = t.on_trace_exit := f
+let set_on_trace_exit t f = t.on_trace_exit <- f
 
 let emit_attrib_sample t =
   match t.attrib with
@@ -339,8 +289,8 @@ let result_of t exit_code =
     verify_checked = es.Gb_dbt.Engine.verify_checked;
     verify_violations = es.Gb_dbt.Engine.verify_violations;
     verify_rejections = es.Gb_dbt.Engine.verify_rejections;
-    dispatch_exits = !(t.dispatch_exits);
-    chain_follows = Int64.of_int ms.Gb_vliw.Machine.chain_follows;
+    dispatch_exits = Int64.of_int t.dispatch_exits;
+    chain_follows = 0L;
     guest_insns =
       Int64.add t.interp.Gb_riscv.Interp.insn_count
         (Int64.of_int ms.Gb_vliw.Machine.guest_insns);
@@ -353,45 +303,38 @@ let result_of t exit_code =
 
 let run t =
   let engine = t.engine in
+  let cc = Gb_dbt.Engine.code_cache engine in
   Gb_dbt.Engine.record_block_entry engine t.interp.Gb_riscv.Interp.pc;
   let rec loop () =
     if Int64.compare !(t.clock) t.cfg.max_cycles > 0 then
       raise (Gb_riscv.Interp.Trap "cycle watchdog exceeded");
     let pc = t.interp.Gb_riscv.Interp.pc in
-    match Gb_dbt.Engine.lookup engine pc with
-    | Some trace ->
+    (* the code cache's own [Some] entry, not [Engine.lookup]'s re-wrapped
+       trace: one allocation per exit fewer *)
+    match Gb_dbt.Code_cache.find cc pc with
+    | Some { Gb_dbt.Code_cache.e_trace = trace; _ } ->
       (match t.inject with
       | Some inj when Inject.fire inj Inject.Evict ->
         (* mid-trace eviction fault: the entry vanishes from the code
-           cache (links severed both ways) while its trace is already in
-           flight; the region re-translates when it turns hot again *)
-        Gb_dbt.Code_cache.invalidate
-          (Gb_dbt.Engine.code_cache engine)
-          pc
+           cache while its trace is already in flight; the region
+           re-translates when it turns hot again *)
+        Gb_dbt.Code_cache.invalidate cc pc
       | _ -> ());
       let info = Gb_vliw.Pipeline.run t.machine trace in
       t.interp.Gb_riscv.Interp.pc <- info.Gb_vliw.Pipeline.next_pc;
-      t.dispatch_exits := Int64.add !(t.dispatch_exits) 1L;
+      t.dispatch_exits <- t.dispatch_exits + 1;
       Gb_obs.Sink.incr t.obs "processor.dispatch_exits";
       (* periodic committed-vs-overhead sample for the Chrome trace's
          attribution counter lanes *)
-      if Option.is_some t.attrib && Int64.rem !(t.dispatch_exits) 256L = 1L
-      then
+      if Option.is_some t.attrib && t.dispatch_exits mod 256 = 1 then
         emit_attrib_sample t;
-      (* with chaining, the final exit may come from a different trace
-         than the one dispatched; intermediate exits were already
-         recorded by the on_chain resolver — and so was this one, iff
-         the resolver hit a dead end on it *)
-      if !(t.chain_dead_end) then t.chain_dead_end := false
-      else begin
-        Gb_dbt.Engine.record_block_exit engine
-          ~entry:info.Gb_vliw.Pipeline.exit_entry info;
-        Gb_dbt.Engine.record_block_entry engine info.Gb_vliw.Pipeline.next_pc;
-        !(t.on_trace_exit) info
-      end;
-      (* record_block_entry may just have translated next_pc: patch the
-         stub we exited through so the next pass transfers directly *)
-      Gb_dbt.Engine.chain engine info;
+      (* the one accounting of this exit: the region's run/exit counts,
+         the target's hot counter (which may translate it), the
+         observer *)
+      Gb_dbt.Engine.record_block_exit engine
+        ~entry:info.Gb_vliw.Pipeline.exit_entry info;
+      Gb_dbt.Engine.record_block_entry engine info.Gb_vliw.Pipeline.next_pc;
+      t.on_trace_exit info;
       (match t.inject with
       | Some inj when Inject.fire inj Inject.Decode_flush ->
         (* decode-cache poisoning fault: drop every decoded entry, the

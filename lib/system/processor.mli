@@ -39,14 +39,13 @@ type result = {
   verify_rejections : int;
       (** translations [Verify_enforce] refused to install unfenced *)
   dispatch_exits : int64;
-      (** trace exits handled by the dispatch loop; chained transfers
-          bypass it, so with chaining on this drops well below
-          [trace_runs] on hot loops *)
-  chain_follows : int64;  (** chained transfers the pipeline took *)
+      (** trace exits handled by the dispatch loop: every trace exit *)
+  chain_follows : int64;
+      (** Vestigial and always 0: there is no trace chaining. The field
+          stays only until the host benchmark stops reading it. *)
   guest_insns : int64;
       (** total guest instructions executed (interpreter + translated
-          code) — the denominator for dispatcher exits per 1k guest
-          instructions *)
+          code) *)
   cc_evictions : int;  (** code-cache capacity evictions *)
   output : string;
   audit : Gb_cache.Audit.summary option;
@@ -71,14 +70,16 @@ val create :
     lockstep with the real one, every trace exit diffs the two, and the
     result's [audit] field carries the classification summary.
     [inject] arms the fault-injection harness at the documented points
-    (mid-trace eviction, chain-target corruption, MCB conflict-bit
-    faults, transient translation failure, decode-cache flush); when
-    omitted, {!Inject.of_env} can arm one from [GHOSTBUSTERS_INJECT].
-    The processor also clamps the translator's MCB tag budget to the
-    machine's [mcb_entries] (none at all when that is 0 — "MCB
-    disabled"), so generated code can never check entries the hardware
-    does not have, and the engine's [n_hidden] to the machine's, so it
-    never emits code using registers the machine does not have. *)
+    (mid-trace eviction, MCB conflict-bit faults, transient translation
+    failure, decode-cache flush); when omitted, {!Inject.of_env} can arm
+    one from [GHOSTBUSTERS_INJECT].
+    The machine's [mcb_entries] is the one MCB knob: a speculating
+    translator's tag budget is set equal to it (no memory speculation
+    at all when it is 0 — "MCB disabled"), so generated code uses
+    exactly the entries the hardware has. The engine's [n_hidden] is
+    clamped to the machine's, so it never emits code using registers
+    the machine does not have. Raises [Invalid_argument] when
+    [machine.chain] or [engine.cache.chain] is [false]. *)
 
 val mem : t -> Gb_riscv.Mem.t
 
@@ -110,10 +111,10 @@ val allocs : t -> Gb_obs.Allocs.t
     translation pipeline excluded. *)
 
 val set_on_trace_exit : t -> (Gb_vliw.Pipeline.exit_info -> unit) -> unit
-(** Install an observer fired exactly once per trace exit (dispatch-loop
-    exits and chained transfers alike), after the exit stub committed
-    architectural state and the engine recorded the exit. The
-    differential oracle synchronises the reference interpreter here. *)
+(** Install an observer fired exactly once per trace exit, after the exit
+    stub committed architectural state and the engine recorded the exit.
+    The differential oracle synchronises the reference interpreter
+    here. *)
 
 val run : t -> result
 (** Run to the exit ecall. Raises {!Gb_riscv.Interp.Trap} on guest errors

@@ -72,8 +72,7 @@ type report = {
 }
 
 val verify : Gb_vliw.Vinsn.trace -> report
-(** Pure; never mutates the trace. Chain links are ignored (verification
-    is per-translation). *)
+(** Pure; never mutates the trace. Verification is per-translation. *)
 
 val check_cut :
   Gb_vliw.Vinsn.trace -> plan:Gb_core.Leakcut.plan -> violation list

@@ -2,13 +2,11 @@ type config = {
   n_hidden : int;
   mcb_entries : int;
   exit_penalty : int;
-  chain : bool;
-  chain_fuel : int;
+  chain : bool;  (* vestigial: must be true, see machine.mli *)
 }
 
 let default_config =
-  { n_hidden = 96; mcb_entries = 8; exit_penalty = 4; chain = true;
-    chain_fuel = 4096 }
+  { n_hidden = 96; mcb_entries = 8; exit_penalty = 4; chain = true }
 
 (* Native-int counters: an [int64] field here would allocate a fresh box
    on every increment, and these are bumped per trace run / per bundle
@@ -19,7 +17,6 @@ type stats = {
   mutable side_exits : int;
   mutable rollbacks : int;
   mutable stall_cycles : int;
-  mutable chain_follows : int;
   mutable guest_insns : int;
 }
 
@@ -33,9 +30,8 @@ type t = {
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
-  mutable on_chain : Vinsn.exit_info -> Vinsn.trace option;
   mutable rdcycle_hook : (int64 -> int64) option;
-  (* Scratch state owned by Pipeline.run_one, hoisted here so bundle
+  (* Scratch state owned by Pipeline.run, hoisted here so bundle
      execution never allocates: the parallel-write buffer is two
      parallel arrays indexed by the static write slots decode assigns
      (a tuple array would box one pair per register write), its values
@@ -55,7 +51,7 @@ type t = {
   (* Batched per-bundle counters: native-int accumulators folded into
      the [int64] stats/clock before anything can observe them (Rdcycle,
      trace exit, any instrumented run). Each is "always 0 outside
-     Pipeline.run_one" — the flush discipline that keeps batched and
+     Pipeline.run" — the flush discipline that keeps batched and
      eager execution bit-identical. *)
   mutable acc_bundles : int;
   mutable acc_stalls : int;
@@ -70,6 +66,8 @@ type t = {
 
 let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
     ?(obs = Gb_obs.Sink.noop) ?audit () =
+  if not cfg.chain then
+    invalid_arg "Machine.create: config.chain must be true (trace chaining was removed)";
   let regs =
     match regs with
     | Some r ->
@@ -86,10 +84,9 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
     mcb = Mcb.create ~obs ~entries:cfg.mcb_entries ();
     stats =
       { bundles = 0; trace_runs = 0; side_exits = 0; rollbacks = 0;
-        stall_cycles = 0; chain_follows = 0; guest_insns = 0 };
+        stall_cycles = 0; guest_insns = 0 };
     obs;
     audit;
-    on_chain = (fun _ -> None);
     rdcycle_hook = None;
     w_val = Gb_riscv.Regfile.create 32;
     w_taint = Array.make 32 false;

@@ -6,20 +6,14 @@ type config = {
   mcb_entries : int;
   exit_penalty : int;  (** pipeline refill cycles on any trace exit *)
   chain : bool;
-      (** follow patched [stub.chain] links inside {!Pipeline.run} instead
-          of returning to the dispatcher. Following a link is only legal
-          because links are created exclusively by the code cache, which
-          enforces mitigation-mode compatibility and unlinks on eviction. *)
-  chain_fuel : int;
-      (** maximum chained transfers per {!Pipeline.run} call before
-          control is handed back to the dispatcher anyway, so the
-          processor's cycle watchdog and host-side loop stay live even
-          when a hot loop chains to itself *)
+      (** Vestigial and always [true]: every trace exit returns to the
+          dispatcher, there is no trace chaining. {!create} raises
+          [Invalid_argument] for [false]. The field stays only until the
+          host benchmark's configs stop setting it. *)
 }
 
 val default_config : config
-(** 96 hidden registers, 8 MCB entries, exit penalty 4, chaining on with
-    fuel 4096. *)
+(** 96 hidden registers, 8 MCB entries, exit penalty 4. *)
 
 type stats = {
   mutable bundles : int;
@@ -27,8 +21,6 @@ type stats = {
   mutable side_exits : int;
   mutable rollbacks : int;
   mutable stall_cycles : int;
-  mutable chain_follows : int;
-      (** chained transfers taken without returning to the dispatcher *)
   mutable guest_insns : int;
       (** guest instructions covered by executed traces (full-pass upper
           estimate: an early side exit still counts the whole trace) *)
@@ -50,21 +42,6 @@ type t = {
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
       (** leakage audit fed by {!Pipeline.run}; [None] disables buffering *)
-  mutable on_chain : Vinsn.exit_info -> Vinsn.trace option;
-      (** the chained-transfer resolver, consulted by {!Pipeline.run}
-          whenever the taken stub carries a chain link. It must do
-          whatever the dispatcher would have done for this exit
-          (per-region run/side-exit/rollback accounting, hot-counter
-          tick for the target — which may promote or drop translations)
-          and then return the translation {e now} installed at
-          [next_pc], or [None] to hand the exit back to the dispatcher.
-          Resolving after accounting means a transfer that promotes its
-          own target immediately runs the new trace, exactly like a
-          dispatch — chaining stays invisible to the cost model. The
-          default resolver returns [None] (a bare machine has no code
-          cache, so it never chains); {!Gb_system.Processor} installs
-          the real one. The final (returned) exit is never reported
-          here. *)
   mutable rdcycle_hook : (int64 -> int64) option;
       (** when set, every [Rdcycle] op's result is filtered through the
           hook (given the natural clock reading). The differential
@@ -96,7 +73,7 @@ type t = {
       (** scratch: stall cycles not yet folded into [stats.stall_cycles] *)
   mutable acc_cycles : int;
       (** scratch: cycles not yet folded into [clock]; always 0 outside
-          {!Pipeline.run_one} *)
+          {!Pipeline.run} *)
   mutable eager : bool;
       (** flush the accumulators every bundle (an observer — active
           sink, audit — could read the clock mid-run) *)
@@ -118,7 +95,8 @@ val create :
 (** [regs], when provided, must be at least [32 + cfg.n_hidden] long (it is
     shared with the interpreter, which only uses the first 32 slots).
     [obs] (default {!Gb_obs.Sink.noop}) receives the [vliw.*] counters and
-    rollback/conflict events of {!Pipeline} and {!Mcb}. *)
+    rollback/conflict events of {!Pipeline} and {!Mcb}. Raises
+    [Invalid_argument] when [cfg.chain] is [false]. *)
 
 val ensure_write_capacity : t -> int -> unit
 (** Grow the parallel-write scratch buffer to at least [n] slots;

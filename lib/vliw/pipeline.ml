@@ -423,9 +423,9 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   | None -> ());
   apply_commits m stub.commits;
   let commit_cycles = (stub.n_commits + width - 1) / width in
-  (* a fall-through exit is block chaining — sequential fetch, no
-     pipeline flush; only mispredicted side exits and MCB rollbacks pay
-     the refill penalty *)
+  (* a fall-through exit continues with sequential fetch, no pipeline
+     flush; only mispredicted side exits and MCB rollbacks pay the
+     refill penalty *)
   let penalty =
     match kind with
     | Fallthrough -> 0
@@ -440,8 +440,6 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
       At.add_here_cycles a At.Committed_work ~pc:trace.entry_pc
         ~cycles:commit_cycles;
     if penalty > 0 then
-      (* a chained transfer reclassifies this to Chain_transfer in
-         [follow] below, once the link is known to be followed *)
       At.add_here_cycles a
         (match kind with Rollback -> At.Mcb_rollback | _ -> At.Dispatcher_exit)
         ~pc:stub.target_pc ~cycles:penalty
@@ -513,7 +511,7 @@ let rec cycle (m : Machine.t) (trace : Vinsn.trace) p attrib ~width i =
 (* Execute one pass over a trace. The mutable per-cycle state lives in
    the machine's scratch fields; register writes are buffered and applied
    at end of cycle to get the parallel-read semantics right. *)
-let run_one (m : Machine.t) (trace : Vinsn.trace) =
+let run (m : Machine.t) (trace : Vinsn.trace) =
   let open Vinsn in
   if Regfile.length m.regs < trace.n_regs then
     error "trace needs %d registers, machine has %d" trace.n_regs
@@ -555,54 +553,3 @@ let run_one (m : Machine.t) (trace : Vinsn.trace) =
   with e ->
     Machine.flush_acc m;
     raise e
-
-(* Run a trace and follow chain links: when the taken stub was patched by
-   the code cache, transfer straight into the successor instead of
-   returning to the dispatcher. Chaining is free in the simulated cost
-   model — the dispatcher itself costs no cycles here — so all existing
-   cycle counts are unchanged; what it changes is *control*: the host
-   dispatch loop (and its per-exit bookkeeping) is bypassed, which is why
-   every followed link is reported through [m.on_chain].
-
-   The chain target is captured *before* the callback runs: the callback
-   (engine accounting) may decide to retranslate or despeculate the
-   exiting region, which unlinks that region's stubs — but never the
-   already-captured successor, so following [next] stays safe. Rollback
-   exits always return to the dispatcher: MCB recovery re-enters the
-   interpreter-visible path. A top-level function like [cycle], so a
-   dispatch allocates no closure. *)
-let rec follow (m : Machine.t) fuel trace =
-  let info = run_one m trace in
-  if fuel <= 0 || info.kind = Rollback then info
-  else begin
-    let stub = trace.Vinsn.stubs.(info.taken_stub) in
-    (* a chain link is the trigger; the resolver supplies the code to
-       run, so a transfer whose accounting just replaced the target
-       (block promotion, retranslation) continues into the fresh
-       translation instead of the one captured at link time *)
-    match stub.Vinsn.chain with
-    | None -> info
-    | Some _ -> (
-      match m.on_chain info with
-      | None -> info
-      | Some next ->
-        (* the exit penalty just booked as Dispatcher_exit was in
-           fact paid transferring along the chain — reclassify it
-           under the same key while the exiting trace is current *)
-        (match Gb_obs.Sink.attrib m.obs with
-        | Some a when info.kind = Side_exit && m.cfg.exit_penalty > 0 ->
-          Gb_obs.Attrib.transfer a ~from_:Gb_obs.Attrib.Dispatcher_exit
-            ~to_:Gb_obs.Attrib.Chain_transfer ~pc:info.next_pc
-            ~cycles:m.cfg.exit_penalty
-        | _ -> ());
-        m.stats.chain_follows <- m.stats.chain_follows + 1;
-        if Gb_obs.Sink.is_active m.obs then begin
-          Gb_obs.Sink.incr m.obs "code_cache.chain_follows";
-          Gb_obs.Sink.event m.obs ~pc:info.next_pc ~region:info.exit_entry
-            (Gb_obs.Event.Chain { target = next.Vinsn.entry_pc; op = `Follow })
-        end;
-        follow m (fuel - 1) next)
-  end
-
-let run (m : Machine.t) (trace : Vinsn.trace) =
-  if not m.cfg.chain then run_one m trace else follow m m.cfg.chain_fuel trace

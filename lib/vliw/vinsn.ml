@@ -66,8 +66,6 @@ type decoded = ..
 
 type decoded += Undecoded
 
-(* stub and trace are mutually recursive: a patched stub transfers
-   directly into the successor trace (trace chaining) *)
 type stub = {
   commits : (reg * operand) list;
   n_commits : int;
@@ -75,10 +73,9 @@ type stub = {
          pipeline's exit path doesn't walk the list per trace exit *)
   target_pc : int;
   exit_id : int;
-  mutable chain : trace option;
 }
 
-and trace = {
+type trace = {
   entry_pc : int;
   bundles : bundle array;
   stubs : stub array;
@@ -89,8 +86,7 @@ and trace = {
 }
 
 let make_stub ?(exit_id = max_int) ~commits ~target_pc () =
-  { commits; n_commits = List.length commits; target_pc; exit_id;
-    chain = None }
+  { commits; n_commits = List.length commits; target_pc; exit_id }
 
 type exit_kind = Fallthrough | Side_exit | Rollback
 
@@ -161,8 +157,7 @@ let pp_trace ppf trace =
     trace.bundles;
   Array.iteri
     (fun i stub ->
-      Format.fprintf ppf "  stub%d -> 0x%x%s:" i stub.target_pc
-        (match stub.chain with Some _ -> " [chained]" | None -> "");
+      Format.fprintf ppf "  stub%d -> 0x%x:" i stub.target_pc;
       List.iter
         (fun (r, src) ->
           Format.fprintf ppf " %a<-%a" pp_reg r pp_operand src)

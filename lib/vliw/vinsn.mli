@@ -95,16 +95,9 @@ type stub = {
       (** DFG node id of the exit this stub belongs to: memory ops with a
           smaller id are architecturally committed when this exit is
           taken, larger ids executed transiently (leakage audit) *)
-  mutable chain : trace option;
-      (** trace chaining: when patched (by the code cache, which alone
-          knows mitigation-mode compatibility and eviction state), the
-          pipeline transfers directly into this successor trace instead of
-          returning to the dispatcher. Must only ever point at a
-          currently-installed translation — the code cache unlinks it when
-          either endpoint is evicted or retranslated. *)
 }
 
-and trace = {
+type trace = {
   entry_pc : int;
   bundles : bundle array;
   stubs : stub array;
@@ -113,33 +106,32 @@ and trace = {
   meta : meta;
   mutable decoded : decoded;
       (** [bundles] decoded for execution, filled once by
-          [Pipeline.decode] when the translation is made and shared by
-          every copy of the record. A pure function of [bundles], which
-          stay the source of truth for the verifier, attribution and the
-          printers; nothing mutates either once set. *)
+          [Pipeline.decode] when the translation is made. A pure
+          function of [bundles], which stay the source of truth for the
+          verifier, attribution and the printers; nothing mutates either
+          once set. *)
 }
 
 val make_stub :
   ?exit_id:int -> commits:(reg * operand) list -> target_pc:int -> unit -> stub
-(** Build a stub with [n_commits] precomputed and [chain = None].
-    [exit_id] defaults to [max_int] (every memory op committed). *)
+(** Build a stub with [n_commits] precomputed. [exit_id] defaults to
+    [max_int] (every memory op committed). *)
 
 (** How a pipeline pass over a trace ended. Defined here (not in
-    {!Pipeline}, which re-exports it) so {!Machine} can carry the
-    chain-transfer callback without a dependency cycle. *)
+    {!Pipeline}, which re-exports it) so {!Machine} can own the scratch
+    exit record without a dependency cycle. *)
 type exit_kind = Fallthrough | Side_exit | Rollback
 
 (** Fields are mutable: {!Machine} owns one scratch [exit_info] that each
     pipeline pass refills in place, so a trace run allocates nothing to
-    report its exit. The record returned by [Pipeline.run]/[run_one] is
+    report its exit. The record returned by [Pipeline.run] is
     only valid until the next pass over that machine — copy the fields
     out to retain an exit. *)
 type exit_info = {
   mutable next_pc : int;  (** guest pc to resume at *)
   mutable kind : exit_kind;
   mutable exit_entry : int;
-      (** entry pc of the trace whose stub produced this exit — differs
-          from the dispatched pc once chained transfers are followed *)
+      (** entry pc of the trace whose stub produced this exit *)
   mutable taken_stub : int;
       (** index of the taken stub in [exit_entry]'s trace *)
 }

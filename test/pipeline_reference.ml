@@ -169,7 +169,7 @@ let attribute_bundle a ~mitigated ~cut ~width ~pc bundle =
 
 (* The per-bundle helpers below are top-level functions over the scratch
    state hoisted into {!Machine.t} (write buffer, stall counter, taken
-   exit, taint map): defining them inside [run_one] — as closures over
+   exit, taint map): defining them inside [run] — as closures over
    local refs — used to allocate a closure set per trace run and a
    ref/option/tuple churn per bundle. *)
 
@@ -306,9 +306,9 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   | None -> ());
   apply_commits m stub.commits;
   let commit_cycles = (stub.n_commits + width - 1) / width in
-  (* a fall-through exit is block chaining — sequential fetch, no
-     pipeline flush; only mispredicted side exits and MCB rollbacks pay
-     the refill penalty *)
+  (* a fall-through exit continues with sequential fetch, no pipeline
+     flush; only mispredicted side exits and MCB rollbacks pay the
+     refill penalty *)
   let penalty =
     match kind with
     | Fallthrough -> 0
@@ -323,8 +323,6 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
       At.add_here_cycles a At.Committed_work ~pc:trace.entry_pc
         ~cycles:commit_cycles;
     if penalty > 0 then
-      (* a chained transfer reclassifies this to Chain_transfer in
-         [run] below, once the link is known to be followed *)
       At.add_here_cycles a
         (match kind with Rollback -> At.Mcb_rollback | _ -> At.Dispatcher_exit)
         ~pc:stub.target_pc ~cycles:penalty
@@ -354,7 +352,7 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
 (* Execute one pass over a trace. The mutable per-cycle state lives in
    the machine's scratch fields; register writes are buffered and applied
    at end of cycle to get the parallel-read semantics right. *)
-let run_one (m : Machine.t) (trace : Vinsn.trace) =
+let run (m : Machine.t) (trace : Vinsn.trace) =
   let open Vinsn in
   if Regfile.length m.regs < trace.n_regs then
     error "trace needs %d registers, machine has %d" trace.n_regs

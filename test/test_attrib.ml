@@ -4,23 +4,11 @@
 
 module At = Gb_obs.Attrib
 
-let with_chain config chain =
-  let engine = config.Gb_system.Processor.engine in
-  {
-    config with
-    Gb_system.Processor.engine =
-      {
-        engine with
-        Gb_dbt.Engine.cache =
-          { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.chain };
-      };
-  }
-
 (* run [asm] under [mode]; returns (result, ledger) with conservation
    already re-checked explicitly (the processor asserts it too) *)
-let run_attributed ?(chain = true) mode asm =
+let run_attributed mode asm =
   let obs = Gb_obs.Sink.create ~attrib:true () in
-  let config = with_chain (Gb_system.Processor.config_for mode) chain in
+  let config = Gb_system.Processor.config_for mode in
   let r = Gb_system.Processor.run_program ~config ~obs asm in
   let a = Option.get (Gb_obs.Sink.attrib obs) in
   (match At.check a ~cycles:r.Gb_system.Processor.cycles with
@@ -55,22 +43,6 @@ let test_scale_divisible () =
   done
 
 (* --- ledger mechanics ---------------------------------------------------- *)
-
-let test_transfer_conserves () =
-  let a = At.create () in
-  At.enter a ~entry:0x100;
-  At.add_here_cycles a At.Dispatcher_exit ~pc:0x200 ~cycles:4;
-  At.add_here_cycles a At.Committed_work ~pc:0x100 ~cycles:10;
-  let before = At.total_units a in
-  At.transfer a ~from_:At.Dispatcher_exit ~to_:At.Chain_transfer ~pc:0x200
-    ~cycles:4;
-  Alcotest.(check int) "total unchanged" before (At.total_units a);
-  Alcotest.(check int) "source emptied" 0 (units a At.Dispatcher_exit);
-  Alcotest.(check int) "target filled" (4 * At.scale)
-    (units a At.Chain_transfer);
-  match At.check a ~cycles:14L with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
 
 let test_check_detects_drift () =
   let a = At.create () in
@@ -135,21 +107,25 @@ let test_v1_rollback_and_tiers () =
     Alcotest.(check bool) "conflict pcs recorded" true
       (At.conflict_pcs a <> [])
 
-let test_chain_reclassifies_exits () =
+(* Every trace exit returns to the dispatcher, so the refill penalty of
+   every side exit is dispatcher-exit cost and of every rollback MCB
+   rollback cost: nothing else may book either. *)
+let test_exit_penalties () =
   let asm = Lazy.force v1_asm in
-  let _, chained = run_attributed ~chain:true Gb_core.Mitigation.Unsafe asm in
-  let _, unchained =
-    run_attributed ~chain:false Gb_core.Mitigation.Unsafe asm
+  let r, a = run_attributed Gb_core.Mitigation.Unsafe asm in
+  let penalty =
+    Gb_vliw.Machine.default_config.Gb_vliw.Machine.exit_penalty * At.scale
   in
-  Alcotest.(check bool) "chained transfers attributed" true
-    (units chained At.Chain_transfer > 0);
-  Alcotest.(check int) "no chain-transfer without chaining" 0
-    (units unchained At.Chain_transfer);
-  (* chaining only relabels dispatcher-exit cycles; the combined exit
-     cost is identical because the simulated clock is *)
-  Alcotest.(check int) "exit cost conserved across chaining"
-    (units unchained At.Dispatcher_exit + units unchained At.Chain_transfer)
-    (units chained At.Dispatcher_exit + units chained At.Chain_transfer)
+  Alcotest.(check bool) "side exits taken" true
+    (r.Gb_system.Processor.side_exits > 0L);
+  Alcotest.(check int64) "every trace exit is dispatched"
+    r.Gb_system.Processor.trace_runs r.Gb_system.Processor.dispatch_exits;
+  Alcotest.(check int) "dispatcher-exit = side exits x penalty"
+    (Int64.to_int r.Gb_system.Processor.side_exits * penalty)
+    (units a At.Dispatcher_exit);
+  Alcotest.(check int) "mcb-rollback = rollbacks x penalty"
+    (Int64.to_int r.Gb_system.Processor.rollbacks * penalty)
+    (units a At.Mcb_rollback)
 
 let test_shares_and_json () =
   let asm = Lazy.force v1_asm in
@@ -196,7 +172,7 @@ let test_ring_dropped_accounting () =
       (List.assoc_opt "droppedEvents" fields = Some (Gb_util.Json.Int 6))
   | _ -> Alcotest.fail "trace_json not an object"
 
-(* --- qcheck: conservation over random kernels × modes × chaining -------- *)
+(* --- qcheck: conservation over random kernels × modes ------------------- *)
 
 let kernel_gen =
   let open QCheck.Gen in
@@ -261,30 +237,24 @@ let kernel_gen =
 let prop_conservation =
   QCheck.Test.make ~count:25
     ~name:
-      "random kernels x modes x chaining: sum(buckets) = cycles, \
-       fence-stall = 0 under Unsafe"
+      "random kernels x modes: sum(buckets) = cycles, fence-stall = 0 \
+       under Unsafe"
     (QCheck.make kernel_gen)
     (fun kernel ->
       let asm = Gb_kernelc.Compile.assemble kernel in
       List.iter
         (fun mode ->
-          List.iter
-            (fun chain ->
-              let r, a = run_attributed ~chain mode asm in
-              (match At.check a ~cycles:r.Gb_system.Processor.cycles with
-              | Ok () -> ()
-              | Error msg ->
-                QCheck.Test.fail_reportf "mode %s chain %b: %s"
-                  (Gb_core.Mitigation.mode_name mode)
-                  chain msg);
-              if
-                mode = Gb_core.Mitigation.Unsafe
-                && units a At.Fence_stall <> 0
-              then
-                QCheck.Test.fail_reportf
-                  "chain %b: %d fence-stall units under Unsafe" chain
-                  (units a At.Fence_stall))
-            [ true; false ])
+          let r, a = run_attributed mode asm in
+          (match At.check a ~cycles:r.Gb_system.Processor.cycles with
+          | Ok () -> ()
+          | Error msg ->
+            QCheck.Test.fail_reportf "mode %s: %s"
+              (Gb_core.Mitigation.mode_name mode)
+              msg);
+          if mode = Gb_core.Mitigation.Unsafe && units a At.Fence_stall <> 0
+          then
+            QCheck.Test.fail_reportf "%d fence-stall units under Unsafe"
+              (units a At.Fence_stall))
         Gb_core.Mitigation.all_modes;
       true)
 
@@ -300,7 +270,6 @@ let () =
         ] );
       ( "ledger",
         [
-          Alcotest.test_case "transfer conserves" `Quick test_transfer_conserves;
           Alcotest.test_case "check detects drift" `Quick
             test_check_detects_drift;
           Alcotest.test_case "folded format" `Quick test_folded_format;
@@ -311,8 +280,8 @@ let () =
             test_v1_fence_vs_unsafe;
           Alcotest.test_case "v1: tiers and rollbacks" `Quick
             test_v1_rollback_and_tiers;
-          Alcotest.test_case "chaining reclassifies exits" `Quick
-            test_chain_reclassifies_exits;
+          Alcotest.test_case "exit penalties by exit kind" `Quick
+            test_exit_penalties;
           Alcotest.test_case "shares and JSON" `Quick test_shares_and_json;
         ] );
       ( "satellites",

@@ -1,8 +1,7 @@
-(* Tests for the bounded code cache: capacity/LRU accounting, the
-   chaining invariant (no link may survive the eviction, invalidation or
-   replacement of either endpoint), mode compatibility — then end to end,
-   that eviction churn and chaining change nothing architectural and the
-   leakage audit still sees every speculative access. *)
+(* Tests for the bounded code cache: capacity/LRU accounting under
+   arbitrary operation sequences, then end to end, that eviction churn
+   changes nothing architectural and the leakage audit still sees every
+   speculative access. *)
 
 open Gb_dbt
 
@@ -27,12 +26,11 @@ let mk_trace ?(bundles = 4) ~pc targets =
     decoded = Gb_vliw.Vinsn.Undecoded;
   }
 
-let cache ?(capacity = 16) ?(chain = true) () =
-  Code_cache.create { Code_cache.capacity; chain }
+let cache ?(capacity = 16) () =
+  Code_cache.create { Code_cache.default_config with Code_cache.capacity }
 
-let insert ?(tier = Code_cache.Trace) ?(mode = Code_cache.Nonspec)
-    ?bundles cc ~pc targets =
-  Code_cache.insert cc ~pc ~tier ~mode (mk_trace ?bundles ~pc targets)
+let insert ?(tier = Code_cache.Trace) ?bundles cc ~pc targets =
+  Code_cache.insert cc ~pc ~tier (mk_trace ?bundles ~pc targets)
 
 (* --- capacity and LRU --- *)
 
@@ -79,107 +77,36 @@ let on_evict_fires_with_tier () =
     [ (0x100, true) ]
     (List.map (fun (pc, t) -> (pc, t = Code_cache.Block)) !seen)
 
-(* --- chaining invariant --- *)
-
-let link_and_break_on_invalidate () =
-  let cc = cache () in
-  let a = insert cc ~pc:0x100 [ 0x200 ] in
-  let b = insert cc ~pc:0x200 [ 0x100 ] in
-  Alcotest.(check bool) "a->b links" true (Code_cache.link cc ~src:a ~stub:0 ~dst:b);
-  Alcotest.(check bool) "b->a links" true (Code_cache.link cc ~src:b ~stub:0 ~dst:a);
-  Alcotest.(check bool) "well linked" true (Code_cache.well_linked cc);
-  Code_cache.invalidate cc 0x200;
-  Alcotest.(check bool) "a's stub unlinked" true
-    (a.Code_cache.e_trace.Gb_vliw.Vinsn.stubs.(0).Gb_vliw.Vinsn.chain = None);
-  Alcotest.(check bool) "still well linked" true (Code_cache.well_linked cc);
-  Alcotest.(check int) "both directions broken" 2
-    (Code_cache.stats cc).Code_cache.chain_breaks
-
-let eviction_unlinks () =
-  let cc = cache ~capacity:8 () in
-  let a = insert cc ~pc:0x100 [ 0x200 ] in
-  let b = insert cc ~pc:0x200 [ 0x100 ] in
-  ignore (Code_cache.link cc ~src:a ~stub:0 ~dst:b);
-  ignore (Code_cache.link cc ~src:b ~stub:0 ~dst:a);
-  ignore (Code_cache.find cc 0x200);
-  (* evicts 0x100, the LRU entry *)
-  let _ = insert cc ~pc:0x300 [] in
-  Alcotest.(check bool) "victim gone" true (Code_cache.peek cc 0x100 = None);
-  Alcotest.(check bool) "survivor's link severed" true
-    (b.Code_cache.e_trace.Gb_vliw.Vinsn.stubs.(0).Gb_vliw.Vinsn.chain = None);
-  Alcotest.(check bool) "well linked" true (Code_cache.well_linked cc)
-
-let replacement_unlinks_predecessors () =
-  let cc = cache () in
-  let a = insert cc ~pc:0x100 [ 0x200 ] in
-  let b = insert cc ~pc:0x200 [] in
-  ignore (Code_cache.link cc ~src:a ~stub:0 ~dst:b);
-  (* tier promotion of the target: the old object is dropped, so the
-     link into it must not survive *)
-  let _ = insert cc ~pc:0x200 [] in
-  Alcotest.(check bool) "predecessor unlinked" true
-    (a.Code_cache.e_trace.Gb_vliw.Vinsn.stubs.(0).Gb_vliw.Vinsn.chain = None);
-  Alcotest.(check bool) "well linked" true (Code_cache.well_linked cc)
-
-let link_guards () =
-  let cc = cache () in
-  let a = insert cc ~pc:0x100 [ 0x200 ] in
-  let b = insert cc ~pc:0x200 [] in
-  let c = insert cc ~pc:0x300 [] in
-  Alcotest.(check bool) "stub target must equal dst pc" false
-    (Code_cache.link cc ~src:a ~stub:0 ~dst:c);
-  Alcotest.(check bool) "stub index bounds" false
-    (Code_cache.link cc ~src:a ~stub:5 ~dst:b);
-  let off = cache ~chain:false () in
-  let a' = insert off ~pc:0x100 [ 0x200 ] in
-  let b' = insert off ~pc:0x200 [] in
-  Alcotest.(check bool) "chaining disabled" false
-    (Code_cache.link off ~src:a' ~stub:0 ~dst:b')
-
-(* A caller holding entries it looked up before a removal must not be
-   able to chain into or out of the dead code: no later removal could
-   reach that link to break it. *)
-let link_refuses_dead_endpoints () =
-  let cc = cache () in
-  let a = insert cc ~pc:0x100 [ 0x200 ] in
-  let b = insert cc ~pc:0x200 [ 0x100 ] in
-  Code_cache.invalidate cc 0x200;
-  Alcotest.(check bool) "invalidated dst refused" false
-    (Code_cache.link cc ~src:a ~stub:0 ~dst:b);
-  let b' = insert cc ~pc:0x200 [ 0x100 ] in
-  let a' = insert cc ~pc:0x100 [ 0x200 ] in
-  Alcotest.(check bool) "replaced src refused" false
-    (Code_cache.link cc ~src:a ~stub:0 ~dst:b');
-  Alcotest.(check bool) "dead stub left unlinked" true
-    (a.Code_cache.e_trace.Gb_vliw.Vinsn.stubs.(0).Gb_vliw.Vinsn.chain = None);
-  Alcotest.(check bool) "live endpoints link" true
-    (Code_cache.link cc ~src:a' ~stub:0 ~dst:b');
-  Alcotest.(check bool) "well linked" true (Code_cache.well_linked cc)
-
-let mode_compatibility () =
-  let fine = Code_cache.Mitigated Gb_core.Mitigation.Fine_grained in
-  let fence = Code_cache.Mitigated Gb_core.Mitigation.Fence_on_detect in
-  let cc = cache () in
-  let src m = insert cc ~mode:m ~pc:0x100 [ 0x200 ] in
-  let dst m = insert cc ~mode:m ~pc:0x200 [] in
-  let ok s d = Code_cache.link cc ~src:(src s) ~stub:0 ~dst:(dst d) in
-  Alcotest.(check bool) "equal modes chain" true (ok fine fine);
-  Alcotest.(check bool) "mixed modes do not" false (ok fine fence);
-  Alcotest.(check bool) "nonspec target always safe" true
-    (ok fine Code_cache.Nonspec);
-  Alcotest.(check bool) "nonspec source is mode-neutral" true
-    (ok Code_cache.Nonspec fence)
+(* The vestigial [chain] fields must not switch anything back on: a
+   config asking for chaining off is refused, naming the field. *)
+let chain_false_rejected () =
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted chain = false" name
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (name ^ " names the field: " ^ msg)
+        true
+        (String.starts_with ~prefix:(name ^ ": config.chain") msg)
+  in
+  rejects "Code_cache.create" (fun () ->
+      ignore
+        (Code_cache.create
+           { Code_cache.default_config with Code_cache.chain = false }));
+  rejects "Machine.create" (fun () ->
+      let mem = Gb_riscv.Mem.create ~size:4096 in
+      let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
+      ignore
+        (Gb_vliw.Machine.create
+           ~cfg:
+             { Gb_vliw.Machine.default_config with Gb_vliw.Machine.chain = false }
+           ~mem ~hier ~clock:(ref 0L) ()))
 
 (* --- the invariant under arbitrary operation sequences --- *)
 
 let pcs = [| 0x100; 0x200; 0x300; 0x400; 0x500; 0x600 |]
 
-(* every trace's stubs target the two next pcs, so random linking has
-   plenty of valid edges to create *)
-let targets_of i =
-  [ pcs.((i + 1) mod Array.length pcs); pcs.((i + 2) mod Array.length pcs) ]
-
-type op = Insert of int | Find of int | Invalidate of int | Link of int * int
+type op = Insert of int | Find of int | Invalidate of int
 
 let arb_ops =
   let open QCheck.Gen in
@@ -190,16 +117,14 @@ let arb_ops =
         (4, map (fun i -> Insert i) (int_bound (n - 1)));
         (2, map (fun i -> Find i) (int_bound (n - 1)));
         (1, map (fun i -> Invalidate i) (int_bound (n - 1)));
-        (4, map2 (fun i s -> Link (i, s)) (int_bound (n - 1)) (int_bound 1));
       ]
   in
   QCheck.make
     ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
     (list_size (int_range 1 60) op)
 
-let qcheck_well_linked =
-  QCheck.Test.make ~count:500
-    ~name:"chain links never outlive either endpoint"
+let qcheck_capacity =
+  QCheck.Test.make ~count:500 ~name:"budget holds under random operations"
     arb_ops
     (fun ops ->
       (* capacity of 12 bundles = 3 live entries: inserts evict constantly *)
@@ -207,19 +132,9 @@ let qcheck_well_linked =
       List.iter
         (fun op ->
           (match op with
-          | Insert i -> ignore (insert cc ~pc:pcs.(i) (targets_of i))
+          | Insert i -> ignore (insert cc ~pc:pcs.(i) [ pcs.(0) ])
           | Find i -> ignore (Code_cache.find cc pcs.(i))
-          | Invalidate i -> Code_cache.invalidate cc pcs.(i)
-          | Link (i, s) -> (
-            match
-              ( Code_cache.peek cc pcs.(i),
-                Code_cache.peek cc (List.nth (targets_of i) s) )
-            with
-            | Some src, Some dst ->
-              ignore (Code_cache.link cc ~src ~stub:s ~dst)
-            | _ -> ()));
-          if not (Code_cache.well_linked cc) then
-            QCheck.Test.fail_report "dangling or stale chain link";
+          | Invalidate i -> Code_cache.invalidate cc pcs.(i));
           if Code_cache.used_bundles cc > 12 then
             QCheck.Test.fail_report "capacity budget exceeded")
         ops;
@@ -229,13 +144,17 @@ let qcheck_well_linked =
 
 let tiny = 48 (* bundles: a handful of small traces, constant churn *)
 
-let capped_config ?(chain = true) mode capacity =
+let capped_config mode capacity =
   let config = Gb_system.Processor.config_for mode in
   let engine = config.Gb_system.Processor.engine in
   {
     config with
     Gb_system.Processor.engine =
-      { engine with Gb_dbt.Engine.cache = { Code_cache.capacity; chain } };
+      {
+        engine with
+        Gb_dbt.Engine.cache =
+          { engine.Gb_dbt.Engine.cache with Code_cache.capacity };
+      };
   }
 
 (* Two hot inner loops inside a hot outer loop: three regions that keep
@@ -280,28 +199,18 @@ let eviction_churn_is_architecturally_invisible () =
   let capacity = 8 in
   let reference = run (Gb_system.Processor.config_for mode) in
   let churned = run (capped_config mode capacity) in
-  let unchained = run (capped_config ~chain:false mode capacity) in
   Alcotest.(check bool) "reference never evicts" true
     (reference.Gb_system.Processor.cc_evictions = 0);
   Alcotest.(check bool) "tiny cache actually churns" true
     (churned.Gb_system.Processor.cc_evictions > 0);
-  Alcotest.(check int) "same exit code (chained)"
+  Alcotest.(check int) "same exit code"
     reference.Gb_system.Processor.exit_code
-    churned.Gb_system.Processor.exit_code;
-  Alcotest.(check int) "same exit code (unchained)"
-    reference.Gb_system.Processor.exit_code
-    unchained.Gb_system.Processor.exit_code;
-  (* chaining is host-side only: under the same (tiny) capacity, on/off
-     must agree on the simulated cycle count, not just the result *)
-  Alcotest.(check int64) "chaining costs no simulated cycles"
-    unchained.Gb_system.Processor.cycles churned.Gb_system.Processor.cycles;
-  Alcotest.(check bool) "and actually chained" true
-    (Int64.compare churned.Gb_system.Processor.chain_follows 0L > 0)
+    churned.Gb_system.Processor.exit_code
 
 let audit_fn_zero_under_churn () =
-  (* the acceptance gate: fine-grained mitigation with chaining on and a
-     cache small enough to evict constantly still shows zero audit false
-     negatives and recovers no secret *)
+  (* the acceptance gate: fine-grained mitigation with a cache small
+     enough to evict constantly still shows zero audit false negatives
+     and recovers no secret *)
   let secret = "GB!" in
   List.iter
     (fun (name, program) ->
@@ -337,21 +246,9 @@ let () =
             replacement_is_not_eviction;
           Alcotest.test_case "on_evict: capacity only, with tier" `Quick
             on_evict_fires_with_tier;
-        ] );
-      ( "chaining",
-        [
-          Alcotest.test_case "invalidate severs both directions" `Quick
-            link_and_break_on_invalidate;
-          Alcotest.test_case "eviction unlinks the survivor" `Quick
-            eviction_unlinks;
-          Alcotest.test_case "replacement unlinks predecessors" `Quick
-            replacement_unlinks_predecessors;
-          Alcotest.test_case "link guards" `Quick link_guards;
-          Alcotest.test_case "link refuses dead endpoints" `Quick
-            link_refuses_dead_endpoints;
-          Alcotest.test_case "mitigation-mode compatibility" `Quick
-            mode_compatibility;
-          QCheck_alcotest.to_alcotest qcheck_well_linked;
+          QCheck_alcotest.to_alcotest qcheck_capacity;
+          Alcotest.test_case "chain = false rejected" `Quick
+            chain_false_rejected;
         ] );
       ( "end-to-end",
         [

@@ -133,7 +133,7 @@ let test_rule_dispatch () =
   in
   check "cycles.e2.gemm.unsafe" (B.Lower_better B.default_tol_cycles);
   check "slowdown.e2.geomean.fine-grained" (B.Lower_better B.default_tol_cycles);
-  check "exits_per_1k.e8.gemm.chain" (B.Lower_better B.default_tol_cycles);
+  check "translations_per_1k.e8.gemm" (B.Lower_better B.default_tol_cycles);
   check "audit_fn.e1.spectre-v1.fine-grained" (B.Lower_better 0.);
   check "alloc.minor_words_per_kinsn.interp" (B.Lower_better B.default_tol_alloc);
   check "alloc.minor_words_per_kinsn.pipeline.min-cut"
@@ -295,19 +295,14 @@ let test_empty_dir_is_error () =
 
 (* --- deliberate slowdowns are caught ------------------------------------ *)
 
-(* Chaining pinned on: the [exits_per_1k.*.chain] cell measures chained
-   execution, and under GHOSTBUSTERS_NO_CHAIN the default would be
-   dispatcher-only for baseline and candidate alike. *)
 let config_with ?cc_capacity ?hot_threshold () =
   let c = Gb_system.Processor.config_for Gb_core.Mitigation.Fine_grained in
   let engine = c.Gb_system.Processor.engine in
   let cache =
-    { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.chain = true }
-  in
-  let cache =
     match cc_capacity with
-    | Some capacity -> { cache with Gb_dbt.Code_cache.capacity }
-    | None -> cache
+    | Some capacity ->
+      { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.capacity }
+    | None -> engine.Gb_dbt.Engine.cache
   in
   let engine = { engine with Gb_dbt.Engine.cache } in
   let engine =
@@ -329,16 +324,17 @@ let measure ~config kernel =
   in
   [
     (Printf.sprintf "cycles.t.%s.fine-grained" kernel, Int64.to_float r.cycles);
-    ( Printf.sprintf "exits_per_1k.t.%s.chain" kernel,
-      Int64.to_float r.Gb_system.Processor.dispatch_exits
-      /. Int64.to_float r.Gb_system.Processor.guest_insns
-      *. 1000. );
+    ( Printf.sprintf "translations_per_1k.t.%s" kernel,
+      Gb_experiments.Experiments.per_1k r.Gb_system.Processor.translations
+        r.Gb_system.Processor.guest_insns );
   ]
 
 let test_cc_capacity_slowdown_detected () =
-  (* a one-entry code cache thrashes: every trace transfer falls back to
-     the dispatcher. Simulated cycles barely move (translation is charged
-     to the host), so the exits-per-1k cell is the one that must gate. *)
+  (* a one-bundle code cache thrashes: every trace is evicted by the next
+     install and translated again on its next arrival. Simulated cycles
+     barely move (translation is charged to the host) and neither do
+     dispatcher exits, so the translations-per-1k cell is the one that
+     must gate. *)
   let baseline = mk (measure ~config:(config_with ()) "gemm") in
   let crippled =
     mk (measure ~config:(config_with ~cc_capacity:1 ()) "gemm")
@@ -346,8 +342,8 @@ let test_cc_capacity_slowdown_detected () =
   let cmp = B.compare ~baseline crippled in
   Alcotest.(check bool) "crippled cache gates" false cmp.B.passed;
   let regressed = List.map (fun c -> c.B.c_name) (B.regressions cmp) in
-  Alcotest.(check bool) "the dispatcher-exit cell regressed" true
-    (List.mem "exits_per_1k.t.gemm.chain" regressed)
+  Alcotest.(check bool) "the translation-rate cell regressed" true
+    (List.mem "translations_per_1k.t.gemm" regressed)
 
 let test_interp_only_slowdown_detected () =
   (* an unreachable hot threshold keeps everything on the interpreter:

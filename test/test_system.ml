@@ -336,8 +336,8 @@ let sp_convention () =
     (Gb_riscv.Interp.default_sp mem)
     (Gb_riscv.Regfile.get interp.Gb_riscv.Interp.regs Gb_riscv.Reg.sp)
 
-(* mcb_entries = 0 means "MCB disabled": the processor clamps memory
-   speculation out of the translator, and execution stays correct. *)
+(* mcb_entries = 0 means "MCB disabled": the processor turns memory
+   speculation off in the translator, and execution stays correct. *)
 let mcb_disabled_correct () =
   let config =
     {
@@ -358,6 +358,46 @@ let mcb_disabled_correct () =
       Alcotest.(check int64) "no rollbacks without MCB" 0L
         r.Gb_system.Processor.rollbacks)
     [ square_sum_program 400; aliasing_program 400 ]
+
+(* The machine's MCB size is the one MCB knob: the translator gets one
+   tag per entry, above the default 8 as well as below it. gemver
+   speculates more loads with 16 entries and runs faster. *)
+let mcb_entries_set_tag_budget () =
+  let gemver =
+    match Gb_workloads.Polybench.by_name "gemver" with
+    | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+    | None -> Alcotest.fail "gemver workload missing"
+  in
+  let run entries =
+    let config =
+      {
+        Gb_system.Processor.default_config with
+        machine =
+          {
+            Gb_vliw.Machine.default_config with
+            Gb_vliw.Machine.mcb_entries = entries;
+          };
+      }
+    in
+    let p = Gb_system.Processor.create ~config gemver in
+    let r = Gb_system.Processor.run p in
+    let tags =
+      match
+        (Gb_dbt.Engine.config (Gb_system.Processor.engine p))
+          .Gb_dbt.Engine.opt_override
+      with
+      | Some o -> o.Gb_ir.Opt_config.mcb_tags
+      | None -> Gb_ir.Opt_config.aggressive.Gb_ir.Opt_config.mcb_tags
+    in
+    (r, tags)
+  in
+  let r8, tags8 = run 8 and r16, tags16 = run 16 in
+  Alcotest.(check int) "8 entries, 8 tags" 8 tags8;
+  Alcotest.(check int) "16 entries, 16 tags" 16 tags16;
+  Alcotest.(check int) "same exit code" r8.Gb_system.Processor.exit_code
+    r16.Gb_system.Processor.exit_code;
+  Alcotest.(check bool) "16 entries change the cycles" true
+    (r8.Gb_system.Processor.cycles <> r16.Gb_system.Processor.cycles)
 
 (* The engine's hidden-register budget follows the machine's: with a
    small machine, traces that need more registers stay on the lower tiers
@@ -486,6 +526,8 @@ let () =
           Alcotest.test_case "sp convention" `Quick sp_convention;
           Alcotest.test_case "mcb disabled stays correct" `Quick
             mcb_disabled_correct;
+          Alcotest.test_case "mcb entries set the tag budget" `Quick
+            mcb_entries_set_tag_budget;
           Alcotest.test_case "inject env arming" `Quick inject_env_arming;
           Alcotest.test_case "negative cflush on the interpreter" `Quick
             negative_cflush_on_interpreter;

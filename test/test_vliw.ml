@@ -438,9 +438,8 @@ let machine_state ((m : Gb_vliw.Machine.t), readings) =
     cs.write_misses cs.flushes;
   List.iter (add " %d") (Gb_cache.Cache.lines cache);
   let st = m.stats in
-  add "\nclock %Ld stats %d %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
-    st.trace_runs st.side_exits st.rollbacks st.stall_cycles st.chain_follows
-    st.guest_insns
+  add "\nclock %Ld stats %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
+    st.trace_runs st.side_exits st.rollbacks st.stall_cycles st.guest_insns
     (Gb_vliw.Mcb.conflicts_recorded m.mcb);
   add "\nrdcycle";
   List.iter (add " %Ld") !readings;
@@ -578,9 +577,9 @@ let decoded_equals_reference =
               (* two passes: the second runs on warm caches and a live MCB *)
               List.for_all
                 (fun pass ->
-                  let got = outcome (fun () -> Gb_vliw.Pipeline.run_one (fst dut) t) in
+                  let got = outcome (fun () -> Gb_vliw.Pipeline.run (fst dut) t) in
                   let want =
-                    outcome (fun () -> Pipeline_reference.run_one ref_view t)
+                    outcome (fun () -> Pipeline_reference.run ref_view t)
                   in
                   let sd = machine_state dut and sr = machine_state refm in
                   if got <> want || sd <> sr then
