@@ -172,7 +172,21 @@ let build_config mode width mcb hot unroll cache_kib cc_capacity verify =
     | Some mcb_entries ->
       { config.Gb_system.Processor.machine with Gb_vliw.Machine.mcb_entries }
   in
-  { config with Gb_system.Processor.engine; hier; machine }
+  let config = { config with Gb_system.Processor.engine; hier; machine } in
+  (* a knob out of range is a user error, reported before any run *)
+  match Gb_system.Processor.validate config with
+  | Ok () -> Ok config
+  | Error (knob, msg) ->
+    let flag =
+      match knob with
+      | Gb_system.Processor.Issue_width -> "--width"
+      | Mcb_entries -> "--mcb"
+      | L1d_geometry -> "--cache-kib"
+      | Code_cache_capacity -> "--cc-capacity"
+      | Hot_threshold -> "--hot"
+      | Unroll_limit -> "--unroll"
+    in
+    Error (`Msg (Printf.sprintf "%s: %s" flag msg))
 
 let find_workload name =
   match Gb_workloads.Polybench.by_name name with
@@ -371,17 +385,19 @@ let run_cmd =
       verify trace_out metrics_out profile audit seed =
     match
       Result.bind (find_workload name) (fun w ->
-          Result.map (fun () -> w) (check_outputs [ trace_out; metrics_out ]))
-    with
-    | Error e -> Error e
-    | Ok w ->
-      let obs = sink_of_flags ~seed trace_out metrics_out profile audit in
-      let proc =
-        Gb_system.Processor.create
-          ~config:
+          Result.bind
             (build_config mode width mcb hot unroll cache_kib cc_capacity
                verify)
-          ~obs ~audit
+            (fun config ->
+              Result.map
+                (fun () -> (w, config))
+                (check_outputs [ trace_out; metrics_out ])))
+    with
+    | Error e -> Error e
+    | Ok (w, config) ->
+      let obs = sink_of_flags ~seed trace_out metrics_out profile audit in
+      let proc =
+        Gb_system.Processor.create ~config ~obs ~audit
           (Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program)
       in
       let r = Gb_system.Processor.run proc in
@@ -436,16 +452,18 @@ let variant_arg =
 let attack_cmd =
   let run variant mode secret width mcb hot unroll cache_kib cc_capacity
       verify trace_out metrics_out profile audit seed =
-    match check_outputs [ trace_out; metrics_out ] with
+    match
+      Result.bind
+        (build_config mode width mcb hot unroll cache_kib cc_capacity verify)
+        (fun config ->
+          Result.map (fun () -> config) (check_outputs [ trace_out; metrics_out ]))
+    with
     | Error e -> Error e
-    | Ok () ->
+    | Ok config ->
       let program =
         match variant with
         | `V1 -> Gb_attack.Spectre_v1.program ~secret ()
         | `V4 -> Gb_attack.Spectre_v4.program ~secret ()
-      in
-      let config =
-        build_config mode width mcb hot unroll cache_kib cc_capacity verify
       in
       let obs = sink_of_flags ~seed trace_out metrics_out profile audit in
       let o =

@@ -23,10 +23,26 @@ type t = {
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+let check_config cfg =
+  if not (is_pow2 cfg.line_bytes) then
+    Error (Printf.sprintf "line size %d is not a power of two" cfg.line_bytes)
+  else if cfg.ways < 1 then
+    Error (Printf.sprintf "%d ways: must be at least 1" cfg.ways)
+  else
+    let sets = cfg.size_bytes / (cfg.line_bytes * cfg.ways) in
+    if sets <= 0 || not (is_pow2 sets) then
+      Error
+        (Printf.sprintf
+           "%d bytes in %d ways of %d-byte lines make %d sets, not a power \
+            of two"
+           cfg.size_bytes cfg.ways cfg.line_bytes sets)
+    else Ok ()
+
 let create ?(obs = Gb_obs.Sink.noop) cfg =
-  if not (is_pow2 cfg.line_bytes) then invalid_arg "Cache: line size";
+  (match check_config cfg with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Cache.create: " ^ msg));
   let sets = cfg.size_bytes / (cfg.line_bytes * cfg.ways) in
-  if sets <= 0 || not (is_pow2 sets) then invalid_arg "Cache: geometry";
   {
     cfg;
     sets;

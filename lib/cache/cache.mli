@@ -24,10 +24,16 @@ type stats = {
   mutable flushes : int;
 }
 
+val check_config : config -> (unit, string) result
+(** [Ok] for a buildable geometry: a power-of-two line size, at least
+    one way, and a power-of-two number of sets
+    ([size_bytes / (line_bytes * ways)]). *)
+
 val create : ?obs:Gb_obs.Sink.t -> config -> t
 (** [obs] (default {!Gb_obs.Sink.noop}) receives [cache.*] counters, the
     [cache.miss_distance] histogram (accesses between consecutive misses)
-    and a {!Gb_obs.Event.Cache_miss} event per allocated line. *)
+    and a {!Gb_obs.Event.Cache_miss} event per allocated line. Raises
+    [Invalid_argument] when {!check_config} rejects the geometry. *)
 
 val config : t -> config
 

@@ -14,7 +14,6 @@ let default_config = { capacity = 65536; chain = true }
 type stats = {
   mutable hits : int;
   mutable misses : int;
-  mutable inserts : int;
   mutable evictions : int;
 }
 
@@ -31,6 +30,7 @@ type t = {
   stats : stats;
   obs : Gb_obs.Sink.t;
   mutable on_evict : pc:int -> tier -> unit;
+  mutable on_insert : entry -> unit;
 }
 
 let create ?(obs = Gb_obs.Sink.noop) cfg =
@@ -42,9 +42,10 @@ let create ?(obs = Gb_obs.Sink.noop) cfg =
     tbl = Pc_tbl.create 128;
     used = 0;
     lru_clock = 0;
-    stats = { hits = 0; misses = 0; inserts = 0; evictions = 0 };
+    stats = { hits = 0; misses = 0; evictions = 0 };
     obs;
     on_evict = (fun ~pc:_ _ -> ());
+    on_insert = ignore;
   }
 
 let config t = t.cfg
@@ -52,6 +53,8 @@ let config t = t.cfg
 let stats t = t.stats
 
 let set_on_evict t f = t.on_evict <- f
+
+let set_on_insert t f = t.on_insert <- f
 
 let used_bundles t = t.used
 
@@ -143,7 +146,6 @@ let insert t ~pc ~tier trace =
   touch t e;
   Pc_tbl.replace t.tbl pc e;
   t.used <- t.used + cost;
-  t.stats.inserts <- t.stats.inserts + 1;
   (* register the tier with the attribution ledger: it outlives eviction,
      so a trace still in flight keeps attributing to the tier it ran at *)
   (match Gb_obs.Sink.attrib t.obs with
@@ -154,6 +156,7 @@ let insert t ~pc ~tier trace =
       | Trace -> Gb_obs.Attrib.Trace)
   | None -> ());
   gauges t;
+  t.on_insert e;
   e
 
 let entries t = Pc_tbl.fold (fun _ e acc -> e :: acc) t.tbl []

@@ -42,7 +42,6 @@ val default_config : config
 type stats = {
   mutable hits : int;
   mutable misses : int;
-  mutable inserts : int;
   mutable evictions : int;  (** capacity evictions only, not replacements *)
 }
 
@@ -63,6 +62,12 @@ val set_on_evict : t -> (pc:int -> tier -> unit) -> unit
     {!invalidate} or same-pc replacement). The engine uses it to reset
     the region's adaptive run/rollback/side-exit counters so a
     re-promoted region does not inherit stale adaptive state. *)
+
+val set_on_insert : t -> (entry -> unit) -> unit
+(** Observer fired for every {!insert}, once the entry is installed: each
+    translation that reaches the cache, of either tier. Nothing in the
+    simulator sets it; the verifier's differential test collects every
+    installed trace through it. *)
 
 val find : t -> int -> entry option
 (** Installed entry at a guest pc; counts a hit or miss and refreshes the

@@ -51,16 +51,21 @@ type stats = {
   mutable lowerings_reused : int;
 }
 
-(* The last lowering made at a trace entry: the formed guest trace, the
-   [despeculated] flag it was lowered under, the emitted code and the
-   mitigation report. Lowering is a pure function of those two keys and
-   the engine's fixed config, so a translation that forms an equal trace
-   under the same flag reinstalls it instead of lowering again. Nothing
-   mutates a trace once it is decoded, so the stored [l_trace] is
-   installed as is. *)
+(* The last lowering made at a trace entry: the walk that formed its
+   guest trace, the [despeculated] flag it was lowered under, what
+   installing it needs from the trace (its branch pcs and guest-insn
+   count), the emitted code and the mitigation report. Forming is a
+   deterministic function of the walk's inputs and lowering a pure
+   function of the formed trace, the flag and the engine's fixed config,
+   so a translation whose walk still holds under the same flag
+   reinstalls it without forming the trace at all. Nothing mutates a
+   trace once it is decoded, so the stored [l_trace] is installed as
+   is. *)
 type lowering = {
-  l_gtrace : Gb_ir.Gtrace.t;
+  l_walk : Trace_builder.walk;
   l_despeculated : bool;
+  l_branch_pcs : int list;
+  l_guest_insns : int;
   l_trace : Gb_vliw.Vinsn.trace;
   l_report : Gb_core.Mitigation.report;
 }
@@ -104,6 +109,9 @@ type t = {
   mem : Gb_riscv.Mem.t;
   cc : Code_cache.t;  (** the single owner of all translated code *)
   pcs : pc_state Pc_tbl.t;
+  profile : int -> (int * int) option;  (** {!branch_profile} over [pcs] *)
+  walk_rec : Trace_builder.recorder;
+      (** scratch every trace build that keeps its walk records into *)
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
@@ -117,6 +125,13 @@ type t = {
           tiers (see {!allocs}) *)
 }
 
+(* The branch profile the trace builder reads: [(taken, total)] of the
+   branch at [pc], [None] before its first outcome. *)
+let profile_of pcs pc =
+  match Pc_tbl.find pcs pc with
+  | { taken; total; _ } when total > 0 -> Some (taken, total)
+  | _ | (exception Not_found) -> None
+
 let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
   if cfg.workers <> 0 then
     invalid_arg
@@ -124,11 +139,14 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
          "Engine.create: config.workers = %d; translation is synchronous \
           and the field must be 0"
          cfg.workers);
+  let pcs = Pc_tbl.create 256 in
   let t = {
     cfg;
     mem;
     cc = Code_cache.create ~obs cfg.cache;
-    pcs = Pc_tbl.create 256;
+    pcs;
+    profile = profile_of pcs;
+    walk_rec = Trace_builder.recorder ();
     stats =
       {
         retranslations = 0;
@@ -333,14 +351,7 @@ let record_block_exit t ~entry info =
 let note_verify ?plan t ~entry trace =
   let vr =
     Gb_obs.Sink.time t.obs "verify" (fun () ->
-        let vr = Gb_verify.Verifier.verify trace in
-        match plan with
-        | None -> vr
-        | Some p ->
-          { vr with
-            Gb_verify.Verifier.violations =
-              vr.Gb_verify.Verifier.violations
-              @ Gb_verify.Verifier.check_cut trace ~plan:p })
+        Gb_verify.Verifier.gate ?plan trace)
   in
   t.stats.verify_checked <- t.stats.verify_checked + 1;
   let vs = vr.Gb_verify.Verifier.violations in
@@ -419,10 +430,7 @@ let translate_first_pass t st entry =
         (Gb_obs.Event.Tier_transition { tier = "block" })
     | exception First_pass.Untranslatable _ -> st.fp_blacklisted <- true
 
-let branch_profile t pc =
-  match Pc_tbl.find t.pcs pc with
-  | { taken; total; _ } when total > 0 -> Some (taken, total)
-  | _ | (exception Not_found) -> None
+let branch_profile t pc = t.profile pc
 
 let graph_meta g (report : Gb_core.Mitigation.report) =
   let spec_loads = ref 0 in
@@ -479,15 +487,21 @@ let note_audit t a ~entry g (report : Gb_core.Mitigation.report) =
       (Gb_core.Poison.analyze g).Gb_core.Poison.patterns
 
 (* Trace formation: the region's guest path under the current branch
-   profile, with the pcs of the conditional branches it contains. *)
-let build_trace t entry =
-  let profile pc = branch_profile t pc in
+   profile, with the pcs of the conditional branches it contains and,
+   when [record], the walk that formed it. *)
+let build_trace t ~record entry =
+  let cfg = t.cfg.trace_cfg and mem = t.mem and profile = t.profile in
   match
     Gb_obs.Sink.time t.obs "trace_build" (fun () ->
-        Trace_builder.build t.cfg.trace_cfg ~mem:t.mem ~profile ~entry)
+        if record then
+          let gtrace, walk =
+            Trace_builder.build_walk t.walk_rec cfg ~mem ~profile ~entry
+          in
+          (gtrace, Some walk)
+        else (Trace_builder.build cfg ~mem ~profile ~entry, None))
   with
   | exception Trace_builder.Build_failure _ -> None
-  | gtrace ->
+  | gtrace, walk ->
     let branch_pcs =
       List.filter_map
         (fun st ->
@@ -502,7 +516,7 @@ let build_trace t entry =
            guest_insns = Gb_ir.Gtrace.length gtrace;
            branches = List.length branch_pcs;
          });
-    Some (gtrace, branch_pcs)
+    Some (gtrace, branch_pcs, walk)
 
 (* IR build and mitigation of one formed trace under [opt]. *)
 let analyse t ~opt gtrace =
@@ -556,8 +570,8 @@ let lower_trace t st ~entry gtrace =
 (* Install-time gate: the post-scheduling verifier re-derives the
    speculation-safety property from the emitted bundles. Under
    [Verify_enforce] a violating translation never reaches the code
-   cache — it is rebuilt with speculation fenced entirely (and must then
-   verify clean, or the entry is blacklisted). Returns
+   cache — it is rebuilt from [gtrace] with speculation fenced entirely
+   (and must then verify clean, or the entry is blacklisted). Returns
    [(trace, report, fenced)]. *)
 let gate t ~entry gtrace (trace, report) =
   match t.cfg.verify with
@@ -573,6 +587,7 @@ let gate t ~entry gtrace (trace, report) =
       Gb_obs.Sink.incr t.obs "verify.rejections";
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         (Gb_obs.Event.Tier_transition { tier = "verify-fenced" });
+      let gtrace = Lazy.force gtrace in
       let g, report =
         analyse t ~opt:Gb_ir.Opt_config.no_speculation gtrace
       in
@@ -586,35 +601,56 @@ let gate t ~entry gtrace (trace, report) =
       (trace, report, true)
     end
 
-(* The code to install for a formed trace, through the gate. A trace
-   equal to the one stored at its entry under the same [despeculated]
-   flag reuses that lowering; any other is lowered in full and, unless
-   the gate had to fence it, replaces the stored one. An active sink or
-   an attached audit reads the events, timers and DFG of the full
-   lowering, so with either one the slot is neither read nor written. *)
-let lower_and_gate t st ~entry gtrace =
+(* The code to install at [entry], through the gate, with the branch
+   pcs and guest-insn count of its trace; [None] when no trace forms.
+   While the walk stored with the last lowering here holds under the
+   same [despeculated] flag, that lowering is reinstalled and no trace is
+   formed: only the gate's fenced rebuild, which a stored lowering never
+   needs (it passed the same gate), would form one. Otherwise the trace
+   is formed and lowered in full and, unless the gate had to fence it,
+   replaces the stored lowering. An active sink or an attached audit
+   reads the events, timers and DFG of the full lowering, so with either
+   one the slot is neither read nor written. *)
+let lower_and_gate t st ~entry =
   let reuse = not (Gb_obs.Sink.is_active t.obs || Option.is_some t.audit) in
   match st.lowered with
   | Some l
     when reuse
          && l.l_despeculated = st.despeculated
-         && Gb_ir.Gtrace.equal l.l_gtrace gtrace ->
+         && Trace_builder.walk_holds t.cfg.trace_cfg ~mem:t.mem
+              ~profile:t.profile l.l_walk ->
     t.stats.lowerings_reused <- t.stats.lowerings_reused + 1;
-    gate t ~entry gtrace (l.l_trace, l.l_report)
-  | Some _ | None ->
-    let ((trace, report, fenced) as lowered) =
-      gate t ~entry gtrace (lower_trace t st ~entry gtrace)
+    let gtrace =
+      lazy
+        (Trace_builder.build t.cfg.trace_cfg ~mem:t.mem ~profile:t.profile
+           ~entry)
     in
-    if reuse && not fenced then
-      st.lowered <-
-        Some
-          {
-            l_gtrace = gtrace;
-            l_despeculated = st.despeculated;
-            l_trace = trace;
-            l_report = report;
-          };
-    lowered
+    Some
+      ( gate t ~entry gtrace (l.l_trace, l.l_report),
+        l.l_branch_pcs,
+        l.l_guest_insns )
+  | Some _ | None -> (
+    match build_trace t ~record:reuse entry with
+    | None -> None
+    | Some (gtrace, branch_pcs, walk) ->
+      let ((trace, report, fenced) as lowered) =
+        gate t ~entry (Lazy.from_val gtrace) (lower_trace t st ~entry gtrace)
+      in
+      let guest_insns = Gb_ir.Gtrace.length gtrace in
+      (match walk with
+      | Some l_walk when not fenced ->
+        st.lowered <-
+          Some
+            {
+              l_walk;
+              l_despeculated = st.despeculated;
+              l_branch_pcs = branch_pcs;
+              l_guest_insns = guest_insns;
+              l_trace = trace;
+              l_report = report;
+            }
+      | Some _ | None -> ());
+      Some (lowered, branch_pcs, guest_insns))
 
 let translate_failed t st entry =
   st.blacklisted <- true;
@@ -624,9 +660,9 @@ let translate_failed t st entry =
     (Gb_obs.Event.Translate_end { ok = false });
   None
 
-let install_trace t st ~entry ~branch_pcs gtrace (trace, report, _) =
+let install_trace t st ~entry ~branch_pcs ~guest_insns:len
+    (trace, report, _) =
   let obs = t.obs in
-  let len = Gb_ir.Gtrace.length gtrace in
   ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace trace);
   (* per-entry translation counts let attribution reports flag churny
      regions (retranslation/despeculation loops) *)
@@ -682,15 +718,14 @@ let translate t entry =
     else begin
       Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
         Gb_obs.Event.Translate_start;
-      match build_trace t entry with
+      match lower_and_gate t st ~entry with
       | None -> translate_failed t st entry
-      | Some (gtrace, branch_pcs) -> (
-        match lower_and_gate t st ~entry gtrace with
-        | lowered -> install_trace t st ~entry ~branch_pcs gtrace lowered
-        | exception
-            ( Gb_ir.Build.Unsupported _ | Codegen.Out_of_registers
-            | Sched.Cyclic | Verify_rejected ) ->
-          translate_failed t st entry)
+      | Some (lowered, branch_pcs, guest_insns) ->
+        install_trace t st ~entry ~branch_pcs ~guest_insns lowered
+      | exception
+          ( Trace_builder.Build_failure _ | Gb_ir.Build.Unsupported _
+          | Codegen.Out_of_registers | Sched.Cyclic | Verify_rejected ) ->
+        translate_failed t st entry
     end
 
 type region = {

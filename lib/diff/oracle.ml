@@ -220,10 +220,9 @@ let run ?(config = Gb_system.Processor.default_config)
     in
     go sync_fuel
   in
-  let sync (info : Gb_vliw.Pipeline.exit_info) =
+  let sync ~region (info : Gb_vliw.Pipeline.exit_info) =
     if !divergence = None then begin
       incr syncs;
-      let region = info.Gb_vliw.Pipeline.exit_entry in
       let tier = tier_of region in
       let target = info.Gb_vliw.Pipeline.next_pc in
       if advance_to ~region ~tier target then begin

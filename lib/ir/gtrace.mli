@@ -20,10 +20,4 @@ type t = {
 
 val length : t -> int
 
-val equal : t -> t -> bool
-(** Same entry, same fall-through pc and, step by step, the same pc,
-    instruction ({!Gb_riscv.Insn.equal}) and exit condition; no
-    [caml_compare]. Two traces formed at one entry that are equal lower
-    to the same code. *)
-
 val pp : Format.formatter -> t -> unit

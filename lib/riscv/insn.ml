@@ -93,33 +93,6 @@ let sources insn =
   in
   List.filter (fun r -> r <> 0) regs
 
-(* Field by field rather than [=]: every enum and register is an
-   immediate, so this compiles to int tests and never calls
-   [caml_compare] (INTERNALS section 12). *)
-let equal a b =
-  match (a, b) with
-  | Op_imm (op, rd, rs1, imm), Op_imm (op', rd', rs1', imm') ->
-    (op : opri) = op' && rd = rd' && rs1 = rs1' && imm = imm'
-  | Op (op, rd, rs1, rs2), Op (op', rd', rs1', rs2') ->
-    (op : oprr) = op' && rd = rd' && rs1 = rs1' && rs2 = rs2'
-  | Lui (rd, imm), Lui (rd', imm') | Auipc (rd, imm), Auipc (rd', imm') ->
-    rd = rd' && imm = imm'
-  | Load (w, u, rd, rs1, off), Load (w', u', rd', rs1', off') ->
-    (w : width) = w' && u = u' && rd = rd' && rs1 = rs1' && off = off'
-  | Store (w, rs2, rs1, off), Store (w', rs2', rs1', off') ->
-    (w : width) = w' && rs2 = rs2' && rs1 = rs1' && off = off'
-  | Branch (c, rs1, rs2, off), Branch (c', rs1', rs2', off') ->
-    (c : branch_cond) = c' && rs1 = rs1' && rs2 = rs2' && off = off'
-  | Jal (rd, off), Jal (rd', off') -> rd = rd' && off = off'
-  | Jalr (rd, rs1, off), Jalr (rd', rs1', off') ->
-    rd = rd' && rs1 = rs1' && off = off'
-  | Ecall, Ecall | Fence, Fence -> true
-  | Rdcycle rd, Rdcycle rd' | Cflush rd, Cflush rd' -> rd = rd'
-  | ( ( Op_imm _ | Op _ | Lui _ | Auipc _ | Load _ | Store _ | Branch _
-      | Jal _ | Jalr _ | Ecall | Fence | Rdcycle _ | Cflush _ ),
-      _ ) ->
-    false
-
 let is_control = function
   | Branch _ | Jal _ | Jalr _ | Ecall -> true
   | Op_imm _ | Op _ | Lui _ | Auipc _ | Load _ | Store _ | Fence | Rdcycle _

@@ -82,9 +82,6 @@ val dest : t -> Reg.t option
 val sources : t -> Reg.t list
 (** Architectural source registers (without [x0]). *)
 
-val equal : t -> t -> bool
-(** Structural equality, compared field by field without [caml_compare]. *)
-
 val is_control : t -> bool
 (** True for branches, jumps and [Ecall]. *)
 

@@ -63,14 +63,63 @@ type t = {
   mutable dispatch_exits : int;
       (** trace exits handled by the dispatch loop: every trace exit. A
           native int, so counting one allocates nothing. *)
-  mutable on_trace_exit : Gb_vliw.Pipeline.exit_info -> unit;
+  mutable on_trace_exit : region:int -> Gb_vliw.Pipeline.exit_info -> unit;
       (** observer fired once per trace exit with architectural state
           fully committed; the differential oracle hangs its sync
           points here *)
 }
 
+type knob =
+  | Issue_width
+  | Mcb_entries
+  | L1d_geometry
+  | Code_cache_capacity
+  | Hot_threshold
+  | Unroll_limit
+
+let validate (config : config) =
+  let e = config.engine in
+  let r = e.Gb_dbt.Engine.resources in
+  let error knob fmt = Printf.ksprintf (fun msg -> Error (knob, msg)) fmt in
+  if r.Gb_dbt.Sched.width < 1 then
+    error Issue_width "VLIW issue width %d: must be at least 1"
+      r.Gb_dbt.Sched.width
+  else if
+    r.Gb_dbt.Sched.mem_slots < 1 || r.Gb_dbt.Sched.mul_slots < 1
+    || r.Gb_dbt.Sched.branch_slots < 1
+  then
+    error Issue_width
+      "issue slots per bundle (%d memory, %d multiplier, %d control): each \
+       must be at least 1"
+      r.Gb_dbt.Sched.mem_slots r.Gb_dbt.Sched.mul_slots
+      r.Gb_dbt.Sched.branch_slots
+  else if config.machine.Gb_vliw.Machine.mcb_entries < 0 then
+    error Mcb_entries
+      "%d MCB entries: must be at least 0 (0 disables memory speculation)"
+      config.machine.Gb_vliw.Machine.mcb_entries
+  else
+    match Gb_cache.Cache.check_config config.hier.Gb_cache.Hierarchy.cache with
+    | Error msg -> error L1d_geometry "L1D geometry: %s" msg
+    | Ok () ->
+      let capacity = e.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.capacity in
+      let visits =
+        e.Gb_dbt.Engine.trace_cfg.Gb_dbt.Trace_builder.max_visits
+      in
+      if capacity < 1 then
+        error Code_cache_capacity
+          "code-cache capacity %d bundles: must be at least 1" capacity
+      else if e.Gb_dbt.Engine.hot_threshold < 1 then
+        error Hot_threshold "hot threshold %d: must be at least 1"
+          e.Gb_dbt.Engine.hot_threshold
+      else if visits < 1 then
+        error Unroll_limit "trace unroll limit %d: must be at least 1" visits
+      else Ok ()
+
 let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
     ?(audit = false) ?inject program =
+  (match validate config with
+  | Ok () -> ()
+  | Error (_, msg) -> invalid_arg ("Processor.create: " ^ msg));
   let mem = Gb_riscv.Mem.create ~size:config.mem_size in
   Gb_riscv.Asm.load mem program;
   (* an explicit controller wins; otherwise GHOSTBUSTERS_INJECT can arm
@@ -228,7 +277,7 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
   | None -> ());
   {
     cfg = config; mem; clock; hier; interp; machine; engine; obs; attrib;
-    audit; inject; dispatch_exits = 0; on_trace_exit = ignore;
+    audit; inject; dispatch_exits = 0; on_trace_exit = (fun ~region:_ _ -> ());
   }
 
 let mem t = t.mem
@@ -331,10 +380,9 @@ let run t =
       (* the one accounting of this exit: the region's run/exit counts,
          the target's hot counter (which may translate it), the
          observer *)
-      Gb_dbt.Engine.record_block_exit engine
-        ~entry:info.Gb_vliw.Pipeline.exit_entry info;
+      Gb_dbt.Engine.record_block_exit engine ~entry:pc info;
       Gb_dbt.Engine.record_block_entry engine info.Gb_vliw.Pipeline.next_pc;
-      t.on_trace_exit info;
+      t.on_trace_exit ~region:pc info;
       (match t.inject with
       | Some inj when Inject.fire inj Inject.Decode_flush ->
         (* decode-cache poisoning fault: drop every decoded entry, the

@@ -53,6 +53,24 @@ type result = {
           [~audit:true] *)
 }
 
+(** The knobs {!validate} checks. *)
+type knob =
+  | Issue_width  (** [engine.resources]: width and every slot count *)
+  | Mcb_entries  (** [machine.mcb_entries] *)
+  | L1d_geometry  (** [hier.cache] *)
+  | Code_cache_capacity  (** [engine.cache.capacity] *)
+  | Hot_threshold  (** [engine.hot_threshold] *)
+  | Unroll_limit  (** [engine.trace_cfg.max_visits] *)
+
+val validate : config -> (unit, knob * string) Stdlib.result
+(** [Ok] when every knob is in range: an issue width and slot counts of
+    at least 1, at least 0 MCB entries, an L1D geometry
+    {!Gb_cache.Cache.check_config} accepts, and a code-cache capacity,
+    hot threshold and unroll limit of at least 1. Out of range, a run
+    could hang (issue width 0), raise mid-run, or run a configuration
+    that means nothing (capacity 0, a negative threshold), so
+    {!create} rejects it; [Error] names the knob and says why. *)
+
 type t
 
 val create :
@@ -79,7 +97,8 @@ val create :
     exactly the entries the hardware has. The engine's [n_hidden] is
     clamped to the machine's, so it never emits code using registers
     the machine does not have. Raises [Invalid_argument] when
-    [machine.chain] or [engine.cache.chain] is [false]. *)
+    {!validate} rejects [config], and when [machine.chain] or
+    [engine.cache.chain] is [false]. *)
 
 val mem : t -> Gb_riscv.Mem.t
 
@@ -110,11 +129,13 @@ val allocs : t -> Gb_obs.Allocs.t
     to measure the run's execution-tier minor-heap allocation, with the
     translation pipeline excluded. *)
 
-val set_on_trace_exit : t -> (Gb_vliw.Pipeline.exit_info -> unit) -> unit
+val set_on_trace_exit :
+  t -> (region:int -> Gb_vliw.Pipeline.exit_info -> unit) -> unit
 (** Install an observer fired exactly once per trace exit, after the exit
     stub committed architectural state and the engine recorded the exit.
-    The differential oracle synchronises the reference interpreter
-    here. *)
+    [region] is the entry pc of the region that ran (the pc the
+    dispatcher looked up). The differential oracle synchronises the
+    reference interpreter here. *)
 
 val run : t -> result
 (** Run to the exit ecall. Raises {!Gb_riscv.Interp.Trap} on guest errors

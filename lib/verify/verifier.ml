@@ -42,18 +42,18 @@ module IS = Set.Make (Int)
    later bundle see an architecturally-validated value. The record itself
    is sticky for the whole run — mirroring the pipeline's runtime taint,
    which never expires — so the audit's [dependent] verdict can never be
-   true where the verifier saw a clean register. *)
+   true where the verifier saw a clean register.
+
+   Bundles are visited in increasing order and every use of [live]
+   compares it with the current bundle, so a window that closed before
+   the read stays closed at every later one: a value is read as stored,
+   and one whose window has closed keeps its old [live] (any number
+   below the current bundle reads the same). *)
 type taint = { live : int; origins : IS.t }
 
 let read st = function
   | Vinsn.I _ -> None
   | Vinsn.R r -> if r = 0 then None else st.(r)
-
-(* Value read at bundle [c]: the sticky component always propagates; the
-   live window only if the guard has not resolved yet. *)
-let at c = function
-  | None -> None
-  | Some t -> Some (if t.live >= c then t else { t with live = -1 })
 
 let join a b =
   match (a, b) with
@@ -71,38 +71,138 @@ let origins_of = function Some t -> IS.elements t.origins | None -> []
    larger id in a bundle <= [b]: when that exit is taken, the op has
    already executed even though it is architecturally after the exit. *)
 type positions = {
-  exits : (int * int) list;  (** (exit_id, bundle) *)
-  stores : (int * int) list;  (** (id, bundle) *)
-  chks : (int, int) Hashtbl.t;  (** MCB tag -> bundle of its Chk *)
+  exit_ids : int array;
+  exit_bundles : int array;
+  store_ids : int array;
+  store_bundles : int array;
+  chk_tags : int array;
+  chk_bundles : int array;  (** MCB tag and bundle of every Chk *)
 }
 
 let positions (tr : Vinsn.trace) =
-  let exits = ref [] and stores = ref [] in
-  let chks = Hashtbl.create 8 in
-  Array.iteri
-    (fun c bundle ->
-      Array.iter
-        (fun op ->
-          match op with
-          | Vinsn.Branch { stub; _ } | Vinsn.Exit { stub } ->
-            exits := (tr.Vinsn.stubs.(stub).Vinsn.exit_id, c) :: !exits
-          | Vinsn.Chk { tag; stub } ->
-            exits := (tr.Vinsn.stubs.(stub).Vinsn.exit_id, c) :: !exits;
-            Hashtbl.replace chks tag c
-          | Vinsn.Store { id; _ } -> stores := (id, c) :: !stores
-          | _ -> ())
-        bundle)
-    tr.Vinsn.bundles;
-  { exits = !exits; stores = !stores; chks }
+  let bundles = tr.Vinsn.bundles in
+  let n_exits = ref 0 and n_stores = ref 0 and n_chks = ref 0 in
+  for c = 0 to Array.length bundles - 1 do
+    let bundle = bundles.(c) in
+    for k = 0 to Array.length bundle - 1 do
+      match bundle.(k) with
+      | Vinsn.Branch _ | Vinsn.Exit _ -> incr n_exits
+      | Vinsn.Chk _ ->
+        incr n_exits;
+        incr n_chks
+      | Vinsn.Store _ -> incr n_stores
+      | _ -> ()
+    done
+  done;
+  let pos =
+    {
+      exit_ids = Array.make !n_exits 0;
+      exit_bundles = Array.make !n_exits 0;
+      store_ids = Array.make !n_stores 0;
+      store_bundles = Array.make !n_stores 0;
+      chk_tags = Array.make !n_chks 0;
+      chk_bundles = Array.make !n_chks 0;
+    }
+  in
+  let e = ref 0 and s = ref 0 and k_chk = ref 0 in
+  for c = 0 to Array.length bundles - 1 do
+    let bundle = bundles.(c) in
+    for k = 0 to Array.length bundle - 1 do
+      match bundle.(k) with
+      | Vinsn.Branch { stub; _ } | Vinsn.Exit { stub } ->
+        pos.exit_ids.(!e) <- tr.Vinsn.stubs.(stub).Vinsn.exit_id;
+        pos.exit_bundles.(!e) <- c;
+        incr e
+      | Vinsn.Chk { tag; stub } ->
+        pos.exit_ids.(!e) <- tr.Vinsn.stubs.(stub).Vinsn.exit_id;
+        pos.exit_bundles.(!e) <- c;
+        incr e;
+        pos.chk_tags.(!k_chk) <- tag;
+        pos.chk_bundles.(!k_chk) <- c;
+        incr k_chk
+      | Vinsn.Store { id; _ } ->
+        pos.store_ids.(!s) <- id;
+        pos.store_bundles.(!s) <- c;
+        incr s
+      | _ -> ()
+    done
+  done;
+  pos
 
-(* Exits this op is scheduled above: taken, they would make it transient. *)
-let unresolved_exits pos ~id ~bundle =
-  List.filter (fun (e, b) -> e < id && b >= bundle) pos.exits
+(* The latest bundle holding an op of [ids] with an id below [id], or -1:
+   an op in bundle [c] is scheduled above such an op exactly when this is
+   >= [c]. *)
+let latest_before ids bundles id =
+  let latest = ref (-1) in
+  for i = 0 to Array.length ids - 1 do
+    if ids.(i) < id && bundles.(i) > !latest then latest := bundles.(i)
+  done;
+  !latest
 
-let verify (tr : Vinsn.trace) =
-  let pos = positions tr in
+(* The last exit this op is scheduled above, or -1: taken, it would make
+   the op transient. *)
+let guard pos id = latest_before pos.exit_ids pos.exit_bundles id
+
+(* The last store this op is scheduled above, or -1. *)
+let last_store pos id = latest_before pos.store_ids pos.store_bundles id
+
+(* The bundle of the last Chk of MCB tag [tag] in schedule order, or -1.
+   A trace has at most one Chk per MCB entry in use, so the scan is
+   short. *)
+let rec chk_from pos tag i =
+  if i < 0 then -1
+  else if pos.chk_tags.(i) = tag then pos.chk_bundles.(i)
+  else chk_from pos tag (i - 1)
+
+let chk_of pos tag = chk_from pos tag (Array.length pos.chk_tags - 1)
+
+(* A bundle's register writes, buffered in op order and landed together
+   at the end of the cycle: every op of the bundle reads pre-bundle
+   state, as in the pipeline. One buffer, sized by the widest bundle,
+   serves every bundle of a pass. *)
+type 'a writes = { w_dst : int array; w_val : 'a array; mutable w_n : int }
+
+let widest (tr : Vinsn.trace) =
+  Array.fold_left (fun m b -> Int.max m (Array.length b)) 0 tr.Vinsn.bundles
+
+let writes tr =
+  let n = widest tr in
+  { w_dst = Array.make n 0; w_val = Array.make n None; w_n = 0 }
+
+let write w dst t =
+  if dst <> 0 then begin
+    w.w_dst.(w.w_n) <- dst;
+    w.w_val.(w.w_n) <- t;
+    w.w_n <- w.w_n + 1
+  end
+
+let write_back w st =
+  for i = 0 to w.w_n - 1 do
+    st.(w.w_dst.(i)) <- w.w_val.(i)
+  done;
+  w.w_n <- 0
+
+(* Commits run after the bundle's write-back, when every guard scheduled
+   at bundle [c] or earlier has resolved: only a value whose live window
+   extends strictly past [c] is still speculative at commit time. *)
+let rec check_commits flag st c (stub : Vinsn.stub) = function
+  | [] -> ()
+  | (_, src) :: rest ->
+    (match src with
+    | Vinsn.R r when r <> 0 -> (
+      match st.(r) with
+      | Some t when t.live > c ->
+        flag Tainted_commit ~pc:stub.Vinsn.target_pc ~id:stub.Vinsn.exit_id
+          ~bundle:c (IS.elements t.origins)
+      | Some _ | None -> ())
+    | Vinsn.R _ | Vinsn.I _ -> ());
+    check_commits flag st c stub rest
+
+let verify_at pos (tr : Vinsn.trace) =
   let nb = Array.length tr.Vinsn.bundles in
   let st = Array.make (Int.max 1 tr.Vinsn.n_regs) None in
+  let w = writes tr in
+  let exits_here = Array.make (Array.length w.w_dst) 0 in
   let violations = ref [] in
   let sched_spec = ref 0 and flag_spec = ref 0 and mem_ops = ref 0 in
   let flag kind ~pc ~id ~bundle origins =
@@ -111,106 +211,70 @@ let verify (tr : Vinsn.trace) =
         v_origins = origins }
       :: !violations
   in
-  Array.iteri
-    (fun c bundle ->
-      (* parallel-read semantics, as in the pipeline: every op of the
-         bundle reads pre-bundle state; writes land at end of cycle *)
-      let writes = ref [] in
-      let exits_here = ref [] in
-      let write dst t = if dst <> 0 then writes := (dst, t) :: !writes in
-      Array.iter
-        (fun op ->
-          match op with
-          | Vinsn.Nop | Vinsn.Fence -> ()
-          | Vinsn.Alu { dst; a; b; _ } ->
-            write dst (join (at c (read st a)) (at c (read st b)))
-          | Vinsn.Mv { dst; src } -> write dst (at c (read st src))
-          | Vinsn.Rdcycle { dst } -> write dst None
-          | Vinsn.Load { dst; base; spec; id; pc; hoisted; _ } ->
-            incr mem_ops;
-            let guards = unresolved_exits pos ~id ~bundle:c in
-            let bypassed =
-              List.filter (fun (s, b) -> s < id && b >= c) pos.stores
-            in
-            let branch_live =
-              List.fold_left (fun acc (_, b) -> Int.max acc b) (-1) guards
-            in
-            let mcb_live =
-              match bypassed with
-              | [] -> -1
-              | _ :: _ -> (
-                let last_store =
-                  List.fold_left (fun acc (_, b) -> Int.max acc b) (-1) bypassed
-                in
-                match spec with
-                | Some tag when
-                    (match Hashtbl.find_opt pos.chks tag with
-                     | Some cb -> cb >= last_store
-                     | None -> false) ->
-                  Hashtbl.find pos.chks tag
-                | Some _ | None ->
-                  (* bypasses a store with no check resolving after it:
-                     treat the value as never validated in this trace *)
-                  flag Unguarded_bypass ~pc ~id ~bundle:c [];
-                  nb)
-            in
-            let sched = guards <> [] || bypassed <> [] in
-            let flagged = hoisted || spec <> None in
-            if sched then incr sched_spec;
-            if flagged then incr flag_spec;
-            let base_t = at c (read st base) in
-            if base_t <> None && guards <> [] then
-              flag Tainted_load ~pc ~id ~bundle:c (origins_of base_t);
-            let seed =
-              if sched || flagged then
-                Some
-                  {
-                    live = Int.max branch_live mcb_live;
-                    origins = IS.singleton pc;
-                  }
-              else None
-            in
-            (* the loaded value inherits the address's taint, as in the
-               pipeline: data at a speculatively-derived address is itself
-               speculative *)
-            write dst (join seed base_t)
-          | Vinsn.Store { src; base; id; pc; _ } ->
-            incr mem_ops;
-            if unresolved_exits pos ~id ~bundle:c <> [] then
-              flag Transient_store ~pc ~id ~bundle:c [];
-            let src_t = at c (read st src) and base_t = at c (read st base) in
-            if is_live c src_t || is_live c base_t then
-              flag Tainted_store ~pc ~id ~bundle:c
-                (origins_of (join src_t base_t))
-          | Vinsn.Cflush { id; pc; _ } ->
-            incr mem_ops;
-            if unresolved_exits pos ~id ~bundle:c <> [] then
-              flag Transient_store ~pc ~id ~bundle:c []
-          | Vinsn.Branch { stub; _ } | Vinsn.Chk { stub; _ }
-          | Vinsn.Exit { stub } ->
-            exits_here := stub :: !exits_here)
-        bundle;
-      List.iter (fun (dst, t) -> st.(dst) <- t) (List.rev !writes);
-      (* Commits run after the bundle's write-back, when every guard
-         scheduled at bundle [c] or earlier has resolved: only a value
-         whose live window extends strictly past [c] is still
-         speculative at commit time. *)
-      List.iter
-        (fun s ->
-          let stub = tr.Vinsn.stubs.(s) in
-          List.iter
-            (fun (_, src) ->
-              match src with
-              | Vinsn.R r when r <> 0 -> (
-                match st.(r) with
-                | Some t when t.live > c ->
-                  flag Tainted_commit ~pc:stub.Vinsn.target_pc
-                    ~id:stub.Vinsn.exit_id ~bundle:c (IS.elements t.origins)
-                | Some _ | None -> ())
-              | Vinsn.R _ | Vinsn.I _ -> ())
-            stub.Vinsn.commits)
-        !exits_here)
-    tr.Vinsn.bundles;
+  for c = 0 to nb - 1 do
+    let bundle = tr.Vinsn.bundles.(c) in
+    let n_exits = ref 0 in
+    for k = 0 to Array.length bundle - 1 do
+      match bundle.(k) with
+      | Vinsn.Nop | Vinsn.Fence -> ()
+      | Vinsn.Alu { dst; a; b; _ } -> write w dst (join (read st a) (read st b))
+      | Vinsn.Mv { dst; src } -> write w dst (read st src)
+      | Vinsn.Rdcycle { dst } -> write w dst None
+      | Vinsn.Load { dst; base; spec; id; pc; hoisted; _ } ->
+        incr mem_ops;
+        let guard_b = guard pos id and store_b = last_store pos id in
+        let guarded = guard_b >= c and bypassing = store_b >= c in
+        let branch_live = if guarded then guard_b else -1 in
+        let mcb_live =
+          if not bypassing then -1
+          else
+            match spec with
+            | Some tag when chk_of pos tag >= store_b -> chk_of pos tag
+            | Some _ | None ->
+              (* bypasses a store with no check resolving after it:
+                 treat the value as never validated in this trace *)
+              flag Unguarded_bypass ~pc ~id ~bundle:c [];
+              nb
+        in
+        let sched = guarded || bypassing in
+        let flagged = hoisted || Option.is_some spec in
+        if sched then incr sched_spec;
+        if flagged then incr flag_spec;
+        let base_t = read st base in
+        if Option.is_some base_t && guarded then
+          flag Tainted_load ~pc ~id ~bundle:c (origins_of base_t);
+        let seed =
+          if sched || flagged then
+            Some
+              { live = Int.max branch_live mcb_live; origins = IS.singleton pc }
+          else None
+        in
+        (* the loaded value inherits the address's taint, as in the
+           pipeline: data at a speculatively-derived address is itself
+           speculative *)
+        write w dst (join seed base_t)
+      | Vinsn.Store { src; base; id; pc; _ } ->
+        incr mem_ops;
+        if guard pos id >= c then flag Transient_store ~pc ~id ~bundle:c [];
+        let src_t = read st src and base_t = read st base in
+        if is_live c src_t || is_live c base_t then
+          flag Tainted_store ~pc ~id ~bundle:c (origins_of (join src_t base_t))
+      | Vinsn.Cflush { id; pc; _ } ->
+        incr mem_ops;
+        if guard pos id >= c then flag Transient_store ~pc ~id ~bundle:c []
+      | Vinsn.Branch { stub; _ } | Vinsn.Chk { stub; _ } | Vinsn.Exit { stub }
+        ->
+        exits_here.(!n_exits) <- stub;
+        incr n_exits
+    done;
+    write_back w st;
+    (* the bundle's exits, last op first: the order its commit
+       violations are reported in *)
+    for i = !n_exits - 1 downto 0 do
+      let stub = tr.Vinsn.stubs.(exits_here.(i)) in
+      check_commits flag st c stub stub.Vinsn.commits
+    done
+  done;
   {
     violations = List.rev !violations;
     sched_spec_loads = !sched_spec;
@@ -246,24 +310,24 @@ let verify (tr : Vinsn.trace) =
    exit, or bypassing an earlier store without an MCB check resolving
    after the last bypassed store. *)
 let sched_speculative pos ~id ~bundle ~spec =
-  unresolved_exits pos ~id ~bundle <> []
+  guard pos id >= bundle
   ||
-  match List.filter (fun (s, b) -> s < id && b >= bundle) pos.stores with
-  | [] -> false
-  | bypassed -> (
-    let last_store =
-      List.fold_left (fun acc (_, b) -> Int.max acc b) (-1) bypassed
-    in
-    match spec with
-    | None -> true
-    | Some tag -> (
-      match Hashtbl.find_opt pos.chks tag with
-      | Some cb -> cb < last_store
-      | None -> true))
+  let store_b = last_store pos id in
+  store_b >= bundle
+  && match spec with None -> true | Some tag -> chk_of pos tag < store_b
 
-let check_cut (tr : Vinsn.trace) ~(plan : Gb_core.Leakcut.plan) =
+let joins a b =
+  match (a, b) with
+  | None, t | t, None -> t
+  | Some x, Some y -> Some (IS.union x y)
+
+let elems = function Some s -> IS.elements s | None -> []
+
+let is_fence_repair r = r.Gb_core.Leakcut.r_kind = Gb_core.Leakcut.Fence
+
+let check_cut_at pos (tr : Vinsn.trace) ~(plan : Gb_core.Leakcut.plan) =
   let module L = Gb_core.Leakcut in
-  let pos = positions tr in
+  let bundles = tr.Vinsn.bundles in
   let violations = ref [] in
   let flag kind ~pc ~id ~bundle origins =
     violations :=
@@ -271,29 +335,27 @@ let check_cut (tr : Vinsn.trace) ~(plan : Gb_core.Leakcut.plan) =
         v_origins = origins }
       :: !violations
   in
-  (* Where every load landed, plus the structural witnesses of repairs:
-     identity-AND mask ops and fences. *)
-  let loads = Hashtbl.create 16 in
-  let mask_bundles = ref [] and fence_ops = ref 0 in
-  Array.iteri
-    (fun c bundle ->
-      Array.iter
-        (fun op ->
-          match op with
-          | Vinsn.Load { id; pc; spec; _ } ->
-            Hashtbl.replace loads id (c, pc, spec)
-          | Vinsn.Alu { op = Gb_riscv.Insn.AND; b = Vinsn.I m; _ }
-            when Int64.equal m (-1L) ->
-            mask_bundles := c :: !mask_bundles
-          | Vinsn.Fence -> incr fence_ops
-          | _ -> ())
-        bundle)
-    tr.Vinsn.bundles;
+  (* The structural witnesses of repairs: the earliest identity-AND mask
+     op and the number of fences. *)
+  let first_mask = ref max_int and fence_ops = ref 0 in
+  for c = 0 to Array.length bundles - 1 do
+    let bundle = bundles.(c) in
+    for k = 0 to Array.length bundle - 1 do
+      match bundle.(k) with
+      | Vinsn.Alu { op = Gb_riscv.Insn.AND; b = Vinsn.I m; _ }
+        when Int64.equal m (-1L) ->
+        if c < !first_mask then first_mask := c
+      | Vinsn.Fence -> incr fence_ops
+      | _ -> ()
+    done
+  done;
   (* Obligation 1: every repair in the plan — realized or not, so the
      deliberately-unsound sensitivity control is caught — is visible in
      the schedule. *)
   let fence_repairs =
-    List.length (List.filter (fun r -> r.L.r_kind = L.Fence) plan.L.repairs)
+    List.fold_left
+      (fun n r -> if is_fence_repair r then n + 1 else n)
+      0 plan.L.repairs
   in
   List.iter
     (fun r ->
@@ -301,66 +363,82 @@ let check_cut (tr : Vinsn.trace) ~(plan : Gb_core.Leakcut.plan) =
       | L.Fence ->
         if !fence_ops < fence_repairs then
           flag Unrealized_cut ~pc:r.L.r_pc ~id:r.L.r_node ~bundle:(-1) []
-      | L.Dep_reinsert | L.Mask -> (
-        match Hashtbl.find_opt loads r.L.r_node with
-        | None ->
+      | L.Dep_reinsert | L.Mask ->
+        (* where the protected load landed: the last load of its id *)
+        let at = ref (-1) and at_pc = ref 0 and at_spec = ref None in
+        for c = 0 to Array.length bundles - 1 do
+          let bundle = bundles.(c) in
+          for k = 0 to Array.length bundle - 1 do
+            match bundle.(k) with
+            | Vinsn.Load { id; pc; spec; _ } when id = r.L.r_node ->
+              at := c;
+              at_pc := pc;
+              at_spec := spec
+            | _ -> ()
+          done
+        done;
+        let c = !at and pc = !at_pc in
+        if c < 0 then
           (* the protected load vanished from the emitted unit *)
           flag Unrealized_cut ~pc:r.L.r_pc ~id:r.L.r_node ~bundle:(-1) []
-        | Some (c, pc, spec) ->
-          if sched_speculative pos ~id:r.L.r_node ~bundle:c ~spec then
-            flag Unrealized_cut ~pc ~id:r.L.r_node ~bundle:c [];
-          if
-            r.L.r_kind = L.Mask
-            && not (List.exists (fun mb -> mb < c) !mask_bundles)
-          then flag Unrealized_cut ~pc ~id:r.L.r_node ~bundle:c []))
+        else begin
+          if sched_speculative pos ~id:r.L.r_node ~bundle:c ~spec:!at_spec
+          then flag Unrealized_cut ~pc ~id:r.L.r_node ~bundle:c [];
+          if r.L.r_kind = L.Mask && not (!first_mask < c) then
+            flag Unrealized_cut ~pc ~id:r.L.r_node ~bundle:c []
+        end)
     plan.L.repairs;
   (* Obligation 2: residual flow.  Sticky taint (no live windows — any
      schedule-speculative value is a potential transmitter payload for
      the rest of the unit) seeded only from loads the schedule still
      speculates; parallel-read semantics as in [verify]. *)
   let st = Array.make (Int.max 1 tr.Vinsn.n_regs) None in
-  let read_t = function
-    | Vinsn.I _ -> None
-    | Vinsn.R r -> if r = 0 then None else st.(r)
-  in
-  let joins a b =
-    match (a, b) with
-    | None, t | t, None -> t
-    | Some x, Some y -> Some (IS.union x y)
-  in
-  let elems = function Some s -> IS.elements s | None -> [] in
-  Array.iteri
-    (fun c bundle ->
-      let writes = ref [] in
-      let write dst t = if dst <> 0 then writes := (dst, t) :: !writes in
-      Array.iter
-        (fun op ->
-          match op with
-          | Vinsn.Nop | Vinsn.Fence -> ()
-          | Vinsn.Alu { dst; a; b; _ } -> write dst (joins (read_t a) (read_t b))
-          | Vinsn.Mv { dst; src } -> write dst (read_t src)
-          | Vinsn.Rdcycle { dst } -> write dst None
-          | Vinsn.Load { dst; base; spec; id; pc; _ } ->
-            let sched = sched_speculative pos ~id ~bundle:c ~spec in
-            let base_t = read_t base in
-            if sched && base_t <> None then
-              flag Residual_flow ~pc ~id ~bundle:c (elems base_t);
-            let seed = if sched then Some (IS.singleton pc) else None in
-            write dst (joins seed base_t)
-          | Vinsn.Store { src; base; id; pc; _ } ->
-            if unresolved_exits pos ~id ~bundle:c <> [] then (
-              let t = joins (read_t src) (read_t base) in
-              if t <> None then flag Residual_flow ~pc ~id ~bundle:c (elems t))
-          | Vinsn.Cflush { base; id; pc; _ } ->
-            if unresolved_exits pos ~id ~bundle:c <> [] then (
-              match read_t base with
-              | Some s -> flag Residual_flow ~pc ~id ~bundle:c (IS.elements s)
-              | None -> ())
-          | Vinsn.Branch _ | Vinsn.Chk _ | Vinsn.Exit _ -> ())
-        bundle;
-      List.iter (fun (dst, t) -> st.(dst) <- t) (List.rev !writes))
-    tr.Vinsn.bundles;
+  let w = writes tr in
+  for c = 0 to Array.length bundles - 1 do
+    let bundle = bundles.(c) in
+    for k = 0 to Array.length bundle - 1 do
+      match bundle.(k) with
+      | Vinsn.Nop | Vinsn.Fence -> ()
+      | Vinsn.Alu { dst; a; b; _ } -> write w dst (joins (read st a) (read st b))
+      | Vinsn.Mv { dst; src } -> write w dst (read st src)
+      | Vinsn.Rdcycle { dst } -> write w dst None
+      | Vinsn.Load { dst; base; spec; id; pc; _ } ->
+        let sched = sched_speculative pos ~id ~bundle:c ~spec in
+        let base_t = read st base in
+        if sched && Option.is_some base_t then
+          flag Residual_flow ~pc ~id ~bundle:c (elems base_t);
+        let seed = if sched then Some (IS.singleton pc) else None in
+        write w dst (joins seed base_t)
+      | Vinsn.Store { src; base; id; pc; _ } ->
+        if guard pos id >= c then begin
+          let t = joins (read st src) (read st base) in
+          if Option.is_some t then flag Residual_flow ~pc ~id ~bundle:c (elems t)
+        end
+      | Vinsn.Cflush { base; id; pc; _ } ->
+        if guard pos id >= c then begin
+          match read st base with
+          | Some s -> flag Residual_flow ~pc ~id ~bundle:c (IS.elements s)
+          | None -> ()
+        end
+      | Vinsn.Branch _ | Vinsn.Chk _ | Vinsn.Exit _ -> ()
+    done;
+    write_back w st
+  done;
   List.rev !violations
+
+let verify tr = verify_at (positions tr) tr
+
+let check_cut tr ~plan = check_cut_at (positions tr) tr ~plan
+
+let gate ?plan tr =
+  let pos = positions tr in
+  let r = verify_at pos tr in
+  match plan with
+  | None -> r
+  | Some plan -> (
+    match check_cut_at pos tr ~plan with
+    | [] -> r
+    | cut -> { r with violations = r.violations @ cut })
 
 let ok r = r.violations = []
 

@@ -85,6 +85,15 @@ val check_cut :
     schedule still speculates reaches no transmitter ([Residual_flow]
     otherwise). Pure; returns violations in schedule order. *)
 
+val gate : ?plan:Gb_core.Leakcut.plan -> Gb_vliw.Vinsn.trace -> report
+(** The install-time check of one translation: {!verify}, and with a
+    [plan] {!check_cut} too, its violations appended after [verify]'s.
+    The two passes share one computation of where the schedule put every
+    exit, store and MCB check. Apart from the violations it reports, it
+    allocates the trace's register taint (one slot per register, and a
+    set of origins per speculative value) and a few int arrays sized by
+    its exits, stores, MCB tags and widest bundle. *)
+
 val ok : report -> bool
 
 val violation_pcs : report -> int list

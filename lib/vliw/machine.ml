@@ -101,8 +101,7 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
     acc_cycles = 0;
     eager = true;
     exit_scratch =
-      { Vinsn.next_pc = 0; kind = Vinsn.Fallthrough; exit_entry = 0;
-        taken_stub = -1 };
+      { Vinsn.next_pc = 0; kind = Vinsn.Fallthrough };
   }
 
 let flush_acc t =

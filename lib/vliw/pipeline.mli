@@ -22,8 +22,6 @@ type exit_kind = Vinsn.exit_kind = Fallthrough | Side_exit | Rollback
 type exit_info = Vinsn.exit_info = {
   mutable next_pc : int;
   mutable kind : exit_kind;
-  mutable exit_entry : int;
-  mutable taken_stub : int;
 }
 (** Re-exported from {!Vinsn} (defined there so {!Machine} can own the
     scratch exit record without a dependency cycle). *)

@@ -97,8 +97,6 @@ type exit_kind = Fallthrough | Side_exit | Rollback
 type exit_info = {
   mutable next_pc : int;
   mutable kind : exit_kind;
-  mutable exit_entry : int;
-  mutable taken_stub : int;
 }
 
 let bundle_count trace = Array.length trace.bundles

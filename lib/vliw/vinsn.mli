@@ -130,10 +130,6 @@ type exit_kind = Fallthrough | Side_exit | Rollback
 type exit_info = {
   mutable next_pc : int;  (** guest pc to resume at *)
   mutable kind : exit_kind;
-  mutable exit_entry : int;
-      (** entry pc of the trace whose stub produced this exit *)
-  mutable taken_stub : int;
-      (** index of the taken stub in [exit_entry]'s trace *)
 }
 
 val bundle_count : trace -> int

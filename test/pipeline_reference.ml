@@ -99,8 +99,6 @@ type exit_kind = Vinsn.exit_kind = Fallthrough | Side_exit | Rollback
 type exit_info = Vinsn.exit_info = {
   mutable next_pc : int;
   mutable kind : exit_kind;
-  mutable exit_entry : int;
-  mutable taken_stub : int;
 }
 
 let error fmt =
@@ -345,8 +343,6 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   let r = m.exit_scratch in
   r.next_pc <- stub.target_pc;
   r.kind <- kind;
-  r.exit_entry <- trace.entry_pc;
-  r.taken_stub <- stub_idx;
   r
 
 (* Execute one pass over a trace. The mutable per-cycle state lives in

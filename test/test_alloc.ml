@@ -376,6 +376,35 @@ let decode_bound () =
     [ (List.hd Gb_workloads.Polybench.all, 19.1);
       (Gb_workloads.Polybench.matmul_ptr, 22.6) ]
 
+(* Minor words per trace for the install-time verifier over the same
+   lowerings: the gate runs on every install under [Verify_enforce], a
+   reinstalled lowering's included. *)
+let verify_words_per_trace (verify : Gb_vliw.Vinsn.trace -> 'a) k =
+  let eng, mem, entries = pinned_regions k in
+  let traces =
+    List.concat_map
+      (fun mode -> List.map (fun e -> snd (lower eng mem mode e)) entries)
+      churn_modes
+  in
+  let before = Gc.minor_words () in
+  List.iter (fun t -> ignore (verify t)) traces;
+  (Gc.minor_words () -. before) /. float_of_int (List.length traces)
+
+(* The measured floor + 10%: gemm 197.1 and matmul-ptr 93.9 words per
+   trace; 1911.2 and 956.7 for the reference verifier
+   (test/verifier_reference.ml), whose guard queries filter consed
+   position lists, whose MCB checks sit in a polymorphic [Hashtbl] and
+   whose write-back conses and reverses a list per bundle. *)
+let verify_bound () =
+  List.iter
+    (fun (k, budget) ->
+      let words = verify_words_per_trace Gb_verify.Verifier.verify k in
+      if words > budget then
+        Alcotest.failf "%s: verify allocates %.1f words/trace (budget %.1f)"
+          k.Gb_workloads.Polybench.name words budget)
+    [ (List.hd Gb_workloads.Polybench.all, 216.8);
+      (Gb_workloads.Polybench.matmul_ptr, 103.3) ]
+
 (* --- Allocs accounting ------------------------------------------------- *)
 
 (* 5 minor words per element: a float box and a list cell. A single big
@@ -479,6 +508,8 @@ let () =
           Alcotest.test_case "pipeline on gemm" `Quick pipeline_bound;
           Alcotest.test_case "translation of gemm and matmul-ptr" `Quick
             translation_bound;
+          Alcotest.test_case "verify of gemm and matmul-ptr" `Quick
+            verify_bound;
           Alcotest.test_case "decode of gemm and matmul-ptr" `Quick
             decode_bound;
         ] );

@@ -74,30 +74,6 @@ let roundtrip_prop =
     (fun insn ->
       Gb_riscv.Decode.decode (Gb_riscv.Encode.encode insn) = insn)
 
-(* [Insn.equal] against structural equality, on an instruction and its
-   neighbour one encoding bit away: most neighbours differ from it in a
-   single field, and an undecodable one is replaced by the instruction
-   itself. *)
-let equal_prop =
-  let arb =
-    QCheck.make
-      ~print:(fun (insn, bit) ->
-        Printf.sprintf "%s, bit %d" (Gb_riscv.Insn.to_string insn) bit)
-      (QCheck.Gen.pair (QCheck.gen arb_insn) (QCheck.Gen.int_range 0 31))
-  in
-  QCheck.Test.make ~count:2000 ~name:"Insn.equal = structural equality" arb
-    (fun (insn, bit) ->
-      let neighbour =
-        match
-          Gb_riscv.Decode.decode (Gb_riscv.Encode.encode insn lxor (1 lsl bit))
-        with
-        | other -> other
-        | exception Gb_riscv.Decode.Illegal _ -> insn
-      in
-      Gb_riscv.Insn.equal insn neighbour = (insn = neighbour)
-      && Gb_riscv.Insn.equal insn
-           (Gb_riscv.Decode.decode (Gb_riscv.Encode.encode insn)))
-
 let word_in_range_prop =
   QCheck.Test.make ~count:2000 ~name:"encoded word fits in 32 bits" arb_insn
     (fun insn ->
@@ -431,7 +407,6 @@ let () =
           Alcotest.test_case "golden words" `Quick golden_encodings;
           qt roundtrip_prop;
           qt word_in_range_prop;
-          qt equal_prop;
         ] );
       ( "interp",
         [

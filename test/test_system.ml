@@ -502,6 +502,73 @@ let inject_env_arming () =
         "empty env arms nothing" true
         (Gb_system.Inject.of_env () = None))
 
+(* Every knob out of range is refused by [validate], naming that knob,
+   and by [create] with [Invalid_argument]; the values in range that the
+   ablations sweep (0 MCB entries, a 16 KiB L1D, one visit) pass. *)
+let knobs_validated () =
+  let module P = Gb_system.Processor in
+  let base = P.config_for Gb_core.Mitigation.Fine_grained in
+  let engine f = { base with P.engine = f base.P.engine } in
+  let res f =
+    engine (fun e ->
+        { e with Gb_dbt.Engine.resources = f e.Gb_dbt.Engine.resources })
+  in
+  let l1d size_bytes ways line_bytes =
+    { base with
+      P.hier =
+        { base.P.hier with
+          Gb_cache.Hierarchy.cache =
+            { Gb_cache.Cache.size_bytes; ways; line_bytes } } }
+  in
+  let mcb n =
+    { base with P.machine = { base.P.machine with Gb_vliw.Machine.mcb_entries = n } }
+  in
+  let capacity n =
+    engine (fun e ->
+        { e with
+          Gb_dbt.Engine.cache =
+            { e.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.capacity = n } })
+  in
+  let visits n =
+    engine (fun e ->
+        { e with
+          Gb_dbt.Engine.trace_cfg =
+            { e.Gb_dbt.Engine.trace_cfg with
+              Gb_dbt.Trace_builder.max_visits = n } })
+  in
+  let program = Gb_riscv.Asm.assemble [ Gb_riscv.Asm.Insn Gb_riscv.Insn.Ecall ] in
+  List.iter
+    (fun (what, config, knob) ->
+      (match P.validate config with
+      | Error (k, _) ->
+        Alcotest.(check bool) (what ^ ": names the knob") true (k = knob)
+      | Ok () -> Alcotest.failf "%s: accepted" what);
+      match P.create ~config program with
+      | _ -> Alcotest.failf "%s: created" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("width 0", res (fun r -> { r with Gb_dbt.Sched.width = 0 }), P.Issue_width);
+      ("width -1", res (fun r -> { r with Gb_dbt.Sched.width = -1 }), P.Issue_width);
+      ( "no memory slot",
+        res (fun r -> { r with Gb_dbt.Sched.mem_slots = 0 }),
+        P.Issue_width );
+      ("-1 MCB entries", mcb (-1), P.Mcb_entries);
+      ("3 KiB L1D", l1d 3072 8 64, P.L1d_geometry);
+      ("0 ways", l1d 65536 0 64, P.L1d_geometry);
+      ("48-byte lines", l1d 65536 8 48, P.L1d_geometry);
+      ("capacity 0", capacity 0, P.Code_cache_capacity);
+      ("capacity -5", capacity (-5), P.Code_cache_capacity);
+      ( "hot -3",
+        engine (fun e -> { e with Gb_dbt.Engine.hot_threshold = -3 }),
+        P.Hot_threshold );
+      ("unroll 0", visits 0, P.Unroll_limit);
+    ];
+  List.iter
+    (fun (what, config) ->
+      Alcotest.(check bool) (what ^ ": accepted") true (P.validate config = Ok ()))
+    [ ("default", base); ("MCB disabled", mcb 0); ("16 KiB L1D", l1d 16384 8 64);
+      ("capacity 1", capacity 1); ("one visit", visits 1) ]
+
 let () =
   Alcotest.run "system"
     [
@@ -515,6 +582,7 @@ let () =
       ( "behaviour",
         [
           Alcotest.test_case "dbt engages" `Quick dbt_engages;
+          Alcotest.test_case "knobs out of range refused" `Quick knobs_validated;
           Alcotest.test_case "speculation engages" `Quick speculation_engages;
           Alcotest.test_case "no-speculation is slower" `Quick no_spec_is_slower;
           Alcotest.test_case "report is consistent" `Quick report_is_consistent;

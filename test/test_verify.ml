@@ -347,64 +347,10 @@ let scanner_covers_runtime_flags () =
 
 (* --- qcheck: random kernels --------------------------------------------- *)
 
-(* Small random kernels in the v1 shape — a biased bounds check guarding a
-   double indirection, sometimes with a store in the hot path — exercising
-   the trace builder, speculation and the mitigation from fresh angles. *)
-let kernel_gen =
-  let open QCheck.Gen in
-  let open Gb_kernelc.Ast in
-  let* iters = int_range 40 90 in
-  let* mask = oneofl [ 7; 15 ] in
-  let* bound = int_range 3 6 in
-  let* stride = oneofl [ 1; 4; 8 ] in
-  let* with_store = bool in
-  let c n = Const (Int64.of_int n) in
-  let arrays =
-    [
-      {
-        a_name = "idx";
-        a_ty = I8;
-        a_dims = [ 64 ];
-        a_init = Bytes (String.init 64 (fun i -> Char.chr (i * 7 land 63)));
-      };
-      { a_name = "probe"; a_ty = I64; a_dims = [ 512 ]; a_init = Zero };
-    ]
-  in
-  let leak =
-    [
-      Let ("x", Arr ("idx", [ Var "j" ]));
-      Let
-        ( "y",
-          Arr ("probe", [ Bin (And, Bin (Mul, Var "x", c stride), c 511) ]) );
-      Set ("acc", Bin (Add, Var "acc", Var "y"));
-    ]
-    @
-    if with_store then
-      [ Arr_store ("probe", [ Bin (And, Var "x", c 511) ], Var "acc") ]
-    else []
-  in
-  let body =
-    [
-      Let ("acc", c 0);
-      For
-        ( "i",
-          c 0,
-          c iters,
-          [
-            Let ("j", Bin (And, Var "i", c mask));
-            If
-              ( Bin (Lt, Var "j", c bound),
-                leak,
-                [ Set ("acc", Bin (Add, Var "acc", c 1)) ] );
-          ] );
-    ]
-  in
-  return { arrays; body; result = Bin (And, Var "acc", c 255) }
-
 let qcheck_random_kernels =
   QCheck.Test.make ~count:6 ~name:"random kernels: verifier silent when \
                                    constrained, covers the audit when not"
-    (QCheck.make kernel_gen) (fun program ->
+    (QCheck.make Random_kernel.gen) (fun program ->
       let asm = Gb_kernelc.Compile.assemble program in
       List.iter
         (fun mode ->
@@ -438,6 +384,265 @@ let qcheck_random_kernels =
             QCheck.Test.fail_reportf
               "static false negative: audit-dependent pc 0x%x unflagged" pc)
         dep;
+      true)
+
+(* --- verifier = reference ----------------------------------------------- *)
+
+module Ref = Verifier_reference
+
+(* Plans that exercise every branch of the cut pass's first obligation
+   on a real schedule: each load of the trace protected by each kind of
+   repair, plus a repair of a node the trace does not have. With one
+   fence repair per load the fence count can fall short, with none it
+   cannot. *)
+let synthetic_plans (tr : V.trace) =
+  let module L = Gb_core.Leakcut in
+  let loads =
+    Array.fold_left
+      (fun acc bundle ->
+        Array.fold_left
+          (fun acc op ->
+            match op with
+            | V.Load { id; pc; _ } -> (id, pc) :: acc
+            | _ -> acc)
+          acc bundle)
+      [] tr.V.bundles
+  in
+  let repair r_kind (r_node, r_pc) =
+    { L.r_node; r_pc; r_kind; r_cost = 1; r_realized = true }
+  in
+  let plan repairs = { L.empty_plan with L.repairs } in
+  let missing = repair L.Mask (max_int, 0) in
+  [
+    plan (List.map (repair L.Dep_reinsert) loads @ [ missing ]);
+    plan (List.map (repair L.Mask) loads);
+    plan (List.map (repair L.Fence) loads);
+    plan (repair L.Fence (0, 0) :: List.map (repair L.Mask) loads);
+  ]
+
+(* [verify], [check_cut] under [plans] and the combined [gate] of one
+   trace, each against the reference. *)
+let same_as_reference ~what (tr : V.trace) plans =
+  let expected = Ref.verify tr in
+  if Verifier.verify tr <> expected then
+    Alcotest.failf "%s: verify differs from the reference" what;
+  if Verifier.gate tr <> expected then
+    Alcotest.failf "%s: gate without a plan differs from verify" what;
+  List.iter
+    (fun plan ->
+      let cut = Ref.check_cut tr ~plan in
+      if Verifier.check_cut tr ~plan <> cut then
+        Alcotest.failf "%s: check_cut differs from the reference" what;
+      if
+        Verifier.gate ~plan tr
+        <> { expected with Verifier.violations = expected.Verifier.violations @ cut }
+      then Alcotest.failf "%s: gate differs from verify + check_cut" what)
+    plans
+
+(* Every distinct trace the engine installs running [asm] under [mode]
+   in a [capacity]-bundle code cache, violating ones included (the gate
+   only reports), in first-install order. Eviction churn reinstalls the
+   same code over and over; a trace counts once per distinct schedule. *)
+let installed_traces ~capacity mode asm =
+  let p =
+    Pinned.processor
+      ~engine:(fun e ->
+        { e with
+          Gb_dbt.Engine.verify = Gb_dbt.Engine.Verify_report;
+          cache = { e.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.capacity } })
+      mode asm
+  in
+  let seen = Hashtbl.create 64 and traces = ref [] in
+  Gb_dbt.Code_cache.set_on_insert
+    (Gb_dbt.Engine.code_cache (Gb_system.Processor.engine p))
+    (fun e ->
+      let tr = e.Gb_dbt.Code_cache.e_trace in
+      (* the schedule, without the decoded closures *)
+      let key = (tr.V.entry_pc, tr.V.bundles, tr.V.stubs, tr.V.n_regs) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        traces := tr :: !traces
+      end);
+  ignore (Gb_system.Processor.run p);
+  (p, List.rev !traces)
+
+(* The real plans: each trace region left at the end of a min-cut run,
+   lowered again through the public phases on the final profile. *)
+let min_cut_lowerings p =
+  let eng = Gb_system.Processor.engine p in
+  let cfg = Gb_dbt.Engine.config eng in
+  let lat = cfg.Gb_dbt.Engine.lat and res = cfg.Gb_dbt.Engine.resources in
+  List.filter_map
+    (fun (r : Gb_dbt.Engine.region) ->
+      match r.Gb_dbt.Engine.r_tier with
+      | `Block -> None
+      | `Trace -> (
+        match
+          Gb_dbt.Trace_builder.build cfg.Gb_dbt.Engine.trace_cfg
+            ~mem:(Gb_system.Processor.mem p)
+            ~profile:(Gb_dbt.Engine.branch_profile eng)
+            ~entry:r.Gb_dbt.Engine.r_entry
+        with
+        | exception Gb_dbt.Trace_builder.Build_failure _ -> None
+        | gtrace ->
+          let mode = Gb_core.Mitigation.Min_cut in
+          let g =
+            Gb_ir.Build.build ~opt:(Gb_core.Mitigation.opt_of_mode mode) ~lat
+              gtrace
+          in
+          let report = Gb_core.Mitigation.apply mode ~lat g in
+          let cycles = Gb_dbt.Sched.schedule res ~lat g in
+          let tr =
+            Gb_dbt.Codegen.emit res ~n_hidden:cfg.Gb_dbt.Engine.n_hidden
+              ~cycles ~entry_pc:r.Gb_dbt.Engine.r_entry
+              ~guest_insns:(Gb_ir.Gtrace.length gtrace)
+              ~meta:V.empty_meta g
+          in
+          Option.map (fun plan -> (tr, plan)) report.Gb_core.Mitigation.cut_plan))
+    (Gb_dbt.Engine.regions eng)
+
+let check_program ~name asm =
+  List.fold_left
+    (fun (n, bad) mode ->
+      List.fold_left
+        (fun (n, bad) capacity ->
+          let p, traces = installed_traces ~capacity mode asm in
+          List.iteri
+            (fun i tr ->
+              same_as_reference
+                ~what:
+                  (Printf.sprintf "%s %s %d bundles, install %d" name
+                     (Gb_core.Mitigation.mode_name mode) capacity i)
+                tr (synthetic_plans tr))
+            traces;
+          if mode = Gb_core.Mitigation.Min_cut then
+            List.iter
+              (fun (tr, plan) ->
+                same_as_reference
+                  ~what:(Printf.sprintf "%s min-cut lowering 0x%x" name
+                           tr.V.entry_pc)
+                  tr [ plan ])
+              (min_cut_lowerings p);
+          let bad =
+            bad
+            + List.length
+                (List.filter
+                   (fun tr -> not (Verifier.ok (Verifier.verify tr)))
+                   traces)
+          in
+          (n + List.length traces, bad))
+        (n, bad) [ 65536; 384; 96 ])
+    (0, 0) Gb_core.Mitigation.all_modes
+
+let matches_reference_on_programs () =
+  let programs =
+    List.map
+      (fun (w : Gb_workloads.Polybench.t) ->
+        (w.Gb_workloads.Polybench.name,
+         Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program))
+      (Gb_workloads.Polybench.all @ [ Gb_workloads.Polybench.matmul_ptr ])
+    @ [ ("spectre-v1", v1_asm ()); ("spectre-v4", v4_asm ()) ]
+  in
+  let n, bad =
+    List.fold_left
+      (fun (n, bad) (name, asm) ->
+        let n', bad' = check_program ~name asm in
+        (n + n', bad + bad'))
+      (0, 0) programs
+  in
+  (* not vacuous: thousands of traces, violating ones among them *)
+  Alcotest.(check bool) (Printf.sprintf "%d traces compared" n) true
+    (n > 1000);
+  Alcotest.(check bool) (Printf.sprintf "%d violating traces compared" bad)
+    true (bad > 0)
+
+(* Random schedules no scheduler would emit — exits and loads sharing a
+   bundle, several exits in one bundle, two writes to one register in a
+   bundle, writes to x0, MCB checks in any order — with random repair
+   plans next to the synthetic ones. *)
+let gen_schedule =
+  let open QCheck.Gen in
+  let reg = int_range 0 7 in
+  let operand =
+    frequency [ (4, map (fun r -> V.R r) reg); (1, return (V.I 0L)) ]
+  in
+  let id = int_range 0 15 in
+  let pc = map (fun k -> 0x100 + (4 * k)) (int_range 0 7) in
+  let stub_idx = int_range 0 2 in
+  let tag = oneofl [ -1; 0; 1; 2; 5 ] in
+  let op =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun dst a b -> V.Alu { op = Gb_riscv.Insn.ADD; dst; a; b })
+            reg operand operand );
+        ( 1,
+          map2
+            (fun dst a -> V.Alu { op = Gb_riscv.Insn.AND; dst; a; b = V.I (-1L) })
+            reg operand );
+        (1, map2 (fun dst src -> V.Mv { dst; src }) reg operand);
+        (1, map (fun dst -> V.Rdcycle { dst }) reg);
+        ( 4,
+          let* dst = reg and* base = operand and* spec = opt tag in
+          let* id = id and* pc = pc and* hoisted = bool in
+          return (load ?spec ~hoisted ~id ~pc ~dst ~base ()) );
+        ( 2,
+          let* src = operand and* base = operand and* id = id and* pc = pc in
+          return
+            (V.Store { w = Gb_riscv.Insn.D; src; base; off = 0; id; pc }) );
+        ( 1,
+          let* base = operand and* id = id and* pc = pc in
+          return (V.Cflush { base; off = 0; id; pc }) );
+        ( 2,
+          map2
+            (fun a stub ->
+              V.Branch { cond = Gb_riscv.Insn.BNE; a; b = V.R 0; stub })
+            operand stub_idx );
+        (1, map2 (fun tag stub -> V.Chk { tag; stub }) tag stub_idx);
+        (1, map (fun stub -> V.Exit { stub }) stub_idx);
+        (1, return V.Fence);
+        (1, return V.Nop);
+      ]
+  in
+  let* n = int_range 1 8 in
+  let* bundles = list_repeat n (list_size (int_range 0 4) op) in
+  let* stubs =
+    list_repeat 3
+      (let* exit_id = frequency [ (4, id); (1, return max_int) ] in
+       let* commits = list_size (int_range 0 3) (pair reg operand) in
+       let* target = pc in
+       return (stub ~commits ~exit_id ~target ()))
+  in
+  let repair =
+    let* r_node = int_range 0 16 and* r_pc = pc in
+    let* r_kind =
+      oneofl Gb_core.Leakcut.[ Dep_reinsert; Mask; Fence ]
+    in
+    return
+      { Gb_core.Leakcut.r_node; r_pc; r_kind; r_cost = 1; r_realized = true }
+  in
+  let* repairs = list_size (int_range 0 5) repair in
+  let tr =
+    { (mk ~stubs:(Array.of_list stubs)
+         (Array.of_list (List.map Array.of_list bundles)))
+      with V.n_regs = 8 }
+  in
+  return (tr, { Gb_core.Leakcut.empty_plan with Gb_core.Leakcut.repairs })
+
+let random_schedules_match_reference =
+  QCheck.Test.make ~count:2000 ~name:"random schedules: verifier = reference"
+    (QCheck.make gen_schedule) (fun (tr, plan) ->
+      same_as_reference ~what:"random schedule" tr
+        (plan :: synthetic_plans tr);
+      true)
+
+let matches_reference_prop =
+  QCheck.Test.make ~count:4 ~name:"random kernels: verifier = reference"
+    (QCheck.make Random_kernel.gen) (fun program ->
+      ignore
+        (check_program ~name:"random kernel"
+           (Gb_kernelc.Compile.assemble program));
       true)
 
 let () =
@@ -479,5 +684,9 @@ let () =
           Alcotest.test_case "scanner covers runtime flags" `Quick
             scanner_covers_runtime_flags;
           QCheck_alcotest.to_alcotest qcheck_random_kernels;
+          Alcotest.test_case "verifier = reference on every install" `Quick
+            matches_reference_on_programs;
+          QCheck_alcotest.to_alcotest matches_reference_prop;
+          QCheck_alcotest.to_alcotest random_schedules_match_reference;
         ] );
     ]

@@ -463,12 +463,11 @@ let mcb_entries (m : Gb_vliw.Machine.t) =
 let outcome run =
   match run () with
   | (info : Gb_vliw.Pipeline.exit_info) ->
-    Printf.sprintf "exit next_pc=%d kind=%s entry=%d stub=%d" info.next_pc
+    Printf.sprintf "exit next_pc=%d kind=%s" info.next_pc
       (match info.kind with
       | Gb_vliw.Pipeline.Fallthrough -> "fallthrough"
       | Side_exit -> "side-exit"
       | Rollback -> "rollback")
-      info.exit_entry info.taken_stub
   | exception e -> "raised " ^ Printexc.to_string e
 
 let ref_regs = [| 0; 1; 2; 5; 6; 7; h 0; h 1; h 2; h 3 |]
