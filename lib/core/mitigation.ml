@@ -96,7 +96,8 @@ let insert_fence g ~lat id =
         else
           Gb_ir.Dfg.add_edge g ~from:fence ~to_:nid ~lat:1 ~kind:Gb_ir.Dfg.Ectrl)
 
-let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
+let apply ?(obs = Gb_obs.Sink.noop) ?(region = 0) ?(unsound_cut = false) mode
+    ~lat g =
   match mode with
   | Unsafe | No_speculation -> empty_report
   | Min_cut ->
@@ -112,7 +113,7 @@ let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
     List.iter
       (fun id ->
         Gb_obs.Sink.event obs ~pc:(Gb_ir.Dfg.node g id).Gb_ir.Dfg.guest_pc
-          (Gb_obs.Event.Poison_flagged { node = id }))
+          ~region (Gb_obs.Event.Poison_flagged { node = id }))
       patterns;
     let plan =
       Leakcut.apply ~unsound:unsound_cut ~lat ~constrain:(constrain_load g)
@@ -121,14 +122,9 @@ let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
     in
     let constrained = plan.Leakcut.dep_reinserts + plan.Leakcut.masks in
     if Gb_obs.Sink.is_active obs then begin
-      Gb_obs.Sink.incr obs ~by:(List.length patterns)
-        "mitigation.patterns_found";
-      Gb_obs.Sink.incr obs ~by:constrained "mitigation.loads_constrained";
-      Gb_obs.Sink.incr obs ~by:plan.Leakcut.fences "mitigation.fences_inserted";
-      Gb_obs.Sink.incr obs ~by:constrained "mitigation.cut_protects";
       Gb_obs.Sink.observe obs "mitigation.rounds" 1.;
       if constrained > 0 then
-        Gb_obs.Sink.event obs
+        Gb_obs.Sink.event obs ~region
           (Gb_obs.Event.Mitigation_applied
              { constrained; fences = plan.Leakcut.fences })
     end;
@@ -157,7 +153,7 @@ let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
           (fun id ->
             let pc = (Gb_ir.Dfg.node g id).Gb_ir.Dfg.guest_pc in
             flagged_pcs := pc :: !flagged_pcs;
-            Gb_obs.Sink.event obs ~pc
+            Gb_obs.Sink.event obs ~pc ~region
               (Gb_obs.Event.Poison_flagged { node = id });
             (match mode with
             | Fence_on_detect ->
@@ -171,12 +167,9 @@ let apply ?(obs = Gb_obs.Sink.noop) ?(unsound_cut = false) mode ~lat g =
     in
     fixpoint ();
     if Gb_obs.Sink.is_active obs then begin
-      Gb_obs.Sink.incr obs ~by:!patterns_found "mitigation.patterns_found";
-      Gb_obs.Sink.incr obs ~by:!constrained "mitigation.loads_constrained";
-      Gb_obs.Sink.incr obs ~by:!fences "mitigation.fences_inserted";
       Gb_obs.Sink.observe obs "mitigation.rounds" (float_of_int !rounds);
       if !constrained > 0 then
-        Gb_obs.Sink.event obs
+        Gb_obs.Sink.event obs ~region
           (Gb_obs.Event.Mitigation_applied
              { constrained = !constrained; fences = !fences })
     end;

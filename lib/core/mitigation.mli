@@ -56,6 +56,7 @@ val empty_report : report
 
 val apply :
   ?obs:Gb_obs.Sink.t ->
+  ?region:int ->
   ?unsound_cut:bool ->
   mode ->
   lat:Gb_ir.Latency.t ->
@@ -64,9 +65,11 @@ val apply :
 (** Run the poisoning analysis to fixpoint, constraining every detected
     pattern according to [mode]. After this returns, re-running
     {!Poison.analyze} finds no pattern (verified by property tests).
-    [obs] (default {!Gb_obs.Sink.noop}) receives [mitigation.*] counters,
-    one {!Gb_obs.Event.Poison_flagged} event per flagged load (pc = the
-    load's guest pc) and a {!Gb_obs.Event.Mitigation_applied} summary.
+    [obs] (default {!Gb_obs.Sink.noop}) receives the [mitigation.rounds]
+    histogram, one {!Gb_obs.Event.Poison_flagged} event per flagged load
+    (pc = the load's guest pc) and a {!Gb_obs.Event.Mitigation_applied}
+    summary, the events attributed to [region] (default 0: none; the
+    engine passes the trace entry and counts the report it installs).
     [unsound_cut] (default false, [Min_cut] only) forwards
     {!Leakcut.apply}'s sensitivity control: the first cut repair is left
     unrealized so the cut-soundness verifier pass can prove it notices. *)

@@ -98,8 +98,8 @@ type pc_state = {
   mutable despeculated : bool;
       (** traces here are built without memory speculation *)
   mutable lowered : lowering option;
-      (** the last unfenced trace lowering made here, kept only while no
-          observer is attached (see {!lower_and_gate}) *)
+      (** the last unfenced trace lowering made here (see
+          {!lower_and_gate}) *)
 }
 
 module Pc_tbl = Hashtbl.Make (Int)
@@ -111,7 +111,7 @@ type t = {
   pcs : pc_state Pc_tbl.t;
   profile : int -> (int * int) option;  (** {!branch_profile} over [pcs] *)
   walk_rec : Trace_builder.recorder;
-      (** scratch every trace build that keeps its walk records into *)
+      (** scratch every trace build records its walk into *)
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
@@ -487,18 +487,13 @@ let note_audit t a ~entry g (report : Gb_core.Mitigation.report) =
       (Gb_core.Poison.analyze g).Gb_core.Poison.patterns
 
 (* Trace formation: the region's guest path under the current branch
-   profile, with the pcs of the conditional branches it contains and,
-   when [record], the walk that formed it. *)
-let build_trace t ~record entry =
-  let cfg = t.cfg.trace_cfg and mem = t.mem and profile = t.profile in
+   profile, with the pcs of the conditional branches it contains and the
+   walk that formed it. *)
+let build_trace t entry =
   match
     Gb_obs.Sink.time t.obs "trace_build" (fun () ->
-        if record then
-          let gtrace, walk =
-            Trace_builder.build_walk t.walk_rec cfg ~mem ~profile ~entry
-          in
-          (gtrace, Some walk)
-        else (Trace_builder.build cfg ~mem ~profile ~entry, None))
+        Trace_builder.build_walk t.walk_rec t.cfg.trace_cfg ~mem:t.mem
+          ~profile:t.profile ~entry)
   with
   | exception Trace_builder.Build_failure _ -> None
   | gtrace, walk ->
@@ -519,7 +514,7 @@ let build_trace t ~record entry =
     Some (gtrace, branch_pcs, walk)
 
 (* IR build and mitigation of one formed trace under [opt]. *)
-let analyse t ~opt gtrace =
+let analyse t ~entry ~opt gtrace =
   let cfg = t.cfg in
   let g =
     Gb_obs.Sink.time t.obs "ir_build" (fun () ->
@@ -527,7 +522,8 @@ let analyse t ~opt gtrace =
   in
   let report =
     Gb_obs.Sink.time t.obs "poison_analysis" (fun () ->
-        Gb_core.Mitigation.apply ~obs:t.obs cfg.mode ~lat:cfg.lat g)
+        Gb_core.Mitigation.apply ~obs:t.obs ~region:entry cfg.mode ~lat:cfg.lat
+          g)
   in
   (g, report)
 
@@ -563,7 +559,7 @@ let lower_trace t st ~entry gtrace =
       { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
     else opt
   in
-  let g, report = analyse t ~opt gtrace in
+  let g, report = analyse t ~entry ~opt gtrace in
   Option.iter (fun a -> note_audit t a ~entry g report) t.audit;
   (emit t ~entry gtrace g report, report)
 
@@ -589,7 +585,7 @@ let gate t ~entry gtrace (trace, report) =
         (Gb_obs.Event.Tier_transition { tier = "verify-fenced" });
       let gtrace = Lazy.force gtrace in
       let g, report =
-        analyse t ~opt:Gb_ir.Opt_config.no_speculation gtrace
+        analyse t ~entry ~opt:Gb_ir.Opt_config.no_speculation gtrace
       in
       let trace = emit t ~entry gtrace g report in
       if
@@ -608,18 +604,18 @@ let gate t ~entry gtrace (trace, report) =
    formed: only the gate's fenced rebuild, which a stored lowering never
    needs (it passed the same gate), would form one. Otherwise the trace
    is formed and lowered in full and, unless the gate had to fence it,
-   replaces the stored lowering. An active sink or an attached audit
-   reads the events, timers and DFG of the full lowering, so with either
-   one the slot is neither read nor written. *)
+   replaces the stored lowering. Observers take the same path: an audit
+   was told a stored lowering's verdicts when it was made, and its notes
+   are set inserts. *)
 let lower_and_gate t st ~entry =
-  let reuse = not (Gb_obs.Sink.is_active t.obs || Option.is_some t.audit) in
   match st.lowered with
   | Some l
-    when reuse
-         && l.l_despeculated = st.despeculated
-         && Trace_builder.walk_holds t.cfg.trace_cfg ~mem:t.mem
-              ~profile:t.profile l.l_walk ->
+    when l.l_despeculated = st.despeculated
+         && Gb_obs.Sink.time t.obs "walk_check" (fun () ->
+                Trace_builder.walk_holds t.cfg.trace_cfg ~mem:t.mem
+                  ~profile:t.profile l.l_walk) ->
     t.stats.lowerings_reused <- t.stats.lowerings_reused + 1;
+    Gb_obs.Sink.incr t.obs "translate.lowerings_reused";
     let gtrace =
       lazy
         (Trace_builder.build t.cfg.trace_cfg ~mem:t.mem ~profile:t.profile
@@ -630,15 +626,14 @@ let lower_and_gate t st ~entry =
         l.l_branch_pcs,
         l.l_guest_insns )
   | Some _ | None -> (
-    match build_trace t ~record:reuse entry with
+    match build_trace t entry with
     | None -> None
-    | Some (gtrace, branch_pcs, walk) ->
+    | Some (gtrace, branch_pcs, l_walk) ->
       let ((trace, report, fenced) as lowered) =
         gate t ~entry (Lazy.from_val gtrace) (lower_trace t st ~entry gtrace)
       in
       let guest_insns = Gb_ir.Gtrace.length gtrace in
-      (match walk with
-      | Some l_walk when not fenced ->
+      if not fenced then
         st.lowered <-
           Some
             {
@@ -648,8 +643,7 @@ let lower_and_gate t st ~entry =
               l_guest_insns = guest_insns;
               l_trace = trace;
               l_report = report;
-            }
-      | Some _ | None -> ());
+            };
       Some (lowered, branch_pcs, guest_insns))
 
 let translate_failed t st entry =
@@ -661,7 +655,10 @@ let translate_failed t st entry =
   None
 
 let install_trace t st ~entry ~branch_pcs ~guest_insns:len
-    (trace, report, _) =
+    ( trace,
+      { Gb_core.Mitigation.patterns_found; loads_constrained; fences_inserted;
+        cut_plan; _ },
+      _ ) =
   let obs = t.obs in
   ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace trace);
   (* per-entry translation counts let attribution reports flag churny
@@ -674,12 +671,9 @@ let install_trace t st ~entry ~branch_pcs ~guest_insns:len
   let s = t.stats in
   s.translations <- s.translations + 1;
   s.guest_insns_translated <- s.guest_insns_translated + len;
-  s.patterns_found <-
-    s.patterns_found + report.Gb_core.Mitigation.patterns_found;
-  s.loads_constrained <-
-    s.loads_constrained + report.Gb_core.Mitigation.loads_constrained;
-  s.fences_inserted <-
-    s.fences_inserted + report.Gb_core.Mitigation.fences_inserted;
+  s.patterns_found <- s.patterns_found + patterns_found;
+  s.loads_constrained <- s.loads_constrained + loads_constrained;
+  s.fences_inserted <- s.fences_inserted + fences_inserted;
   s.spec_loads <-
     s.spec_loads + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.spec_loads;
   s.branch_spec_loads <-
@@ -689,7 +683,13 @@ let install_trace t st ~entry ~branch_pcs ~guest_insns:len
     Gb_obs.Sink.incr obs "translate.translations";
     Gb_obs.Sink.incr obs ~by:len "translate.guest_insns";
     Gb_obs.Sink.observe obs "translate.trace_guest_insns" (float_of_int len);
+    Gb_obs.Sink.incr obs ~by:patterns_found "mitigation.patterns_found";
+    Gb_obs.Sink.incr obs ~by:loads_constrained "mitigation.loads_constrained";
+    Gb_obs.Sink.incr obs ~by:fences_inserted "mitigation.fences_inserted";
     let meta = trace.Gb_vliw.Vinsn.meta in
+    if Option.is_some cut_plan then
+      Gb_obs.Sink.incr obs ~by:meta.Gb_vliw.Vinsn.cut_protects
+        "mitigation.cut_protects";
     if meta.Gb_vliw.Vinsn.spec_loads > 0
        || meta.Gb_vliw.Vinsn.branch_spec_loads > 0
     then

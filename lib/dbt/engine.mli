@@ -80,30 +80,30 @@ type stats = {
   mutable verify_rejections : int;
       (** translations [Verify_enforce] kept out of the code cache *)
   mutable lowerings_reused : int;
-      (** trace translations that formed the same guest trace as the last
-          one lowered at their entry, under the same de-speculation flag,
-          and reinstalled that lowering instead of building IR,
-          mitigating, scheduling and emitting again. Trace building and
-          the install-time verifier still ran, and every other field
-          counts them as usual. Always 0 with an active sink or an
-          audit. *)
+      (** trace translations that found the walk stored with the last
+          lowering at their entry, under the same de-speculation flag,
+          still holding, and reinstalled that lowering instead of forming
+          the trace, building IR, mitigating, scheduling and emitting
+          again. The install-time verifier still ran, and every other
+          field counts them as usual. Observed runs reuse alike. *)
 }
 
 type t
 
 val create :
   ?obs:Gb_obs.Sink.t -> ?audit:Gb_cache.Audit.t -> config -> mem:Gb_riscv.Mem.t -> t
-(** [obs] (default {!Gb_obs.Sink.noop}) receives the [translate.*]
-    counters, per-phase host timers (first_pass, trace_build, ir_build,
-    poison_analysis, schedule, codegen) and the translation lifecycle
-    events ({!Gb_obs.Event.Translate_start} .. {!Gb_obs.Event.Tier_transition}).
-    [audit], when present, is told which loads each translation hoisted
+(** [obs] (default {!Gb_obs.Sink.noop}) receives the [translate.*],
+    [verify.*] and [mitigation.*] counters (the last from the report of
+    each installed translation), per-phase host timers (first_pass,
+    walk_check, trace_build, ir_build, poison_analysis, schedule,
+    codegen, verify) and the translation lifecycle events
+    ({!Gb_obs.Event.Translate_start} .. {!Gb_obs.Event.Tier_transition}),
+    each attributed to the translated entry.
+    [audit], when present, is told which loads each lowering hoisted
     speculatively and which the poisoning analysis flagged/constrained;
     under [Unsafe] the analysis additionally runs report-only so the
     audit can score detector precision against unconstrained execution.
-    With an active [obs] or an [audit], every trace translation is
-    lowered in full, so both see every phase (see
-    [stats.lowerings_reused]).
+    Neither changes the work done (see [stats.lowerings_reused]).
     Raises [Invalid_argument] when [config.workers] is not 0. *)
 
 val config : t -> config

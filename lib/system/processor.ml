@@ -140,8 +140,9 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
         "translate.translations"; "translate.first_pass";
         "translate.failures"; "translate.retranslations";
         "translate.despeculations"; "translate.guest_insns";
-        "mitigation.patterns_found"; "mitigation.loads_constrained";
-        "mitigation.fences_inserted"; "vliw.trace_runs"; "vliw.side_exits";
+        "translate.lowerings_reused"; "mitigation.patterns_found";
+        "mitigation.loads_constrained"; "mitigation.fences_inserted";
+        "vliw.trace_runs"; "vliw.side_exits";
         "vliw.rollbacks"; "vliw.mcb_conflicts"; "cache.reads"; "cache.writes";
         "cache.read_misses"; "cache.write_misses"; "cache.flushes";
         (* the code cache proper ("cache.*" above is the L1D) *)

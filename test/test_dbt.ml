@@ -1094,11 +1094,11 @@ let pinned_code () =
    histogram, every retained event with its cycle stamp, and the
    verifier's log, hashed into one digest. It covers the translation
    paths the emitted-code pin does not watch: Verify_enforce fencing,
-   eviction churn in a 48-bundle cache, and the audit ledger under all
-   five modes. Pinned like the emitted-code digest; host-time spans are
-   left out. *)
+   eviction churn and lowering reuse in a 48-bundle cache, and the audit
+   ledger under all five modes. Pinned like the emitted-code digest;
+   host-time spans are left out. *)
 
-let pinned_obs_digest = "fe621f1d97d477aa3e6ec4028ccd0f42"
+let pinned_obs_digest = "45a2126a6a86bb800e164fd6c38e8e4d"
 
 (* [follows] prints the vestigial, always-zero [chain_follows], so the
    rendering (and the digest) is the one a dispatcher-only run gave
@@ -1287,74 +1287,121 @@ let pinned_adaptive () =
 
 (* --- lowering reuse ---------------------------------------------------- *)
 
+let assemble_workload name =
+  match Gb_workloads.Polybench.by_name name with
+  | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+  | None -> Alcotest.failf "%s workload missing" name
+
+let spectre_v1 () =
+  Gb_kernelc.Compile.assemble
+    (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
+
+(* One run in a [capacity]-bundle code cache: the result, the engine's
+   statistics and the installed regions with their run counts and code,
+   rendered. *)
+let observe_reuse ?obs ?audit ?(verify = Gb_dbt.Engine.Verify_enforce)
+    ~capacity mode asm =
+  let module P = Gb_system.Processor in
+  let module E = Gb_dbt.Engine in
+  let engine e =
+    { e with
+      E.verify;
+      cache = { e.E.cache with Gb_dbt.Code_cache.capacity } }
+  in
+  let p = Pinned.processor ?obs ?audit ~engine mode asm in
+  let r = P.run p in
+  let eng = P.engine p in
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (rg : E.region) ->
+      Printf.bprintf buf "region 0x%x %s runs=%d\n" rg.E.r_entry
+        (match rg.E.r_tier with `Block -> "block" | `Trace -> "trace")
+        rg.E.r_runs;
+      render_trace buf rg.E.r_trace)
+    (E.regions eng);
+  (r, E.stats eng, Buffer.contents buf)
+
 (* A trace entry whose stored walk still holds reinstalls the lowering
-   stored there (INTERNALS section 8), and that must be invisible.
-   heat-3d in a 384-bundle cache re-translates most of its traces after
-   eviction: 2546 of its 2598 trace translations reuse, under either
-   kind the churn benchmark runs, as they did when reuse compared
-   re-formed traces instead of walks. Each config runs once with the
-   noop sink, which reuses, and once with an active sink, which lowers
-   every trace in full. Result, statistics, regions with their run
-   counts and the installed code must agree. The unsafe spectre-v1 run
-   in a 96-bundle cache has the gate fence dozens of re-translated
-   traces: a fenced lowering is never stored, so each of those is
-   rejected and fenced again, exactly as without reuse. *)
+   stored there (INTERNALS section 8). That must be invisible, and every
+   run takes that path, observed or not. heat-3d in a 384-bundle cache
+   re-translates most of its traces after eviction: 2546 of its 2598
+   trace translations reuse, under either kind the churn benchmark runs.
+   matmul-ptr fine-grained in a 96-bundle cache reinstalls lowerings
+   that constrained loads. The unsafe spectre-v1 run in a 96-bundle
+   cache has the gate fence dozens of re-translated traces: a fenced
+   lowering is never stored, so each of those is rejected and fenced
+   again, exactly as without reuse. Each config runs with the noop sink,
+   with an active sink, and with an active sink and an audit. Reuses,
+   result (audit aside), statistics, regions with their run counts and
+   the installed code must agree, and the sink's counters must equal the
+   result's fields. *)
 let reuse_is_invisible () =
   let module P = Gb_system.Processor in
   let module E = Gb_dbt.Engine in
-  let heat_3d =
-    match Gb_workloads.Polybench.by_name "heat-3d" with
-    | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
-    | None -> Alcotest.fail "heat-3d workload missing"
-  in
-  let v1 =
-    Gb_kernelc.Compile.assemble
-      (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
-  in
-  let observe ?obs ~capacity mode asm =
-    let engine e =
-      { e with
-        E.verify = E.Verify_enforce;
-        cache = { e.E.cache with Gb_dbt.Code_cache.capacity } }
-    in
-    let p = Pinned.processor ?obs ~engine mode asm in
-    let r = P.run p in
-    let eng = P.engine p in
-    let buf = Buffer.create (1 lsl 16) in
-    List.iter
-      (fun (rg : E.region) ->
-        Printf.bprintf buf "region 0x%x %s runs=%d\n" rg.E.r_entry
-          (match rg.E.r_tier with `Block -> "block" | `Trace -> "trace")
-          rg.E.r_runs;
-        render_trace buf rg.E.r_trace)
-      (E.regions eng);
-    let s = E.stats eng in
-    ( r,
-      { s with E.lowerings_reused = 0 },
-      s.E.lowerings_reused,
-      Buffer.contents buf )
-  in
+  let heat_3d = assemble_workload "heat-3d" in
   List.iter
-    (fun (name, capacity, mode, asm, reuses) ->
-      let r, s, reused, code = observe ~capacity mode asm in
-      let r', s', reused', code' =
-        observe ~obs:(Gb_obs.Sink.create ()) ~capacity mode asm
-      in
-      Alcotest.(check int) (name ^ ": reuses with the noop sink") reuses
-        reused;
-      Alcotest.(check int) (name ^ ": no reuse with an active sink") 0
-        reused';
-      Alcotest.(check bool) (name ^ ": same result") true (r = r');
-      Alcotest.(check bool) (name ^ ": same stats") true (s = s');
-      Alcotest.(check string) (name ^ ": same regions and code")
-        (Digest.to_hex (Digest.string code))
-        (Digest.to_hex (Digest.string code')))
+    (fun (name, capacity, mode, asm, reuses, patterns) ->
+      let r, s, code = observe_reuse ~capacity mode asm in
+      Alcotest.(check int) (name ^ ": reuses") reuses s.E.lowerings_reused;
+      Alcotest.(check int) (name ^ ": patterns") patterns r.P.patterns_found;
+      List.iter
+        (fun (observer, audit) ->
+          let what = Printf.sprintf "%s, %s" name observer in
+          let obs = Gb_obs.Sink.create () in
+          let r', s', code' = observe_reuse ~obs ~audit ~capacity mode asm in
+          Alcotest.(check bool) (what ^ ": same result") true
+            (r = { r' with P.audit = None });
+          Alcotest.(check bool) (what ^ ": same stats") true (s = s');
+          Alcotest.(check string) (what ^ ": same regions and code")
+            (Digest.to_hex (Digest.string code))
+            (Digest.to_hex (Digest.string code'));
+          let counter =
+            Gb_obs.Metrics.counter_value (Option.get (Gb_obs.Sink.metrics obs))
+          in
+          List.iter
+            (fun (c, v) -> Alcotest.(check int) (what ^ ": " ^ c) v (counter c))
+            [
+              ("translate.translations", r.P.translations);
+              ("translate.lowerings_reused", reuses);
+              ("mitigation.patterns_found", r.P.patterns_found);
+              ("mitigation.loads_constrained", r.P.loads_constrained);
+              ("mitigation.fences_inserted", r.P.fences_inserted);
+              ( "mitigation.cut_protects",
+                if mode = Gb_core.Mitigation.Min_cut then r.P.loads_constrained
+                else 0 );
+            ])
+        [ ("active sink", false); ("active sink and audit", true) ])
     Gb_core.Mitigation.
       [
-        ("heat-3d fine-grained", 384, Fine_grained, heat_3d, 2546);
-        ("heat-3d min-cut", 384, Min_cut, heat_3d, 2546);
-        ("spectre-v1 unsafe", 96, Unsafe, v1, 542);
+        ("heat-3d fine-grained", 384, Fine_grained, heat_3d, 2546, 0);
+        ("heat-3d min-cut", 384, Min_cut, heat_3d, 2546, 0);
+        ("spectre-v1 unsafe", 96, Unsafe, spectre_v1 (), 542, 0);
+        ( "matmul-ptr fine-grained", 96, Fine_grained,
+          assemble_workload "matmul-ptr", 78, 544 );
       ]
+
+(* An audit needs no replay of a reinstalled lowering: it was told the
+   lowering's speculative, flagged and constrained loads when the
+   lowering was made, and its notes are set inserts. So an audited run
+   that reuses gives the summary of the same run with every trace
+   lowered in full, pinned here. Unsafe spectre-v1 in a 96-bundle cache
+   without verification reuses 550 lowerings. *)
+let audit_survives_reuse () =
+  let module E = Gb_dbt.Engine in
+  let r, s, _ =
+    observe_reuse ~obs:(Gb_obs.Sink.create ()) ~audit:true ~verify:E.Verify_off
+      ~capacity:96 Gb_core.Mitigation.Unsafe (spectre_v1 ())
+  in
+  Alcotest.(check int) "reuses" 550 s.E.lowerings_reused;
+  Alcotest.(check string) "audit summary"
+    "{\"spec_loads\":3,\"flagged\":1,\"constrained\":0,\"transient_lines\":6,\
+     \"dependent_lines\":6,\"transient_pcs\":1,\"true_positives\":1,\
+     \"false_negatives\":0,\"over_mitigations\":0,\"precision\":1.0,\
+     \"recall\":1.0,\"over_fencing_rate\":0.0,\
+     \"sets_touched\":[74,88,106,110,114],\"shadow_divergence\":0}"
+    (match r.Gb_system.Processor.audit with
+    | Some a -> Gb_util.Json.to_string (Gb_cache.Audit.summary_to_json a)
+    | None -> "no audit")
 
 (* The verify-fenced rebuild lowers a trace a second time, and each of
    its four phases is timed like the first lowering's: a profile of a
@@ -1388,6 +1435,50 @@ let fenced_rebuild_is_timed () =
     (fun phase ->
       Alcotest.(check int) (phase ^ " calls = ir_build calls") ir (calls phase))
     [ "poison_analysis"; "schedule"; "codegen" ]
+
+(* Every event a translation emits names the region it translates, so
+   the Chrome export draws it on that region's track: tid 0 is for
+   unattributed events. Fine-grained spectre-v1 flags and constrains
+   loads, so the mitigation's own events are among them. *)
+let translation_events_carry_their_entry () =
+  let module Ev = Gb_obs.Event in
+  let obs = Gb_obs.Sink.create () in
+  ignore
+    (Gb_system.Processor.run
+       (Pinned.processor ~obs Gb_core.Mitigation.Fine_grained (spectre_v1 ())));
+  let events = Gb_obs.Sink.events obs in
+  let translated =
+    List.filter_map
+      (fun (e : Ev.t) ->
+        match e.Ev.kind with
+        | Ev.Translate_start | Ev.Tier_transition { tier = "block" } ->
+          Some e.Ev.region
+        | _ -> None)
+      events
+  in
+  let of_translation (e : Ev.t) =
+    match e.Ev.kind with
+    | Ev.Translate_start | Ev.Translate_end _ | Ev.Trace_formed _
+    | Ev.Load_hoisted _ | Ev.Poison_flagged _ | Ev.Mitigation_applied _
+    | Ev.Tier_transition _ | Ev.Verify_violation _ ->
+      true
+    | Ev.Mcb_conflict _ | Ev.Rollback | Ev.Cache_miss _ | Ev.Transient_line _
+    | Ev.Cycle_attrib _ ->
+      false
+  in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " emitted") true
+        (List.exists (fun (e : Ev.t) -> Ev.name e.Ev.kind = kind) events))
+    [ "poison_flagged"; "mitigation_applied" ];
+  List.iter
+    (fun (e : Ev.t) ->
+      if of_translation e
+         && not (e.Ev.region <> 0 && List.mem e.Ev.region translated)
+      then
+        Alcotest.failf "%s at pc 0x%x names region 0x%x, no translated entry"
+          (Ev.name e.Ev.kind) e.Ev.pc e.Ev.region)
+    events
 
 let qt = QCheck_alcotest.to_alcotest
 
@@ -1429,6 +1520,8 @@ let () =
           Alcotest.test_case "pinned adaptive state" `Quick pinned_adaptive;
           Alcotest.test_case "lowering reuse is invisible" `Quick
             reuse_is_invisible;
+          Alcotest.test_case "audit summary survives reuse" `Quick
+            audit_survives_reuse;
         ] );
       ( "first-pass",
         [
@@ -1447,5 +1540,7 @@ let () =
             engine_rejects_workers;
           Alcotest.test_case "fenced rebuild is timed" `Quick
             fenced_rebuild_is_timed;
+          Alcotest.test_case "translation events carry their entry" `Quick
+            translation_events_carry_their_entry;
         ] );
     ]

@@ -428,9 +428,9 @@ let observability_md = in_repo "docs/OBSERVABILITY.md"
 
 let trajectory_dir = in_repo "bench/trajectory"
 
-(* The first-column names of the markdown table under [heading]: every
-   backticked span of the first cell, one list per row. *)
-let table_names ~heading =
+(* The cells of each row of the markdown table under [heading], header
+   and separator rows dropped. *)
+let table_rows ~heading =
   let lines =
     In_channel.with_open_text observability_md In_channel.input_all
     |> String.split_on_char '\n'
@@ -445,25 +445,30 @@ let table_names ~heading =
     | _ :: _ when acc <> [] -> List.rev acc
     | _ :: rest -> table acc rest
   in
-  let first_cell row =
-    let body = String.sub row 1 (String.length row - 1) in
-    let n = String.length body in
-    let rec cell_end i =
-      if i + 3 > n then n
-      else if String.sub body i 3 = " | " then i
-      else cell_end (i + 1)
+  let cells row =
+    let n = String.length row in
+    let rec go start i acc =
+      if i + 3 > n then List.rev (String.sub row start (n - start) :: acc)
+      else if String.sub row i 3 = " | " then
+        go (i + 3) (i + 3) (String.sub row start (i - start) :: acc)
+      else go start (i + 1) acc
     in
-    String.sub body 0 (cell_end 0)
-  in
-  let backticked cell =
-    match String.split_on_char '`' cell with
-    | [] -> []
-    | _ :: parts -> List.filteri (fun i _ -> i mod 2 = 0) parts
+    go 1 1 []
   in
   match table [] (after_heading lines) with
-  | _header :: _separator :: rows ->
-    List.map (fun r -> backticked (first_cell r)) rows
+  | _header :: _separator :: rows -> List.map cells rows
   | _ -> Alcotest.failf "no table under %S" heading
+
+(* every backticked span of a cell *)
+let backticked cell =
+  match String.split_on_char '`' cell with
+  | [] -> []
+  | _ :: parts -> List.filteri (fun i _ -> i mod 2 = 0) parts
+
+(* The first-column names of the markdown table under [heading]: every
+   backticked span of the first cell, one list per row. *)
+let table_names ~heading =
+  List.map (fun cells -> backticked (List.hd cells)) (table_rows ~heading)
 
 let family name =
   match String.index_opt name '.' with
@@ -508,6 +513,110 @@ let test_cause_table () =
   in
   Alcotest.(check (list string)) "cause table = Attrib.all_causes" causes
     documented
+
+(* The names an examples cell of the "Metric naming" table documents,
+   each with its kind as [Metrics.to_json] spells it. A name is a
+   counter unless the word "gauge(s)" or "histogram(s)" precedes it in
+   the cell; "counter(s)" switches back. *)
+let documented_metrics cell =
+  let kind_word = function
+    | "counter" | "counters" -> Some "counters"
+    | "gauge" | "gauges" -> Some "gauges"
+    | "histogram" | "histograms" -> Some "histograms"
+    | _ -> None
+  in
+  (* the parts of the cell alternate: text, then a backticked name *)
+  let step (kind, i, acc) part =
+    if i mod 2 = 1 then (kind, i + 1, (kind, part) :: acc)
+    else
+      let kind =
+        List.fold_left
+          (fun k w -> Option.value ~default:k (kind_word w))
+          kind
+          (String.split_on_char ' ' part)
+      in
+      (kind, i + 1, acc)
+  in
+  let _, _, documented =
+    List.fold_left step ("counters", 0, []) (String.split_on_char '`' cell)
+  in
+  documented
+
+(* Every counter, gauge and histogram of a fully observed run appears,
+   with its kind, in the row of its prefix. The run carries a sink, an
+   audit, [Verify_enforce], injected faults and a 96-bundle code cache
+   that evicts and reuses lowerings; it mitigates under min-cut, so the
+   min-cut-only counter shows too. A [KIND] placeholder ([injected.KIND])
+   stands for any name its row lists. *)
+let test_metric_naming_table () =
+  let module P = Gb_system.Processor in
+  let module E = Gb_dbt.Engine in
+  let module J = Gb_util.Json in
+  let base = P.config_for Gb_core.Mitigation.Min_cut in
+  let engine = base.P.engine in
+  let config =
+    { base with
+      P.engine =
+        { engine with
+          E.verify = E.Verify_enforce;
+          cache = { engine.E.cache with Gb_dbt.Code_cache.capacity = 96 } } }
+  in
+  let obs = Gb_obs.Sink.create () in
+  let inject =
+    Gb_system.Inject.create ~obs
+      [ (Gb_system.Inject.Translate_fail, 0.2); (Gb_system.Inject.Evict, 0.05) ]
+  in
+  let program =
+    Gb_kernelc.Compile.assemble
+      (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
+  in
+  ignore (P.run (P.create ~config ~obs ~audit:true ~inject program));
+  let emitted =
+    match Option.map Gb_obs.Metrics.to_json (Gb_obs.Sink.metrics obs) with
+    | Some (J.Obj sections) ->
+      List.concat_map
+        (function
+          | kind, J.Obj names -> List.map (fun (name, _) -> (kind, name)) names
+          | _, _ -> [])
+        sections
+    | _ -> Alcotest.fail "active sink has no metrics"
+  in
+  let rows =
+    List.map
+      (fun cells ->
+        match cells with
+        | prefix :: _ :: examples :: _ ->
+          (backticked prefix, documented_metrics examples)
+        | _ -> Alcotest.fail "metric-naming row has fewer than three cells")
+      (table_rows ~heading:"## Metric naming")
+  in
+  List.iter
+    (fun (kind, name) ->
+      let prefix = family name ^ "." in
+      match List.find_opt (fun (p, _) -> List.mem prefix p) rows with
+      | None -> Alcotest.failf "%s has no metric-naming row %s" name prefix
+      | Some (_, documented) ->
+        let suffix =
+          String.sub name (String.length prefix)
+            (String.length name - String.length prefix)
+        in
+        let listed = List.map snd documented in
+        let matches doc =
+          doc = suffix
+          ||
+          match String.index_opt doc '.' with
+          | Some i when String.sub doc i (String.length doc - i) = ".KIND" ->
+            List.exists
+              (fun k -> suffix = String.sub doc 0 (i + 1) ^ k)
+              listed
+          | Some _ | None -> false
+        in
+        if not (List.exists (fun (k, doc) -> k = kind && matches doc) documented)
+        then
+          Alcotest.failf "%s (%s) is not documented with its kind in row %s"
+            name kind prefix)
+    emitted;
+  Alcotest.(check bool) "the run emits metrics" true (List.length emitted > 40)
 
 let () =
   Alcotest.run "perf"
@@ -567,5 +676,7 @@ let () =
             `Quick test_gate_rules_table;
           Alcotest.test_case "cause table matches Attrib.all_causes" `Quick
             test_cause_table;
+          Alcotest.test_case "metric-naming table covers an observed run"
+            `Quick test_metric_naming_table;
         ] );
     ]

@@ -569,6 +569,104 @@ let knobs_validated () =
     [ ("default", base); ("MCB disabled", mcb 0); ("16 KiB L1D", l1d 16384 8 64);
       ("capacity 1", capacity 1); ("one visit", visits 1) ]
 
+(* Random knob vectors, each knob mostly in range and now and then out
+   of it. A vector [validate] rejects is refused by [create] too; an
+   accepted one runs its kernel, under a cycle watchdog far below the
+   default, to the reference interpreter's exit code and output. *)
+let knob_vectors_prop =
+  let module P = Gb_system.Processor in
+  let kernel name =
+    match Gb_workloads.Polybench.by_name name with
+    | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+    | None -> failwith (name ^ " workload missing")
+  in
+  let kernels =
+    lazy
+      (List.map
+         (fun program ->
+           let mem = Gb_riscv.Mem.create ~size:P.default_config.P.mem_size in
+           Gb_riscv.Asm.load mem program;
+           let interp =
+             Gb_riscv.Interp.create ~mem ~pc:program.Gb_riscv.Asm.entry ()
+           in
+           let exit_code = Gb_riscv.Interp.run interp in
+           (program, exit_code, Buffer.contents interp.Gb_riscv.Interp.output))
+         [
+           square_sum_program 300; aliasing_program 200;
+           Gb_kernelc.Compile.assemble
+             (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ());
+           kernel "nussinov"; kernel "jacobi-1d"; kernel "atax";
+         ])
+  in
+  let knob ok bad = QCheck.Gen.frequency [ (7, ok); (1, bad) ] in
+  let gen =
+    let open QCheck.Gen in
+    let* k = int_range 0 5 in
+    let* mode = oneofl modes in
+    let* width = knob (int_range 1 6) (int_range (-1) 0) in
+    let* mem_slots = knob (int_range 1 3) (return 0) in
+    let* mul_slots = knob (int_range 1 2) (return 0) in
+    let* branch_slots = knob (int_range 1 2) (return 0) in
+    let* mcb_entries = knob (int_range 0 16) (int_range (-2) (-1)) in
+    let* size_bytes =
+      knob (oneofl [ 16384; 32768; 65536 ]) (oneofl [ 0; 3072 ])
+    in
+    let* ways = knob (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 0; 3 ]) in
+    let* line_bytes = knob (oneofl [ 32; 64 ]) (oneofl [ 0; 48 ]) in
+    let* capacity =
+      knob (oneofl [ 1; 8; 48; 96; 384; 65536 ]) (int_range (-5) 0)
+    in
+    let* hot_threshold = knob (int_range 1 40) (int_range (-3) 0) in
+    let* max_visits = knob (int_range 1 5) (int_range (-1) 0) in
+    let base = P.config_for mode in
+    let e = base.P.engine in
+    return
+      ( k,
+        { base with
+          P.max_cycles = 50_000_000L;
+          hier =
+            { base.P.hier with
+              Gb_cache.Hierarchy.cache =
+                { Gb_cache.Cache.size_bytes; ways; line_bytes } };
+          machine = { base.P.machine with Gb_vliw.Machine.mcb_entries };
+          engine =
+            { e with
+              Gb_dbt.Engine.resources =
+                { Gb_dbt.Sched.width; mem_slots; mul_slots; branch_slots };
+              hot_threshold;
+              cache = { e.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.capacity };
+              trace_cfg =
+                { e.Gb_dbt.Engine.trace_cfg with
+                  Gb_dbt.Trace_builder.max_visits } } } )
+  in
+  let print (k, (c : P.config)) =
+    let r = c.P.engine.Gb_dbt.Engine.resources
+    and l1d = c.P.hier.Gb_cache.Hierarchy.cache in
+    Printf.sprintf
+      "kernel %d, %s, width %d (%d/%d/%d), mcb %d, L1D %d/%d/%d, capacity %d, \
+       hot %d, visits %d"
+      k
+      (Gb_core.Mitigation.mode_name c.P.engine.Gb_dbt.Engine.mode)
+      r.Gb_dbt.Sched.width r.Gb_dbt.Sched.mem_slots r.Gb_dbt.Sched.mul_slots
+      r.Gb_dbt.Sched.branch_slots c.P.machine.Gb_vliw.Machine.mcb_entries
+      l1d.Gb_cache.Cache.size_bytes l1d.Gb_cache.Cache.ways
+      l1d.Gb_cache.Cache.line_bytes
+      c.P.engine.Gb_dbt.Engine.cache.Gb_dbt.Code_cache.capacity
+      c.P.engine.Gb_dbt.Engine.hot_threshold
+      c.P.engine.Gb_dbt.Engine.trace_cfg.Gb_dbt.Trace_builder.max_visits
+  in
+  QCheck.Test.make ~count:200 ~name:"random knob vectors: refused or run right"
+    (QCheck.make ~print gen) (fun (k, config) ->
+      let program, exit_code, output = List.nth (Lazy.force kernels) k in
+      match P.validate config with
+      | Error _ -> (
+        match P.create ~config program with
+        | _ -> false
+        | exception Invalid_argument _ -> true)
+      | Ok () ->
+        let r = P.run (P.create ~config program) in
+        r.P.exit_code = exit_code && r.P.output = output)
+
 let () =
   Alcotest.run "system"
     [
@@ -583,6 +681,7 @@ let () =
         [
           Alcotest.test_case "dbt engages" `Quick dbt_engages;
           Alcotest.test_case "knobs out of range refused" `Quick knobs_validated;
+          qt knob_vectors_prop;
           Alcotest.test_case "speculation engages" `Quick speculation_engages;
           Alcotest.test_case "no-speculation is slower" `Quick no_spec_is_slower;
           Alcotest.test_case "report is consistent" `Quick report_is_consistent;
