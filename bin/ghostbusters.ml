@@ -333,7 +333,7 @@ let emit_observability ?(oc = stdout) obs ~trace_out ~metrics_out ~profile =
           "translate.translations"; "translate.first_pass";
           "translate.failures"; "translate.retranslations";
           "translate.despeculations"; "translate.lowerings_reused";
-          "mitigation.patterns_found";
+          "translate.blocks_reused"; "mitigation.patterns_found";
           "mitigation.loads_constrained"; "mitigation.fences_inserted";
           "vliw.trace_runs"; "vliw.side_exits"; "vliw.rollbacks";
           "vliw.mcb_conflicts"; "cache.read_misses"; "cache.write_misses";

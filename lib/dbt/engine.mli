@@ -75,7 +75,10 @@ type stats = {
   mutable spec_loads : int;
   mutable branch_spec_loads : int;
   mutable verify_checked : int;
-      (** translations (both tiers) the verifier examined *)
+      (** verdicts of the install-time gate booked: one per gate run
+          (both tiers, a rejected translation and its fenced rebuild
+          included) and one per reinstall, which books the verdict
+          stored with its code instead of running the gate *)
   mutable verify_violations : int;
   mutable verify_rejections : int;
       (** translations [Verify_enforce] kept out of the code cache *)
@@ -83,9 +86,16 @@ type stats = {
       (** trace translations that found the walk stored with the last
           lowering at their entry, under the same de-speculation flag,
           still holding, and reinstalled that lowering instead of forming
-          the trace, building IR, mitigating, scheduling and emitting
-          again. The install-time verifier still ran, and every other
-          field counts them as usual. Observed runs reuse alike. *)
+          the trace, building IR, mitigating, scheduling, emitting and
+          verifying again. The verdict the gate returned when the
+          lowering was made is booked again, and every other field
+          counts them as usual. Observed runs reuse alike. *)
+  mutable blocks_reused : int;
+      (** first-pass translations that found the words the last block
+          at their entry was translated from unchanged, and reinstalled
+          that block, booking its stored verdict, instead of translating
+          and verifying it again. [first_pass_translations] counts them
+          too. *)
 }
 
 type t
@@ -148,6 +158,22 @@ val record_block_entry : t -> int -> unit
 val translate : t -> int -> Gb_vliw.Vinsn.trace option
 (** Force a translation attempt (used by tests and tools); [None] when the
     pc cannot be translated. The result is cached either way. *)
+
+val set_on_reinstall :
+  t ->
+  (entry:int ->
+  Code_cache.tier ->
+  Gb_vliw.Vinsn.trace ->
+  plan:Gb_core.Leakcut.plan option ->
+  Gb_verify.Verifier.report option ->
+  unit) ->
+  unit
+(** Observer fired for every reinstall of a stored lowering or block,
+    before it is installed: the entry, the tier, the code, the cut plan
+    of the lowering's mitigation report ([None] for a block) and the
+    verdict booked for it ([None] under [Verify_off]). Nothing in the
+    simulator sets it; test_dbt re-runs the gate against what it
+    reports. *)
 
 val set_translate_fault : t -> (int -> bool) option -> unit
 (** Fault-injection hook for the differential harness: when set, every

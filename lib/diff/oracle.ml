@@ -78,6 +78,10 @@ let run ?(config = Gb_system.Processor.default_config)
   in
   let proc = Gb_system.Processor.create ~config ~obs ?inject:inj program in
   let inj = Gb_system.Processor.inject proc in
+  (* a snapshot of an injected oracle run always carries the recovered
+     total, at zero when no agreement point was reached *)
+  if inj <> None && Gb_obs.Sink.is_active obs then
+    Gb_obs.Sink.incr obs ~by:0 "fault.recovered";
   let dbt_interp = Gb_system.Processor.interp proc in
   let dbt_mem = Gb_system.Processor.mem proc in
   let dbt_regs = dbt_interp.Gb_riscv.Interp.regs in

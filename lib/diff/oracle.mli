@@ -33,7 +33,10 @@
     When an {!Gb_system.Inject} controller is armed (explicitly or via
     [GHOSTBUSTERS_INJECT]), every sync point where the two sides agree
     marks all faults injected so far as recovered; the [clean] predicate
-    then demands [injected = recovered]. Under the unsound
+    then demands [injected = recovered]. Only the oracle counts
+    recovery: an active sink gets [fault.recovered] (registered at zero)
+    from an oracle run, never from a plain {!Gb_system.Processor} run.
+    Under the unsound
     [mcb-suppress] kind the oracle is instead expected to {e detect} the
     divergence (sensitivity control). *)
 

@@ -140,7 +140,8 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
         "translate.translations"; "translate.first_pass";
         "translate.failures"; "translate.retranslations";
         "translate.despeculations"; "translate.guest_insns";
-        "translate.lowerings_reused"; "mitigation.patterns_found";
+        "translate.lowerings_reused"; "translate.blocks_reused";
+        "mitigation.patterns_found";
         "mitigation.loads_constrained"; "mitigation.fences_inserted";
         "vliw.trace_runs"; "vliw.side_exits";
         "vliw.rollbacks"; "vliw.mcb_conflicts"; "cache.reads"; "cache.writes";
@@ -159,10 +160,10 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
     List.iter
       (fun name -> Gb_obs.Sink.incr obs ~by:0 name)
       [ "verify.checked"; "verify.violations"; "verify.rejections" ];
+  (* [fault.recovered] is the oracle's to register: only its agreement
+     points prove a fault recovered *)
   if inject <> None && Gb_obs.Sink.is_active obs then
-    List.iter
-      (fun name -> Gb_obs.Sink.incr obs ~by:0 name)
-      [ "fault.injected"; "fault.recovered" ];
+    Gb_obs.Sink.incr obs ~by:0 "fault.injected";
   let hier = Gb_cache.Hierarchy.create ~obs config.hier in
   let audit =
     if audit then

@@ -405,6 +405,80 @@ let verify_bound () =
     [ (List.hd Gb_workloads.Polybench.all, 216.8);
       (Gb_workloads.Polybench.matmul_ptr, 103.3) ]
 
+(* --- reinstall ---------------------------------------------------------- *)
+
+(* Minor words per reinstall under [Verify_enforce], through the
+   engine's public entry points: every trace entry of a pinned gemm run
+   is dropped from the code cache and translated again, or, on a second
+   engine over the same memory that promotes every arrival to the
+   first-pass tier, dropped and promoted again. A warm-up round stores
+   what each entry's walk now holds for, so every measured translation
+   reinstalls (asserted): its walk check, its stored verdict booked, the
+   install. *)
+let reinstall_words_per_entry k tier =
+  let module E = Gb_dbt.Engine in
+  let module P = Gb_system.Processor in
+  let program = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
+  let enforce e = { e with E.verify = E.Verify_enforce } in
+  let p =
+    Pinned.processor ~engine:enforce Gb_core.Mitigation.Fine_grained program
+  in
+  ignore (P.run p);
+  let entries =
+    List.filter_map
+      (fun (r : E.region) ->
+        match r.E.r_tier with `Trace -> Some r.E.r_entry | `Block -> None)
+      (E.regions (P.engine p))
+  in
+  let eng, promote, reused =
+    match tier with
+    | `Trace ->
+      let eng = P.engine p in
+      (eng, (fun entry -> ignore (E.translate eng entry)), fun s ->
+          s.E.lowerings_reused)
+    | `Block ->
+      let eng =
+        E.create ~mem:(P.mem p)
+          (enforce
+             { (E.config (P.engine p)) with
+               E.first_pass_threshold = 1;
+               hot_threshold = max_int })
+      in
+      (eng, E.record_block_entry eng, fun s -> s.E.blocks_reused)
+  in
+  let cc = E.code_cache eng in
+  let round () =
+    List.iter
+      (fun entry ->
+        Gb_dbt.Code_cache.invalidate cc entry;
+        promote entry)
+      entries
+  in
+  round ();
+  let before_reused = reused (E.stats eng) in
+  let before = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int)
+    (k.Gb_workloads.Polybench.name ^ ": every measured promotion reinstalls")
+    (List.length entries)
+    (reused (E.stats eng) - before_reused);
+  words /. float_of_int (List.length entries)
+
+(* The measured floor + 10%: 64.6 words per gemm trace and 36.6 per
+   block. Both sit below the gate alone (197.1 words per gemm trace, see
+   [verify_bound]), so a reinstall that ran the gate again would fail
+   here: 262.5 words per trace and 108.4 per block. *)
+let reinstall_bound () =
+  let gemm = List.hd Gb_workloads.Polybench.all in
+  List.iter
+    (fun (tier, name, budget) ->
+      let words = reinstall_words_per_entry gemm tier in
+      if words > budget then
+        Alcotest.failf "gemm: a %s reinstall allocates %.1f words (budget %.1f)"
+          name words budget)
+    [ (`Trace, "trace", 71.1); (`Block, "block", 40.3) ]
+
 (* --- Allocs accounting ------------------------------------------------- *)
 
 (* 5 minor words per element: a float box and a list cell. A single big
@@ -512,6 +586,8 @@ let () =
             verify_bound;
           Alcotest.test_case "decode of gemm and matmul-ptr" `Quick
             decode_bound;
+          Alcotest.test_case "reinstall of a gemm trace and block" `Quick
+            reinstall_bound;
         ] );
       ( "allocs",
         [ Alcotest.test_case "exclusion windows" `Quick allocs_windows ] );

@@ -740,7 +740,7 @@ let first_pass_straight_line () =
   in
   let mem, machine = first_pass_machine () in
   Asm.load mem program;
-  let { Gb_dbt.First_pass.trace; branch_pc } =
+  let { Gb_dbt.First_pass.trace; branch_pc; _ } =
     Gb_dbt.First_pass.translate ~mem ~entry:program.Asm.entry
   in
   Alcotest.(check (option int)) "no terminal branch" None branch_pc;
@@ -766,7 +766,7 @@ let first_pass_branch_block () =
   in
   let mem, machine = first_pass_machine () in
   Asm.load mem program;
-  let { Gb_dbt.First_pass.trace; branch_pc } =
+  let { Gb_dbt.First_pass.trace; branch_pc; _ } =
     Gb_dbt.First_pass.translate ~mem ~entry:program.Asm.entry
   in
   Alcotest.(check (option int)) "terminal branch recorded"
@@ -796,6 +796,113 @@ let first_pass_untranslatable () =
     (Gb_dbt.First_pass.Untranslatable "block starts with jalr/ecall")
     (fun () ->
       ignore (Gb_dbt.First_pass.translate ~mem ~entry:program.Asm.entry))
+
+(* The first-pass twin of "walk rejects code stores". A block records
+   every word it fetched, the stop included, and a fault as -1. Once
+   the block is evicted, a store into any of those words makes its
+   re-promotion translate afresh, both ways: the poked word, and the
+   original word again once the stored walk holds the poked one. A
+   store into a word it never fetched leaves the stored block, which
+   comes back as is. *)
+let block_walk_rejects_code_stores () =
+  let open Gb_riscv in
+  let module E = Gb_dbt.Engine in
+  let module FP = Gb_dbt.First_pass in
+  let program =
+    Asm.assemble
+      [
+        Asm.Label "entry";
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.t0, Reg.t0, 1));
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.t1, Reg.t1, 2));
+        Asm.Insn Insn.Ecall;
+        Asm.Label "dead";
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.t2, Reg.t2, 3));
+        Asm.Label "other";
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.t3, Reg.t3, 1));
+        Asm.Branch_to (Insn.BEQ, Reg.t3, Reg.t4, "entry");
+        Asm.Insn Insn.Ecall;
+      ]
+  in
+  let sym = Asm.symbol program in
+  let entry = sym "entry" and other = sym "other" in
+  let mem = load_into_mem program in
+  let walk = (FP.translate ~mem ~entry).FP.walk in
+  Alcotest.(check (list int)) "every fetched pc, the stop included"
+    [ entry; entry + 4; entry + 8 ]
+    (Array.to_list walk.Gb_dbt.Trace_builder.w_pcs);
+  Alcotest.(check (list int)) "words"
+    (List.map
+       (fun pc -> Mem.load_insn_word mem ~addr:pc)
+       [ entry; entry + 4; entry + 8 ])
+    (Array.to_list walk.Gb_dbt.Trace_builder.w_words);
+  Alcotest.(check bool) "no directions" true
+    (Array.for_all (( = ) Gb_dbt.Trace_builder.dir_none)
+       walk.Gb_dbt.Trace_builder.w_dirs);
+  (* a fetch fault is an input too *)
+  let small = Mem.create ~size:0x20 in
+  let addi = Encode.encode (Insn.Op_imm (Insn.ADDI, Reg.t0, Reg.t0, 1)) in
+  Mem.store_int small ~addr:0x1c ~size:4 addi;
+  let faulted = (FP.translate ~mem:small ~entry:0x1c).FP.walk in
+  Alcotest.(check (list int)) "fault recorded as -1" [ addi; -1 ]
+    (Array.to_list faulted.Gb_dbt.Trace_builder.w_words);
+  (* every arrival promotes to the first-pass tier, and a one-bundle
+     cache holds one block at a time *)
+  let eng =
+    E.create ~mem
+      { E.default_config with
+        E.first_pass_threshold = 1;
+        hot_threshold = max_int;
+        verify = E.Verify_enforce;
+        cache = { Gb_dbt.Code_cache.default_config with capacity = 1 } }
+  in
+  let s = E.stats eng in
+  (* the block at [other] evicts the one at [entry]; the number of
+     blocks reused by the promotion at [entry] comes with its code *)
+  let promote () =
+    E.record_block_entry eng other;
+    Alcotest.(check bool) "evicted" true (E.lookup eng entry = None);
+    let n = s.E.blocks_reused in
+    E.record_block_entry eng entry;
+    (Option.get (E.lookup eng entry), s.E.blocks_reused - n)
+  in
+  let fresh what =
+    let before = E.lookup eng entry in
+    let code, reuses = promote () in
+    Alcotest.(check int) (what ^ ": not reused") 0 reuses;
+    Alcotest.(check bool) (what ^ ": a new block") true
+      (match before with Some b -> code != b | None -> true);
+    Alcotest.(check bool) (what ^ ": the block of the words now in memory")
+      true
+      (code.Gb_vliw.Vinsn.bundles
+      = (FP.translate ~mem ~entry).FP.trace.Gb_vliw.Vinsn.bundles)
+  in
+  let reused what =
+    let before = Option.get (E.lookup eng entry) in
+    let code, reuses = promote () in
+    Alcotest.(check int) (what ^ ": reused") 1 reuses;
+    Alcotest.(check bool) (what ^ ": the stored block") true (code == before)
+  in
+  fresh "first arrival";
+  reused "unchanged";
+  let poke pc f =
+    let word = Mem.load_insn_word mem ~addr:pc in
+    Mem.store_int mem ~addr:pc ~size:4 (word lxor (1 lsl 20));
+    f ();
+    Mem.store_int mem ~addr:pc ~size:4 word
+  in
+  Array.iter
+    (fun pc ->
+      let what = Printf.sprintf "store at walked 0x%x" pc in
+      poke pc (fun () -> fresh what);
+      fresh (what ^ " undone");
+      reused (what ^ ", then unchanged"))
+    walk.Gb_dbt.Trace_builder.w_pcs;
+  List.iter
+    (fun pc ->
+      poke pc (fun () -> reused (Printf.sprintf "store at unwalked 0x%x" pc)))
+    [ sym "dead"; other + 8 ];
+  Alcotest.(check int) "every install gated or booked"
+    s.E.first_pass_translations s.E.verify_checked
 
 (* Property: a first-pass block and the interpreter agree on registers and
    memory over random straight-line code. *)
@@ -1094,11 +1201,11 @@ let pinned_code () =
    histogram, every retained event with its cycle stamp, and the
    verifier's log, hashed into one digest. It covers the translation
    paths the emitted-code pin does not watch: Verify_enforce fencing,
-   eviction churn and lowering reuse in a 48-bundle cache, and the audit
-   ledger under all five modes. Pinned like the emitted-code digest;
-   host-time spans are left out. *)
+   eviction churn and lowering and block reuse in a 48-bundle cache, and
+   the audit ledger under all five modes. Pinned like the emitted-code
+   digest; host-time spans are left out. *)
 
-let pinned_obs_digest = "45a2126a6a86bb800e164fd6c38e8e4d"
+let pinned_obs_digest = "c5048ae19d4d4446eb22ddbc928c2839"
 
 (* [follows] prints the vestigial, always-zero [chain_follows], so the
    rendering (and the digest) is the one a dispatcher-only run gave
@@ -1322,10 +1429,12 @@ let observe_reuse ?obs ?audit ?(verify = Gb_dbt.Engine.Verify_enforce)
   (r, E.stats eng, Buffer.contents buf)
 
 (* A trace entry whose stored walk still holds reinstalls the lowering
-   stored there (INTERNALS section 8). That must be invisible, and every
-   run takes that path, observed or not. heat-3d in a 384-bundle cache
-   re-translates most of its traces after eviction: 2546 of its 2598
-   trace translations reuse, under either kind the churn benchmark runs.
+   stored there, and a first-pass block whose words are unchanged the
+   block stored there (INTERNALS section 8). That must be invisible, and
+   every run takes that path, observed or not. heat-3d in a 384-bundle
+   cache re-translates most of its code after eviction: 2546 of its 2598
+   trace translations and 412 of its 489 first-pass blocks reuse, under
+   either kind the churn benchmark runs.
    matmul-ptr fine-grained in a 96-bundle cache reinstalls lowerings
    that constrained loads. The unsafe spectre-v1 run in a 96-bundle
    cache has the gate fence dozens of re-translated traces: a fenced
@@ -1340,9 +1449,10 @@ let reuse_is_invisible () =
   let module E = Gb_dbt.Engine in
   let heat_3d = assemble_workload "heat-3d" in
   List.iter
-    (fun (name, capacity, mode, asm, reuses, patterns) ->
+    (fun (name, capacity, mode, asm, reuses, blocks, patterns) ->
       let r, s, code = observe_reuse ~capacity mode asm in
       Alcotest.(check int) (name ^ ": reuses") reuses s.E.lowerings_reused;
+      Alcotest.(check int) (name ^ ": block reuses") blocks s.E.blocks_reused;
       Alcotest.(check int) (name ^ ": patterns") patterns r.P.patterns_found;
       List.iter
         (fun (observer, audit) ->
@@ -1363,6 +1473,8 @@ let reuse_is_invisible () =
             [
               ("translate.translations", r.P.translations);
               ("translate.lowerings_reused", reuses);
+              ("translate.blocks_reused", blocks);
+              ("verify.checked", s.E.verify_checked);
               ("mitigation.patterns_found", r.P.patterns_found);
               ("mitigation.loads_constrained", r.P.loads_constrained);
               ("mitigation.fences_inserted", r.P.fences_inserted);
@@ -1373,11 +1485,11 @@ let reuse_is_invisible () =
         [ ("active sink", false); ("active sink and audit", true) ])
     Gb_core.Mitigation.
       [
-        ("heat-3d fine-grained", 384, Fine_grained, heat_3d, 2546, 0);
-        ("heat-3d min-cut", 384, Min_cut, heat_3d, 2546, 0);
-        ("spectre-v1 unsafe", 96, Unsafe, spectre_v1 (), 542, 0);
+        ("heat-3d fine-grained", 384, Fine_grained, heat_3d, 2546, 412, 0);
+        ("heat-3d min-cut", 384, Min_cut, heat_3d, 2546, 412, 0);
+        ("spectre-v1 unsafe", 96, Unsafe, spectre_v1 (), 542, 131, 0);
         ( "matmul-ptr fine-grained", 96, Fine_grained,
-          assemble_workload "matmul-ptr", 78, 544 );
+          assemble_workload "matmul-ptr", 78, 72, 544 );
       ]
 
 (* An audit needs no replay of a reinstalled lowering: it was told the
@@ -1402,6 +1514,83 @@ let audit_survives_reuse () =
     (match r.Gb_system.Processor.audit with
     | Some a -> Gb_util.Json.to_string (Gb_cache.Audit.summary_to_json a)
     | None -> "no audit")
+
+(* A reinstall books the verdict the gate returned when its code was
+   made instead of running the gate again, so that verdict must be the
+   one the gate returns on the reinstalled code now. Every reinstall of
+   the 22 programs under five modes, three code-cache sizes and both
+   checking levels re-runs the gate, on the reinstalled code and the
+   cut plan of its mitigation report, and compares. *)
+let stored_verdicts_are_the_gates () =
+  let module E = Gb_dbt.Engine in
+  let module V = Gb_verify.Verifier in
+  let programs =
+    List.map
+      (fun (w : Gb_workloads.Polybench.t) ->
+        ( w.Gb_workloads.Polybench.name,
+          Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program ))
+      (Gb_workloads.Polybench.all @ [ Gb_workloads.Polybench.matmul_ptr ])
+    @ [
+        ("spectre-v1", spectre_v1 ());
+        ( "spectre-v4",
+          Gb_kernelc.Compile.assemble
+            (Gb_attack.Spectre_v4.program ~secret:"SQUASH" ()) );
+      ]
+  in
+  let traces = ref 0 and blocks = ref 0 and violating = ref 0 in
+  List.iter
+    (fun (name, asm) ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun capacity ->
+              List.iter
+                (fun verify ->
+                  let what =
+                    Printf.sprintf "%s %s, %d bundles" name
+                      (Gb_core.Mitigation.mode_name mode)
+                      capacity
+                  in
+                  let engine e =
+                    { e with
+                      E.verify;
+                      cache = { e.E.cache with Gb_dbt.Code_cache.capacity } }
+                  in
+                  let p = Pinned.processor ~engine mode asm in
+                  let eng = Gb_system.Processor.engine p in
+                  let reported = ref 0 in
+                  E.set_on_reinstall eng (fun ~entry tier trace ~plan booked ->
+                      incr reported;
+                      (match tier with
+                      | Gb_dbt.Code_cache.Trace -> incr traces
+                      | Gb_dbt.Code_cache.Block -> incr blocks);
+                      let fresh = V.gate ?plan trace in
+                      if not (V.ok fresh) then incr violating;
+                      if booked <> Some fresh then
+                        Alcotest.failf
+                          "%s: the verdict booked for the reinstall at 0x%x \
+                           is not the gate's"
+                          what entry);
+                  ignore (Gb_system.Processor.run p);
+                  let s = E.stats eng in
+                  if !reported <> s.E.lowerings_reused + s.E.blocks_reused then
+                    Alcotest.failf "%s: %d reinstalls reported, %d counted" what
+                      !reported
+                      (s.E.lowerings_reused + s.E.blocks_reused))
+                [ E.Verify_report; E.Verify_enforce ])
+            [ 65536; 384; 96 ])
+        Gb_core.Mitigation.all_modes)
+    programs;
+  (* not vacuous: both tiers reinstall, some with violations booked *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d trace reinstalls" !traces)
+    true (!traces > 10_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d block reinstalls" !blocks)
+    true (!blocks > 1_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d reinstalls with violations" !violating)
+    true (!violating > 0)
 
 (* The verify-fenced rebuild lowers a trace a second time, and each of
    its four phases is timed like the first lowering's: a profile of a
@@ -1522,12 +1711,16 @@ let () =
             reuse_is_invisible;
           Alcotest.test_case "audit summary survives reuse" `Quick
             audit_survives_reuse;
+          Alcotest.test_case "stored verdicts are the gate's" `Quick
+            stored_verdicts_are_the_gates;
         ] );
       ( "first-pass",
         [
           Alcotest.test_case "straight line" `Quick first_pass_straight_line;
           Alcotest.test_case "branch block" `Quick first_pass_branch_block;
           Alcotest.test_case "untranslatable" `Quick first_pass_untranslatable;
+          Alcotest.test_case "block walk rejects code stores" `Quick
+            block_walk_rejects_code_stores;
           qt first_pass_never_speculates_prop;
           qt first_pass_differential_prop;
         ] );

@@ -417,6 +417,57 @@ let test_inject_per_kind_through_oracle () =
     Alcotest.(check int) "per-kind recovered = injected" injected
       (Gb_obs.Metrics.counter_value m "fault.recovered.translate")
 
+(* Only the oracle proves a fault recovered, at a point where the two
+   sides agree. A plain processor run under injection answers right and
+   counts its injected faults, but no recovery at all; the oracle run of
+   the same program and spec recovers every fault of every kind. *)
+let test_recovery_counted_by_oracle_only () =
+  let module I = Gb_system.Inject in
+  let program =
+    match Gb_workloads.Polybench.by_name "gemm" with
+    | Some w -> w.Gb_workloads.Polybench.program
+    | None -> Alcotest.fail "gemm missing"
+  in
+  let spec = [ (I.Translate_fail, 0.2); (I.Evict, 0.05) ] in
+  let counters obs =
+    match Gb_obs.Sink.metrics obs with
+    | Some m -> Gb_obs.Metrics.counters m
+    | None -> Alcotest.fail "active sink has metrics"
+  in
+  let obs = Gb_obs.Sink.create () in
+  let inject = I.create ~obs spec in
+  let r =
+    Gb_system.Processor.run
+      (Gb_system.Processor.create ~obs ~inject
+         (Gb_kernelc.Compile.assemble program))
+  in
+  Alcotest.(check int) "processor run exits right" 169
+    r.Gb_system.Processor.exit_code;
+  let plain = counters obs in
+  Alcotest.(check bool) "processor run injected faults" true
+    (List.assoc "fault.injected" plain > 0);
+  List.iter
+    (fun (name, _) ->
+      if String.starts_with ~prefix:"fault.recovered" name then
+        Alcotest.failf "processor run counts %s" name)
+    plain;
+  let obs = Gb_obs.Sink.create () in
+  let rep = Gb_diff.Oracle.run_kernel ~obs ~inject:spec program in
+  Alcotest.(check bool) "oracle run clean" true (Gb_diff.Oracle.clean rep);
+  let oracle = counters obs in
+  let count name = Option.value ~default:0 (List.assoc_opt name oracle) in
+  List.iter
+    (fun k ->
+      let name = I.kind_name k in
+      Alcotest.(check bool) (name ^ " injected") true
+        (count ("fault.injected." ^ name) > 0);
+      Alcotest.(check int) (name ^ ": recovered = injected")
+        (count ("fault.injected." ^ name))
+        (count ("fault.recovered." ^ name)))
+    [ I.Translate_fail; I.Evict ];
+  Alcotest.(check int) "recovered = injected"
+    (count "fault.injected") (count "fault.recovered")
+
 (* --- docs stay in step with the manifest ----------------------------- *)
 
 (* [dune runtest] runs in _build/default/test, [dune exec] in the root *)
@@ -669,6 +720,8 @@ let () =
             test_inject_per_kind_accounting;
           Alcotest.test_case "per-kind counters through the oracle" `Quick
             test_inject_per_kind_through_oracle;
+          Alcotest.test_case "recovery is counted by the oracle only" `Quick
+            test_recovery_counted_by_oracle_only;
         ] );
       ( "docs",
         [
