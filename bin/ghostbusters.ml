@@ -7,7 +7,6 @@
      ghostbusters explain v1|v4              poisoning analysis of Figs 1-2
      ghostbusters scan v1                    static gadget scan of a binary
      ghostbusters diff gemm --inject evict   differential oracle run
-     ghostbusters figure4                    the E2 table
      ghostbusters profile gemm --mode fence  cycle-attribution ledger
      ghostbusters profile diff v1 --mode fence --mode unsafe
      ghostbusters perf record|compare|report perf-trajectory manifests *)
@@ -836,36 +835,6 @@ let diff_cmd =
         $ inject_arg $ seed_arg $ json_flag $ trace_out_arg $ metrics_out_arg
         $ profile_flag))
 
-(* --- figure4 ------------------------------------------------------------ *)
-
-let figure4_cmd =
-  let run () =
-    let pct f = Printf.sprintf "%.1f%%" (100. *. f) in
-    let rows =
-      List.map
-        (fun (mc : Gb_experiments.Experiments.mode_cycles) ->
-          [
-            mc.Gb_experiments.Experiments.w_name;
-            pct
-              (Gb_experiments.Experiments.slowdown mc
-                 ~mode:Gb_core.Mitigation.Fine_grained);
-            pct
-              (Gb_experiments.Experiments.slowdown mc
-                 ~mode:Gb_core.Mitigation.No_speculation);
-          ])
-        (Gb_experiments.Experiments.e2_figure4 ())
-    in
-    Gb_util.Table.print
-      ~header:[ "application"; "our approach"; "no speculation" ]
-      ~rows
-  in
-  Cmd.v
-    (Cmd.info "figure4"
-       ~doc:
-         "Print the paper's Figure 4 series as a table ($(b,perf record) \
-          writes the machine-readable E2 cells)")
-    Term.(const run $ const ())
-
 (* --- profile ------------------------------------------------------------ *)
 
 module At = Gb_obs.Attrib
@@ -1244,10 +1213,11 @@ let perf_record_cmd =
   Cmd.v
     (Cmd.info "record"
        ~doc:
-         "Run the bench experiments and write a schema-versioned run \
-          manifest (per-kernel cycles, slowdowns, dispatcher-exit rates, \
-          counter snapshots and gate verdicts) — the only machine-readable \
-          record of the experiments.")
+         "Run the experiments (E1-E10) and write a schema-versioned run \
+          manifest (per-kernel cycles and slowdowns, attributed cycles, \
+          translation rates, counter snapshots, every number of \
+          EXPERIMENTS.md's tables and the gate verdicts) — the only \
+          machine-readable record of the experiments.")
     Term.(term_result (const run $ perf_out_arg $ seq_arg $ seed_arg))
 
 let perf_compare_cmd =
@@ -1316,7 +1286,9 @@ let perf_report_cmd =
             if failed <> [] then begin
               Printf.printf "failed verdicts:\n";
               List.iter (fun (name, _) -> Printf.printf "  %s\n" name) failed
-            end
+            end;
+            print_newline ();
+            print_string (Gb_perf.Report.experiments_markdown current)
           end;
           Ok ()
         | Some against ->
@@ -1339,13 +1311,14 @@ let perf_report_cmd =
           ~doc:
             "Baseline trajectory directory or manifest file; when given, \
              render the full comparison (markdown) instead of the \
-             manifest summary.")
+             manifest summary and its experiment tables.")
   in
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Render a manifest (or its comparison against a baseline, with \
-          $(b,--against)) without gating: always exits 0.")
+         "Render a manifest without gating (always exits 0): its summary \
+          and EXPERIMENTS.md's E1-E7 tables, read from its cells; or, with \
+          $(b,--against), its comparison against a baseline.")
     Term.(
       term_result
         (const run $ against_opt $ manifest_arg $ baseline_rev_arg
@@ -1371,4 +1344,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; attack_cmd; trace_cmd; explain_cmd; disasm_cmd;
-            scan_cmd; diff_cmd; figure4_cmd; profile_cmd; perf_cmd ]))
+            scan_cmd; diff_cmd; profile_cmd; perf_cmd ]))

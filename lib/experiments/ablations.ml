@@ -56,7 +56,7 @@ let with_engine config f =
 let issue_width () =
   List.map
     (fun (width, mem_slots, mul_slots) ->
-      measure ~kernel_name:"gemm" ~param:"issue width" ~value:(string_of_int width)
+      measure ~kernel_name:"gemm" ~param:"issue-width" ~value:(string_of_int width)
         ~configure:(fun config ->
           with_engine config (fun e ->
               {
@@ -71,7 +71,7 @@ let issue_width () =
 let mcb_size () =
   List.map
     (fun entries ->
-      measure ~kernel_name:"gemm" ~param:"MCB entries"
+      measure ~kernel_name:"gemm" ~param:"mcb-entries"
         ~value:(string_of_int entries) ~configure:(fun config ->
           {
             config with
@@ -86,7 +86,7 @@ let mcb_size () =
 let hot_threshold () =
   List.map
     (fun threshold ->
-      measure ~kernel_name:"gemm" ~param:"hot threshold" ~value:(string_of_int threshold)
+      measure ~kernel_name:"gemm" ~param:"hot-threshold" ~value:(string_of_int threshold)
         ~configure:(fun config ->
           with_engine config (fun e ->
               { e with Gb_dbt.Engine.hot_threshold = threshold })))
@@ -95,7 +95,7 @@ let hot_threshold () =
 let unroll_limit () =
   List.map
     (fun visits ->
-      measure ~kernel_name:"gemm" ~param:"unroll limit" ~value:(string_of_int visits)
+      measure ~kernel_name:"gemm" ~param:"unroll-limit" ~value:(string_of_int visits)
         ~configure:(fun config ->
           with_engine config (fun e ->
               {
@@ -111,7 +111,7 @@ let unroll_limit () =
 let cache_size () =
   List.map
     (fun kib ->
-      measure ~kernel_name:"gemm" ~param:"L1D size" ~value:(Printf.sprintf "%dKiB" kib)
+      measure ~kernel_name:"gemm" ~param:"l1d-kib" ~value:(string_of_int kib)
         ~configure:(fun config ->
           {
             config with
@@ -131,7 +131,7 @@ let cache_size () =
 let optimizer_cse () =
   List.map
     (fun enabled ->
-      measure ~kernel_name:"gemm" ~param:"CSE/folding" ~value:(if enabled then "on" else "off")
+      measure ~kernel_name:"gemm" ~param:"cse-folding" ~value:(if enabled then "on" else "off")
         ~configure:(fun config ->
           with_engine config (fun e ->
               {
@@ -151,18 +151,19 @@ let with_adaptive config enabled =
 let adaptive_despec () =
   List.map
     (fun enabled ->
-      measure ~kernel_name:"nussinov" ~param:"adaptive despec"
+      measure ~kernel_name:"nussinov" ~param:"adaptive-despec"
         ~value:(if enabled then "on" else "off")
         ~configure:(fun config -> with_adaptive config enabled))
     [ false; true ]
 
 let all () =
-  [
-    ("optimizer cleanups (CSE + folding)", optimizer_cse ());
-    ("adaptive de-speculation (kernel: nussinov)", adaptive_despec ());
-    ("issue width", issue_width ());
-    ("MCB size", mcb_size ());
-    ("hot threshold", hot_threshold ());
-    ("trace unrolling", unroll_limit ());
-    ("L1D size", cache_size ());
-  ]
+  List.concat
+    [
+      optimizer_cse ();
+      adaptive_despec ();
+      issue_width ();
+      mcb_size ();
+      hot_threshold ();
+      unroll_limit ();
+      cache_size ();
+    ]

@@ -5,9 +5,14 @@
     proof-of-concept. *)
 
 type row = {
-  param : string;  (** parameter name *)
-  value : string;  (** parameter value as shown in the table *)
-  unsafe_cycles : int64;  (** gemm under the unsafe configuration *)
+  param : string;
+      (** parameter name, a dot-free slug: [issue-width], [mcb-entries],
+          [hot-threshold], [unroll-limit], [l1d-kib], [cse-folding] or
+          [adaptive-despec] *)
+  value : string;  (** parameter value, a dot-free slug ([16], [on]) *)
+  unsafe_cycles : int64;
+      (** the row's kernel (gemm; nussinov for [adaptive-despec]) under the
+          unsafe configuration *)
   no_spec_slowdown : float;  (** the cost of turning speculation off *)
   v1_leaks : bool;  (** Spectre v1 succeeds on the unsafe configuration *)
   v4_leaks : bool;  (** Spectre v4 succeeds on the unsafe configuration *)
@@ -40,5 +45,5 @@ val cache_size : unit -> row list
 (** 16 KiB .. 256 KiB L1D: the attack works across sizes (flush+reload
     needs no eviction-set tricks here because cflush is line-precise). *)
 
-val all : unit -> (string * row list) list
-(** Every ablation, keyed by a short title. *)
+val all : unit -> row list
+(** Every ablation's rows, one after another. *)

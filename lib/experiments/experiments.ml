@@ -10,7 +10,7 @@ type mode_cycles = {
   patterns : int;
   unsafe_audit : Gb_cache.Audit.summary option;
   fine_audit : Gb_cache.Audit.summary option;
-  causes : (string * (string * float) list) list;
+  causes : (Gb_core.Mitigation.mode * (Gb_obs.Attrib.cause * int) list) list;
 }
 
 let cycles_of mc = function
@@ -30,19 +30,19 @@ let run_workload ?(audit = false) ?obs mode program =
 let measure_program ?(audit = false) ?(attrib = false) ~name program =
   (* [attrib] threads a fresh cycle-attribution ledger through each
      mode's run (a fresh one per run: the conservation invariant holds
-     against that run's clock) and captures the per-cause shares *)
+     against that run's clock) and captures its units per cause *)
   let run mode =
     if attrib then begin
       let obs = Gb_obs.Sink.create ~attrib:true () in
       let r = run_workload ~audit ~obs mode program in
-      let shares =
+      let units =
         match Gb_obs.Sink.attrib obs with
-        | Some a -> Gb_obs.Attrib.cause_shares a
+        | Some a -> Gb_obs.Attrib.by_cause a
         | None -> []
       in
-      (r, (Gb_core.Mitigation.mode_name mode, shares))
+      (r, (mode, units))
     end
-    else (run_workload ~audit mode program, (Gb_core.Mitigation.mode_name mode, []))
+    else (run_workload ~audit mode program, (mode, []))
   in
   let unsafe_r, unsafe_c = run Gb_core.Mitigation.Unsafe in
   let fine_r, fine_c = run Gb_core.Mitigation.Fine_grained in
@@ -105,7 +105,7 @@ let config_capped mode cc_capacity =
   }
 
 let e1_poc_matrix ?(secret = default_secret) ?(audit = false) ?(seed = 1L)
-    ?cc_capacity ?(modes = Gb_core.Mitigation.all_modes) () =
+    ?cc_capacity () =
   List.concat_map
     (fun (variant, program) ->
       List.map
@@ -117,7 +117,7 @@ let e1_poc_matrix ?(secret = default_secret) ?(audit = false) ?(seed = 1L)
             outcome =
               Gb_attack.Runner.run ?config ~audit ~seed ~mode ~secret program;
           })
-        modes)
+        Gb_core.Mitigation.all_modes)
     (attack_programs ~secret)
 
 let poc_verdicts_equal a b =
@@ -131,7 +131,7 @@ let poc_verdicts_equal a b =
   in
   List.map key a = List.map key b
 
-let e2_figure4 ?(audit = false) ?(attrib = true) () =
+let e2_figure4 ?(audit = false) () =
   let items =
     List.map
       (fun (w : Gb_workloads.Polybench.t) ->
@@ -140,14 +140,8 @@ let e2_figure4 ?(audit = false) ?(attrib = true) () =
     @ attack_programs ~secret:default_secret
   in
   List.map
-    (fun (name, program) -> measure_program ~audit ~attrib ~name program)
+    (fun (name, program) -> measure_program ~audit ~attrib:true ~name program)
     items
-
-let e3_fence_rows rows =
-  List.map
-    (fun mc ->
-      (mc.w_name, slowdown mc ~mode:Gb_core.Mitigation.Fence_on_detect, mc.patterns))
-    rows
 
 let e4_matmul_ablation ?(audit = false) () =
   let w = Gb_workloads.Polybench.matmul_ptr in
@@ -283,8 +277,7 @@ let e9_workload_modes =
     Gb_core.Mitigation.Min_cut;
   ]
 
-let e9_verify ?(secret = default_secret)
-    ?(modes = Gb_core.Mitigation.all_modes) () =
+let e9_verify ?(secret = default_secret) () =
   let attacks =
     List.map
       (fun (name, program) ->
@@ -307,7 +300,7 @@ let e9_verify ?(secret = default_secret)
                   flagged := Gb_cache.Audit.flagged_pc_list a
                 | _ -> ());
                 row)
-              modes
+              Gb_core.Mitigation.all_modes
         in
         let report = Gb_verify.Scanner.scan asm in
         let scan =
@@ -331,7 +324,7 @@ let e9_verify ?(secret = default_secret)
           (fun mode ->
             fst
               (verified_run ~name:w.Gb_workloads.Polybench.name mode asm))
-          (List.filter (fun m -> List.mem m modes) e9_workload_modes))
+          e9_workload_modes)
       Gb_workloads.Polybench.all
   in
   { e9_attacks = attack_rows; e9_workloads = workload_rows; e9_scans = scans }

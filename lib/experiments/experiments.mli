@@ -1,6 +1,7 @@
 (** The paper's evaluation (Section V), experiment by experiment. Each
-    function returns structured data; the benchmark harness and the CLI
-    render it. The experiment ids follow DESIGN.md. *)
+    function returns structured data; [Gb_perf.Collect] flattens it into
+    the run manifest, the one record EXPERIMENTS.md's tables are rendered
+    from. The experiment ids follow DESIGN.md. *)
 
 val default_secret : string
 
@@ -17,11 +18,15 @@ type mode_cycles = {
       (** leakage-audit classification of the unsafe run (audited runs only) *)
   fine_audit : Gb_cache.Audit.summary option;
       (** same, for the fine-grained run *)
-  causes : (string * (string * float) list) list;
-      (** per mode name, the {!Gb_obs.Attrib.cause_shares} of that mode's
-          run: every cause, as a share of total cycles. [[]] when the
-          measurement ran without attribution. *)
+  causes : (Gb_core.Mitigation.mode * (Gb_obs.Attrib.cause * int) list) list;
+      (** per mode, the {!Gb_obs.Attrib.by_cause} units of that mode's
+          run: every cause, in fixed-point units
+          ({!Gb_obs.Attrib.scale} per cycle). [[]] when the measurement
+          ran without attribution. *)
 }
+
+val cycles_of : mode_cycles -> Gb_core.Mitigation.mode -> int64
+(** The cycles of one mode's run. *)
 
 val slowdown : mode_cycles -> mode:Gb_core.Mitigation.mode -> float
 (** cycles(mode) / cycles(unsafe). *)
@@ -59,32 +64,27 @@ val e1_poc_matrix :
   ?audit:bool ->
   ?seed:int64 ->
   ?cc_capacity:int ->
-  ?modes:Gb_core.Mitigation.mode list ->
   unit ->
   poc_row list
-(** [audit] attaches the leakage audit to every run; [seed] (default [1L])
-    pins the observability sink's reservoir RNG so audited runs are
-    reproducible bit-for-bit. [cc_capacity], when given, caps the code
-    cache at that many bundles — the capacity-constrained re-check that
-    the leakage verdicts survive eviction churn. [modes] (default
-    {!Gb_core.Mitigation.all_modes}) restricts the matrix to the listed
-    modes (the harnesses' [--modes] filter). *)
+(** Both variants under every mode. [audit] attaches the leakage audit
+    to every run; [seed] (default [1L]) pins the observability sink's
+    reservoir RNG so audited runs are reproducible bit-for-bit.
+    [cc_capacity], when given, caps the code cache at that many bundles
+    — the capacity-constrained re-check that the leakage verdicts
+    survive eviction churn. *)
 
 val poc_verdicts_equal : poc_row list -> poc_row list -> bool
 (** E8's churn check: the same leak verdicts and audit false-negative
     counts, row for row (the capacity-constrained E1 re-run against the
     default one). *)
 
-val e2_figure4 :
-  ?audit:bool -> ?attrib:bool -> unit -> mode_cycles list
-(** One row per Figure-4 application: the 12 Polybench kernels plus the
-    two Spectre proof-of-concept programs. [attrib] defaults to [true]:
-    every E2 run carries the cycle-attribution ledger, so the per-cause
-    shares land in the perf manifest and the conservation invariant is
-    exercised on every workload x mode. *)
-
-val e3_fence_rows : mode_cycles list -> (string * float * int) list
-(** Per workload: fence slowdown and pattern count (derived from E2 data). *)
+val e2_figure4 : ?audit:bool -> unit -> mode_cycles list
+(** One row per Figure-4 application: the 19 Polybench kernels plus the
+    two Spectre proof-of-concept programs. Every run carries the
+    cycle-attribution ledger, so the per-mode cause cycles land in the
+    perf manifest and the conservation invariant is exercised on every
+    workload x mode. E3 reads the same rows (fence-on-detect slowdown
+    and pattern count per workload). *)
 
 val e4_matmul_ablation : ?audit:bool -> unit -> mode_cycles
 
@@ -169,12 +169,10 @@ val e9_workload_modes : Gb_core.Mitigation.mode list
 (** The modes the Polybench rows cover (fine-grained, fence-on-detect,
     min-cut — every mode whose verifier must stay silent). *)
 
-val e9_verify :
-  ?secret:string -> ?modes:Gb_core.Mitigation.mode list -> unit -> e9
-(** [modes] (default {!Gb_core.Mitigation.all_modes}) restricts both the
-    attack and workload rows; note the scanner's ground truth needs the
-    audited [Unsafe] run, so a filter without it scores against an empty
-    flagged set. *)
+val e9_verify : ?secret:string -> unit -> e9
+(** Both attacks under every mode and the Polybench kernels under
+    {!e9_workload_modes}; the scanner scores against the flagged pcs of
+    the audited [Unsafe] attack run. *)
 
 val geomean_slowdown :
   mode_cycles list -> mode:Gb_core.Mitigation.mode -> float

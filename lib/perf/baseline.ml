@@ -2,8 +2,6 @@ type direction = Lower_better of float | Band of float | Exact | Info
 
 let default_tol_cycles = 0.01
 
-let default_band_share = 0.02
-
 let default_tol_alloc = 0.05
 
 let has_prefix ~prefix s =
@@ -17,7 +15,7 @@ let rule_for name =
     || has_prefix ~prefix:"translations_per_1k." name
   then Lower_better default_tol_cycles
   else if has_prefix ~prefix:"audit_fn." name then Lower_better 0.
-  else if has_prefix ~prefix:"cause_share." name then Band default_band_share
+  else if has_prefix ~prefix:"cause_cycles." name then Band default_tol_cycles
   else if has_prefix ~prefix:"alloc." name then Lower_better default_tol_alloc
   else Info
 
@@ -65,11 +63,11 @@ let judge rule ~base ~cur =
   | Info -> (delta, Unchanged)
   | Exact -> (delta, if cur = base then Unchanged else Regressed)
   | Band tol ->
-    (* two-sided absolute band: cause shares live in [0,1], so an
-       absolute drift bound is the meaningful one — a cause share moving
-       by more than [tol] either way means the attribution profile
-       changed and must be looked at *)
-    (delta, if Float.abs (cur -. base) <= tol then Unchanged else Regressed)
+    (* two-sided relative band: attributed cycles moving past [tol]
+       either way went to or came from another cause. A zero baseline
+       regresses on any nonzero value (delta = infinity), a nonzero one
+       at 0 (delta = -1) *)
+    (delta, if Float.abs delta > tol then Regressed else Unchanged)
   | Lower_better tol ->
     ( delta,
       if base = cur then Unchanged

@@ -14,9 +14,11 @@ type direction =
       (** regression when [cur > base * (1 + tol)]; the payload is the
           relative tolerance (0 means exact: any increase regresses) *)
   | Band of float
-      (** two-sided absolute band: regression when
-          [|cur - base| > tol], either direction (cause shares: any
-          drift of the attribution profile needs a look) *)
+      (** two-sided relative band: regression when the relative delta
+          [|cur - base| / base > tol], either direction (attributed
+          cycles: cycles that moved to another cause need a look). A
+          zero baseline regresses on any nonzero value, and, for
+          [tol < 1], a nonzero baseline regresses at 0. *)
   | Exact  (** any change, either way, is a regression (verdict cells) *)
   | Info  (** tracked and reported, never gated *)
 
@@ -24,19 +26,15 @@ val rule_for : string -> direction
 (** The rule a metric name dispatches to (see the naming convention in
     {!Manifest}): [cycles.*], [slowdown.*] and [translations_per_1k.*] are
     [Lower_better default_tol_cycles];
-    [audit_fn.*] is [Lower_better 0.]; [cause_share.*] is
-    [Band default_band_share]; [alloc.*] is
-    [Lower_better default_tol_alloc]; [counter.*], [faults.*] and
-    anything unrecognised are [Info]. *)
+    [audit_fn.*] is [Lower_better 0.]; [cause_cycles.*] is
+    [Band default_tol_cycles]; [alloc.*] is
+    [Lower_better default_tol_alloc]; [counter.*], [faults.*],
+    [table.*] and anything unrecognised are [Info]. *)
 
 val default_tol_cycles : float
 (** 0.01 — the simulator is deterministic, so 1% headroom only absorbs
     intentional noise (e.g. a changed instrumented-run shape), not real
     regressions. *)
-
-val default_band_share : float
-(** 0.02 — two percentage points of absolute drift allowed per cause
-    share before the attribution gate trips. *)
 
 val default_tol_alloc : float
 (** 0.05 — headroom for the [alloc.minor_words_per_kinsn.*] cells. The

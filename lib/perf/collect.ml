@@ -37,14 +37,6 @@ let counters_snapshot ?(seed = 1L) () =
   in
   Gb_obs.Sink.counters obs
 
-let cycles_of mc mode =
-  match mode with
-  | Gb_core.Mitigation.Unsafe -> mc.E.unsafe
-  | Gb_core.Mitigation.Fine_grained -> mc.E.fine_grained
-  | Gb_core.Mitigation.Fence_on_detect -> mc.E.fence
-  | Gb_core.Mitigation.Min_cut -> mc.E.min_cut
-  | Gb_core.Mitigation.No_speculation -> mc.E.no_spec
-
 (* cycles + slowdowns + audited false negatives of one measured workload *)
 let mode_cycles_cells ~exp (mc : E.mode_cycles) =
   let name metric mode =
@@ -52,7 +44,7 @@ let mode_cycles_cells ~exp (mc : E.mode_cycles) =
   in
   List.map
     (fun mode ->
-      (name "cycles" mode, Int64.to_float (cycles_of mc mode)))
+      (name "cycles" mode, Int64.to_float (E.cycles_of mc mode)))
     Gb_core.Mitigation.all_modes
   @ List.map
       (fun mode -> (name "slowdown" mode, E.slowdown mc ~mode))
@@ -69,38 +61,56 @@ let mode_cycles_cells ~exp (mc : E.mode_cycles) =
         (Gb_core.Mitigation.Fine_grained, mc.E.fine_audit);
       ]
 
-(* per-cause cycle shares of one measured workload (attributed runs
-   only): [cause_share.EXP.KERNEL.MODE.CAUSE]. Every cause is always
-   present for an attributed run, so the coverage is stable and the
-   gate's Removed check bites if attribution is lost. *)
-let cause_cells ~exp (mc : E.mode_cycles) =
+(* the patterns a workload's translations detected, for the table of
+   experiment [exp] (E3 reads E2's workloads, E4 its own) *)
+let patterns_cell ~exp (mc : E.mode_cycles) =
+  ( Printf.sprintf "table.%s.%s.patterns" exp mc.E.w_name,
+    float_of_int mc.E.patterns )
+
+(* the attributed cycles of every E2 program, summed per mode and cause:
+   [cause_cycles.e2.MODE.CAUSE]. Every cause of every mode is present,
+   so the coverage is stable and the gate's Removed check bites if
+   attribution is lost; a cause moving either way past the cycles'
+   tolerance means cycles went to another cause. *)
+let cause_cycles_cells (figure4 : E.mode_cycles list) =
+  let units mode cause =
+    List.fold_left
+      (fun acc (mc : E.mode_cycles) ->
+        acc + List.assoc cause (List.assoc mode mc.E.causes))
+      0 figure4
+  in
   List.concat_map
-    (fun (mode, shares) ->
+    (fun mode ->
       List.map
-        (fun (cause, share) ->
-          ( Printf.sprintf "cause_share.%s.%s.%s.%s" exp mc.E.w_name mode
-              cause,
-            share ))
-        shares)
-    mc.E.causes
+        (fun cause ->
+          ( Printf.sprintf "cause_cycles.e2.%s.%s" (mode_name mode)
+              (Gb_obs.Attrib.cause_name cause),
+            float_of_int (units mode cause)
+            /. float_of_int Gb_obs.Attrib.scale ))
+        Gb_obs.Attrib.all_causes)
+    Gb_core.Mitigation.all_modes
 
 let poc_cells (poc : E.poc_row list) =
   List.concat_map
     (fun (r : E.poc_row) ->
-      let result = r.E.outcome.Gb_attack.Runner.result in
+      let o = r.E.outcome in
+      let result = o.Gb_attack.Runner.result in
       let name metric =
         Printf.sprintf "%s.e1.%s.%s" metric r.E.variant (mode_name r.E.mode)
       in
-      ( name "cycles",
-        Int64.to_float result.Gb_system.Processor.cycles )
-      ::
-      (match result.Gb_system.Processor.audit with
+      let table field v = (name "table" ^ "." ^ field, float_of_int v) in
+      [
+        (name "cycles", Int64.to_float result.Gb_system.Processor.cycles);
+        table "bytes-recovered" o.Gb_attack.Runner.correct_bytes;
+        table "bytes-total" o.Gb_attack.Runner.total_bytes;
+        table "rollbacks" (Int64.to_int result.Gb_system.Processor.rollbacks);
+        table "patterns" result.Gb_system.Processor.patterns_found;
+      ]
+      @
+      match result.Gb_system.Processor.audit with
       | Some s ->
-        [
-          ( name "audit_fn",
-            float_of_int s.Gb_cache.Audit.false_negatives );
-        ]
-      | None -> []))
+        [ (name "audit_fn", float_of_int s.Gb_cache.Audit.false_negatives) ]
+      | None -> [])
     poc
 
 let poc_verdicts (poc : E.poc_row list) =
@@ -145,7 +155,7 @@ let e9_verdicts (e9 : E.e9) =
 
 (* Headline verdicts of the min-cut mode: it must serialize strictly
    less than fence-on-detect — fewer fences on every attack variant and
-   no larger fence-stall cycle share on every attributed E2 row — while
+   no larger fence-stall cycle share on every E2 row — while
    the leak/soundness verdicts themselves come from [poc_verdicts] and
    [e9_verdicts]. *)
 let min_cut_verdicts ~(poc : E.poc_row list) ~figure4 =
@@ -174,25 +184,22 @@ let min_cut_verdicts ~(poc : E.poc_row list) ~figure4 =
         | _ -> None)
       variants
   in
-  let share mode cause (mc : E.mode_cycles) =
-    match List.assoc_opt mode mc.E.causes with
-    | Some shares -> Option.value ~default:0. (List.assoc_opt cause shares)
-    | None -> 0.
-  in
-  let attributed =
-    List.filter (fun (mc : E.mode_cycles) -> mc.E.causes <> []) figure4
+  let fence_stall_share mode (mc : E.mode_cycles) =
+    let units = List.assoc mode mc.E.causes in
+    let total = List.fold_left (fun acc (_, u) -> acc + u) 0 units in
+    if total = 0 then 0.
+    else
+      float_of_int (List.assoc Gb_obs.Attrib.Fence_stall units)
+      /. float_of_int total
   in
   fewer_fences
-  @
-  if attributed = [] then []
-  else
-    [
+  @ [
       ( "e2.min_cut_fence_stall_leq_fence_mode",
         List.for_all
           (fun mc ->
-            share "min-cut" "fence-stall" mc
-            <= share "fence-on-detect" "fence-stall" mc)
-          attributed );
+            fence_stall_share Gb_core.Mitigation.Min_cut mc
+            <= fence_stall_share Gb_core.Mitigation.Fence_on_detect mc)
+          figure4 );
     ]
 
 let e10_cells (m : Gb_diff.Matrix.t) =
@@ -257,6 +264,60 @@ let alloc_cells () =
            (Gb_obs.Allocs.stop a) r.Gb_system.Processor.guest_insns)
        alloc_modes
 
+(* E5: the probe latencies of the re-touched lines (hits) and of the
+   flushed ones (misses), as a line count and a latency range each *)
+let e5_cells (latencies : int array) =
+  let hit, miss =
+    List.partition
+      (fun (i, _) -> List.mem i E.e5_hot_candidates)
+      (List.mapi (fun i t -> (i, t)) (Array.to_list latencies))
+  in
+  let cluster name probes =
+    let ts = List.map snd probes in
+    let cell field v =
+      (Printf.sprintf "table.e5.%s.%s" name field, float_of_int v)
+    in
+    [
+      cell "lines" (List.length ts);
+      cell "min" (List.fold_left min max_int ts);
+      cell "max" (List.fold_left max min_int ts);
+    ]
+  in
+  cluster "hit" hit @ cluster "miss" miss
+
+(* E6: one design point per row, [<family>.e6.<param>.<value>...] *)
+let e6_cells (rows : Gb_experiments.Ablations.row list) =
+  List.concat_map
+    (fun (r : Gb_experiments.Ablations.row) ->
+      let name metric =
+        Printf.sprintf "%s.e6.%s.%s" metric r.Gb_experiments.Ablations.param
+          r.Gb_experiments.Ablations.value
+      in
+      let leaks b = if b then 1. else 0. in
+      [
+        ( name "cycles",
+          Int64.to_float r.Gb_experiments.Ablations.unsafe_cycles );
+        ( name "slowdown" ^ ".no-speculation",
+          r.Gb_experiments.Ablations.no_spec_slowdown );
+        (name "table" ^ ".v1-leaks", leaks r.Gb_experiments.Ablations.v1_leaks);
+        (name "table" ^ ".v4-leaks", leaks r.Gb_experiments.Ablations.v4_leaks);
+      ])
+    rows
+
+(* E7: the secret's bits, and how many each mode's attack recovered *)
+let e7_cells outcomes =
+  List.concat_map
+    (fun (mode, (o : Gb_attack.Translation_channel.outcome)) ->
+      let cell field v =
+        ( Printf.sprintf "table.e7.%s.%s" (mode_name mode) field,
+          float_of_int v )
+      in
+      [
+        cell "bits-recovered" o.Gb_attack.Translation_channel.correct_bits;
+        cell "bits-total" o.Gb_attack.Translation_channel.total_bits;
+      ])
+    outcomes
+
 let geomean_cells figure4 =
   List.map
     (fun mode ->
@@ -268,6 +329,9 @@ let collect ?(seed = 1L) () =
   let poc = E.e1_poc_matrix ~audit:true ~seed () in
   let figure4 = E.e2_figure4 ~audit:true () in
   let e4 = E.e4_matmul_ablation ~audit:true () in
+  let e5 = E.e5_hit_miss () in
+  let e6 = Gb_experiments.Ablations.all () in
+  let e7 = E.e7_translation_channel () in
   let eviction = E.e8_eviction () in
   let counters = counters_snapshot ~seed () in
   let constrained =
@@ -278,9 +342,14 @@ let collect ?(seed = 1L) () =
   let metrics =
     poc_cells poc
     @ List.concat_map (mode_cycles_cells ~exp:"e2") figure4
-    @ List.concat_map (cause_cells ~exp:"e2") figure4
+    @ cause_cycles_cells figure4
     @ geomean_cells figure4
+    @ List.map (patterns_cell ~exp:"e3") figure4
     @ mode_cycles_cells ~exp:"e4" e4
+    @ [ patterns_cell ~exp:"e4" e4 ]
+    @ e5_cells e5
+    @ e6_cells e6
+    @ e7_cells e7
     @ eviction_cells eviction
     @ List.map (fun (name, v) -> ("counter." ^ name, float_of_int v)) counters
     @ alloc_cells ()

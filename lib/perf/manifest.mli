@@ -5,7 +5,8 @@
     OCaml environment), how it was configured (mitigation modes, code-cache
     capacity, seed), what it measured (a flat, sorted [name -> float]
     metric map: per-experiment per-kernel simulated cycles and slowdowns,
-    translation rates, [Gb_obs] counter snapshots) and
+    translation rates, attributed cycles, [Gb_obs] counter snapshots and
+    every number EXPERIMENTS.md's tables show) and
     what it concluded (a [name -> bool] verdict map: leakage-audit,
     static-verification and differential-oracle gates).
 
@@ -22,13 +23,19 @@
       thrashes, which barely moves cycles);
     - [audit_fn.<exp>.<kernel>.<mode>] — leakage-audit false negatives
       (lower is better, zero tolerance);
-    - [cause_share.<exp>.<kernel>.<mode>.<cause>] — the
-      {!Gb_obs.Attrib} cycle-attribution profile: each cause's share of
-      the run's total cycles (two-sided absolute band: drift either way
+    - [cause_cycles.e2.<mode>.<cause>] — the {!Gb_obs.Attrib}
+      cycle-attribution profile of the E2 sweep: a cause's cycles summed
+      over its programs (two-sided relative band: a move either way
       beyond the band is a regression);
+    - [alloc.minor_words_per_kinsn.<tier>] — minor-heap words per 1000
+      guest instructions (lower is better, relative tolerance);
     - [counter.<name>] — raw [Gb_obs] counters of the canonical
       instrumented run (informational: reported, never gated);
-    - [faults.<...>] — fault-injection accounting (informational).
+    - [faults.<...>] — fault-injection accounting (informational);
+    - [table.<exp>.<...>] — what EXPERIMENTS.md's tables show and no
+      rule gates (informational).
+
+    Every name component is a dot-free slug.
 
     Verdict cells compare exact: any flip against the baseline is a
     regression (refresh the baseline when a flip is intentional). *)

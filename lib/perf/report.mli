@@ -1,6 +1,7 @@
 (** Rendering of a {!Baseline.comparison}: a markdown/ASCII table for
     humans (improved / unchanged / regressed, with deltas) and a JSON
-    document for the CI gate. *)
+    document for the CI gate; and of a {!Manifest} itself as
+    EXPERIMENTS.md's experiment tables. *)
 
 val summary_line : Baseline.comparison -> string
 (** One line: pass/fail, baseline identity and the per-status counts. *)
@@ -17,3 +18,13 @@ val to_markdown : ?max_unchanged:int -> Baseline.comparison -> string
 val to_json : Baseline.comparison -> Gb_util.Json.t
 (** The full cell list plus the status counts and the [passed] bit —
     machine-checkable by the CI perf gate. *)
+
+val experiment_tables : Manifest.t -> (string * string list) list
+(** EXPERIMENTS.md's E1–E7 tables, rendered from the manifest's cells
+    alone (it runs nothing): per experiment, its EXPERIMENTS.md heading
+    and the lines of its markdown table. A cell the manifest lacks shows
+    as ["-"]. *)
+
+val experiments_markdown : Manifest.t -> string
+(** {!experiment_tables} as one markdown document: each heading, a blank
+    line, its table, a blank line. *)

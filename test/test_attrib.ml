@@ -127,6 +127,49 @@ let test_exit_penalties () =
     (Int64.to_int r.Gb_system.Processor.rollbacks * penalty)
     (units a At.Mcb_rollback)
 
+(* The interpreter tier books one interp-fallback cycle per instruction
+   it retires, and each L1D miss penalty it pays as cache-miss-stall. A
+   run with both translation thresholds out of reach interprets every
+   instruction and makes every cache access, so the L1D's own miss count
+   prices its cache-miss-stall exactly. *)
+let test_interp_tier () =
+  let module P = Gb_system.Processor in
+  let base = P.config_for Gb_core.Mitigation.Unsafe in
+  let config =
+    { base with
+      P.engine =
+        { base.P.engine with
+          Gb_dbt.Engine.first_pass_threshold = max_int;
+          hot_threshold = max_int } }
+  in
+  let gemm = List.hd Gb_workloads.Polybench.all in
+  let obs = Gb_obs.Sink.create ~attrib:true () in
+  let p =
+    P.create ~config ~obs
+      (Gb_kernelc.Compile.assemble gemm.Gb_workloads.Polybench.program)
+  in
+  let r = P.run p in
+  let a = Option.get (Gb_obs.Sink.attrib obs) in
+  let interp cause =
+    List.fold_left
+      (fun acc (row : At.row) ->
+        if row.At.r_tier = At.Interp && row.At.r_cause = cause then
+          acc + row.At.r_units
+        else acc)
+      0 (At.rows a)
+  in
+  Alcotest.(check int64) "every instruction interpreted"
+    r.Gb_system.Processor.guest_insns r.Gb_system.Processor.interp_insns;
+  Alcotest.(check bool) "interp-fallback >= one cycle per instruction" true
+    (interp At.Interp_fallback
+    >= Int64.to_int r.Gb_system.Processor.interp_insns * At.scale);
+  let s = Gb_cache.Cache.stats (Gb_cache.Hierarchy.cache (P.hierarchy p)) in
+  let misses = s.Gb_cache.Cache.read_misses + s.Gb_cache.Cache.write_misses in
+  Alcotest.(check bool) "the interpreter misses" true (misses > 0);
+  Alcotest.(check int) "cache-miss-stall = misses x miss penalty"
+    (misses * base.P.hier.Gb_cache.Hierarchy.miss_penalty * At.scale)
+    (interp At.Cache_miss_stall)
+
 let test_shares_and_json () =
   let asm = Lazy.force v1_asm in
   let _, a = run_attributed Gb_core.Mitigation.Fence_on_detect asm in
@@ -282,6 +325,8 @@ let () =
             test_v1_rollback_and_tiers;
           Alcotest.test_case "exit penalties by exit kind" `Quick
             test_exit_penalties;
+          Alcotest.test_case "interpreter tier: instructions and misses"
+            `Quick test_interp_tier;
           Alcotest.test_case "shares and JSON" `Quick test_shares_and_json;
         ] );
       ( "satellites",

@@ -138,8 +138,10 @@ let test_rule_dispatch () =
   check "alloc.minor_words_per_kinsn.interp" (B.Lower_better B.default_tol_alloc);
   check "alloc.minor_words_per_kinsn.pipeline.min-cut"
     (B.Lower_better B.default_tol_alloc);
+  check "cause_cycles.e2.min-cut.cut-protect" (B.Band B.default_tol_cycles);
   check "counter.trace.run" B.Info;
   check "faults.e10.injected" B.Info;
+  check "table.e1.spectre-v1.unsafe.rollbacks" B.Info;
   check "something.else" B.Info
 
 let test_identical_passes () =
@@ -183,6 +185,24 @@ let test_zero_cycle_cells () =
   let fn = B.compare ~baseline (mk [ ("cycles.zero", 0.); ("audit_fn.x", 1.) ]) in
   check_status "audit_fn 0 -> 1" B.Regressed fn "audit_fn.x";
   Alcotest.(check bool) "audit regression fails" false fn.B.passed
+
+(* a band is two-sided and relative: cycles moving to another cause
+   gate whichever way they move, and a cause appearing or vanishing
+   gates at any size *)
+let test_band () =
+  let cell = "cause_cycles.e2.unsafe.fence-stall" in
+  let judge base cur =
+    B.compare ~baseline:(mk [ (cell, base) ]) (mk [ (cell, cur) ])
+  in
+  check_status "+0.5%" B.Unchanged (judge 1000. 1005.) cell;
+  check_status "-0.5%" B.Unchanged (judge 1000. 995.) cell;
+  check_status "+1.5%" B.Regressed (judge 1000. 1015.) cell;
+  check_status "-1.5%" B.Regressed (judge 1000. 985.) cell;
+  check_status "0 -> 0" B.Unchanged (judge 0. 0.) cell;
+  check_status "0 -> x" B.Regressed (judge 0. 0.5) cell;
+  check_status "x -> 0" B.Regressed (judge 1000. 0.) cell;
+  Alcotest.(check bool) "a band regression fails" false
+    (judge 1000. 985.).B.passed
 
 let test_missing_cells () =
   let baseline = mk [ ("cycles.gemm", 100.) ] in
@@ -477,17 +497,19 @@ let in_repo path =
 
 let observability_md = in_repo "docs/OBSERVABILITY.md"
 
+let experiments_md = in_repo "EXPERIMENTS.md"
+
 let trajectory_dir = in_repo "bench/trajectory"
 
-(* The cells of each row of the markdown table under [heading], header
-   and separator rows dropped. *)
-let table_rows ~heading =
+(* The lines of the first markdown table under [heading] in [doc],
+   header and separator included. *)
+let table_lines ~doc ~heading =
   let lines =
-    In_channel.with_open_text observability_md In_channel.input_all
+    In_channel.with_open_text doc In_channel.input_all
     |> String.split_on_char '\n'
   in
   let rec after_heading = function
-    | [] -> Alcotest.failf "%s has no heading %S" observability_md heading
+    | [] -> Alcotest.failf "%s has no heading %S" doc heading
     | l :: rest -> if l = heading then rest else after_heading rest
   in
   let rec table acc = function
@@ -496,6 +518,11 @@ let table_rows ~heading =
     | _ :: _ when acc <> [] -> List.rev acc
     | _ :: rest -> table acc rest
   in
+  table [] (after_heading lines)
+
+(* The cells of each row of the markdown table under [heading] in [doc],
+   header and separator rows dropped. *)
+let table_rows ~doc ~heading =
   let cells row =
     let n = String.length row in
     let rec go start i acc =
@@ -506,9 +533,9 @@ let table_rows ~heading =
     in
     go 1 1 []
   in
-  match table [] (after_heading lines) with
+  match table_lines ~doc ~heading with
   | _header :: _separator :: rows -> List.map cells rows
-  | _ -> Alcotest.failf "no table under %S" heading
+  | _ -> Alcotest.failf "no table under %S in %s" heading doc
 
 (* every backticked span of a cell *)
 let backticked cell =
@@ -519,19 +546,22 @@ let backticked cell =
 (* The first-column names of the markdown table under [heading]: every
    backticked span of the first cell, one list per row. *)
 let table_names ~heading =
-  List.map (fun cells -> backticked (List.hd cells)) (table_rows ~heading)
+  List.map
+    (fun cells -> backticked (List.hd cells))
+    (table_rows ~doc:observability_md ~heading)
 
 let family name =
   match String.index_opt name '.' with
   | Some i -> String.sub name 0 i
   | None -> name
 
+let newest_manifest () =
+  match B.load_dir trajectory_dir with
+  | Error e -> Alcotest.failf "trajectory: %s" e
+  | Ok ms -> Option.get (B.select ms)
+
 let test_gate_rules_table () =
-  let newest =
-    match B.load_dir trajectory_dir with
-    | Error e -> Alcotest.failf "trajectory: %s" e
-    | Ok ms -> Option.get (B.select ms)
-  in
+  let newest = newest_manifest () in
   let families l = List.sort_uniq String.compare (List.map family l) in
   let in_manifest =
     families
@@ -552,6 +582,19 @@ let test_gate_rules_table () =
         (Printf.sprintf "gate-rule row %s occurs in BENCH_%04d" f newest.M.seq)
         true (List.mem f in_manifest))
     documented
+
+(* EXPERIMENTS.md's E1-E7 tables are a rendering of the newest committed
+   manifest: each table under its heading equals, line for line, what
+   [Report.experiment_tables] renders from that manifest's cells *)
+let test_experiment_tables () =
+  let newest = newest_manifest () in
+  List.iter
+    (fun (heading, rendered) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s is BENCH_%04d's rendering" heading newest.M.seq)
+        rendered
+        (table_lines ~doc:experiments_md ~heading))
+    (Gb_perf.Report.experiment_tables newest)
 
 let test_cause_table () =
   let documented =
@@ -639,7 +682,7 @@ let test_metric_naming_table () =
         | prefix :: _ :: examples :: _ ->
           (backticked prefix, documented_metrics examples)
         | _ -> Alcotest.fail "metric-naming row has fewer than three cells")
-      (table_rows ~heading:"## Metric naming")
+      (table_rows ~doc:observability_md ~heading:"## Metric naming")
   in
   List.iter
     (fun (kind, name) ->
@@ -692,6 +735,7 @@ let () =
           Alcotest.test_case "tolerance boundaries" `Quick
             test_tolerance_boundary;
           Alcotest.test_case "zero-valued cells" `Quick test_zero_cycle_cells;
+          Alcotest.test_case "two-sided relative band" `Quick test_band;
           Alcotest.test_case "missing kernels" `Quick test_missing_cells;
           Alcotest.test_case "verdict flips" `Quick test_verdict_flip;
           Alcotest.test_case "informational cells never gate" `Quick
@@ -727,6 +771,8 @@ let () =
         [
           Alcotest.test_case "gate-rule table matches the newest manifest"
             `Quick test_gate_rules_table;
+          Alcotest.test_case "EXPERIMENTS.md tables render the newest manifest"
+            `Quick test_experiment_tables;
           Alcotest.test_case "cause table matches Attrib.all_causes" `Quick
             test_cause_table;
           Alcotest.test_case "metric-naming table covers an observed run"
