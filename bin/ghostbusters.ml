@@ -1278,14 +1278,10 @@ let perf_report_cmd =
               current.Gb_perf.Manifest.schema_version
               (List.length current.Gb_perf.Manifest.metrics)
               (List.length current.Gb_perf.Manifest.verdicts);
-            let failed =
-              List.filter
-                (fun (_, ok) -> not ok)
-                current.Gb_perf.Manifest.verdicts
-            in
+            let failed = Gb_perf.Manifest.failed_verdicts current in
             if failed <> [] then begin
               Printf.printf "failed verdicts:\n";
-              List.iter (fun (name, _) -> Printf.printf "  %s\n" name) failed
+              List.iter (Printf.printf "  %s\n") failed
             end;
             print_newline ();
             print_string (Gb_perf.Report.experiments_markdown current)

@@ -79,6 +79,17 @@ let metric t name = List.assoc_opt name t.metrics
 
 let verdict t name = List.assoc_opt name t.verdicts
 
+let expected_verdict name =
+  match String.split_on_char '.' name with
+  | "e1" :: _ :: mode :: _ when String.ends_with ~suffix:".leaked" name ->
+    mode = "unsafe"
+  | _ -> true
+
+let failed_verdicts t =
+  List.filter_map
+    (fun (name, ok) -> if ok <> expected_verdict name then Some name else None)
+    t.verdicts
+
 let to_json t =
   let module J = Gb_util.Json in
   J.Obj

@@ -88,6 +88,13 @@ val metric : t -> string -> float option
 
 val verdict : t -> string -> bool option
 
+val failed_verdicts : t -> string list
+(** The verdicts that do not read what a healthy manifest reads, in name
+    order: [e1.<variant>.<mode>.leaked] must be true exactly when [mode]
+    is [unsafe] (both PoCs leak on the unprotected core and nowhere
+    else), and every other verdict must be true. CI's "Gate verdicts"
+    step applies the same rule. *)
+
 val to_json : t -> Gb_util.Json.t
 
 val of_json : Gb_util.Json.t -> (t, string) result

@@ -32,8 +32,12 @@ type t = {
   mutable pc : int;
   mutable insn_count : int64;
   output : Buffer.t;  (** bytes written by the write ecall *)
-  decode_cache : centry array;
-      (** per-word decode cache (guest code is never self-modifying) *)
+  decode_cache : centry array array;
+      (** per-word decode cache (guest code is never self-modifying),
+          demand-paged: one 1024-slot array per 4 KiB of memory. Every
+          page starts as one array shared by all interpreters and never
+          written; the first fetch in a page allocates that page's
+          array. *)
   mutable rdcycle_hook : (int64 -> int64) option;
       (** when set, every [rdcycle] result is filtered through the hook
           (given the natural clock reading). The differential oracle
@@ -115,7 +119,8 @@ val width_bytes : Insn.width -> int
 
 val flush_decode_cache : t -> unit
 (** Invalidate every decode-cache entry (fault injection uses this to
-    force a full re-decode). *)
+    force a full re-decode): every page goes back to the shared
+    undecoded one, and the next fetch in a page allocates it again. *)
 
 val step : t -> step_info
 (** Execute one instruction, advancing pc and the clock. Raises {!Trap} /

@@ -1,10 +1,36 @@
-type t = { data : Bytes.t }
+(* Demand-paged guest memory: [size] bytes in 4 KiB pages. Every page of
+   a fresh memory is [zero_page], which all memories share and no store
+   ever writes; the first store into a page gives it a private zeroed
+   copy. A processor therefore allocates the pages its guest writes, not
+   its whole address space. *)
+
+let page_bits = 12
+
+let page_size = 1 lsl page_bits
+
+let page_mask = page_size - 1
+
+type t = {
+  size : int;
+  pages : Bytes.t array;
+  scratch : Bytes.t;
+      (* 8 bytes: an access that straddles two pages is gathered here
+         before a load and staged here before a store *)
+}
 
 exception Fault of int
 
-let create ~size = { data = Bytes.make size '\000' }
+let zero_page = Bytes.make page_size '\000'
 
-let size t = Bytes.length t.data
+let create ~size =
+  if size < 0 then invalid_arg "Mem.create: size";
+  {
+    size;
+    pages = Array.make ((size + page_mask) lsr page_bits) zero_page;
+    scratch = Bytes.create 8;
+  }
+
+let size t = t.size
 
 let check t addr n =
   (* overflow-proof form: [addr + n > len] wraps negative for
@@ -12,27 +38,80 @@ let check t addr n =
      and the unsafe accessors below run out of bounds. [n > len - addr]
      cannot overflow once [addr >= 0] is known ([n] is a small access
      size, [len - addr <= len]). *)
-  if addr < 0 || n > Bytes.length t.data - addr then raise (Fault addr)
+  if addr < 0 || n > t.size - addr then raise (Fault addr)
+
+(* The accessors below index a page only for an access of at least one
+   byte that passed [check], so [addr lsr page_bits] is a valid index. *)
+let[@inline] page t addr = Array.unsafe_get t.pages (addr lsr page_bits)
+
+let own_page t addr =
+  let p = Bytes.make page_size '\000' in
+  Array.unsafe_set t.pages (addr lsr page_bits) p;
+  p
+
+(* The page a store at [addr] writes: a page still shared with
+   [zero_page] is replaced by a private one first. *)
+let[@inline] wpage t addr =
+  let p = page t addr in
+  if p != zero_page then p else own_page t addr
+
+(* whether [n] bytes at [addr] run past the end of [addr]'s page *)
+let[@inline] straddles addr n = addr land page_mask > page_size - n
+
+(* The cold paths of an access that straddles two pages ([n] <= 8),
+   byte by byte: [gather] copies the bytes into [t.scratch], [scatter]
+   copies [t.scratch] out to them. *)
+let gather t addr n =
+  for i = 0 to n - 1 do
+    let a = addr + i in
+    Bytes.unsafe_set t.scratch i
+      (Bytes.unsafe_get (page t a) (a land page_mask))
+  done
+
+let scatter t addr n =
+  for i = 0 to n - 1 do
+    let a = addr + i in
+    Bytes.unsafe_set (wpage t a) (a land page_mask)
+      (Bytes.unsafe_get t.scratch i)
+  done
 
 (* None of the accessors below allocates except {!load}, the cold
-   value-returning form. The hot paths of both execution tiers use
-   {!load_int}/{!store_int} for sub-word accesses (native ints), and the
-   inlined {!load64}/{!store64} for doublewords, whose [int64] goes
-   straight between the register file and [Bytes] without a box. *)
+   value-returning form, and a store's first write into a page. The hot
+   paths of both execution tiers use {!load_int}/{!store_int} for
+   sub-word accesses (native ints), and the inlined {!load64}/{!store64}
+   for doublewords, whose [int64] goes straight between the register
+   file and a page without a box: [load64] picks the page and the offset
+   in two separate [if]s and reads once, because an [int64] joined
+   across the arms of an [if] would be boxed. *)
+
+let load_int_straddling t addr size =
+  if size <> 2 && size <> 4 then invalid_arg "Mem.load_int: size";
+  gather t addr size;
+  let lo = Bytes.get_uint16_le t.scratch 0 in
+  if size = 2 then lo else lo lor (Bytes.get_uint16_le t.scratch 2 lsl 16)
 
 let load_int t ~addr ~size =
   check t addr size;
-  match size with
-  | 1 -> Char.code (Bytes.unsafe_get t.data addr)
-  | 2 -> Bytes.get_uint16_le t.data addr
-  | 4 ->
-    Bytes.get_uint16_le t.data addr
-    lor (Bytes.get_uint16_le t.data (addr + 2) lsl 16)
-  | _ -> invalid_arg "Mem.load_int: size"
+  if straddles addr size then load_int_straddling t addr size
+  else
+    (* the page is read inside the arms: a size the match rejects may
+       have passed [check] at an address past the last page *)
+    let off = addr land page_mask in
+    match size with
+    | 1 -> Char.code (Bytes.unsafe_get (page t addr) off)
+    | 2 -> Bytes.get_uint16_le (page t addr) off
+    | 4 ->
+      let p = page t addr in
+      Bytes.get_uint16_le p off lor (Bytes.get_uint16_le p (off + 2) lsl 16)
+    | _ -> invalid_arg "Mem.load_int: size"
 
 let[@inline] load64 t ~addr =
   check t addr 8;
-  Bytes.get_int64_le t.data addr
+  let s = straddles addr 8 in
+  if s then gather t addr 8;
+  Bytes.get_int64_le
+    (if s then t.scratch else page t addr)
+    (if s then 0 else addr land page_mask)
 
 let load t ~addr ~size =
   match size with
@@ -40,19 +119,33 @@ let load t ~addr ~size =
   | 8 -> load64 t ~addr
   | _ -> invalid_arg "Mem.load: size"
 
+let store_int_straddling t addr size v =
+  if size <> 2 && size <> 4 then invalid_arg "Mem.store_int: size";
+  Bytes.set_uint16_le t.scratch 0 (v land 0xffff);
+  Bytes.set_uint16_le t.scratch 2 ((v lsr 16) land 0xffff);
+  scatter t addr size
+
 let store_int t ~addr ~size v =
   check t addr size;
-  match size with
-  | 1 -> Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xff))
-  | 2 -> Bytes.set_uint16_le t.data addr (v land 0xffff)
-  | 4 ->
-    Bytes.set_uint16_le t.data addr (v land 0xffff);
-    Bytes.set_uint16_le t.data (addr + 2) ((v lsr 16) land 0xffff)
-  | _ -> invalid_arg "Mem.store_int: size"
+  if straddles addr size then store_int_straddling t addr size v
+  else
+    let off = addr land page_mask in
+    match size with
+    | 1 -> Bytes.unsafe_set (wpage t addr) off (Char.unsafe_chr (v land 0xff))
+    | 2 -> Bytes.set_uint16_le (wpage t addr) off (v land 0xffff)
+    | 4 ->
+      let p = wpage t addr in
+      Bytes.set_uint16_le p off (v land 0xffff);
+      Bytes.set_uint16_le p (off + 2) ((v lsr 16) land 0xffff)
+    | _ -> invalid_arg "Mem.store_int: size"
 
 let[@inline] store64 t ~addr v =
   check t addr 8;
-  Bytes.set_int64_le t.data addr v
+  if straddles addr 8 then begin
+    Bytes.set_int64_le t.scratch 0 v;
+    scatter t addr 8
+  end
+  else Bytes.set_int64_le (wpage t addr) (addr land page_mask) v
 
 let store t ~addr ~size v =
   match size with
@@ -61,14 +154,42 @@ let store t ~addr ~size v =
 
 let load_insn_word t ~addr =
   check t addr 4;
-  Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFFFFFF
+  if straddles addr 4 then load_int_straddling t addr 4
+  else
+    Int32.to_int (Bytes.get_int32_le (page t addr) (addr land page_mask))
+    land 0xFFFFFFFF
+
+(* [f pos a off n] for each run of the [len] bytes at [addr] that lies in
+   one page: [n] bytes from address [a], at offset [off] of its page and
+   at [pos] from [addr] *)
+let iter_chunks ~addr ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a land page_mask in
+    let n = Int.min (len - !pos) (page_size - off) in
+    f !pos a off n;
+    pos := !pos + n
+  done
 
 let blit_bytes t ~addr b =
-  check t addr (Bytes.length b);
-  Bytes.blit b 0 t.data addr (Bytes.length b)
+  let len = Bytes.length b in
+  check t addr len;
+  iter_chunks ~addr ~len (fun pos a off n ->
+      Bytes.blit b pos (wpage t a) off n)
 
 let read_bytes t ~addr ~len =
   check t addr len;
-  Bytes.sub t.data addr len
+  if len < 0 then invalid_arg "Mem.read_bytes: len";
+  let b = Bytes.create len in
+  iter_chunks ~addr ~len (fun pos a off n ->
+      Bytes.blit (page t a) off b pos n);
+  b
 
-let copy t = { data = Bytes.copy t.data }
+let copy t =
+  {
+    size = t.size;
+    pages =
+      Array.map (fun p -> if p == zero_page then p else Bytes.copy p) t.pages;
+    scratch = Bytes.create 8;
+  }

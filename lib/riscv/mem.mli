@@ -1,4 +1,9 @@
-(** Flat byte-addressable little-endian guest memory. *)
+(** Byte-addressable little-endian guest memory, demand-paged in 4 KiB
+    pages. Every page of a fresh memory is one zero page that all
+    memories share and no store writes; the first store into a page
+    gives it a private zeroed copy. Loads read whatever page is there,
+    so a memory allocates only the pages its guest writes. An access
+    that straddles two pages behaves exactly as one within a page. *)
 
 type t
 
@@ -6,7 +11,9 @@ exception Fault of int
 (** Raised on an out-of-range access; carries the faulting address. *)
 
 val create : size:int -> t
-(** Zero-initialised memory of [size] bytes. *)
+(** Zero-initialised memory of [size] bytes. It allocates only a table
+    of [size / 4096] (rounded up) page pointers, all to the shared zero
+    page: [size] bounds the address space, not what the memory costs. *)
 
 val size : t -> int
 
@@ -37,9 +44,11 @@ val load_insn_word : t -> addr:int -> int
 (** 32-bit instruction fetch. *)
 
 val blit_bytes : t -> addr:int -> bytes -> unit
-(** Copy raw bytes into memory at [addr]. *)
+(** Copy raw bytes into memory at [addr], a page at a time. *)
 
 val read_bytes : t -> addr:int -> len:int -> bytes
 
 val copy : t -> t
-(** Deep copy (used by differential tests). *)
+(** Deep copy (used by differential tests): the copy has its own copy of
+    every written page and shares the zero page, so stores on either
+    side stay private. *)

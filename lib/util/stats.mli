@@ -1,4 +1,5 @@
-(** Small numeric summaries used by the benchmark harness. *)
+(** Small numeric summaries: the slowdown geomeans of the experiments,
+    the metric percentiles and bench/host's job-time statistics. *)
 
 val mean : float list -> float
 (** Arithmetic mean; 0. on the empty list. *)

@@ -1,4 +1,5 @@
-(** ASCII table rendering for the benchmark harness output. *)
+(** ASCII table rendering for the CLI's tables and [perf report]'s
+    comparison. *)
 
 val render : header:string list -> rows:string list list -> string
 (** Render a left-aligned first column, right-aligned remaining columns,

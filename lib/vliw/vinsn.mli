@@ -59,8 +59,9 @@ type op =
 
 type bundle = op array
 
-(** Per-translation countermeasure / speculation statistics, surfaced by the
-    benchmark harness (experiment E3). *)
+(** Per-translation countermeasure / speculation statistics: the engine
+    folds them into its statistics and events at install, and a run's
+    report shows them per region. *)
 type meta = {
   spec_loads : int;  (** loads translated as MCB-speculative *)
   branch_spec_loads : int;  (** loads free to hoist above a branch *)

@@ -18,8 +18,8 @@ module Allocs = Gb_obs.Allocs
 
 let h n = Gb_vliw.Vinsn.guest_regs + n
 
-let make_machine () =
-  let mem = Mem.create ~size:4096 in
+let make_machine ?(mem_size = 4096) () =
+  let mem = Mem.create ~size:mem_size in
   let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
   let clock = ref 0L in
   (Gb_vliw.Machine.create ~mem ~hier ~clock (), mem)
@@ -127,6 +127,27 @@ let micro_bounds () =
   check_budget "store x9" (measure_runs m t_store 500);
   check_budget "every op form" (measure_runs m t_every 500)
 
+(* Loads and stores of every width that straddle a page boundary go
+   through [Mem]'s scratch buffer byte by byte, and allocate nothing
+   once the store has given both pages their private copies (the
+   warm-up run). r1 = 0x1ffc puts the doubleword at offset 0, the word
+   at 2 and the halfword at 3 across the edge at 0x2000. *)
+let straddle_bound () =
+  let m, _ = make_machine ~mem_size:0x4000 () in
+  Gb_riscv.Regfile.set m.Gb_vliw.Machine.regs 1 0x1ffcL;
+  Gb_riscv.Regfile.set m.Gb_vliw.Machine.regs 2 0x0102_0304_0506_0708L;
+  let module I = Gb_riscv.Insn in
+  let st w off =
+    Store { w; src = R 2; base = R 1; off; id = 1; pc = 4 }
+  in
+  let t =
+    trace
+      [ [ st I.D 0 ]; [ load (h 0) 0; load ~w:I.W (h 1) 2 ];
+        [ load ~w:I.H ~unsigned:true (h 2) 3 ]; [ st I.W 2; st I.H 3 ];
+        [ Exit { stub = 0 } ] ]
+  in
+  check_budget "straddling loads and stores" (measure_runs m t 500)
+
 (* --- qcheck: random traces stay within the per-run constant ----------- *)
 
 (* One bundle slot: the dst register is keyed to the slot so a bundle
@@ -224,22 +245,49 @@ let interp_loop =
        Asm.Align 8; Asm.Label "n"; Asm.Dword [ 0L ]; Asm.Label "buf";
        Asm.Space 16 ])
 
-let interp_loop_words n =
+(* The same discipline for accesses that straddle a page boundary: every
+   width loaded and stored across the edge at 0x3000. The first
+   iteration's stores give both pages their private copies. *)
+let straddle_loop =
+  let open Gb_riscv in
+  let open Insn in
+  Asm.assemble
+    ([ Asm.La (Reg.s0, "n"); Asm.Insn (Load (D, false, Reg.t0, Reg.s0, 0));
+       Asm.Li (Reg.s1, 0x2ffcL); Asm.Li (Reg.t1, 0x12345678L);
+       Asm.Label "loop";
+       Asm.Insn (Store (D, Reg.t1, Reg.s1, 0));
+       Asm.Insn (Store (W, Reg.t1, Reg.s1, 2));
+       Asm.Insn (Store (H, Reg.t1, Reg.s1, 3));
+       Asm.Insn (Load (D, false, Reg.a1, Reg.s1, 0));
+       Asm.Insn (Load (W, false, Reg.a2, Reg.s1, 2));
+       Asm.Insn (Load (W, true, Reg.a3, Reg.s1, 1));
+       Asm.Insn (Load (H, false, Reg.a4, Reg.s1, 3));
+       Asm.Insn (Load (H, true, Reg.a5, Reg.s1, 3));
+       Asm.Insn (Op_imm (ADDI, Reg.t1, Reg.t1, 1));
+       Asm.Insn (Op_imm (ADDI, Reg.t0, Reg.t0, -1));
+       Asm.Branch_to (BNE, Reg.t0, Reg.zero, "loop");
+       Asm.Li (Reg.a0, 0L); Asm.Li (Reg.a7, 93L); Asm.Insn Ecall;
+       Asm.Align 8; Asm.Label "n"; Asm.Dword [ 0L ] ])
+
+let interp_loop_words program n =
   let mem = Mem.create ~size:(1 lsl 16) in
-  Gb_riscv.Asm.load mem interp_loop;
-  Mem.store64 mem ~addr:(Gb_riscv.Asm.symbol interp_loop "n") (Int64.of_int n);
-  let i = Interp.create ~mem ~pc:interp_loop.Gb_riscv.Asm.entry () in
+  Gb_riscv.Asm.load mem program;
+  Mem.store64 mem ~addr:(Gb_riscv.Asm.symbol program "n") (Int64.of_int n);
+  let i = Interp.create ~mem ~pc:program.Gb_riscv.Asm.entry () in
   let a = Allocs.create () in
   Allocs.start a;
   let (_ : int) = Interp.run i in
   (Allocs.stop a, i.Interp.insn_count)
 
 let interp_steady_state () =
-  let w1, n1 = interp_loop_words 1_000 in
-  let w2, n2 = interp_loop_words 3_000 in
-  if w2 <> w1 then
-    Alcotest.failf "interpreter: %.0f words for %Ld more instructions"
-      (w2 -. w1) (Int64.sub n2 n1)
+  List.iter
+    (fun (name, program) ->
+      let w1, n1 = interp_loop_words program 1_000 in
+      let w2, n2 = interp_loop_words program 3_000 in
+      if w2 <> w1 then
+        Alcotest.failf "interpreter, %s: %.0f words for %Ld more instructions"
+          name (w2 -. w1) (Int64.sub n2 n1))
+    [ ("every class", interp_loop); ("straddling accesses", straddle_loop) ]
 
 (* 101.1 words/kinsn (the measured floor, +5%); 155.9 with trace
    chaining, and 216.4 on that tree dispatching every exit (a boxed
@@ -269,6 +317,24 @@ let pipeline_bound () =
           (Gb_core.Mitigation.mode_name mode)
           per_kinsn)
     [ Gb_core.Mitigation.Fence_on_detect; Gb_core.Mitigation.Min_cut ]
+
+(* Bytes a gemm processor allocates at creation, on the minor and the
+   major heap, each reading taken after a minor collection so that
+   [Gc.allocated_bytes] counts every word. Memory and the interpreter's
+   decode cache are demand-paged, so creation allocates the pages the
+   program image is loaded into and two 256-entry page tables: 47 KiB
+   measured, 3,103 KiB with a flat 1 MiB memory and a flat 2 MiB decode
+   cache. *)
+let create_bound () =
+  let program = gemm_program () in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let p = Pinned.processor Gb_core.Mitigation.Fine_grained program in
+  Gc.minor ();
+  let kib = (Gc.allocated_bytes () -. before) /. 1024. in
+  ignore (Sys.opaque_identity p);
+  if kib > 64. then
+    Alcotest.failf "Processor.create allocates %.1f KiB on gemm (budget 64)" kib
 
 (* --- translation ---------------------------------------------------------- *)
 
@@ -588,6 +654,8 @@ let () =
             decode_bound;
           Alcotest.test_case "reinstall of a gemm trace and block" `Quick
             reinstall_bound;
+          Alcotest.test_case "straddling accesses" `Quick straddle_bound;
+          Alcotest.test_case "processor creation on gemm" `Quick create_bound;
         ] );
       ( "allocs",
         [ Alcotest.test_case "exclusion windows" `Quick allocs_windows ] );

@@ -560,6 +560,37 @@ let newest_manifest () =
   | Error e -> Alcotest.failf "trajectory: %s" e
   | Ok ms -> Option.get (B.select ms)
 
+(* [perf report] lists a verdict as failed only when it differs from
+   what a healthy manifest reads: the e1 leak verdicts of the mitigated
+   modes are false in every committed manifest, and so are not failures.
+   Flipping any one verdict of BENCH_0009, true or false, e1 or not,
+   makes exactly that verdict fail. *)
+let test_failed_verdicts () =
+  let m =
+    match M.read (Filename.concat trajectory_dir "BENCH_0009.json") with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "BENCH_0009: %s" e
+  in
+  Alcotest.(check (list string)) "BENCH_0009 fails no verdict" []
+    (M.failed_verdicts m);
+  Alcotest.(check bool) "BENCH_0009 has false e1 leak verdicts" true
+    (List.exists (fun (_, ok) -> not ok) m.M.verdicts);
+  List.iter
+    (fun name ->
+      let flipped =
+        { m with
+          M.verdicts =
+            List.map
+              (fun (n, ok) -> (n, if n = name then not ok else ok))
+              m.M.verdicts }
+      in
+      Alcotest.(check (list string))
+        (name ^ " flipped is the one failed verdict")
+        [ name ]
+        (M.failed_verdicts flipped))
+    [ "e1.spectre-v1.unsafe.leaked"; "e1.spectre-v4.min-cut.leaked";
+      "e10.passed" ]
+
 let test_gate_rules_table () =
   let newest = newest_manifest () in
   let families l = List.sort_uniq String.compare (List.map family l) in
@@ -726,6 +757,8 @@ let () =
             test_missing_field_rejected;
           Alcotest.test_case "trajectory filenames" `Quick test_filename;
           Alcotest.test_case "file round trip" `Quick test_file_round_trip;
+          Alcotest.test_case "perf report fails only unexpected verdicts"
+            `Quick test_failed_verdicts;
         ] );
       ( "compare",
         [

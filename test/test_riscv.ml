@@ -397,6 +397,262 @@ let x0_hardwired () =
   Alcotest.(check int64) "slot 0 never written" 0L
     (Regfile.get interp.Interp.regs Reg.zero)
 
+(* --- paged memory ---------------------------------------------------------- *)
+
+(* The accessors the model test drives, on [Gb_riscv.Mem] and on the
+   flat model. *)
+module type MEM = sig
+  type t
+
+  val load : t -> addr:int -> size:int -> int64
+  val load_int : t -> addr:int -> size:int -> int
+  val load64 : t -> addr:int -> int64
+  val store : t -> addr:int -> size:int -> int64 -> unit
+  val store_int : t -> addr:int -> size:int -> int -> unit
+  val store64 : t -> addr:int -> int64 -> unit
+  val load_insn_word : t -> addr:int -> int
+  val blit_bytes : t -> addr:int -> bytes -> unit
+  val read_bytes : t -> addr:int -> len:int -> bytes
+end
+
+(* What [Mem] must agree with: one flat [Bytes] of the whole size, with
+   [Mem]'s bound check, argument checks and their order. *)
+module Flat = struct
+  type t = Bytes.t
+
+  let check t addr n =
+    if addr < 0 || n > Bytes.length t - addr then
+      raise (Gb_riscv.Mem.Fault addr)
+
+  let load_int t ~addr ~size =
+    check t addr size;
+    match size with
+    | 1 -> Bytes.get_uint8 t addr
+    | 2 -> Bytes.get_uint16_le t addr
+    | 4 -> Int32.to_int (Bytes.get_int32_le t addr) land 0xFFFF_FFFF
+    | _ -> invalid_arg "Flat.load_int"
+
+  let load64 t ~addr =
+    check t addr 8;
+    Bytes.get_int64_le t addr
+
+  let load t ~addr ~size =
+    match size with
+    | 1 | 2 | 4 -> Int64.of_int (load_int t ~addr ~size)
+    | 8 -> load64 t ~addr
+    | _ -> invalid_arg "Flat.load"
+
+  let store_int t ~addr ~size v =
+    check t addr size;
+    match size with
+    | 1 -> Bytes.set_uint8 t addr (v land 0xff)
+    | 2 -> Bytes.set_uint16_le t addr (v land 0xffff)
+    | 4 -> Bytes.set_int32_le t addr (Int32.of_int v)
+    | _ -> invalid_arg "Flat.store_int"
+
+  let store64 t ~addr v =
+    check t addr 8;
+    Bytes.set_int64_le t addr v
+
+  let store t ~addr ~size v =
+    match size with
+    | 8 -> store64 t ~addr v
+    | _ -> store_int t ~addr ~size (Int64.to_int v)
+
+  let load_insn_word t ~addr = load_int t ~addr ~size:4
+
+  let blit_bytes t ~addr b =
+    check t addr (Bytes.length b);
+    Bytes.blit b 0 t addr (Bytes.length b)
+
+  let read_bytes t ~addr ~len =
+    check t addr len;
+    Bytes.sub t addr len
+end
+
+type mem_op =
+  | Load of int * int
+  | Load_int of int * int
+  | Load64 of int
+  | Store of int * int * int64
+  | Store_int of int * int * int
+  | Store64 of int * int64
+  | Insn_word of int
+  | Blit of int * string
+  | Read of int * int
+
+let show_op = function
+  | Load (a, n) -> Printf.sprintf "load %d %d" a n
+  | Load_int (a, n) -> Printf.sprintf "load_int %d %d" a n
+  | Load64 a -> Printf.sprintf "load64 %d" a
+  | Store (a, n, v) -> Printf.sprintf "store %d %d %Ld" a n v
+  | Store_int (a, n, v) -> Printf.sprintf "store_int %d %d %d" a n v
+  | Store64 (a, v) -> Printf.sprintf "store64 %d %Ld" a v
+  | Insn_word a -> Printf.sprintf "load_insn_word %d" a
+  | Blit (a, b) -> Printf.sprintf "blit_bytes %d (%d bytes)" a (String.length b)
+  | Read (a, n) -> Printf.sprintf "read_bytes %d %d" a n
+
+(* what an operation returned or raised; every [Invalid_argument] is
+   one outcome, whatever its message *)
+type outcome = Value of string | Fault of int | Invalid
+
+let show_outcome = function
+  | Value v -> "value " ^ String.escaped v
+  | Fault a -> Printf.sprintf "Fault %d" a
+  | Invalid -> "Invalid_argument"
+
+let apply (type m) (module M : MEM with type t = m) (mem : m) op =
+  match
+    match op with
+    | Load (addr, size) -> Int64.to_string (M.load mem ~addr ~size)
+    | Load_int (addr, size) -> string_of_int (M.load_int mem ~addr ~size)
+    | Load64 addr -> Int64.to_string (M.load64 mem ~addr)
+    | Store (addr, size, v) -> M.store mem ~addr ~size v; ""
+    | Store_int (addr, size, v) -> M.store_int mem ~addr ~size v; ""
+    | Store64 (addr, v) -> M.store64 mem ~addr v; ""
+    | Insn_word addr -> string_of_int (M.load_insn_word mem ~addr)
+    | Blit (addr, b) -> M.blit_bytes mem ~addr (Bytes.of_string b); ""
+    | Read (addr, len) -> Bytes.to_string (M.read_bytes mem ~addr ~len)
+  with
+  | v -> Value v
+  | exception Gb_riscv.Mem.Fault a -> Fault a
+  | exception Invalid_argument _ -> Invalid
+
+(* Memory sizes with a partial last page among them, and addresses
+   biased towards the boundaries: within 7 bytes of a page edge, 0, the
+   last 8 bytes and the end, negative, and [max_int]. *)
+let gen_mem_case =
+  let open QCheck.Gen in
+  let* size = oneofl [ 0; 8; 4095; 4096; 4097; 3 * 4096; (3 * 4096) + 1234 ] in
+  let edge =
+    map2 (fun k d -> (4096 * k) + d) (int_range 0 4) (int_range (-7) 7)
+  in
+  let addr =
+    frequency
+      [ (4, edge); (2, int_range 0 (size + 8)); (1, return 0);
+        (2, map (fun d -> size - d) (int_range 0 8));
+        (1, int_range (-16) (-1));
+        (1, oneofl [ max_int; max_int - 3; min_int ]) ]
+  in
+  let width =
+    frequency [ (8, oneofl [ 1; 2; 4; 8 ]); (1, oneofl [ -1; 0; 3; 16 ]) ]
+  in
+  let blit_len = frequency [ (3, int_range 0 16); (2, int_range 0 9000) ] in
+  let len = frequency [ (5, blit_len); (1, int_range (-3) (-1)) ] in
+  let op =
+    frequency
+      [ (3, map2 (fun a n -> Load (a, n)) addr width);
+        (3, map2 (fun a n -> Load_int (a, n)) addr width);
+        (3, map (fun a -> Load64 a) addr);
+        (3, map3 (fun a n v -> Store (a, n, v)) addr width ui64);
+        (3, map3 (fun a n v -> Store_int (a, n, v)) addr width int);
+        (3, map2 (fun a v -> Store64 (a, v)) addr ui64);
+        (2, map (fun a -> Insn_word a) addr);
+        (1, map2 (fun a s -> Blit (a, s)) addr (string_size ~gen:char blit_len));
+        (2, map2 (fun a n -> Read (a, n)) addr len) ]
+  in
+  pair (return size) (list_size (int_range 1 60) op)
+
+let mem_model_prop =
+  QCheck.Test.make ~count:400 ~name:"paged memory = flat model"
+    (QCheck.make
+       ~print:(fun (size, ops) ->
+         Printf.sprintf "size %d: %s" size
+           (String.concat "; " (List.map show_op ops)))
+       gen_mem_case)
+    (fun (size, ops) ->
+      let paged = Gb_riscv.Mem.create ~size and flat = Bytes.make size '\000' in
+      List.iter
+        (fun op ->
+          let got = apply (module Gb_riscv.Mem) paged op
+          and want = apply (module Flat) flat op in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: %s, model %s" (show_op op)
+              (show_outcome got) (show_outcome want))
+        ops;
+      Bytes.equal (Gb_riscv.Mem.read_bytes paged ~addr:0 ~len:size) flat)
+
+(* addresses at the start, in the middle, at the end and across the
+   edge of a page, each written with a different width *)
+let isolation_writes =
+  [ (0, 1); (0x1ffc, 4); (0x2ffe, 2); (0x3ffc, 8); (0x5000, 8); (0x4fff, 1) ]
+
+let write_all mem v =
+  List.iter
+    (fun (addr, size) -> Gb_riscv.Mem.store mem ~addr ~size v)
+    isolation_writes
+
+(* each address reads the low [size] bytes of [v], zero-extended *)
+let check_all what mem v =
+  List.iter
+    (fun (addr, size) ->
+      let unused = 64 - (8 * size) in
+      Alcotest.(check int64)
+        (Printf.sprintf "%s at 0x%x" what addr)
+        (Int64.shift_right_logical (Int64.shift_left v unused) unused)
+        (Gb_riscv.Mem.load mem ~addr ~size))
+    isolation_writes
+
+(* No memory sees another's stores: the page every fresh memory starts
+   with is shared and must stay zero. *)
+let fresh_memory_is_zero () =
+  let size = 0x8000 in
+  let a = Gb_riscv.Mem.create ~size in
+  write_all a 0x0102_0304_0506_0708L;
+  let b = Gb_riscv.Mem.create ~size in
+  check_all "fresh memory" b 0L;
+  Alcotest.(check bool) "fresh memory reads all zero" true
+    (Bytes.equal (Gb_riscv.Mem.read_bytes b ~addr:0 ~len:size)
+       (Bytes.make size '\000'));
+  check_all "written memory" a 0x0102_0304_0506_0708L
+
+(* After [copy], neither side sees the other's stores: on pages the
+   original had written before the copy, and on pages still zero then. *)
+let copy_is_private () =
+  let size = 0x8000 in
+  let a = Gb_riscv.Mem.create ~size in
+  Gb_riscv.Mem.store64 a ~addr:0x2000 0x1111L;
+  let b = Gb_riscv.Mem.copy a in
+  Alcotest.(check int64) "copy reads the original's page" 0x1111L
+    (Gb_riscv.Mem.load64 b ~addr:0x2000);
+  (* a private page at copy time *)
+  Gb_riscv.Mem.store64 a ~addr:0x2008 0x2222L;
+  Gb_riscv.Mem.store64 b ~addr:0x2010 0x3333L;
+  Alcotest.(check int64) "copy misses a later store to the original" 0L
+    (Gb_riscv.Mem.load64 b ~addr:0x2008);
+  Alcotest.(check int64) "original misses a store to the copy" 0L
+    (Gb_riscv.Mem.load64 a ~addr:0x2010);
+  (* pages that were still zero at copy time *)
+  write_all a 0x4444L;
+  check_all "copy after stores to the original" b 0L;
+  write_all b 0x5555L;
+  check_all "original after stores to the copy" a 0x4444L;
+  check_all "copy" b 0x5555L
+
+(* Decode caches are private too: two interpreters whose memories hold
+   different words at the same pc each run their own word, before and
+   after a flush of the first one's cache. *)
+let decode_cache_is_private () =
+  let open Gb_riscv in
+  let program k =
+    Asm.assemble
+      [ Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.a0, Reg.zero, k));
+        Asm.Li (Reg.a7, 93L); Asm.Insn Insn.Ecall ]
+  in
+  let interp k =
+    let p = program k in
+    let mem = Mem.create ~size:(1 lsl 16) in
+    Asm.load mem p;
+    Interp.create ~mem ~pc:p.Asm.entry ()
+  in
+  let a = interp 1 in
+  Alcotest.(check int) "first interpreter" 1 (Interp.run a);
+  Alcotest.(check int) "second interpreter, same pc" 2 (Interp.run (interp 2));
+  Interp.flush_decode_cache a;
+  a.Interp.pc <- (program 1).Asm.entry;
+  Alcotest.(check int) "first interpreter after a flush" 1 (Interp.run a);
+  Alcotest.(check int) "third interpreter, same pc" 3 (Interp.run (interp 3))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -429,6 +685,15 @@ let () =
           Alcotest.test_case "label addresses" `Quick label_addresses;
           Alcotest.test_case "errors" `Quick asm_errors;
           qt li_values_prop;
+        ] );
+      ( "mem",
+        [
+          qt mem_model_prop;
+          Alcotest.test_case "a fresh memory reads zero" `Quick
+            fresh_memory_is_zero;
+          Alcotest.test_case "copies are private" `Quick copy_is_private;
+          Alcotest.test_case "decode caches are private" `Quick
+            decode_cache_is_private;
         ] );
       ( "disasm",
         [
