@@ -17,14 +17,22 @@ type stats = {
   mutable evictions : int;
 }
 
-(* [Int.hash] is the generic table's own hash on an int, so buckets and
-   every [fold] order are the ones a generic table gives; a probe compares
-   keys as ints instead of calling [caml_compare] *)
-module Pc_tbl = Hashtbl.Make (Int)
+(* The entry {!find} and {!peek} return on a miss, shared by every
+   cache: never installed, never touched. *)
+let none =
+  { e_pc = -1; e_tier = Block; e_stamp = 0;
+    e_trace =
+      { Gb_vliw.Vinsn.entry_pc = -1; bundles = [||]; stubs = [||];
+        n_regs = Gb_vliw.Vinsn.guest_regs; guest_insns = 0;
+        meta = Gb_vliw.Vinsn.empty_meta; decoded = Gb_vliw.Vinsn.Undecoded } }
 
 type t = {
   cfg : config;
-  tbl : entry Pc_tbl.t;
+  text_lo : int;
+  slots : entry array;
+      (** the entry at the text word [text_lo + 4 * i] in slot [i], or
+          {!none} *)
+  mutable count : int;  (** installed entries *)
   mutable used : int;
   mutable lru_clock : int;
   stats : stats;
@@ -33,13 +41,17 @@ type t = {
   mutable on_insert : entry -> unit;
 }
 
-let create ?(obs = Gb_obs.Sink.noop) cfg =
+let create ?(obs = Gb_obs.Sink.noop) ~text_lo ~text_hi cfg =
   if not cfg.chain then
     invalid_arg
       "Code_cache.create: config.chain must be true (trace chaining was removed)";
+  if text_lo land 3 <> 0 || text_hi < text_lo then
+    invalid_arg "Code_cache.create: text range";
   {
     cfg;
-    tbl = Pc_tbl.create 128;
+    text_lo;
+    slots = Array.make ((text_hi - text_lo) lsr 2) none;
+    count = 0;
     used = 0;
     lru_clock = 0;
     stats = { hits = 0; misses = 0; evictions = 0 };
@@ -62,67 +74,58 @@ let touch t e =
   t.lru_clock <- t.lru_clock + 1;
   e.e_stamp <- t.lru_clock
 
-(* [find] runs per trace exit and [has_trace] per block entry: the only
-   allocation left is the returned [Some] itself ([Pc_tbl.find]'s
-   [Not_found] is a constant, so the miss path allocates nothing, and
-   [has_trace] allocates nothing at all). *)
-let peek t pc =
-  match Pc_tbl.find t.tbl pc with
-  | e -> Some e
-  | exception Not_found -> None
+(* [lsr] maps a pc below text to a huge slot *)
+let[@inline] slot t pc =
+  let i = (pc - t.text_lo) lsr 2 in
+  if pc land 3 = 0 && i < Array.length t.slots then i else -1
 
-let has_trace t pc =
-  match Pc_tbl.find t.tbl pc with
-  | e -> e.e_tier = Trace
-  | exception Not_found -> false
+(* [find] runs per trace exit and [peek] per block entry, and neither
+   allocates. *)
+let peek t pc =
+  let i = slot t pc in
+  if i < 0 then none else Array.unsafe_get t.slots i
 
 let find t pc =
-  let hit =
-    match Pc_tbl.find t.tbl pc with
-    | e ->
-      touch t e;
-      t.stats.hits <- t.stats.hits + 1;
-      Some e
-    | exception Not_found ->
-      t.stats.misses <- t.stats.misses + 1;
-      None
-  in
-  (if Gb_obs.Sink.is_active t.obs then
-     match hit with
-     | Some _ -> Gb_obs.Sink.incr t.obs "code_cache.hits"
-     | None -> Gb_obs.Sink.incr t.obs "code_cache.misses");
-  hit
+  let e = peek t pc in
+  let hit = e != none in
+  if hit then begin
+    touch t e;
+    t.stats.hits <- t.stats.hits + 1
+  end
+  else t.stats.misses <- t.stats.misses + 1;
+  if Gb_obs.Sink.is_active t.obs then
+    Gb_obs.Sink.incr t.obs
+      (if hit then "code_cache.hits" else "code_cache.misses");
+  e
 
 let gauges t =
   if Gb_obs.Sink.is_active t.obs then begin
     Gb_obs.Sink.set_gauge t.obs "code_cache.bundles" (float_of_int t.used);
     Gb_obs.Sink.set_gauge t.obs "code_cache.entries"
-      (float_of_int (Pc_tbl.length t.tbl))
+      (float_of_int t.count)
   end
 
 let remove t e =
-  Pc_tbl.remove t.tbl e.e_pc;
+  t.slots.(slot t e.e_pc) <- none;
+  t.count <- t.count - 1;
   t.used <- t.used - Gb_vliw.Vinsn.bundle_count e.e_trace
 
 let invalidate t pc =
-  match Pc_tbl.find_opt t.tbl pc with
-  | None -> ()
-  | Some e ->
+  let e = peek t pc in
+  if e != none then begin
     remove t e;
     gauges t
+  end
 
+(* the entry with the oldest stamp: stamps are unique *)
 let evict_lru t =
-  let victim =
-    Pc_tbl.fold
-      (fun _ e acc ->
-        match acc with
-        | Some v when v.e_stamp <= e.e_stamp -> acc
-        | _ -> Some e)
-      t.tbl None
+  let e =
+    Array.fold_left
+      (fun v e ->
+        if e != none && (v == none || e.e_stamp < v.e_stamp) then e else v)
+      none t.slots
   in
-  match victim with
-  | None -> ()
-  | Some e ->
+  if e != none then begin
     remove t e;
     t.stats.evictions <- t.stats.evictions + 1;
     if Gb_obs.Sink.is_active t.obs then begin
@@ -131,20 +134,23 @@ let evict_lru t =
         (Gb_obs.Event.Tier_transition { tier = "evicted" })
     end;
     t.on_evict ~pc:e.e_pc e.e_tier
+  end
 
 let insert t ~pc ~tier trace =
+  let i = slot t pc in
+  if i < 0 then invalid_arg "Code_cache.insert: pc outside text";
   (* same-pc replacement (tier promotion, retranslation) is not an
      eviction: no stat, no hook *)
-  (match Pc_tbl.find_opt t.tbl pc with
-  | Some old -> remove t old
-  | None -> ());
+  let old = t.slots.(i) in
+  if old != none then remove t old;
   let cost = Gb_vliw.Vinsn.bundle_count trace in
-  while t.used + cost > t.cfg.capacity && Pc_tbl.length t.tbl > 0 do
+  while t.used + cost > t.cfg.capacity && t.count > 0 do
     evict_lru t
   done;
   let e = { e_pc = pc; e_trace = trace; e_tier = tier; e_stamp = 0 } in
   touch t e;
-  Pc_tbl.replace t.tbl pc e;
+  t.slots.(i) <- e;
+  t.count <- t.count + 1;
   t.used <- t.used + cost;
   (* register the tier with the attribution ledger: it outlives eviction,
      so a trace still in flight keeps attributing to the tier it ran at *)
@@ -159,4 +165,6 @@ let insert t ~pc ~tier trace =
   t.on_insert e;
   e
 
-let entries t = Pc_tbl.fold (fun _ e acc -> e :: acc) t.tbl []
+let entries t =
+  Array.fold_right (fun e acc -> if e == none then acc else e :: acc) t.slots
+    []

@@ -4,10 +4,11 @@
     code out of a fixed-size region of host memory and evict
     translations under pressure. This module models that: both tiers of
     translation (first-pass {!Block}s and optimized {!Trace}s) live in
-    one table under a capacity budget counted in VLIW bundles, evicted
-    LRU. Every trace exit returns to the processor's dispatcher, which
-    looks the next pc up here; nothing links one translation to
-    another, so dropping an entry needs no patching of other code.
+    one array with a slot per text word under a capacity budget counted
+    in VLIW bundles, evicted LRU. Every trace exit returns to the
+    processor's dispatcher, which looks the next pc up here; nothing
+    links one translation to another, so dropping an entry needs no
+    patching of other code.
 
     A cache has one owner — the engine that installs into it, on the
     domain that runs the guest — and takes no lock. *)
@@ -47,11 +48,14 @@ type stats = {
 
 type t
 
-val create : ?obs:Gb_obs.Sink.t -> config -> t
-(** [obs] (default {!Gb_obs.Sink.noop}) receives the [code_cache.*]
-    counters ([hits], [misses], [evictions]), the
-    [code_cache.bundles]/[code_cache.entries] gauges and eviction
-    events. Raises [Invalid_argument] when [config.chain] is [false]. *)
+val create : ?obs:Gb_obs.Sink.t -> text_lo:int -> text_hi:int -> config -> t
+(** A cache for the code of the text segment [\[text_lo, text_hi)]:
+    only an aligned pc in it can hold an entry. [obs] (default
+    {!Gb_obs.Sink.noop}) receives the [code_cache.*] counters ([hits],
+    [misses], [evictions]), the [code_cache.bundles]/[code_cache.entries]
+    gauges and eviction events. Raises [Invalid_argument] when
+    [config.chain] is [false] or [text_lo] is misaligned or above
+    [text_hi]. *)
 
 val config : t -> config
 
@@ -69,22 +73,29 @@ val set_on_insert : t -> (entry -> unit) -> unit
     simulator sets it; the verifier's differential test collects every
     installed trace through it. *)
 
-val find : t -> int -> entry option
-(** Installed entry at a guest pc; counts a hit or miss and refreshes the
-    LRU stamp. *)
+val slot : t -> int -> int
+(** The slot of a guest pc: [(pc - text_lo) / 4] for an aligned pc in
+    text, -1 for any other. The engine keeps its per-pc state in the
+    same slots. *)
 
-val peek : t -> int -> entry option
+val none : entry
+(** The entry {!find} and {!peek} return at a pc with no translation,
+    shared by every cache (compare with [==]): a miss allocates
+    nothing. Never installed and never touched; its tier is {!Block}. *)
+
+val find : t -> int -> entry
+(** Installed entry at a guest pc, or {!none}; counts a hit or miss and
+    refreshes the LRU stamp of a hit. *)
+
+val peek : t -> int -> entry
 (** Like {!find} but touches neither statistics nor recency. *)
-
-val has_trace : t -> int -> bool
-(** Whether the entry at a guest pc is a {!Trace}: {!peek} without the
-    allocation, for the engine's per-block-entry promotion checks. *)
 
 val insert : t -> pc:int -> tier:tier -> Gb_vliw.Vinsn.trace -> entry
 (** Install a translation, evicting LRU entries until it fits. An
     existing entry at the same pc (tier promotion, retranslation) is
     replaced, but neither counted as an eviction nor reported to the
-    [on_evict] hook. *)
+    [on_evict] hook. Raises [Invalid_argument] for a pc outside text or
+    misaligned. *)
 
 val invalidate : t -> int -> unit
 (** Drop the entry at a pc. No-op when absent; never fires the
@@ -95,4 +106,4 @@ val invalidate : t -> int -> unit
 val used_bundles : t -> int
 
 val entries : t -> entry list
-(** All installed entries, unordered. *)
+(** All installed entries, in pc order. *)

@@ -74,11 +74,10 @@ type lowering = {
   l_verdict : Gb_verify.Verifier.report option;
 }
 
-(* The last first-pass block made at a pc, the same way: the words
-   {!First_pass.translate} fetched, which alone decide the block, the
-   decoded code, its terminal branch and the gate's verdict. *)
+(* The last first-pass block made at a pc: the decoded code, its
+   terminal branch and the gate's verdict. The block is a function of
+   text words, which never change, so it is reinstalled as is. *)
 type block = {
-  b_walk : Trace_builder.walk;
   b_trace : Gb_vliw.Vinsn.trace;
   b_branch_pc : int option;
   b_verdict : Gb_verify.Verifier.report option;
@@ -119,16 +118,23 @@ type pc_state = {
           installed here (see {!translate_first_pass}) *)
 }
 
-module Pc_tbl = Hashtbl.Make (Int)
+let fresh_state () =
+  { hot = 0; runs = 0; rollbacks = 0; side_exits = 0; rebuilds = 0;
+    taken = 0; total = 0; block_branch = None; trace_branches = [];
+    blacklisted = false; fp_blacklisted = false; despeculated = false;
+    lowered = None; block = None }
+
+(* The state of every pc nothing was recorded at yet, shared: {!state}
+   replaces it in a slot before anything is written. *)
+let no_state = fresh_state ()
 
 type t = {
   cfg : config;
   mem : Gb_riscv.Mem.t;
   cc : Code_cache.t;  (** the single owner of all translated code *)
-  pcs : pc_state Pc_tbl.t;
-  profile : int -> (int * int) option;  (** {!branch_profile} over [pcs] *)
-  walk_rec : Trace_builder.recorder;
-      (** scratch every trace build records its walk into *)
+  pcs : pc_state array;
+      (** the state of each text word, in its code-cache slot, or
+          [no_state]: no other pc is fetched, so none has state *)
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
@@ -150,12 +156,19 @@ type t = {
           tiers (see {!allocs}) *)
 }
 
+let[@inline] slot t pc = Code_cache.slot t.cc pc
+
+(* What is recorded at [pc]: [no_state] where nothing is. *)
+let peek t pc =
+  let i = slot t pc in
+  if i < 0 then no_state else t.pcs.(i)
+
 (* The branch profile the trace builder reads: [(taken, total)] of the
    branch at [pc], [None] before its first outcome. *)
-let profile_of pcs pc =
-  match Pc_tbl.find pcs pc with
+let branch_profile t pc =
+  match peek t pc with
   | { taken; total; _ } when total > 0 -> Some (taken, total)
-  | _ | (exception Not_found) -> None
+  | _ -> None
 
 let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
   if cfg.workers <> 0 then
@@ -164,14 +177,13 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
          "Engine.create: config.workers = %d; translation is synchronous \
           and the field must be 0"
          cfg.workers);
-  let pcs = Pc_tbl.create 256 in
+  let text_lo = Gb_riscv.Mem.text_lo mem
+  and text_hi = Gb_riscv.Mem.text_hi mem in
   let t = {
     cfg;
     mem;
-    cc = Code_cache.create ~obs cfg.cache;
-    pcs;
-    profile = profile_of pcs;
-    walk_rec = Trace_builder.recorder ();
+    cc = Code_cache.create ~obs ~text_lo ~text_hi cfg.cache;
+    pcs = Array.make ((text_hi - text_lo) lsr 2) no_state;
     stats =
       {
         retranslations = 0;
@@ -206,15 +218,15 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
      invalidation (retranslate / despec) does NOT come through here;
      those paths manage their own resets. *)
   Code_cache.set_on_evict t.cc (fun ~pc tier ->
-      match Pc_tbl.find t.pcs pc with
-      | st -> (
+      let st = peek t pc in
+      if st != no_state then begin
         st.runs <- 0;
         st.rollbacks <- 0;
         st.side_exits <- 0;
         match tier with
         | Code_cache.Block -> st.block_branch <- None
-        | Code_cache.Trace -> ())
-      | exception Not_found -> ());
+        | Code_cache.Trace -> ()
+      end);
   t
 
 let config t = t.cfg
@@ -239,44 +251,31 @@ let translate_faulted t entry =
 let code_cache t = t.cc
 
 let lookup t pc =
-  match Code_cache.find t.cc pc with
-  | Some e -> Some e.Code_cache.e_trace
-  | None -> None
+  let e = Code_cache.find t.cc pc in
+  if e == Code_cache.none then None else Some e.Code_cache.e_trace
 
-(* The state of [pc], created on first use. This runs several times per
-   trace exit, so it must not allocate once the pc is known:
-   [find]'s [Not_found] is a constant, unlike [find_opt]'s per-hit
-   [Some]. *)
-let state t pc =
-  match Pc_tbl.find t.pcs pc with
-  | st -> st
-  | exception Not_found ->
-    let st =
-      {
-        hot = 0;
-        runs = 0;
-        rollbacks = 0;
-        side_exits = 0;
-        rebuilds = 0;
-        taken = 0;
-        total = 0;
-        block_branch = None;
-        trace_branches = [];
-        blacklisted = false;
-        fp_blacklisted = false;
-        despeculated = false;
-        lowered = None;
-        block = None;
-      }
-    in
-    Pc_tbl.add t.pcs pc st;
+(* The state of the text word in slot [i], created on first use: it
+   runs several times per trace exit, and allocates only that once. *)
+let state_at t i =
+  let st = t.pcs.(i) in
+  if st != no_state then st
+  else begin
+    let st = fresh_state () in
+    t.pcs.(i) <- st;
     st
+  end
+
+(* The state of [pc], which must be an aligned pc in text: a region
+   entry or a branch that ran. *)
+let state t pc = state_at t (slot t pc)
 
 let record_branch_outcome st taken =
   if taken then st.taken <- st.taken + 1;
   st.total <- st.total + 1
 
-let record_branch t ~pc ~taken = record_branch_outcome (state t pc) taken
+let record_branch t ~pc ~taken =
+  let i = slot t pc in
+  if i >= 0 then record_branch_outcome (state_at t i) taken
 
 (* Adaptive de-speculation: a trace whose MCB rollback rate crosses the
    threshold is re-translated without memory speculation — misspeculation
@@ -317,7 +316,9 @@ let max_bias_rebuilds = 2
    the previous phase would otherwise dominate the ratio forever) *)
 let relearn_window = 16
 
-let has_trace t entry = Code_cache.has_trace t.cc entry
+(* the shared miss entry is a block *)
+let has_trace t entry =
+  (Code_cache.peek t.cc entry).Code_cache.e_tier = Code_cache.Trace
 
 (* The counters are tested before the code-cache lookup: they are a
    field read away, and most side exits fail them. *)
@@ -336,11 +337,9 @@ let consider_retranslation t entry st =
     (* forget the stale bias and re-learn it on the interpreter *)
     List.iter
       (fun pc ->
-        match Pc_tbl.find t.pcs pc with
-        | b ->
-          b.taken <- 0;
-          b.total <- 0
-        | exception Not_found -> ())
+        let b = state t pc in
+        b.taken <- 0;
+        b.total <- 0)
       st.trace_branches;
     st.hot <- t.cfg.hot_threshold - relearn_window;
     t.stats.retranslations <- t.stats.retranslations + 1;
@@ -421,13 +420,15 @@ let admits t = function
   | Some vr -> Gb_verify.Verifier.ok vr || t.cfg.verify = Verify_report
   | None -> true
 
-(* What both tiers do to reinstall stored code: check that the walk it
-   was made from still holds, then book the verdict stored with it. *)
+(* Whether the walk a stored lowering was formed from still holds:
+   every branch on it reads the direction it read then. *)
 let walk_holds t walk =
   Gb_obs.Sink.time t.obs "walk_check" (fun () ->
-      Trace_builder.walk_holds t.cfg.trace_cfg ~mem:t.mem ~profile:t.profile
+      Trace_builder.walk_holds t.cfg.trace_cfg ~profile:(branch_profile t)
         walk)
 
+(* What both tiers do to reinstall stored code: book the verdict stored
+   with it. *)
 let book_stored t ~entry tier trace ~plan verdict =
   Option.iter (book t ~entry) verdict;
   t.on_reinstall ~entry tier trace ~plan verdict
@@ -461,24 +462,23 @@ exception Verify_rejected
    [Fun.protect] closures included: a closure built ahead of the pause
    would be charged to the counted run once per entry.
 
-   A first-pass re-promotion whose stored walk still holds reinstalls
-   the block stored at its entry; otherwise the block is translated
-   afresh, gated, and replaces the stored one. *)
+   A first-pass re-promotion reinstalls the block stored at its entry;
+   a first promotion translates the block, gates it and stores it. *)
 let translate_first_pass t st entry =
   Gb_obs.Allocs.pause t.allocs;
   Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
-  if Code_cache.peek t.cc entry <> None
+  if Code_cache.peek t.cc entry != Code_cache.none
      || st.fp_blacklisted
      || translate_faulted t entry
   then ()
   else
     match st.block with
-    | Some b when walk_holds t b.b_walk ->
+    | Some b ->
       t.stats.blocks_reused <- t.stats.blocks_reused + 1;
       Gb_obs.Sink.incr t.obs "translate.blocks_reused";
       book_stored t ~entry Code_cache.Block b.b_trace ~plan:None b.b_verdict;
       install_block t st ~entry b
-    | Some _ | None -> (
+    | None -> (
       match
         Gb_obs.Sink.time t.obs "first_pass" (fun () ->
             let block = First_pass.translate ~mem:t.mem ~entry in
@@ -486,13 +486,10 @@ let translate_first_pass t st entry =
             block)
       with
       | exception First_pass.Untranslatable _ -> st.fp_blacklisted <- true
-      | { First_pass.trace; branch_pc; walk } ->
+      | { First_pass.trace; branch_pc } ->
         let v = verdict t ~entry trace in
         if admits t v then begin
-          let b =
-            { b_walk = walk; b_trace = trace; b_branch_pc = branch_pc;
-              b_verdict = v }
-          in
+          let b = { b_trace = trace; b_branch_pc = branch_pc; b_verdict = v } in
           st.block <- Some b;
           install_block t st ~entry b
         end
@@ -504,8 +501,6 @@ let translate_first_pass t st entry =
           Gb_obs.Sink.incr t.obs "verify.rejections";
           st.fp_blacklisted <- true
         end)
-
-let branch_profile t pc = t.profile pc
 
 let graph_meta g (report : Gb_core.Mitigation.report) =
   let spec_loads = ref 0 in
@@ -567,8 +562,8 @@ let note_audit t a ~entry g (report : Gb_core.Mitigation.report) =
 let build_trace t entry =
   match
     Gb_obs.Sink.time t.obs "trace_build" (fun () ->
-        Trace_builder.build_walk t.walk_rec t.cfg.trace_cfg ~mem:t.mem
-          ~profile:t.profile ~entry)
+        Trace_builder.build_walk t.cfg.trace_cfg ~mem:t.mem
+          ~profile:(branch_profile t) ~entry)
   with
   | exception Trace_builder.Build_failure _ -> None
   | gtrace, walk ->
@@ -765,10 +760,10 @@ let install_trace t st ~entry ~branch_pcs ~guest_insns:len trace
 let translate t entry =
   Gb_obs.Allocs.pause t.allocs;
   Fun.protect ~finally:(fun () -> Gb_obs.Allocs.resume t.allocs) @@ fun () ->
-  match Code_cache.peek t.cc entry with
-  | Some e when e.Code_cache.e_tier = Code_cache.Trace ->
-    Some e.Code_cache.e_trace
-  | Some _ | None ->
+  let e = Code_cache.peek t.cc entry in
+  if e.Code_cache.e_tier = Code_cache.Trace then Some e.Code_cache.e_trace
+  else if slot t entry < 0 then None
+  else
     let st = state t entry in
     if st.blacklisted || translate_faulted t entry then None
     else begin
@@ -792,11 +787,7 @@ type region = {
 }
 
 let regions t =
-  let runs entry =
-    match Pc_tbl.find t.pcs entry with
-    | st -> st.runs
-    | exception Not_found -> 0
-  in
+  let runs entry = (peek t entry).runs in
   List.sort
     (fun a b -> compare (b.r_runs, a.r_entry) (a.r_runs, b.r_entry))
     (List.map
@@ -812,11 +803,16 @@ let regions t =
          })
        (Code_cache.entries t.cc))
 
+(* A pc outside text is ignored: the next fetch there traps. *)
 let record_block_entry t pc =
-  let st = state t pc in
-  let n = st.hot + 1 in
-  st.hot <- n;
-  if n >= t.cfg.hot_threshold && (not st.blacklisted) && not (has_trace t pc)
-  then ignore (translate t pc)
-  else if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then
-    translate_first_pass t st pc
+  let i = slot t pc in
+  if i >= 0 then begin
+    let st = state_at t i in
+    let n = st.hot + 1 in
+    st.hot <- n;
+    if n >= t.cfg.hot_threshold && (not st.blacklisted)
+       && not (has_trace t pc)
+    then ignore (translate t pc)
+    else if n >= t.cfg.first_pass_threshold && n < t.cfg.hot_threshold then
+      translate_first_pass t st pc
+  end

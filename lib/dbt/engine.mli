@@ -91,10 +91,10 @@ type stats = {
           lowering was made is booked again, and every other field
           counts them as usual. Observed runs reuse alike. *)
   mutable blocks_reused : int;
-      (** first-pass translations that found the words the last block
-          at their entry was translated from unchanged, and reinstalled
-          that block, booking its stored verdict, instead of translating
-          and verifying it again. [first_pass_translations] counts them
+      (** first-pass translations that reinstalled the last block made
+          at their entry (text never changes, so neither does the
+          block), booking its stored verdict, instead of translating and
+          verifying it again. [first_pass_translations] counts them
           too. *)
 }
 
@@ -105,8 +105,9 @@ val create :
 (** [obs] (default {!Gb_obs.Sink.noop}) receives the [translate.*],
     [verify.*] and [mitigation.*] counters (the last from the report of
     each installed translation), per-phase host timers (first_pass,
-    walk_check, trace_build, ir_build, poison_analysis, schedule,
-    codegen, verify) and the translation lifecycle events
+    walk_check for trace reinstalls, trace_build, ir_build,
+    poison_analysis, schedule, codegen, verify) and the translation
+    lifecycle events
     ({!Gb_obs.Event.Translate_start} .. {!Gb_obs.Event.Tier_transition}),
     each attributed to the translated entry.
     [audit], when present, is told which loads each lowering hoisted
@@ -153,7 +154,8 @@ val branch_profile : t -> int -> (int * int) option
 
 val record_block_entry : t -> int -> unit
 (** Bump the execution counter of a control-transfer target; translates it
-    once hot. *)
+    once hot. A target outside text, or misaligned, is ignored: the next
+    fetch there traps. *)
 
 val translate : t -> int -> Gb_vliw.Vinsn.trace option
 (** Force a translation attempt (used by tests and tools); [None] when the

@@ -1,8 +1,4 @@
-type result = {
-  trace : Gb_vliw.Vinsn.trace;
-  branch_pc : int option;
-  walk : Trace_builder.walk;
-}
+type result = { trace : Gb_vliw.Vinsn.trace; branch_pc : int option }
 
 exception Untranslatable of string
 
@@ -32,23 +28,13 @@ let translate ~mem ~entry =
   in
   let branch_pc = ref None in
   let count = ref 0 in
-  (* every fetch, in order, with a fault read as -1 as a trace walk
-     records it: the block is a function of these words alone *)
-  let fetched = ref [] in
-  let fetch pc =
-    match Gb_riscv.Mem.load_insn_word mem ~addr:pc with
-    | word ->
-      fetched := (pc, word) :: !fetched;
-      word
-    | exception (Gb_riscv.Mem.Fault _ as e) ->
-      fetched := (pc, -1) :: !fetched;
-      raise e
-  in
   let finish_at pc = emit (Exit { stub = add_stub ~exit_id:(next ()) pc }) in
   let rec walk pc =
     if !count >= max_block_insns then finish_at pc
     else
-      match Gb_riscv.Decode.decode (fetch pc) with
+      match
+        Gb_riscv.Decode.decode (Gb_riscv.Mem.load_insn_word mem ~addr:pc)
+      with
       | exception (Gb_riscv.Decode.Illegal _ | Gb_riscv.Mem.Fault _) ->
         if !count = 0 then raise (Untranslatable "no decodable instruction")
         else finish_at pc
@@ -119,7 +105,6 @@ let translate ~mem ~entry =
           else finish_at pc)
   in
   walk entry;
-  let fetched = Array.of_list (List.rev !fetched) in
   {
     trace =
       {
@@ -132,10 +117,4 @@ let translate ~mem ~entry =
         decoded = Undecoded;
       };
     branch_pc = !branch_pc;
-    walk =
-      {
-        Trace_builder.w_pcs = Array.map fst fetched;
-        w_words = Array.map snd fetched;
-        w_dirs = Array.make (Array.length fetched) Trace_builder.dir_none;
-      };
   }

@@ -19,15 +19,12 @@ type result = {
       (** pc of the terminal conditional branch, when the block ends in
           one — used to keep profiling alive while running on this tier
           (side exit = taken, fall-through past it = not taken) *)
-  walk : Trace_builder.walk;
-      (** every word the translation fetched, in order, a fault read as
-          -1, with {!Trace_builder.dir_none} at each pc: the block is a
-          function of these words alone, so while
-          {!Trace_builder.walk_holds} accepts the walk, a translation
-          from the same entry returns the same block *)
 }
 
 exception Untranslatable of string
 (** The block is empty (entry sits on ecall/jalr/illegal bytes). *)
 
 val translate : mem:Gb_riscv.Mem.t -> entry:int -> result
+(** The block at [entry]: a function of the text words alone, which
+    {!Gb_riscv.Mem} never lets change, so a translation from the same
+    entry always returns the same block. *)

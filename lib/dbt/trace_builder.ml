@@ -10,10 +10,8 @@ let default_config =
 
 exception Build_failure of string
 
-(* Direction codes, as recorded in a walk: [none] for a pc that is not a
-   conditional branch, the three others for the bias read at one. *)
-let dir_none = 0
-
+(* Direction codes, as recorded in a walk: the bias read at a
+   conditional branch. *)
 let dir_fall = 1
 
 let dir_taken = 2
@@ -31,47 +29,15 @@ let branch_direction cfg profile pc =
       else if ratio <= 1. -. cfg.bias_threshold then dir_fall
       else dir_unbiased
 
-(* The word at [pc], or -1 where the fetch faults: instruction words are
-   unsigned 32-bit, so -1 is never a word. *)
-let fetch mem pc =
-  match Gb_riscv.Mem.load_insn_word mem ~addr:pc with
-  | w -> w
-  | exception Gb_riscv.Mem.Fault _ -> -1
-
-type walk = { w_pcs : int array; w_words : int array; w_dirs : int array }
-
-type recorder = {
-  mutable r_pcs : int array;
-  mutable r_words : int array;
-  mutable r_dirs : int array;
-  mutable r_len : int;
-}
-
-let recorder () =
-  { r_pcs = Array.make 128 0; r_words = Array.make 128 0;
-    r_dirs = Array.make 128 0; r_len = 0 }
-
-let record r pc word dir =
-  let n = r.r_len in
-  if n = Array.length r.r_pcs then begin
-    let grow a = Array.append a (Array.make n 0) in
-    r.r_pcs <- grow r.r_pcs;
-    r.r_words <- grow r.r_words;
-    r.r_dirs <- grow r.r_dirs
-  end;
-  r.r_pcs.(n) <- pc;
-  r.r_words.(n) <- word;
-  r.r_dirs.(n) <- dir;
-  r.r_len <- n + 1
+type walk = { w_pcs : int array; w_dirs : int array }
 
 module Visits = Hashtbl.Make (Int)
 
-(* The walk proper. Every input it reads goes through [fetch] and
-   [branch_direction], and with a recorder each read lands in it in
-   order: the pc, its word and the direction taken there. A pc the walk
-   stops at without fetching (instruction budget, revisit limit) is not
-   an input: the walk so far decides it. *)
-let form recorder cfg ~mem ~profile ~entry =
+(* The walk proper: the trace, and the pc and direction of every
+   conditional branch it read a direction at, newest first. Its other
+   inputs are the words it fetches, which {!Gb_riscv.Mem} keeps
+   immutable as text (a fetch outside text faults, always the same). *)
+let form cfg ~mem ~profile ~entry =
   let visits = Visits.create 64 in
   let steps = ref [] in
   let count = ref 0 in
@@ -79,9 +45,7 @@ let form recorder cfg ~mem ~profile ~entry =
     steps := step :: !steps;
     incr count
   in
-  let note pc word dir =
-    match recorder with Some r -> record r pc word dir | None -> ()
-  in
+  let branches = ref [] in
   let rec walk pc =
     if !count >= cfg.max_insns then pc
     else
@@ -89,24 +53,18 @@ let form recorder cfg ~mem ~profile ~entry =
       if v >= cfg.max_visits then pc
       else begin
         Visits.replace visits pc (v + 1);
-        let word = fetch mem pc in
         (* a faulting fetch stops the walk as an ecall does *)
         match
-          if word < 0 then Gb_riscv.Insn.Ecall else Gb_riscv.Decode.decode word
+          Gb_riscv.Decode.decode (Gb_riscv.Mem.load_insn_word mem ~addr:pc)
         with
-        | exception Gb_riscv.Decode.Illegal _ ->
-          note pc word dir_none;
-          pc
-        | Gb_riscv.Insn.Ecall | Gb_riscv.Insn.Jalr _ ->
-          note pc word dir_none;
-          pc
+        | exception (Gb_riscv.Decode.Illegal _ | Gb_riscv.Mem.Fault _) -> pc
+        | Gb_riscv.Insn.Ecall | Gb_riscv.Insn.Jalr _ -> pc
         | Gb_riscv.Insn.Jal (rd, off) as insn ->
-          note pc word dir_none;
           if rd <> 0 then push { Gb_ir.Gtrace.pc; insn; exit_cond = None };
           walk (pc + off)
         | Gb_riscv.Insn.Branch (cond, _, _, off) as insn ->
           let dir = branch_direction cfg profile pc in
-          note pc word dir;
+          branches := (pc, dir) :: !branches;
           if dir = dir_fall then begin
             push { Gb_ir.Gtrace.pc; insn; exit_cond = Some (cond, pc + off) };
             walk (pc + 4)
@@ -125,36 +83,29 @@ let form recorder cfg ~mem ~profile ~entry =
           | Gb_riscv.Insn.Auipc _ | Gb_riscv.Insn.Load _
           | Gb_riscv.Insn.Store _ | Gb_riscv.Insn.Fence
           | Gb_riscv.Insn.Rdcycle _ | Gb_riscv.Insn.Cflush _ ) as insn ->
-          note pc word dir_none;
           push { Gb_ir.Gtrace.pc; insn; exit_cond = None };
           walk (pc + 4)
       end
   in
   let fall_pc = walk entry in
   if !count = 0 then raise (Build_failure "empty trace")
-  else { Gb_ir.Gtrace.entry; steps = List.rev !steps; fall_pc }
+  else ({ Gb_ir.Gtrace.entry; steps = List.rev !steps; fall_pc }, !branches)
 
-let build cfg ~mem ~profile ~entry = form None cfg ~mem ~profile ~entry
+let build cfg ~mem ~profile ~entry = fst (form cfg ~mem ~profile ~entry)
 
-let build_walk r cfg ~mem ~profile ~entry =
-  r.r_len <- 0;
-  let gtrace = form (Some r) cfg ~mem ~profile ~entry in
-  let n = r.r_len in
-  ( gtrace,
-    { w_pcs = Array.sub r.r_pcs 0 n; w_words = Array.sub r.r_words 0 n;
-      w_dirs = Array.sub r.r_dirs 0 n } )
+let build_walk cfg ~mem ~profile ~entry =
+  let gtrace, branches = form cfg ~mem ~profile ~entry in
+  let b = Array.of_list (List.rev branches) in
+  (gtrace, { w_pcs = Array.map fst b; w_dirs = Array.map snd b })
 
 (* A build from the walk's entry is a deterministic function of the
-   config and of the inputs it reads, and the walk holds every one of
-   them in reading order: while each still reads the same, the rebuild
-   takes the same steps. *)
-let rec holds_from cfg mem profile w i =
+   config, of the immutable text and of the directions it reads, and the
+   walk holds every direction in reading order: while each still reads
+   the same, the rebuild reaches the same branches and takes the same
+   steps. *)
+let rec holds_from cfg profile w i =
   i = Array.length w.w_pcs
-  ||
-  let pc = w.w_pcs.(i) in
-  fetch mem pc = w.w_words.(i)
-  && (let d = w.w_dirs.(i) in
-      d = dir_none || branch_direction cfg profile pc = d)
-  && holds_from cfg mem profile w (i + 1)
+  || branch_direction cfg profile w.w_pcs.(i) = w.w_dirs.(i)
+     && holds_from cfg profile w (i + 1)
 
-let walk_holds cfg ~mem ~profile w = holds_from cfg mem profile w 0
+let walk_holds cfg ~profile w = holds_from cfg profile w 0

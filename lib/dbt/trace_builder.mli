@@ -32,25 +32,22 @@ val build :
 (** {2 Walks}
 
     A build reads two kinds of input: the instruction word at each pc it
-    visits, and the profile at each conditional branch among them. Given
-    the config and the entry it is a deterministic function of those
-    reads, so a record of them decides whether a later build from the
-    same entry would take the same steps, without taking them. *)
+    visits, and the profile at each conditional branch among them. The
+    words are text, which {!Gb_riscv.Mem} never lets change, so given
+    the config and the entry a build is a deterministic function of the
+    directions it reads: a record of them decides whether a later build
+    from the same entry would take the same steps, without taking
+    them. *)
 
 type walk = {
   w_pcs : int array;
-      (** every pc whose word the build fetched, in order: a pc
-          revisited by unrolling appears once per visit, and the pc the
-          build stopped at and every [jal x0] hop appear although they
-          leave no step *)
-  w_words : int array;  (** the word fetched at each pc; -1 for a fault *)
+      (** every conditional branch the build read a direction at, in
+          order: a branch revisited by unrolling appears once per visit,
+          and an unbiased branch the build stopped at appears too *)
   w_dirs : int array;
-      (** at each pc, the direction read from the profile: {!dir_fall},
-          {!dir_taken} or {!dir_unbiased} at a conditional branch,
-          {!dir_none} anywhere else *)
+      (** the direction read at each: {!dir_fall}, {!dir_taken} or
+          {!dir_unbiased} *)
 }
-
-val dir_none : int
 
 val dir_fall : int
 
@@ -58,31 +55,19 @@ val dir_taken : int
 
 val dir_unbiased : int
 
-type recorder
-(** Scratch a build records its walk into. One recorder serves any
-    number of builds, one at a time. *)
-
-val recorder : unit -> recorder
-
 val build_walk :
-  recorder ->
   config ->
   mem:Gb_riscv.Mem.t ->
   profile:(int -> (int * int) option) ->
   entry:int ->
   Gb_ir.Gtrace.t * walk
-(** {!build}, plus the walk it took: recorded into the recorder's
-    arrays, then copied out once. *)
+(** {!build}, plus the walk it took. *)
 
 val walk_holds :
-  config ->
-  mem:Gb_riscv.Mem.t ->
-  profile:(int -> (int * int) option) ->
-  walk ->
-  bool
+  config -> profile:(int -> (int * int) option) -> walk -> bool
 (** Whether a build with the same config from the walk's entry would
-    repeat the walk: every recorded word is still in memory and every
-    recorded branch still reads the same direction from [profile]. Then
-    that build returns a trace equal, step by step, to the one the walk
-    was recorded with. Re-reads exactly the recorded inputs and
-    allocates only what [profile] does. *)
+    repeat the walk: every recorded branch still reads the same
+    direction from [profile]. Then that build returns a trace equal,
+    step by step, to the one the walk was recorded with. Re-reads
+    exactly the recorded directions and allocates only what [profile]
+    does. *)

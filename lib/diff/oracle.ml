@@ -116,16 +116,16 @@ let run ?(config = Gb_system.Processor.default_config)
   let divergence = ref None in
   let syncs = ref 0 in
   let tier_of region =
-    match
+    let e =
       Gb_dbt.Code_cache.peek
         (Gb_dbt.Engine.code_cache (Gb_system.Processor.engine proc))
         region
-    with
-    | Some e -> (
+    in
+    if e == Gb_dbt.Code_cache.none then "interp"
+    else
       match e.Gb_dbt.Code_cache.e_tier with
       | Gb_dbt.Code_cache.Block -> "block"
-      | Gb_dbt.Code_cache.Trace -> "trace")
-    | None -> "interp"
+      | Gb_dbt.Code_cache.Trace -> "trace"
   in
   let record ~pc ~region ~tier ~kind detail =
     if !divergence = None then begin
@@ -246,12 +246,12 @@ let run ?(config = Gb_system.Processor.default_config)
   in
   Gb_system.Processor.set_on_trace_exit proc sync;
   (* --- run both sides ------------------------------------------------- *)
+  let fault a = Printf.sprintf "memory fault at 0x%x" a in
   let dbt_result, trap =
     match Gb_system.Processor.run proc with
     | r -> (Some r, None)
     | exception Gb_riscv.Interp.Trap m -> (None, Some m)
-    | exception Gb_riscv.Mem.Fault a ->
-      (None, Some (Printf.sprintf "memory fault at 0x%x" a))
+    | exception Gb_riscv.Mem.Fault a -> (None, Some (fault a))
   in
   (match (trap, !divergence) with
   | Some m, None ->
@@ -269,7 +269,7 @@ let run ?(config = Gb_system.Processor.default_config)
       | exception Gb_riscv.Interp.Trap m' ->
         if m = m' then "" else Printf.sprintf "reference trapped: %s" m'
       | exception Gb_riscv.Mem.Fault a ->
-        Printf.sprintf "reference memory fault at 0x%x" a
+        if m = fault a then "" else "reference " ^ fault a
     in
     if ref_verdict <> "" then
       record ~pc:dbt_interp.Gb_riscv.Interp.pc ~region:None ~tier:"end"

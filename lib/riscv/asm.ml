@@ -16,6 +16,7 @@ type program = {
   image : bytes;
   symbols : (string, int) Hashtbl.t;
   entry : int;
+  text_end : int;
 }
 
 exception Error of string
@@ -47,6 +48,19 @@ let li_items rd v =
 let la_items rd addr =
   let hi, lo = hi_lo addr in
   [ Insn.Lui (rd, hi); Insn.Op_imm (Insn.ADDIW, rd, rd, lo) ]
+
+let is_insn = function
+  | Insn _ | Branch_to _ | Jal_to _ | La _ | Li _ -> true
+  | Label _ | Dword _ | Dbyte _ | Dstring _ | Space _ | Align _ -> false
+
+(* Text runs to the end of the last instruction: data there would be
+   writable code. *)
+let rec check_layout = function
+  | [] -> ()
+  | (Dword _ | Dbyte _ | Dstring _ | Space _) :: rest ->
+    if List.exists is_insn rest then
+      error "data before an instruction: data must follow all code"
+  | _ :: rest -> check_layout rest
 
 let alignment_of = function
   | Insn _ | Branch_to _ | Jal_to _ | La _ | Li _ -> 4
@@ -97,6 +111,7 @@ let emit_insn buf insn =
 
 let assemble ?(base = 0x1000) items =
   if base land 3 <> 0 then error "base address must be 4-aligned";
+  check_layout items;
   let symbols = compute_symbols ~base items in
   let resolve name =
     match Hashtbl.find_opt symbols name with
@@ -109,10 +124,12 @@ let assemble ?(base = 0x1000) items =
       Buffer.add_char buf '\000'
     done
   in
+  let text_end = ref base in
   let emit_item off item =
     let off = align_up off (alignment_of item) in
     pad_to off;
     let pc = base + off in
+    if is_insn item then text_end := pc + item_size item;
     (match item with
     | Label _ | Align _ -> ()
     | Insn insn -> emit_insn buf insn
@@ -141,9 +158,12 @@ let assemble ?(base = 0x1000) items =
     off + item_size item
   in
   let (_ : int) = List.fold_left emit_item 0 items in
-  { base; image = Buffer.to_bytes buf; symbols; entry = base }
+  { base; image = Buffer.to_bytes buf; symbols; entry = base;
+    text_end = !text_end }
 
-let load mem program = Mem.blit_bytes mem ~addr:program.base program.image
+let load mem program =
+  Mem.blit_bytes mem ~addr:program.base program.image;
+  Mem.set_text mem ~lo:program.base ~hi:program.text_end
 
 let symbol program name =
   match Hashtbl.find_opt program.symbols name with

@@ -3,7 +3,8 @@
     A program is a flat list of items (labels, instructions with symbolic
     targets, data directives) laid out sequentially from a base address.
     Instructions are 4-byte aligned; 8-byte data directives are 8-byte
-    aligned. *)
+    aligned. All code comes before all data: the text segment runs from
+    the base to the end of the last instruction. *)
 
 type item =
   | Label of string
@@ -25,17 +26,22 @@ type program = {
   image : bytes;  (** raw memory image *)
   symbols : (string, int) Hashtbl.t;  (** label -> absolute address *)
   entry : int;  (** address of the first instruction *)
+  text_end : int;
+      (** end of the last instruction: the text segment is
+          [\[base, text_end)] *)
 }
 
 exception Error of string
 
 val assemble : ?base:int -> item list -> program
 (** Lay out and encode a program. [base] defaults to [0x1000].
-    Raises {!Error} on duplicate/undefined labels or out-of-range
-    branch offsets. *)
+    Raises {!Error} on duplicate/undefined labels, out-of-range branch
+    offsets, or a data item placed before an instruction. *)
 
 val load : Mem.t -> program -> unit
-(** Copy the program image into guest memory. *)
+(** Copy the program image into guest memory, then declare its text
+    segment there ({!Mem.set_text}): from then on a store into the code
+    raises {!Mem.Fault}, and so does a fetch outside it. *)
 
 val symbol : program -> string -> int
 (** Address of a label. Raises {!Error} if undefined. *)

@@ -12,7 +12,8 @@ let disassemble mem ~addr ~len =
   let n = len / 4 in
   List.init n (fun i ->
       let a = addr + (4 * i) in
-      let word = Mem.load_insn_word mem ~addr:a in
+      (* read as data: a listing covers data words too *)
+      let word = Mem.load_int mem ~addr:a ~size:4 in
       match Decode.decode word with
       | insn ->
         { addr = a; word; text = Insn.to_string insn; target = target_of a insn }

@@ -10,7 +10,8 @@ type line = {
 }
 
 val disassemble : Mem.t -> addr:int -> len:int -> line list
-(** Decode [len] bytes starting at the 4-aligned address [addr]. Illegal
+(** Decode [len] bytes starting at the 4-aligned address [addr], read as
+    data, so a range outside the text segment lists too. Illegal
     encodings are rendered as raw words rather than raising. *)
 
 val pp_program :

@@ -19,17 +19,6 @@ type centry = { ce_insn : Insn.t; ce_imm : int64 }
    indirection per fetch. *)
 let undecoded = { ce_insn = Insn.Fence; ce_imm = 0L }
 
-(* The decode cache is paged like memory: one array of [page_slots]
-   entries for each 4 KiB page, so slot [pc lsr 2] lives at index [slot
-   land (page_slots - 1)] of page [slot lsr slot_bits]. Every page starts
-   as [undecoded_page], which all interpreters share and no fill ever
-   writes; the first fetch in a page gives it an array of its own. *)
-let slot_bits = 10
-
-let page_slots = 1 lsl slot_bits
-
-let undecoded_page = Array.make page_slots undecoded
-
 type t = {
   regs : Regfile.t;
   mem : Mem.t;
@@ -42,10 +31,10 @@ type t = {
   mutable pc : int;
   mutable insn_count : int64;
   output : Buffer.t;
-  decode_cache : centry array array;
-      (* per-word decode cache, one page of slots per 4 KiB of memory;
-         sound because guest code is never self-modifying in this
-         system *)
+  text_lo : int;
+  decode_cache : centry array;
+      (* one slot per text word, the word at [text_lo + 4 * i] in slot
+         [i]; sound because [Mem] refuses stores into text *)
   mutable rdcycle_hook : (int64 -> int64) option;
       (* filters every rdcycle result (differential record/replay) *)
   (* Scratch state for the allocation-free execution core: [exec_insn]
@@ -96,10 +85,9 @@ let create ?(hooks = pure_hooks) ?clock ?regs ~mem ~pc () =
     pc;
     insn_count = 0L;
     output = Buffer.create 64;
+    text_lo = Mem.text_lo mem;
     decode_cache =
-      Array.make
-        (((Mem.size mem lsr 2) + page_slots - 1) lsr slot_bits)
-        undecoded_page;
+      Array.make ((Mem.text_hi mem - Mem.text_lo mem) lsr 2) undecoded;
     rdcycle_hook = None;
     x_next = 0;
     x_taken = -1;
@@ -110,7 +98,7 @@ let create ?(hooks = pure_hooks) ?clock ?regs ~mem ~pc () =
   }
 
 let flush_decode_cache t =
-  Array.fill t.decode_cache 0 (Array.length t.decode_cache) undecoded_page
+  Array.fill t.decode_cache 0 (Array.length t.decode_cache) undecoded
 
 type step_info = {
   s_pc : int;
@@ -301,25 +289,18 @@ let decode_slot t pc slot =
   match Decode.decode (Mem.load_insn_word t.mem ~addr:pc) with
   | insn ->
     let ce = { ce_insn = insn; ce_imm = imm_of_insn insn } in
-    let i = slot lsr slot_bits in
-    if t.decode_cache.(i) == undecoded_page then
-      t.decode_cache.(i) <- Array.make page_slots undecoded;
-    t.decode_cache.(i).(slot land (page_slots - 1)) <- ce;
+    Array.unsafe_set t.decode_cache slot ce;
     ce
   | exception Decode.Illegal word ->
     trap "illegal instruction 0x%08x at pc 0x%x" word pc
 
 let fetch t pc =
-  (* [pc lsr 2] also maps negative pcs to huge slots, so the single bound
+  (* [lsr] also maps a pc below text to a huge slot, so the single bound
      check rejects both ends of the range *)
-  let slot = pc lsr 2 in
-  if pc land 3 <> 0 || slot >= Mem.size t.mem lsr 2 then
-    trap "instruction fetch fault at pc 0x%x (misaligned or out of range)" pc;
-  let ce =
-    Array.unsafe_get
-      (Array.unsafe_get t.decode_cache (slot lsr slot_bits))
-      (slot land (page_slots - 1))
-  in
+  let slot = (pc - t.text_lo) lsr 2 in
+  if pc land 3 <> 0 || slot >= Array.length t.decode_cache then
+    trap "instruction fetch fault at pc 0x%x (misaligned or outside text)" pc;
+  let ce = Array.unsafe_get t.decode_cache slot in
   if ce != undecoded then ce else decode_slot t pc slot
 
 let flush_acc t =

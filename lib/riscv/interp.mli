@@ -32,12 +32,12 @@ type t = {
   mutable pc : int;
   mutable insn_count : int64;
   output : Buffer.t;  (** bytes written by the write ecall *)
-  decode_cache : centry array array;
-      (** per-word decode cache (guest code is never self-modifying),
-          demand-paged: one 1024-slot array per 4 KiB of memory. Every
-          page starts as one array shared by all interpreters and never
-          written; the first fetch in a page allocates that page's
-          array. *)
+  text_lo : int;  (** start of the memory's text segment at {!create} *)
+  decode_cache : centry array;
+      (** per-word decode cache over the text segment the memory held at
+          {!create}: slot [i] holds the word at [text_lo + 4 * i], decoded
+          on its first fetch. Sound because {!Mem} refuses stores into
+          text. *)
   mutable rdcycle_hook : (int64 -> int64) option;
       (** when set, every [rdcycle] result is filtered through the hook
           (given the natural clock reading). The differential oracle
@@ -75,7 +75,8 @@ val create :
 (** [regs] must have at least 32 entries and is never mutated here (it
     may be a shared file handed back mid-computation); a fresh 32-entry
     file is allocated by default, with [sp] initialised to
-    {!default_sp}. *)
+    {!default_sp}. The interpreter fetches from the text segment [mem]
+    holds now, so load the program first. *)
 
 type step_info = {
   s_pc : int;  (** pc of the executed instruction *)
@@ -119,15 +120,16 @@ val width_bytes : Insn.width -> int
 
 val flush_decode_cache : t -> unit
 (** Invalidate every decode-cache entry (fault injection uses this to
-    force a full re-decode): every page goes back to the shared
-    undecoded one, and the next fetch in a page allocates it again. *)
+    force a full re-decode): the next fetch of each word decodes it
+    again. *)
 
 val step : t -> step_info
 (** Execute one instruction, advancing pc and the clock. Raises {!Trap} /
-    {!Mem.Fault} on errors. A misaligned, out-of-range or negative pc
+    {!Mem.Fault} on errors. A misaligned pc or one outside text
     (including one computed speculatively by guest code) raises a clean
-    {!Trap} ("instruction fetch fault"), and an illegal encoding raises a
-    clean {!Trap} ("illegal instruction") — never [Invalid_argument],
+    {!Trap} ("instruction fetch fault"), an illegal encoding raises a
+    clean {!Trap} ("illegal instruction"), and a store into text raises
+    {!Mem.Fault} at the store's address — never [Invalid_argument],
     {!Decode.Illegal} or an array-bounds exception. *)
 
 val run : ?max_insns:int64 -> t -> int

@@ -2,7 +2,13 @@
    a fresh memory is [zero_page], which all memories share and no store
    ever writes; the first store into a page gives it a private zeroed
    copy. A processor therefore allocates the pages its guest writes, not
-   its whole address space. *)
+   its whole address space.
+
+   The text segment [\[text_lo, text_hi)] is the one range instructions
+   are fetched from and the one range no store writes (W^X): everything
+   that decodes guest code (the interpreter's decode cache, first-pass
+   blocks, trace walks, stored lowerings) relies on its words never
+   changing. *)
 
 let page_bits = 12
 
@@ -16,6 +22,8 @@ type t = {
   scratch : Bytes.t;
       (* 8 bytes: an access that straddles two pages is gathered here
          before a load and staged here before a store *)
+  mutable text_lo : int;
+  mutable text_hi : int;  (* empty until {!set_text} *)
 }
 
 exception Fault of int
@@ -28,9 +36,24 @@ let create ~size =
     size;
     pages = Array.make ((size + page_mask) lsr page_bits) zero_page;
     scratch = Bytes.create 8;
+    text_lo = 0;
+    text_hi = 0;
   }
 
 let size t = t.size
+
+(* [text_hi = 0] only while no text or an empty one at 0 is declared,
+   and redeclaring those changes no word anything decoded *)
+let set_text t ~lo ~hi =
+  if t.text_hi > 0 then invalid_arg "Mem.set_text: text already declared";
+  if lo land 3 <> 0 || hi land 3 <> 0 || lo < 0 || hi < lo || hi > t.size
+  then invalid_arg "Mem.set_text: range";
+  t.text_lo <- lo;
+  t.text_hi <- hi
+
+let text_lo t = t.text_lo
+
+let text_hi t = t.text_hi
 
 let check t addr n =
   (* overflow-proof form: [addr + n > len] wraps negative for
@@ -39,6 +62,12 @@ let check t addr n =
      cannot overflow once [addr >= 0] is known ([n] is a small access
      size, [len - addr <= len]). *)
   if addr < 0 || n > t.size - addr then raise (Fault addr)
+
+(* [check], and a write of [n] bytes at [addr] must not overlap text;
+   past [check], [addr + n] cannot overflow *)
+let[@inline] check_write t addr n =
+  check t addr n;
+  if addr < t.text_hi && addr + n > t.text_lo then raise (Fault addr)
 
 (* The accessors below index a page only for an access of at least one
    byte that passed [check], so [addr lsr page_bits] is a valid index. *)
@@ -126,7 +155,7 @@ let store_int_straddling t addr size v =
   scatter t addr size
 
 let store_int t ~addr ~size v =
-  check t addr size;
+  check_write t addr size;
   if straddles addr size then store_int_straddling t addr size v
   else
     let off = addr land page_mask in
@@ -140,7 +169,7 @@ let store_int t ~addr ~size v =
     | _ -> invalid_arg "Mem.store_int: size"
 
 let[@inline] store64 t ~addr v =
-  check t addr 8;
+  check_write t addr 8;
   if straddles addr 8 then begin
     Bytes.set_int64_le t.scratch 0 v;
     scatter t addr 8
@@ -149,15 +178,16 @@ let[@inline] store64 t ~addr v =
 
 let store t ~addr ~size v =
   match size with
+  | 1 | 2 | 4 -> store_int t ~addr ~size (Int64.to_int v)
   | 8 -> store64 t ~addr v
-  | _ -> store_int t ~addr ~size (Int64.to_int v)
+  | _ -> invalid_arg "Mem.store: size"
 
+(* text is word-aligned, so an aligned word inside it sits in one page *)
 let load_insn_word t ~addr =
-  check t addr 4;
-  if straddles addr 4 then load_int_straddling t addr 4
-  else
-    Int32.to_int (Bytes.get_int32_le (page t addr) (addr land page_mask))
-    land 0xFFFFFFFF
+  if addr land 3 <> 0 || addr < t.text_lo || addr >= t.text_hi then
+    raise (Fault addr);
+  Int32.to_int (Bytes.get_int32_le (page t addr) (addr land page_mask))
+  land 0xFFFFFFFF
 
 (* [f pos a off n] for each run of the [len] bytes at [addr] that lies in
    one page: [n] bytes from address [a], at offset [off] of its page and
@@ -174,7 +204,8 @@ let iter_chunks ~addr ~len f =
 
 let blit_bytes t ~addr b =
   let len = Bytes.length b in
-  check t addr len;
+  (* an empty blit overlaps nothing *)
+  (if len = 0 then check else check_write) t addr len;
   iter_chunks ~addr ~len (fun pos a off n ->
       Bytes.blit b pos (wpage t a) off n)
 
@@ -192,4 +223,6 @@ let copy t =
     pages =
       Array.map (fun p -> if p == zero_page then p else Bytes.copy p) t.pages;
     scratch = Bytes.create 8;
+    text_lo = t.text_lo;
+    text_hi = t.text_hi;
   }

@@ -360,10 +360,10 @@ let run t =
     if Int64.compare !(t.clock) t.cfg.max_cycles > 0 then
       raise (Gb_riscv.Interp.Trap "cycle watchdog exceeded");
     let pc = t.interp.Gb_riscv.Interp.pc in
-    (* the code cache's own [Some] entry, not [Engine.lookup]'s re-wrapped
-       trace: one allocation per exit fewer *)
-    match Gb_dbt.Code_cache.find cc pc with
-    | Some { Gb_dbt.Code_cache.e_trace = trace; _ } ->
+    (* the code cache's own entry, not [Engine.lookup]'s [Some] *)
+    let e = Gb_dbt.Code_cache.find cc pc in
+    if e != Gb_dbt.Code_cache.none then begin
+      let trace = e.Gb_dbt.Code_cache.e_trace in
       (match t.inject with
       | Some inj when Inject.fire inj Inject.Evict ->
         (* mid-trace eviction fault: the entry vanishes from the code
@@ -392,7 +392,8 @@ let run t =
         Gb_riscv.Interp.flush_decode_cache t.interp
       | _ -> ());
       loop ()
-    | None -> (
+    end
+    else
       let si = Gb_riscv.Interp.step t.interp in
       (* the step's memory cost was attributed by the mem_extra hook;
          the base cycle of interpreting the insn lands here *)
@@ -410,7 +411,7 @@ let run t =
         Gb_dbt.Engine.record_block_entry engine si.Gb_riscv.Interp.s_next;
       match si.Gb_riscv.Interp.s_exit with
       | Some code -> result_of t code
-      | None -> loop ())
+      | None -> loop ()
   in
   loop ()
 

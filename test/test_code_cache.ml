@@ -26,8 +26,10 @@ let mk_trace ?(bundles = 4) ~pc targets =
     decoded = Gb_vliw.Vinsn.Undecoded;
   }
 
+(* every pc the tests use lies in this text range *)
 let cache ?(capacity = 16) () =
-  Code_cache.create { Code_cache.default_config with Code_cache.capacity }
+  Code_cache.create ~text_lo:0 ~text_hi:0x1000
+    { Code_cache.default_config with Code_cache.capacity }
 
 let insert ?(tier = Code_cache.Trace) ?bundles cc ~pc targets =
   Code_cache.insert cc ~pc ~tier (mk_trace ?bundles ~pc targets)
@@ -50,8 +52,10 @@ let lru_victim () =
   (* touch 0x100 so 0x200 is the least recently used *)
   ignore (Code_cache.find cc 0x100);
   let _ = insert cc ~pc:0x300 [] in
-  Alcotest.(check bool) "recent survives" true (Code_cache.peek cc 0x100 <> None);
-  Alcotest.(check bool) "lru evicted" true (Code_cache.peek cc 0x200 = None)
+  Alcotest.(check bool) "recent survives" true
+    (Code_cache.peek cc 0x100 != Code_cache.none);
+  Alcotest.(check bool) "lru evicted" true
+    (Code_cache.peek cc 0x200 == Code_cache.none)
 
 let replacement_is_not_eviction () =
   let cc = cache ~capacity:16 () in
@@ -91,7 +95,7 @@ let chain_false_rejected () =
   in
   rejects "Code_cache.create" (fun () ->
       ignore
-        (Code_cache.create
+        (Code_cache.create ~text_lo:0 ~text_hi:0
            { Code_cache.default_config with Code_cache.chain = false }));
   rejects "Machine.create" (fun () ->
       let mem = Gb_riscv.Mem.create ~size:4096 in

@@ -108,10 +108,10 @@ let empty_trace_fails () =
 
 module TB = Gb_dbt.Trace_builder
 
-(* A path with every kind of fetch a walk records: straight-line steps, a
-   [jal x0] hop over a dead word, a branch biased to fall through, one
-   biased taken over a second dead word, and an unbiased branch the walk
-   stops at after fetching it. *)
+(* A path with every kind of branch a walk records around the steps it
+   does not: straight-line steps, a [jal x0] hop over a dead word, a
+   branch biased to fall through, one biased taken over a second dead
+   word, and an unbiased branch the walk stops at after fetching it. *)
 let assemble_hop () =
   let open Gb_riscv in
   let open Gb_riscv.Insn in
@@ -145,45 +145,36 @@ let hop_profile program =
   Hashtbl.replace tbl (sym "tail" + 4) (50, 100);
   (tbl, fun pc -> Hashtbl.find_opt tbl pc)
 
-let walk_records_every_fetch () =
+let walk_records_every_branch () =
   let program = assemble_hop () in
   let sym = Gb_riscv.Asm.symbol program in
   let mem = load_into_mem program in
   let _, profile = hop_profile program in
   let cfg = TB.default_config in
   let entry = sym "entry" in
-  let t, w = TB.build_walk (TB.recorder ()) cfg ~mem ~profile ~entry in
+  let t, w = TB.build_walk cfg ~mem ~profile ~entry in
   Alcotest.(check bool) "walk recorded with the trace build returns" true
     (t = TB.build cfg ~mem ~profile ~entry);
-  Alcotest.(check (list int)) "every fetched pc, the hop and the stop included"
-    [ entry; entry + 4; sym "over"; sym "over" + 4; sym "over" + 8;
-      sym "tail"; sym "tail" + 4 ]
+  Alcotest.(check (list int)) "every branch, the stop included"
+    [ sym "over"; sym "over" + 8; sym "tail" + 4 ]
     (Array.to_list w.TB.w_pcs);
   Alcotest.(check (list int)) "directions"
-    TB.[ dir_none; dir_none; dir_fall; dir_none; dir_taken; dir_none;
-         dir_unbiased ]
+    TB.[ dir_fall; dir_taken; dir_unbiased ]
     (Array.to_list w.TB.w_dirs);
-  Alcotest.(check (list int)) "words"
-    (List.map
-       (fun pc -> Gb_riscv.Mem.load_insn_word mem ~addr:pc)
-       (Array.to_list w.TB.w_pcs))
-    (Array.to_list w.TB.w_words);
-  Alcotest.(check bool) "holds on the same memory and profile" true
-    (TB.walk_holds cfg ~mem ~profile w);
-  (* a fetch fault is an input too: -1, and a walk that ends there *)
-  let small = Gb_riscv.Mem.create ~size:0x20 in
-  let addi =
-    Gb_riscv.Encode.encode
-      (Gb_riscv.Insn.Op_imm (Gb_riscv.Insn.ADDI, Gb_riscv.Reg.t0, Gb_riscv.Reg.t0, 1))
+  Alcotest.(check bool) "holds on the same profile" true
+    (TB.walk_holds cfg ~profile w);
+  (* the end of text ends a walk as a fault, and reads no direction *)
+  let last = Gb_riscv.Asm.assemble [ Gb_riscv.Asm.Insn (Gb_riscv.Insn.Op_imm
+      (Gb_riscv.Insn.ADDI, Gb_riscv.Reg.t0, Gb_riscv.Reg.t0, 1)) ] in
+  let t, w =
+    TB.build_walk cfg ~mem:(load_into_mem last) ~profile
+      ~entry:last.Gb_riscv.Asm.entry
   in
-  Gb_riscv.Mem.store_int small ~addr:0x1c ~size:4 addi;
-  let _, w =
-    TB.build_walk (TB.recorder ()) cfg ~mem:small ~profile ~entry:0x1c
-  in
-  Alcotest.(check (list int)) "fault recorded as -1" [ addi; -1 ]
-    (Array.to_list w.TB.w_words);
-  Alcotest.(check bool) "holds over the fault" true
-    (TB.walk_holds cfg ~mem:small ~profile w)
+  Alcotest.(check int) "stops at the end of text" last.Gb_riscv.Asm.text_end
+    t.Gb_ir.Gtrace.fall_pc;
+  Alcotest.(check int) "no branch read" 0 (Array.length w.TB.w_pcs);
+  Alcotest.(check bool) "an empty walk holds" true
+    (TB.walk_holds cfg ~profile w)
 
 (* Each recorded branch pushed to either side of the 0.8 bias and of the
    8-sample floor: the walk holds exactly while the direction stays. *)
@@ -194,14 +185,14 @@ let walk_rejects_direction_changes () =
   let tbl, profile = hop_profile program in
   let cfg = TB.default_config in
   let _, w =
-    TB.build_walk (TB.recorder ()) cfg ~mem ~profile ~entry:(sym "entry")
+    TB.build_walk cfg ~mem ~profile ~entry:(sym "entry")
   in
   let probe what pc counts expect =
     let saved = Hashtbl.find_opt tbl pc in
     (match counts with
     | Some c -> Hashtbl.replace tbl pc c
     | None -> Hashtbl.remove tbl pc);
-    Alcotest.(check bool) what expect (TB.walk_holds cfg ~mem ~profile w);
+    Alcotest.(check bool) what expect (TB.walk_holds cfg ~profile w);
     match saved with
     | Some c -> Hashtbl.replace tbl pc c
     | None -> Hashtbl.remove tbl pc
@@ -223,64 +214,57 @@ let walk_rejects_direction_changes () =
   probe "stop biased below the sample floor" stop (Some (7, 7)) true;
   (* a branch off the walk is not an input *)
   probe "branch off the walk" (sym "out") (Some (100, 100)) true;
-  Alcotest.(check bool) "restored" true (TB.walk_holds cfg ~mem ~profile w)
+  Alcotest.(check bool) "restored" true (TB.walk_holds cfg ~profile w)
 
-(* A store into any walked word — the hop and the stop included — breaks
-   the walk, a store into a word it never fetched does not, and the walk
-   holds again once the word is back. *)
+(* A walk holds no words because text cannot change: a store of any
+   width into any word the build fetched (the hop and the stop
+   included) or skipped raises [Mem.Fault] at its address, leaves the
+   word, and the walk and the trace hold. A store just past text lands. *)
 let walk_rejects_code_stores () =
-  let check_program name program ~entry profile ~dead =
+  let check_program name program ~entry profile =
     let mem = load_into_mem program in
     let cfg = TB.default_config in
-    let t, w = TB.build_walk (TB.recorder ()) cfg ~mem ~profile ~entry in
-    let poke pc f =
+    let t, w = TB.build_walk cfg ~mem ~profile ~entry in
+    let lo = program.Gb_riscv.Asm.base
+    and hi = program.Gb_riscv.Asm.text_end in
+    for pc = lo / 4 to (hi / 4) - 1 do
+      let pc = 4 * pc in
       let word = Gb_riscv.Mem.load_insn_word mem ~addr:pc in
-      Gb_riscv.Mem.store_int mem ~addr:pc ~size:4 (word lxor (1 lsl 20));
-      f ();
-      Gb_riscv.Mem.store_int mem ~addr:pc ~size:4 word
-    in
-    Array.iter
-      (fun pc ->
-        poke pc (fun () ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: store at walked 0x%x rejected" name pc)
-              false
-              (TB.walk_holds cfg ~mem ~profile w)))
-      w.TB.w_pcs;
-    List.iter
-      (fun pc ->
-        poke pc (fun () ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: store at unwalked 0x%x accepted" name pc)
-              true
-              (TB.walk_holds cfg ~mem ~profile w);
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: same trace after 0x%x changed" name pc)
-              true
-              (t = TB.build cfg ~mem ~profile ~entry)))
-      dead;
-    Alcotest.(check bool) (name ^ ": holds once restored") true
-      (TB.walk_holds cfg ~mem ~profile w)
+      List.iter
+        (fun (addr, size) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s: %d-byte store at 0x%x refused" name size addr)
+            (Gb_riscv.Mem.Fault addr)
+            (fun () ->
+              Gb_riscv.Mem.store mem ~addr ~size (Int64.of_int (lnot word))))
+        [ (pc, 4); (pc + 3, 1); (pc + 2, 2); (pc, 8); (pc - 4, 8) ];
+      Alcotest.(check int) (Printf.sprintf "%s: word at 0x%x kept" name pc)
+        word
+        (Gb_riscv.Mem.load_insn_word mem ~addr:pc)
+    done;
+    Gb_riscv.Mem.store mem ~addr:hi ~size:8 (-1L);
+    Alcotest.(check bool) (name ^ ": walk holds") true
+      (TB.walk_holds cfg ~profile w);
+    Alcotest.(check bool) (name ^ ": same trace") true
+      (t = TB.build cfg ~mem ~profile ~entry)
   in
   let hop = assemble_hop () in
   let sym = Gb_riscv.Asm.symbol hop in
-  check_program "hop" hop ~entry:(sym "entry") (snd (hop_profile hop))
-    ~dead:[ sym "dead1"; sym "dead2"; sym "out" ];
+  check_program "hop" hop ~entry:(sym "entry") (snd (hop_profile hop));
   (* the unrolled loop stops at the revisit limit without a fetch *)
   let loop = assemble_loop () in
   let sym = Gb_riscv.Asm.symbol loop in
   let skip_branch = sym "loop" + 4 and back_branch = sym "skip" + 4 in
-  check_program "loop" loop ~entry:(sym "loop")
-    (fun pc ->
+  check_program "loop" loop ~entry:(sym "loop") (fun pc ->
       if pc = skip_branch then Some (0, 100)
       else if pc = back_branch then Some (100, 100)
       else None)
-    ~dead:[ back_branch + 4 ]
 
 (* Random kernels, run to a real profile, then random edits to that
-   profile and to the words around each trace's walk: whenever the check
-   accepts, a fresh build forms the trace the walk was recorded with,
-   step for step. *)
+   profile around each trace, and random stores into the words there:
+   whenever the check accepts, a fresh build forms the trace the walk
+   was recorded with, step for step, and every store into text is
+   refused. *)
 let walk_check_sound_prop =
   let edit =
     QCheck.Gen.(
@@ -304,30 +288,35 @@ let walk_check_sound_prop =
       let eng = Gb_system.Processor.engine p in
       let mem = Gb_system.Processor.mem p in
       let cfg = (Gb_dbt.Engine.config eng).Gb_dbt.Engine.trace_cfg in
+      let text_hi = Gb_riscv.Mem.text_hi mem in
       let over = Hashtbl.create 8 in
       let profile pc =
         match Hashtbl.find_opt over pc with
         | Some counts -> counts
         | None -> Gb_dbt.Engine.branch_profile eng pc
       in
-      let r = TB.recorder () in
       List.for_all
         (fun (region : Gb_dbt.Engine.region) ->
           let entry = region.Gb_dbt.Engine.r_entry in
-          match TB.build_walk r cfg ~mem ~profile ~entry with
+          match TB.build_walk cfg ~mem ~profile ~entry with
           | exception TB.Build_failure _ -> true
           | t, w ->
-            if not (TB.walk_holds cfg ~mem ~profile w) then
+            if not (TB.walk_holds cfg ~profile w) then
               QCheck.Test.fail_reportf "0x%x: walk fails right after its build"
                 entry;
-            (* the edits touch the walk's span and a few words past it *)
-            let lo = Array.fold_left min max_int w.TB.w_pcs in
-            let hi = Array.fold_left max 0 w.TB.w_pcs + 16 in
+            (* the edits touch the trace's span and a few words past it *)
+            let pcs =
+              List.map (fun st -> st.Gb_ir.Gtrace.pc) t.Gb_ir.Gtrace.steps
+            in
+            let lo = List.fold_left min entry pcs in
+            let hi = List.fold_left max entry pcs + 16 in
             let pc_of i = lo + (4 * (i mod (((hi - lo) / 4) + 1))) in
-            let saved = ref [] in
+            (* a store into text is refused, a store past it is not made *)
             let set_word pc word =
-              saved := (pc, Gb_riscv.Mem.load_insn_word mem ~addr:pc) :: !saved;
-              Gb_riscv.Mem.store_int mem ~addr:pc ~size:4 word
+              if pc < text_hi then
+                match Gb_riscv.Mem.store_int mem ~addr:pc ~size:4 word with
+                | () -> QCheck.Test.fail_reportf "store at 0x%x accepted" pc
+                | exception Gb_riscv.Mem.Fault a when a = pc -> ()
             in
             List.iter
               (function
@@ -347,15 +336,12 @@ let walk_check_sound_prop =
                   set_word pc (Gb_riscv.Mem.load_insn_word mem ~addr:pc))
               edits;
             let sound =
-              (not (TB.walk_holds cfg ~mem ~profile w))
+              (not (TB.walk_holds cfg ~profile w))
               ||
               match TB.build cfg ~mem ~profile ~entry with
               | t' -> t' = t
               | exception TB.Build_failure _ -> false
             in
-            List.iter
-              (fun (pc, word) -> Gb_riscv.Mem.store_int mem ~addr:pc ~size:4 word)
-              !saved;
             Hashtbl.reset over;
             sound)
         (Gb_dbt.Engine.regions eng))
@@ -645,7 +631,7 @@ let trace_oracle_prop =
           Gb_riscv.Regfile.set init_regs (i + 1)
             (Int64.of_int (0x4000 + (8 * s))))
         seeds;
-      (* write the instruction bytes *)
+      (* write the instruction bytes, then declare them text *)
       let make_mem () =
         let mem = Gb_riscv.Mem.create ~size:mem_size in
         List.iter
@@ -653,6 +639,8 @@ let trace_oracle_prop =
             Gb_riscv.Mem.store mem ~addr:st.Gb_ir.Gtrace.pc ~size:4
               (Int64.of_int (Gb_riscv.Encode.encode st.Gb_ir.Gtrace.insn)))
           gtrace.Gb_ir.Gtrace.steps;
+        Gb_riscv.Mem.set_text mem ~lo:gtrace.Gb_ir.Gtrace.entry
+          ~hi:gtrace.Gb_ir.Gtrace.fall_pc;
         mem
       in
       (* oracle: the reference interpreter until it leaves the trace *)
@@ -797,13 +785,12 @@ let first_pass_untranslatable () =
     (fun () ->
       ignore (Gb_dbt.First_pass.translate ~mem ~entry:program.Asm.entry))
 
-(* The first-pass twin of "walk rejects code stores". A block records
-   every word it fetched, the stop included, and a fault as -1. Once
-   the block is evicted, a store into any of those words makes its
-   re-promotion translate afresh, both ways: the poked word, and the
-   original word again once the stored walk holds the poked one. A
-   store into a word it never fetched leaves the stored block, which
-   comes back as is. *)
+(* The first-pass twin of "walk rejects code stores". A block is a
+   function of text words alone, and text refuses every store: a store
+   into any word the block fetched (the stop included) or skipped raises
+   [Mem.Fault] at its address and changes nothing, so once the block is
+   evicted, every re-promotion reinstalls the block stored at its
+   entry. *)
 let block_walk_rejects_code_stores () =
   let open Gb_riscv in
   let module E = Gb_dbt.Engine in
@@ -826,25 +813,7 @@ let block_walk_rejects_code_stores () =
   let sym = Asm.symbol program in
   let entry = sym "entry" and other = sym "other" in
   let mem = load_into_mem program in
-  let walk = (FP.translate ~mem ~entry).FP.walk in
-  Alcotest.(check (list int)) "every fetched pc, the stop included"
-    [ entry; entry + 4; entry + 8 ]
-    (Array.to_list walk.Gb_dbt.Trace_builder.w_pcs);
-  Alcotest.(check (list int)) "words"
-    (List.map
-       (fun pc -> Mem.load_insn_word mem ~addr:pc)
-       [ entry; entry + 4; entry + 8 ])
-    (Array.to_list walk.Gb_dbt.Trace_builder.w_words);
-  Alcotest.(check bool) "no directions" true
-    (Array.for_all (( = ) Gb_dbt.Trace_builder.dir_none)
-       walk.Gb_dbt.Trace_builder.w_dirs);
-  (* a fetch fault is an input too *)
-  let small = Mem.create ~size:0x20 in
-  let addi = Encode.encode (Insn.Op_imm (Insn.ADDI, Reg.t0, Reg.t0, 1)) in
-  Mem.store_int small ~addr:0x1c ~size:4 addi;
-  let faulted = (FP.translate ~mem:small ~entry:0x1c).FP.walk in
-  Alcotest.(check (list int)) "fault recorded as -1" [ addi; -1 ]
-    (Array.to_list faulted.Gb_dbt.Trace_builder.w_words);
+  let block = (FP.translate ~mem ~entry).FP.trace in
   (* every arrival promotes to the first-pass tier, and a one-bundle
      cache holds one block at a time *)
   let eng =
@@ -865,42 +834,23 @@ let block_walk_rejects_code_stores () =
     E.record_block_entry eng entry;
     (Option.get (E.lookup eng entry), s.E.blocks_reused - n)
   in
-  let fresh what =
-    let before = E.lookup eng entry in
-    let code, reuses = promote () in
-    Alcotest.(check int) (what ^ ": not reused") 0 reuses;
-    Alcotest.(check bool) (what ^ ": a new block") true
-      (match before with Some b -> code != b | None -> true);
-    Alcotest.(check bool) (what ^ ": the block of the words now in memory")
-      true
-      (code.Gb_vliw.Vinsn.bundles
-      = (FP.translate ~mem ~entry).FP.trace.Gb_vliw.Vinsn.bundles)
-  in
-  let reused what =
-    let before = Option.get (E.lookup eng entry) in
-    let code, reuses = promote () in
-    Alcotest.(check int) (what ^ ": reused") 1 reuses;
-    Alcotest.(check bool) (what ^ ": the stored block") true (code == before)
-  in
-  fresh "first arrival";
-  reused "unchanged";
-  let poke pc f =
-    let word = Mem.load_insn_word mem ~addr:pc in
-    Mem.store_int mem ~addr:pc ~size:4 (word lxor (1 lsl 20));
-    f ();
-    Mem.store_int mem ~addr:pc ~size:4 word
-  in
-  Array.iter
-    (fun pc ->
-      let what = Printf.sprintf "store at walked 0x%x" pc in
-      poke pc (fun () -> fresh what);
-      fresh (what ^ " undone");
-      reused (what ^ ", then unchanged"))
-    walk.Gb_dbt.Trace_builder.w_pcs;
+  let code, reuses = promote () in
+  Alcotest.(check int) "first arrival: not reused" 0 reuses;
+  Alcotest.(check bool) "first arrival: the block of the words" true
+    (code.Gb_vliw.Vinsn.bundles = block.Gb_vliw.Vinsn.bundles);
   List.iter
     (fun pc ->
-      poke pc (fun () -> reused (Printf.sprintf "store at unwalked 0x%x" pc)))
-    [ sym "dead"; other + 8 ];
+      let what = Printf.sprintf "store at 0x%x" pc in
+      let word = Mem.load_insn_word mem ~addr:pc in
+      Alcotest.check_raises (what ^ " refused") (Mem.Fault pc) (fun () ->
+          Mem.store_int mem ~addr:pc ~size:4 (word lxor (1 lsl 20)));
+      Alcotest.(check int) (what ^ ": word kept") word
+        (Mem.load_insn_word mem ~addr:pc);
+      let before = Option.get (E.lookup eng entry) in
+      let code, reuses = promote () in
+      Alcotest.(check int) (what ^ ": reused") 1 reuses;
+      Alcotest.(check bool) (what ^ ": the stored block") true (code == before))
+    [ entry; entry + 4; entry + 8; sym "dead"; other + 8 ];
   Alcotest.(check int) "every install gated or booked"
     s.E.first_pass_translations s.E.verify_checked
 
@@ -1681,8 +1631,8 @@ let () =
             trace_stops_at_unbiased;
           Alcotest.test_case "stops at ecall" `Quick trace_stops_at_ecall;
           Alcotest.test_case "empty trace fails" `Quick empty_trace_fails;
-          Alcotest.test_case "walk records every fetch" `Quick
-            walk_records_every_fetch;
+          Alcotest.test_case "walk records every branch" `Quick
+            walk_records_every_branch;
           Alcotest.test_case "walk rejects direction changes" `Quick
             walk_rejects_direction_changes;
           Alcotest.test_case "walk rejects code stores" `Quick

@@ -220,6 +220,313 @@ let prop_random_diff =
         Gb_core.Mitigation.all_modes;
       true)
 
+(* --- W^X: stores into text and fetches outside it ---------------------- *)
+
+let modes = Gb_core.Mitigation.all_modes
+
+(* The processor configs a guest trap must not depend on: every mode,
+   with the default code cache and with a 48-bundle one that evicts. *)
+let processor_configs =
+  List.concat_map
+    (fun mode ->
+      let c = Gb_system.Processor.config_for mode in
+      let e = c.Gb_system.Processor.engine in
+      let cache =
+        { e.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.capacity = 48 }
+      in
+      let small =
+        { c with
+          Gb_system.Processor.engine = { e with Gb_dbt.Engine.cache } }
+      in
+      let name = Gb_core.Mitigation.mode_name mode in
+      [ (name, c); (name ^ ", 48 bundles", small) ])
+    modes
+
+let interp_run program =
+  let mem = Gb_riscv.Mem.create ~size:(1 lsl 20) in
+  Gb_riscv.Asm.load mem program;
+  Gb_riscv.Interp.run
+    (Gb_riscv.Interp.create ~mem ~pc:program.Gb_riscv.Asm.entry ())
+
+(* [f ()] must raise [Mem.Fault addr] *)
+let expect_fault what addr f =
+  match f () with
+  | _ -> Alcotest.failf "%s: ran to completion" what
+  | exception Gb_riscv.Mem.Fault a ->
+    Alcotest.(check int) (what ^ ": fault address") addr a
+
+(* Both sides of the oracle must stop with the same trap: no divergence,
+   and the DBT side's trap message is [trap]. *)
+let expect_clean_trap what trap (r : Gb_diff.Oracle.report) =
+  (match r.divergence with
+  | Some d ->
+    Alcotest.failf "%s: divergence: %s" what
+      (Format.asprintf "%a" Gb_diff.Oracle.pp_divergence d)
+  | None -> ());
+  Alcotest.(check (option string)) (what ^ ": trap") (Some trap) r.trap
+
+(* The self-modifying probe: 60 iterations of [a0 += 1], and at
+   iteration [k] a store that would rewrite that [addi a0,a0,1] into
+   [addi a0,a0,100]. Without W^X the answer depended on which tier had
+   decoded the loop when the store landed. The branchy probe guards the
+   store with a branch, so translated code leaves the loop to run it;
+   the branch-free one stores every iteration, into a buffer except at
+   iteration [k], so from k = 30 on the trace itself runs it. *)
+let smc_probe ~branch_free k =
+  let open Gb_riscv in
+  let open Gb_riscv.Insn in
+  let store = Asm.Insn (Store (W, Reg.t1, Reg.t0, 0)) in
+  Asm.assemble
+    ([ Asm.Li (Reg.a0, 0L); Asm.Li (Reg.s1, 60L); Asm.Li (Reg.s2, 0L);
+       Asm.Li (Reg.s3, Int64.of_int k); Asm.La (Reg.t0, "patch");
+       Asm.La (Reg.t4, "buf");
+       Asm.Insn (Op (SUB, Reg.t3, Reg.t0, Reg.t4));
+       Asm.Li
+         (Reg.t1,
+          Int64.of_int (Encode.encode (Op_imm (ADDI, Reg.a0, Reg.a0, 100))));
+       Asm.Label "loop" ]
+    @ (if branch_free then
+         (* t0 = buf + (i = k) * (patch - buf) *)
+         [ Asm.Insn (Op (XOR, Reg.t2, Reg.s2, Reg.s3));
+           Asm.Insn (Op_imm (SLTIU, Reg.t2, Reg.t2, 1));
+           Asm.Insn (Op (MUL, Reg.t2, Reg.t2, Reg.t3));
+           Asm.Insn (Op (ADD, Reg.t0, Reg.t4, Reg.t2)); store ]
+       else [ Asm.Branch_to (BNE, Reg.s2, Reg.s3, "patch"); store ])
+    @ [ Asm.Label "patch"; Asm.Insn (Op_imm (ADDI, Reg.a0, Reg.a0, 1));
+        Asm.Insn (Op_imm (ADDI, Reg.s2, Reg.s2, 1));
+        Asm.Branch_to (BLT, Reg.s2, Reg.s1, "loop"); Asm.Li (Reg.a7, 93L);
+        Asm.Insn Ecall; Asm.Label "buf"; Asm.Dword [ 0L ] ])
+
+let test_smc_probe () =
+  List.iter
+    (fun (branch_free, k) ->
+      let program = smc_probe ~branch_free k in
+      let patch = Gb_riscv.Asm.symbol program "patch" in
+      let loop = Gb_riscv.Asm.symbol program "loop" in
+      let what =
+        Printf.sprintf "%s, k = %d"
+          (if branch_free then "branch-free" else "branchy")
+          k
+      in
+      expect_fault (what ^ ", interpreter") patch (fun () ->
+          interp_run program);
+      List.iter
+        (fun (name, config) ->
+          let p = Gb_system.Processor.create ~config program in
+          let what = Printf.sprintf "%s, %s" what name in
+          expect_fault what patch (fun () -> Gb_system.Processor.run p);
+          (* from k = 30 on the loop runs translated when the store comes *)
+          let traces =
+            List.filter
+              (fun r -> r.Gb_dbt.Engine.r_tier = `Trace)
+              (Gb_dbt.Engine.regions (Gb_system.Processor.engine p))
+          in
+          Alcotest.(check bool) (what ^ ": a trace installed") (k >= 30)
+            (traces <> []);
+          (* the pipeline raised it: the dispatcher's pc is still the
+             trace's entry *)
+          if branch_free && k >= 30 then
+            Alcotest.(check int) (what ^ ": raised in the trace") loop
+              (Gb_system.Processor.interp p).Gb_riscv.Interp.pc)
+        processor_configs;
+      List.iter
+        (fun mode ->
+          expect_clean_trap
+            (Printf.sprintf "%s, oracle under %s" what
+               (Gb_core.Mitigation.mode_name mode))
+            (Printf.sprintf "memory fault at 0x%x" patch)
+            (Gb_diff.Oracle.run ~config:(Gb_system.Processor.config_for mode)
+               program))
+        modes)
+    (List.concat_map
+       (fun k -> [ (false, k); (true, k) ])
+       [ 0; 2; 5; 10; 30; 50 ])
+
+(* A [jal] into data is a fetch fault whichever tier runs it: the
+   interpreter by default, a first-pass block or a trace when the first
+   arrival promotes. *)
+let test_jal_into_data () =
+  let open Gb_riscv in
+  let program =
+    Asm.assemble
+      [ Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.a0, Reg.zero, 1));
+        Asm.Jal_to (Reg.zero, "data"); Asm.Li (Reg.a7, 93L);
+        Asm.Insn Insn.Ecall; Asm.Label "data"; Asm.Dword [ 0x73L ] ]
+  in
+  let data = Asm.symbol program "data" in
+  let trap =
+    Printf.sprintf
+      "instruction fetch fault at pc 0x%x (misaligned or outside text)" data
+  in
+  let expect_trap what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: ran to completion" what
+    | exception Interp.Trap m -> Alcotest.(check string) what trap m
+  in
+  expect_trap "interpreter" (fun () -> interp_run program);
+  let base = Gb_system.Processor.default_config in
+  let with_thresholds first hot =
+    { base with
+      Gb_system.Processor.engine =
+        { base.Gb_system.Processor.engine with
+          Gb_dbt.Engine.first_pass_threshold = first;
+          hot_threshold = hot } }
+  in
+  List.iter
+    (fun (name, config, tier) ->
+      let p = Gb_system.Processor.create ~config program in
+      expect_trap name (fun () -> Gb_system.Processor.run p);
+      let regions =
+        Gb_dbt.Engine.regions (Gb_system.Processor.engine p)
+      in
+      Alcotest.(check (list string))
+        (name ^ ": the tier that ran the jump")
+        tier
+        (List.map
+           (fun r ->
+             match r.Gb_dbt.Engine.r_tier with
+             | `Block -> "block"
+             | `Trace -> "trace")
+           regions);
+      expect_clean_trap (name ^ ", oracle") trap
+        (Gb_diff.Oracle.run ~config program))
+    [ ("processor", base, []);
+      ("first-pass block", with_thresholds 1 1000, [ "block" ]);
+      ("trace", with_thresholds 1000 1, [ "trace" ]) ]
+
+(* Two equal memory faults are one clean trap, not a divergence. *)
+let test_equal_faults () =
+  let open Gb_riscv in
+  let program =
+    Asm.assemble
+      [ Asm.Insn (Insn.Lui (Reg.t0, 0x200));
+        Asm.Insn (Insn.Store (Insn.D, Reg.zero, Reg.t0, 0));
+        Asm.Li (Reg.a7, 93L); Asm.Insn Insn.Ecall ]
+  in
+  expect_clean_trap "store past the end of memory" "memory fault at 0x200000"
+    (Gb_diff.Oracle.run program)
+
+(* --- qcheck: raw guest words ------------------------------------------- *)
+
+(* Programs of random rv64im words: each is a random word with one of
+   the decoder's major opcodes, passed through [Decode], illegal ones
+   dropped. Conditional branches and [jal]s are re-aimed forward within
+   the body, so the only loop is the one around it (30 passes: past the
+   hot threshold). The address of every load, store, cflush and [jalr]
+   comes from a register the body never writes: the data buffer mostly,
+   and otherwise text ahead of the body's exit, the data's start, near
+   0, near the end of memory, or near [max_int] of the host or of the
+   guest; immediates make them misaligned too. *)
+let raw_program_gen =
+  let open QCheck.Gen in
+  let open Gb_riscv in
+  let opcodes =
+    [ 0x13; 0x1b; 0x33; 0x3b; 0x37; 0x17; 0x03; 0x23; 0x63; 0x6f; 0x67;
+      0x73; 0x0f; 0x0b ]
+  in
+  let word =
+    map2 (fun op hi -> op lor (hi lsl 7)) (oneofl opcodes) (int_bound 0x1ffffff)
+  in
+  (* s0: the data buffer's middle; s1-s6: wild; s11: the loop counter *)
+  let reserved = [ 8; 9; 18; 19; 20; 21; 22; 27 ] in
+  let free rd = if List.mem rd reserved then Reg.t6 else rd in
+  let base =
+    frequency [ (3, return Reg.s0); (1, oneofl [ 9; 18; 19; 20; 21; 22 ]) ]
+  in
+  let rec decodable () =
+    word >>= fun w ->
+    match Decode.decode w with
+    | insn -> return insn
+    | exception Decode.Illegal _ -> decodable ()
+  in
+  let* n = int_range 1 24 in
+  let* body = list_repeat n (decodable ()) in
+  let* forward = list_repeat n (int_range 1 8) in
+  let* bases = list_repeat n base in
+  let* jalr_offs = list_repeat n (oneofl [ 0; 1; 2; 4; 8 ]) in
+  let label i = if i >= n then "next" else Printf.sprintf "b%d" i in
+  let fix i insn fwd rs1 jalr_off =
+    let target = label (i + fwd) in
+    let open Insn in
+    match insn with
+    | Op_imm (op, rd, a, imm) -> Asm.Insn (Op_imm (op, free rd, a, imm))
+    | Op (op, rd, a, b) -> Asm.Insn (Op (op, free rd, a, b))
+    | Lui (rd, imm) -> Asm.Insn (Lui (free rd, imm))
+    | Auipc (rd, imm) -> Asm.Insn (Auipc (free rd, imm))
+    | Load (w, u, rd, _, off) -> Asm.Insn (Load (w, u, free rd, rs1, off))
+    | Store (w, src, _, off) -> Asm.Insn (Store (w, src, rs1, off))
+    | Branch (c, a, b, _) -> Asm.Branch_to (c, a, b, target)
+    | Jal (rd, _) -> Asm.Jal_to (free rd, target)
+    | Jalr (rd, _, off) ->
+      (* never back into text, which would loop: s1 is text, so aim at
+         the exit or next to it; s2 is the end of text *)
+      let off =
+        if rs1 = Reg.s1 then jalr_off else if rs1 = Reg.s2 then abs off else off
+      in
+      Asm.Insn (Jalr (free rd, rs1, off))
+    | Rdcycle rd -> Asm.Insn (Rdcycle (free rd))
+    | Cflush _ -> Asm.Insn (Cflush rs1)
+    | Ecall | Fence -> Asm.Insn insn
+  in
+  let body =
+    List.concat
+      (List.mapi
+         (fun i (insn, (fwd, (rs1, jalr_off))) ->
+           [ Asm.Label (label i); fix i insn fwd rs1 jalr_off ])
+         (List.combine body
+            (List.combine forward (List.combine bases jalr_offs))))
+  in
+  let open Insn in
+  let near_max shift =
+    (* [-4 lsr shift]: 4 below the host's [max_int] at 2, the guest's at 1 *)
+    [ Asm.Li (Reg.t0, -4L); Asm.Insn (Op_imm (SRLI, Reg.t0, Reg.t0, shift)) ]
+  in
+  return
+    (Asm.assemble
+       ([ Asm.Li (Reg.s11, 30L); Asm.La (Reg.s0, "data");
+          Asm.Insn (Op_imm (ADDI, Reg.s0, Reg.s0, 2047));
+          Asm.La (Reg.s1, "exit"); Asm.La (Reg.s2, "data");
+          Asm.Li (Reg.s3, 16L); Asm.Li (Reg.s4, 0xffff8L) ]
+       @ near_max 2
+       @ [ Asm.Insn (Op (ADD, Reg.s5, Reg.t0, Reg.zero)) ]
+       @ near_max 1
+       @ [ Asm.Insn (Op (ADD, Reg.s6, Reg.t0, Reg.zero)); Asm.Label "top" ]
+       @ body
+       @ [ Asm.Label "next"; Asm.Insn (Op_imm (ADDI, Reg.s11, Reg.s11, -1));
+           Asm.Branch_to (BNE, Reg.s11, Reg.zero, "top"); Asm.Label "exit";
+           Asm.Li (Reg.a7, 93L); Asm.Insn Ecall; Asm.Insn Ecall;
+           Asm.Insn Ecall; Asm.Label "data"; Asm.Space 4096 ]))
+
+let prop_raw_words =
+  QCheck.Test.make ~count:300
+    ~name:"raw guest words: equal results or equal clean traps"
+    (QCheck.make
+       ~print:(fun p ->
+         (* the text: the data is 4 KiB of zeros *)
+         let open Gb_riscv in
+         let mem = Mem.create ~size:(1 lsl 20) in
+         Asm.load mem p;
+         Format.asprintf "%a"
+           (Disasm.pp_program ~symbols:p.Asm.symbols)
+           (Disasm.disassemble mem ~addr:p.Asm.base
+              ~len:(p.Asm.text_end - p.Asm.base)))
+       raw_program_gen)
+    (fun program ->
+      List.for_all
+        (fun mode ->
+          let config =
+            { (Gb_system.Processor.config_for mode) with
+              Gb_system.Processor.max_cycles = 1_000_000L }
+          in
+          let r = Gb_diff.Oracle.run ~config program in
+          match r.divergence with
+          | None -> true
+          | Some d ->
+            QCheck.Test.fail_reportf "%s: %s"
+              (Gb_core.Mitigation.mode_name mode)
+              (Format.asprintf "%a" Gb_diff.Oracle.pp_divergence d))
+        modes)
+
 (* --- matrix ------------------------------------------------------------ *)
 
 let test_matrix_smoke () =
@@ -238,7 +545,9 @@ let test_matrix_smoke () =
   ignore (Gb_util.Json.to_string (Gb_diff.Matrix.to_json m))
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_random_diff ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest [ prop_random_diff; prop_raw_words ]
+  in
   Alcotest.run "diff"
     [
       ( "oracle",
@@ -264,6 +573,15 @@ let () =
         [
           Alcotest.test_case "mcb-suppress is detected" `Quick
             test_suppress_detected;
+        ] );
+      ( "wx",
+        [
+          Alcotest.test_case "self-modifying store traps alike" `Quick
+            test_smc_probe;
+          Alcotest.test_case "jal into data is a fetch fault" `Quick
+            test_jal_into_data;
+          Alcotest.test_case "equal memory faults are a clean trap" `Quick
+            test_equal_faults;
         ] );
       ("matrix", [ Alcotest.test_case "smoke" `Quick test_matrix_smoke ]);
       ("property", qsuite);

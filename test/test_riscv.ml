@@ -120,16 +120,14 @@ let memory_roundtrip () =
   (* store a 64-bit constant, reload a byte of it *)
   let items =
     [
-      Asm.Jal_to (Reg.zero, "start");
-      Asm.Label "buf";
-      Asm.Dword [ 0L ];
-      Asm.Label "start";
       Asm.La (Reg.t0, "buf");
       Asm.Li (Reg.t1, 0x1122334455667788L |> Int64.logand 0x7FFFFFFFL);
       Asm.Insn (Store (D, Reg.t1, Reg.t0, 0));
       Asm.Insn (Load (B, true, Reg.a0, Reg.t0, 1));
       Asm.Li (Reg.a7, 93L);
       Asm.Insn Ecall;
+      Asm.Label "buf";
+      Asm.Dword [ 0L ];
     ]
   in
   (* low 32 bits of the masked constant are 0x55667788; byte 1 is 0x77 *)
@@ -220,18 +218,22 @@ let label_addresses () =
     [
       Asm.Label "a";
       Asm.Insn Insn.Fence;
+      Asm.Label "c";
+      Asm.Insn Insn.Ecall;
       Asm.Dbyte [ 1 ];
       Asm.Label "b";
       Asm.Dword [ 7L ];
-      Asm.Label "c";
-      Asm.Insn Insn.Ecall;
+      Asm.Label "d";
     ]
   in
   let p = Asm.assemble ~base:0x2000 items in
   Alcotest.(check int) "a" 0x2000 (Asm.symbol p "a");
-  (* byte at 0x2004, dword aligns to 0x2008 *)
-  Alcotest.(check int) "b" 0x2008 (Asm.symbol p "b");
-  Alcotest.(check int) "c" 0x2010 (Asm.symbol p "c")
+  Alcotest.(check int) "c" 0x2004 (Asm.symbol p "c");
+  (* byte at 0x2008, dword aligns to 0x2010 *)
+  Alcotest.(check int) "b" 0x2010 (Asm.symbol p "b");
+  Alcotest.(check int) "d: the end" 0x2018 (Asm.symbol p "d");
+  Alcotest.(check int) "text ends after the last instruction" 0x2008
+    p.Asm.text_end
 
 let asm_errors () =
   let open Gb_riscv in
@@ -256,7 +258,18 @@ let asm_errors () =
   (* li only accepts 32-bit constants *)
   Alcotest.check_raises "li out of range"
     (Asm.Error "li: constant 4294967296 does not fit in 32 bits") (fun () ->
-      ignore (Asm.assemble [ Asm.Li (5, 0x1_0000_0000L) ]))
+      ignore (Asm.assemble [ Asm.Li (5, 0x1_0000_0000L) ]));
+  (* text runs to the last instruction, so no data may sit inside it *)
+  List.iter
+    (fun data ->
+      Alcotest.check_raises "data before code"
+        (Asm.Error "data before an instruction: data must follow all code")
+        (fun () ->
+          ignore
+            (Asm.assemble
+               [ Asm.Insn Insn.Fence; data; Asm.Label "l";
+                 Asm.Insn Insn.Ecall ])))
+    [ Asm.Dword [ 0L ]; Asm.Dbyte [ 1 ]; Asm.Dstring "s"; Asm.Space 0 ]
 
 let li_values_prop =
   (* li materialises arbitrary 32-bit constants exactly *)
@@ -413,28 +426,35 @@ module type MEM = sig
   val load_insn_word : t -> addr:int -> int
   val blit_bytes : t -> addr:int -> bytes -> unit
   val read_bytes : t -> addr:int -> len:int -> bytes
+  val set_text : t -> lo:int -> hi:int -> unit
 end
 
-(* What [Mem] must agree with: one flat [Bytes] of the whole size, with
-   [Mem]'s bound check, argument checks and their order. *)
+(* What [Mem] must agree with: one flat [Bytes] of the whole size and a
+   text range, with [Mem]'s bound check, text check, argument checks and
+   their order. *)
 module Flat = struct
-  type t = Bytes.t
+  type t = { b : Bytes.t; mutable lo : int; mutable hi : int }
 
   let check t addr n =
-    if addr < 0 || n > Bytes.length t - addr then
+    if addr < 0 || n > Bytes.length t.b - addr then
       raise (Gb_riscv.Mem.Fault addr)
+
+  (* W^X: a write that overlaps text faults *)
+  let check_write t addr n =
+    check t addr n;
+    if addr < t.hi && addr + n > t.lo then raise (Gb_riscv.Mem.Fault addr)
 
   let load_int t ~addr ~size =
     check t addr size;
     match size with
-    | 1 -> Bytes.get_uint8 t addr
-    | 2 -> Bytes.get_uint16_le t addr
-    | 4 -> Int32.to_int (Bytes.get_int32_le t addr) land 0xFFFF_FFFF
+    | 1 -> Bytes.get_uint8 t.b addr
+    | 2 -> Bytes.get_uint16_le t.b addr
+    | 4 -> Int32.to_int (Bytes.get_int32_le t.b addr) land 0xFFFF_FFFF
     | _ -> invalid_arg "Flat.load_int"
 
   let load64 t ~addr =
     check t addr 8;
-    Bytes.get_int64_le t addr
+    Bytes.get_int64_le t.b addr
 
   let load t ~addr ~size =
     match size with
@@ -443,31 +463,47 @@ module Flat = struct
     | _ -> invalid_arg "Flat.load"
 
   let store_int t ~addr ~size v =
-    check t addr size;
+    check_write t addr size;
     match size with
-    | 1 -> Bytes.set_uint8 t addr (v land 0xff)
-    | 2 -> Bytes.set_uint16_le t addr (v land 0xffff)
-    | 4 -> Bytes.set_int32_le t addr (Int32.of_int v)
+    | 1 -> Bytes.set_uint8 t.b addr (v land 0xff)
+    | 2 -> Bytes.set_uint16_le t.b addr (v land 0xffff)
+    | 4 -> Bytes.set_int32_le t.b addr (Int32.of_int v)
     | _ -> invalid_arg "Flat.store_int"
 
   let store64 t ~addr v =
-    check t addr 8;
-    Bytes.set_int64_le t addr v
+    check_write t addr 8;
+    Bytes.set_int64_le t.b addr v
 
+  (* like [load], the size is checked before the address *)
   let store t ~addr ~size v =
     match size with
+    | 1 | 2 | 4 -> store_int t ~addr ~size (Int64.to_int v)
     | 8 -> store64 t ~addr v
-    | _ -> store_int t ~addr ~size (Int64.to_int v)
+    | _ -> invalid_arg "Flat.store"
 
-  let load_insn_word t ~addr = load_int t ~addr ~size:4
+  (* an aligned word inside text, and nothing else *)
+  let load_insn_word t ~addr =
+    if addr land 3 <> 0 || addr < t.lo || addr >= t.hi then
+      raise (Gb_riscv.Mem.Fault addr);
+    load_int t ~addr ~size:4
 
   let blit_bytes t ~addr b =
-    check t addr (Bytes.length b);
-    Bytes.blit b 0 t addr (Bytes.length b)
+    let len = Bytes.length b in
+    if len = 0 then check t addr len else check_write t addr len;
+    Bytes.blit b 0 t.b addr len
 
   let read_bytes t ~addr ~len =
     check t addr len;
-    Bytes.sub t addr len
+    Bytes.sub t.b addr len
+
+  (* once: a second declaration is refused *)
+  let set_text t ~lo ~hi =
+    if t.hi > 0 then invalid_arg "Flat.set_text";
+    if lo land 3 <> 0 || hi land 3 <> 0 || lo < 0 || hi < lo
+       || hi > Bytes.length t.b
+    then invalid_arg "Flat.set_text";
+    t.lo <- lo;
+    t.hi <- hi
 end
 
 type mem_op =
@@ -480,6 +516,7 @@ type mem_op =
   | Insn_word of int
   | Blit of int * string
   | Read of int * int
+  | Text of int * int
 
 let show_op = function
   | Load (a, n) -> Printf.sprintf "load %d %d" a n
@@ -491,6 +528,7 @@ let show_op = function
   | Insn_word a -> Printf.sprintf "load_insn_word %d" a
   | Blit (a, b) -> Printf.sprintf "blit_bytes %d (%d bytes)" a (String.length b)
   | Read (a, n) -> Printf.sprintf "read_bytes %d %d" a n
+  | Text (lo, hi) -> Printf.sprintf "set_text %d %d" lo hi
 
 (* what an operation returned or raised; every [Invalid_argument] is
    one outcome, whatever its message *)
@@ -513,14 +551,16 @@ let apply (type m) (module M : MEM with type t = m) (mem : m) op =
     | Insn_word addr -> string_of_int (M.load_insn_word mem ~addr)
     | Blit (addr, b) -> M.blit_bytes mem ~addr (Bytes.of_string b); ""
     | Read (addr, len) -> Bytes.to_string (M.read_bytes mem ~addr ~len)
+    | Text (lo, hi) -> M.set_text mem ~lo ~hi; ""
   with
   | v -> Value v
   | exception Gb_riscv.Mem.Fault a -> Fault a
   | exception Invalid_argument _ -> Invalid
 
-(* Memory sizes with a partial last page among them, and addresses
-   biased towards the boundaries: within 7 bytes of a page edge, 0, the
-   last 8 bytes and the end, negative, and [max_int]. *)
+(* Memory sizes with a partial last page among them, addresses biased
+   towards the boundaries: within 7 bytes of a page edge, 0, the last 8
+   bytes and the end, negative, and [max_int]; and text ranges, mostly
+   word-aligned, over the same boundaries. *)
 let gen_mem_case =
   let open QCheck.Gen in
   let* size = oneofl [ 0; 8; 4095; 4096; 4097; 3 * 4096; (3 * 4096) + 1234 ] in
@@ -537,6 +577,11 @@ let gen_mem_case =
   let width =
     frequency [ (8, oneofl [ 1; 2; 4; 8 ]); (1, oneofl [ -1; 0; 3; 16 ]) ]
   in
+  let text_end =
+    frequency
+      [ (6, map (fun a -> a land lnot 3) edge); (1, edge);
+        (1, map (fun d -> (size land lnot 3) - (4 * d)) (int_range (-1) 2)) ]
+  in
   let blit_len = frequency [ (3, int_range 0 16); (2, int_range 0 9000) ] in
   let len = frequency [ (5, blit_len); (1, int_range (-3) (-1)) ] in
   let op =
@@ -549,7 +594,8 @@ let gen_mem_case =
         (3, map2 (fun a v -> Store64 (a, v)) addr ui64);
         (2, map (fun a -> Insn_word a) addr);
         (1, map2 (fun a s -> Blit (a, s)) addr (string_size ~gen:char blit_len));
-        (2, map2 (fun a n -> Read (a, n)) addr len) ]
+        (2, map2 (fun a n -> Read (a, n)) addr len);
+        (2, map2 (fun lo hi -> Text (lo, hi)) text_end text_end) ]
   in
   pair (return size) (list_size (int_range 1 60) op)
 
@@ -561,7 +607,8 @@ let mem_model_prop =
            (String.concat "; " (List.map show_op ops)))
        gen_mem_case)
     (fun (size, ops) ->
-      let paged = Gb_riscv.Mem.create ~size and flat = Bytes.make size '\000' in
+      let paged = Gb_riscv.Mem.create ~size
+      and flat = { Flat.b = Bytes.make size '\000'; lo = 0; hi = 0 } in
       List.iter
         (fun op ->
           let got = apply (module Gb_riscv.Mem) paged op
@@ -570,7 +617,7 @@ let mem_model_prop =
             QCheck.Test.fail_reportf "%s: %s, model %s" (show_op op)
               (show_outcome got) (show_outcome want))
         ops;
-      Bytes.equal (Gb_riscv.Mem.read_bytes paged ~addr:0 ~len:size) flat)
+      Bytes.equal (Gb_riscv.Mem.read_bytes paged ~addr:0 ~len:size) flat.Flat.b)
 
 (* addresses at the start, in the middle, at the end and across the
    edge of a page, each written with a different width *)
@@ -627,7 +674,16 @@ let copy_is_private () =
   check_all "copy after stores to the original" b 0L;
   write_all b 0x5555L;
   check_all "original after stores to the copy" a 0x4444L;
-  check_all "copy" b 0x5555L
+  check_all "copy" b 0x5555L;
+  (* the copy has the original's text, and refuses stores into it *)
+  Gb_riscv.Mem.set_text a ~lo:0x6000 ~hi:0x6010;
+  let c = Gb_riscv.Mem.copy a in
+  Alcotest.check_raises "copy refuses a store into text"
+    (Gb_riscv.Mem.Fault 0x600c) (fun () ->
+      Gb_riscv.Mem.store_int c ~addr:0x600c ~size:4 0);
+  Alcotest.check_raises "copy's text is declared" (Invalid_argument
+    "Mem.set_text: text already declared") (fun () ->
+      Gb_riscv.Mem.set_text c ~lo:0 ~hi:0)
 
 (* Decode caches are private too: two interpreters whose memories hold
    different words at the same pc each run their own word, before and

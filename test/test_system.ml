@@ -44,10 +44,6 @@ let aliasing_program ?(offset = 7) n =
   let open Gb_riscv.Insn in
   Asm.assemble
     [
-      Asm.Jal_to (Reg.zero, "start");
-      Asm.Label "buf";
-      Asm.Dword [ 0L; 0L; 0L; 0L; 0L; 0L; 0L; 0L ];
-      Asm.Label "start";
       Asm.La (Reg.s0, "buf");
       Asm.Li (Reg.s1, Int64.of_int n);
       Asm.Li (Reg.s2, 0L);
@@ -77,6 +73,8 @@ let aliasing_program ?(offset = 7) n =
       Asm.Insn (Op_imm (ANDI, Reg.a0, Reg.t0, 255));
       Asm.Li (Reg.a7, 93L);
       Asm.Insn Ecall;
+      Asm.Label "buf";
+      Asm.Dword [ 0L; 0L; 0L; 0L; 0L; 0L; 0L; 0L ];
     ]
 
 let check_all_modes name program =
@@ -282,8 +280,7 @@ let gen_program =
       body_regs seeds
   in
   let items =
-    [ Asm.Jal_to (Reg.zero, "start"); Asm.Label "buf"; Asm.Space 256;
-      Asm.Label "start"; Asm.La (Reg.s0, "buf");
+    [ Asm.La (Reg.s0, "buf");
       Asm.Li (Reg.s1, Int64.of_int iters); Asm.Li (Reg.s2, 0L) ]
     @ init
     @ [ Asm.Label "loop" ]
@@ -307,6 +304,8 @@ let gen_program =
         Asm.Insn (Op_imm (ANDI, Reg.a0, Reg.s3, 255));
         Asm.Li (Reg.a7, 93L);
         Asm.Insn Ecall;
+        Asm.Label "buf";
+        Asm.Space 256;
       ]
   in
   return (Asm.assemble items)
@@ -441,11 +440,6 @@ let negative_cflush_on_interpreter () =
   let program =
     Asm.assemble
       [
-        Asm.Jal_to (Reg.zero, "start");
-        Asm.Align 64;
-        Asm.Label "data";
-        Asm.Dword [ 42L ];
-        Asm.Label "start";
         Asm.La (Reg.t0, "data");
         Asm.Insn (Load (D, false, Reg.t1, Reg.t0, 0));
         Asm.Li (Reg.t2, Int64.of_int (-way_bytes));
@@ -454,6 +448,9 @@ let negative_cflush_on_interpreter () =
         Asm.Li (Reg.a0, 0L);
         Asm.Li (Reg.a7, 93L);
         Asm.Insn Ecall;
+        Asm.Align 64;
+        Asm.Label "data";
+        Asm.Dword [ 42L ];
       ]
   in
   let data = Asm.symbol program "data" in
