@@ -51,7 +51,6 @@ let print_result (r : Gb_system.Processor.result) =
   Printf.printf "rollbacks        %Ld\n" r.Gb_system.Processor.rollbacks;
   Printf.printf "stall cycles     %Ld\n" r.Gb_system.Processor.stall_cycles;
   Printf.printf "translations     %d\n" r.Gb_system.Processor.translations;
-  Printf.printf "dispatch exits   %Ld\n" r.Gb_system.Processor.dispatch_exits;
   if r.Gb_system.Processor.cc_evictions > 0 then
     Printf.printf "cc evictions     %d\n" r.Gb_system.Processor.cc_evictions;
   Printf.printf "spec loads       %d\n" r.Gb_system.Processor.spec_loads;
@@ -235,8 +234,8 @@ let profile_flag =
   Arg.(
     value & flag
     & info [ "profile" ]
-        ~doc:"Print host-side DBT phase timings and key counters after the \
-              run.")
+        ~doc:"Print host-side DBT phase timings and every counter after \
+              the run.")
 
 let audit_flag =
   Arg.(
@@ -323,29 +322,13 @@ let emit_observability ?(oc = stdout) obs ~trace_out ~metrics_out ~profile =
                ])
              totals)
     end;
-    match Gb_obs.Sink.metrics obs with
-    | None -> ()
-    | Some m ->
-      Printf.fprintf oc "\nKey counters:\n";
-      let counters =
-        [
-          "translate.translations"; "translate.first_pass";
-          "translate.failures"; "translate.retranslations";
-          "translate.despeculations"; "translate.lowerings_reused";
-          "translate.blocks_reused"; "mitigation.patterns_found";
-          "mitigation.loads_constrained"; "mitigation.fences_inserted";
-          "vliw.trace_runs"; "vliw.side_exits"; "vliw.rollbacks";
-          "vliw.mcb_conflicts"; "cache.read_misses"; "cache.write_misses";
-          "code_cache.evictions"; "processor.dispatch_exits";
-        ]
-      in
+    match Gb_obs.Sink.counters obs with
+    | [] -> ()
+    | counters ->
+      Printf.fprintf oc "\nCounters:\n";
       output_string oc
       @@ Gb_util.Table.render ~header:[ "counter"; "value" ]
-        ~rows:
-          (List.map
-             (fun name ->
-               [ name; string_of_int (Gb_obs.Metrics.counter_value m name) ])
-             counters)
+        ~rows:(List.map (fun (name, n) -> [ name; string_of_int n ]) counters)
   end
 
 (* --- list --------------------------------------------------------------- *)

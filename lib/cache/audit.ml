@@ -14,6 +14,10 @@ let op_id = function Baccess { id; _ } -> id | Bflush { id; _ } -> id
 
 type pc_stats = { mutable records : int; mutable dependent : int }
 
+(* The transient-line records of all runs, apart from the audit so that
+   the sink's counter source holds them alone. *)
+type line_counts = { mutable transient : int; mutable transient_dependent : int }
+
 type t = {
   real : Cache.t;
   shadow : Cache.t;
@@ -25,11 +29,15 @@ type t = {
   constrained_pcs : (int, unit) Hashtbl.t;
   transient_by_pc : (int, pc_stats) Hashtbl.t;
   sets_touched : (int, unit) Hashtbl.t;
-  mutable transient_lines : int;
-  mutable dependent_lines : int;
+  lines : line_counts;
 }
 
 let create ?(obs = Gb_obs.Sink.noop) ~real () =
+  let lines = { transient = 0; transient_dependent = 0 } in
+  if Gb_obs.Sink.is_active obs then
+    Gb_obs.Sink.add_counters obs (fun () ->
+        [ ("audit.transient_lines", lines.transient);
+          ("audit.dependent_transient_lines", lines.transient_dependent) ]);
   {
     real;
     shadow = Cache.create (Cache.config real);
@@ -41,8 +49,7 @@ let create ?(obs = Gb_obs.Sink.noop) ~real () =
     constrained_pcs = Hashtbl.create 16;
     transient_by_pc = Hashtbl.create 16;
     sets_touched = Hashtbl.create 16;
-    transient_lines = 0;
-    dependent_lines = 0;
+    lines;
   }
 
 let commit_access t ~addr ~size ~write =
@@ -81,14 +88,12 @@ let record t ~pc ~line ~dependent =
   let set_idx = Cache.set_index t.real line in
   if not (Hashtbl.mem t.sets_touched set_idx) then
     Hashtbl.add t.sets_touched set_idx ();
-  t.transient_lines <- t.transient_lines + 1;
-  if dependent then t.dependent_lines <- t.dependent_lines + 1;
-  if Gb_obs.Sink.is_active t.obs then begin
-    Gb_obs.Sink.incr t.obs "audit.transient_lines";
-    if dependent then Gb_obs.Sink.incr t.obs "audit.dependent_transient_lines";
+  t.lines.transient <- t.lines.transient + 1;
+  if dependent then
+    t.lines.transient_dependent <- t.lines.transient_dependent + 1;
+  if Gb_obs.Sink.is_active t.obs then
     Gb_obs.Sink.event t.obs ~pc ~region:t.run_region
       (Gb_obs.Event.Transient_line { addr = line; set_idx; dependent })
-  end
 
 (* Lines covered by a possibly line-straddling access. *)
 let lines_of t ~addr ~size =
@@ -185,8 +190,8 @@ let summary t =
     spec_loads = Hashtbl.length t.spec_pcs;
     flagged;
     constrained = Hashtbl.length t.constrained_pcs;
-    transient_lines = t.transient_lines;
-    dependent_lines = t.dependent_lines;
+    transient_lines = t.lines.transient;
+    dependent_lines = t.lines.transient_dependent;
     transient_pcs = Hashtbl.length t.transient_by_pc;
     true_positives = !tp;
     false_negatives = !fn;

@@ -32,8 +32,11 @@
 type t
 
 val create : ?obs:Gb_obs.Sink.t -> real:Cache.t -> unit -> t
-(** The shadow cache copies [real]'s geometry. [obs] receives the
-    [audit.*] counters and {!Gb_obs.Event.Transient_line} events. *)
+(** The shadow cache copies [real]'s geometry (and keeps the noop
+    sink). [obs] reads the [audit.transient_lines] and
+    [audit.dependent_transient_lines] counters, the [transient_lines] and
+    [dependent_lines] of {!summary}, and receives
+    {!Gb_obs.Event.Transient_line} events. *)
 
 (** {2 Architectural (interpreter) path} *)
 

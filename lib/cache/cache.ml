@@ -43,13 +43,22 @@ let create ?(obs = Gb_obs.Sink.noop) cfg =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cache.create: " ^ msg));
   let sets = cfg.size_bytes / (cfg.line_bytes * cfg.ways) in
+  let stats =
+    { reads = 0; writes = 0; read_misses = 0; write_misses = 0; flushes = 0 }
+  in
+  if Gb_obs.Sink.is_active obs then
+    Gb_obs.Sink.add_counters obs (fun () ->
+        [ ("cache.reads", stats.reads); ("cache.writes", stats.writes);
+          ("cache.read_misses", stats.read_misses);
+          ("cache.write_misses", stats.write_misses);
+          ("cache.flushes", stats.flushes) ]);
   {
     cfg;
     sets;
     tags = Array.init sets (fun _ -> Array.make cfg.ways (-1));
     last_use = Array.init sets (fun _ -> Array.make cfg.ways 0);
     tick = 0;
-    stats = { reads = 0; writes = 0; read_misses = 0; write_misses = 0; flushes = 0 };
+    stats;
     obs;
     accesses_since_miss = 0;
   }
@@ -104,8 +113,6 @@ let touch_line t addr ~write =
     if write then t.stats.write_misses <- t.stats.write_misses + 1
     else t.stats.read_misses <- t.stats.read_misses + 1;
     if Gb_obs.Sink.is_active t.obs then begin
-      Gb_obs.Sink.incr t.obs
-        (if write then "cache.write_misses" else "cache.read_misses");
       (* spacing between consecutive misses: log-scale buckets separate
          streaming (every access misses) from resident working sets *)
       Gb_obs.Sink.observe t.obs "cache.miss_distance"
@@ -120,10 +127,8 @@ let touch_line t addr ~write =
 let access t ~addr ~write =
   if write then t.stats.writes <- t.stats.writes + 1
   else t.stats.reads <- t.stats.reads + 1;
-  if Gb_obs.Sink.is_active t.obs then begin
+  if Gb_obs.Sink.is_active t.obs then
     t.accesses_since_miss <- t.accesses_since_miss + 1;
-    Gb_obs.Sink.incr t.obs (if write then "cache.writes" else "cache.reads")
-  end;
   touch_line t addr ~write
 
 let access_range t ~addr ~size ~write =
@@ -157,7 +162,6 @@ let flush_line t addr =
   if addr >= 0 then begin
     let set = set_of t addr and tag = tag_of t addr in
     t.stats.flushes <- t.stats.flushes + 1;
-    Gb_obs.Sink.incr t.obs "cache.flushes";
     let way = find_way t set tag in
     if way >= 0 then t.tags.(set).(way) <- -1
   end

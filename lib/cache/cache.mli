@@ -30,10 +30,11 @@ val check_config : config -> (unit, string) result
     ([size_bytes / (line_bytes * ways)]). *)
 
 val create : ?obs:Gb_obs.Sink.t -> config -> t
-(** [obs] (default {!Gb_obs.Sink.noop}) receives [cache.*] counters, the
-    [cache.miss_distance] histogram (accesses between consecutive misses)
-    and a {!Gb_obs.Event.Cache_miss} event per allocated line. Raises
-    [Invalid_argument] when {!check_config} rejects the geometry. *)
+(** [obs] (default {!Gb_obs.Sink.noop}) reads the [cache.*] counters
+    from {!stats}, and receives the [cache.miss_distance] histogram
+    (accesses between consecutive misses) and a {!Gb_obs.Event.Cache_miss}
+    event per allocated line. Raises [Invalid_argument] when
+    {!check_config} rejects the geometry. *)
 
 val config : t -> config
 

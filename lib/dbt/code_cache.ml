@@ -11,11 +11,7 @@ type config = { capacity : int; chain : bool }
 
 let default_config = { capacity = 65536; chain = true }
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
+type stats = { mutable evictions : int }
 
 (* The entry {!find} and {!peek} return on a miss, shared by every
    cache: never installed, never touched. *)
@@ -47,6 +43,10 @@ let create ?(obs = Gb_obs.Sink.noop) ~text_lo ~text_hi cfg =
       "Code_cache.create: config.chain must be true (trace chaining was removed)";
   if text_lo land 3 <> 0 || text_hi < text_lo then
     invalid_arg "Code_cache.create: text range";
+  let stats = { evictions = 0 } in
+  if Gb_obs.Sink.is_active obs then
+    Gb_obs.Sink.add_counters obs (fun () ->
+        [ ("code_cache.evictions", stats.evictions) ]);
   {
     cfg;
     text_lo;
@@ -54,7 +54,7 @@ let create ?(obs = Gb_obs.Sink.noop) ~text_lo ~text_hi cfg =
     count = 0;
     used = 0;
     lru_clock = 0;
-    stats = { hits = 0; misses = 0; evictions = 0 };
+    stats;
     obs;
     on_evict = (fun ~pc:_ _ -> ());
     on_insert = ignore;
@@ -87,15 +87,7 @@ let peek t pc =
 
 let find t pc =
   let e = peek t pc in
-  let hit = e != none in
-  if hit then begin
-    touch t e;
-    t.stats.hits <- t.stats.hits + 1
-  end
-  else t.stats.misses <- t.stats.misses + 1;
-  if Gb_obs.Sink.is_active t.obs then
-    Gb_obs.Sink.incr t.obs
-      (if hit then "code_cache.hits" else "code_cache.misses");
+  if e != none then touch t e;
   e
 
 let gauges t =
@@ -128,11 +120,9 @@ let evict_lru t =
   if e != none then begin
     remove t e;
     t.stats.evictions <- t.stats.evictions + 1;
-    if Gb_obs.Sink.is_active t.obs then begin
-      Gb_obs.Sink.incr t.obs "code_cache.evictions";
+    if Gb_obs.Sink.is_active t.obs then
       Gb_obs.Sink.event t.obs ~pc:e.e_pc ~region:e.e_pc
-        (Gb_obs.Event.Tier_transition { tier = "evicted" })
-    end;
+        (Gb_obs.Event.Tier_transition { tier = "evicted" });
     t.on_evict ~pc:e.e_pc e.e_tier
   end
 

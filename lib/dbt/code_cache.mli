@@ -41,8 +41,6 @@ val default_config : config
     evicts). *)
 
 type stats = {
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;  (** capacity evictions only, not replacements *)
 }
 
@@ -51,8 +49,8 @@ type t
 val create : ?obs:Gb_obs.Sink.t -> text_lo:int -> text_hi:int -> config -> t
 (** A cache for the code of the text segment [\[text_lo, text_hi)]:
     only an aligned pc in it can hold an entry. [obs] (default
-    {!Gb_obs.Sink.noop}) receives the [code_cache.*] counters ([hits],
-    [misses], [evictions]), the [code_cache.bundles]/[code_cache.entries]
+    {!Gb_obs.Sink.noop}) reads the [code_cache.evictions] counter from
+    {!stats}, and receives the [code_cache.bundles]/[code_cache.entries]
     gauges and eviction events. Raises [Invalid_argument] when
     [config.chain] is [false] or [text_lo] is misaligned or above
     [text_hi]. *)
@@ -84,11 +82,11 @@ val none : entry
     nothing. Never installed and never touched; its tier is {!Block}. *)
 
 val find : t -> int -> entry
-(** Installed entry at a guest pc, or {!none}; counts a hit or miss and
-    refreshes the LRU stamp of a hit. *)
+(** {!peek} that refreshes the LRU stamp of the entry it finds: the
+    dispatcher's lookup. *)
 
 val peek : t -> int -> entry
-(** Like {!find} but touches neither statistics nor recency. *)
+(** Installed entry at a guest pc, or {!none}; leaves recency alone. *)
 
 val insert : t -> pc:int -> tier:tier -> Gb_vliw.Vinsn.trace -> entry
 (** Install a translation, evicting LRU entries until it fits. An

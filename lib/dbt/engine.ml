@@ -43,6 +43,7 @@ type stats = {
   mutable patterns_found : int;
   mutable loads_constrained : int;
   mutable fences_inserted : int;
+  mutable cut_protects : int;
   mutable spec_loads : int;
   mutable branch_spec_loads : int;
   mutable verify_checked : int;
@@ -170,6 +171,28 @@ let branch_profile t pc =
   | { taken; total; _ } when total > 0 -> Some (taken, total)
   | _ -> None
 
+(* The engine's counters, read from [s] at each snapshot: [cut_protects]
+   only under min-cut, [verify.*] only when the gate runs. *)
+let counters ~min_cut ~verify s () =
+  [ ("translate.translations", s.translations);
+    ("translate.first_pass", s.first_pass_translations);
+    ("translate.failures", s.failures);
+    ("translate.retranslations", s.retranslations);
+    ("translate.despeculations", s.despeculations);
+    ("translate.guest_insns", s.guest_insns_translated);
+    ("translate.lowerings_reused", s.lowerings_reused);
+    ("translate.blocks_reused", s.blocks_reused);
+    ("mitigation.patterns_found", s.patterns_found);
+    ("mitigation.loads_constrained", s.loads_constrained);
+    ("mitigation.fences_inserted", s.fences_inserted) ]
+  @ (if min_cut then [ ("mitigation.cut_protects", s.cut_protects) ] else [])
+  @
+  if verify then
+    [ ("verify.checked", s.verify_checked);
+      ("verify.violations", s.verify_violations);
+      ("verify.rejections", s.verify_rejections) ]
+  else []
+
 let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
   if cfg.workers <> 0 then
     invalid_arg
@@ -195,6 +218,7 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
         patterns_found = 0;
         loads_constrained = 0;
         fences_inserted = 0;
+        cut_protects = 0;
         spec_loads = 0;
         branch_spec_loads = 0;
         verify_checked = 0;
@@ -211,6 +235,10 @@ let create ?(obs = Gb_obs.Sink.noop) ?audit cfg ~mem =
     allocs = Gb_obs.Allocs.create ();
   }
   in
+  if Gb_obs.Sink.is_active obs then
+    Gb_obs.Sink.add_counters obs
+      (counters ~min_cut:(cfg.mode = Gb_core.Mitigation.Min_cut)
+         ~verify:(cfg.verify <> Verify_off) t.stats);
   (* The bugfix half of the eviction contract: a capacity-evicted region
      that later gets re-promoted must not inherit the adaptive counters
      (runs / rollbacks / side exits) accumulated by its previous
@@ -239,14 +267,10 @@ let set_translate_fault t hook = t.translate_fault <- hook
 
 let set_on_reinstall t f = t.on_reinstall <- f
 
+(* An injected transient failure: the entry is NOT blacklisted, so a
+   later arrival retries and the region eventually translates. *)
 let translate_faulted t entry =
-  match t.translate_fault with
-  | Some f when f entry ->
-    (* injected transient failure: the entry is NOT blacklisted, so a
-       later arrival retries and the region eventually translates *)
-    Gb_obs.Sink.incr t.obs "translate.injected_faults";
-    true
-  | Some _ | None -> false
+  match t.translate_fault with Some f -> f entry | None -> false
 
 let code_cache t = t.cc
 
@@ -295,7 +319,6 @@ let consider_despeculation t entry st =
     Code_cache.invalidate t.cc entry;
     st.blacklisted <- false;
     t.stats.despeculations <- t.stats.despeculations + 1;
-    Gb_obs.Sink.incr t.obs "translate.despeculations";
     Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
       (Gb_obs.Event.Tier_transition { tier = "despeculated" })
   end
@@ -343,7 +366,6 @@ let consider_retranslation t entry st =
       st.trace_branches;
     st.hot <- t.cfg.hot_threshold - relearn_window;
     t.stats.retranslations <- t.stats.retranslations + 1;
-    Gb_obs.Sink.incr t.obs "translate.retranslations";
     Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
       (Gb_obs.Event.Tier_transition { tier = "retranslate" })
   end
@@ -370,10 +392,10 @@ let record_block_exit t ~entry info =
   | None -> ()
 
 (* Record one verdict of the install-time gate against [entry]:
-   statistics, the per-entry log, the [verify.*] counters and a
-   [Verify_violation] event per violation. A fresh gate run books what it
-   found; a reinstall books the verdict stored with the code it
-   reinstalls, which a fresh run on that code would find again. *)
+   statistics, the per-entry log and a [Verify_violation] event per
+   violation. A fresh gate run books what it found; a reinstall books
+   the verdict stored with the code it reinstalls, which a fresh run on
+   that code would find again. *)
 let book t ~entry vr =
   t.stats.verify_checked <- t.stats.verify_checked + 1;
   let vs = vr.Gb_verify.Verifier.violations in
@@ -382,10 +404,7 @@ let book t ~entry vr =
     t.verify_log <-
       List.rev_append (List.map (fun v -> (entry, v)) vs) t.verify_log
   end;
-  if Gb_obs.Sink.is_active t.obs then begin
-    Gb_obs.Sink.incr t.obs "verify.checked";
-    if vs <> [] then
-      Gb_obs.Sink.incr t.obs ~by:(List.length vs) "verify.violations";
+  if Gb_obs.Sink.is_active t.obs then
     List.iter
       (fun v ->
         Gb_obs.Sink.event t.obs ~pc:v.Gb_verify.Verifier.v_pc ~region:entry
@@ -395,7 +414,6 @@ let book t ~entry vr =
                bundle = v.Gb_verify.Verifier.v_bundle;
              }))
       vs
-  end
 
 (* Run the install-time gate on a translation about to be installed and
    book its verdict; [None] under [Verify_off]. With a leak-cut [plan]
@@ -442,7 +460,6 @@ let install_block t st ~entry b =
   | None -> ());
   st.block_branch <- b.b_branch_pc;
   t.stats.first_pass_translations <- t.stats.first_pass_translations + 1;
-  Gb_obs.Sink.incr t.obs "translate.first_pass";
   Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
     (Gb_obs.Event.Tier_transition { tier = "block" })
 
@@ -475,7 +492,6 @@ let translate_first_pass t st entry =
     match st.block with
     | Some b ->
       t.stats.blocks_reused <- t.stats.blocks_reused + 1;
-      Gb_obs.Sink.incr t.obs "translate.blocks_reused";
       book_stored t ~entry Code_cache.Block b.b_trace ~plan:None b.b_verdict;
       install_block t st ~entry b
     | None -> (
@@ -498,7 +514,6 @@ let translate_first_pass t st entry =
              per bundle in program order — but the gate must not trust
              that *)
           t.stats.verify_rejections <- t.stats.verify_rejections + 1;
-          Gb_obs.Sink.incr t.obs "verify.rejections";
           st.fp_blacklisted <- true
         end)
 
@@ -638,7 +653,6 @@ let lower_trace t st ~entry gtrace =
    entirely, and must then verify clean, or the entry is blacklisted. *)
 let fence t ~entry gtrace =
   t.stats.verify_rejections <- t.stats.verify_rejections + 1;
-  Gb_obs.Sink.incr t.obs "verify.rejections";
   Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
     (Gb_obs.Event.Tier_transition { tier = "verify-fenced" });
   let g, report =
@@ -664,7 +678,6 @@ let lower_and_gate t st ~entry =
   | Some l
     when l.l_despeculated = st.despeculated && walk_holds t l.l_walk ->
     t.stats.lowerings_reused <- t.stats.lowerings_reused + 1;
-    Gb_obs.Sink.incr t.obs "translate.lowerings_reused";
     book_stored t ~entry Code_cache.Trace l.l_trace
       ~plan:l.l_report.Gb_core.Mitigation.cut_plan l.l_verdict;
     Some (l.l_trace, l.l_report, l.l_branch_pcs, l.l_guest_insns)
@@ -697,14 +710,13 @@ let lower_and_gate t st ~entry =
 let translate_failed t st entry =
   st.blacklisted <- true;
   t.stats.failures <- t.stats.failures + 1;
-  Gb_obs.Sink.incr t.obs "translate.failures";
   Gb_obs.Sink.event t.obs ~pc:entry ~region:entry
     (Gb_obs.Event.Translate_end { ok = false });
   None
 
 let install_trace t st ~entry ~branch_pcs ~guest_insns:len trace
     { Gb_core.Mitigation.patterns_found; loads_constrained; fences_inserted;
-      cut_plan; _ } =
+      _ } =
   let obs = t.obs in
   ignore (Code_cache.insert t.cc ~pc:entry ~tier:Code_cache.Trace trace);
   (* per-entry translation counts let attribution reports flag churny
@@ -725,22 +737,13 @@ let install_trace t st ~entry ~branch_pcs ~guest_insns:len trace
   s.patterns_found <- s.patterns_found + patterns_found;
   s.loads_constrained <- s.loads_constrained + loads_constrained;
   s.fences_inserted <- s.fences_inserted + fences_inserted;
-  s.spec_loads <-
-    s.spec_loads + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.spec_loads;
+  let meta = trace.Gb_vliw.Vinsn.meta in
+  s.cut_protects <- s.cut_protects + meta.Gb_vliw.Vinsn.cut_protects;
+  s.spec_loads <- s.spec_loads + meta.Gb_vliw.Vinsn.spec_loads;
   s.branch_spec_loads <-
-    s.branch_spec_loads
-    + trace.Gb_vliw.Vinsn.meta.Gb_vliw.Vinsn.branch_spec_loads;
+    s.branch_spec_loads + meta.Gb_vliw.Vinsn.branch_spec_loads;
   if Gb_obs.Sink.is_active obs then begin
-    Gb_obs.Sink.incr obs "translate.translations";
-    Gb_obs.Sink.incr obs ~by:len "translate.guest_insns";
     Gb_obs.Sink.observe obs "translate.trace_guest_insns" (float_of_int len);
-    Gb_obs.Sink.incr obs ~by:patterns_found "mitigation.patterns_found";
-    Gb_obs.Sink.incr obs ~by:loads_constrained "mitigation.loads_constrained";
-    Gb_obs.Sink.incr obs ~by:fences_inserted "mitigation.fences_inserted";
-    let meta = trace.Gb_vliw.Vinsn.meta in
-    if Option.is_some cut_plan then
-      Gb_obs.Sink.incr obs ~by:meta.Gb_vliw.Vinsn.cut_protects
-        "mitigation.cut_protects";
     if meta.Gb_vliw.Vinsn.spec_loads > 0
        || meta.Gb_vliw.Vinsn.branch_spec_loads > 0
     then

@@ -72,6 +72,9 @@ type stats = {
   mutable patterns_found : int;
   mutable loads_constrained : int;
   mutable fences_inserted : int;
+  mutable cut_protects : int;
+      (** repairs the min-cut placement realized in installed traces
+          (dependency re-insertions and masks); 0 in the other modes *)
   mutable spec_loads : int;
   mutable branch_spec_loads : int;
   mutable verify_checked : int;
@@ -102,9 +105,10 @@ type t
 
 val create :
   ?obs:Gb_obs.Sink.t -> ?audit:Gb_cache.Audit.t -> config -> mem:Gb_riscv.Mem.t -> t
-(** [obs] (default {!Gb_obs.Sink.noop}) receives the [translate.*],
-    [verify.*] and [mitigation.*] counters (the last from the report of
-    each installed translation), per-phase host timers (first_pass,
+(** [obs] (default {!Gb_obs.Sink.noop}) reads the [translate.*] and
+    [mitigation.*] counters from {!stats} ([mitigation.cut_protects] under
+    [Min_cut] only), and the [verify.*] ones unless [config.verify] is
+    [Verify_off]. It receives per-phase host timers (first_pass,
     walk_check for trace reinstalls, trace_build, ir_build,
     poison_analysis, schedule, codegen, verify) and the translation
     lifecycle events
@@ -126,8 +130,8 @@ val code_cache : t -> Code_cache.t
 
 val lookup : t -> int -> Gb_vliw.Vinsn.trace option
 (** The installed translation at a pc, either tier (a pc has at most one:
-    trace promotion replaces the first-level block). Counts a code-cache
-    hit/miss and refreshes recency. *)
+    trace promotion replaces the first-level block). Refreshes its
+    recency ({!Code_cache.find}). *)
 
 val record_block_exit : t -> entry:int -> Gb_vliw.Pipeline.exit_info -> unit
 (** Called by the processor's dispatcher after every pass over a
@@ -182,9 +186,8 @@ val set_translate_fault : t -> (int -> bool) option -> unit
     translation attempt (both tiers) first consults the hook with the
     entry pc; [true] makes that attempt fail {e transiently} — [None] is
     returned but the entry is NOT blacklisted, so execution falls back to
-    the interpreter and a later arrival retries. Counted as
-    [translate.injected_faults]. [None] (the default) disables
-    injection. *)
+    the interpreter and a later arrival retries. [None] (the default)
+    disables injection. *)
 
 val verify_log : t -> (int * Gb_verify.Verifier.violation) list
 (** Every violation the install-time verifier recorded, in chronological

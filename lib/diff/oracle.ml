@@ -42,8 +42,6 @@ let page_bits = 8
 let run ?(config = Gb_system.Processor.default_config)
     ?(obs = Gb_obs.Sink.noop) ?inject ?(seed = 1L)
     ?(full_compare_every = default_full_every) program =
-  if Gb_obs.Sink.is_active obs then
-    Gb_obs.Sink.incr obs ~by:0 "diff.divergences";
   (* --- reference side: its own memory image, pure timing hooks -------- *)
   let ref_mem = Gb_riscv.Mem.create ~size:config.Gb_system.Processor.mem_size in
   Gb_riscv.Asm.load ref_mem program;
@@ -78,10 +76,6 @@ let run ?(config = Gb_system.Processor.default_config)
   in
   let proc = Gb_system.Processor.create ~config ~obs ?inject:inj program in
   let inj = Gb_system.Processor.inject proc in
-  (* a snapshot of an injected oracle run always carries the recovered
-     total, at zero when no agreement point was reached *)
-  if inj <> None && Gb_obs.Sink.is_active obs then
-    Gb_obs.Sink.incr obs ~by:0 "fault.recovered";
   let dbt_interp = Gb_system.Processor.interp proc in
   let dbt_mem = Gb_system.Processor.mem proc in
   let dbt_regs = dbt_interp.Gb_riscv.Interp.regs in
@@ -114,6 +108,16 @@ let run ?(config = Gb_system.Processor.default_config)
           v);
   (* --- divergence bookkeeping ---------------------------------------- *)
   let divergence = ref None in
+  (* a snapshot of an oracle run always carries its divergence count, and
+     of an injected one the recovered total, at zero until counted *)
+  if Gb_obs.Sink.is_active obs then begin
+    Gb_obs.Sink.add_counters obs (fun () ->
+        [ ("diff.divergences", Bool.to_int (Option.is_some !divergence)) ]);
+    Option.iter
+      (fun i ->
+        Gb_obs.Sink.add_counters obs (Gb_system.Inject.recovered_counters i))
+      inj
+  end;
   let syncs = ref 0 in
   let tier_of region =
     let e =
@@ -128,13 +132,11 @@ let run ?(config = Gb_system.Processor.default_config)
       | Gb_dbt.Code_cache.Trace -> "trace"
   in
   let record ~pc ~region ~tier ~kind detail =
-    if !divergence = None then begin
+    if !divergence = None then
       divergence :=
         Some
           { d_pc = pc; d_region = region; d_tier = tier; d_kind = kind;
-            d_detail = detail };
-      Gb_obs.Sink.incr obs "diff.divergences"
-    end
+            d_detail = detail }
   in
   let regs_mismatch () =
     (* x0 is architecturally zero on both sides; start at x1 like the
@@ -267,7 +269,14 @@ let run ?(config = Gb_system.Processor.default_config)
       with
       | code -> Printf.sprintf "reference exited with code %d" code
       | exception Gb_riscv.Interp.Trap m' ->
-        if m = m' then "" else Printf.sprintf "reference trapped: %s" m'
+        (* a guest that never halts meets the processor's cycle watchdog
+           and the reference's instruction budget: the same verdict *)
+        if
+          m = m'
+          || m = "cycle watchdog exceeded"
+             && m' = "instruction budget exceeded"
+        then ""
+        else Printf.sprintf "reference trapped: %s" m'
       | exception Gb_riscv.Mem.Fault a ->
         if m = fault a then "" else "reference " ^ fault a
     in

@@ -34,8 +34,9 @@
     [GHOSTBUSTERS_INJECT]), every sync point where the two sides agree
     marks all faults injected so far as recovered; the [clean] predicate
     then demands [injected = recovered]. Only the oracle counts
-    recovery: an active sink gets [fault.recovered] (registered at zero)
-    from an oracle run, never from a plain {!Gb_system.Processor} run.
+    recovery: an active sink reads [fault.recovered] (at zero until a
+    fault is recovered) from an oracle run, never from a plain
+    {!Gb_system.Processor} run.
     Under the unsound
     [mcb-suppress] kind the oracle is instead expected to {e detect} the
     divergence (sensitivity control). *)
@@ -79,8 +80,12 @@ val run :
     {!Gb_system.Processor.create} — the report accounts for it either
     way. Dirty reference pages are compared at every sync; a
     full-memory compare runs every [full_compare_every] syncs (default
-    512) and always at program end. [obs] receives [diff.divergences]
-    and the controller's [fault.*] counters. *)
+    512) and always at program end. [obs] reads [diff.divergences] (0
+    or 1) and, when a controller is armed, its [fault.recovered]
+    counters ({!Gb_system.Inject.recovered_counters}). A DBT run stopped
+    by the processor's cycle watchdog agrees with a reference that
+    exhausts its instruction budget: a guest that never halts is not a
+    divergence, though the run is not {!clean} (it trapped). *)
 
 val run_kernel :
   ?config:Gb_system.Processor.config ->

@@ -1,5 +1,3 @@
-type counter = { mutable c : int }
-
 type gauge = { mutable g : float }
 
 (* Base-2 log-scale buckets: bucket 0 holds samples <= 1, bucket i holds
@@ -21,7 +19,6 @@ type histogram = {
 }
 
 type t = {
-  counters : (string, counter) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
   seed : int64;
@@ -29,25 +26,10 @@ type t = {
 
 let create ?(seed = 1L) () =
   {
-    counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
     histograms = Hashtbl.create 8;
     seed;
   }
-
-let incr t ?(by = 1) name =
-  if by < 0 then invalid_arg "Metrics.incr: counters are monotonic";
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c.c <- c.c + by
-  | None -> Hashtbl.add t.counters name { c = by }
-
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some c -> c.c | None -> 0
-
-let counters t =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun name c acc -> (name, c.c) :: acc) t.counters [])
 
 let set_gauge t name v =
   match Hashtbl.find_opt t.gauges name with
@@ -62,9 +44,8 @@ let bucket_of v =
   else begin
     let i = ref 1 in
     let bound = ref 2. in
-    (* [incr] is shadowed by the counter API above *)
     while v > !bound && !i < n_buckets - 1 do
-      i := !i + 1;
+      incr i;
       bound := !bound *. 2.
     done;
     !i
@@ -151,9 +132,6 @@ let sorted_bindings tbl =
 
 let to_json t =
   let module J = Gb_util.Json in
-  let counters =
-    List.map (fun (name, c) -> (name, J.Int c.c)) (sorted_bindings t.counters)
-  in
   let gauges =
     List.map (fun (name, g) -> (name, J.Float g.g)) (sorted_bindings t.gauges)
   in
@@ -184,7 +162,6 @@ let to_json t =
   in
   J.Obj
     [
-      ("counters", J.Obj counters);
       ("gauges", J.Obj gauges);
       ("histograms", J.Obj histograms);
     ]

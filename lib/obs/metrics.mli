@@ -1,30 +1,18 @@
-(** Metrics registry: named monotonic counters, gauges and log-scale
-    histograms, snapshotable to {!Gb_util.Json}.
+(** Metrics registry: named gauges and log-scale histograms,
+    snapshotable to {!Gb_util.Json}. Counters are not kept here: each is
+    a field of its component's stats record, which {!Sink.counters}
+    reads.
 
     Naming convention (see docs/OBSERVABILITY.md): dot-separated
-    [subsystem.metric] in snake_case, e.g. [translate.translations],
-    [cache.read_misses], [vliw.rollbacks]. Instruments are created lazily
-    on first use; reading an instrument that was never touched yields the
-    identity value (0 for counters, [None] for gauges/histograms). *)
+    [subsystem.metric] in snake_case, e.g. [code_cache.bundles],
+    [cache.miss_distance]. Instruments are created lazily on first use;
+    reading an instrument that was never touched yields [None]. *)
 
 type t
 
 val create : ?seed:int64 -> unit -> t
 (** [seed] feeds the deterministic reservoir sampler used for histogram
     percentiles (default 1). *)
-
-(** {2 Counters} *)
-
-val incr : t -> ?by:int -> string -> unit
-(** Add [by] (default 1) to a monotonic counter. Negative increments are
-    rejected with [Invalid_argument]. *)
-
-val counter_value : t -> string -> int
-(** 0 when the counter was never incremented. *)
-
-val counters : t -> (string * int) list
-(** Every counter touched so far, sorted by name (the perf manifest
-    snapshots this). *)
 
 (** {2 Gauges} *)
 
@@ -59,5 +47,5 @@ val histogram_snapshot : t -> string -> histogram_snapshot option
 (** {2 Snapshots} *)
 
 val to_json : t -> Gb_util.Json.t
-(** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] with keys
-    sorted alphabetically (deterministic output). *)
+(** [{"gauges": {...}, "histograms": {...}}] with keys sorted
+    alphabetically (deterministic output). *)

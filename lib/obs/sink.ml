@@ -1,5 +1,6 @@
 type active = {
   metrics : Metrics.t;
+  mutable sources : (unit -> (string * int) list) list;
   events : Event.t Ring.t;
   timers : Timer.t;
   attrib : Attrib.t option;
@@ -15,6 +16,7 @@ let create ?(ring_capacity = 65536) ?span_capacity ?seed ?(attrib = false) () =
   Active
     {
       metrics = Metrics.create ?seed ();
+      sources = [];
       events = Ring.create ring_capacity;
       timers = Timer.create ?span_capacity ();
       attrib = (if attrib then Some (Attrib.create ()) else None);
@@ -34,24 +36,19 @@ let event t ?(pc = 0) ?(region = 0) kind =
   | Noop -> ()
   | Active a ->
     Ring.push a.events { Event.kind; pc; region; cycle = a.cycle_source () };
-    (* a wrapped ring silently forgets history: count every dropped event
-       so truncated Chrome traces are detectable, and say so once *)
-    if Ring.dropped a.events > 0 then begin
-      Metrics.incr a.metrics "ring.dropped";
-      if not a.ring_warned then begin
-        a.ring_warned <- true;
-        Printf.eprintf
-          "ghostbusters: warning: event ring wrapped (capacity %d); oldest \
-           events dropped, the exported Chrome trace will be truncated\n\
-           %!"
-          (Ring.capacity a.events)
-      end
+    (* a wrapped ring silently forgets history: the ring counts what it
+       dropped (see {!dropped_events}), and the first drop is said once *)
+    if (not a.ring_warned) && Ring.dropped a.events > 0 then begin
+      a.ring_warned <- true;
+      Printf.eprintf
+        "ghostbusters: warning: event ring wrapped (capacity %d); oldest \
+         events dropped, the exported Chrome trace will be truncated\n\
+         %!"
+        (Ring.capacity a.events)
     end
 
-let incr t ?by name =
-  match t with
-  | Noop -> ()
-  | Active a -> Metrics.incr a.metrics ?by name
+let add_counters t source =
+  match t with Noop -> () | Active a -> a.sources <- source :: a.sources
 
 let set_gauge t name v =
   match t with
@@ -70,7 +67,19 @@ let time t phase f =
 
 let metrics = function Noop -> None | Active a -> Some a.metrics
 
-let counters = function Noop -> [] | Active a -> Metrics.counters a.metrics
+(* equal names are adjacent once sorted: sum them *)
+let rec merge = function
+  | (n, x) :: (m, y) :: rest when String.equal n m -> merge ((n, x + y) :: rest)
+  | c :: rest -> c :: merge rest
+  | [] -> []
+
+let counters = function
+  | Noop -> []
+  | Active a ->
+    merge
+      (List.sort
+         (fun (n, _) (m, _) -> String.compare n m)
+         (List.concat_map (fun source -> source ()) a.sources))
 
 let events = function Noop -> [] | Active a -> Ring.to_list a.events
 
@@ -100,8 +109,9 @@ let metrics_json t =
       | J.Obj fields -> fields
       | other -> [ ("metrics", other) ]
     in
+    let counters = List.map (fun (name, n) -> (name, J.Int n)) (counters t) in
     J.Obj
-      (base
+      ((("counters", J.Obj counters) :: base)
       @ [
           ("host_phases", J.Obj phases);
           ( "events",

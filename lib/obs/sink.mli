@@ -2,12 +2,16 @@
 
     A sink is either {!noop} — the default everywhere, a single word whose
     record operations return immediately, so untouched callers and
-    benchmarks pay nothing — or active, in which case it owns a metrics
-    registry ({!Metrics}), a bounded ring of typed events ({!Event}) and
-    the host-side phase timers ({!Timer}).
+    benchmarks pay nothing — or active, in which case it owns a registry
+    of gauges and histograms ({!Metrics}), the counter sources its
+    components registered ({!add_counters}), a bounded ring of typed
+    events ({!Event}) and the host-side phase timers ({!Timer}).
 
-    Hot paths (the cache, the pipeline) guard payload construction with
-    {!is_active} so that the noop case does not even allocate the event. *)
+    A sink keeps no count of its own: each counter is a field of the
+    stats record of the component that counts it, and the sink reads it
+    when a snapshot is taken. Hot paths (the cache, the pipeline) guard
+    payload construction with {!is_active} so that the noop case does not
+    even allocate the event. *)
 
 type t
 
@@ -43,8 +47,13 @@ val set_cycle_source : t -> (unit -> int64) -> unit
 
 val event : t -> ?pc:int -> ?region:int -> Event.kind -> unit
 
-val incr : t -> ?by:int -> string -> unit
-(** Bump a monotonic counter. *)
+val add_counters : t -> (unit -> (string * int) list) -> unit
+(** Register a counter source: a function listing counter names with
+    their current values, read from its component's stats record at
+    every snapshot. A source lists its names from the start, at zero
+    until something is counted. It must close over that record, never
+    over its component, so that a sink outliving a run keeps only the
+    run's counts alive. Nothing on {!noop}. *)
 
 val set_gauge : t -> string -> float -> unit
 
@@ -60,7 +69,9 @@ val metrics : t -> Metrics.t option
 (** [None] on {!noop}. *)
 
 val counters : t -> (string * int) list
-(** {!Metrics.counters} of the registry; [[]] on {!noop}. *)
+(** Every registered source, read now: sorted by name, with the values
+    of equal names summed (a sink watching many runs adds them up).
+    [[]] on {!noop}. *)
 
 val events : t -> Event.t list
 (** Retained events, oldest first; [] on {!noop}. *)
@@ -70,9 +81,9 @@ val dropped_events : t -> int
 val timer_totals : t -> Timer.total list
 
 val metrics_json : t -> Gb_util.Json.t
-(** The {!Metrics.to_json} snapshot extended with a ["host_phases"] object
-    (wall-clock totals per DBT phase) and ["events"] retention counts.
-    [Obj []] on {!noop}. *)
+(** A ["counters"] object ({!counters}), the {!Metrics.to_json} gauges
+    and histograms, a ["host_phases"] object (wall-clock totals per DBT
+    phase) and ["events"] retention counts. [Obj []] on {!noop}. *)
 
 val trace_json : t -> Gb_util.Json.t
 (** The event ring and timer spans in Chrome [trace_event] JSON format

@@ -81,21 +81,30 @@ let n_kinds = List.length all_kinds
 type t = {
   rng : Gb_util.Rng.t;
   spec : spec;
-  obs : Gb_obs.Sink.t;
-  mutable injected : int;
-  mutable recovered : int;
   injected_k : int array;  (** per {!kind_index} *)
   recovered_k : int array;
 }
 
+let sum = Array.fold_left ( + ) 0
+
+(* [prefix] with the total of [counts], then [prefix.KIND] for every
+   kind counted so far *)
+let counters prefix counts () =
+  (prefix, sum counts)
+  :: List.filter_map
+       (fun k ->
+         let n = counts.(kind_index k) in
+         if n = 0 then None else Some (prefix ^ "." ^ kind_name k, n))
+       all_kinds
+
 let create ?(obs = Gb_obs.Sink.noop) ?(seed = 1L) spec =
+  let injected_k = Array.make n_kinds 0 in
+  if Gb_obs.Sink.is_active obs then
+    Gb_obs.Sink.add_counters obs (counters "fault.injected" injected_k);
   {
     rng = Gb_util.Rng.create seed;
     spec;
-    obs;
-    injected = 0;
-    recovered = 0;
-    injected_k = Array.make n_kinds 0;
+    injected_k;
     recovered_k = Array.make n_kinds 0;
   }
 
@@ -116,17 +125,14 @@ let fire t kind =
   && Gb_util.Rng.int t.rng resolution
      < int_of_float (r *. float_of_int resolution)
   &&
-  (t.injected <- t.injected + 1;
-   t.injected_k.(kind_index kind) <- t.injected_k.(kind_index kind) + 1;
-   if Gb_obs.Sink.is_active t.obs then begin
-     Gb_obs.Sink.incr t.obs "fault.injected";
-     Gb_obs.Sink.incr t.obs ("fault.injected." ^ kind_name kind)
-   end;
+  (t.injected_k.(kind_index kind) <- t.injected_k.(kind_index kind) + 1;
    true)
 
-let injected t = t.injected
+let injected t = sum t.injected_k
 
-let recovered t = t.recovered
+let recovered t = sum t.recovered_k
+
+let recovered_counters t = counters "fault.recovered" t.recovered_k
 
 let injected_by_kind t kind = t.injected_k.(kind_index kind)
 
@@ -140,27 +146,9 @@ let by_kind t =
       else Some (k, t.injected_k.(i), t.recovered_k.(i)))
     all_kinds
 
-let pending t = t.injected - t.recovered
+let pending t = injected t - recovered t
 
-let mark_all_recovered t =
-  let delta = pending t in
-  if delta > 0 then begin
-    (* per-kind before aggregate, so the [injected.KIND = recovered.KIND]
-       identity holds at every counter snapshot *)
-    List.iter
-      (fun k ->
-        let i = kind_index k in
-        let dk = t.injected_k.(i) - t.recovered_k.(i) in
-        if dk > 0 then begin
-          t.recovered_k.(i) <- t.injected_k.(i);
-          if Gb_obs.Sink.is_active t.obs then
-            Gb_obs.Sink.incr t.obs ~by:dk ("fault.recovered." ^ kind_name k)
-        end)
-      all_kinds;
-    t.recovered <- t.recovered + delta;
-    if Gb_obs.Sink.is_active t.obs then
-      Gb_obs.Sink.incr t.obs ~by:delta "fault.recovered"
-  end
+let mark_all_recovered t = Array.blit t.injected_k 0 t.recovered_k 0 n_kinds
 
 let env_var = "GHOSTBUSTERS_INJECT"
 

@@ -59,9 +59,9 @@ val spec_name : spec -> string
 type t
 
 val create : ?obs:Gb_obs.Sink.t -> ?seed:int64 -> spec -> t
-(** [seed] defaults to 1. [obs] (default {!Gb_obs.Sink.noop}) receives
-    the [fault.injected] / [fault.injected.KIND] / [fault.recovered]
-    counters. *)
+(** [seed] defaults to 1. [obs] (default {!Gb_obs.Sink.noop}) reads the
+    [fault.injected] counter ({!injected}), and [fault.injected.KIND]
+    for each kind that fired. *)
 
 val spec : t -> spec
 
@@ -78,15 +78,24 @@ val fire : t -> kind -> bool
     and do not consume randomness. *)
 
 val injected : t -> int
+(** The sum of {!injected_by_kind} over every kind. *)
 
 val recovered : t -> int
+(** The sum of {!recovered_by_kind} over every kind. *)
 
 val injected_by_kind : t -> kind -> int
 
 val recovered_by_kind : t -> kind -> int
-(** The per-kind split of the aggregate accounting, published as
+(** The per-kind split of the accounting, published as
     [fault.injected.KIND] / [fault.recovered.KIND] counters — the
     [injected = recovered] soundness check is assertable per kind. *)
+
+val recovered_counters : t -> unit -> (string * int) list
+(** The counter source of the recovery accounting: [fault.recovered]
+    ({!recovered}), and [fault.recovered.KIND] for each kind recovered.
+    Only the differential oracle proves recovery, so it is the one that
+    registers this ({!Gb_obs.Sink.add_counters}). The source holds the
+    counts, not the controller. *)
 
 val by_kind : t -> (kind * int * int) list
 (** [(kind, injected, recovered)] for every kind touched so far, in

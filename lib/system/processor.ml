@@ -60,9 +60,6 @@ type t = {
       (** the sink's cycle-attribution ledger, cached off the hot loop *)
   audit : Gb_cache.Audit.t option;
   inject : Inject.t option;
-  mutable dispatch_exits : int;
-      (** trace exits handled by the dispatch loop: every trace exit. A
-          native int, so counting one allocates nothing. *)
   mutable on_trace_exit : region:int -> Gb_vliw.Pipeline.exit_info -> unit;
       (** observer fired once per trace exit with architectural state
           fully committed; the differential oracle hangs its sync
@@ -131,39 +128,6 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
   let clock = ref 0L in
   (* every component stamps its events with the shared simulated clock *)
   Gb_obs.Sink.set_cycle_source obs (fun () -> !clock);
-  (* pre-register the canonical counters so snapshots always carry them,
-     even when a run never fires the corresponding path *)
-  if Gb_obs.Sink.is_active obs then
-    List.iter
-      (fun name -> Gb_obs.Sink.incr obs ~by:0 name)
-      [
-        "translate.translations"; "translate.first_pass";
-        "translate.failures"; "translate.retranslations";
-        "translate.despeculations"; "translate.guest_insns";
-        "translate.lowerings_reused"; "translate.blocks_reused";
-        "mitigation.patterns_found";
-        "mitigation.loads_constrained"; "mitigation.fences_inserted";
-        "vliw.trace_runs"; "vliw.side_exits";
-        "vliw.rollbacks"; "vliw.mcb_conflicts"; "cache.reads"; "cache.writes";
-        "cache.read_misses"; "cache.write_misses"; "cache.flushes";
-        (* the code cache proper ("cache.*" above is the L1D) *)
-        "code_cache.hits"; "code_cache.misses"; "code_cache.evictions";
-        "processor.dispatch_exits";
-      ];
-  if audit && Gb_obs.Sink.is_active obs then
-    List.iter
-      (fun name -> Gb_obs.Sink.incr obs ~by:0 name)
-      [ "audit.transient_lines"; "audit.dependent_transient_lines" ];
-  if config.engine.Gb_dbt.Engine.verify <> Gb_dbt.Engine.Verify_off
-     && Gb_obs.Sink.is_active obs
-  then
-    List.iter
-      (fun name -> Gb_obs.Sink.incr obs ~by:0 name)
-      [ "verify.checked"; "verify.violations"; "verify.rejections" ];
-  (* [fault.recovered] is the oracle's to register: only its agreement
-     points prove a fault recovered *)
-  if inject <> None && Gb_obs.Sink.is_active obs then
-    Gb_obs.Sink.incr obs ~by:0 "fault.injected";
   let hier = Gb_cache.Hierarchy.create ~obs config.hier in
   let audit =
     if audit then
@@ -279,7 +243,7 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
   | None -> ());
   {
     cfg = config; mem; clock; hier; interp; machine; engine; obs; attrib;
-    audit; inject; dispatch_exits = 0; on_trace_exit = (fun ~region:_ _ -> ());
+    audit; inject; on_trace_exit = (fun ~region:_ _ -> ());
   }
 
 let mem t = t.mem
@@ -340,7 +304,7 @@ let result_of t exit_code =
     verify_checked = es.Gb_dbt.Engine.verify_checked;
     verify_violations = es.Gb_dbt.Engine.verify_violations;
     verify_rejections = es.Gb_dbt.Engine.verify_rejections;
-    dispatch_exits = Int64.of_int t.dispatch_exits;
+    dispatch_exits = Int64.of_int ms.Gb_vliw.Machine.trace_runs;
     chain_follows = 0L;
     guest_insns =
       Int64.add t.interp.Gb_riscv.Interp.insn_count
@@ -373,12 +337,12 @@ let run t =
       | _ -> ());
       let info = Gb_vliw.Pipeline.run t.machine trace in
       t.interp.Gb_riscv.Interp.pc <- info.Gb_vliw.Pipeline.next_pc;
-      t.dispatch_exits <- t.dispatch_exits + 1;
-      Gb_obs.Sink.incr t.obs "processor.dispatch_exits";
       (* periodic committed-vs-overhead sample for the Chrome trace's
-         attribution counter lanes *)
-      if Option.is_some t.attrib && t.dispatch_exits mod 256 = 1 then
-        emit_attrib_sample t;
+         attribution counter lanes, every 256 trace runs *)
+      if Option.is_some t.attrib
+         && t.machine.Gb_vliw.Machine.stats.Gb_vliw.Machine.trace_runs mod 256
+            = 1
+      then emit_attrib_sample t;
       (* the one accounting of this exit: the region's run/exit counts,
          the target's hot counter (which may translate it), the
          observer *)

@@ -39,7 +39,9 @@ type result = {
   verify_rejections : int;
       (** translations [Verify_enforce] refused to install unfenced *)
   dispatch_exits : int64;
-      (** trace exits handled by the dispatch loop: every trace exit *)
+      (** trace exits handled by the dispatch loop: every trace exit, so
+          always [trace_runs]. The field stays only until the host
+          benchmark stops reading it. *)
   chain_follows : int64;
       (** Vestigial and always 0: there is no trace chaining. The field
           stays only until the host benchmark stops reading it. *)

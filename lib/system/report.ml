@@ -11,8 +11,6 @@ type region_row = {
 
 type t = {
   result : Processor.result;
-  guest_insns_total : int64;
-  translated_insns : int64;
   translated_share : float;
   overall_ipc : float;
   cache_reads : int;
@@ -41,21 +39,15 @@ let region_row (r : Gb_dbt.Engine.region) =
 
 let of_processor proc (result : Processor.result) =
   let regions = List.map region_row (Gb_dbt.Engine.regions (Processor.engine proc)) in
-  (* translated-tier instruction count: a full pass over a region executes
-     its guest_insns; early side exits execute fewer, so this is an upper
-     estimate of the translated share *)
-  let translated_insns =
-    List.fold_left
-      (fun acc row -> Int64.add acc (Int64.of_int (row.runs * row.guest_insns)))
-      0L regions
-  in
-  let total = Int64.add result.Processor.interp_insns translated_insns in
+  (* the translated tiers ran what the interpreter did not: the machine
+     counts every pass over every region, evicted and re-translated ones
+     included (a full pass even on an early exit, so an estimate) *)
+  let total = result.Processor.guest_insns in
+  let translated_insns = Int64.sub total result.Processor.interp_insns in
   let stats = Gb_cache.Cache.stats (Gb_cache.Hierarchy.cache (Processor.hierarchy proc)) in
   let rate miss total = if total = 0 then 0. else float_of_int miss /. float_of_int total in
   {
     result;
-    guest_insns_total = total;
-    translated_insns;
     translated_share =
       (if Int64.equal total 0L then 0.
        else Int64.to_float translated_insns /. Int64.to_float total);
@@ -74,7 +66,7 @@ let pp ?(max_regions = 10) ppf t =
   let r = t.result in
   Format.fprintf ppf "cycles             %Ld@." r.Processor.cycles;
   Format.fprintf ppf "guest insns        ~%Ld (%.1f%% on translated code)@."
-    t.guest_insns_total (100. *. t.translated_share);
+    r.Processor.guest_insns (100. *. t.translated_share);
   Format.fprintf ppf "overall IPC        %.2f@." t.overall_ipc;
   Format.fprintf ppf "interp insns       %Ld@." r.Processor.interp_insns;
   Format.fprintf ppf "translations       %d traces, %d first-pass blocks@."
@@ -113,7 +105,7 @@ let to_json t =
   J.Obj
     [
       ("cycles", J.Int (Int64.to_int r.Processor.cycles));
-      ("guest_insns", J.Int (Int64.to_int t.guest_insns_total));
+      ("guest_insns", J.Int (Int64.to_int r.Processor.guest_insns));
       ("translated_share", J.Float t.translated_share);
       ("overall_ipc", J.Float t.overall_ipc);
       ("interp_insns", J.Int (Int64.to_int r.Processor.interp_insns));

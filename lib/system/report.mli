@@ -16,10 +16,9 @@ type region_row = {
 
 type t = {
   result : Processor.result;
-  guest_insns_total : int64;
-      (** instructions executed on all tiers (interp + translated) *)
-  translated_insns : int64;  (** executed via translated code *)
-  translated_share : float;  (** translated / total *)
+  translated_share : float;
+      (** the share of the result's [guest_insns] not executed by the
+          interpreter *)
   overall_ipc : float;  (** guest instructions per cycle over the whole run *)
   cache_reads : int;
   cache_read_miss_rate : float;

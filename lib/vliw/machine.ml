@@ -16,6 +16,7 @@ type stats = {
   mutable trace_runs : int;
   mutable side_exits : int;
   mutable rollbacks : int;
+  mutable fallthroughs : int;
   mutable stall_cycles : int;
   mutable guest_insns : int;
 }
@@ -75,16 +76,28 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
       r
     | None -> Gb_riscv.Regfile.create (Vinsn.guest_regs + cfg.n_hidden)
   in
+  let mcb = Mcb.create ~obs ~entries:cfg.mcb_entries () in
+  let stats =
+    { bundles = 0; trace_runs = 0; side_exits = 0; rollbacks = 0;
+      fallthroughs = 0; stall_cycles = 0; guest_insns = 0 }
+  in
+  if Gb_obs.Sink.is_active obs then begin
+    let mcb_stats = Mcb.stats mcb in
+    Gb_obs.Sink.add_counters obs (fun () ->
+        [ ("vliw.trace_runs", stats.trace_runs);
+          ("vliw.side_exits", stats.side_exits);
+          ("vliw.rollbacks", stats.rollbacks);
+          ("vliw.fallthroughs", stats.fallthroughs);
+          ("vliw.mcb_conflicts", mcb_stats.Mcb.conflicts) ])
+  end;
   {
     cfg;
     regs;
     mem;
     hier;
     clock;
-    mcb = Mcb.create ~obs ~entries:cfg.mcb_entries ();
-    stats =
-      { bundles = 0; trace_runs = 0; side_exits = 0; rollbacks = 0;
-        stall_cycles = 0; guest_insns = 0 };
+    mcb;
+    stats;
     obs;
     audit;
     rdcycle_hook = None;

@@ -20,6 +20,7 @@ type stats = {
   mutable trace_runs : int;
   mutable side_exits : int;
   mutable rollbacks : int;
+  mutable fallthroughs : int;  (** trace runs left through the final exit *)
   mutable stall_cycles : int;
   mutable guest_insns : int;
       (** guest instructions covered by executed traces (full-pass upper
@@ -94,7 +95,9 @@ val create :
   t
 (** [regs], when provided, must be at least [32 + cfg.n_hidden] long (it is
     shared with the interpreter, which only uses the first 32 slots).
-    [obs] (default {!Gb_obs.Sink.noop}) receives the [vliw.*] counters and
+    [obs] (default {!Gb_obs.Sink.noop}) reads the [vliw.trace_runs],
+    [side_exits], [rollbacks] and [fallthroughs] counters from [stats]
+    and [vliw.mcb_conflicts] from the MCB's, and receives the
     rollback/conflict events of {!Pipeline} and {!Mcb}. Raises
     [Invalid_argument] when [cfg.chain] is [false]. *)
 

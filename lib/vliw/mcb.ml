@@ -1,9 +1,11 @@
+type stats = { mutable conflicts : int }
+
 type t = {
   addrs : int array;
   sizes : int array;
   live : bool array;
   conflict : bool array;
-  mutable total_conflicts : int;
+  stats : stats;
   mutable fault_hook : (tag:int -> conflict:bool -> bool) option;
   obs : Gb_obs.Sink.t;
 }
@@ -15,7 +17,7 @@ let create ?(obs = Gb_obs.Sink.noop) ~entries () =
     sizes = Array.make entries 0;
     live = Array.make entries false;
     conflict = Array.make entries false;
-    total_conflicts = 0;
+    stats = { conflicts = 0 };
     fault_hook = None;
     obs;
   }
@@ -51,9 +53,8 @@ let store_probe t ~pc ~addr ~size =
        && overlap addr size t.addrs.(tag) t.sizes.(tag)
     then begin
       t.conflict.(tag) <- true;
-      t.total_conflicts <- t.total_conflicts + 1;
+      t.stats.conflicts <- t.stats.conflicts + 1;
       if Gb_obs.Sink.is_active t.obs then begin
-        Gb_obs.Sink.incr t.obs "vliw.mcb_conflicts";
         Gb_obs.Sink.event t.obs ~pc:addr (Gb_obs.Event.Mcb_conflict { addr });
         (* remember which store pc flagged the conflict: the attribution
            report ties rollback cycles back to the stores causing them *)
@@ -76,4 +77,4 @@ let check t ~tag =
   in
   match t.fault_hook with None -> c | Some hook -> hook ~tag ~conflict:c
 
-let conflicts_recorded t = t.total_conflicts
+let stats t = t.stats

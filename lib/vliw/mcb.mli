@@ -6,9 +6,15 @@
 
 type t
 
+type stats = {
+  mutable conflicts : int;
+      (** conflicts marked since creation ([vliw.mcb_conflicts], which
+          {!Machine.create} registers) *)
+}
+
 val create : ?obs:Gb_obs.Sink.t -> entries:int -> unit -> t
-(** [obs] (default {!Gb_obs.Sink.noop}) receives a [vliw.mcb_conflicts]
-    counter and a {!Gb_obs.Event.Mcb_conflict} event per marked entry.
+(** [obs] (default {!Gb_obs.Sink.noop}) receives a
+    {!Gb_obs.Event.Mcb_conflict} event per marked entry.
     [entries = 0] means "MCB disabled": {!alloc}/{!store_probe} are
     no-ops and {!check} reports no conflict. A disabled MCB requires the
     translator to emit no speculative memory ops ({!Gb_ir.Opt_config}
@@ -44,5 +50,4 @@ val check : t -> tag:int -> bool
 (** Consume entry [tag]; returns [true] iff a conflict was recorded.
     Unallocated tags report no conflict. *)
 
-val conflicts_recorded : t -> int
-(** Total number of conflicts marked since creation (statistics). *)
+val stats : t -> stats

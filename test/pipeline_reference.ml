@@ -328,15 +328,13 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   (match kind with
   | Side_exit -> m.stats.side_exits <- m.stats.side_exits + 1
   | Rollback -> m.stats.rollbacks <- m.stats.rollbacks + 1
-  | Fallthrough -> ());
+  | Fallthrough -> m.stats.fallthroughs <- m.stats.fallthroughs + 1);
   if Gb_obs.Sink.is_active m.obs then begin
     let region = trace.entry_pc in
     (match kind with
-    | Side_exit -> Gb_obs.Sink.incr m.obs "vliw.side_exits"
     | Rollback ->
-      Gb_obs.Sink.incr m.obs "vliw.rollbacks";
       Gb_obs.Sink.event m.obs ~pc:stub.target_pc ~region Gb_obs.Event.Rollback
-    | Fallthrough -> Gb_obs.Sink.incr m.obs "vliw.fallthroughs");
+    | Side_exit | Fallthrough -> ());
     (* how deep into the trace the run got before leaving *)
     Gb_obs.Sink.observe m.obs "vliw.exit_bundle" (float_of_int (bundle_idx + 1))
   end;
@@ -369,7 +367,6 @@ let run (m : Machine.t) (trace : Vinsn.trace) =
   Mcb.clear m.mcb;
   m.stats.trace_runs <- m.stats.trace_runs + 1;
   m.stats.guest_insns <- m.stats.guest_insns + trace.guest_insns;
-  Gb_obs.Sink.incr m.obs "vliw.trace_runs";
   (match m.audit with
   | Some a -> Gb_cache.Audit.begin_run a ~region:trace.entry_pc
   | None -> ());

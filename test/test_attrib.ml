@@ -206,9 +206,14 @@ let test_ring_dropped_accounting () =
     Gb_obs.Sink.event obs ~pc:i Gb_obs.Event.Rollback
   done;
   Alcotest.(check int) "dropped count" 6 (Gb_obs.Sink.dropped_events obs);
-  let m = Option.get (Gb_obs.Sink.metrics obs) in
-  Alcotest.(check int) "ring.dropped counter" 6
-    (Gb_obs.Metrics.counter_value m "ring.dropped");
+  (match Gb_obs.Sink.metrics_json obs with
+  | Gb_util.Json.Obj fields ->
+    Alcotest.(check bool) "dropped in the metrics snapshot" true
+      (List.assoc_opt "events" fields
+      = Some
+          (Gb_util.Json.Obj
+             [ ("retained", Gb_util.Json.Int 4); ("dropped", Gb_util.Json.Int 6) ]))
+  | _ -> Alcotest.fail "metrics_json not an object");
   match Gb_obs.Sink.trace_json obs with
   | Gb_util.Json.Obj fields ->
     Alcotest.(check bool) "droppedEvents in trace" true

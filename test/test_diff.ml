@@ -43,11 +43,8 @@ let test_divergence_counter () =
   let obs = Gb_obs.Sink.create () in
   let r = Gb_diff.Oracle.run_kernel ~obs (polybench "atax") in
   check_clean "atax" r;
-  match Gb_obs.Sink.metrics obs with
-  | None -> Alcotest.fail "active sink has metrics"
-  | Some m ->
-    Alcotest.(check int) "diff.divergences = 0" 0
-      (Gb_obs.Metrics.counter_value m "diff.divergences")
+  Alcotest.(check (option int)) "diff.divergences = 0" (Some 0)
+    (List.assoc_opt "diff.divergences" (Gb_obs.Sink.counters obs))
 
 (* --- fault injection: every recoverable kind recovers ------------------ *)
 
@@ -406,6 +403,29 @@ let test_equal_faults () =
   expect_clean_trap "store past the end of memory" "memory fault at 0x200000"
     (Gb_diff.Oracle.run program)
 
+(* A guest that never halts meets the processor's cycle watchdog and the
+   reference's instruction budget: both sides agree it did not finish,
+   so the oracle reports the trap and no divergence, under every mode. *)
+let test_endless_loop () =
+  let open Gb_riscv in
+  let program =
+    Asm.assemble
+      [ Asm.Li (Reg.a0, 0L); Asm.Label "loop";
+        Asm.Insn (Insn.Op_imm (Insn.ADDI, Reg.a0, Reg.a0, 1));
+        Asm.Jal_to (Reg.zero, "loop") ]
+  in
+  List.iter
+    (fun mode ->
+      let config =
+        { (Gb_system.Processor.config_for mode) with
+          Gb_system.Processor.max_cycles = 200_000L }
+      in
+      expect_clean_trap
+        (Gb_core.Mitigation.mode_name mode)
+        "cycle watchdog exceeded"
+        (Gb_diff.Oracle.run ~config program))
+    Gb_core.Mitigation.all_modes
+
 (* --- qcheck: raw guest words ------------------------------------------- *)
 
 (* Programs of random rv64im words: each is a random word with one of
@@ -573,6 +593,8 @@ let () =
         [
           Alcotest.test_case "mcb-suppress is detected" `Quick
             test_suppress_detected;
+          Alcotest.test_case "an endless loop is not a divergence" `Quick
+            test_endless_loop;
         ] );
       ( "wx",
         [

@@ -36,15 +36,19 @@ let ring_wraparound_prop =
       in
       Ring.to_list r = expected && Ring.dropped r = max 0 (n - cap))
 
+(* A counter is a field its component counts; the sink reads it. *)
 let metrics_counters () =
+  let s = Sink.create () in
+  Alcotest.(check (list (pair string int))) "no source, no counter" []
+    (Sink.counters s);
+  let stats = ref 0 in
+  Sink.add_counters s (fun () -> [ ("a", !stats) ]);
+  Alcotest.(check (list (pair string int))) "listed at zero" [ ("a", 0) ]
+    (Sink.counters s);
+  stats := !stats + 5;
+  Alcotest.(check (list (pair string int))) "reads the field" [ ("a", 5) ]
+    (Sink.counters s);
   let m = Metrics.create () in
-  Alcotest.(check int) "unset counter" 0 (Metrics.counter_value m "a");
-  Metrics.incr m "a";
-  Metrics.incr m ~by:4 "a";
-  Alcotest.(check int) "accumulates" 5 (Metrics.counter_value m "a");
-  Alcotest.check_raises "negative increment rejected"
-    (Invalid_argument "Metrics.incr: counters are monotonic") (fun () ->
-      Metrics.incr m ~by:(-1) "a");
   Metrics.set_gauge m "g" 2.5;
   Alcotest.(check (option (float 1e-9))) "gauge" (Some 2.5)
     (Metrics.gauge_value m "g");
@@ -78,23 +82,29 @@ let metrics_histogram () =
 
 let metrics_json_shape () =
   let m = Metrics.create () in
-  Metrics.incr m "z.count";
+  Metrics.set_gauge m "z.level" 1.;
   Metrics.observe m "lat" 3.;
-  match Metrics.to_json m with
+  (match Metrics.to_json m with
   | Gb_util.Json.Obj fields ->
-    Alcotest.(check (list string)) "sections"
-      [ "counters"; "gauges"; "histograms" ]
+    Alcotest.(check (list string)) "sections" [ "gauges"; "histograms" ]
+      (List.map fst fields)
+  | _ -> Alcotest.fail "metrics snapshot is not an object");
+  let s = Sink.create () in
+  Sink.add_counters s (fun () -> [ ("z.count", 1) ]);
+  match Sink.metrics_json s with
+  | Gb_util.Json.Obj fields ->
+    Alcotest.(check (list string)) "sink sections"
+      [ "counters"; "gauges"; "histograms"; "host_phases"; "events" ]
       (List.map fst fields);
-    let counters = List.assoc "counters" fields in
     Alcotest.(check bool) "counter present" true
-      (counters = Gb_util.Json.Obj [ ("z.count", Gb_util.Json.Int 1) ])
-  | _ -> Alcotest.fail "metrics snapshot is not an object"
+      (List.assoc "counters" fields
+      = Gb_util.Json.Obj [ ("z.count", Gb_util.Json.Int 1) ])
+  | _ -> Alcotest.fail "sink snapshot is not an object"
 
 let sink_noop () =
   let s = Sink.noop in
   Alcotest.(check bool) "inactive" false (Sink.is_active s);
   (* all recording is a no-op and nothing is readable back *)
-  Sink.incr s "c";
   Sink.observe s "h" 1.;
   Sink.event s Event.Rollback;
   Alcotest.(check int) "ran the thunk" 42 (Sink.time s "phase" (fun () -> 42));
@@ -109,7 +119,7 @@ let sink_records () =
   Sink.set_cycle_source s (fun () -> !cycle);
   cycle := 17L;
   Sink.event s ~pc:0x100 ~region:0x80 Event.Translate_start;
-  Sink.incr s "translate.translations";
+  Sink.add_counters s (fun () -> [ ("translate.translations", 1) ]);
   Alcotest.(check int) "timer result" 7 (Sink.time s "codegen" (fun () -> 7));
   (match Sink.events s with
   | [ e ] ->
@@ -117,16 +127,98 @@ let sink_records () =
     Alcotest.(check int) "region" 0x80 e.Event.region;
     Alcotest.(check int64) "cycle stamp" 17L e.Event.cycle
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
-  (match Sink.metrics s with
-  | Some m ->
-    Alcotest.(check int) "counter visible" 1
-      (Metrics.counter_value m "translate.translations")
-  | None -> Alcotest.fail "active sink has metrics");
+  Alcotest.(check (list (pair string int))) "counter visible"
+    [ ("translate.translations", 1) ]
+    (Sink.counters s);
   match Sink.timer_totals s with
   | [ t ] ->
     Alcotest.(check string) "phase name" "codegen" t.Timer.t_phase;
     Alcotest.(check int) "calls" 1 t.Timer.t_calls
   | ts -> Alcotest.failf "expected 1 phase, got %d" (List.length ts)
+
+(* --- counter sources ---------------------------------------------------- *)
+
+let sources_sum () =
+  let s = Sink.create () in
+  Sink.add_counters s (fun () -> [ ("b", 1); ("a", 2) ]);
+  Sink.add_counters s (fun () -> [ ("a", 3); ("c", 0) ]);
+  Alcotest.(check (list (pair string int))) "sorted, equal names summed"
+    [ ("a", 5); ("b", 1); ("c", 0) ]
+    (Sink.counters s)
+
+let noop_ignores_sources () =
+  let read = ref false in
+  Sink.add_counters Sink.noop (fun () ->
+      read := true;
+      [ ("a", 1) ]);
+  Alcotest.(check (list (pair string int))) "no counters" []
+    (Sink.counters Sink.noop);
+  Alcotest.(check bool) "never read" false !read
+
+let read_at_snapshot () =
+  let s = Sink.create () in
+  let stats = ref 0 in
+  Sink.add_counters s (fun () -> [ ("a", !stats) ]);
+  let snapshot () =
+    match Sink.metrics_json s with
+    | Gb_util.Json.Obj fields -> List.assoc "counters" fields
+    | _ -> Alcotest.fail "sink snapshot is not an object"
+  in
+  let before = snapshot () in
+  stats := 7;
+  Alcotest.(check bool) "an earlier snapshot keeps its value" true
+    (before = Gb_util.Json.Obj [ ("a", Gb_util.Json.Int 0) ]);
+  Alcotest.(check bool) "a later one reads the new value" true
+    (snapshot () = Gb_util.Json.Obj [ ("a", Gb_util.Json.Int 7) ])
+
+let assemble name =
+  match Gb_workloads.Polybench.by_name name with
+  | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+  | None -> Alcotest.failf "%s workload missing" name
+
+(* Two processor runs on one sink: each counter is the sum of the result
+   fields the two runs counted it in. *)
+let two_runs_add_up () =
+  let module P = Gb_system.Processor in
+  let s = Sink.create () in
+  let run mode name = P.run_program ~config:(P.config_for mode) ~obs:s (assemble name) in
+  let r1 = run Gb_core.Mitigation.Fine_grained "gemm"
+  and r2 = run Gb_core.Mitigation.Unsafe "atax" in
+  let counters = Sink.counters s in
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check (option int)) name
+        (Some (field r1 + field r2))
+        (List.assoc_opt name counters))
+    [
+      ("translate.translations", fun r -> r.P.translations);
+      ("translate.first_pass", fun r -> r.P.first_pass_translations);
+      ("mitigation.patterns_found", fun r -> r.P.patterns_found);
+      ("mitigation.loads_constrained", fun r -> r.P.loads_constrained);
+      ("mitigation.fences_inserted", fun r -> r.P.fences_inserted);
+      ("vliw.trace_runs", fun r -> Int64.to_int r.P.trace_runs);
+      ("vliw.side_exits", fun r -> Int64.to_int r.P.side_exits);
+      ("vliw.rollbacks", fun r -> Int64.to_int r.P.rollbacks);
+      ("code_cache.evictions", fun r -> r.P.cc_evictions);
+    ]
+
+(* A source holds its component's stats record, not the component: a
+   sink that outlives a run keeps the run's counts, and the processor
+   goes. *)
+let run_into weak s =
+  let p = Gb_system.Processor.create ~obs:s (assemble "gemm") in
+  ignore (Gb_system.Processor.run p);
+  Weak.set weak 0 (Some p)
+[@@inline never]
+
+let finished_processor_collected () =
+  let s = Sink.create () in
+  let weak = Weak.create 1 in
+  run_into weak s;
+  Gc.full_major ();
+  Alcotest.(check bool) "the processor is collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "its counts are still read" true
+    (List.assoc "vliw.trace_runs" (Sink.counters s) > 0)
 
 let trace_json_shape () =
   let s = Sink.create () in
@@ -235,6 +327,18 @@ let () =
         [
           Alcotest.test_case "noop" `Quick sink_noop;
           Alcotest.test_case "records" `Quick sink_records;
+        ] );
+      ( "counter sources",
+        [
+          Alcotest.test_case "equal names from two sources sum" `Quick
+            sources_sum;
+          Alcotest.test_case "noop ignores sources" `Quick noop_ignores_sources;
+          Alcotest.test_case "a value is read at snapshot time" `Quick
+            read_at_snapshot;
+          Alcotest.test_case "two runs on one sink add up" `Quick
+            two_runs_add_up;
+          Alcotest.test_case "a finished processor is collected" `Quick
+            finished_processor_collected;
         ] );
       ( "trace export",
         [

@@ -392,6 +392,8 @@ let test_inject_per_kind_accounting () =
   done;
   assert (Gb_system.Inject.fire t Gb_system.Inject.Evict);
   Gb_system.Inject.mark_all_recovered t;
+  (* the oracle registers the recovery counters; here the test does *)
+  Gb_obs.Sink.add_counters obs (Gb_system.Inject.recovered_counters t);
   Alcotest.(check int) "translate injected" 5
     (Gb_system.Inject.injected_by_kind t Gb_system.Inject.Translate_fail);
   Alcotest.(check int) "translate recovered" 5
@@ -404,15 +406,11 @@ let test_inject_per_kind_accounting () =
     -> ()
   | other ->
     Alcotest.failf "unexpected by_kind split (%d entries)" (List.length other));
-  match Gb_obs.Sink.metrics obs with
-  | None -> Alcotest.fail "active sink has metrics"
-  | Some m ->
-    Alcotest.(check int) "fault.recovered.translate counter" 5
-      (Gb_obs.Metrics.counter_value m "fault.recovered.translate");
-    Alcotest.(check int) "fault.recovered.evict counter" 1
-      (Gb_obs.Metrics.counter_value m "fault.recovered.evict");
-    Alcotest.(check int) "fault.recovered aggregate counter" 6
-      (Gb_obs.Metrics.counter_value m "fault.recovered")
+  Alcotest.(check (list (pair string int))) "fault counters"
+    [ ("fault.injected", 6); ("fault.injected.evict", 1);
+      ("fault.injected.translate", 5); ("fault.recovered", 6);
+      ("fault.recovered.evict", 1); ("fault.recovered.translate", 5) ]
+    (Gb_obs.Sink.counters obs)
 
 let test_inject_per_kind_through_oracle () =
   let obs = Gb_obs.Sink.create () in
@@ -427,15 +425,12 @@ let test_inject_per_kind_through_oracle () =
       program
   in
   Alcotest.(check bool) "oracle run clean" true (Gb_diff.Oracle.clean r);
-  match Gb_obs.Sink.metrics obs with
-  | None -> Alcotest.fail "active sink has metrics"
-  | Some m ->
-    let injected =
-      Gb_obs.Metrics.counter_value m "fault.injected.translate"
-    in
-    Alcotest.(check bool) "per-kind faults observed" true (injected > 0);
-    Alcotest.(check int) "per-kind recovered = injected" injected
-      (Gb_obs.Metrics.counter_value m "fault.recovered.translate")
+  let counters = Gb_obs.Sink.counters obs in
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let injected = count "fault.injected.translate" in
+  Alcotest.(check bool) "per-kind faults observed" true (injected > 0);
+  Alcotest.(check int) "per-kind recovered = injected" injected
+    (count "fault.recovered.translate")
 
 (* Only the oracle proves a fault recovered, at a point where the two
    sides agree. A plain processor run under injection answers right and
@@ -449,11 +444,7 @@ let test_recovery_counted_by_oracle_only () =
     | None -> Alcotest.fail "gemm missing"
   in
   let spec = [ (I.Translate_fail, 0.2); (I.Evict, 0.05) ] in
-  let counters obs =
-    match Gb_obs.Sink.metrics obs with
-    | Some m -> Gb_obs.Metrics.counters m
-    | None -> Alcotest.fail "active sink has metrics"
-  in
+  let counters = Gb_obs.Sink.counters in
   let obs = Gb_obs.Sink.create () in
   let inject = I.create ~obs spec in
   let r =
@@ -697,13 +688,14 @@ let test_metric_naming_table () =
   in
   ignore (P.run (P.create ~config ~obs ~audit:true ~inject program));
   let emitted =
-    match Option.map Gb_obs.Metrics.to_json (Gb_obs.Sink.metrics obs) with
-    | Some (J.Obj sections) ->
+    match Gb_obs.Sink.metrics_json obs with
+    | J.Obj sections ->
       List.concat_map
-        (function
-          | kind, J.Obj names -> List.map (fun (name, _) -> (kind, name)) names
-          | _, _ -> [])
-        sections
+        (fun kind ->
+          match List.assoc_opt kind sections with
+          | Some (J.Obj names) -> List.map (fun (name, _) -> (kind, name)) names
+          | _ -> Alcotest.failf "the metrics snapshot has no %s" kind)
+        [ "counters"; "gauges"; "histograms" ]
     | _ -> Alcotest.fail "active sink has no metrics"
   in
   let rows =

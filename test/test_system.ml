@@ -212,6 +212,44 @@ let report_is_consistent () =
   let json = Gb_util.Json.to_string (Gb_system.Report.to_json report) in
   Alcotest.(check bool) "json non-trivial" true (String.length json > 100)
 
+(* The report counts guest instructions from the result, not from the
+   regions still installed at the end: heat-3d fine-grained in a
+   384-bundle code cache evicts and re-translates most of its regions,
+   and summing runs x guest insns over the survivors lost nearly all of
+   them (35,017 against the result's 854,266). *)
+let report_counts_every_region () =
+  let module P = Gb_system.Processor in
+  let program =
+    match Gb_workloads.Polybench.by_name "heat-3d" with
+    | Some w -> Gb_kernelc.Compile.assemble w.Gb_workloads.Polybench.program
+    | None -> Alcotest.fail "heat-3d workload missing"
+  in
+  let base = P.config_for Gb_core.Mitigation.Fine_grained in
+  let engine = base.P.engine in
+  let config =
+    { base with
+      P.engine =
+        { engine with
+          Gb_dbt.Engine.cache =
+            { engine.Gb_dbt.Engine.cache with Gb_dbt.Code_cache.capacity = 384 } } }
+  in
+  let proc = P.create ~config program in
+  let r = P.run proc in
+  Alcotest.(check bool) "the run evicts" true (r.P.cc_evictions > 0);
+  let report = Gb_system.Report.of_processor proc r in
+  (match Gb_system.Report.to_json report with
+  | Gb_util.Json.Obj fields ->
+    Alcotest.(check bool) "guest_insns is the result's" true
+      (List.assoc "guest_insns" fields
+      = Gb_util.Json.Int (Int64.to_int r.P.guest_insns))
+  | _ -> Alcotest.fail "report JSON is not an object");
+  let share =
+    Int64.to_float (Int64.sub r.P.guest_insns r.P.interp_insns)
+    /. Int64.to_float r.P.guest_insns
+  in
+  Alcotest.(check (float 1e-12)) "translated share" share
+    report.Gb_system.Report.translated_share
+
 (* Regression: the report JSON (including the embedded metrics snapshot
    from an active observability sink) must round-trip through our own
    parser unchanged. *)
@@ -682,6 +720,8 @@ let () =
           Alcotest.test_case "speculation engages" `Quick speculation_engages;
           Alcotest.test_case "no-speculation is slower" `Quick no_spec_is_slower;
           Alcotest.test_case "report is consistent" `Quick report_is_consistent;
+          Alcotest.test_case "report counts every region that ran" `Quick
+            report_counts_every_region;
           Alcotest.test_case "report JSON round-trips" `Quick
             report_json_roundtrip;
           Alcotest.test_case "tier upgrade" `Quick tier_upgrade;

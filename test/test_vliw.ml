@@ -327,7 +327,7 @@ let mcb_disabled () =
   Alcotest.(check bool) "no conflict" false (Gb_vliw.Mcb.check mcb ~tag:0);
   Gb_vliw.Mcb.clear mcb;
   Alcotest.(check int) "no conflicts recorded" 0
-    (Gb_vliw.Mcb.conflicts_recorded mcb);
+    (Gb_vliw.Mcb.stats mcb).conflicts;
   Alcotest.check_raises "negative entries rejected"
     (Invalid_argument "Mcb.create: negative entries") (fun () ->
       ignore (Gb_vliw.Mcb.create ~entries:(-1) ()))
@@ -438,9 +438,9 @@ let machine_state ((m : Gb_vliw.Machine.t), readings) =
     cs.write_misses cs.flushes;
   List.iter (add " %d") (Gb_cache.Cache.lines cache);
   let st = m.stats in
-  add "\nclock %Ld stats %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
-    st.trace_runs st.side_exits st.rollbacks st.stall_cycles st.guest_insns
-    (Gb_vliw.Mcb.conflicts_recorded m.mcb);
+  add "\nclock %Ld stats %d %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
+    st.trace_runs st.side_exits st.rollbacks st.fallthroughs st.stall_cycles
+    st.guest_insns (Gb_vliw.Mcb.stats m.mcb).conflicts;
   add "\nrdcycle";
   List.iter (add " %Ld") !readings;
   (match m.audit with
