@@ -136,7 +136,7 @@ let sink_records () =
     Alcotest.(check int) "calls" 1 t.Timer.t_calls
   | ts -> Alcotest.failf "expected 1 phase, got %d" (List.length ts)
 
-(* --- counter sources ---------------------------------------------------- *)
+(* --- counters ----------------------------------------------------------- *)
 
 let sources_sum () =
   let s = Sink.create () in
@@ -328,7 +328,7 @@ let () =
           Alcotest.test_case "noop" `Quick sink_noop;
           Alcotest.test_case "records" `Quick sink_records;
         ] );
-      ( "counter sources",
+      ( "counters",
         [
           Alcotest.test_case "equal names from two sources sum" `Quick
             sources_sum;
