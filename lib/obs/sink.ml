@@ -65,8 +65,6 @@ let time t phase f =
   | Noop -> f ()
   | Active a -> Timer.time a.timers phase f
 
-let metrics = function Noop -> None | Active a -> Some a.metrics
-
 (* equal names are adjacent once sorted: sum them *)
 let rec merge = function
   | (n, x) :: (m, y) :: rest when String.equal n m -> merge ((n, x + y) :: rest)

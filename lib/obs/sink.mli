@@ -65,9 +65,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 
 (** {2 Reading} *)
 
-val metrics : t -> Metrics.t option
-(** [None] on {!noop}. *)
-
 val counters : t -> (string * int) list
 (** Every registered source, read now: sorted by name, with the values
     of equal names summed (a sink watching many runs adds them up).

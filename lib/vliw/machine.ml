@@ -33,10 +33,12 @@ type t = {
   audit : Gb_cache.Audit.t option;
   mutable rdcycle_hook : (int64 -> int64) option;
   (* Scratch state owned by Pipeline.run, hoisted here so bundle
-     execution never allocates: the parallel-write buffer is two
-     parallel arrays indexed by the static write slots decode assigns
-     (a tuple array would box one pair per register write), its values
-     held unboxed in a register file; [operands] stages an op's
+     execution never allocates: the parallel-write buffer, used only by
+     the bundles decode stages (a direct bundle writes [regs] and
+     [taint] in place), is two parallel arrays indexed by the static
+     write slots decode assigns (a tuple array would box one pair per
+     register write), its values held unboxed in a register file;
+     [operands] stages an op's
      immediate operands for the shared ALU/branch/store helpers; the
      taken exit is a -1-sentinel index plus kind (an [option ref] would
      box per bundle); [taint] is the per-run register taint map, reset

@@ -53,9 +53,10 @@ type t = {
           into a run {e input} instead of compared state. [None]
           (default) reads the clock unfiltered. *)
   mutable w_val : Gb_riscv.Regfile.t;
-      (** scratch (owned by {!Pipeline}): parallel-write values, written
-          in place by the op that computes them into the static slot
-          decode gave it *)
+      (** scratch (owned by {!Pipeline}): parallel-write values of a
+          bundle decode staged, written in place by the op that computes
+          them into the static slot decode gave it (a direct bundle
+          writes [regs] instead) *)
   mutable w_taint : bool array;  (** scratch: parallel-write taint bits *)
   operands : Gb_riscv.Regfile.t;
       (** scratch: an op's immediate operands, staged for the shared

@@ -81,141 +81,152 @@ let touch_cache (m : Machine.t) ~pc ~addr ~size ~write =
 (* ---- the decoded form ------------------------------------------------ *)
 
 (* One op, decoded: a closure over the machine, specialised on the op's
-   kind and operand forms, with its write slot, stub index and constants
-   captured. It never captures a machine or a stub record, so one decoded
-   form serves every install of a translation on any machine. *)
+   kind and operand forms, with its target register or write slot, stub
+   index and constants captured. It never captures a machine or a stub
+   record, so one decoded form serves every install of a translation on
+   any machine. *)
 type dop = Machine.t -> unit
 
-(* A trace's decoded form, flat: bundle [i] runs
-   [ops.(op_start.(i))] to [ops.(op_start.(i + 1) - 1)] and commits its
-   write slot [k] to register [dsts.(dst_start.(i) + k)]. Per-bundle
-   records would cost a block and two arrays per bundle, doubling what
-   the closures themselves keep alive. *)
+(* A trace's decoded form: bundle [i] is one call of [steps.(i)], which
+   runs the bundle's decoded ops in slot order. A direct bundle's ops
+   write the register file in place; a staged bundle's ops write the
+   parallel-write buffer, which its step then commits. *)
 type program = {
-  ops : dop array;
-      (** the bundles' ops in slot order, less those that do nothing when
-          run: Nop, Fence, and ALU ops and moves into x0 *)
-  op_start : int array;  (** bundle count + 1 bounds into [ops] *)
-  dsts : int array;
-      (** each bundle's static write slots -> the registers they commit
-          to, in the order the bundle's ops claim them *)
-  dst_start : int array;  (** bundle count + 1 bounds into [dsts] *)
-  slots : int;  (** the most write slots any bundle claims *)
+  steps : dop array;  (** one per bundle *)
+  n_ops : int;
+      (** the bundles' ops less those that do nothing when run: Nop,
+          Fence, and ALU ops and moves into x0 *)
+  staged : int;  (** the bundles that stage their writes *)
+  slots : int;  (** the most write slots any staged bundle claims *)
 }
 
 type Vinsn.decoded += Decoded of program
 
-(* Taint of the values written into slot [k], read only by an attached
-   audit. A register operand passes its taint on; x0 is never tainted,
-   since no slot is ever claimed for it, so an operand register needs no
-   x0 test; an immediate carries none. *)
-let[@inline] taint1 (m : Machine.t) k r =
-  if m.taint_on then m.w_taint.(k) <- m.taint.(r)
+(* Where an op's result goes: register [k] of the register file and its
+   taint map when its bundle runs direct ([direct] is a constant of the
+   closure), write slot [k] of the parallel-write buffer otherwise. *)
+let[@inline] out (m : Machine.t) direct = if direct then m.regs else m.w_val
 
-let[@inline] taint2 (m : Machine.t) k ra rb =
-  if m.taint_on then m.w_taint.(k) <- m.taint.(ra) || m.taint.(rb)
+let[@inline] out_taint (m : Machine.t) direct =
+  if direct then m.taint else m.w_taint
 
-let[@inline] untainted (m : Machine.t) k =
-  if m.taint_on then m.w_taint.(k) <- false
+(* Taint of the value written to [k], read only by an attached audit. A
+   register operand passes its taint on; x0 is never tainted, since no
+   op writes it, so an operand register needs no x0 test; an immediate
+   carries none. *)
+let[@inline] taint1 (m : Machine.t) direct k r =
+  if m.taint_on then (out_taint m direct).(k) <- m.taint.(r)
+
+let[@inline] taint2 (m : Machine.t) direct k ra rb =
+  if m.taint_on then (out_taint m direct).(k) <- m.taint.(ra) || m.taint.(rb)
+
+let[@inline] untainted (m : Machine.t) direct k =
+  if m.taint_on then (out_taint m direct).(k) <- false
 
 (* A memory op's base operand as a register and an offset: an immediate
    base folds into the offset over x0, which reads 0 and is never
-   tainted. *)
-let base_reg (base : Vinsn.operand) off =
-  match base with
-  | Vinsn.R r -> (r, off)
-  | Vinsn.I v -> (0, Int64.to_int v + off)
+   tainted. Two functions, so that decode allocates no pair. *)
+let base_reg (base : Vinsn.operand) =
+  match base with Vinsn.R r -> r | Vinsn.I _ -> 0
+
+let base_off (base : Vinsn.operand) off =
+  match base with Vinsn.R _ -> off | Vinsn.I v -> Int64.to_int v + off
 
 (* The op that does nothing; decode drops it. *)
 let skip : dop = fun _ -> ()
 
 let duplicate dst : dop = fun _ -> error "duplicate write to register %d" dst
 
-(* ALU ops into slot [k]. ADD, SLL and MUL, 95% of the ALU ops a
-   Figure 4 run executes, have their own closures on the operand forms
-   the code generator emits for them; every other op goes through the
-   shared {!Interp.alu} with its immediate operand staged in
-   [m.operands]. Two immediates fold into a constant. Every closure
-   stores straight into the write buffer, so no value is boxed. *)
-let alu_op op k (a : Vinsn.operand) (b : Vinsn.operand) : dop =
+(* ALU ops writing [k]. ADD, SLL and MUL, 95% of the ALU ops a Figure 4
+   run executes, have their own closures on the operand forms the code
+   generator emits for them; every other op goes through the shared
+   {!Interp.alu} with its immediate operand staged in [m.operands]. Two
+   immediates fold into a constant. Every closure reads its operands
+   before it writes and stores straight from the primitive that
+   computes the value, so no value is boxed. *)
+let alu_op ~direct op k (a : Vinsn.operand) (b : Vinsn.operand) : dop =
   let open Int64 in
   match (op, a, b) with
   | _, Vinsn.I x, Vinsn.I y ->
     let v = Interp.alu_rr op x y in
     fun m ->
-      untainted m k;
-      Regfile.set m.w_val k v
+      untainted m direct k;
+      Regfile.set (out m direct) k v
   | Gb_riscv.Insn.ADD, Vinsn.R ra, Vinsn.R rb ->
     fun m ->
-      taint2 m k ra rb;
-      Regfile.set m.w_val k (add (Regfile.get m.regs ra) (Regfile.get m.regs rb))
+      taint2 m direct k ra rb;
+      Regfile.set (out m direct) k
+        (add (Regfile.get m.regs ra) (Regfile.get m.regs rb))
   | Gb_riscv.Insn.ADD, Vinsn.R ra, Vinsn.I y
   | Gb_riscv.Insn.ADD, Vinsn.I y, Vinsn.R ra ->
     fun m ->
-      taint1 m k ra;
-      Regfile.set m.w_val k (add (Regfile.get m.regs ra) y)
+      taint1 m direct k ra;
+      Regfile.set (out m direct) k (add (Regfile.get m.regs ra) y)
   | Gb_riscv.Insn.MUL, Vinsn.R ra, Vinsn.R rb ->
     fun m ->
-      taint2 m k ra rb;
-      Regfile.set m.w_val k (mul (Regfile.get m.regs ra) (Regfile.get m.regs rb))
+      taint2 m direct k ra rb;
+      Regfile.set (out m direct) k
+        (mul (Regfile.get m.regs ra) (Regfile.get m.regs rb))
   | Gb_riscv.Insn.MUL, Vinsn.R ra, Vinsn.I y
   | Gb_riscv.Insn.MUL, Vinsn.I y, Vinsn.R ra ->
     fun m ->
-      taint1 m k ra;
-      Regfile.set m.w_val k (mul (Regfile.get m.regs ra) y)
+      taint1 m direct k ra;
+      Regfile.set (out m direct) k (mul (Regfile.get m.regs ra) y)
   | Gb_riscv.Insn.SLL, Vinsn.R ra, Vinsn.R rb ->
     fun m ->
-      taint2 m k ra rb;
-      Regfile.set m.w_val k
+      taint2 m direct k ra rb;
+      Regfile.set (out m direct) k
         (shift_left (Regfile.get m.regs ra)
            (to_int (Regfile.get m.regs rb) land 63))
   | Gb_riscv.Insn.SLL, Vinsn.R ra, Vinsn.I y ->
     let sh = to_int y land 63 in
     fun m ->
-      taint1 m k ra;
-      Regfile.set m.w_val k (shift_left (Regfile.get m.regs ra) sh)
+      taint1 m direct k ra;
+      Regfile.set (out m direct) k (shift_left (Regfile.get m.regs ra) sh)
   | _, Vinsn.R ra, Vinsn.R rb ->
     fun m ->
-      taint2 m k ra rb;
-      Interp.alu op m.w_val k m.regs ra m.regs rb
+      taint2 m direct k ra rb;
+      Interp.alu op (out m direct) k m.regs ra m.regs rb
   | _, Vinsn.R ra, Vinsn.I y ->
     fun m ->
-      taint1 m k ra;
+      taint1 m direct k ra;
       Regfile.set m.operands 1 y;
-      Interp.alu op m.w_val k m.regs ra m.operands 1
+      Interp.alu op (out m direct) k m.regs ra m.operands 1
   | _, Vinsn.I x, Vinsn.R rb ->
     fun m ->
-      taint1 m k rb;
+      taint1 m direct k rb;
       Regfile.set m.operands 0 x;
-      Interp.alu op m.w_val k m.operands 0 m.regs rb
+      Interp.alu op (out m direct) k m.operands 0 m.regs rb
 
-let mv_op k (src : Vinsn.operand) : dop =
+let mv_op ~direct k (src : Vinsn.operand) : dop =
   match src with
   | Vinsn.R r ->
     fun m ->
-      taint1 m k r;
-      Regfile.move m.w_val k m.regs r
+      taint1 m direct k r;
+      Regfile.move (out m direct) k m.regs r
   | Vinsn.I v ->
     fun m ->
-      untainted m k;
-      Regfile.set m.w_val k v
+      untainted m direct k;
+      Regfile.set (out m direct) k v
 
 (* A read of the clock at bundle issue, through the rdcycle hook when one
    is set; [k] = -1 (x0) discards the reading but still calls the hook,
-   which may record it. *)
-let rdcycle_op k : dop =
+   which may record it. Nothing is written before the hook returns. *)
+let rdcycle_op ~direct k : dop =
  fun m ->
-  if k >= 0 then untainted m k;
   (* the natural reading is the clock at bundle issue — the batched
      cycles of all previous bundles must be folded in first *)
   Machine.flush_acc m;
   let now = !(m.clock) in
   let v = match m.rdcycle_hook with Some f -> f now | None -> now in
-  if k >= 0 then Regfile.set m.w_val k v
+  if k >= 0 then begin
+    untainted m direct k;
+    Regfile.set (out m direct) k v
+  end
 
-(* A load into slot [k] (-1: x0, the value is discarded). *)
-let load_op ~w ~unsigned ~k ~base ~off ~spec ~id ~pc ~hoisted : dop =
-  let rb, off = base_reg base off in
+(* A load writing [k] (-1: x0, the value is discarded). *)
+let load_op ~direct ~w ~unsigned ~k ~base ~off ~spec ~id ~pc ~hoisted : dop =
+  let rb = base_reg base and off = base_off base off in
   let size = Interp.width_bytes w in
   let speculative = hoisted || Option.is_some spec in
   fun m ->
@@ -230,14 +241,15 @@ let load_op ~w ~unsigned ~k ~base ~off ~spec ~id ~pc ~hoisted : dop =
         ~dependent:(m.taint_on && m.taint.(rb))
     | Some _ | None -> ());
     if k >= 0 then begin
-      if m.taint_on then m.w_taint.(k) <- speculative || m.taint.(rb);
+      if m.taint_on then
+        (out_taint m direct).(k) <- speculative || m.taint.(rb);
       (* Deferred-fault semantics for speculative loads; the bound check
          is overflow-proof ([addr + size] wraps negative near [max_int],
          which would let a speculatively computed address dodge the
          fault path). *)
       if addr < 0 || size > Gb_riscv.Mem.size m.mem - addr then
-        Regfile.set m.w_val k 0L
-      else Interp.load_into m.mem ~addr w ~unsigned m.w_val k
+        Regfile.set (out m direct) k 0L
+      else Interp.load_into m.mem ~addr w ~unsigned (out m direct) k
     end
 
 (* A load into a register an earlier op of its bundle already writes
@@ -260,7 +272,7 @@ let stored (m : Machine.t) ~addr ~size ~id ~pc =
   | Some _ | None -> ()
 
 let store_op ~w ~(src : Vinsn.operand) ~base ~off ~id ~pc : dop =
-  let rb, off = base_reg base off in
+  let rb = base_reg base and off = base_off base off in
   let size = Interp.width_bytes w in
   match src with
   | Vinsn.R rs ->
@@ -296,7 +308,7 @@ let branch_op cond (a : Vinsn.operand) (b : Vinsn.operand) stub : dop =
     if Interp.cond cond f 0 f 1 then fun m -> take m stub Side_exit else skip
 
 let cflush_op ~base ~off ~id ~pc : dop =
-  let rb, off = base_reg base off in
+  let rb = base_reg base and off = base_off base off in
   fun m ->
     let addr = Int64.to_int (Regfile.get m.regs rb) + off in
     if addr >= 0 then begin
@@ -306,91 +318,213 @@ let cflush_op ~base ~off ~id ~pc : dop =
       | None -> ()
     end
 
-let rec written dsts base n dst i =
-  i < n && (dsts.(base + i) = dst || written dsts base n dst (i + 1))
-
-(* The static write slot of an op writing [dst]: the next free slot of
-   the bundle whose slots start at [base] in [dsts], [n] of them claimed
-   so far (recorded and counted here); -1 for x0, whose value is
-   discarded; -2 when an earlier op of the bundle already writes [dst]. *)
-let claim dsts base n dst =
-  if dst = 0 then -1
-  else if written dsts base !n dst 0 then -2
-  else begin
-    let k = !n in
-    dsts.(base + k) <- dst;
-    n := k + 1;
-    k
-  end
-
-(* Decode one op of the bundle whose write slots start at [base];
-   [skip] when it is dropped. *)
-let decode_op dsts base n (op : Vinsn.op) =
+(* Decode one op writing target [k]: the register itself when its bundle
+   runs [direct], else its write slot; -1 when it writes x0 (or
+   nothing), -2 when an earlier op of the bundle writes the same
+   register. [skip] when the op is dropped. *)
+let decode_op ~direct k (op : Vinsn.op) =
   match op with
   | Vinsn.Nop | Vinsn.Fence -> skip
   | Vinsn.Alu { op; dst; a; b } -> (
-    match claim dsts base n dst with
+    match k with
     | -1 -> skip
     | -2 -> duplicate dst
-    | k -> alu_op op k a b)
+    | k -> alu_op ~direct op k a b)
   | Vinsn.Mv { dst; src } -> (
-    match claim dsts base n dst with
-    | -1 -> skip
-    | -2 -> duplicate dst
-    | k -> mv_op k src)
+    match k with -1 -> skip | -2 -> duplicate dst | k -> mv_op ~direct k src)
   | Vinsn.Rdcycle { dst } -> (
-    match claim dsts base n dst with
-    | -2 -> duplicate dst
-    | k -> rdcycle_op k)
-  | Vinsn.Load { w; unsigned; dst; base = b; off; spec; id; pc; hoisted } -> (
-    let load k = load_op ~w ~unsigned ~k ~base:b ~off ~spec ~id ~pc ~hoisted in
-    match claim dsts base n dst with
-    | -2 -> duplicate_load (load (-1)) dst
-    | k -> load k)
-  | Vinsn.Store { w; src; base = b; off; id; pc } ->
-    store_op ~w ~src ~base:b ~off ~id ~pc
+    match k with -2 -> duplicate dst | k -> rdcycle_op ~direct k)
+  | Vinsn.Load { w; unsigned; dst; base; off; spec; id; pc; hoisted } ->
+    let load =
+      load_op ~direct ~w ~unsigned ~k:(Int.max k (-1)) ~base ~off ~spec ~id
+        ~pc ~hoisted
+    in
+    if k = -2 then duplicate_load load dst else load
+  | Vinsn.Store { w; src; base; off; id; pc } ->
+    store_op ~w ~src ~base ~off ~id ~pc
   | Vinsn.Branch { cond; a; b; stub } -> branch_op cond a b stub
   | Vinsn.Chk { tag; stub } ->
     fun m -> if Mcb.check m.mcb ~tag then take m stub Rollback
-  | Vinsn.Cflush { base = b; off; id; pc } -> cflush_op ~base:b ~off ~id ~pc
+  | Vinsn.Cflush { base; off; id; pc } -> cflush_op ~base ~off ~id ~pc
   | Vinsn.Exit { stub } -> fun m -> take m stub Fallthrough
 
-let decode_bundles (bundles : Vinsn.bundle array) =
-  let n_bundles = Array.length bundles in
-  let total = Array.fold_left (fun acc b -> acc + Array.length b) 0 bundles in
-  let ops = Array.make total skip and dsts = Array.make total 0 in
-  let op_start = Array.make (n_bundles + 1) 0 in
-  let dst_start = Array.make (n_bundles + 1) 0 in
-  let n_ops = ref 0 and n_dsts = ref 0 and slots = ref 0 in
-  for i = 0 to n_bundles - 1 do
-    let bundle = bundles.(i) and base = !n_dsts and claimed = ref 0 in
+(* ---- direct or staged ------------------------------------------------- *)
+
+(* The register an op writes; 0 for none, and for x0, whose value is
+   discarded. *)
+let dst_of (op : Vinsn.op) =
+  match op with
+  | Vinsn.Alu { dst; _ } | Vinsn.Mv { dst; _ } | Vinsn.Rdcycle { dst }
+  | Vinsn.Load { dst; _ } ->
+    dst
+  | Vinsn.Nop | Vinsn.Fence | Vinsn.Store _ | Vinsn.Branch _ | Vinsn.Chk _
+  | Vinsn.Cflush _ | Vinsn.Exit _ ->
+    0
+
+let rec count_controls bundle i acc =
+  if i >= Array.length bundle then acc
+  else
+    count_controls bundle (i + 1)
+      (match bundle.(i) with
+      | Vinsn.Branch _ | Vinsn.Chk _ | Vinsn.Exit _ -> acc + 1
+      | _ -> acc)
+
+let rec written dsts n dst i =
+  i < n && (dsts.(i) = dst || written dsts n dst (i + 1))
+
+(* Whether reading [o] could tell the writes to [dsts.(0 .. n-1)] from
+   writes staged to the end of the cycle: it reads one of them, or a
+   register outside the trace's [n_regs], whose read may raise. *)
+let reads dsts n ~n_regs (o : Vinsn.operand) =
+  match o with
+  | Vinsn.I _ -> false
+  | Vinsn.R r -> r < 0 || r >= n_regs || written dsts n r 0
+
+(* Whether [op], run after [n] writes to [dsts.(0 .. n-1)] made in
+   place, could tell them apart from staged ones: it reads one of them,
+   or it can raise and so leave them behind. A store can; so can an
+   rdcycle and a Chk, through the machine's rdcycle hook and the MCB's
+   fault hook; and so can any control op of a bundle with [controls] >
+   1, since the second taken one raises. *)
+let sees_writes dsts n ~n_regs ~controls (op : Vinsn.op) =
+  n > 0
+  &&
+  match op with
+  | Vinsn.Nop | Vinsn.Fence -> false
+  | Vinsn.Store _ | Vinsn.Rdcycle _ | Vinsn.Chk _ -> true
+  | Vinsn.Exit _ -> controls > 1
+  | Vinsn.Branch { a; b; _ } ->
+    controls > 1 || reads dsts n ~n_regs a || reads dsts n ~n_regs b
+  | Vinsn.Alu { a; b; _ } -> reads dsts n ~n_regs a || reads dsts n ~n_regs b
+  | Vinsn.Mv { src; _ } -> reads dsts n ~n_regs src
+  | Vinsn.Load { base; _ } | Vinsn.Cflush { base; _ } ->
+    reads dsts n ~n_regs base
+
+(* Whether ops [j ..] of a bundle can write in place after the [n]
+   writes of the ops before them, recorded in [dsts]: slot-order
+   execution is then indistinguishable from parallel reads and an
+   end-of-cycle commit, exceptions included. No op sees an earlier
+   write, no register is written twice, and every register written is
+   below [n_regs], which {!run} checks the machine has. *)
+let rec runs_direct bundle dsts ~n_regs ~controls j n =
+  j >= Array.length bundle
+  ||
+  let op = bundle.(j) in
+  (not (sees_writes dsts n ~n_regs ~controls op))
+  &&
+  let dst = dst_of op in
+  if dst = 0 then runs_direct bundle dsts ~n_regs ~controls (j + 1) n
+  else
+    dst > 0 && dst < n_regs
+    && (not (written dsts n dst 0))
+    && begin
+         dsts.(n) <- dst;
+         runs_direct bundle dsts ~n_regs ~controls (j + 1) (n + 1)
+       end
+
+(* ---- steps ------------------------------------------------------------ *)
+
+let seq2 (a : dop) (b : dop) : dop =
+ fun m ->
+  a m;
+  b m
+
+let seq3 (a : dop) (b : dop) (c : dop) : dop =
+ fun m ->
+  a m;
+  b m;
+  c m
+
+let seq4 (a : dop) (b : dop) (c : dop) (d : dop) : dop =
+ fun m ->
+  a m;
+  b m;
+  c m;
+  d m
+
+let seq (ops : dop array) : dop =
+ fun m ->
+  for j = 0 to Array.length ops - 1 do
+    ops.(j) m
+  done
+
+(* A staged bundle: its ops fill the write buffer, whose slot [k] then
+   commits to register [dsts.(k)] (parallel-read semantics). *)
+let staged_step (ops : dop array) (dsts : int array) : dop =
+ fun m ->
+  for j = 0 to Array.length ops - 1 do
+    ops.(j) m
+  done;
+  for k = 0 to Array.length dsts - 1 do
+    let dst = dsts.(k) in
+    Regfile.move m.regs dst m.w_val k;
+    if m.taint_on then m.taint.(dst) <- m.w_taint.(k)
+  done
+
+(* The step of a direct bundle of [n] decoded ops, [dops.(0 .. n-1)] *)
+let direct_step (dops : dop array) n =
+  match n with
+  | 0 -> skip
+  | 1 -> dops.(0)
+  | 2 -> seq2 dops.(0) dops.(1)
+  | 3 -> seq3 dops.(0) dops.(1) dops.(2)
+  | 4 -> seq4 dops.(0) dops.(1) dops.(2) dops.(3)
+  | n -> seq (Array.sub dops 0 n)
+
+(* Decode a trace's bundles, each through the two scratch arrays: [dops]
+   takes the bundle's decoded ops, [dsts] the registers it writes, in
+   the order its ops write them (a staged bundle's write slots). *)
+let decode_bundles (trace : Vinsn.trace) =
+  let bundles = trace.bundles and n_regs = trace.n_regs in
+  let width =
+    Array.fold_left (fun w b -> Int.max w (Array.length b)) 0 bundles
+  in
+  let dops = Array.make width skip and dsts = Array.make width 0 in
+  let n_ops = ref 0 and n_staged = ref 0 and slots = ref 0 in
+  let decode_bundle bundle =
+    let controls = count_controls bundle 0 0 in
+    let direct = runs_direct bundle dsts ~n_regs ~controls 0 0 in
+    let n = ref 0 and claimed = ref 0 in
     for j = 0 to Array.length bundle - 1 do
-      let d = decode_op dsts base claimed bundle.(j) in
+      let op = bundle.(j) in
+      let dst = dst_of op in
+      let k =
+        if dst = 0 then -1
+        else if direct then dst
+        else if written dsts !claimed dst 0 then -2
+        else begin
+          dsts.(!claimed) <- dst;
+          incr claimed;
+          !claimed - 1
+        end
+      in
+      let d = decode_op ~direct k op in
       if d != skip then begin
-        ops.(!n_ops) <- d;
-        incr n_ops
+        dops.(!n) <- d;
+        incr n
       end
     done;
-    n_dsts := base + !claimed;
-    slots := Int.max !slots !claimed;
-    op_start.(i + 1) <- !n_ops;
-    dst_start.(i + 1) <- !n_dsts
-  done;
-  {
-    ops = Array.sub ops 0 !n_ops;
-    op_start;
-    dsts = Array.sub dsts 0 !n_dsts;
-    dst_start;
-    slots = !slots;
-  }
+    n_ops := !n_ops + !n;
+    if direct then direct_step dops !n
+    else begin
+      incr n_staged;
+      slots := Int.max !slots !claimed;
+      staged_step (Array.sub dops 0 !n) (Array.sub dsts 0 !claimed)
+    end
+  in
+  let steps = Array.map decode_bundle bundles in
+  { steps; n_ops = !n_ops; staged = !n_staged; slots = !slots }
 
 let decode (trace : Vinsn.trace) =
   match trace.decoded with
   | Decoded _ -> ()
-  | _ -> trace.decoded <- Decoded (decode_bundles trace.bundles)
+  | _ -> trace.decoded <- Decoded (decode_bundles trace)
 
 let decoded_ops (trace : Vinsn.trace) =
-  match trace.decoded with Decoded p -> Array.length p.ops | _ -> 0
+  match trace.decoded with Decoded p -> p.n_ops | _ -> 0
+
+let staged_bundles (trace : Vinsn.trace) =
+  match trace.decoded with Decoded p -> p.staged | _ -> 0
 
 (* ---- execution ------------------------------------------------------- *)
 
@@ -460,27 +594,17 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   r.kind <- kind;
   r
 
-(* The bundle loop: run bundle [i]'s decoded ops, commit its writes from
-   the static slots at end of cycle (parallel-read semantics), advance
-   the clock, and stop at the first taken exit. A top-level function of
-   its state rather than a local [let rec], which would allocate a
-   closure on every pass. *)
-let rec cycle (m : Machine.t) (trace : Vinsn.trace) p attrib ~width i =
-  if i >= Array.length p.op_start - 1 then
+(* The bundle loop: run bundle [i]'s step, which leaves its writes in
+   the register file, advance the clock, and stop at the first taken
+   exit. A top-level function of its state rather than a local
+   [let rec], which would allocate a closure on every pass. *)
+let rec cycle (m : Machine.t) (trace : Vinsn.trace) steps attrib ~width i =
+  if i >= Array.length steps then
     error "trace fell off the end without an Exit op"
   else begin
     m.stall <- 0;
     m.taken_stub <- -1;
-    let ops = p.ops in
-    for j = p.op_start.(i) to p.op_start.(i + 1) - 1 do
-      ops.(j) m
-    done;
-    let base = p.dst_start.(i) in
-    for k = 0 to p.dst_start.(i + 1) - base - 1 do
-      let dst = p.dsts.(base + k) in
-      Regfile.move m.regs dst m.w_val k;
-      if m.taint_on then m.taint.(dst) <- m.w_taint.(k)
-    done;
+    steps.(i) m;
     m.acc_bundles <- m.acc_bundles + 1;
     m.acc_stalls <- m.acc_stalls + m.stall;
     m.acc_cycles <- m.acc_cycles + 1 + m.stall;
@@ -499,12 +623,13 @@ let rec cycle (m : Machine.t) (trace : Vinsn.trace) p attrib ~width i =
     | None -> ());
     if m.taken_stub >= 0 then
       finish m trace ~width ~bundle_idx:i m.taken_stub m.taken_kind
-    else cycle m trace p attrib ~width (i + 1)
+    else cycle m trace steps attrib ~width (i + 1)
   end
 
 (* Execute one pass over a trace. The mutable per-cycle state lives in
-   the machine's scratch fields; register writes are buffered and applied
-   at end of cycle to get the parallel-read semantics right. *)
+   the machine's scratch fields; a staged bundle's register writes are
+   buffered and applied at end of cycle to get the parallel-read
+   semantics right. *)
 let run (m : Machine.t) (trace : Vinsn.trace) =
   let open Vinsn in
   if Regfile.length m.regs < trace.n_regs then
@@ -542,7 +667,7 @@ let run (m : Machine.t) (trace : Vinsn.trace) =
      invisible until the next flush point and bundle advance allocates
      nothing *)
   m.eager <- Gb_obs.Sink.is_active m.obs || m.taint_on || Option.is_some attrib;
-  try cycle m trace p attrib ~width 0
+  try cycle m trace p.steps attrib ~width 0
   with e ->
     Machine.flush_acc m;
     raise e

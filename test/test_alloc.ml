@@ -413,8 +413,8 @@ let translation_bound () =
 
 (* Minor words per decoded op for decoding the same lowerings: what the
    engine adds to a translation, once per lowering, inside its codegen
-   phase. The closures, the flat arrays they sit in, and the scratch
-   arrays decode fills first and trims. *)
+   phase. The op closures, each bundle's step closure, the array of
+   steps, and the two scratch arrays decode reuses for every bundle. *)
 let decode_words_per_op k =
   let eng, mem, entries = pinned_regions k in
   let traces =
@@ -429,9 +429,11 @@ let decode_words_per_op k =
   /. float_of_int
        (List.fold_left (fun n t -> n + Gb_vliw.Pipeline.decoded_ops t) 0 traces)
 
-(* The measured floor + 10%: gemm 17.3 and matmul-ptr 20.5 words per
-   decoded op; 19.8 and 23.4 with a record and two arrays per bundle
-   instead of one flat array each for the trace's ops and writes. *)
+(* The measured floor + 10%: gemm 10.9 and matmul-ptr 11.6 words per
+   decoded op; 17.3 and 20.5 with one flat array each for the trace's
+   ops and writes and their bounds (and a pair per memory op and a
+   closure per load built during decode), 19.8 and 23.4 with a record
+   and two arrays per bundle. *)
 let decode_bound () =
   List.iter
     (fun (k, budget) ->
@@ -439,8 +441,8 @@ let decode_bound () =
       if words > budget then
         Alcotest.failf "%s: decode allocates %.1f words/op (budget %.1f)"
           k.Gb_workloads.Polybench.name words budget)
-    [ (List.hd Gb_workloads.Polybench.all, 19.1);
-      (Gb_workloads.Polybench.matmul_ptr, 22.6) ]
+    [ (List.hd Gb_workloads.Polybench.all, 12.0);
+      (Gb_workloads.Polybench.matmul_ptr, 12.8) ]
 
 (* Minor words per trace for the install-time verifier over the same
    lowerings: the gate runs on every install under [Verify_enforce], a

@@ -1624,6 +1624,56 @@ let translation_events_carry_their_entry () =
           (Ev.name e.Ev.kind) e.Ev.pc e.Ev.region)
     events
 
+(* The engine's code decodes direct. The linear-scan allocator frees a
+   hidden register only after its last read, so no bundle it emits reads
+   a register another op of the bundle writes, and the pipeline's
+   staged fallback (a write buffer and its commit per bundle) never
+   runs. Every region a run installs, either tier, decodes with no
+   staged bundle: the 20 programs under the five modes with the default
+   cache, and under fine-grained and min-cut with the eviction churn of
+   a 384-bundle cache under [Verify_enforce]. *)
+let engine_code_runs_direct () =
+  let module E = Gb_dbt.Engine in
+  let module M = Gb_core.Mitigation in
+  let churn e =
+    { e with
+      E.verify = E.Verify_enforce;
+      cache = { e.E.cache with Gb_dbt.Code_cache.capacity = 384 } }
+  in
+  let configs =
+    List.map (fun mode -> ("default cache", Fun.id, mode)) M.all_modes
+    @ List.map
+        (fun mode -> ("churn", churn, mode))
+        [ M.Fine_grained; M.Min_cut ]
+  in
+  let installs = ref 0 in
+  List.iter
+    (fun (k : Gb_workloads.Polybench.t) ->
+      let asm = Gb_kernelc.Compile.assemble k.Gb_workloads.Polybench.program in
+      List.iter
+        (fun (what, engine, mode) ->
+          let p = Pinned.processor ~engine mode asm in
+          Gb_dbt.Code_cache.set_on_insert
+            (E.code_cache (Gb_system.Processor.engine p))
+            (fun e ->
+              incr installs;
+              let t = e.Gb_dbt.Code_cache.e_trace in
+              let staged = Gb_vliw.Pipeline.staged_bundles t in
+              if Gb_vliw.Pipeline.decoded_ops t = 0 || staged > 0 then
+                Alcotest.failf "%s %s, %s: the region at 0x%x %s"
+                  k.Gb_workloads.Polybench.name (M.mode_name mode) what
+                  t.Gb_vliw.Vinsn.entry_pc
+                  (if staged > 0 then
+                     Printf.sprintf "decodes %d staged bundles" staged
+                   else "was installed undecoded"));
+          ignore (Gb_system.Processor.run p))
+        configs)
+    (Gb_workloads.Polybench.all @ [ Gb_workloads.Polybench.matmul_ptr ]);
+  (* not vacuous: the churn runs reinstall thousands of regions *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d installs" !installs)
+    true (!installs > 10_000)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1660,6 +1710,8 @@ let () =
           Alcotest.test_case "register pressure failure" `Quick
             register_pressure_failure;
           Alcotest.test_case "pinned emitted code" `Quick pinned_code;
+          Alcotest.test_case "engine code decodes direct" `Quick
+            engine_code_runs_direct;
           Alcotest.test_case "pinned counters and events" `Quick pinned_obs;
           Alcotest.test_case "pinned adaptive state" `Quick pinned_adaptive;
           Alcotest.test_case "lowering reuse is invisible" `Quick

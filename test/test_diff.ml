@@ -109,6 +109,19 @@ let test_suppress_detected () =
 
 (* --- qcheck: random kernels x random fault schedules -------------------- *)
 
+(* The seed of this binary's properties: QCHECK_SEED when it is set, a
+   fresh one otherwise. Each property draws from its own state made from
+   it, as qcheck-alcotest's default does, and each failure message ends
+   with it, so a failure found in a long suite log can be rerun. *)
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some seed -> seed
+  | None ->
+    Random.self_init ();
+    Random.int 1_000_000_000
+
+let rerun = Printf.sprintf "rerun with QCHECK_SEED=%d" qcheck_seed
+
 let kernel_gen =
   (* small arithmetic kernels over a few scalars and one array, with a
      loop hot enough to promote to a trace; every generated program is
@@ -203,7 +216,8 @@ let prop_random_diff =
           let r = Gb_diff.Oracle.run_kernel ~config ?inject ~seed kernel in
           if not (Gb_diff.Oracle.clean r) then
             QCheck.Test.fail_reportf
-              "mode %s, schedule %s, seed %Ld: %s (injected %d, recovered %d)"
+              "mode %s, schedule %s, seed %Ld: %s (injected %d, recovered \
+               %d); %s"
               (Gb_core.Mitigation.mode_name mode)
               (match inject with
               | Some s -> Gb_system.Inject.spec_name s
@@ -213,7 +227,7 @@ let prop_random_diff =
               | Some d -> Format.asprintf "%a" Gb_diff.Oracle.pp_divergence d
               | None ->
                 Option.fold ~none:"unclean" ~some:(( ^ ) "trap: ") r.trap)
-              r.injected r.recovered)
+              r.injected r.recovered rerun)
         Gb_core.Mitigation.all_modes;
       true)
 
@@ -542,9 +556,10 @@ let prop_raw_words =
           match r.divergence with
           | None -> true
           | Some d ->
-            QCheck.Test.fail_reportf "%s: %s"
+            QCheck.Test.fail_reportf "%s: %s; %s"
               (Gb_core.Mitigation.mode_name mode)
-              (Format.asprintf "%a" Gb_diff.Oracle.pp_divergence d))
+              (Format.asprintf "%a" Gb_diff.Oracle.pp_divergence d)
+              rerun)
         modes)
 
 (* --- matrix ------------------------------------------------------------ *)
@@ -565,8 +580,14 @@ let test_matrix_smoke () =
   ignore (Gb_util.Json.to_string (Gb_diff.Matrix.to_json m))
 
 let () =
+  Printf.printf "qcheck random seed: %d\n%!" qcheck_seed;
   let qsuite =
-    List.map QCheck_alcotest.to_alcotest [ prop_random_diff; prop_raw_words ]
+    List.map
+      (fun t ->
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| qcheck_seed |])
+          t)
+      [ prop_random_diff; prop_raw_words ]
   in
   Alcotest.run "diff"
     [

@@ -16,11 +16,11 @@ let make_machine () =
 let pad width ops = Array.init width (fun i -> if i < List.length ops then List.nth ops i else Nop)
 
 (* A hand-built trace, decoded as the engine decodes every translation *)
-let trace ?(stubs = []) ?(n_regs = 64) bundles =
+let trace ?(stubs = []) ?(n_regs = 64) ?(width = 4) bundles =
   let t =
     {
       entry_pc = 0x1000;
-      bundles = Array.of_list (List.map (pad 4) bundles);
+      bundles = Array.of_list (List.map (pad width) bundles);
       stubs = Array.of_list stubs;
       n_regs;
       guest_insns = 0;
@@ -392,11 +392,12 @@ let init_regs =
   [ (1, 64L); (2, 3L); (5, 4088L); (6, Int64.of_int (max_int - 4));
     (7, -16L); (h 0, 128L); (h 1, 7L); (h 2, -1L); (h 3, 0x8000_0000L) ]
 
-let observed_machine observer =
+let observed_machine ?text observer =
   let mem = Gb_riscv.Mem.create ~size:ref_mem_size in
   for i = 0 to (ref_mem_size / 8) - 1 do
     Gb_riscv.Mem.store64 mem ~addr:(8 * i) (Int64.of_int (i * 7919))
   done;
+  Option.iter (fun (lo, hi) -> Gb_riscv.Mem.set_text mem ~lo ~hi) text;
   let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
   let obs =
     match observer with
@@ -593,6 +594,121 @@ let decoded_equals_reference =
             prefixes)
         [ Plain; Audited; Attributed ])
 
+(* --- direct or staged ---------------------------------------------------- *)
+
+(* [t] through the decoded closures and through the reference, on fresh
+   machines under each observer, twice: every pass whose exit or
+   exception, or machine state, differ, then the MCB entries if they
+   do. *)
+let against_reference ?text t =
+  List.concat_map
+    (fun observer ->
+      let dut = observed_machine ?text observer in
+      let refm = observed_machine ?text observer in
+      let ref_view = Pipeline_reference.Machine.of_machine (fst refm) in
+      let passes =
+        List.filter_map
+          (fun pass ->
+            let got = outcome (fun () -> Gb_vliw.Pipeline.run (fst dut) t) in
+            let want = outcome (fun () -> Pipeline_reference.run ref_view t) in
+            if got = want && machine_state dut = machine_state refm then None
+            else
+              Some
+                (Printf.sprintf "pass %d: decoded %s, reference %s" pass got
+                   want))
+          [ 1; 2 ]
+      in
+      if mcb_entries (fst dut) = mcb_entries (fst refm) then passes
+      else passes @ [ "MCB entries" ])
+    [ Plain; Audited; Attributed ]
+
+(* One bundle, then an exit: it must decode staged or direct as the rule
+   says, raise or not, and run as the reference does. [text] declares a
+   text segment in the machines' memory. *)
+let decode_rule ~staged ~raises ?text ?n_regs ?width bundle =
+  let t =
+    trace ?n_regs ?width
+      ~stubs:
+        [ make_stub
+            ~commits:[ (Gb_riscv.Reg.a0, R (h 1)) ]
+            ~target_pc:0x2000 ();
+          make_stub ~commits:[] ~target_pc:0x3000 () ]
+      [ bundle; [ Exit { stub = 0 } ] ]
+  in
+  let what =
+    String.concat " ; " (List.map (Format.asprintf "%a" pp_op) bundle)
+  in
+  Alcotest.(check int) (what ^ ": staged bundles") (if staged then 1 else 0)
+    (Gb_vliw.Pipeline.staged_bundles t);
+  let m, _ = observed_machine ?text Plain in
+  Alcotest.(check bool) (what ^ ": raises") raises
+    (String.starts_with ~prefix:"raised"
+       (outcome (fun () -> Gb_vliw.Pipeline.run m t)));
+  Alcotest.(check (list string)) (what ^ ": = reference") []
+    (against_reference ?text t)
+
+let set dst v = Alu { op = add; dst; a = I v; b = I 0L }
+
+let store_to base =
+  Store
+    { w = Gb_riscv.Insn.D; src = R (h 0); base = I base; off = 0; id = 0;
+      pc = 0 }
+
+(* h1 <- h0 + 1 must read h0 from before the bundle, not the 5 an earlier
+   op of the bundle writes *)
+let staged_read_after_write () =
+  decode_rule ~staged:true ~raises:false
+    [ set (h 0) 5L; Alu { op = add; dst = h 1; a = R (h 0); b = I 1L } ]
+
+(* a store that faults, into text or at a wild address, must leave h0 as
+   it was before the bundle; so must a second taken control op, and the
+   hooks of an rdcycle and a Chk may raise *)
+let staged_raise_after_write () =
+  decode_rule ~staged:true ~raises:true ~text:(0, 256)
+    [ set (h 0) 5L; store_to 64L ];
+  decode_rule ~staged:true ~raises:true [ set (h 0) 5L; store_to (-8L) ];
+  decode_rule ~staged:true ~raises:true
+    [ set (h 0) 5L;
+      Branch { cond = Gb_riscv.Insn.BEQ; a = R 0; b = R 0; stub = 1 };
+      Exit { stub = 0 } ];
+  decode_rule ~staged:true ~raises:true
+    [ Exit { stub = 0 }; set (h 0) 5L;
+      Branch { cond = Gb_riscv.Insn.BEQ; a = R 0; b = R 0; stub = 1 } ];
+  decode_rule ~staged:true ~raises:false
+    [ set (h 0) 5L; Rdcycle { dst = h 1 } ];
+  decode_rule ~staged:true ~raises:false
+    [ set (h 0) 5L; Chk { tag = 0; stub = 1 } ]
+
+(* the run's register-count check covers registers below [n_regs] only *)
+let staged_write_above_n_regs () =
+  decode_rule ~staged:true ~raises:false ~n_regs:(h 2) [ set (h 2) 5L ];
+  decode_rule ~staged:true ~raises:false ~n_regs:(h 2)
+    [ set (h 0) 5L; Alu { op = add; dst = h 1; a = R (h 2); b = I 1L } ]
+
+(* a rotation through registers, each read before the op that writes it,
+   with a store, a taken branch and a load into x0 ahead of the writes:
+   in place, as 2, 4 and 7 ops *)
+let direct_hazard_free () =
+  let rotate =
+    [ Mv { dst = h 2; src = R (h 0) };
+      Alu { op = add; dst = h 0; a = R (h 1); b = I 1L };
+      Load
+        { w = Gb_riscv.Insn.D; unsigned = false; dst = h 1; base = R 5; off = 0;
+          spec = Some 0; id = 0; pc = 0x100; hoisted = false } ]
+  in
+  let ahead =
+    [ store_to 512L;
+      Branch { cond = Gb_riscv.Insn.BNE; a = R 1; b = R 2; stub = 1 };
+      Load
+        { w = Gb_riscv.Insn.W; unsigned = true; dst = 0; base = R 5; off = -8;
+          spec = None; id = 1; pc = 0x104; hoisted = true } ]
+  in
+  decode_rule ~staged:false ~raises:false
+    (List.filteri (fun i _ -> i < 2) rotate);
+  decode_rule ~staged:false ~raises:false (store_to 512L :: rotate);
+  decode_rule ~staged:false ~raises:false ~width:8
+    (ahead @ rotate @ [ set (h 3) 9L ])
+
 let () =
   Alcotest.run "vliw"
     [
@@ -617,7 +733,15 @@ let () =
             rdcycle_observes_stalls;
         ] );
       ( "decode",
-        [ QCheck_alcotest.to_alcotest decoded_equals_reference ] );
+        [ QCheck_alcotest.to_alcotest decoded_equals_reference;
+          Alcotest.test_case "staged: read after write" `Quick
+            staged_read_after_write;
+          Alcotest.test_case "staged: raise after write" `Quick
+            staged_raise_after_write;
+          Alcotest.test_case "staged: write above n_regs" `Quick
+            staged_write_above_n_regs;
+          Alcotest.test_case "direct: hazard-free bundles" `Quick
+            direct_hazard_free ] );
       ( "mcb",
         [
           Alcotest.test_case "rollback on conflict" `Quick mcb_rollback;
