@@ -3,7 +3,15 @@
     Only presence/absence of lines is modelled (no data storage — the
     simulator's memory is always coherent); this is sufficient and exact
     for timing and for the flush+reload side channel. Write misses
-    allocate (write-allocate policy). *)
+    allocate (write-allocate policy).
+
+    The state is two flat [int] arrays, tags and LRU stamps, with way [w]
+    of set [s] at slot [s * ways + w]. Line size and set count are powers
+    of two, so an address's set and tag are taken by shift and mask, and
+    a lookup scans [ways] adjacent ints. That holds for non-negative
+    addresses only: a negative address names no line. {!access},
+    {!access_range} and {!set_index} raise [Invalid_argument] on one,
+    {!contains} returns [false], and {!flush_line} ignores it. *)
 
 type config = {
   size_bytes : int;  (** total capacity *)
@@ -45,18 +53,22 @@ val line_of : t -> int -> int
 
 val access : t -> addr:int -> write:bool -> bool
 (** Touch one address: returns [true] on hit. Misses allocate the line,
-    evicting the LRU way. Accesses that straddle a line boundary touch the
-    second line too (a miss in either counts as a miss). *)
+    evicting the first invalid way, else the least recently used one.
+    Raises [Invalid_argument] on a negative address. *)
 
 val access_range : t -> addr:int -> size:int -> write:bool -> bool
-(** [access] over [size] bytes. *)
+(** [access] over [size] bytes. An access that straddles a line boundary
+    touches the second line too (a miss in either counts as a miss),
+    unless its last byte lies past [max_int] and so names no line.
+    Raises [Invalid_argument] on a negative [addr]. *)
 
 val contains : t -> int -> bool
 (** Presence probe that does not disturb LRU state (for tests and
-    reporting). *)
+    reporting); [false] for a negative address. *)
 
 val set_index : t -> int -> int
-(** Cache set holding the line that contains an address. *)
+(** Cache set holding the line that contains an address. Raises
+    [Invalid_argument] on a negative address. *)
 
 val lines : t -> int list
 (** Line-aligned base addresses of every valid line, sorted. Used by the

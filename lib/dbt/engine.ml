@@ -792,7 +792,10 @@ type region = {
 let regions t =
   let runs entry = (peek t entry).runs in
   List.sort
-    (fun a b -> compare (b.r_runs, a.r_entry) (a.r_runs, b.r_entry))
+    (fun a b ->
+      match Int.compare b.r_runs a.r_runs with
+      | 0 -> Int.compare a.r_entry b.r_entry
+      | c -> c)
     (List.map
        (fun e ->
          {

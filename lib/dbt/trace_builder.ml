@@ -31,7 +31,16 @@ let branch_direction cfg profile pc =
 
 type walk = { w_pcs : int array; w_dirs : int array }
 
-module Visits = Hashtbl.Make (Int)
+(* Visit counts by pc. [Int.hash] is a call to C's [caml_hash]; a pc is
+   a multiple of 4, so dropping its two low bits spreads it over the
+   buckets as well. *)
+module Visits = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash pc = pc lsr 2
+end)
 
 (* The walk proper: the trace, and the pc and direction of every
    conditional branch it read a direction at, newest first. Its other

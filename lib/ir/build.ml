@@ -54,7 +54,7 @@ module Cse = Hashtbl.Make (struct
     | Dfg.Imm x, Dfg.Imm y -> Int64.equal x y
     | (Dfg.Reg_in _ | Dfg.Node _ | Dfg.Imm _), _ -> false
 
-  let equal (op, a, b) (op', a', b') =
+  let equal ((op : Gb_riscv.Insn.oprr), a, b) (op', a', b') =
     op = op' && value_equal a a' && value_equal b b'
 
   let value_hash = function

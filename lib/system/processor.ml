@@ -207,10 +207,11 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
       if not opt.Gb_ir.Opt_config.mem_spec then opt
       else if entries <= 0 then
         { opt with Gb_ir.Opt_config.mem_spec = false; mcb_tags = 0 }
+      else if opt.Gb_ir.Opt_config.mcb_tags = entries then opt
       else { opt with Gb_ir.Opt_config.mcb_tags = entries }
     in
     let engine =
-      if sized = opt then config.engine
+      if sized == opt then config.engine
       else { config.engine with Gb_dbt.Engine.opt_override = Some sized }
     in
     (* Likewise the hidden registers: code needing more than the machine

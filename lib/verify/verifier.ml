@@ -132,7 +132,7 @@ let positions (tr : Vinsn.trace) =
 (* The latest bundle holding an op of [ids] with an id below [id], or -1:
    an op in bundle [c] is scheduled above such an op exactly when this is
    >= [c]. *)
-let latest_before ids bundles id =
+let latest_before (ids : int array) (bundles : int array) (id : int) =
   let latest = ref (-1) in
   for i = 0 to Array.length ids - 1 do
     if ids.(i) < id && bundles.(i) > !latest then latest := bundles.(i)

@@ -369,7 +369,7 @@ let rec count_controls bundle i acc =
       | Vinsn.Branch _ | Vinsn.Chk _ | Vinsn.Exit _ -> acc + 1
       | _ -> acc)
 
-let rec written dsts n dst i =
+let rec written (dsts : int array) n (dst : int) i =
   i < n && (dsts.(i) = dst || written dsts n dst (i + 1))
 
 (* Whether reading [o] could tell the writes to [dsts.(0 .. n-1)] from
