@@ -859,7 +859,7 @@ let profiled_run ~seed ~mode name =
     (find_program name)
 
 let conservation_status (r : Gb_system.Processor.result) a =
-  match At.check a ~cycles:r.Gb_system.Processor.cycles with
+  match At.check a ~cycles:(Int64.to_int r.Gb_system.Processor.cycles) with
   | Ok () -> "ok"
   | Error msg -> msg
 
@@ -922,7 +922,7 @@ let profile_run_action name mode top json folded_out seed =
           At.folded a ~kernel:name ~top:0 buf;
           write_file path (Buffer.contents buf))
         folded_out;
-      match At.check a ~cycles:r.Gb_system.Processor.cycles with
+      match At.check a ~cycles:(Int64.to_int r.Gb_system.Processor.cycles) with
       | Ok () -> Ok ()
       | Error msg ->
         Error (`Msg ("cycle attribution conservation violated: " ^ msg)))

@@ -184,20 +184,18 @@ let conflict_pcs t = sorted_counts t.conflicts
 
 let translations t = sorted_counts t.xlats
 
+let cycles_of_units u = float_of_int u /. float_of_int scale
+
 let check t ~cycles =
-  let have = Int64.of_int (total_units t) in
-  let want = Int64.mul (Int64.of_int scale) cycles in
-  if Int64.equal have want then Ok ()
+  let have = total_units t in
+  let want = scale * cycles in
+  if have = want then Ok ()
   else
     Error
       (Printf.sprintf
-         "ledger holds %Ld units (%.3f cycles) but the clock ran %Ld cycles \
-          (%Ld units); drift %+Ld units"
-         have
-         (Int64.to_float have /. float_of_int scale)
-         cycles want (Int64.sub have want))
-
-let cycles_of_units u = float_of_int u /. float_of_int scale
+         "ledger holds %d units (%.3f cycles) but the clock ran %d cycles \
+          (%d units); drift %+d units"
+         have (cycles_of_units have) cycles want (have - want))
 
 let to_json t =
   let module J = Gb_util.Json in

@@ -104,7 +104,7 @@ val conflict_pcs : t -> (int * int) list
 val translations : t -> (int * int) list
 (** [(entry pc, translations)], most translations first. *)
 
-val check : t -> cycles:int64 -> (unit, string) result
+val check : t -> cycles:int -> (unit, string) result
 (** Exact conservation: [total_units = scale * cycles]. *)
 
 val to_json : t -> Gb_util.Json.t

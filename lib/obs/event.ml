@@ -16,7 +16,7 @@ type kind =
           the committed-work bucket vs everything else — rendered as a
           committed-vs-overhead counter lane pair in the Chrome trace *)
 
-type t = { kind : kind; pc : int; region : int; cycle : int64 }
+type t = { kind : kind; pc : int; region : int; cycle : int }
 
 let name = function
   | Translate_start -> "translate_start"
@@ -66,6 +66,6 @@ let to_json t =
        ("event", J.String (name t.kind));
        ("pc", J.Int t.pc);
        ("region", J.Int t.region);
-       ("cycle", J.Int (Int64.to_int t.cycle));
+       ("cycle", J.Int t.cycle);
      ]
     @ args t.kind)

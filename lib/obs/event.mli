@@ -45,7 +45,9 @@ type t = {
   kind : kind;
   pc : int;  (** guest pc (or the faulting address for cache events) *)
   region : int;  (** trace entry pc; 0 when not attributable *)
-  cycle : int64;  (** simulated cycle at record time *)
+  cycle : int;
+      (** simulated cycle at record time: the clock at the start of the
+          interpreted instruction or the VLIW bundle that recorded it *)
 }
 
 val name : kind -> string

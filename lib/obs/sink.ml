@@ -4,7 +4,7 @@ type active = {
   events : Event.t Ring.t;
   timers : Timer.t;
   attrib : Attrib.t option;
-  mutable cycle_source : unit -> int64;
+  mutable cycle_source : unit -> int;
   mutable ring_warned : bool;
 }
 
@@ -20,7 +20,7 @@ let create ?(ring_capacity = 65536) ?span_capacity ?seed ?(attrib = false) () =
       events = Ring.create ring_capacity;
       timers = Timer.create ?span_capacity ();
       attrib = (if attrib then Some (Attrib.create ()) else None);
-      cycle_source = (fun () -> 0L);
+      cycle_source = (fun () -> 0);
       ring_warned = false;
     }
 

@@ -38,10 +38,11 @@ val attrib : t -> Attrib.t option
 (** The cycle-attribution ledger, when this sink was created with
     [~attrib:true]. [None] on {!noop} and plain active sinks. *)
 
-val set_cycle_source : t -> (unit -> int64) -> unit
+val set_cycle_source : t -> (unit -> int) -> unit
 (** Install the simulated-clock reader used to timestamp events (the
-    processor wires this to its cycle counter). Until set, events are
-    stamped with cycle 0. No-op on {!noop}. *)
+    processor wires this to its shared clock, which both tiers advance
+    as simulated time passes, so a stamp is exact mid-run). Until set,
+    events are stamped with cycle 0. No-op on {!noop}. *)
 
 (** {2 Recording} *)
 

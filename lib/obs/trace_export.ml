@@ -42,7 +42,7 @@ let counter_event (e : Event.t) =
       ("name", J.String "cycles (committed vs overhead)");
       ("cat", J.String "attrib");
       ("ph", J.String "C");
-      ("ts", J.Int (Int64.to_int e.Event.cycle));
+      ("ts", J.Int e.Event.cycle);
       ("pid", J.Int attrib_pid);
       ("tid", J.Int 0);
       ("args", J.Obj (Event.args e.Event.kind));
@@ -80,7 +80,7 @@ let guest_event ?(pid = guest_pid) (e : Event.t) =
       ("cat", J.String (if pid = leakage_pid then "leakage" else "guest"));
       ("ph", J.String "i");
       ("s", J.String "t");  (* thread-scoped instant *)
-      ("ts", J.Int (Int64.to_int e.Event.cycle));
+      ("ts", J.Int e.Event.cycle);
       ("pid", J.Int pid);
       ("tid", J.Int e.Event.region);
       ( "args",

@@ -22,12 +22,11 @@ let undecoded = { ce_insn = Insn.Fence; ce_imm = 0L }
 type t = {
   regs : Regfile.t;
   mem : Mem.t;
-  clock : int64 ref;
+  clock : int ref;
   hooks : hooks;
   has_hooks : bool;
       (* false when [hooks == pure_hooks]: lets the hot loop skip the
-         hook calls (and the accumulator flushes that keep hook-visible
-         state exact) entirely *)
+         hook calls entirely *)
   mutable pc : int;
   mutable insn_count : int64;
   output : Buffer.t;
@@ -35,7 +34,7 @@ type t = {
   decode_cache : centry array;
       (* one slot per text word, the word at [text_lo + 4 * i] in slot
          [i]; sound because [Mem] refuses stores into text *)
-  mutable rdcycle_hook : (int64 -> int64) option;
+  mutable rdcycle_hook : (int -> int) option;
       (* filters every rdcycle result (differential record/replay) *)
   (* Scratch state for the allocation-free execution core: [exec_insn]
      reports control flow through these fields instead of returning an
@@ -43,11 +42,9 @@ type t = {
   mutable x_next : int;
   mutable x_taken : int;
   mutable x_exit : int;
-  (* Batched instruction/cycle counters used by {!run}: flushed into
-     [insn_count]/[clock] before anything that can observe them (hooks,
-     rdcycle, traps, exit). Always 0 outside {!run}. *)
+  (* instructions {!run} retired, not yet folded into the boxed
+     [insn_count]; always 0 outside {!run} *)
   mutable acc_insns : int;
-  mutable acc_cycles : int;
   scratch : Regfile.t;
       (* slot 0 takes every write to x0, so [regs] slot 0 is never
          written and stays zero; slot 1 stages an Op_imm immediate for
@@ -61,7 +58,7 @@ let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 let default_sp mem = Int64.of_int (Mem.size mem - 16)
 
 let create ?(hooks = pure_hooks) ?clock ?regs ~mem ~pc () =
-  let clock = match clock with Some c -> c | None -> ref 0L in
+  let clock = match clock with Some c -> c | None -> ref 0 in
   let regs =
     match regs with
     | Some r ->
@@ -93,7 +90,6 @@ let create ?(hooks = pure_hooks) ?clock ?regs ~mem ~pc () =
     x_taken = -1;
     x_exit = -1;
     acc_insns = 0;
-    acc_cycles = 0;
     scratch = Regfile.create 2;
   }
 
@@ -303,16 +299,6 @@ let fetch t pc =
   let ce = Array.unsafe_get t.decode_cache slot in
   if ce != undecoded then ce else decode_slot t pc slot
 
-let flush_acc t =
-  if t.acc_insns <> 0 then begin
-    t.insn_count <- Int64.add t.insn_count (Int64.of_int t.acc_insns);
-    t.acc_insns <- 0
-  end;
-  if t.acc_cycles <> 0 then begin
-    t.clock := Int64.add !(t.clock) (Int64.of_int t.acc_cycles);
-    t.acc_cycles <- 0
-  end
-
 (* The register file a write to [rd] goes to: a write to x0 lands in
    the discard slot, so x0 reads as zero without a test on every read. *)
 let[@inline] dst t rd = if rd = 0 then t.scratch else t.regs
@@ -323,10 +309,8 @@ let[@inline] addr_of t rs1 off = Int64.to_int (Regfile.get t.regs rs1) + off
    flow is reported through [t.x_next]/[t.x_taken]/[t.x_exit] (pre-reset
    by the caller), and every result is written to the register file by
    the primitive that computes it, so the common case allocates nothing.
-   [flush_acc] runs before every point that can observe the
-   architectural counters — hook calls (which may stamp observability
-   events with the clock), rdcycle — keeping batched {!run} execution
-   bit-identical to stepped execution. *)
+   The clock reads the instruction's start throughout: the caller
+   advances it once the instruction is done. *)
 let exec_insn t pc ce =
   match ce.ce_insn with
   | Insn.Op_imm (op, rd, rs1, _) ->
@@ -348,18 +332,14 @@ let exec_insn t pc ce =
     let addr = addr_of t rs1 off in
     (* a load into x0 still faults and still reaches the cache *)
     load_into t.mem ~addr w ~unsigned (dst t rd) rd;
-    if t.has_hooks then begin
-      flush_acc t;
+    if t.has_hooks then
       t.hooks.mem_extra ~addr ~size:(width_bytes w) ~write:false
-    end
     else 0
   | Insn.Store (w, rs2, rs1, off) ->
     let addr = addr_of t rs1 off in
     store_from t.mem ~addr w t.regs rs2;
-    if t.has_hooks then begin
-      flush_acc t;
+    if t.has_hooks then
       t.hooks.mem_extra ~addr ~size:(width_bytes w) ~write:true
-    end
     else 0
   | Insn.Branch (c, rs1, rs2, off) ->
     let b = cond c t.regs rs1 t.regs rs2 in
@@ -387,17 +367,15 @@ let exec_insn t pc ce =
     | n -> trap "unknown ecall %d at pc 0x%x" n pc)
   | Insn.Fence -> 0
   | Insn.Rdcycle rd ->
-    flush_acc t;
     Regfile.set (dst t rd) rd
-      (match t.rdcycle_hook with
-      | Some f -> f !(t.clock)
-      | None -> !(t.clock));
+      (Int64.of_int
+         (match t.rdcycle_hook with
+         | Some f -> f !(t.clock)
+         | None -> !(t.clock)));
     0
   | Insn.Cflush rs1 ->
-    if t.has_hooks then begin
-      flush_acc t;
-      t.hooks.flush_line (Int64.to_int (Regfile.get t.regs rs1))
-    end;
+    if t.has_hooks then
+      t.hooks.flush_line (Int64.to_int (Regfile.get t.regs rs1));
     0
 
 let step t =
@@ -409,7 +387,7 @@ let step t =
   let extra = exec_insn t pc ce in
   t.pc <- t.x_next;
   t.insn_count <- Int64.add t.insn_count 1L;
-  t.clock := Int64.add !(t.clock) (Int64.of_int (1 + extra));
+  t.clock := !(t.clock) + 1 + extra;
   {
     s_pc = pc;
     s_insn = ce.ce_insn;
@@ -417,6 +395,10 @@ let step t =
     s_taken = (if t.x_taken < 0 then None else Some (t.x_taken <> 0));
     s_exit = (if t.x_exit < 0 then None else Some t.x_exit);
   }
+
+let fold_insns t =
+  t.insn_count <- Int64.add t.insn_count (Int64.of_int t.acc_insns);
+  t.acc_insns <- 0
 
 let run ?(max_insns = 1_000_000_000L) t =
   (* native-int budget: clamping is exact because a simulation can never
@@ -427,10 +409,8 @@ let run ?(max_insns = 1_000_000_000L) t =
     else Int64.to_int max_insns
   in
   let rec go () =
-    if Int64.to_int t.insn_count + t.acc_insns > budget then begin
-      flush_acc t;
-      trap "instruction budget exceeded"
-    end;
+    if Int64.to_int t.insn_count + t.acc_insns > budget then
+      trap "instruction budget exceeded";
     let pc = t.pc in
     let ce = fetch t pc in
     t.x_next <- pc + 4;
@@ -439,14 +419,12 @@ let run ?(max_insns = 1_000_000_000L) t =
     let extra = exec_insn t pc ce in
     t.pc <- t.x_next;
     t.acc_insns <- t.acc_insns + 1;
-    t.acc_cycles <- t.acc_cycles + 1 + extra;
-    if t.x_exit >= 0 then begin
-      flush_acc t;
-      t.x_exit
-    end
-    else go ()
+    t.clock := !(t.clock) + 1 + extra;
+    if t.x_exit >= 0 then t.x_exit else go ()
   in
-  (* any escape (Trap, Mem.Fault) must leave [insn_count]/[clock] exactly
-     as stepped execution would: counted up to, not including, the
-     faulting instruction *)
-  try go () with e -> flush_acc t; raise e
+  (* [insn_count] is folded on the way out, normal or not (Trap,
+     Mem.Fault): counted up to, not including, a faulting instruction,
+     as stepped execution counts it *)
+  let code = try go () with e -> fold_insns t; raise e in
+  fold_insns t;
+  code

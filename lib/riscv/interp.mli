@@ -26,7 +26,10 @@ type centry
 type t = {
   regs : Regfile.t;
   mem : Mem.t;
-  clock : int64 ref;
+  clock : int ref;
+      (** the simulated clock, in cycles: {!step} and {!run} advance it
+          by [1 + extra memory cycles] once an instruction is done, so a
+          hook or an [rdcycle] reads the instruction's start *)
   hooks : hooks;
   has_hooks : bool;  (** false iff [hooks] is {!pure_hooks} *)
   mutable pc : int;
@@ -38,7 +41,7 @@ type t = {
           {!create}: slot [i] holds the word at [text_lo + 4 * i], decoded
           on its first fetch. Sound because {!Mem} refuses stores into
           text. *)
-  mutable rdcycle_hook : (int64 -> int64) option;
+  mutable rdcycle_hook : (int -> int) option;
       (** when set, every [rdcycle] result is filtered through the hook
           (given the natural clock reading). The differential oracle
           records timing on the DBT side and replays it on the reference
@@ -52,9 +55,6 @@ type t = {
   mutable acc_insns : int;
       (** instructions retired by {!run} not yet folded into
           [insn_count]; always 0 outside {!run} *)
-  mutable acc_cycles : int;
-      (** cycles accumulated by {!run} not yet folded into [clock];
-          always 0 outside {!run} *)
   scratch : Regfile.t;
       (** scratch: slot 0 takes writes to x0, slot 1 stages an
           immediate operand *)
@@ -70,7 +70,7 @@ val default_sp : Mem.t -> int64
     (the processor) must use it too, so the two paths cannot drift. *)
 
 val create :
-  ?hooks:hooks -> ?clock:int64 ref -> ?regs:Regfile.t -> mem:Mem.t ->
+  ?hooks:hooks -> ?clock:int ref -> ?regs:Regfile.t -> mem:Mem.t ->
   pc:int -> unit -> t
 (** [regs] must have at least 32 entries and is never mutated here (it
     may be a shared file handed back mid-computation); a fresh 32-entry
@@ -135,8 +135,6 @@ val step : t -> step_info
 val run : ?max_insns:int64 -> t -> int
 (** Run until the exit ecall; returns the exit code. Raises {!Trap} when
     [max_insns] (default 1e9) is exceeded. Equivalent to iterating
-    {!step} but allocation-free per instruction: [insn_count] and
-    [clock] are batched internally and flushed before any point that can
-    observe them (memory-hook calls, [rdcycle], traps, and on return),
-    so hook-visible state and the final architectural state are
-    bit-identical to stepped execution. *)
+    {!step} but allocation-free per instruction: [clock] advances as
+    {!step} advances it, and the boxed [insn_count] is folded once, when
+    [run] returns or raises. *)

@@ -3,7 +3,7 @@ type config = {
   hier : Gb_cache.Hierarchy.config;
   machine : Gb_vliw.Machine.config;
   engine : Gb_dbt.Engine.config;
-  max_cycles : int64;
+  max_cycles : int;
 }
 
 let default_config =
@@ -12,7 +12,7 @@ let default_config =
     hier = Gb_cache.Hierarchy.default_config;
     machine = Gb_vliw.Machine.default_config;
     engine = Gb_dbt.Engine.default_config;
-    max_cycles = 4_000_000_000L;
+    max_cycles = 4_000_000_000;
   }
 
 let config_for mode =
@@ -50,7 +50,7 @@ type result = {
 type t = {
   cfg : config;
   mem : Gb_riscv.Mem.t;
-  clock : int64 ref;
+  clock : int ref;
   hier : Gb_cache.Hierarchy.t;
   interp : Gb_riscv.Interp.t;
   machine : Gb_vliw.Machine.t;
@@ -125,7 +125,7 @@ let create ?(config = default_config) ?(obs = Gb_obs.Sink.noop)
   let inject =
     match inject with Some _ as i -> i | None -> Inject.of_env ~obs ()
   in
-  let clock = ref 0L in
+  let clock = ref 0 in
   (* every component stamps its events with the shared simulated clock *)
   Gb_obs.Sink.set_cycle_source obs (fun () -> !clock);
   let hier = Gb_cache.Hierarchy.create ~obs config.hier in
@@ -289,7 +289,7 @@ let result_of t exit_code =
   let es = Gb_dbt.Engine.stats t.engine in
   {
     exit_code;
-    cycles = !(t.clock);
+    cycles = Int64.of_int !(t.clock);
     interp_insns = t.interp.Gb_riscv.Interp.insn_count;
     trace_runs = Int64.of_int ms.Gb_vliw.Machine.trace_runs;
     bundles = Int64.of_int ms.Gb_vliw.Machine.bundles;
@@ -322,7 +322,7 @@ let run t =
   let cc = Gb_dbt.Engine.code_cache engine in
   Gb_dbt.Engine.record_block_entry engine t.interp.Gb_riscv.Interp.pc;
   let rec loop () =
-    if Int64.compare !(t.clock) t.cfg.max_cycles > 0 then
+    if !(t.clock) > t.cfg.max_cycles then
       raise (Gb_riscv.Interp.Trap "cycle watchdog exceeded");
     let pc = t.interp.Gb_riscv.Interp.pc in
     (* the code cache's own entry, not [Engine.lookup]'s [Some] *)

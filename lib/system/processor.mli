@@ -9,7 +9,7 @@ type config = {
   hier : Gb_cache.Hierarchy.config;
   machine : Gb_vliw.Machine.config;
   engine : Gb_dbt.Engine.config;
-  max_cycles : int64;  (** watchdog *)
+  max_cycles : int;  (** watchdog *)
 }
 
 val default_config : config

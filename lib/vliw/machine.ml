@@ -1,16 +1,16 @@
 type config = {
   n_hidden : int;
   mcb_entries : int;
-  exit_penalty : int;
   chain : bool;  (* vestigial: must be true, see machine.mli *)
 }
 
-let default_config =
-  { n_hidden = 96; mcb_entries = 8; exit_penalty = 4; chain = true }
+let default_config = { n_hidden = 96; mcb_entries = 8; chain = true }
+
+let exit_penalty = 4
 
 (* Native-int counters: an [int64] field here would allocate a fresh box
-   on every increment, and these are bumped per trace run / per bundle
-   flush. 63 bits cannot realistically overflow on counted events. *)
+   on every increment, and these are bumped per trace run and per
+   bundle. 63 bits cannot realistically overflow on counted events. *)
 type stats = {
   mutable bundles : int;
   mutable trace_runs : int;
@@ -26,12 +26,12 @@ type t = {
   regs : Gb_riscv.Regfile.t;
   mem : Gb_riscv.Mem.t;
   hier : Gb_cache.Hierarchy.t;
-  clock : int64 ref;
+  clock : int ref;
   mcb : Mcb.t;
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
-  mutable rdcycle_hook : (int64 -> int64) option;
+  mutable rdcycle_hook : (int -> int) option;
   (* Scratch state owned by Pipeline.run, hoisted here so bundle
      execution never allocates: the parallel-write buffer, used only by
      the bundles decode stages (a direct bundle writes [regs] and
@@ -51,18 +51,6 @@ type t = {
   mutable taken_kind : Vinsn.exit_kind;
   taint : bool array;
   mutable taint_on : bool;
-  (* Batched per-bundle counters: native-int accumulators folded into
-     the [int64] stats/clock before anything can observe them (Rdcycle,
-     trace exit, any instrumented run). Each is "always 0 outside
-     Pipeline.run" — the flush discipline that keeps batched and
-     eager execution bit-identical. *)
-  mutable acc_bundles : int;
-  mutable acc_stalls : int;
-  mutable acc_cycles : int;
-  mutable eager : bool;
-      (* true when an observer (active sink, audit) could read the
-         clock mid-run: bundle counters are then flushed every bundle,
-         exactly the pre-batching behavior *)
   exit_scratch : Vinsn.exit_info;
       (* the one exit record every pipeline pass refills and returns *)
 }
@@ -111,27 +99,9 @@ let create ?(cfg = default_config) ~mem ~hier ~clock ?regs
     taken_kind = Vinsn.Fallthrough;
     taint = Array.make (Gb_riscv.Regfile.length regs) false;
     taint_on = false;
-    acc_bundles = 0;
-    acc_stalls = 0;
-    acc_cycles = 0;
-    eager = true;
     exit_scratch =
       { Vinsn.next_pc = 0; kind = Vinsn.Fallthrough };
   }
-
-let flush_acc t =
-  if t.acc_bundles <> 0 then begin
-    t.stats.bundles <- t.stats.bundles + t.acc_bundles;
-    t.acc_bundles <- 0
-  end;
-  if t.acc_stalls <> 0 then begin
-    t.stats.stall_cycles <- t.stats.stall_cycles + t.acc_stalls;
-    t.acc_stalls <- 0
-  end;
-  if t.acc_cycles <> 0 then begin
-    t.clock := Int64.add !(t.clock) (Int64.of_int t.acc_cycles);
-    t.acc_cycles <- 0
-  end
 
 (* grow the parallel-write buffer to at least [n] slots (wider traces
    than any seen before); steady state never allocates *)

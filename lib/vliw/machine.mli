@@ -4,7 +4,6 @@
 type config = {
   n_hidden : int;  (** hidden (speculation) registers beyond the 32 guest ones *)
   mcb_entries : int;
-  exit_penalty : int;  (** pipeline refill cycles on any trace exit *)
   chain : bool;
       (** Vestigial and always [true]: every trace exit returns to the
           dispatcher, there is no trace chaining. {!create} raises
@@ -13,7 +12,10 @@ type config = {
 }
 
 val default_config : config
-(** 96 hidden registers, 8 MCB entries, exit penalty 4. *)
+(** 96 hidden registers, 8 MCB entries. *)
+
+val exit_penalty : int
+(** Pipeline refill cycles a side exit or an MCB rollback pays: 4. *)
 
 type stats = {
   mutable bundles : int;
@@ -27,8 +29,9 @@ type stats = {
           estimate: an early side exit still counts the whole trace) *)
 }
 (** Native-int counters ([int64] fields would box per increment on the
-    hot path); {!Gb_system.Processor} widens them to [int64] in its
-    result record. *)
+    hot path), written by {!Pipeline.run} as it goes;
+    {!Gb_system.Processor} widens them to [int64] in its result
+    record. *)
 
 type t = {
   cfg : config;
@@ -37,13 +40,17 @@ type t = {
           never written *)
   mem : Gb_riscv.Mem.t;
   hier : Gb_cache.Hierarchy.t;
-  clock : int64 ref;
+  clock : int ref;
+      (** the simulated clock both tiers share, in cycles: {!Pipeline.run}
+          advances it by each bundle's issue and stall cycles as the
+          bundle ends, and by the exit stub's commit cycles and the exit
+          penalty at the exit, so a reading mid-run is exact *)
   mcb : Mcb.t;
   stats : stats;
   obs : Gb_obs.Sink.t;
   audit : Gb_cache.Audit.t option;
       (** leakage audit fed by {!Pipeline.run}; [None] disables buffering *)
-  mutable rdcycle_hook : (int64 -> int64) option;
+  mutable rdcycle_hook : (int -> int) option;
       (** when set, every [Rdcycle] op's result is filtered through the
           hook (given the natural clock reading). The differential
           oracle uses it to record the timing values a run observed —
@@ -69,16 +76,6 @@ type t = {
           only while [taint_on] *)
   mutable taint_on : bool;
       (** whether [taint] is being maintained (an audit is attached) *)
-  mutable acc_bundles : int;
-      (** scratch: bundles not yet folded into [stats.bundles] *)
-  mutable acc_stalls : int;
-      (** scratch: stall cycles not yet folded into [stats.stall_cycles] *)
-  mutable acc_cycles : int;
-      (** scratch: cycles not yet folded into [clock]; always 0 outside
-          {!Pipeline.run} *)
-  mutable eager : bool;
-      (** flush the accumulators every bundle (an observer — active
-          sink, audit — could read the clock mid-run) *)
   exit_scratch : Vinsn.exit_info;
       (** scratch: the one exit record every pipeline pass refills and
           returns (see {!Vinsn.exit_info} on its lifetime) *)
@@ -88,7 +85,7 @@ val create :
   ?cfg:config ->
   mem:Gb_riscv.Mem.t ->
   hier:Gb_cache.Hierarchy.t ->
-  clock:int64 ref ->
+  clock:int ref ->
   ?regs:Gb_riscv.Regfile.t ->
   ?obs:Gb_obs.Sink.t ->
   ?audit:Gb_cache.Audit.t ->
@@ -105,7 +102,3 @@ val create :
 val ensure_write_capacity : t -> int -> unit
 (** Grow the parallel-write scratch buffer to at least [n] slots;
     allocation-free once the buffer is large enough. *)
-
-val flush_acc : t -> unit
-(** Fold the batched bundle/stall/cycle accumulators into
-    [stats]/[clock]. No-op when they are already 0. *)

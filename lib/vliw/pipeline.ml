@@ -214,14 +214,11 @@ let mv_op ~direct k (src : Vinsn.operand) : dop =
    which may record it. Nothing is written before the hook returns. *)
 let rdcycle_op ~direct k : dop =
  fun m ->
-  (* the natural reading is the clock at bundle issue — the batched
-     cycles of all previous bundles must be folded in first *)
-  Machine.flush_acc m;
   let now = !(m.clock) in
   let v = match m.rdcycle_hook with Some f -> f now | None -> now in
   if k >= 0 then begin
     untainted m direct k;
-    Regfile.set (out m direct) k v
+    Regfile.set (out m direct) k (Int64.of_int v)
   end
 
 (* A load writing [k] (-1: x0, the value is discarded). *)
@@ -542,13 +539,6 @@ let rec apply_commits (m : Machine.t) commits =
 let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
     kind =
   let open Vinsn in
-  (* the run is over. Observers (the audit's end-of-run diff, event
-     stamping through an active sink) must see the exact pre-commit
-     clock, so flush for them here; without one the accumulators keep
-     batching and fold exactly once below, after the commit/penalty
-     booking — one int64 materialisation per run instead of two *)
-  if Option.is_some m.audit || Gb_obs.Sink.is_active m.obs then
-    Machine.flush_acc m;
   let stub = trace.stubs.(stub_idx) in
   (match m.audit with
   | Some a -> Gb_cache.Audit.end_run a ~exit_id:stub.exit_id
@@ -561,10 +551,9 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   let penalty =
     match kind with
     | Fallthrough -> 0
-    | Side_exit | Rollback -> m.cfg.exit_penalty
+    | Side_exit | Rollback -> Machine.exit_penalty
   in
-  m.acc_cycles <- m.acc_cycles + commit_cycles + penalty;
-  Machine.flush_acc m;
+  m.clock := !(m.clock) + commit_cycles + penalty;
   (match Gb_obs.Sink.attrib m.obs with
   | Some a ->
     let module At = Gb_obs.Attrib in
@@ -595,9 +584,10 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   r
 
 (* The bundle loop: run bundle [i]'s step, which leaves its writes in
-   the register file, advance the clock, and stop at the first taken
-   exit. A top-level function of its state rather than a local
-   [let rec], which would allocate a closure on every pass. *)
+   the register file, count the bundle and its stalls, advance the
+   clock past it, and stop at the first taken exit. A top-level function
+   of its state rather than a local [let rec], which would allocate a
+   closure on every pass. *)
 let rec cycle (m : Machine.t) (trace : Vinsn.trace) steps attrib ~width i =
   if i >= Array.length steps then
     error "trace fell off the end without an Exit op"
@@ -605,10 +595,9 @@ let rec cycle (m : Machine.t) (trace : Vinsn.trace) steps attrib ~width i =
     m.stall <- 0;
     m.taken_stub <- -1;
     steps.(i) m;
-    m.acc_bundles <- m.acc_bundles + 1;
-    m.acc_stalls <- m.acc_stalls + m.stall;
-    m.acc_cycles <- m.acc_cycles + 1 + m.stall;
-    if m.eager then Machine.flush_acc m;
+    m.stats.bundles <- m.stats.bundles + 1;
+    m.stats.stall_cycles <- m.stats.stall_cycles + m.stall;
+    m.clock := !(m.clock) + 1 + m.stall;
     (* the cache-miss part of this advance was attributed op-by-op in
        touch_cache; the one issue cycle splits across the slots here.
        Mitigation-inserted fences mark this translation's Fence/Nop
@@ -661,13 +650,4 @@ let run (m : Machine.t) (trace : Vinsn.trace) =
   m.taint_on <- (match m.audit with Some _ -> true | None -> false);
   if m.taint_on then Array.fill m.taint 0 (Array.length m.taint) false;
   Machine.ensure_write_capacity m p.slots;
-  (* an active sink stamps events (cache misses, MCB conflicts) with the
-     clock mid-run, and an audit diffs shadow state per run: both need
-     the pre-batching per-bundle flush; otherwise the accumulators are
-     invisible until the next flush point and bundle advance allocates
-     nothing *)
-  m.eager <- Gb_obs.Sink.is_active m.obs || m.taint_on || Option.is_some attrib;
-  try cycle m trace p.steps attrib ~width 0
-  with e ->
-    Machine.flush_acc m;
-    raise e
+  cycle m trace p.steps attrib ~width 0

@@ -73,7 +73,8 @@ val staged_bundles : Vinsn.trace -> int
 val run : Machine.t -> Vinsn.trace -> exit_info
 (** Execute one pass over the trace's decoded form (raising
     {!Machine_error} if it was never {!decode}d), advancing the machine
-    clock, and return the taken exit. The exit stub's compensation moves
+    clock and its bundle and stall counters as each bundle ends, and
+    return the taken exit. The exit stub's compensation moves
     run and the leakage audit sees a complete [begin_run]/[end_run]
     window per pass. Every exit returns to the caller, the processor's
     dispatcher, which costs no simulated cycles. *)

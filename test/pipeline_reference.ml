@@ -3,24 +3,25 @@
    register write claiming the next parallel-write slot at run time with
    a scan for duplicates ([write_slot]). Kept verbatim as the reference
    that the decoded closures of {!Gb_vliw.Pipeline} must match bundle for
-   bundle (test_vliw's "decoded = reference" property); only the scratch
-   state it owned in [Machine.t] lives in the local [Machine] below, next
-   to the machine it shares everything else with. *)
+   bundle (test_vliw's "decoded = reference" property), except that,
+   like the pipeline, it writes the bundle and stall counts and the
+   native-int clock as each bundle ends; only the scratch state it owned
+   in [Machine.t] lives in the local [Machine] below, next to the
+   machine it shares everything else with. *)
 
 open Gb_vliw
 
 module Machine = struct
   type t = {
-    cfg : Gb_vliw.Machine.config;
     regs : Gb_riscv.Regfile.t;
     mem : Gb_riscv.Mem.t;
     hier : Gb_cache.Hierarchy.t;
-    clock : int64 ref;
+    clock : int ref;
     mcb : Mcb.t;
     stats : Gb_vliw.Machine.stats;
     obs : Gb_obs.Sink.t;
     audit : Gb_cache.Audit.t option;
-    rdcycle_hook : (int64 -> int64) option;
+    rdcycle_hook : (int -> int) option;
     mutable w_dst : int array;
     mutable w_val : Gb_riscv.Regfile.t;
     mutable w_taint : bool array;
@@ -31,10 +32,6 @@ module Machine = struct
     mutable taken_kind : Vinsn.exit_kind;
     taint : bool array;
     mutable taint_on : bool;
-    mutable acc_bundles : int;
-    mutable acc_stalls : int;
-    mutable acc_cycles : int;
-    mutable eager : bool;
     exit_scratch : Vinsn.exit_info;
   }
 
@@ -43,7 +40,6 @@ module Machine = struct
      its own *)
   let of_machine (m : Gb_vliw.Machine.t) =
     {
-      cfg = m.cfg;
       regs = m.regs;
       mem = m.mem;
       hier = m.hier;
@@ -63,26 +59,8 @@ module Machine = struct
       taken_kind = Vinsn.Fallthrough;
       taint = m.taint;
       taint_on = false;
-      acc_bundles = 0;
-      acc_stalls = 0;
-      acc_cycles = 0;
-      eager = true;
       exit_scratch = m.exit_scratch;
     }
-
-  let flush_acc t =
-    if t.acc_bundles <> 0 then begin
-      t.stats.bundles <- t.stats.bundles + t.acc_bundles;
-      t.acc_bundles <- 0
-    end;
-    if t.acc_stalls <> 0 then begin
-      t.stats.stall_cycles <- t.stats.stall_cycles + t.acc_stalls;
-      t.acc_stalls <- 0
-    end;
-    if t.acc_cycles <> 0 then begin
-      t.clock := Int64.add !(t.clock) (Int64.of_int t.acc_cycles);
-      t.acc_cycles <- 0
-    end
 
   (* grow the parallel-write buffer to at least [n] slots (wider traces
      than any seen before); steady state never allocates *)
@@ -223,14 +201,12 @@ let exec_op (m : Machine.t) op =
     read_into m m.w_val (write_slot m ~taint:(tainted m src) dst) src
   | Rdcycle { dst } ->
     let k = write_slot m ~taint:false dst in
-    (* the natural reading is the clock at bundle issue — the batched
-       cycles of all previous bundles must be folded in first *)
-    Machine.flush_acc m;
     let now = !(m.clock) in
     Regfile.set m.w_val k
-      (match m.rdcycle_hook with
-      | Some f -> f now
-      | None -> now)
+      (Int64.of_int
+         (match m.rdcycle_hook with
+         | Some f -> f now
+         | None -> now))
   | Load { w; unsigned; dst; base; off; spec; id; pc; hoisted } ->
     let addr = Int64.to_int (eval m base) + off in
     let size = Interp.width_bytes w in
@@ -291,13 +267,6 @@ let rec apply_commits (m : Machine.t) commits =
 let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
     kind =
   let open Vinsn in
-  (* the run is over. Observers (the audit's end-of-run diff, event
-     stamping through an active sink) must see the exact pre-commit
-     clock, so flush for them here; without one the accumulators keep
-     batching and fold exactly once below, after the commit/penalty
-     booking — one int64 materialisation per run instead of two *)
-  if Option.is_some m.audit || Gb_obs.Sink.is_active m.obs then
-    Machine.flush_acc m;
   let stub = trace.stubs.(stub_idx) in
   (match m.audit with
   | Some a -> Gb_cache.Audit.end_run a ~exit_id:stub.exit_id
@@ -310,10 +279,9 @@ let finish (m : Machine.t) (trace : Vinsn.trace) ~width ~bundle_idx stub_idx
   let penalty =
     match kind with
     | Fallthrough -> 0
-    | Side_exit | Rollback -> m.cfg.exit_penalty
+    | Side_exit | Rollback -> Gb_vliw.Machine.exit_penalty
   in
-  m.acc_cycles <- m.acc_cycles + commit_cycles + penalty;
-  Machine.flush_acc m;
+  m.clock := !(m.clock) + commit_cycles + penalty;
   (match Gb_obs.Sink.attrib m.obs with
   | Some a ->
     let module At = Gb_obs.Attrib in
@@ -377,12 +345,6 @@ let run (m : Machine.t) (trace : Vinsn.trace) =
   m.taint_on <- (match m.audit with Some _ -> true | None -> false);
   if m.taint_on then Array.fill m.taint 0 (Array.length m.taint) false;
   Machine.ensure_write_capacity m (width * 2);
-  (* an active sink stamps events (cache misses, MCB conflicts) with the
-     clock mid-run, and an audit diffs shadow state per run: both need
-     the pre-batching per-bundle flush; otherwise the accumulators are
-     invisible until the next flush point and bundle advance allocates
-     nothing *)
-  m.eager <- Gb_obs.Sink.is_active m.obs || m.taint_on || Option.is_some attrib;
   let n = Array.length trace.bundles in
   let rec cycle i =
     if i >= n then error "trace fell off the end without an Exit op"
@@ -399,10 +361,9 @@ let run (m : Machine.t) (trace : Vinsn.trace) =
         Regfile.move m.regs dst m.w_val k;
         if m.taint_on then m.taint.(dst) <- m.w_taint.(k)
       done;
-      m.acc_bundles <- m.acc_bundles + 1;
-      m.acc_stalls <- m.acc_stalls + m.stall;
-      m.acc_cycles <- m.acc_cycles + 1 + m.stall;
-      if m.eager then Machine.flush_acc m;
+      m.stats.bundles <- m.stats.bundles + 1;
+      m.stats.stall_cycles <- m.stats.stall_cycles + m.stall;
+      m.clock := !(m.clock) + 1 + m.stall;
       (* the cache-miss part of this advance was attributed op-by-op in
          touch_cache; the one issue cycle splits across the slots here *)
       (match attrib with
@@ -414,4 +375,4 @@ let run (m : Machine.t) (trace : Vinsn.trace) =
       else cycle (i + 1)
     end
   in
-  try cycle 0 with e -> Machine.flush_acc m; raise e
+  cycle 0

@@ -3,13 +3,13 @@
 
    The allocation bounds here are steady-state properties: warm up the
    code path once, then hold N repetitions to a per-repetition word
-   budget. Register values live unboxed in a [Gb_riscv.Regfile], so an
-   ALU op or load allocates nothing; what a trace run still allocates is
-   the one box of the clock fold at its exit. With an [int64 array] register file every value written cost
-   a 3-word box, so every bound in this file fails on that code. The
-   bounds assume the release profile the workspace builds in: -opaque
-   (the dev profile) turns the inlined register accesses into calls
-   that box. *)
+   budget. Register values live unboxed in a [Gb_riscv.Regfile] and the
+   clock is a native int, so no op allocates, rdcycle included, and
+   neither does a trace run. With an [int64 array] register file every
+   value written cost a 3-word box, so every bound in this file fails on
+   that code. The bounds assume the release profile the workspace builds
+   in: -opaque (the dev profile) turns the inlined register accesses
+   into calls that box. *)
 
 open Gb_vliw.Vinsn
 module Mem = Gb_riscv.Mem
@@ -21,7 +21,7 @@ let h n = Gb_vliw.Vinsn.guest_regs + n
 let make_machine ?(mem_size = 4096) () =
   let mem = Mem.create ~size:mem_size in
   let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
-  let clock = ref 0L in
+  let clock = ref 0 in
   (Gb_vliw.Machine.create ~mem ~hier ~clock (), mem)
 
 let pad width ops =
@@ -55,12 +55,12 @@ let measure_runs m t n =
 
 (* --- steady-state micro bounds ----------------------------------------- *)
 
-(* Per-run budget: the trace-exit constant, one 3-word [int64] box for
-   the clock fold, with a word of slack. Measured steady state is 3
-   words/run whatever the trace executes. It was 13 while the bundle
-   loop was a local closure, built on every pass, and 15 + 3 per value
-   an op produced with boxed register values. *)
-let budget = 4.
+(* Per-run budget: nothing. It was 3 words/run while the pipeline
+   batched its cycles and folded them into an [int64] clock at the exit
+   (a 3-word box), 13 while the bundle loop was also a local closure,
+   built on every pass, and 15 + 3 per value an op produced with boxed
+   register values. *)
+let budget = 0.
 
 let check_budget name words =
   if words > budget then
@@ -84,7 +84,8 @@ let all_alus =
 
 (* Every op form that writes or reads a register value: each ALU op on
    register and immediate operands, loads and stores of every width,
-   moves, and every branch condition (none taken: r1 = 64, r2 = 3). *)
+   moves, a clock read, and every branch condition (none taken: r1 = 64,
+   r2 = 3). *)
 let every_op_bundles =
   let module I = Gb_riscv.Insn in
   let alus =
@@ -109,7 +110,7 @@ let every_op_bundles =
       [ (I.BEQ, 1, 2); (I.BNE, 1, 1); (I.BLT, 1, 2); (I.BGE, 2, 1);
         (I.BLTU, 1, 2); (I.BGEU, 2, 1) ]
   in
-  alus @ mem @ branches
+  alus @ mem @ [ [ Rdcycle { dst = h 4 } ] ] @ branches
 
 let micro_bounds () =
   let m, _ = make_machine () in
@@ -209,11 +210,11 @@ let interp_bound () =
       per_kinsn
 
 (* A loop over every instruction class that can run allocation-free
-   (all but rdcycle, which folds the clock, and ecall): ALU ops on
-   registers and immediates, writes to x0, loads and stores of every
-   width, auipc, and a call/return. The trip count is a data word, so
-   two runs decode exactly the same code; the difference between them
-   is what the extra iterations allocate. *)
+   (all but ecall): ALU ops on registers and immediates, writes to x0,
+   loads and stores of every width, auipc, rdcycle, and a call/return.
+   The trip count is a data word, so two runs decode exactly the same
+   code; the difference between them is what the extra iterations
+   allocate. *)
 let interp_loop =
   let open Gb_riscv in
   let open Insn in
@@ -237,7 +238,8 @@ let interp_loop =
        Asm.Insn (Load (H, true, Reg.a3, Reg.s1, 12));
        Asm.Insn (Load (B, true, Reg.a4, Reg.s1, 14));
        Asm.Insn (Load (D, false, Reg.zero, Reg.s1, 0));
-       Asm.Insn (Auipc (Reg.a5, 1)); Asm.Jal_to (Reg.ra, "leaf");
+       Asm.Insn (Auipc (Reg.a5, 1)); Asm.Insn (Rdcycle Reg.a6);
+       Asm.Jal_to (Reg.ra, "leaf");
        Asm.Insn (Op_imm (ADDI, Reg.t0, Reg.t0, -1));
        Asm.Branch_to (BNE, Reg.t0, Reg.zero, "loop");
        Asm.Li (Reg.a0, 0L); Asm.Li (Reg.a7, 93L); Asm.Insn Ecall;
@@ -289,14 +291,15 @@ let interp_steady_state () =
           name (w2 -. w1) (Int64.sub n2 n1))
     [ ("every class", interp_loop); ("straddling accesses", straddle_loop) ]
 
-(* 101.1 words/kinsn (the measured floor, +5%); 155.9 with trace
-   chaining, and 216.4 on that tree dispatching every exit (a boxed
-   int64 exit counter, a link attempt, [Engine.lookup]'s re-wrapped
-   option); 285.7 while the bundle
-   loop was a local closure built on every trace pass, 2080 with the
-   int64 array register file. What is left is per trace exit and per
-   interpreted instruction, not per bundle: the clock fold, code-cache
-   lookups, engine bookkeeping, the interpreter's step records.
+(* 29.85 words/kinsn (the measured floor, +5%); 74.9 while each trace
+   pass folded its batched cycles into a boxed [int64] clock, 101.1 with
+   an option per code-cache lookup, 155.9 with trace chaining, and 216.4
+   on that tree dispatching every exit (a boxed int64 exit counter, a
+   link attempt, [Engine.lookup]'s re-wrapped option); 285.7 while the
+   bundle loop was a local closure built on every trace pass, 2080 with
+   the int64 array register file. What is left is per trace exit and per
+   interpreted instruction, not per bundle: code-cache lookups, engine
+   bookkeeping, the interpreter's step records.
    Translation is excluded by the engine's Allocs windows. The processor
    is pinned to the configuration the manifest cell measures: no
    injected faults (evictions retranslate). *)
@@ -312,8 +315,8 @@ let pipeline_bound () =
         Allocs.per_kinsn ~words:(Allocs.stop a)
           ~insns:r.Gb_system.Processor.guest_insns
       in
-      if per_kinsn > 106.1 then
-        Alcotest.failf "%s: pipeline allocates %.1f words/kinsn (budget 106.1)"
+      if per_kinsn > 31.3 then
+        Alcotest.failf "%s: pipeline allocates %.1f words/kinsn (budget 31.3)"
           (Gb_core.Mitigation.mode_name mode)
           per_kinsn)
     [ Gb_core.Mitigation.Fence_on_detect; Gb_core.Mitigation.Min_cut ]

@@ -11,7 +11,7 @@ let run_attributed mode asm =
   let config = Gb_system.Processor.config_for mode in
   let r = Gb_system.Processor.run_program ~config ~obs asm in
   let a = Option.get (Gb_obs.Sink.attrib obs) in
-  (match At.check a ~cycles:r.Gb_system.Processor.cycles with
+  (match At.check a ~cycles:(Int64.to_int r.Gb_system.Processor.cycles) with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   (r, a)
@@ -47,9 +47,9 @@ let test_scale_divisible () =
 let test_check_detects_drift () =
   let a = At.create () in
   At.add_cycles a At.Committed_work ~tier:At.Interp ~trace:0 ~pc:0 ~cycles:3;
-  (match At.check a ~cycles:3L with Ok () -> () | Error m -> Alcotest.fail m);
+  (match At.check a ~cycles:3 with Ok () -> () | Error m -> Alcotest.fail m);
   Alcotest.(check bool) "drift detected" true
-    (match At.check a ~cycles:4L with Error _ -> true | Ok () -> false)
+    (match At.check a ~cycles:4 with Error _ -> true | Ok () -> false)
 
 let test_folded_format () =
   let a = At.create () in
@@ -113,9 +113,7 @@ let test_v1_rollback_and_tiers () =
 let test_exit_penalties () =
   let asm = Lazy.force v1_asm in
   let r, a = run_attributed Gb_core.Mitigation.Unsafe asm in
-  let penalty =
-    Gb_vliw.Machine.default_config.Gb_vliw.Machine.exit_penalty * At.scale
-  in
+  let penalty = Gb_vliw.Machine.exit_penalty * At.scale in
   Alcotest.(check bool) "side exits taken" true
     (r.Gb_system.Processor.side_exits > 0L);
   Alcotest.(check int64) "every trace exit is dispatched"
@@ -293,7 +291,9 @@ let prop_conservation =
       List.iter
         (fun mode ->
           let r, a = run_attributed mode asm in
-          (match At.check a ~cycles:r.Gb_system.Processor.cycles with
+          (match
+             At.check a ~cycles:(Int64.to_int r.Gb_system.Processor.cycles)
+           with
           | Ok () -> ()
           | Error msg ->
             QCheck.Test.fail_reportf "mode %s: %s"

@@ -104,7 +104,7 @@ let chain_false_rejected () =
         (Gb_vliw.Machine.create
            ~cfg:
              { Gb_vliw.Machine.default_config with Gb_vliw.Machine.chain = false }
-           ~mem ~hier ~clock:(ref 0L) ()))
+           ~mem ~hier ~clock:(ref 0) ()))
 
 (* --- the invariant under arbitrary operation sequences --- *)
 

@@ -672,7 +672,7 @@ let trace_oracle_prop =
       in
       let vliw_mem = make_mem () in
       let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
-      let clock = ref 0L in
+      let clock = ref 0 in
       let vliw_regs = Gb_riscv.Regfile.copy init_regs in
       let machine =
         Gb_vliw.Machine.create ~mem:vliw_mem ~hier ~clock ~regs:vliw_regs ()
@@ -712,7 +712,7 @@ let trace_oracle_prop =
 let first_pass_machine () =
   let mem = Gb_riscv.Mem.create ~size:(1 lsl 16) in
   let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
-  let clock = ref 0L in
+  let clock = ref 0 in
   (mem, Gb_vliw.Machine.create ~mem ~hier ~clock ())
 
 let first_pass_straight_line () =
@@ -905,7 +905,7 @@ let first_pass_differential_prop =
       (* first-pass block *)
       let vmem, vregs = setup () in
       let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
-      let clock = ref 0L in
+      let clock = ref 0 in
       let machine = Gb_vliw.Machine.create ~mem:vmem ~hier ~clock ~regs:vregs () in
       let { Gb_dbt.First_pass.trace; _ } =
         Gb_dbt.First_pass.translate ~mem:vmem ~entry:program.Gb_riscv.Asm.entry
@@ -1356,21 +1356,51 @@ let spectre_v1 () =
   Gb_kernelc.Compile.assemble
     (Gb_attack.Spectre_v1.program ~secret:"SQUASH" ())
 
+(* What a run installed and reinstalled, counted by observers of the
+   code cache and the engine instead of read from the engine's
+   statistics: the trace-tier inserts, the sums of their translations'
+   [meta], and the reinstalls of each tier. *)
+type installs = {
+  mutable traces : int;
+  mutable patterns : int;
+  mutable constrained : int;
+  mutable fences : int;
+  mutable trace_reinstalls : int;
+  mutable block_reinstalls : int;
+}
+
 (* One run in a [capacity]-bundle code cache: the result, the engine's
-   statistics and the installed regions with their run counts and code,
-   rendered. *)
+   statistics, the installed regions with their run counts and code,
+   rendered, and what the observers counted. *)
 let observe_reuse ?obs ?audit ?(verify = Gb_dbt.Engine.Verify_enforce)
     ~capacity mode asm =
   let module P = Gb_system.Processor in
   let module E = Gb_dbt.Engine in
+  let module C = Gb_dbt.Code_cache in
   let engine e =
-    { e with
-      E.verify;
-      cache = { e.E.cache with Gb_dbt.Code_cache.capacity } }
+    { e with E.verify; cache = { e.E.cache with C.capacity } }
   in
   let p = Pinned.processor ?obs ?audit ~engine mode asm in
-  let r = P.run p in
   let eng = P.engine p in
+  let seen =
+    { traces = 0; patterns = 0; constrained = 0; fences = 0;
+      trace_reinstalls = 0; block_reinstalls = 0 }
+  in
+  C.set_on_insert (E.code_cache eng) (fun e ->
+      match e.C.e_tier with
+      | C.Trace ->
+        let m = e.C.e_trace.Gb_vliw.Vinsn.meta in
+        seen.traces <- seen.traces + 1;
+        seen.patterns <- seen.patterns + m.Gb_vliw.Vinsn.spectre_patterns;
+        seen.constrained <-
+          seen.constrained + m.Gb_vliw.Vinsn.constrained_loads;
+        seen.fences <- seen.fences + m.Gb_vliw.Vinsn.fences_inserted
+      | C.Block -> ());
+  E.set_on_reinstall eng (fun ~entry:_ tier _ ~plan:_ _ ->
+      match tier with
+      | C.Trace -> seen.trace_reinstalls <- seen.trace_reinstalls + 1
+      | C.Block -> seen.block_reinstalls <- seen.block_reinstalls + 1);
+  let r = P.run p in
   let buf = Buffer.create (1 lsl 16) in
   List.iter
     (fun (rg : E.region) ->
@@ -1379,7 +1409,7 @@ let observe_reuse ?obs ?audit ?(verify = Gb_dbt.Engine.Verify_enforce)
         rg.E.r_runs;
       render_trace buf rg.E.r_trace)
     (E.regions eng);
-  (r, E.stats eng, Buffer.contents buf)
+  (r, E.stats eng, Buffer.contents buf, seen)
 
 (* A trace entry whose stored walk still holds reinstalls the lowering
    stored there, and a first-pass block whose words are unchanged the
@@ -1395,46 +1425,54 @@ let observe_reuse ?obs ?audit ?(verify = Gb_dbt.Engine.Verify_enforce)
    again, exactly as without reuse. Each config runs with the noop sink,
    with an active sink, and with an active sink and an audit. Reuses,
    result (audit aside), statistics, regions with their run counts and
-   the installed code must agree, and the sink's counters must equal the
-   result's fields (the min-cut-only counter listed under min-cut
-   alone). *)
+   the installed code must agree. The reinstalls the engine reports must
+   be the pinned reuses, and the sink's counters must equal what the
+   code cache was given: its trace inserts and their translations'
+   [meta] (the min-cut-only counter listed under min-cut alone). *)
 let reuse_is_invisible () =
   let module P = Gb_system.Processor in
   let module E = Gb_dbt.Engine in
   let heat_3d = assemble_workload "heat-3d" in
   List.iter
     (fun (name, capacity, mode, asm, reuses, blocks, patterns) ->
-      let r, s, code = observe_reuse ~capacity mode asm in
+      let r, s, code, seen = observe_reuse ~capacity mode asm in
       Alcotest.(check int) (name ^ ": reuses") reuses s.E.lowerings_reused;
+      Alcotest.(check int) (name ^ ": trace reinstalls") reuses
+        seen.trace_reinstalls;
       Alcotest.(check int) (name ^ ": block reuses") blocks s.E.blocks_reused;
+      Alcotest.(check int) (name ^ ": block reinstalls") blocks
+        seen.block_reinstalls;
       Alcotest.(check int) (name ^ ": patterns") patterns r.P.patterns_found;
       List.iter
         (fun (observer, audit) ->
           let what = Printf.sprintf "%s, %s" name observer in
           let obs = Gb_obs.Sink.create () in
-          let r', s', code' = observe_reuse ~obs ~audit ~capacity mode asm in
+          let r', s', code', seen' =
+            observe_reuse ~obs ~audit ~capacity mode asm
+          in
           Alcotest.(check bool) (what ^ ": same result") true
             (r = { r' with P.audit = None });
           Alcotest.(check bool) (what ^ ": same stats") true (s = s');
           Alcotest.(check string) (what ^ ": same regions and code")
             (Digest.to_hex (Digest.string code))
             (Digest.to_hex (Digest.string code'));
+          Alcotest.(check bool) (what ^ ": same installs") true (seen = seen');
           let counters = Gb_obs.Sink.counters obs in
           List.iter
             (fun (c, v) ->
               Alcotest.(check (option int)) (what ^ ": " ^ c) v
                 (List.assoc_opt c counters))
             [
-              ("translate.translations", Some r.P.translations);
+              ("translate.translations", Some seen'.traces);
               ("translate.lowerings_reused", Some reuses);
               ("translate.blocks_reused", Some blocks);
               ("verify.checked", Some s.E.verify_checked);
-              ("mitigation.patterns_found", Some r.P.patterns_found);
-              ("mitigation.loads_constrained", Some r.P.loads_constrained);
-              ("mitigation.fences_inserted", Some r.P.fences_inserted);
+              ("mitigation.patterns_found", Some seen'.patterns);
+              ("mitigation.loads_constrained", Some seen'.constrained);
+              ("mitigation.fences_inserted", Some seen'.fences);
               ( "mitigation.cut_protects",
                 if mode = Gb_core.Mitigation.Min_cut then
-                  Some r.P.loads_constrained
+                  Some seen'.constrained
                 else None );
             ])
         [ ("active sink", false); ("active sink and audit", true) ])
@@ -1455,7 +1493,7 @@ let reuse_is_invisible () =
    without verification reuses 550 lowerings. *)
 let audit_survives_reuse () =
   let module E = Gb_dbt.Engine in
-  let r, s, _ =
+  let r, s, _, _ =
     observe_reuse ~obs:(Gb_obs.Sink.create ()) ~audit:true ~verify:E.Verify_off
       ~capacity:96 Gb_core.Mitigation.Unsafe (spectre_v1 ())
   in

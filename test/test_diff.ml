@@ -432,7 +432,7 @@ let test_endless_loop () =
     (fun mode ->
       let config =
         { (Gb_system.Processor.config_for mode) with
-          Gb_system.Processor.max_cycles = 200_000L }
+          Gb_system.Processor.max_cycles = 200_000 }
       in
       expect_clean_trap
         (Gb_core.Mitigation.mode_name mode)
@@ -550,7 +550,7 @@ let prop_raw_words =
         (fun mode ->
           let config =
             { (Gb_system.Processor.config_for mode) with
-              Gb_system.Processor.max_cycles = 1_000_000L }
+              Gb_system.Processor.max_cycles = 1_000_000 }
           in
           let r = Gb_diff.Oracle.run ~config program in
           match r.divergence with

@@ -115,9 +115,9 @@ let sink_noop () =
 
 let sink_records () =
   let s = Sink.create ~ring_capacity:8 () in
-  let cycle = ref 0L in
+  let cycle = ref 0 in
   Sink.set_cycle_source s (fun () -> !cycle);
-  cycle := 17L;
+  cycle := 17;
   Sink.event s ~pc:0x100 ~region:0x80 Event.Translate_start;
   Sink.add_counters s (fun () -> [ ("translate.translations", 1) ]);
   Alcotest.(check int) "timer result" 7 (Sink.time s "codegen" (fun () -> 7));
@@ -125,7 +125,7 @@ let sink_records () =
   | [ e ] ->
     Alcotest.(check int) "pc" 0x100 e.Event.pc;
     Alcotest.(check int) "region" 0x80 e.Event.region;
-    Alcotest.(check int64) "cycle stamp" 17L e.Event.cycle
+    Alcotest.(check int) "cycle stamp" 17 e.Event.cycle
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs));
   Alcotest.(check (list (pair string int))) "counter visible"
     [ ("translate.translations", 1) ]
@@ -222,10 +222,10 @@ let finished_processor_collected () =
 
 let trace_json_shape () =
   let s = Sink.create () in
-  let cycle = ref 5L in
+  let cycle = ref 5 in
   Sink.set_cycle_source s (fun () -> !cycle);
   Sink.event s ~pc:0x44 ~region:0x40 (Event.Mcb_conflict { addr = 0x44 });
-  cycle := 9L;
+  cycle := 9;
   Sink.event s ~pc:0x48 ~region:0x40 Event.Rollback;
   ignore (Sink.time s "schedule" (fun () -> ()));
   let json = Sink.trace_json s in
@@ -299,7 +299,7 @@ let event_json () =
       Event.kind = Event.Cache_miss { addr = 64; write = true };
       pc = 64;
       region = 0;
-      cycle = 3L;
+      cycle = 3;
     }
   in
   Alcotest.(check string) "event json"

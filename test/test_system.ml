@@ -658,7 +658,7 @@ let knob_vectors_prop =
     return
       ( k,
         { base with
-          P.max_cycles = 50_000_000L;
+          P.max_cycles = 50_000_000;
           hier =
             { base.P.hier with
               Gb_cache.Hierarchy.cache =

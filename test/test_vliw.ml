@@ -10,7 +10,7 @@ let reg (m : Gb_vliw.Machine.t) r = Gb_riscv.Regfile.get m.regs r
 let make_machine () =
   let mem = Gb_riscv.Mem.create ~size:(1 lsl 16) in
   let hier = Gb_cache.Hierarchy.create Gb_cache.Hierarchy.default_config in
-  let clock = ref 0L in
+  let clock = ref 0 in
   (Gb_vliw.Machine.create ~mem ~hier ~clock (), clock)
 
 let pad width ops = Array.init width (fun i -> if i < List.length ops then List.nth ops i else Nop)
@@ -190,13 +190,13 @@ let miss_stalls_pipeline () =
   ignore (Gb_vliw.Pipeline.run m t);
   let cold = !clock in
   ignore (Gb_vliw.Pipeline.run m t);
-  let warm = Int64.sub !clock cold in
-  Alcotest.(check bool) "cold run slower" true (Int64.compare cold warm > 0);
+  let warm = !clock - cold in
+  Alcotest.(check bool) "cold run slower" true (cold > warm);
   let miss_penalty =
     (Gb_cache.Hierarchy.config m.Gb_vliw.Machine.hier).Gb_cache.Hierarchy.miss_penalty
   in
-  Alcotest.(check int64) "difference is the miss penalty"
-    (Int64.of_int miss_penalty) (Int64.sub cold warm)
+  Alcotest.(check int) "difference is the miss penalty" miss_penalty
+    (cold - warm)
 
 let cflush_forces_miss () =
   let t_load =
@@ -218,9 +218,8 @@ let cflush_forces_miss () =
   (* flush the line, reload: should pay the miss again *)
   Gb_cache.Hierarchy.flush_line m.Gb_vliw.Machine.hier 4096;
   ignore (Gb_vliw.Pipeline.run m t_load);
-  let after = Int64.sub !clock before in
-  Alcotest.(check bool) "flush caused a miss" true
-    (Int64.compare after 40L > 0)
+  let after = !clock - before in
+  Alcotest.(check bool) "flush caused a miss" true (after > 40)
 
 let duplicate_write_rejected () =
   let t =
@@ -410,14 +409,14 @@ let observed_machine ?text observer =
       Some (Gb_cache.Audit.create ~real:(Gb_cache.Hierarchy.cache hier) ())
     | Plain | Attributed -> None
   in
-  let m = Gb_vliw.Machine.create ~mem ~hier ~clock:(ref 0L) ~obs ?audit () in
+  let m = Gb_vliw.Machine.create ~mem ~hier ~clock:(ref 0) ~obs ?audit () in
   List.iter (fun (r, v) -> Gb_riscv.Regfile.set m.regs r v) init_regs;
   let readings = ref [] in
   m.rdcycle_hook <-
     Some
       (fun now ->
         readings := now :: !readings;
-        Int64.add (Int64.mul now 3L) 1L);
+        (now * 3) + 1);
   (m, readings)
 
 (* Everything a bundle can change, rendered for comparison. *)
@@ -439,11 +438,11 @@ let machine_state ((m : Gb_vliw.Machine.t), readings) =
     cs.write_misses cs.flushes;
   List.iter (add " %d") (Gb_cache.Cache.lines cache);
   let st = m.stats in
-  add "\nclock %Ld stats %d %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
+  add "\nclock %d stats %d %d %d %d %d %d %d mcb %d" !(m.clock) st.bundles
     st.trace_runs st.side_exits st.rollbacks st.fallthroughs st.stall_cycles
     st.guest_insns (Gb_vliw.Mcb.stats m.mcb).conflicts;
   add "\nrdcycle";
-  List.iter (add " %Ld") !readings;
+  List.iter (add " %d") !readings;
   (match m.audit with
   | Some a ->
     add "\naudit %s dependent"
